@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"nvdimmc/internal/fault"
 	"nvdimmc/internal/numa"
@@ -44,9 +45,12 @@ type NumaPoint struct {
 	VictimState string // final lattice state of the victim socket
 }
 
-// NumaResult is the fabric campaign table.
+// NumaResult is the fabric campaign table, plus the idle-heavy
+// harness-performance measurement (fabric lookahead vs lockstep) on a
+// 4-socket fabric.
 type NumaResult struct {
 	Rows []NumaPoint
+	IdleSegment
 }
 
 // Points returns the campaign size.
@@ -254,6 +258,14 @@ func Numa(o Options) (NumaResult, error) {
 		return res, err
 	}
 	res.Rows = rows
+	idleReqs := o.pick(1000, 100)
+	seg, idleFP, err := measureIdle("numa", idleReqs, func(lockstep bool) (string, int, float64, error) {
+		return numaIdleRun(o, idleReqs, lockstep)
+	})
+	if err != nil {
+		return res, err
+	}
+	res.IdleSegment = seg
 
 	o.printf("== Numa: %d-point multi-socket fabric campaign (3 sockets x 2ch, %d reqs/point) ==\n",
 		points, reqs)
@@ -273,5 +285,76 @@ func Numa(o Options) (NumaResult, error) {
 	o.printf("  availability %s  min %.2f%%\n", report.Sparkline(avail), 100*res.MinAvailability())
 	o.printf("  acked writes lost: %d  post-evacuation submissions: %d  evacuations: %d/%d points\n",
 		res.AckedLostTotal(), res.PostEvacTotal(), res.Evacuations(), points)
+	o.printf("  idle-heavy 4-socket rated segment: lockstep and lookahead outputs identical\n    %s\n", idleFP)
 	return res, nil
+}
+
+// numaIdleRun is the fabric's harness-performance segment: a fault-free
+// 4-socket x 2-channel fabric under an idle-heavy rated load (2e3 req/s,
+// ~64 epochs between arrivals), so quiet spans sit between remote and
+// local requests alike. Both fabric and pool probes run every 64 epochs:
+// the defaults (8 and 4) would clip every quiet batch to a few epochs, and
+// the period is identical in both modes. It returns the run's deterministic
+// fingerprint, its fabric epoch count and the host wall time of the run
+// phase.
+func numaIdleRun(o Options, reqs int, lockstep bool) (string, int, float64, error) {
+	const sockets = 4
+	f, err := numa.New(numa.Config{
+		Sockets: sockets,
+		Pool: pool.Config{
+			Channels:        2,
+			DIMMsPerChannel: 1,
+			Interleave:      4096,
+			Member:          faultMemberCfg(),
+			PrefillPages:    -1,
+			ProbeEvery:      64,
+		},
+		ChunkBytes:       64 << 10,
+		ProbeEvery:       64,
+		Workers:          o.workers(),
+		Seed:             sim.SplitSeed(13, "numa/idle"),
+		DisableLookahead: lockstep,
+	})
+	if err != nil {
+		return "", 0, 0, fmt.Errorf("numa idle segment: %w", err)
+	}
+	// Tenants stay inside the DRAM caches, so requests are short hits and
+	// the idle gaps between them dominate: one per socket over its own
+	// cached footprint, plus a roamer homed on socket 0 that addresses the
+	// last socket's.
+	ts := make([]openloop.Tenant, 0, sockets+1)
+	for s := 0; s < sockets; s++ {
+		ts = append(ts, openloop.Tenant{
+			Name: fmt.Sprintf("s%d", s), Socket: s, Dist: openloop.Uniform, ReadPct: 70, Weight: 2,
+			Footprint: f.Socket(s).CachedFootprint(), Offset: int64(s) * f.Span(),
+		})
+	}
+	ts = append(ts, openloop.Tenant{
+		Name: "roam", Socket: 0, Dist: openloop.Uniform, ReadPct: 70, Weight: 1,
+		Footprint: f.Socket(sockets - 1).CachedFootprint(), Offset: int64(sockets-1) * f.Span(),
+	})
+	gen, err := openloop.New(openloop.Config{
+		Seed:       sim.SplitSeed(13, "numa-load/idle"),
+		RatePerSec: 2e3,
+		Tenants:    ts,
+	})
+	if err != nil {
+		return "", 0, 0, err
+	}
+	start := time.Now()
+	if err := f.RunOpenLoop(gen, reqs); err != nil {
+		return "", 0, 0, fmt.Errorf("numa idle segment: %w", err)
+	}
+	wallMS := float64(time.Since(start).Microseconds()) / 1000
+	if err := f.CheckHealth(); err != nil {
+		return "", 0, 0, fmt.Errorf("numa idle segment: %w", err)
+	}
+	s := f.Stats()
+	fp := fmt.Sprintf("reqs=%d done=%d failed=%d epochs=%d remote=%d p50=%v p99=%v remote-p99=%v",
+		s.Submitted, s.Completed, s.Failed, s.Epochs, s.RemoteRequests,
+		s.Lat.Percentile(50), s.Lat.Percentile(99), s.LatRemote.Percentile(99))
+	for _, ps := range s.PerSocket {
+		fp += fmt.Sprintf(" %s/%d", ps.State, ps.Pool.Epochs)
+	}
+	return fp, s.Epochs, wallMS, nil
 }

@@ -21,6 +21,9 @@ func TestNumaParallelIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
 		}
+		// The idle-segment wall clocks are host-time (documented
+		// nondeterministic); everything else must match exactly.
+		res.IdleWallLockstepMS, res.IdleWallLookaheadMS = 0, 0
 		return res, buf.String()
 	}
 	serialRes, serialOut := run(1)

@@ -24,17 +24,21 @@ type PoolPoint struct {
 
 // PoolResult is the channel-scaling table (the paper's §VIII deployment
 // projected from its §VI single-module measurements), plus the idle-heavy
-// harness-performance measurement (lookahead scheduler vs naive lockstep).
+// harness-performance measurement (lookahead scheduler vs naive lockstep)
+// on a 6-channel pool.
 type PoolResult struct {
 	Rows []PoolPoint
+	IdleSegment
+}
 
-	// IdleReqs / IdleEpochs describe the idle-heavy rated segment: a
-	// 6-channel pool under an open-loop rate whose mean inter-arrival spans
-	// ~64 epochs, run twice on identical seeds — naive lockstep, then the
-	// lookahead scheduler — with identical simulated outputs (the harness
-	// errors otherwise). The Wall fields are host wall-clock (nondeterm-
-	// inistic; they reach the bench snapshot through advisory headlines and
-	// are never printed, so experiment stdout stays byte-comparable).
+// IdleSegment is a harness-performance measurement: an idle-heavy rated
+// load (mean inter-arrival ~64 epochs) run twice on identical seeds —
+// naive lockstep, then the lookahead scheduler — with identical simulated
+// outputs (the harness errors otherwise). IdleEpochs counts the run's
+// epochs. The Wall fields are host wall-clock (nondeterministic; they reach
+// the bench snapshot through advisory headlines and are never printed, so
+// experiment stdout stays byte-comparable).
+type IdleSegment struct {
 	IdleReqs            int
 	IdleEpochs          int
 	IdleWallLockstepMS  float64
@@ -43,11 +47,30 @@ type PoolResult struct {
 
 // IdleSpeedupX returns the lockstep/lookahead wall-clock ratio of the
 // idle-heavy segment (0 until measured).
-func (r PoolResult) IdleSpeedupX() float64 {
+func (r IdleSegment) IdleSpeedupX() float64 {
 	if r.IdleWallLookaheadMS <= 0 {
 		return 0
 	}
 	return r.IdleWallLockstepMS / r.IdleWallLookaheadMS
+}
+
+// measureIdle runs an idle-heavy segment in both scheduler modes, lockstep
+// first, and errors if their fingerprints differ. run returns the
+// fingerprint, the epoch count and the host wall time (ms) of its run phase.
+func measureIdle(name string, reqs int, run func(lockstep bool) (string, int, float64, error)) (IdleSegment, string, error) {
+	lockFP, epochs, lockWall, err := run(true)
+	if err != nil {
+		return IdleSegment{}, "", err
+	}
+	aheadFP, _, aheadWall, err := run(false)
+	if err != nil {
+		return IdleSegment{}, "", err
+	}
+	if lockFP != aheadFP {
+		return IdleSegment{}, "", fmt.Errorf("%s idle segment: lookahead diverged from lockstep:\n  lockstep:  %s\n  lookahead: %s",
+			name, lockFP, aheadFP)
+	}
+	return IdleSegment{reqs, epochs, lockWall, aheadWall}, lockFP, nil
 }
 
 // At returns the cell for a channel count and interleave granularity (KB).
@@ -200,22 +223,11 @@ func Pool(o Options) (PoolResult, error) {
 			s.Lat.Percentile(50), s.Lat.Percentile(99), s.Lat.Percentile(99.9), s.Meter.BandwidthMBps())
 		return fp, s.Epochs, wallMS, nil
 	}
-	lockFP, lockEpochs, lockWall, err := idleRun(true)
+	seg, idleFP, err := measureIdle("pool", idleReqs, idleRun)
 	if err != nil {
 		return res, err
 	}
-	aheadFP, _, aheadWall, err := idleRun(false)
-	if err != nil {
-		return res, err
-	}
-	if lockFP != aheadFP {
-		return res, fmt.Errorf("pool idle segment: lookahead diverged from lockstep:\n  lockstep:  %s\n  lookahead: %s",
-			lockFP, aheadFP)
-	}
-	res.IdleReqs = idleReqs
-	res.IdleEpochs = lockEpochs
-	res.IdleWallLockstepMS = lockWall
-	res.IdleWallLookaheadMS = aheadWall
+	res.IdleSegment = seg
 
 	o.printf("== Pool: socket scaling, open-loop 2-tenant load (saturating) ==\n")
 	for _, gran := range grans {
@@ -236,6 +248,6 @@ func Pool(o Options) (PoolResult, error) {
 	}
 	o.printf("  1->6ch scaling at 4 KB interleave: %.2fx (paper board: 6 channels/socket)\n",
 		res.ScalingX())
-	o.printf("  idle-heavy 6ch rated segment: lockstep and lookahead outputs identical\n    %s\n", lockFP)
+	o.printf("  idle-heavy 6ch rated segment: lockstep and lookahead outputs identical\n    %s\n", idleFP)
 	return res, nil
 }

@@ -1,0 +1,329 @@
+package numa
+
+import (
+	"fmt"
+	"testing"
+
+	"nvdimmc/internal/workload/openloop"
+)
+
+// quietFabric builds a fault-free 2-socket fabric with both probe periods
+// pushed far out, so the bound under test is the only horizon in play.
+func quietFabric(t *testing.T, mut ...func(*Config)) *Fabric {
+	t.Helper()
+	return newTestFabric(t, 2, 1, append([]func(*Config){func(c *Config) {
+		c.ProbeEvery = 1 << 20
+		c.Pool.ProbeEvery = 1 << 20
+	}}, mut...)...)
+}
+
+// TestFabricQuietEpochsProbeBound: a socket probe counts toward the
+// lattice's streaks, so a quiet batch may end on a fabric probe epoch but
+// never jump one — and each pool's own probe period caps the batch too.
+// Walking an idle fabric batch by batch must land on exactly the union of
+// both probe schedules, and run every fabric probe once.
+func TestFabricQuietEpochsProbeBound(t *testing.T) {
+	for _, c := range []struct {
+		fabric, pool int
+		batches      []int
+	}{
+		// Fabric probes every 8, pool every 64: the fabric bound rules.
+		{8, 64, []int{8, 8, 8, 8, 8, 8, 8, 8}},
+		// Fabric 6, pool 4: batches end on 4, 6, 8, 12, 16, 18, 20, 24.
+		{6, 4, []int{4, 2, 2, 4, 4, 2, 2, 4}},
+	} {
+		f := newTestFabric(t, 2, 1, func(cfg *Config) {
+			cfg.ProbeEvery = c.fabric
+			cfg.Pool.ProbeEvery = c.pool
+			cfg.SuspectClearProbes = 1 << 20 // count clean probes, never recover
+		})
+		// A Suspect socket's clean streak counts the fabric probes that ran.
+		f.socks[1].health.state = SocketSuspect
+		for i, want := range c.batches {
+			k := f.quietEpochs(1000)
+			if k != want {
+				t.Fatalf("%d/%d batch %d at epoch %d: quietEpochs = %d, want %d",
+					c.fabric, c.pool, i, f.epochs, k, want)
+			}
+			f.stepQuiet(k)
+		}
+		if want := f.epochs / c.fabric; f.socks[1].health.cleanProbes != want {
+			t.Fatalf("%d/%d: %d clean probes by epoch %d, want %d (a probe was jumped)",
+				c.fabric, c.pool, f.socks[1].health.cleanProbes, f.epochs, want)
+		}
+	}
+	f := newTestFabric(t, 2, 1, func(cfg *Config) { cfg.Pool.ProbeEvery = 1 << 20 })
+	for i := 0; i < 5; i++ {
+		f.Step()
+	}
+	if k := f.quietEpochs(1000); k != 3 {
+		t.Fatalf("epoch 5, fabric probe every 8: quietEpochs = %d, want 3", k)
+	}
+}
+
+// TestFabricQuietEpochsRetryBound: a backoff entry's ready epoch bounds the
+// batch so the promoting boundary is a real Step.
+func TestFabricQuietEpochsRetryBound(t *testing.T) {
+	f := quietFabric(t)
+	f.retries = append(f.retries, fabRetry{op: &sockOp{req: &fabReq{}}, ready: 7})
+	if k := f.quietEpochs(1000); k != 6 {
+		t.Fatalf("retry ready at epoch 7: quietEpochs = %d, want 6", k)
+	}
+	f.retries[0].ready = 2
+	if k := f.quietEpochs(1000); k != 0 {
+		t.Fatalf("retry ready in two epochs: quietEpochs = %d, want 0 (one quiet epoch is a plain Step)", k)
+	}
+	f.retries[0].ready = 1
+	if k := f.quietEpochs(1000); k != 0 {
+		t.Fatalf("retry due next step: quietEpochs = %d, want 0", k)
+	}
+}
+
+// TestFabricQuietEpochsLinkFaultBound: a scheduled link fault fires on a
+// real Step at exactly its epoch; once past, it bounds nothing.
+func TestFabricQuietEpochsLinkFaultBound(t *testing.T) {
+	f := quietFabric(t, func(c *Config) {
+		c.LinkFaults = []LinkFault{{Epoch: 5, Socket: 1, LatFactor: 4, BWDivide: 2}}
+	})
+	if k := f.quietEpochs(1000); k != 4 {
+		t.Fatalf("link fault at epoch 5: quietEpochs = %d, want 4", k)
+	}
+	f.stepQuiet(4)
+	if n := f.ctr.Get("link-degraded"); n != 0 {
+		t.Fatalf("link fault fired inside the quiet batch (%d)", n)
+	}
+	f.advance(1000)
+	if f.epochs != 5 || f.ctr.Get("link-degraded") != 1 {
+		t.Fatalf("epoch %d: link fault fired %d times, want once at epoch 5",
+			f.epochs, f.ctr.Get("link-degraded"))
+	}
+	if k := f.quietEpochs(1000); k != 1000 {
+		t.Fatalf("past link fault: quietEpochs = %d, want 1000 (no bound)", k)
+	}
+}
+
+// TestFabricQuietEpochsMigrationDisables: an active evacuation issues pages
+// every epoch, so no batch may form.
+func TestFabricQuietEpochsMigrationDisables(t *testing.T) {
+	f := quietFabric(t)
+	f.jobs = append(f.jobs, &migJob{})
+	if k := f.quietEpochs(1000); k != 0 {
+		t.Fatalf("active migration: quietEpochs = %d, want 0", k)
+	}
+}
+
+// TestFabricQuietEpochsPendingDisables: a foreground or migration piece
+// pending on any socket means a completion may land at the next boundary.
+func TestFabricQuietEpochsPendingDisables(t *testing.T) {
+	f := quietFabric(t)
+	f.socks[1].pend[1] = &sockOp{}
+	if k := f.quietEpochs(1000); k != 0 {
+		t.Fatalf("pending foreground piece: quietEpochs = %d, want 0", k)
+	}
+	delete(f.socks[1].pend, 1)
+	f.socks[0].mig[1] = &migOp{}
+	if k := f.quietEpochs(1000); k != 0 {
+		t.Fatalf("pending migration piece: quietEpochs = %d, want 0", k)
+	}
+	delete(f.socks[0].mig, 1)
+	if k := f.quietEpochs(1000); k != 1000 {
+		t.Fatalf("idle fabric: quietEpochs = %d, want 1000", k)
+	}
+}
+
+// TestFabricQuietEpochsBreakerBound: an open breaker on one socket caps
+// the whole fabric's batch at that pool's cooldown expiry, and the
+// half-open transition lands on the batch's final epoch.
+func TestFabricQuietEpochsBreakerBound(t *testing.T) {
+	f := quietFabric(t, func(c *Config) {
+		// Every completion counts as a breaker failure, so one request trips
+		// its channel's breaker at the end of a 2-epoch window.
+		c.Pool.BreakerLatency = 1
+		c.Pool.BreakerWindow = 2
+		c.Pool.BreakerMinSamples = 1
+		c.Pool.BreakerErrRate = 0.5
+		c.Pool.BreakerCooldown = 40
+	})
+	if _, err := f.Submit(openloop.Request{Socket: 1, Off: f.Span(), Len: 4096}); err != nil {
+		t.Fatal(err)
+	}
+	open := func() bool {
+		for _, o := range f.Socket(1).Occupancy() {
+			if o.Breaker == "open" {
+				return true
+			}
+		}
+		return false
+	}
+	for !open() {
+		if f.epochs > 512 {
+			t.Fatal("breaker never tripped")
+		}
+		f.Step()
+	}
+	if !f.Quiesced() {
+		t.Fatal("request still pending with the breaker open")
+	}
+	want := f.Socket(1).QuietEpochs(1000)
+	if want < 2 || want > 40 {
+		t.Fatalf("open breaker: socket 1 QuietEpochs = %d, want a cooldown in [2, 40]", want)
+	}
+	if k := f.Socket(0).QuietEpochs(1000); k != 1000 {
+		t.Fatalf("healthy socket 0: QuietEpochs = %d, want 1000", k)
+	}
+	if k := f.quietEpochs(1000); k != want {
+		t.Fatalf("open breaker on socket 1: fabric quietEpochs = %d, want %d", k, want)
+	}
+	f.stepQuiet(want)
+	if got := f.Socket(1).Occupancy()[0].Breaker + "/" + f.Socket(1).Occupancy()[1].Breaker; open() ||
+		got == "closed/closed" {
+		t.Fatalf("after the capped batch breakers are %s, want one half-open", got)
+	}
+}
+
+// TestFabricQuietEpochsDisabled: the lockstep oracle and a limit below two
+// epochs both force a plain Step.
+func TestFabricQuietEpochsDisabled(t *testing.T) {
+	f := quietFabric(t)
+	for _, limit := range []int{-1, 0, 1} {
+		if k := f.quietEpochs(limit); k != 0 {
+			t.Fatalf("limit %d: quietEpochs = %d, want 0", limit, k)
+		}
+	}
+	if k := f.quietEpochs(2); k != 2 {
+		t.Fatalf("limit 2: quietEpochs = %d, want 2", k)
+	}
+	f = quietFabric(t, func(c *Config) { c.DisableLookahead = true })
+	if k := f.quietEpochs(1000); k != 0 {
+		t.Fatalf("lookahead disabled: quietEpochs = %d, want 0", k)
+	}
+}
+
+// sameFabric fails unless two fabrics agree on every observable: stats,
+// boundary instant, each pool's clock and occupancy, and socket health.
+func sameFabric(t *testing.T, label string, a, b *Fabric) {
+	t.Helper()
+	if sa, sb := snapshot(a.Stats()), snapshot(b.Stats()); sa != sb {
+		t.Fatalf("%s: stats diverged:\n--- batched ---\n%s--- stepped ---\n%s", label, sa, sb)
+	}
+	if a.Now() != b.Now() {
+		t.Fatalf("%s: Now %v vs %v", label, a.Now(), b.Now())
+	}
+	for si := range a.socks {
+		pa, pb := a.Socket(si), b.Socket(si)
+		if pa.Now() != pb.Now() {
+			t.Fatalf("%s: socket %d pool Now %v vs %v", label, si, pa.Now(), pb.Now())
+		}
+		if oa, ob := fmt.Sprintf("%+v", pa.Occupancy()), fmt.Sprintf("%+v", pb.Occupancy()); oa != ob {
+			t.Fatalf("%s: socket %d occupancy %s vs %s", label, si, oa, ob)
+		}
+		if ha, hb := *a.socks[si].health, *b.socks[si].health; ha != hb {
+			t.Fatalf("%s: socket %d health %+v vs %+v", label, si, ha, hb)
+		}
+	}
+}
+
+// TestFabricStepQuietMatchesSteps: one stepQuiet(k) on a fabric must leave
+// it exactly where k Steps leave its twin — warmed pools (service EWMAs,
+// probe baselines), a Suspect socket whose clean streak counts every
+// fabric probe, and non-aligned fabric and pool probe periods.
+func TestFabricStepQuietMatchesSteps(t *testing.T) {
+	twin := func() *Fabric {
+		f := newTestFabric(t, 2, 2, func(c *Config) {
+			c.ProbeEvery = 6
+			c.Pool.ProbeEvery = 4
+			c.SuspectClearProbes = 1 << 20
+		})
+		runFabric(t, f, fabricTenants(f, 5, false), 40)
+		f.socks[1].health.state = SocketSuspect
+		return f
+	}
+	a, b := twin(), twin()
+	sameFabric(t, "warm-up", a, b)
+	batches := 0
+	for end := a.epochs + 60; a.epochs < end; {
+		k := a.quietEpochs(1000)
+		if k > 1 {
+			a.stepQuiet(k)
+			batches++
+		} else {
+			k = 1 // one epoch to the next probe: a plain Step on both
+			a.Step()
+		}
+		for i := 0; i < k; i++ {
+			b.Step()
+		}
+		sameFabric(t, fmt.Sprintf("k=%d to epoch %d", k, a.epochs), a, b)
+	}
+	if batches < 10 || a.socks[1].health.cleanProbes < 10 {
+		t.Fatalf("%d batches and %d fabric probes in the compared span, want >= 10 each",
+			batches, a.socks[1].health.cleanProbes)
+	}
+}
+
+// TestFabricIdleLookaheadIdentical is the fabric lookahead's acceptance
+// gate: an idle-heavy rated load (mean inter-arrival ~64 epochs) on three
+// sockets, with a socket kill whose evacuation lands inside idle gaps and
+// a link fault scheduled mid-gap, produces byte-identical stats at 1, 2
+// and 8 workers under both lockstep and lookahead — and the lookahead runs
+// really batch most of their epochs. Runs in the -race -short lane.
+func TestFabricIdleLookaheadIdentical(t *testing.T) {
+	const count = 200 // enough writes for the kill's first program failure
+	var snaps, labels []string
+	for _, lockstep := range []bool{true, false} {
+		for _, workers := range []int{1, 2, 8} {
+			f := newTestFabric(t, 3, workers, killSocket(1, 1), func(c *Config) {
+				c.ProbeEvery = 8
+				c.Pool.ProbeEvery = 64
+				c.DisableLookahead = lockstep
+				c.LinkFaults = []LinkFault{{Epoch: 2021, Socket: 2, LatFactor: 8, BWDivide: 4}}
+			})
+			gcfg := fabricTenants(f, 42, true)
+			gcfg.RatePerSec = 2e3
+			s := runFabric(t, f, gcfg, count)
+			label := fmt.Sprintf("lockstep=%v workers=%d", lockstep, workers)
+			if s.PerSocket[1].State != SocketEvacuated {
+				t.Fatalf("%s: victim state %s, want evacuated", label, s.PerSocket[1].State)
+			}
+			if s.Ctr.Get("link-degraded") != 1 {
+				t.Fatalf("%s: link fault fired %d times", label, s.Ctr.Get("link-degraded"))
+			}
+			switch {
+			case lockstep && f.quietSpan != 0:
+				t.Fatalf("%s: lockstep batched %d epochs", label, f.quietSpan)
+			case !lockstep && 2*f.quietSpan < s.Epochs:
+				t.Fatalf("%s: only %d of %d epochs batched", label, f.quietSpan, s.Epochs)
+			}
+			snaps = append(snaps, snapshot(s))
+			labels = append(labels, label)
+		}
+	}
+	for i := 1; i < len(snaps); i++ {
+		if snaps[i] != snaps[0] {
+			t.Fatalf("%s changed output vs %s:\n--- %s ---\n%s--- %s ---\n%s",
+				labels[i], labels[0], labels[0], snaps[0], labels[i], snaps[i])
+		}
+	}
+}
+
+// TestFabricDrainBatchesRetryBackoff: Drain batches quiet spans too, so a
+// retry waiting out its backoff costs one batch, not one Step per epoch,
+// and promotes at exactly its ready epoch.
+func TestFabricDrainBatchesRetryBackoff(t *testing.T) {
+	f := quietFabric(t)
+	op := &sockOp{req: &fabReq{remaining: 1, src: 0, bytes: 4096}, off: 0, n: 4096}
+	f.submitted++
+	f.retries = append(f.retries, fabRetry{op: op, ready: 50})
+	if err := f.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.CheckHealth(); err != nil {
+		t.Fatal(err)
+	}
+	if f.Stats().Completed != 1 || f.ctr.Get("fab-retry-promoted") != 1 {
+		t.Fatalf("retried piece: completed=%d promoted=%d", f.Stats().Completed, f.ctr.Get("fab-retry-promoted"))
+	}
+	if f.quietSpan != 49 {
+		t.Fatalf("backoff to epoch 50 batched %d epochs, want 49", f.quietSpan)
+	}
+}

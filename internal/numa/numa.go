@@ -18,7 +18,10 @@
 // time the submitter observes. Everything advances in the same conservative
 // epoch lockstep as the pool: all fabric state mutates single-threaded at
 // epoch boundaries in canonical socket order, so output is byte-identical
-// at any worker count, with or without the pools' lookahead scheduler.
+// at any worker count. The pool's lookahead lifts one level too: spans in
+// which no fabric boundary can act advance every socket in one quiet batch
+// (quietEpochs/stepQuiet), byte-identical to the lockstep oracle that
+// DisableLookahead keeps.
 //
 // Socket health is the member lattice lifted one level (Up → Suspect →
 // Evacuating → Evacuated), driven by epoch-boundary probes that diff each
@@ -173,6 +176,10 @@ type Fabric struct {
 	epoch  sim.Duration
 	now    sim.Duration // current boundary, relative to fabric origin
 	epochs int
+	// quietSpan counts the epochs advanced inside quiet batches: a
+	// lookahead diagnostic, deliberately outside Stats so lockstep and
+	// lookahead runs stay byte-comparable.
+	quietSpan int
 
 	retries []fabRetry
 	jobs    []*migJob
@@ -720,23 +727,102 @@ func (f *Fabric) Quiesced() bool {
 	return true
 }
 
-// Drain steps the fabric until it quiesces (or the MaxEpochs guard trips).
+// quietEpochs reports how many upcoming fabric epochs — at most limit — are
+// provably quiet, so stepQuiet may advance them in one batch with results
+// byte-identical to that many Steps. It returns 0 (take a plain Step) unless
+// at least two are. Quiet requires an idle fabric: no migration job, no
+// pending foreground or migration piece on any socket, and lookahead on.
+// The horizon is then bounded by the next fabric boundary event:
+//
+//   - the next socket-probe epoch: the lattice's suspect and clean streaks
+//     count probes, so a batch may end on a probe epoch (stepQuiet runs it
+//     there) but never jump one;
+//   - each retry's ready epoch, minus one, so the promoting boundary is a
+//     real Step;
+//   - each future LinkFault's epoch, minus one, so the fault fires on a
+//     real Step;
+//   - each socket pool's own QuietEpochs, which carries the pool's probe,
+//     retry, deadline and breaker bounds.
+//
+// Link busy-until horizons need no bound: a quiet batch moves no byte over
+// the interconnect.
+func (f *Fabric) quietEpochs(limit int) int {
+	if f.Cfg.DisableLookahead || limit <= 1 || len(f.jobs) > 0 {
+		return 0
+	}
+	for _, s := range f.socks {
+		if len(s.pend)+len(s.mig) != 0 {
+			return 0
+		}
+	}
+	k := limit
+	if d := (f.epochs/f.Cfg.ProbeEvery+1)*f.Cfg.ProbeEvery - f.epochs; d < k {
+		k = d
+	}
+	for _, e := range f.retries {
+		if d := e.ready - f.epochs - 1; d < k {
+			k = d
+		}
+	}
+	for _, lf := range f.Cfg.LinkFaults {
+		if d := lf.Epoch - f.epochs - 1; lf.Epoch > f.epochs && d < k {
+			k = d
+		}
+	}
+	// A pool reports 0 when busy or when handed a limit below 2, so k leaves
+	// this loop either 0 or a batch every socket can take.
+	for _, s := range f.socks {
+		k = s.pool.QuietEpochs(k)
+	}
+	return k
+}
+
+// stepQuiet advances the fabric k quiet epochs (quietEpochs' preconditions)
+// in one batch: every socket pool takes one StepQuiet(k), and of the
+// fabric's boundary passes only the socket probe can act on an idle fabric.
+// Link faults, retry promotion, migration issue and sweep, and collection
+// are no-ops inside the span by construction. The final epoch may be a
+// probe epoch: probeSockets runs once, after the pools have advanced, with
+// f.now at the final epoch's start, exactly as Step would run it.
+func (f *Fabric) stepQuiet(k int) {
+	for _, s := range f.socks {
+		s.pool.StepQuiet(k)
+	}
+	f.epochs += k
+	f.quietSpan += k
+	f.now += sim.Duration(k-1) * f.epoch
+	f.probeSockets()
+	f.now += f.epoch
+}
+
+// advance moves the fabric past the current boundary: one quiet batch of up
+// to limit epochs when quietEpochs proves one, else one Step.
+func (f *Fabric) advance(limit int) {
+	if k := f.quietEpochs(limit); k > 1 {
+		f.stepQuiet(k)
+	} else {
+		f.Step()
+	}
+}
+
+// Drain steps the fabric until it quiesces (or the MaxEpochs guard trips),
+// batching quiet spans (retry backoffs, post-run tails) like pool.Drain.
 func (f *Fabric) Drain() error {
 	for !f.Quiesced() {
 		if f.epochs >= f.Cfg.MaxEpochs {
 			return fmt.Errorf("numa: %d epochs without draining (%d/%d requests terminal) — wedged?",
 				f.epochs, f.terminal(), f.submitted)
 		}
-		f.Step()
+		f.advance(f.Cfg.MaxEpochs - f.epochs)
 	}
 	return nil
 }
 
 // Run submits the stream next yields (arrival order, one epoch's worth per
-// step) and drains the fabric. Unlike pool.Run there is no quiet-epoch
-// batching at fabric level: pools may still warp idle members internally,
-// but the fabric boundary cadence is uniform so lockstep and lookahead
-// stay byte-comparable one level up too.
+// step) and drains the fabric. Like pool.Run, it batches provably quiet
+// spans through the lookahead (quietEpochs/stepQuiet), each batch bounded
+// by the next buffered arrival; with DisableLookahead every epoch is a full
+// Step, the lockstep oracle the batched path must match byte for byte.
 func (f *Fabric) Run(next func() (openloop.Request, bool)) error {
 	var look *openloop.Request
 	exhausted := false
@@ -761,7 +847,18 @@ func (f *Fabric) Run(next func() (openloop.Request, bool)) error {
 			f.Submit(*look) // sync refusals are already terminal-counted
 			look = nil
 		}
-		f.Step()
+		// Bound a quiet batch by the next buffered arrival (or, once the
+		// source is dry and the fabric quiesced, take the single bookkeeping
+		// step the lockstep loop would).
+		limit := f.Cfg.MaxEpochs - f.epochs
+		if look != nil {
+			if g := int((look.Arrival - f.now) / f.epoch); g < limit {
+				limit = g
+			}
+		} else if exhausted && f.Quiesced() {
+			limit = 0
+		}
+		f.advance(limit)
 		if exhausted && look == nil && f.Quiesced() {
 			return nil
 		}

@@ -44,19 +44,19 @@ func TestPoolLookaheadIdenticalAcrossWorkers(t *testing.T) {
 // a quiet batch may end on a probe epoch but never jump one.
 func TestQuietEpochsProbeBound(t *testing.T) {
 	p := newTestPool(t, 2, 1, 1, 4096) // ProbeEvery defaults to 4
-	if k := p.quietEpochs(1000); k != 4 {
-		t.Fatalf("fresh pool: quietEpochs = %d, want 4 (next probe)", k)
+	if k := p.QuietEpochs(1000); k != 4 {
+		t.Fatalf("fresh pool: QuietEpochs = %d, want 4 (next probe)", k)
 	}
 	p.epochs = 3
-	if k := p.quietEpochs(1000); k != 1 {
-		t.Fatalf("one epoch before probe: quietEpochs = %d, want 1", k)
+	if k := p.QuietEpochs(1000); k != 1 {
+		t.Fatalf("one epoch before probe: QuietEpochs = %d, want 1", k)
 	}
 	p.epochs = 4 // on a probe boundary: the next probe is a full period out
-	if k := p.quietEpochs(1000); k != 4 {
-		t.Fatalf("on probe boundary: quietEpochs = %d, want 4", k)
+	if k := p.QuietEpochs(1000); k != 4 {
+		t.Fatalf("on probe boundary: QuietEpochs = %d, want 4", k)
 	}
-	if k := p.quietEpochs(1); k != 0 {
-		t.Fatalf("limit 1: quietEpochs = %d, want 0 (naive step)", k)
+	if k := p.QuietEpochs(1); k != 0 {
+		t.Fatalf("limit 1: QuietEpochs = %d, want 0 (naive step)", k)
 	}
 }
 
@@ -67,17 +67,17 @@ func TestQuietEpochsProbeBound(t *testing.T) {
 func TestQuietEpochsRetryReadyBound(t *testing.T) {
 	p := newTestPool(t, 2, 1, 1, 4096, noProbe)
 	p.retries = append(p.retries, retryEntry{f: &fragment{req: &request{}}, ready: 7})
-	if k := p.quietEpochs(1000); k != 6 {
-		t.Fatalf("retry ready at epoch 7: quietEpochs = %d, want 6", k)
+	if k := p.QuietEpochs(1000); k != 6 {
+		t.Fatalf("retry ready at epoch 7: QuietEpochs = %d, want 6", k)
 	}
 	p.retries[0].ready = 1
-	if k := p.quietEpochs(1000); k != 0 {
-		t.Fatalf("retry due next step: quietEpochs = %d, want 0", k)
+	if k := p.QuietEpochs(1000); k != 0 {
+		t.Fatalf("retry due next step: QuietEpochs = %d, want 0", k)
 	}
 	p.retries[0].ready = 7
 	p.retries[0].f.req.canceled = true
-	if k := p.quietEpochs(1000); k != 0 {
-		t.Fatalf("canceled retry pending sweep: quietEpochs = %d, want 0", k)
+	if k := p.QuietEpochs(1000); k != 0 {
+		t.Fatalf("canceled retry pending sweep: QuietEpochs = %d, want 0", k)
 	}
 }
 
@@ -89,17 +89,17 @@ func TestQuietEpochsDeadlineBound(t *testing.T) {
 	e := p.Cfg.Epoch
 	req := &request{deadline: p.now.Add(5*e + 1)}
 	p.retries = append(p.retries, retryEntry{f: &fragment{req: req}, ready: 1 << 20})
-	if k := p.quietEpochs(1000); k != 6 {
-		t.Fatalf("deadline just past boundary 5: quietEpochs = %d, want 6", k)
+	if k := p.QuietEpochs(1000); k != 6 {
+		t.Fatalf("deadline just past boundary 5: QuietEpochs = %d, want 6", k)
 	}
 	req.deadline = p.now.Add(3 * e) // exactly on a boundary
-	if k := p.quietEpochs(1000); k != 3 {
-		t.Fatalf("deadline on boundary 3: quietEpochs = %d, want 3", k)
+	if k := p.QuietEpochs(1000); k != 3 {
+		t.Fatalf("deadline on boundary 3: QuietEpochs = %d, want 3", k)
 	}
 	p.now = p.now.Add(e)
 	req.deadline = p.now
-	if k := p.quietEpochs(1000); k != 0 {
-		t.Fatalf("expired deadline: quietEpochs = %d, want 0", k)
+	if k := p.QuietEpochs(1000); k != 0 {
+		t.Fatalf("expired deadline: QuietEpochs = %d, want 0", k)
 	}
 }
 
@@ -112,16 +112,16 @@ func TestQuietEpochsBreakerBound(t *testing.T) {
 	b := p.chans[0].brk
 	b.state = breakerOpen
 	b.cooldown = 3
-	if k := p.quietEpochs(1000); k != 3 {
-		t.Fatalf("open breaker, cooldown 3: quietEpochs = %d, want 3", k)
+	if k := p.QuietEpochs(1000); k != 3 {
+		t.Fatalf("open breaker, cooldown 3: QuietEpochs = %d, want 3", k)
 	}
 	b.state = breakerHalfOpen
-	if k := p.quietEpochs(1000); k != 1000 {
-		t.Fatalf("half-open breaker: quietEpochs = %d, want 1000 (no bound)", k)
+	if k := p.QuietEpochs(1000); k != 1000 {
+		t.Fatalf("half-open breaker: QuietEpochs = %d, want 1000 (no bound)", k)
 	}
 	b.state = breakerClosed
-	if k := p.quietEpochs(1000); k != 1000 {
-		t.Fatalf("closed breaker: quietEpochs = %d, want 1000 (no bound)", k)
+	if k := p.QuietEpochs(1000); k != 1000 {
+		t.Fatalf("closed breaker: QuietEpochs = %d, want 1000 (no bound)", k)
 	}
 }
 
@@ -131,17 +131,17 @@ func TestQuietEpochsBreakerBound(t *testing.T) {
 func TestQuietEpochsWorkDisables(t *testing.T) {
 	p := newTestPool(t, 2, 1, 1, 4096, noProbe)
 	p.chans[1].inflight = 1
-	if k := p.quietEpochs(1000); k != 0 {
-		t.Fatalf("inflight fragment: quietEpochs = %d, want 0", k)
+	if k := p.QuietEpochs(1000); k != 0 {
+		t.Fatalf("inflight fragment: QuietEpochs = %d, want 0", k)
 	}
 	p.chans[1].inflight = 0
 	p.rebuilds = append(p.rebuilds, &rebuildJob{})
-	if k := p.quietEpochs(1000); k != 0 {
-		t.Fatalf("running rebuild: quietEpochs = %d, want 0", k)
+	if k := p.QuietEpochs(1000); k != 0 {
+		t.Fatalf("running rebuild: QuietEpochs = %d, want 0", k)
 	}
 	p.rebuilds = nil
 	p.Cfg.DisableLookahead = true
-	if k := p.quietEpochs(1000); k != 0 {
-		t.Fatalf("lookahead disabled: quietEpochs = %d, want 0", k)
+	if k := p.QuietEpochs(1000); k != 0 {
+		t.Fatalf("lookahead disabled: QuietEpochs = %d, want 0", k)
 	}
 }

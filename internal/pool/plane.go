@@ -286,8 +286,8 @@ func (p *Pool) Drain() error {
 			return fmt.Errorf("pool: %d epochs without draining (%d/%d requests terminal) — wedged?",
 				p.epochs, p.terminal(), p.submitted)
 		}
-		if k := p.quietEpochs(p.Cfg.MaxEpochs - p.epochs); k > 1 {
-			p.stepQuiet(k)
+		if k := p.QuietEpochs(p.Cfg.MaxEpochs - p.epochs); k > 1 {
+			p.StepQuiet(k)
 		} else {
 			p.step()
 		}

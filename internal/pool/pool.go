@@ -960,9 +960,9 @@ func (p *Pool) advanceMember(i int, to sim.Time) {
 	m.sys.FastForwardIdle(to)
 }
 
-// quietEpochs reports how many upcoming epochs — at most limit — are
+// QuietEpochs reports how many upcoming epochs — at most limit — are
 // provably quiet: no boundary pass can change front-end state, so the whole
-// span may be replayed in one batch (stepQuiet) with byte-identical results.
+// span may be replayed in one batch (StepQuiet) with byte-identical results.
 // Quiet requires an empty front end: no held, queued or in-flight fragment
 // on any channel and no active rebuild. The horizon is then bounded by the
 // next cross-member event that needs a real boundary:
@@ -970,7 +970,7 @@ func (p *Pool) advanceMember(i int, to sim.Time) {
 //   - the next health-probe epoch: probes snapshot error counters and
 //     advance Suspect clean-streaks every ProbeEvery epochs, so an
 //     intermediate probe can never be skipped — the batch may at most *end*
-//     on one (stepQuiet replays it there);
+//     on one (StepQuiet replays it there);
 //   - each backoff retry's ready epoch, minus one: the promoting boundary
 //     must be a real step so the promoted fragment meets fill();
 //   - each waiting retry's request deadline: expiry at epoch j compares the
@@ -983,8 +983,11 @@ func (p *Pool) advanceMember(i int, to sim.Time) {
 //     dispatch budget and must land at or before the batch's final
 //     replayed tick, never silently inside the span.
 //
-// Callers additionally bound limit by MaxEpochs and the next arrival.
-func (p *Pool) quietEpochs(limit int) int {
+// Callers additionally bound limit by MaxEpochs and the next arrival; an
+// embedding plane (the NUMA fabric) also bounds it by its own boundary
+// events. A result below 2 means "take a plain Step". Like Step, call it
+// only at an epoch boundary.
+func (p *Pool) QuietEpochs(limit int) int {
 	if p.Cfg.DisableLookahead || limit <= 1 {
 		return 0
 	}
@@ -1027,7 +1030,7 @@ func (p *Pool) quietEpochs(limit int) int {
 	return k
 }
 
-// stepQuiet advances the pool k quiet epochs (quietEpochs' preconditions)
+// StepQuiet advances the pool k quiet epochs (QuietEpochs' preconditions)
 // in one pass: every member kernel runs — and warps — straight to the final
 // boundary, and the per-epoch boundary effects that still tick in an idle
 // pool are replayed exactly, epoch-major in canonical channel order: the
@@ -1040,8 +1043,10 @@ func (p *Pool) quietEpochs(limit int) int {
 // collect's drain, completion delivery) is a no-op on a quiet pool. The
 // final epoch may be a probe epoch: probeMembers runs after the members
 // have advanced, self-gated on the epoch counter, with p.now at the same
-// epoch-start boundary step() would give it.
-func (p *Pool) stepQuiet(k int) {
+// epoch-start boundary step() would give it. k must not exceed what
+// QuietEpochs just reported at this boundary: StepQuiet trusts the caller
+// and does not re-check the span.
+func (p *Pool) StepQuiet(k int) {
 	end := p.now.Add(sim.Duration(k) * p.Cfg.Epoch)
 	parallelEach(len(p.members), p.Cfg.Workers, func(i int) {
 		p.advanceMember(i, end)
@@ -1115,8 +1120,8 @@ func (p *Pool) Run(next func() (openloop.Request, bool)) error {
 		} else if exhausted && p.Quiesced() {
 			limit = 0
 		}
-		if k := p.quietEpochs(limit); k > 1 {
-			p.stepQuiet(k)
+		if k := p.QuietEpochs(limit); k > 1 {
+			p.StepQuiet(k)
 		} else {
 			p.step()
 		}

@@ -240,7 +240,7 @@ func (ts *tenantState) admitBucket() bool {
 
 // refillTokens adds each policed tenant's per-epoch allotment, capped at its
 // burst depth. Runs once per epoch at the boundary — step() on the naive
-// path, and once per replayed epoch inside stepQuiet — in canonical tenant
+// path, and once per replayed epoch inside StepQuiet — in canonical tenant
 // order, so the float addition sequence (and therefore every admission
 // decision that reads it) is identical at any worker count and under the
 // lookahead scheduler. Refilling is pure accumulation: it never creates a

@@ -368,17 +368,17 @@ func TestQoSQuietGating(t *testing.T) {
 		c.QoS = QoSConfig{Isolation: true,
 			Tenants: []TenantQoS{{Name: "t", RatePerSec: 1e5, Burst: 4}}}
 	})
-	if k := p.quietEpochs(64); k != 64 {
+	if k := p.QuietEpochs(64); k != 64 {
 		t.Fatalf("empty QoS pool quiet for %d epochs, want 64 (buckets must not bound batching)", k)
 	}
 	if _, err := p.Submit(openloop.Request{Tenant: 0, Off: 0, Len: 4096}); err != nil {
 		t.Fatal(err)
 	}
-	if k := p.quietEpochs(64); k != 0 {
+	if k := p.QuietEpochs(64); k != 0 {
 		t.Fatalf("held tenant-FIFO fragment left the pool quiet for %d epochs", k)
 	}
 	finish(t, p)
-	if k := p.quietEpochs(64); k != 64 {
+	if k := p.QuietEpochs(64); k != 64 {
 		t.Fatalf("drained QoS pool quiet for %d epochs, want 64", k)
 	}
 }
@@ -489,7 +489,7 @@ func TestQoSStarvationRegression(t *testing.T) {
 // TestQoSWorkerCountIdentical: the full QoS machinery (buckets throttling,
 // DRR dispatch, per-tenant stats) is byte-identical at 1/2/8 workers with
 // the lookahead scheduler on and off — the per-epoch token refill replay in
-// stepQuiet must match step()'s float sequence bit for bit.
+// StepQuiet must match step()'s float sequence bit for bit.
 func TestQoSWorkerCountIdentical(t *testing.T) {
 	capacity := 1e5 // any fixed rate scale works for identity; keep it brisk
 	run := func(workers int, lockstep, isolation bool) string {

@@ -92,6 +92,16 @@ func Experiments(opts ExperimentOptions) map[string]func() error {
 			opts.Headline(name, v)
 		}
 	}
+	// idleHL reports an idle-heavy segment's harness-performance headlines.
+	// The "~" prefix marks them advisory: wall-clock derived, machine- and
+	// load-dependent, tracked in snapshots but never gated by benchdiff.
+	idleHL := func(prefix string, s experiments.IdleSegment) {
+		if s.IdleWallLockstepMS > 0 && s.IdleWallLookaheadMS > 0 {
+			hl("~"+prefix+"-idle-epochs-per-sec-lockstep", float64(s.IdleEpochs)/(s.IdleWallLockstepMS/1000))
+			hl("~"+prefix+"-idle-epochs-per-sec-lookahead", float64(s.IdleEpochs)/(s.IdleWallLookaheadMS/1000))
+			hl("~"+prefix+"-idle-speedup-x", s.IdleSpeedupX())
+		}
+	}
 	return map[string]func() error{
 		"table1": func() error { experiments.Table1(opts); return nil },
 		"table2": func() error { experiments.Table2(opts); return nil },
@@ -223,17 +233,7 @@ func Experiments(opts ExperimentOptions) map[string]func() error {
 				hl("6ch-4K-MBps", res.At(6, 4).MBps)
 				hl("scaling-x", res.ScalingX())
 				hl("6ch-4K-p99-ns", float64(res.At(6, 4).P99.Nanoseconds()))
-				// Harness-performance headlines from the idle-heavy rated
-				// segment. The "~" prefix marks them advisory: wall-clock
-				// derived, machine- and load-dependent, tracked in snapshots
-				// but never gated by benchdiff.
-				if res.IdleWallLockstepMS > 0 && res.IdleWallLookaheadMS > 0 {
-					wallSecLock := res.IdleWallLockstepMS / 1000
-					wallSecAhead := res.IdleWallLookaheadMS / 1000
-					hl("~6ch-idle-epochs-per-sec-lockstep", float64(res.IdleEpochs)/wallSecLock)
-					hl("~6ch-idle-epochs-per-sec-lookahead", float64(res.IdleEpochs)/wallSecAhead)
-					hl("~6ch-idle-speedup-x", res.IdleSpeedupX())
-				}
+				idleHL("6ch", res.IdleSegment)
 			}
 			return err
 		},
@@ -329,6 +329,7 @@ func Experiments(opts ExperimentOptions) map[string]func() error {
 				hl("post-evac-submissions", float64(res.PostEvacTotal()))
 				hl("min-availability", res.MinAvailability())
 				hl("evacuations", float64(res.Evacuations()))
+				idleHL("numa", res.IdleSegment)
 			}
 			if err == nil && res.AckedLostTotal() > 0 {
 				err = fmt.Errorf("numa: %d acked writes lost across %d points",
