@@ -74,6 +74,22 @@ func suspicious(pr, last pool.Probe) bool {
 		pr.BreakersOpen > 0
 }
 
+// condemned returns why a probe evacuates its socket outright, or "" when
+// it does not.
+func condemned(pr pool.Probe) string {
+	switch {
+	case pr.DegradedPositions > 0:
+		// Positions with no healthy server: every fragment there fails
+		// typed and no spare is left. The pool cannot recover alone.
+		return fmt.Sprintf("%d degraded positions", pr.DegradedPositions)
+	case pr.UntypedFailures > 0 || pr.PostQuarantine > 0:
+		// The pool breached its own conservation invariants — the
+		// strongest possible signal; get everything off it.
+		return "pool invariant breach"
+	}
+	return ""
+}
+
 // probeSockets advances the lattice at every ProbeEvery-th boundary, in
 // socket order — boundary-only, single-threaded, like all fabric state.
 func (f *Fabric) probeSockets() {
@@ -86,15 +102,9 @@ func (f *Fabric) probeSockets() {
 			continue // monotone past Evacuating
 		}
 		pr := s.pool.Probe()
-		switch {
-		case pr.DegradedPositions > 0:
-			// Positions with no healthy server: every fragment there fails
-			// typed and no spare is left. The pool cannot recover alone.
-			f.evacuate(si, fmt.Sprintf("%d degraded positions", pr.DegradedPositions))
-		case pr.UntypedFailures > 0 || pr.PostQuarantine > 0:
-			// The pool breached its own conservation invariants — the
-			// strongest possible signal; get everything off it.
-			f.evacuate(si, "pool invariant breach")
+		switch reason := condemned(pr); {
+		case reason != "":
+			f.evacuate(si, reason)
 		case suspicious(pr, h.last):
 			if h.state == SocketUp {
 				h.state = SocketSuspect
@@ -117,6 +127,38 @@ func (f *Fabric) probeSockets() {
 		}
 		h.last = pr
 	}
+}
+
+// probesIdle reports whether every socket probe from here until the fabric
+// next moves would take probeSockets' no-op path, so a quiet batch may jump
+// probe epochs. Evacuating and evacuated sockets are never probed. Every
+// other socket must satisfy each clause below:
+//
+//   - it is Up: a Suspect socket's probe advances one of its streaks;
+//   - its current probe is clean against h.last. It must not be condemned
+//     (that evacuates) or suspicious (the socket turns Suspect), and
+//     Quarantined must be unchanged. Failed and DriverErrors only grow, so
+//     "not suspicious" already pins them. Quarantined can fall when a
+//     rebuild finishes, and a probe that overwrote h.last with the lower
+//     value would change what a later probe calls growth;
+//   - its pool vouches for the span (pool.ProbeSteady): member probes are
+//     no-ops and no closed breaker trips at its window end, so every
+//     skipped probe would read the snapshot checked here.
+func (f *Fabric) probesIdle() bool {
+	for _, s := range f.socks {
+		h := s.health
+		if h.state >= SocketEvacuating {
+			continue
+		}
+		if h.state != SocketUp || !s.pool.ProbeSteady() {
+			return false
+		}
+		pr := s.pool.Probe()
+		if condemned(pr) != "" || suspicious(pr, h.last) || pr.Quarantined != h.last.Quarantined {
+			return false
+		}
+	}
+	return true
 }
 
 // survivors returns the sockets still accepting re-homed chunks (Up or

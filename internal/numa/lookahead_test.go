@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"nvdimmc/internal/fault"
+	"nvdimmc/internal/sim"
+	"nvdimmc/internal/trace"
 	"nvdimmc/internal/workload/openloop"
 )
 
@@ -17,12 +20,34 @@ func quietFabric(t *testing.T, mut ...func(*Config)) *Fabric {
 	}}, mut...)...)
 }
 
-// TestFabricQuietEpochsProbeBound: a socket probe counts toward the
-// lattice's streaks, so a quiet batch may end on a fabric probe epoch but
-// never jump one — and each pool's own probe period caps the batch too.
-// Walking an idle fabric batch by batch must land on exactly the union of
-// both probe schedules, and run every fabric probe once.
+// armRegistries attaches a fault registry to every member of every socket
+// without arming a rule: nothing fires, but no pool can vouch that its
+// probes are no-ops any more.
+func armRegistries(c *Config) {
+	c.ArmFaults = func(socket, member int, g *fault.Registry) {}
+}
+
+// TestFabricQuietEpochsProbeBound: a probe bounds a quiet batch only when
+// it could act. On a healthy idle fabric every socket and member probe is a
+// no-op, so only the caller's limit bounds the batch. Once probes can act —
+// a Suspect socket counts its clean streak, and fault registries keep every
+// pool's member probes live — a batch may end on a fabric or pool probe
+// epoch but never jump one. Walking such a fabric batch by batch must land
+// on exactly the union of both probe schedules and run every fabric probe
+// once.
 func TestFabricQuietEpochsProbeBound(t *testing.T) {
+	f := newTestFabric(t, 2, 1, func(cfg *Config) {
+		cfg.ProbeEvery = 8
+		cfg.Pool.ProbeEvery = 4
+	})
+	if k := f.quietEpochs(1000); k != 1000 {
+		t.Fatalf("healthy idle fabric: quietEpochs = %d, want 1000 (no-op probes jumped)", k)
+	}
+	f.stepQuiet(1000)
+	if f.probesJumped != 124 || f.socks[0].health.last.Epochs != 1000 {
+		t.Fatalf("batch to epoch 1000 jumped %d probes, last probe at pool epoch %d; want 124 and 1000",
+			f.probesJumped, f.socks[0].health.last.Epochs)
+	}
 	for _, c := range []struct {
 		fabric, pool int
 		batches      []int
@@ -32,7 +57,7 @@ func TestFabricQuietEpochsProbeBound(t *testing.T) {
 		// Fabric 6, pool 4: batches end on 4, 6, 8, 12, 16, 18, 20, 24.
 		{6, 4, []int{4, 2, 2, 4, 4, 2, 2, 4}},
 	} {
-		f := newTestFabric(t, 2, 1, func(cfg *Config) {
+		f := newTestFabric(t, 2, 1, armRegistries, func(cfg *Config) {
 			cfg.ProbeEvery = c.fabric
 			cfg.Pool.ProbeEvery = c.pool
 			cfg.SuspectClearProbes = 1 << 20 // count clean probes, never recover
@@ -52,12 +77,99 @@ func TestFabricQuietEpochsProbeBound(t *testing.T) {
 				c.fabric, c.pool, f.socks[1].health.cleanProbes, f.epochs, want)
 		}
 	}
-	f := newTestFabric(t, 2, 1, func(cfg *Config) { cfg.Pool.ProbeEvery = 1 << 20 })
+	f = newTestFabric(t, 2, 1, armRegistries, func(cfg *Config) { cfg.Pool.ProbeEvery = 1 << 20 })
 	for i := 0; i < 5; i++ {
 		f.Step()
 	}
 	if k := f.quietEpochs(1000); k != 3 {
 		t.Fatalf("epoch 5, fabric probe every 8: quietEpochs = %d, want 3", k)
+	}
+}
+
+// tripReadyBreaker makes every completion a breaker failure and lets a
+// single sample trip a channel's breaker at its window end.
+func tripReadyBreaker(c *Config) {
+	c.Pool.BreakerLatency = 1
+	c.Pool.BreakerMinSamples = 1
+	c.Pool.BreakerErrRate = 0.5
+	c.Pool.BreakerCooldown = 1 << 10
+}
+
+// serveOne submits one request to socket 1 and steps until it is terminal.
+func serveOne(t *testing.T, f *Fabric) {
+	t.Helper()
+	if _, err := f.Submit(openloop.Request{Socket: 1, Off: f.Span(), Len: 4096}); err != nil {
+		t.Fatal(err)
+	}
+	for !f.Quiesced() {
+		f.Step()
+	}
+}
+
+// TestFabricQuietEpochsProbeFailsClosed: each clause of the fabric's
+// probesIdle, broken alone, brings the socket-probe bound back. Pool probes
+// are pushed far out, so the fabric predicate alone must catch a pool that
+// cannot vouch for its snapshot.
+func TestFabricQuietEpochsProbeFailsClosed(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		cfg   func(*Config)
+		spoil func(*Fabric)
+	}{
+		{"suspect socket", nil, func(f *Fabric) { f.socks[1].health.state = SocketSuspect }},
+		{"quarantine count moved since the last probe", nil, func(f *Fabric) {
+			f.socks[0].health.last.Quarantined = 1
+		}},
+		{"suspicious probe: open breaker", tripReadyBreaker, func(f *Fabric) {
+			f.Cfg.ProbeEvery = 1 << 20 // no fabric probe may see the breaker before the check
+			serveOne(t, f)
+			for f.Socket(1).Probe().BreakersOpen == 0 {
+				f.Step()
+			}
+			f.Cfg.ProbeEvery = 8
+		}},
+		{"condemned probe: degraded position", func(c *Config) {
+			c.Pool.Member.Audit = true
+			c.Pool.ProbeEvery = 1
+		}, func(f *Fabric) {
+			// An auditor violation quarantines the member at the next pool
+			// probe; with no spare its position goes degraded. The baseline
+			// is moved along so only the condemnation can tell.
+			f.Socket(0).Member(0).Auditor.Record(trace.Event{At: 0, Kind: trace.KindOther})
+			f.Step()
+			pr := f.Socket(0).Probe()
+			if pr.DegradedPositions != 1 {
+				t.Fatalf("degraded positions %d, want 1", pr.DegradedPositions)
+			}
+			f.socks[0].health.last = pr
+		}},
+		{"pool cannot vouch: armed fault registry", armRegistries, nil},
+		{"pool cannot vouch: trip-ready closed breaker", tripReadyBreaker, func(f *Fabric) {
+			serveOne(t, f)
+			if f.Socket(1).ProbeSteady() || f.Socket(1).Probe().BreakersOpen != 0 {
+				t.Fatal("want a closed breaker about to trip")
+			}
+		}},
+	} {
+		mut := []func(*Config){func(cfg *Config) {
+			cfg.ProbeEvery = 8
+			cfg.Pool.ProbeEvery = 1 << 20
+		}}
+		if c.cfg != nil {
+			mut = append(mut, c.cfg)
+		}
+		f := newTestFabric(t, 2, 1, mut...)
+		if c.spoil != nil {
+			c.spoil(f)
+		}
+		want := 8 - f.epochs%8
+		if want < 2 {
+			f.Step()
+			want = 8
+		}
+		if k := f.quietEpochs(1000); k != want {
+			t.Errorf("%s at epoch %d: quietEpochs = %d, want %d (the probe could act)", c.name, f.epochs, k, want)
+		}
 	}
 }
 
@@ -293,6 +405,72 @@ func TestFabricIdleLookaheadIdentical(t *testing.T) {
 				t.Fatalf("%s: lockstep batched %d epochs", label, f.quietSpan)
 			case !lockstep && 2*f.quietSpan < s.Epochs:
 				t.Fatalf("%s: only %d of %d epochs batched", label, f.quietSpan, s.Epochs)
+			}
+			snaps = append(snaps, snapshot(s))
+			labels = append(labels, label)
+		}
+	}
+	for i := 1; i < len(snaps); i++ {
+		if snaps[i] != snaps[0] {
+			t.Fatalf("%s changed output vs %s:\n--- %s ---\n%s--- %s ---\n%s",
+				labels[i], labels[0], labels[0], snaps[0], labels[i], snaps[i])
+		}
+	}
+}
+
+// cachedTenants is fabricTenants over each socket's cache-resident
+// footprint at an idle-heavy rate: every access hits the DRAM cache, so
+// completion latency sits in a narrow band of a few microseconds.
+func cachedTenants(f *Fabric, seed uint64, rate float64) openloop.Config {
+	var ts []openloop.Tenant
+	for s := 0; s < f.Cfg.Sockets; s++ {
+		ts = append(ts, openloop.Tenant{
+			Name: fmt.Sprintf("s%d", s), Socket: s, Dist: openloop.Uniform, ReadPct: 70,
+			Weight: 2, Footprint: f.Socket(s).CachedFootprint(), Offset: int64(s) * f.Span(),
+		})
+	}
+	ts = append(ts, openloop.Tenant{
+		Name: "roam", Socket: 0, Dist: openloop.Uniform, ReadPct: 70,
+		Weight: 1, Footprint: f.Socket(1).CachedFootprint(), Offset: f.Span(),
+	})
+	return openloop.Config{Seed: seed, RatePerSec: rate, Tenants: ts}
+}
+
+// TestFabricIdleProbeJumpIdentical is the no-op-probe rule's acceptance
+// gate. A fault-free idle-heavy fabric (mean inter-arrival ~64 epochs)
+// counts its slowest completions as breaker failures, so breakers trip now
+// and then and walk their socket Up → Suspect → Up. While a socket is
+// Suspect or a breaker is open, probes can act and bound every batch; in
+// between, batches jump no-op probes at both levels. Stats must be
+// byte-identical at 1, 2 and 8 workers under lockstep and lookahead, and
+// the lookahead runs must really jump probe epochs. Unlike
+// TestFabricIdleLookaheadIdentical, no member carries a fault registry.
+func TestFabricIdleProbeJumpIdentical(t *testing.T) {
+	const count = 200
+	var snaps, labels []string
+	for _, lockstep := range []bool{true, false} {
+		for _, workers := range []int{1, 2, 8} {
+			f := newTestFabric(t, 2, workers, func(c *Config) {
+				c.ProbeEvery = 8
+				c.Pool.ProbeEvery = 16
+				c.SuspectClearProbes = 2
+				c.EvacuateAfterProbes = 1 << 20
+				c.Pool.BreakerLatency = 3 * sim.Microsecond
+				c.Pool.BreakerMinSamples = 1
+				c.Pool.BreakerCloseStreak = 1
+				c.DisableLookahead = lockstep
+			})
+			s := runFabric(t, f, cachedTenants(f, 7, 2e3), count)
+			label := fmt.Sprintf("lockstep=%v workers=%d", lockstep, workers)
+			if s.Ctr.Get("socket-suspect") == 0 || s.Ctr.Get("socket-recovered") == 0 || s.ChunksRehomed != 0 {
+				t.Fatalf("%s: suspect=%d recovered=%d rehomed=%d, want a Suspect→Up episode without evacuation",
+					label, s.Ctr.Get("socket-suspect"), s.Ctr.Get("socket-recovered"), s.ChunksRehomed)
+			}
+			switch {
+			case lockstep && f.quietSpan != 0:
+				t.Fatalf("%s: lockstep batched %d epochs", label, f.quietSpan)
+			case !lockstep && f.probesJumped == 0:
+				t.Fatalf("%s: no batch jumped a probe epoch", label)
 			}
 			snaps = append(snaps, snapshot(s))
 			labels = append(labels, label)

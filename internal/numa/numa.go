@@ -176,10 +176,12 @@ type Fabric struct {
 	epoch  sim.Duration
 	now    sim.Duration // current boundary, relative to fabric origin
 	epochs int
-	// quietSpan counts the epochs advanced inside quiet batches: a
-	// lookahead diagnostic, deliberately outside Stats so lockstep and
-	// lookahead runs stay byte-comparable.
-	quietSpan int
+	// quietSpan counts the epochs advanced inside quiet batches, and
+	// probesJumped the socket-probe epochs strictly inside them: lookahead
+	// diagnostics, deliberately outside Stats so lockstep and lookahead
+	// runs stay byte-comparable.
+	quietSpan    int
+	probesJumped int
 
 	retries []fabRetry
 	jobs    []*migJob
@@ -734,9 +736,11 @@ func (f *Fabric) Quiesced() bool {
 // pending foreground or migration piece on any socket, and lookahead on.
 // The horizon is then bounded by the next fabric boundary event:
 //
-//   - the next socket-probe epoch: the lattice's suspect and clean streaks
-//     count probes, so a batch may end on a probe epoch (stepQuiet runs it
-//     there) but never jump one;
+//   - the next socket-probe epoch, but only when a probe could act. The
+//     lattice's suspect and clean streaks count probes, so a batch may end
+//     on such a probe epoch (stepQuiet runs it there) but never jump one.
+//     When every socket probe in the span provably takes the no-op path
+//     (probesIdle), the bound is dropped and the batch jumps probe epochs;
 //   - each retry's ready epoch, minus one, so the promoting boundary is a
 //     real Step;
 //   - each future LinkFault's epoch, minus one, so the fault fires on a
@@ -756,7 +760,7 @@ func (f *Fabric) quietEpochs(limit int) int {
 		}
 	}
 	k := limit
-	if d := (f.epochs/f.Cfg.ProbeEvery+1)*f.Cfg.ProbeEvery - f.epochs; d < k {
+	if d := (f.epochs/f.Cfg.ProbeEvery+1)*f.Cfg.ProbeEvery - f.epochs; d < k && !f.probesIdle() {
 		k = d
 	}
 	for _, e := range f.retries {
@@ -781,13 +785,16 @@ func (f *Fabric) quietEpochs(limit int) int {
 // in one batch: every socket pool takes one StepQuiet(k), and of the
 // fabric's boundary passes only the socket probe can act on an idle fabric.
 // Link faults, retry promotion, migration issue and sweep, and collection
-// are no-ops inside the span by construction. The final epoch may be a
-// probe epoch: probeSockets runs once, after the pools have advanced, with
-// f.now at the final epoch's start, exactly as Step would run it.
+// are no-ops inside the span by construction, and so is every socket probe
+// the span jumps (quietEpochs drops the probe bound only when probesIdle
+// proves it). The final epoch may be a probe epoch: probeSockets runs
+// once, after the pools have advanced, with f.now at the final epoch's
+// start, exactly as Step would run it.
 func (f *Fabric) stepQuiet(k int) {
 	for _, s := range f.socks {
 		s.pool.StepQuiet(k)
 	}
+	f.probesJumped += (f.epochs+k-1)/f.Cfg.ProbeEvery - f.epochs/f.Cfg.ProbeEvery
 	f.epochs += k
 	f.quietSpan += k
 	f.now += sim.Duration(k-1) * f.epoch

@@ -101,13 +101,24 @@ func (b *breaker) observe(failed bool) {
 // breaker's cooldown expiry (the half-open transition, which restores
 // dispatch budget) must land at or before the batch's final replayed tick,
 // never silently inside the span. Closed and half-open breakers impose no
-// bound — with no observations folding in, replayed ticks advance their
-// windows but cannot change their state.
+// bound, because StepQuiet replays their ticks exactly. With no
+// observations folding in, a half-open breaker cannot change state, but a
+// closed one still can: a window that already holds a tripping sample set
+// (tripReady) trips at its window-end tick, inside the span if that is
+// where the tick falls.
 func (b *breaker) quietHorizon() (int, bool) {
 	if b.state == breakerOpen {
 		return b.cooldown, true
 	}
 	return 0, false
+}
+
+// tripReady reports whether a closed breaker's current window already
+// holds enough failures to trip at its window-end tick, whether or not
+// another observation arrives.
+func (b *breaker) tripReady() bool {
+	return b.state == breakerClosed && b.winTotal >= b.cfg.BreakerMinSamples &&
+		float64(b.winFail) >= b.cfg.BreakerErrRate*float64(b.winTotal)
 }
 
 // tick advances the FSM one epoch at the boundary (after observe folding).
@@ -118,8 +129,7 @@ func (b *breaker) tick() {
 		if b.winLeft > 0 {
 			return
 		}
-		if b.winTotal >= b.cfg.BreakerMinSamples &&
-			float64(b.winFail) >= b.cfg.BreakerErrRate*float64(b.winTotal) {
+		if b.tripReady() {
 			b.state = breakerOpen
 			b.cooldown = b.coolBase
 			b.ctr.Inc("breaker-trip")

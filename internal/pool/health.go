@@ -130,6 +130,50 @@ func (p *Pool) probeMembers() {
 	}
 }
 
+// probesIdle reports whether every member probe from here until the front
+// end next moves would take probeMembers' no-op path: no case of its switch
+// matches, and rewriting the delta baselines changes nothing. A quiet batch
+// may then jump probe epochs. Quarantined and evacuated members are never
+// probed. Every other member must satisfy each clause below, because each
+// failing clause takes a branch that acts:
+//
+//   - it is Up: a Suspect member's probe advances its clean streak;
+//   - its driver error events and fragment errors have not grown since its
+//     last probe: growth marks it Suspect;
+//   - its auditor has logged no violation: any quarantines it;
+//   - it has no fault registry and no detector bit-error noise.
+//
+// A healthy driver mode needs no clause of its own. Every mode change bumps
+// a counter in nvdc.ErrorCounterNames, and the mode never heals: a member
+// whose driver left ModeHealthy before its last probe was marked Suspect or
+// quarantined by that probe, and one that left it since shows error growth.
+//
+// The last clause keeps the others true across the span. A quiet span
+// never reaches collect, so fragment errors hold still. Driver error events
+// and auditor violations can still move while a member only refreshes, but
+// only through an injected fault or a noisy detector sample.
+func (p *Pool) probesIdle() bool {
+	for i, m := range p.members {
+		h := p.health[i]
+		if h.state >= StateQuarantined {
+			continue
+		}
+		if h.state != StateUp || h.fragErrs != h.fragErrsAtProbe {
+			return false
+		}
+		if m.sys.Faults != nil || m.sys.Detector.BitErrorRate != 0 {
+			return false
+		}
+		if m.sys.Driver.Health().ErrorEvents != h.lastErrs {
+			return false
+		}
+		if m.sys.Auditor != nil && m.sys.Auditor.ViolationCount() > 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // quarantine moves a member to StateQuarantined and, when it was serving a
 // logical position, fails that position over to a hot spare.
 func (p *Pool) quarantine(phys int, reason string) {

@@ -3,6 +3,10 @@ package pool
 import (
 	"fmt"
 	"testing"
+
+	"nvdimmc/internal/nvdc"
+	"nvdimmc/internal/trace"
+	"nvdimmc/internal/workload/openloop"
 )
 
 // noProbe pushes the health-probe tick far out so the bound under test is
@@ -40,12 +44,19 @@ func TestPoolLookaheadIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestQuietEpochsProbeBound: the health-probe tick is a cross-member event —
-// a quiet batch may end on a probe epoch but never jump one.
+// TestQuietEpochsProbeBound: the health-probe tick bounds a quiet batch only
+// when a probe could act. On a fault-free pool whose members are all Up
+// with no error growth every probe is a no-op, so a batch jumps probe
+// epochs. Once one member is Suspect its probe advances a clean streak, and
+// a batch may end on a probe epoch but never jump one.
 func TestQuietEpochsProbeBound(t *testing.T) {
 	p := newTestPool(t, 2, 1, 1, 4096) // ProbeEvery defaults to 4
+	if k := p.QuietEpochs(1000); k != 1000 {
+		t.Fatalf("healthy idle pool: QuietEpochs = %d, want 1000 (no-op probes jumped)", k)
+	}
+	p.health[1].state = StateSuspect
 	if k := p.QuietEpochs(1000); k != 4 {
-		t.Fatalf("fresh pool: QuietEpochs = %d, want 4 (next probe)", k)
+		t.Fatalf("suspect member: QuietEpochs = %d, want 4 (next probe)", k)
 	}
 	p.epochs = 3
 	if k := p.QuietEpochs(1000); k != 1 {
@@ -57,6 +68,101 @@ func TestQuietEpochsProbeBound(t *testing.T) {
 	}
 	if k := p.QuietEpochs(1); k != 0 {
 		t.Fatalf("limit 1: QuietEpochs = %d, want 0 (naive step)", k)
+	}
+}
+
+// TestQuietEpochsProbeFailsClosed: each clause of probesIdle, broken alone
+// on an otherwise healthy idle pool, brings the probe bound back. A
+// quarantined member is never probed, so its counters bound nothing.
+func TestQuietEpochsProbeFailsClosed(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		cfg   func(*Config)
+		spoil func(*Pool)
+	}{
+		{"suspect member", nil, func(p *Pool) { p.health[1].state = StateSuspect }},
+		{"driver error growth", nil, func(p *Pool) { p.Member(0).Driver.Counters().Inc(nvdc.CtrAckTimeout) }},
+		{"fragment error growth", nil, func(p *Pool) { p.health[1].fragErrs++ }},
+		{"auditor violation", nil, func(p *Pool) {
+			a := p.Member(1).Auditor
+			a.Record(trace.Event{At: 0, Kind: trace.KindOther}) // time runs backwards
+			if a.ViolationCount() == 0 {
+				t.Fatal("backwards event logged no violation")
+			}
+		}},
+		{"armed fault registry", func(c *Config) { c.FaultSeed = 9 }, func(p *Pool) {
+			if p.Member(0).Faults == nil {
+				t.Fatal("FaultSeed attached no registry")
+			}
+		}},
+		{"detector bit errors", nil, func(p *Pool) { p.Member(0).Detector.BitErrorRate = 1e-9 }},
+	} {
+		var mut []func(*Config)
+		if c.cfg != nil {
+			mut = append(mut, c.cfg)
+		}
+		p := newTestPool(t, 2, 1, 1, 4096, mut...)
+		c.spoil(p)
+		if k := p.QuietEpochs(1000); k != 4 {
+			t.Errorf("%s: QuietEpochs = %d, want 4 (the probe could act)", c.name, k)
+		}
+	}
+	p := newTestPool(t, 2, 1, 1, 4096)
+	p.health[0].state = StateQuarantined
+	p.health[0].fragErrs++
+	if k := p.QuietEpochs(1000); k != 1000 {
+		t.Fatalf("quarantined member with error growth: QuietEpochs = %d, want 1000", k)
+	}
+}
+
+// TestStepQuietTripsReadyBreaker: a closed breaker whose window already
+// holds a tripping sample set trips at its window-end tick with no new
+// observation. A quiet span may cover that tick. StepQuiet replays the trip
+// there and leaves the pool exactly where the lockstep twin's Steps do.
+// The pool no longer vouches for a steady Probe snapshot meanwhile, because
+// BreakersOpen is about to move.
+func TestStepQuietTripsReadyBreaker(t *testing.T) {
+	twin := func(lockstep bool) *Pool {
+		p := newTestPool(t, 2, 1, 1, 4096, func(c *Config) {
+			c.BreakerLatency = 1 // every completion counts as a failure
+			c.BreakerWindow = 32
+			c.BreakerMinSamples = 1
+			c.BreakerCooldown = 1 << 10
+			c.DisableLookahead = lockstep
+		})
+		if _, err := p.Submit(openloop.Request{Len: 4096}); err != nil {
+			t.Fatal(err)
+		}
+		for !p.Quiesced() {
+			p.Step()
+		}
+		return p
+	}
+	a, b := twin(false), twin(true)
+	brk := a.chans[0].brk
+	if brk.state != breakerClosed || !brk.tripReady() || brk.winLeft < 2 {
+		t.Fatalf("breaker %s tripReady=%v winLeft=%d, want closed, ready, >= 2 epochs to the window end",
+			brk.state, brk.tripReady(), brk.winLeft)
+	}
+	if a.ProbeSteady() {
+		t.Fatal("ProbeSteady with a trip-ready breaker")
+	}
+	k := a.QuietEpochs(1000)
+	if k <= brk.winLeft {
+		t.Fatalf("QuietEpochs = %d, want a span past the window end %d epochs out", k, brk.winLeft)
+	}
+	a.StepQuiet(k)
+	for i := 0; i < k; i++ {
+		b.Step()
+	}
+	if a.chans[0].ctr.Get("breaker-trip") != 1 || brk.state != breakerOpen {
+		t.Fatalf("breaker %s after %d trips, want open after one", brk.state, a.chans[0].ctr.Get("breaker-trip"))
+	}
+	if sa, sb := snapshot(a.Stats()), snapshot(b.Stats()); sa != sb {
+		t.Fatalf("quiet span diverged from lockstep:\n--- batched ---\n%s--- stepped ---\n%s", sa, sb)
+	}
+	if oa, ob := fmt.Sprintf("%+v", a.Occupancy()), fmt.Sprintf("%+v", b.Occupancy()); oa != ob || a.Now() != b.Now() {
+		t.Fatalf("batched %s at %v, stepped %s at %v", oa, a.Now(), ob, b.Now())
 	}
 }
 

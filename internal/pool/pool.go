@@ -967,10 +967,12 @@ func (p *Pool) advanceMember(i int, to sim.Time) {
 // on any channel and no active rebuild. The horizon is then bounded by the
 // next cross-member event that needs a real boundary:
 //
-//   - the next health-probe epoch: probes snapshot error counters and
-//     advance Suspect clean-streaks every ProbeEvery epochs, so an
-//     intermediate probe can never be skipped — the batch may at most *end*
-//     on one (StepQuiet replays it there);
+//   - the next health-probe epoch, but only when a probe could act. A probe
+//     snapshots error counters and advances Suspect clean-streaks, so a
+//     batch may end on such a probe epoch (StepQuiet runs the probe there)
+//     but never jump one. When every member probe in the span provably takes
+//     the no-op path (probesIdle), the bound is dropped and the batch jumps
+//     probe epochs;
 //   - each backoff retry's ready epoch, minus one: the promoting boundary
 //     must be a real step so the promoted fragment meets fill();
 //   - each waiting retry's request deadline: expiry at epoch j compares the
@@ -1000,7 +1002,7 @@ func (p *Pool) QuietEpochs(limit int) int {
 		}
 	}
 	k := limit
-	if d := (p.epochs/p.Cfg.ProbeEvery+1)*p.Cfg.ProbeEvery - p.epochs; d < k {
+	if d := (p.epochs/p.Cfg.ProbeEvery+1)*p.Cfg.ProbeEvery - p.epochs; d < k && !p.probesIdle() {
 		k = d
 	}
 	for _, e := range p.retries {
@@ -1040,12 +1042,13 @@ func (p *Pool) QuietEpochs(limit int) int {
 // (collect folds the long-run quotient every epoch once a channel has
 // completed work, idle epochs included), and the breaker FSMs. Every other
 // boundary pass (expiry sweep, retry promotion, fill, rebuild issue,
-// collect's drain, completion delivery) is a no-op on a quiet pool. The
-// final epoch may be a probe epoch: probeMembers runs after the members
-// have advanced, self-gated on the epoch counter, with p.now at the same
-// epoch-start boundary step() would give it. k must not exceed what
-// QuietEpochs just reported at this boundary: StepQuiet trusts the caller
-// and does not re-check the span.
+// collect's drain, completion delivery) is a no-op on a quiet pool, and so
+// is every probe epoch inside the span (QuietEpochs jumps one only when
+// probesIdle proves it). The final epoch may be a probe epoch:
+// probeMembers runs after the members have advanced, self-gated on the
+// epoch counter, with p.now at the same epoch-start boundary step() would
+// give it. k must not exceed what QuietEpochs just reported at this
+// boundary: StepQuiet trusts the caller and does not re-check the span.
 func (p *Pool) StepQuiet(k int) {
 	end := p.now.Add(sim.Duration(k) * p.Cfg.Epoch)
 	parallelEach(len(p.members), p.Cfg.Workers, func(i int) {

@@ -77,6 +77,24 @@ func (p *Pool) Probe() Probe {
 	return pr
 }
 
+// ProbeSteady reports whether Probe's snapshot is pinned over any span
+// QuietEpochs admits from this boundary: no field the fabric's socket
+// lattice reads can move before the front end next does. Two things could
+// move one in a quiet span. A member probe could act and change Suspects or
+// Quarantined; probesIdle rules that out, and with it any driver-error
+// growth. A closed breaker whose window already holds a tripping sample set
+// trips at its window-end tick, with no new observation, and raises
+// BreakersOpen; tripReady rules that out. Open and half-open breakers never
+// close without observations, so they cannot lower BreakersOpen.
+func (p *Pool) ProbeSteady() bool {
+	for _, ch := range p.chans {
+		if ch.brk.tripReady() {
+			return false
+		}
+	}
+	return p.probesIdle()
+}
+
 // ResidentPooled returns the pooled byte offsets of every DRAM-cache
 // resident page across serving members, ascending. Each logical position is
 // read through the current route (so pages a spare absorbed during rebuild
