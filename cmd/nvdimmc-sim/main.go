@@ -430,8 +430,7 @@ func runPool(o poolOpts) {
 			s.Ctr.Get("member-suspect"), s.Quarantined, s.Evacuated,
 			s.SparesUsed, s.Ctr.Get("rebuild-pages"), s.PostQuarantineDispatches)
 		fmt.Printf("writes: in=%d acked=%d failed=%d lost=%d\n",
-			s.WritesIn, s.WritesAcked, s.WritesFailed,
-			s.WritesIn-s.WritesAcked-s.WritesFailed)
+			s.WritesIn, s.WritesAcked, s.WritesFailed, s.WritesLost())
 		fmt.Println("members:")
 		for i, m := range s.PerMember {
 			// InService/Logical are only tracked for spares that took over a

@@ -207,7 +207,7 @@ func faultPoolPoint(o Options, pt, reqs int) (FaultPoolPoint, error) {
 		Onset:          onset,
 		P99:            s.Lat.Percentile(99),
 		Failed:         s.Failed,
-		AckedLost:      s.WritesIn - s.WritesAcked - s.WritesFailed,
+		AckedLost:      s.WritesLost(),
 		PostQuarantine: s.PostQuarantineDispatches,
 		Quarantined:    s.Quarantined,
 		Evacuated:      s.Evacuated,

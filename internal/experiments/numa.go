@@ -220,7 +220,7 @@ func numaPoint(o Options, pt, reqs int) (NumaPoint, error) {
 		P99:         s.Lat.Percentile(99),
 		RemoteP99:   s.LatRemote.Percentile(99),
 		Failed:      s.Failed,
-		AckedLost:   s.WritesIn - s.WritesAcked - s.WritesFailed - s.WritesShed - s.WritesExpired - s.WritesThrottled,
+		AckedLost:   s.WritesLost(),
 		PostEvac:    s.PostEvacSubmissions,
 		Rehomed:     s.ChunksRehomed,
 		MigPages:    s.MigPages,

@@ -361,7 +361,7 @@ func qosPoint(pt, reqs int, faults []string, mixCap, uniCap float64, slo sim.Dur
 		Isolation:  isolation,
 		Fault:      kind,
 		OfferedOps: offered,
-		AckedLost:  s.WritesIn - s.WritesAcked - s.WritesFailed - s.WritesShed - s.WritesExpired - s.WritesThrottled,
+		AckedLost:  s.WritesLost(),
 	}
 	weightSum := 0.0
 	for _, t := range tenants {

@@ -163,8 +163,7 @@ func servicePoint(o Options, pt, clients, opsPer int) (ServicePoint, error) {
 	row.Dropped = st.PollDropped
 	row.P99US = st.LatP99US
 	row.Health = drain.Health
-	row.AckedLost = int64(st.WritesIn) -
-		int64(st.WritesAcked+st.WritesFailed+st.WritesShed+st.WritesExpired+st.WritesThrottled)
+	row.AckedLost = int64(st.Ledger().WritesLost()) // signed: an over-count reads negative
 	row.Violations = rep.Violations
 	return row, nil
 }

@@ -40,10 +40,10 @@ func TestFabricQuietEpochsProbeBound(t *testing.T) {
 		cfg.ProbeEvery = 8
 		cfg.Pool.ProbeEvery = 4
 	})
-	if k := f.quietEpochs(1000); k != 1000 {
-		t.Fatalf("healthy idle fabric: quietEpochs = %d, want 1000 (no-op probes jumped)", k)
+	if k := f.QuietEpochs(1000); k != 1000 {
+		t.Fatalf("healthy idle fabric: QuietEpochs = %d, want 1000 (no-op probes jumped)", k)
 	}
-	f.stepQuiet(1000)
+	f.StepQuiet(1000)
 	if f.probesJumped != 124 || f.socks[0].health.last.Epochs != 1000 {
 		t.Fatalf("batch to epoch 1000 jumped %d probes, last probe at pool epoch %d; want 124 and 1000",
 			f.probesJumped, f.socks[0].health.last.Epochs)
@@ -65,12 +65,12 @@ func TestFabricQuietEpochsProbeBound(t *testing.T) {
 		// A Suspect socket's clean streak counts the fabric probes that ran.
 		f.socks[1].health.state = SocketSuspect
 		for i, want := range c.batches {
-			k := f.quietEpochs(1000)
+			k := f.QuietEpochs(1000)
 			if k != want {
-				t.Fatalf("%d/%d batch %d at epoch %d: quietEpochs = %d, want %d",
+				t.Fatalf("%d/%d batch %d at epoch %d: QuietEpochs = %d, want %d",
 					c.fabric, c.pool, i, f.epochs, k, want)
 			}
-			f.stepQuiet(k)
+			f.StepQuiet(k)
 		}
 		if want := f.epochs / c.fabric; f.socks[1].health.cleanProbes != want {
 			t.Fatalf("%d/%d: %d clean probes by epoch %d, want %d (a probe was jumped)",
@@ -81,8 +81,8 @@ func TestFabricQuietEpochsProbeBound(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		f.Step()
 	}
-	if k := f.quietEpochs(1000); k != 3 {
-		t.Fatalf("epoch 5, fabric probe every 8: quietEpochs = %d, want 3", k)
+	if k := f.QuietEpochs(1000); k != 3 {
+		t.Fatalf("epoch 5, fabric probe every 8: QuietEpochs = %d, want 3", k)
 	}
 }
 
@@ -167,8 +167,8 @@ func TestFabricQuietEpochsProbeFailsClosed(t *testing.T) {
 			f.Step()
 			want = 8
 		}
-		if k := f.quietEpochs(1000); k != want {
-			t.Errorf("%s at epoch %d: quietEpochs = %d, want %d (the probe could act)", c.name, f.epochs, k, want)
+		if k := f.QuietEpochs(1000); k != want {
+			t.Errorf("%s at epoch %d: QuietEpochs = %d, want %d (the probe could act)", c.name, f.epochs, k, want)
 		}
 	}
 }
@@ -178,16 +178,16 @@ func TestFabricQuietEpochsProbeFailsClosed(t *testing.T) {
 func TestFabricQuietEpochsRetryBound(t *testing.T) {
 	f := quietFabric(t)
 	f.retries = append(f.retries, fabRetry{op: &sockOp{req: &fabReq{}}, ready: 7})
-	if k := f.quietEpochs(1000); k != 6 {
-		t.Fatalf("retry ready at epoch 7: quietEpochs = %d, want 6", k)
+	if k := f.QuietEpochs(1000); k != 6 {
+		t.Fatalf("retry ready at epoch 7: QuietEpochs = %d, want 6", k)
 	}
 	f.retries[0].ready = 2
-	if k := f.quietEpochs(1000); k != 0 {
-		t.Fatalf("retry ready in two epochs: quietEpochs = %d, want 0 (one quiet epoch is a plain Step)", k)
+	if k := f.QuietEpochs(1000); k != 0 {
+		t.Fatalf("retry ready in two epochs: QuietEpochs = %d, want 0 (one quiet epoch is a plain Step)", k)
 	}
 	f.retries[0].ready = 1
-	if k := f.quietEpochs(1000); k != 0 {
-		t.Fatalf("retry due next step: quietEpochs = %d, want 0", k)
+	if k := f.QuietEpochs(1000); k != 0 {
+		t.Fatalf("retry due next step: QuietEpochs = %d, want 0", k)
 	}
 }
 
@@ -197,20 +197,23 @@ func TestFabricQuietEpochsLinkFaultBound(t *testing.T) {
 	f := quietFabric(t, func(c *Config) {
 		c.LinkFaults = []LinkFault{{Epoch: 5, Socket: 1, LatFactor: 4, BWDivide: 2}}
 	})
-	if k := f.quietEpochs(1000); k != 4 {
-		t.Fatalf("link fault at epoch 5: quietEpochs = %d, want 4", k)
+	if k := f.QuietEpochs(1000); k != 4 {
+		t.Fatalf("link fault at epoch 5: QuietEpochs = %d, want 4", k)
 	}
-	f.stepQuiet(4)
+	f.StepQuiet(4)
 	if n := f.ctr.Get("link-degraded"); n != 0 {
 		t.Fatalf("link fault fired inside the quiet batch (%d)", n)
 	}
-	f.advance(1000)
+	if k := f.QuietEpochs(1000); k != 0 {
+		t.Fatalf("link fault due next step: QuietEpochs = %d, want 0 (a plain Step)", k)
+	}
+	f.Step()
 	if f.epochs != 5 || f.ctr.Get("link-degraded") != 1 {
 		t.Fatalf("epoch %d: link fault fired %d times, want once at epoch 5",
 			f.epochs, f.ctr.Get("link-degraded"))
 	}
-	if k := f.quietEpochs(1000); k != 1000 {
-		t.Fatalf("past link fault: quietEpochs = %d, want 1000 (no bound)", k)
+	if k := f.QuietEpochs(1000); k != 1000 {
+		t.Fatalf("past link fault: QuietEpochs = %d, want 1000 (no bound)", k)
 	}
 }
 
@@ -219,8 +222,8 @@ func TestFabricQuietEpochsLinkFaultBound(t *testing.T) {
 func TestFabricQuietEpochsMigrationDisables(t *testing.T) {
 	f := quietFabric(t)
 	f.jobs = append(f.jobs, &migJob{})
-	if k := f.quietEpochs(1000); k != 0 {
-		t.Fatalf("active migration: quietEpochs = %d, want 0", k)
+	if k := f.QuietEpochs(1000); k != 0 {
+		t.Fatalf("active migration: QuietEpochs = %d, want 0", k)
 	}
 }
 
@@ -229,17 +232,17 @@ func TestFabricQuietEpochsMigrationDisables(t *testing.T) {
 func TestFabricQuietEpochsPendingDisables(t *testing.T) {
 	f := quietFabric(t)
 	f.socks[1].pend[1] = &sockOp{}
-	if k := f.quietEpochs(1000); k != 0 {
-		t.Fatalf("pending foreground piece: quietEpochs = %d, want 0", k)
+	if k := f.QuietEpochs(1000); k != 0 {
+		t.Fatalf("pending foreground piece: QuietEpochs = %d, want 0", k)
 	}
 	delete(f.socks[1].pend, 1)
 	f.socks[0].mig[1] = &migOp{}
-	if k := f.quietEpochs(1000); k != 0 {
-		t.Fatalf("pending migration piece: quietEpochs = %d, want 0", k)
+	if k := f.QuietEpochs(1000); k != 0 {
+		t.Fatalf("pending migration piece: QuietEpochs = %d, want 0", k)
 	}
 	delete(f.socks[0].mig, 1)
-	if k := f.quietEpochs(1000); k != 1000 {
-		t.Fatalf("idle fabric: quietEpochs = %d, want 1000", k)
+	if k := f.QuietEpochs(1000); k != 1000 {
+		t.Fatalf("idle fabric: QuietEpochs = %d, want 1000", k)
 	}
 }
 
@@ -283,10 +286,10 @@ func TestFabricQuietEpochsBreakerBound(t *testing.T) {
 	if k := f.Socket(0).QuietEpochs(1000); k != 1000 {
 		t.Fatalf("healthy socket 0: QuietEpochs = %d, want 1000", k)
 	}
-	if k := f.quietEpochs(1000); k != want {
-		t.Fatalf("open breaker on socket 1: fabric quietEpochs = %d, want %d", k, want)
+	if k := f.QuietEpochs(1000); k != want {
+		t.Fatalf("open breaker on socket 1: fabric QuietEpochs = %d, want %d", k, want)
 	}
-	f.stepQuiet(want)
+	f.StepQuiet(want)
 	if got := f.Socket(1).Occupancy()[0].Breaker + "/" + f.Socket(1).Occupancy()[1].Breaker; open() ||
 		got == "closed/closed" {
 		t.Fatalf("after the capped batch breakers are %s, want one half-open", got)
@@ -298,16 +301,16 @@ func TestFabricQuietEpochsBreakerBound(t *testing.T) {
 func TestFabricQuietEpochsDisabled(t *testing.T) {
 	f := quietFabric(t)
 	for _, limit := range []int{-1, 0, 1} {
-		if k := f.quietEpochs(limit); k != 0 {
-			t.Fatalf("limit %d: quietEpochs = %d, want 0", limit, k)
+		if k := f.QuietEpochs(limit); k != 0 {
+			t.Fatalf("limit %d: QuietEpochs = %d, want 0", limit, k)
 		}
 	}
-	if k := f.quietEpochs(2); k != 2 {
-		t.Fatalf("limit 2: quietEpochs = %d, want 2", k)
+	if k := f.QuietEpochs(2); k != 2 {
+		t.Fatalf("limit 2: QuietEpochs = %d, want 2", k)
 	}
 	f = quietFabric(t, func(c *Config) { c.DisableLookahead = true })
-	if k := f.quietEpochs(1000); k != 0 {
-		t.Fatalf("lookahead disabled: quietEpochs = %d, want 0", k)
+	if k := f.QuietEpochs(1000); k != 0 {
+		t.Fatalf("lookahead disabled: QuietEpochs = %d, want 0", k)
 	}
 }
 
@@ -335,7 +338,7 @@ func sameFabric(t *testing.T, label string, a, b *Fabric) {
 	}
 }
 
-// TestFabricStepQuietMatchesSteps: one stepQuiet(k) on a fabric must leave
+// TestFabricStepQuietMatchesSteps: one StepQuiet(k) on a fabric must leave
 // it exactly where k Steps leave its twin — warmed pools (service EWMAs,
 // probe baselines), a Suspect socket whose clean streak counts every
 // fabric probe, and non-aligned fabric and pool probe periods.
@@ -354,9 +357,9 @@ func TestFabricStepQuietMatchesSteps(t *testing.T) {
 	sameFabric(t, "warm-up", a, b)
 	batches := 0
 	for end := a.epochs + 60; a.epochs < end; {
-		k := a.quietEpochs(1000)
+		k := a.QuietEpochs(1000)
 		if k > 1 {
-			a.stepQuiet(k)
+			a.StepQuiet(k)
 			batches++
 		} else {
 			k = 1 // one epoch to the next probe: a plain Step on both
@@ -490,7 +493,7 @@ func TestFabricIdleProbeJumpIdentical(t *testing.T) {
 func TestFabricDrainBatchesRetryBackoff(t *testing.T) {
 	f := quietFabric(t)
 	op := &sockOp{req: &fabReq{remaining: 1, src: 0, bytes: 4096}, off: 0, n: 4096}
-	f.submitted++
+	f.led.Submitted++
 	f.retries = append(f.retries, fabRetry{op: op, ready: 50})
 	if err := f.Drain(); err != nil {
 		t.Fatal(err)

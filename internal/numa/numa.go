@@ -20,7 +20,7 @@
 // epoch boundaries in canonical socket order, so output is byte-identical
 // at any worker count. The pool's lookahead lifts one level too: spans in
 // which no fabric boundary can act advance every socket in one quiet batch
-// (quietEpochs/stepQuiet), byte-identical to the lockstep oracle that
+// (QuietEpochs/StepQuiet), byte-identical to the lockstep oracle that
 // DisableLookahead keeps.
 //
 // Socket health is the member lattice lifted one level (Up → Suspect →
@@ -142,6 +142,9 @@ type fabReq struct {
 	remaining int
 	lastDone  sim.Duration
 	err       error
+	// notify: emit a Completion record for Poll/Notify (Submit, not the
+	// driver's Offer), the pool's rule one level up.
+	notify bool
 	// insub is true while Submit is still dispatching pieces: a request
 	// retiring with it set resolved synchronously, so the caller holds the
 	// typed error and no Completion record is produced (pool.Submit parity).
@@ -186,24 +189,20 @@ type Fabric struct {
 	retries []fabRetry
 	jobs    []*migJob
 
-	nextID      uint64
-	completions []pool.Completion
+	nextID uint64
+	out    pool.Outbox
 
 	ctr        *metrics.Counters
 	lat        *metrics.Histogram // local foreground completions
 	latRemote  *metrics.Histogram // foreground completions that crossed a link
 	latMigrate *metrics.Histogram // foreground completions while migration ran
 
-	submitted, completed, failed, shed, expired, throttled uint64
-	completedLate                                          uint64
-	writesIn, writesAck, writesFailed                      uint64
-	writesShed, writesExpired, writesThrottled             uint64
-	untypedFailures                                        uint64
+	// led books every terminal outcome (pool.Ledger).
+	led pool.Ledger
 	// postEvacSubmissions counts foreground pool submissions that reached a
 	// socket at or past Evacuating; probe-before-submit ordering makes this
 	// structurally zero and CheckHealth asserts it.
 	postEvacSubmissions uint64
-	firstFailure        error
 }
 
 // socket is one pooled socket plus its fabric-side tracking state.
@@ -364,7 +363,13 @@ func (f *Fabric) localOff(off int64) int64 { return off % f.span }
 // pool.Submit; partially admitted requests resolve through Poll/Notify
 // with the typed chain attached. Addresses outside [0, Capacity) panic:
 // callers own admission of addresses, as with the pool decoder.
-func (f *Fabric) Submit(r openloop.Request) (uint64, error) {
+func (f *Fabric) Submit(r openloop.Request) (uint64, error) { return f.submit(r, true) }
+
+// Offer submits a driver-owned request (pool.Plane): its terminal record
+// reaches only Cfg.Notify, never Poll.
+func (f *Fabric) Offer(r openloop.Request) { f.submit(r, false) }
+
+func (f *Fabric) submit(r openloop.Request, notify bool) (uint64, error) {
 	if r.Off < 0 || r.Len <= 0 || r.Off+int64(r.Len) > f.Capacity() {
 		panic(fmt.Sprintf("numa: request [%d,+%d) outside fabric capacity %d", r.Off, r.Len, f.Capacity()))
 	}
@@ -380,14 +385,12 @@ func (f *Fabric) Submit(r openloop.Request) (uint64, error) {
 		arrival: r.Arrival,
 		write:   r.Write,
 		bytes:   r.Len,
+		notify:  notify,
 	}
 	if r.Deadline > 0 {
 		req.deadline = r.Arrival + r.Deadline
 	}
-	f.submitted++
-	if r.Write {
-		f.writesIn++
-	}
+	f.led.Submit(r.Write)
 	// Split at chunk boundaries, merging consecutive chunks with the same
 	// serving socket so a request crossing an un-re-homed span stays one op.
 	type seg struct {
@@ -553,8 +556,13 @@ func (f *Fabric) promoteRetries() {
 	f.retries = keep
 }
 
+// fabricTyped lists the sentinels that make a fabric failure typed: the
+// pool's plus the socket-level ones.
+var fabricTyped = []error{pool.ErrMemberQuarantined, pool.ErrPoolDegraded, ErrSocketEvacuated, ErrFabricDegraded}
+
 // requestPieceDone folds one terminal piece into its request; the last
-// piece classifies and retires the whole request in pool outcome terms.
+// piece retires the whole request through the ledger, in pool outcome
+// terms.
 func (f *Fabric) requestPieceDone(r *fabReq, at sim.Duration) {
 	if at > r.lastDone {
 		r.lastDone = at
@@ -563,69 +571,32 @@ func (f *Fabric) requestPieceDone(r *fabReq, at sim.Duration) {
 	if r.remaining > 0 {
 		return
 	}
+	late := r.deadline > 0 && r.lastDone > r.deadline
 	c := pool.Completion{
 		ID:      r.id,
 		Tenant:  r.tenant,
 		Write:   r.write,
+		Outcome: f.led.Retire(r.write, late, r.err, fabricTyped),
 		At:      sim.Time(r.lastDone),
 		Latency: r.lastDone - r.arrival,
 		Err:     r.err,
 	}
-	switch {
-	case r.err == nil:
-		c.Outcome = pool.OutcomeCompleted
-		f.completed++
-		if r.write {
-			f.writesAck++
-		}
-		if r.deadline > 0 && r.lastDone > r.deadline {
+	if c.Outcome == pool.OutcomeCompleted {
+		if late {
 			c.Late = true
 			c.Lateness = r.lastDone - r.deadline
-			f.completedLate++
 		}
-		lat := c.Latency
 		if r.remote {
-			f.latRemote.Record(lat)
+			f.latRemote.Record(c.Latency)
 		} else {
-			f.lat.Record(lat)
+			f.lat.Record(c.Latency)
 		}
 		if len(f.jobs) > 0 {
-			f.latMigrate.Record(lat)
-		}
-	case errors.Is(r.err, pool.ErrTenantThrottled):
-		c.Outcome = pool.OutcomeThrottled
-		f.throttled++
-		if r.write {
-			f.writesThrottled++
-		}
-	case errors.Is(r.err, pool.ErrAdmissionFull):
-		c.Outcome = pool.OutcomeShed
-		f.shed++
-		if r.write {
-			f.writesShed++
-		}
-	case errors.Is(r.err, pool.ErrDeadlineExceeded):
-		c.Outcome = pool.OutcomeExpired
-		f.expired++
-		if r.write {
-			f.writesExpired++
-		}
-	default:
-		c.Outcome = pool.OutcomeFailed
-		f.failed++
-		if r.write {
-			f.writesFailed++
-		}
-		if !errors.Is(r.err, pool.ErrMemberQuarantined) && !errors.Is(r.err, pool.ErrPoolDegraded) &&
-			!errors.Is(r.err, ErrSocketEvacuated) && !errors.Is(r.err, ErrFabricDegraded) {
-			f.untypedFailures++
-		}
-		if f.firstFailure == nil {
-			f.firstFailure = r.err
+			f.latMigrate.Record(c.Latency)
 		}
 	}
 	if !r.insub {
-		f.completions = append(f.completions, c)
+		f.out.Add(c, r.notify, f.Cfg.Notify)
 	}
 }
 
@@ -646,7 +617,7 @@ func (f *Fabric) Step() {
 	f.sweepMigrations()
 	f.probeSockets()
 	f.now += f.epoch
-	f.deliver()
+	f.out.Flush(f.Cfg.Notify)
 }
 
 // collect drains every socket's completions in socket order and folds them
@@ -684,41 +655,13 @@ func (f *Fabric) collect() {
 	}
 }
 
-// deliver hands buffered terminal records to Notify, preserving order, or
-// retains them for Poll.
-func (f *Fabric) deliver() {
-	if f.Cfg.Notify == nil || len(f.completions) == 0 {
-		return
-	}
-	for _, c := range f.completions {
-		f.Cfg.Notify(c)
-	}
-	f.completions = f.completions[:0]
-}
-
 // Poll removes and returns up to max buffered completions (all if max <= 0).
-func (f *Fabric) Poll(max int) []pool.Completion {
-	if max <= 0 || max > len(f.completions) {
-		max = len(f.completions)
-	}
-	if max == 0 {
-		return nil
-	}
-	out := make([]pool.Completion, max)
-	copy(out, f.completions[:max])
-	f.completions = f.completions[:copy(f.completions, f.completions[max:])]
-	return out
-}
-
-// terminal returns the count of retired requests.
-func (f *Fabric) terminal() uint64 {
-	return f.completed + f.failed + f.shed + f.expired + f.throttled
-}
+func (f *Fabric) Poll(max int) []pool.Completion { return f.out.Poll(max) }
 
 // Quiesced reports whether every submitted request is terminal and no
 // background work (retries, migrations, in-flight pieces) remains.
 func (f *Fabric) Quiesced() bool {
-	if f.terminal() != f.submitted || len(f.retries) != 0 || len(f.jobs) != 0 {
+	if f.led.Terminal() != f.led.Submitted || len(f.retries) != 0 || len(f.jobs) != 0 {
 		return false
 	}
 	for _, s := range f.socks {
@@ -729,8 +672,8 @@ func (f *Fabric) Quiesced() bool {
 	return true
 }
 
-// quietEpochs reports how many upcoming fabric epochs — at most limit — are
-// provably quiet, so stepQuiet may advance them in one batch with results
+// QuietEpochs reports how many upcoming fabric epochs — at most limit — are
+// provably quiet, so StepQuiet may advance them in one batch with results
 // byte-identical to that many Steps. It returns 0 (take a plain Step) unless
 // at least two are. Quiet requires an idle fabric: no migration job, no
 // pending foreground or migration piece on any socket, and lookahead on.
@@ -738,7 +681,7 @@ func (f *Fabric) Quiesced() bool {
 //
 //   - the next socket-probe epoch, but only when a probe could act. The
 //     lattice's suspect and clean streaks count probes, so a batch may end
-//     on such a probe epoch (stepQuiet runs it there) but never jump one.
+//     on such a probe epoch (StepQuiet runs it there) but never jump one.
 //     When every socket probe in the span provably takes the no-op path
 //     (probesIdle), the bound is dropped and the batch jumps probe epochs;
 //   - each retry's ready epoch, minus one, so the promoting boundary is a
@@ -750,7 +693,7 @@ func (f *Fabric) Quiesced() bool {
 //
 // Link busy-until horizons need no bound: a quiet batch moves no byte over
 // the interconnect.
-func (f *Fabric) quietEpochs(limit int) int {
+func (f *Fabric) QuietEpochs(limit int) int {
 	if f.Cfg.DisableLookahead || limit <= 1 || len(f.jobs) > 0 {
 		return 0
 	}
@@ -781,16 +724,16 @@ func (f *Fabric) quietEpochs(limit int) int {
 	return k
 }
 
-// stepQuiet advances the fabric k quiet epochs (quietEpochs' preconditions)
+// StepQuiet advances the fabric k quiet epochs (QuietEpochs' preconditions)
 // in one batch: every socket pool takes one StepQuiet(k), and of the
 // fabric's boundary passes only the socket probe can act on an idle fabric.
 // Link faults, retry promotion, migration issue and sweep, and collection
 // are no-ops inside the span by construction, and so is every socket probe
-// the span jumps (quietEpochs drops the probe bound only when probesIdle
+// the span jumps (QuietEpochs drops the probe bound only when probesIdle
 // proves it). The final epoch may be a probe epoch: probeSockets runs
 // once, after the pools have advanced, with f.now at the final epoch's
 // start, exactly as Step would run it.
-func (f *Fabric) stepQuiet(k int) {
+func (f *Fabric) StepQuiet(k int) {
 	for _, s := range f.socks {
 		s.pool.StepQuiet(k)
 	}
@@ -802,84 +745,31 @@ func (f *Fabric) stepQuiet(k int) {
 	f.now += f.epoch
 }
 
-// advance moves the fabric past the current boundary: one quiet batch of up
-// to limit epochs when quietEpochs proves one, else one Step.
-func (f *Fabric) advance(limit int) {
-	if k := f.quietEpochs(limit); k > 1 {
-		f.stepQuiet(k)
-	} else {
-		f.Step()
-	}
-}
+// Drain steps the fabric until it quiesces (the shared driver,
+// pool.Drain).
+func (f *Fabric) Drain() error { return pool.Drain(f) }
 
-// Drain steps the fabric until it quiesces (or the MaxEpochs guard trips),
-// batching quiet spans (retry backoffs, post-run tails) like pool.Drain.
-func (f *Fabric) Drain() error {
-	for !f.Quiesced() {
-		if f.epochs >= f.Cfg.MaxEpochs {
-			return fmt.Errorf("numa: %d epochs without draining (%d/%d requests terminal) — wedged?",
-				f.epochs, f.terminal(), f.submitted)
-		}
-		f.advance(f.Cfg.MaxEpochs - f.epochs)
-	}
-	return nil
-}
-
-// Run submits the stream next yields (arrival order, one epoch's worth per
-// step) and drains the fabric. Like pool.Run, it batches provably quiet
-// spans through the lookahead (quietEpochs/stepQuiet), each batch bounded
-// by the next buffered arrival; with DisableLookahead every epoch is a full
-// Step, the lockstep oracle the batched path must match byte for byte.
-func (f *Fabric) Run(next func() (openloop.Request, bool)) error {
-	var look *openloop.Request
-	exhausted := false
-	for {
-		if f.epochs >= f.Cfg.MaxEpochs {
-			return fmt.Errorf("numa: %d epochs without draining (%d/%d requests terminal) — wedged?",
-				f.epochs, f.terminal(), f.submitted)
-		}
-		epochEnd := f.now + f.epoch
-		for !exhausted {
-			if look == nil {
-				r, ok := next()
-				if !ok {
-					exhausted = true
-					break
-				}
-				look = &r
-			}
-			if look.Arrival >= epochEnd {
-				break
-			}
-			f.Submit(*look) // sync refusals are already terminal-counted
-			look = nil
-		}
-		// Bound a quiet batch by the next buffered arrival (or, once the
-		// source is dry and the fabric quiesced, take the single bookkeeping
-		// step the lockstep loop would).
-		limit := f.Cfg.MaxEpochs - f.epochs
-		if look != nil {
-			if g := int((look.Arrival - f.now) / f.epoch); g < limit {
-				limit = g
-			}
-		} else if exhausted && f.Quiesced() {
-			limit = 0
-		}
-		f.advance(limit)
-		if exhausted && look == nil && f.Quiesced() {
-			return nil
-		}
-	}
-}
+// Run feeds the stream next yields through the fabric and drains it (the
+// shared driver, pool.Run): quiet spans batch through QuietEpochs/StepQuiet,
+// and with DisableLookahead every epoch is a full Step, the lockstep oracle.
+func (f *Fabric) Run(next func() (openloop.Request, bool)) error { return pool.Run(f, next) }
 
 // RunOpenLoop runs count arrivals from gen through the fabric.
 func (f *Fabric) RunOpenLoop(gen *openloop.Generator, count int) error {
-	issued := 0
-	return f.Run(func() (openloop.Request, bool) {
-		if issued >= count {
-			return openloop.Request{}, false
-		}
-		issued++
-		return gen.Next(), true
-	})
+	return pool.RunOpenLoop(f, gen, count)
 }
+
+// Elapsed returns the current boundary (pool.Plane); it equals Now.
+func (f *Fabric) Elapsed() sim.Duration { return f.now }
+
+// Epoch returns the epoch length.
+func (f *Fabric) Epoch() sim.Duration { return f.epoch }
+
+// Epochs returns the fabric epochs taken so far.
+func (f *Fabric) Epochs() int { return f.epochs }
+
+// MaxEpochs returns the wedge guard.
+func (f *Fabric) MaxEpochs() int { return f.Cfg.MaxEpochs }
+
+// Ledger returns the fabric's outcome ledger.
+func (f *Fabric) Ledger() pool.Ledger { return f.led }

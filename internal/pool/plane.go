@@ -6,8 +6,9 @@
 // schedule (the VANS add_rq/add_wq + operate() shape). This file is that
 // surface: non-blocking Submit returning a request ID, Step advancing one
 // epoch, Poll/Notify draining typed completion records, and occupancy
-// queries for admission feedback. Run/RunOpenLoop are now thin loops over
-// the same plane, so every workload generator rides it.
+// queries for admission feedback. Run/RunOpenLoop/Drain are the one
+// driver over the Plane interface (driver.go), shared with the NUMA fabric,
+// so every workload generator rides the same surface.
 //
 // # Overload robustness
 //
@@ -41,9 +42,10 @@
 //     promptly land.
 //
 // Every terminal outcome is conserved: submitted = completed + shed +
-// expired + typed-failed, and writes in = acked + shed + expired +
-// typed-failed (CheckHealth asserts both) — an acked write is never lost
-// and nothing disappears silently, no matter how hard the plane is pushed.
+// expired + throttled + typed-failed, and the same for writes (the Ledger,
+// ledger.go, books both and CheckHealth audits them) — an acked write is
+// never lost and nothing disappears silently, no matter how hard the plane
+// is pushed.
 package pool
 
 import (
@@ -210,28 +212,49 @@ func (p *Pool) Submit(r openloop.Request) (uint64, error) {
 	return p.submitReq(r, true)
 }
 
-// Step advances the plane one epoch: boundary bookkeeping (deadline expiry,
-// retry promotion, queue fill, rebuild issue) in canonical channel order,
-// then every member kernel to the next boundary (in parallel when
-// Cfg.Workers > 1), then completion collection, health probes and breaker
-// ticks. Completions are delivered to Cfg.Notify (or retained for Poll) in
-// deterministic order at the end of the step.
-func (p *Pool) Step() { p.step() }
-
 // Poll removes and returns up to max buffered completions (all when max <=
-// 0). Records buffer only for plane-submitted requests when no Notify
-// callback is configured.
-func (p *Pool) Poll(max int) []Completion {
-	if max <= 0 || max > len(p.completions) {
-		max = len(p.completions)
+// 0). Records buffer only for Submit requests when no Notify callback is
+// configured.
+func (p *Pool) Poll(max int) []Completion { return p.out.Poll(max) }
+
+// Outbox holds a plane's terminal Completion records in deterministic
+// boundary order. It carries the one record rule both planes follow: a
+// request submitted through Submit always leaves a record; one the driver
+// offered leaves a record only when a Notify callback is configured. Flush,
+// at the end of each step, hands the records to Notify, or leaves them for
+// Poll.
+type Outbox struct{ recs []Completion }
+
+// Add keeps c when its request was submitted (polled) or notify is set.
+func (o *Outbox) Add(c Completion, polled bool, notify func(Completion)) {
+	if polled || notify != nil {
+		o.recs = append(o.recs, c)
+	}
+}
+
+// Flush delivers the buffered records to notify in order; without notify
+// they stay for Poll.
+func (o *Outbox) Flush(notify func(Completion)) {
+	if notify == nil {
+		return
+	}
+	for _, c := range o.recs {
+		notify(c)
+	}
+	o.recs = o.recs[:0]
+}
+
+// Poll removes and returns up to max buffered records (all when max <= 0).
+func (o *Outbox) Poll(max int) []Completion {
+	if max <= 0 || max > len(o.recs) {
+		max = len(o.recs)
 	}
 	if max == 0 {
 		return nil
 	}
 	out := make([]Completion, max)
-	copy(out, p.completions)
-	n := copy(p.completions, p.completions[max:])
-	p.completions = p.completions[:n]
+	copy(out, o.recs)
+	o.recs = o.recs[:copy(o.recs, o.recs[max:])]
 	return out
 }
 
@@ -274,32 +297,30 @@ func (p *Pool) Backlog() int {
 // Quiesced reports whether every submitted request reached a terminal
 // outcome and no background work (retries, rebuilds) remains.
 func (p *Pool) Quiesced() bool {
-	return p.terminal() == p.submitted && p.Backlog() == 0 && len(p.rebuilds) == 0
+	return p.led.Terminal() == p.led.Submitted && p.Backlog() == 0 && len(p.rebuilds) == 0
 }
 
-// Drain steps the plane until it quiesces (or the MaxEpochs guard trips),
-// batching provably-quiet spans (retry backoffs waiting out their epochs)
-// through the lookahead scheduler.
-func (p *Pool) Drain() error {
-	for !p.Quiesced() {
-		if p.epochs >= p.Cfg.MaxEpochs {
-			return fmt.Errorf("pool: %d epochs without draining (%d/%d requests terminal) — wedged?",
-				p.epochs, p.terminal(), p.submitted)
-		}
-		if k := p.QuietEpochs(p.Cfg.MaxEpochs - p.epochs); k > 1 {
-			p.StepQuiet(k)
-		} else {
-			p.step()
-		}
-	}
-	return nil
-}
+// Drain steps the plane until it quiesces (the shared driver, driver.go).
+func (p *Pool) Drain() error { return Drain(p) }
 
-// terminal is the conservation left-hand side: every request that reached an
-// outcome.
-func (p *Pool) terminal() uint64 {
-	return p.completed + p.failed + p.shed + p.expired + p.throttled
-}
+// Offer submits a driver-owned request (Plane): its terminal record reaches
+// only Cfg.Notify, never Poll.
+func (p *Pool) Offer(r openloop.Request) { p.submitReq(r, false) }
+
+// Elapsed returns the current boundary relative to Origin.
+func (p *Pool) Elapsed() sim.Duration { return p.now.Sub(p.epoch0) }
+
+// Epoch returns the epoch length.
+func (p *Pool) Epoch() sim.Duration { return p.Cfg.Epoch }
+
+// Epochs returns the epochs taken so far.
+func (p *Pool) Epochs() int { return p.epochs }
+
+// MaxEpochs returns the wedge guard.
+func (p *Pool) MaxEpochs() int { return p.Cfg.MaxEpochs }
+
+// Ledger returns the pool's outcome ledger.
+func (p *Pool) Ledger() Ledger { return p.led }
 
 // submitReq decodes one arrival, applies the admission policy, and either
 // enqueues its fragments or sheds the request typed. notify marks
@@ -314,35 +335,25 @@ func (p *Pool) submitReq(r openloop.Request, notify bool) (uint64, error) {
 	}
 	p.nextID++
 	id := p.nextID
-	p.submitted++
-	if r.Write {
-		p.writesIn++
-	}
+	p.led.Submit(r.Write)
 	ts := p.qosTenant(r.Tenant)
+	if ts != nil {
+		ts.led.Submit(r.Write)
+	}
+	ch0 := p.chans[p.channelOf(frags[0].Member)]
 
 	// Token-bucket policing gates admission before every other policy: a
 	// tenant over its rate is refused here, synchronously and typed, before
 	// its fragments could occupy any queue. Enforcement is armed only under
 	// QoS isolation; tracking-only configs never throttle.
 	if p.Cfg.QoS.Isolation && !ts.admitBucket() {
-		p.throttled++
-		if r.Write {
-			p.writesThrottled++
-		}
-		ts.throttled++
-		p.chans[p.channelOf(frags[0].Member)].ctr.Inc("requests-throttled")
-		return id, fmt.Errorf("pool: tenant %d: %w", r.Tenant, ErrTenantThrottled)
+		err := fmt.Errorf("pool: tenant %d: %w", r.Tenant, ErrTenantThrottled)
+		p.retire(ch0, ts, r.Write, false, err)
+		return id, err
 	}
 
 	if reason := p.shedAtAdmission(frags, r.Write, arrival, deadline); reason != nil {
-		p.shed++
-		if r.Write {
-			p.writesShed++
-		}
-		if ts != nil {
-			ts.shed++
-		}
-		p.chans[p.channelOf(frags[0].Member)].ctr.Inc("requests-shed")
+		p.retire(ch0, ts, r.Write, false, reason)
 		return id, reason
 	}
 
@@ -574,16 +585,4 @@ func (p *Pool) sweepList(ch *channelState, list []*fragment, doomed func(*fragme
 		keep = append(keep, f)
 	}
 	return keep
-}
-
-// deliverCompletions flushes the step's terminal records to Cfg.Notify in
-// order when configured; otherwise they stay buffered for Poll.
-func (p *Pool) deliverCompletions() {
-	if p.Cfg.Notify == nil || len(p.completions) == 0 {
-		return
-	}
-	for _, c := range p.completions {
-		p.Cfg.Notify(c)
-	}
-	p.completions = p.completions[:0]
 }

@@ -141,7 +141,7 @@ func TestPlaneRetryFailFast(t *testing.T) {
 	ch.ewma = 2 * p.Cfg.Epoch // measured service alone overshoots the budget
 
 	r := &request{id: 1, arrival: p.now, deadline: p.now.Add(p.Cfg.Epoch), remaining: 1, notify: true}
-	p.submitted++
+	p.led.Submitted++
 	epochsBefore := p.epochs
 	p.fragFailed(&fragment{req: r, member: 0, n: 4096}, fmt.Errorf("injected media error"), p.now)
 	if len(p.retries) != 0 {
@@ -153,8 +153,8 @@ func TestPlaneRetryFailFast(t *testing.T) {
 	if !errors.Is(r.err, ErrDeadlineExceeded) {
 		t.Fatalf("request error %v, want ErrDeadlineExceeded chain", r.err)
 	}
-	if p.expired != 1 {
-		t.Fatalf("expired=%d, want the failed request counted expired", p.expired)
+	if p.led.Expired != 1 {
+		t.Fatalf("expired=%d, want the failed request counted expired", p.led.Expired)
 	}
 	if got := ch.ctr.Get("frags-retry-expired"); got != 1 {
 		t.Fatalf("frags-retry-expired=%d, want 1", got)
@@ -166,7 +166,7 @@ func TestPlaneRetryFailFast(t *testing.T) {
 
 	// Same failure with no deadline: the retry is armed with its backoff.
 	r2 := &request{id: 2, arrival: p.now, remaining: 1}
-	p.submitted++
+	p.led.Submitted++
 	p.fragFailed(&fragment{req: r2, member: 0, n: 4096}, fmt.Errorf("injected media error"), p.now)
 	if len(p.retries) != 1 {
 		t.Fatalf("%d retries armed without a deadline, want 1", len(p.retries))
@@ -383,6 +383,10 @@ func TestPlaneOverloadedWorkerCountIdentical(t *testing.T) {
 		if err := p.CheckHealth(); err != nil {
 			t.Fatal(err)
 		}
+		// The driver offers its requests: with no Notify, nothing is kept.
+		if recs := p.Poll(0); len(recs) != 0 {
+			t.Fatalf("workers=%d: Run retained %d Completion records nobody polls", workers, len(recs))
+		}
 		s := p.Stats()
 		if s.Shed == 0 || s.Expired == 0 {
 			t.Fatalf("workers=%d: shed=%d expired=%d — overload machinery not engaged", workers, s.Shed, s.Expired)
@@ -408,7 +412,7 @@ func TestPlaneNotifyMatchesPollAcrossDrain(t *testing.T) {
 	submitWave := func(t *testing.T, p *Pool, wave int) {
 		t.Helper()
 		for i := 0; i < 24; i++ {
-			r := openloop.Request{Off: int64((wave*24 + i) % 64) * 4096, Len: 4096, Write: i%3 == 0}
+			r := openloop.Request{Off: int64((wave*24+i)%64) * 4096, Len: 4096, Write: i%3 == 0}
 			if i%7 == 0 {
 				r.Deadline = 1 // 1 ps: expires at the first boundary
 			}

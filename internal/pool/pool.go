@@ -38,7 +38,6 @@
 package pool
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -405,46 +404,21 @@ type Pool struct {
 	// latMiss holds the lateness overshoot of completed-but-late requests:
 	// its tail is the campaign's deadline-miss p99/p999.
 	latMiss *metrics.Histogram
-	// completions buffers terminal records for Poll (plane submissions with
-	// no Notify callback configured).
-	completions []Completion
-	nextID      uint64
+	// out buffers terminal records for Notify or Poll.
+	out    Outbox
+	nextID uint64
 
-	submitted uint64
-	completed uint64
-	failed    uint64
-	// shed / expired are the overload outcomes: dropped by an admission
-	// policy, or deadline passed before completion. Terminal like failed —
-	// completed + failed + shed + expired == submitted once drained.
-	shed    uint64
-	expired uint64
-	// completedLate counts completions that landed past their deadline
-	// (still completed — the work was done, just late).
-	completedLate uint64
-	writesIn      uint64
-	writesAck     uint64
-	// writesFailed counts writes that terminated with a typed error: they
-	// were never acked, so they are not lost — the submitter was told.
-	writesFailed  uint64
-	writesShed    uint64
-	writesExpired uint64
-	// throttled counts requests refused at admission by their tenant's token
-	// bucket (typed ErrTenantThrottled) — terminal like shed.
-	throttled       uint64
-	writesThrottled uint64
+	// led books every terminal outcome (ledger.go).
+	led Ledger
 	// qosT is the per-tenant QoS runtime state (len(Cfg.QoS.Tenants)+1, the
 	// last a catch-all; nil when QoS is off). Boundary-only, like all
 	// cross-member state.
 	qosT []tenantState
-	// untypedFailures counts requests that failed without ErrPoolDegraded /
-	// ErrMemberQuarantined in the chain; CheckHealth demands zero.
-	untypedFailures uint64
 	// postQuarantine counts front-end dispatches that reached a quarantined
 	// member; probe-before-fill ordering makes this structurally zero and
 	// CheckHealth asserts it.
 	postQuarantine uint64
 	sparesUsed     int
-	firstFailure   error
 	epochs         int
 	heldPeak       int
 }
@@ -728,20 +702,26 @@ func (p *Pool) collect() {
 			ch.svcBusyAt = p.now
 		}
 		ch.svcDone += int64(svcDone[ci])
-		if ch.svcDone == 0 {
-			continue
-		}
-		cum := end.Sub(ch.svcBusyAt) / sim.Duration(ch.svcDone)
-		if cum <= 0 {
-			cum = 1
-		}
-		if ch.ewma == 0 {
-			ch.ewma = cum
-		} else {
-			ch.ewma += (cum - ch.ewma) / 8
-		}
+		ch.foldService(end)
 	}
 	p.sweepRebuilds()
+}
+
+// foldService smooths the channel's long-run service interval, measured to
+// the boundary end, into its EWMA (a no-op until it has completed work).
+func (ch *channelState) foldService(end sim.Time) {
+	if ch.svcDone == 0 {
+		return
+	}
+	cum := end.Sub(ch.svcBusyAt) / sim.Duration(ch.svcDone)
+	if cum <= 0 {
+		cum = 1
+	}
+	if ch.ewma == 0 {
+		ch.ewma = cum
+	} else {
+		ch.ewma += (cum - ch.ewma) / 8
+	}
 }
 
 // fragFailed routes one failed (or quarantine-rejected) fragment: back into
@@ -792,10 +772,9 @@ func (p *Pool) fragFailed(f *fragment, err error, at sim.Time) {
 
 // requestPieceDone retires one fragment outcome (success, sweep, or
 // terminal failure) against its request and finishes the request when it
-// was the last, classifying it by its typed error chain: shed
-// (ErrAdmissionFull), expired (ErrDeadlineExceeded), failed (other typed
-// errors), or completed — recording latency, and lateness when a completion
-// landed past its deadline.
+// was the last: the ledgers classify it by its typed error chain, and a
+// completion records its latency, and its lateness when it landed past its
+// deadline.
 func (p *Pool) requestPieceDone(r *request, at sim.Time) {
 	if at > r.lastDone {
 		r.lastDone = at
@@ -806,91 +785,60 @@ func (p *Pool) requestPieceDone(r *request, at sim.Time) {
 	}
 	ch0 := p.chans[r.channel0]
 	ts := p.qosTenant(r.tenant)
+	late := r.deadline > 0 && r.lastDone > r.deadline
 	rec := Completion{
 		ID:      r.id,
 		Tenant:  r.tenant,
 		Write:   r.write,
+		Outcome: p.retire(ch0, ts, r.write, late, r.err),
 		Err:     r.err,
 		At:      r.lastDone,
 		Latency: r.lastDone.Sub(r.arrival),
 	}
-	switch {
-	case r.err == nil:
+	if rec.Outcome == OutcomeCompleted {
 		lat := rec.Latency
 		ch0.lat.Record(lat)
 		if len(p.rebuilds) > 0 {
 			p.latRebuild.Record(lat)
 		}
-		ch0.ctr.Inc("requests-completed")
-		p.completed++
-		if r.write {
-			p.writesAck++
-		}
 		if ts != nil {
-			ts.completed++
 			ts.lat.Record(lat)
 			ts.meter.Record(r.lastDone, r.bytes)
 			if ts.cfg.SLOP99 > 0 && lat > ts.cfg.SLOP99 {
 				ts.overSLO++
 			}
 		}
-		if r.deadline > 0 && r.lastDone > r.deadline {
+		if late {
 			rec.Late = true
 			rec.Lateness = r.lastDone.Sub(r.deadline)
-			p.completedLate++
 			p.latMiss.Record(rec.Lateness)
 			ch0.ctr.Inc("requests-late")
 		}
-	case errors.Is(r.err, ErrTenantThrottled):
-		rec.Outcome = OutcomeThrottled
-		ch0.ctr.Inc("requests-throttled")
-		p.throttled++
-		if r.write {
-			p.writesThrottled++
-		}
-		if ts != nil {
-			ts.throttled++
-		}
-	case errors.Is(r.err, ErrAdmissionFull):
-		rec.Outcome = OutcomeShed
-		ch0.ctr.Inc("requests-shed")
-		p.shed++
-		if r.write {
-			p.writesShed++
-		}
-		if ts != nil {
-			ts.shed++
-		}
-	case errors.Is(r.err, ErrDeadlineExceeded):
-		rec.Outcome = OutcomeExpired
-		ch0.ctr.Inc("requests-expired")
-		p.expired++
-		if r.write {
-			p.writesExpired++
-		}
-		if ts != nil {
-			ts.expired++
-		}
-	default:
-		rec.Outcome = OutcomeFailed
-		ch0.ctr.Inc("requests-failed")
-		p.failed++
-		if r.write {
-			p.writesFailed++
-		}
-		if ts != nil {
-			ts.failed++
-		}
-		if p.firstFailure == nil {
-			p.firstFailure = r.err
-		}
-		if !errors.Is(r.err, ErrPoolDegraded) && !errors.Is(r.err, ErrMemberQuarantined) {
-			p.untypedFailures++
-		}
 	}
-	if r.notify || p.Cfg.Notify != nil {
-		p.completions = append(p.completions, rec)
+	p.out.Add(rec, r.notify, p.Cfg.Notify)
+}
+
+// poolTyped lists the sentinels that make a pool failure typed.
+var poolTyped = []error{ErrPoolDegraded, ErrMemberQuarantined}
+
+// requestCounter names each outcome's per-channel request counter.
+var requestCounter = [...]string{
+	OutcomeCompleted: "requests-completed",
+	OutcomeShed:      "requests-shed",
+	OutcomeExpired:   "requests-expired",
+	OutcomeFailed:    "requests-failed",
+	OutcomeThrottled: "requests-throttled",
+}
+
+// retire books one terminal request in the pool ledger, its tenant's
+// ledger (nil when QoS is off) and ch's request counter.
+func (p *Pool) retire(ch *channelState, ts *tenantState, write, late bool, err error) Outcome {
+	o := p.led.Retire(write, late, err, poolTyped)
+	if ts != nil {
+		ts.led.Retire(write, late, err, poolTyped)
 	}
+	ch.ctr.Inc(requestCounter[o])
+	return o
 }
 
 // promoteRetries re-admits backoff-expired fragments (retry-queue order,
@@ -922,12 +870,14 @@ func (p *Pool) promoteRetries() {
 	p.retries = keep
 }
 
-// step advances the pool one epoch: boundary bookkeeping in canonical
-// channel order, member kernels to the next boundary (parallel when
-// configured — the output is identical either way), then collection, health
-// probes, breaker ticks and completion delivery. Both Run and the plane's
-// Step drive this one body, so embedded and harnessed use cannot diverge.
-func (p *Pool) step() {
+// Step advances the plane one epoch: boundary bookkeeping (deadline expiry,
+// retry promotion, queue fill, rebuild issue) in canonical channel order,
+// then every member kernel to the next boundary (in parallel when
+// Cfg.Workers > 1 — the output is identical either way), then completion
+// collection, health probes and breaker ticks. Completions are delivered to
+// Cfg.Notify (or retained for Poll) in deterministic order at the end of
+// the step.
+func (p *Pool) Step() {
 	p.epochs++
 	epochEnd := p.now.Add(p.Cfg.Epoch)
 	p.refillTokens()
@@ -946,7 +896,7 @@ func (p *Pool) step() {
 		ch.brk.tick()
 	}
 	p.now = epochEnd
-	p.deliverCompletions()
+	p.out.Flush(p.Cfg.Notify)
 }
 
 // advanceMember runs member i's kernel to the boundary at to — through the
@@ -1037,7 +987,7 @@ func (p *Pool) QuietEpochs(limit int) int {
 // boundary, and the per-epoch boundary effects that still tick in an idle
 // pool are replayed exactly, epoch-major in canonical channel order: the
 // epoch counter, the per-tenant token-bucket refills (the same one-addition-
-// per-epoch sequence step() performs, so bucket levels stay bit-identical to
+// per-epoch sequence Step performs, so bucket levels stay bit-identical to
 // the naive path), each busy-before channel's service-interval EWMA fold
 // (collect folds the long-run quotient every epoch once a channel has
 // completed work, idle epochs included), and the breaker FSMs. Every other
@@ -1046,7 +996,7 @@ func (p *Pool) QuietEpochs(limit int) int {
 // is every probe epoch inside the span (QuietEpochs jumps one only when
 // probesIdle proves it). The final epoch may be a probe epoch:
 // probeMembers runs after the members have advanced, self-gated on the
-// epoch counter, with p.now at the same epoch-start boundary step() would
+// epoch counter, with p.now at the same epoch-start boundary Step would
 // give it. k must not exceed what QuietEpochs just reported at this
 // boundary: StepQuiet trusts the caller and does not re-check the span.
 func (p *Pool) StepQuiet(k int) {
@@ -1060,20 +1010,7 @@ func (p *Pool) StepQuiet(k int) {
 		e = e.Add(p.Cfg.Epoch)
 		p.refillTokens()
 		for _, ch := range p.chans {
-			if !ch.svcSeen || ch.svcDone == 0 {
-				continue
-			}
-			cum := e.Sub(ch.svcBusyAt) / sim.Duration(ch.svcDone)
-			if cum <= 0 {
-				cum = 1
-			}
-			if ch.ewma == 0 {
-				ch.ewma = cum
-			} else {
-				ch.ewma += (cum - ch.ewma) / 8
-			}
-		}
-		for _, ch := range p.chans {
+			ch.foldService(e)
 			ch.brk.tick()
 		}
 	}
@@ -1082,68 +1019,13 @@ func (p *Pool) StepQuiet(k int) {
 	p.now = end
 }
 
-// Run drains requests from next (until it reports false) through the pool
-// and returns once every admitted request reached a terminal outcome. next
-// is called at epoch boundaries only. Run is a loop over the request plane:
-// submit the epoch's arrivals, step, repeat — shed requests are terminal
-// outcomes already counted at submission, so their admission errors are not
-// Run failures.
-func (p *Pool) Run(next func() (openloop.Request, bool)) error {
-	var look *openloop.Request
-	exhausted := false
-	for {
-		if p.epochs >= p.Cfg.MaxEpochs {
-			return fmt.Errorf("pool: %d epochs without draining (%d/%d requests terminal) — wedged?",
-				p.epochs, p.terminal(), p.submitted)
-		}
-		epochEnd := p.now.Add(p.Cfg.Epoch)
-		for !exhausted {
-			if look == nil {
-				r, ok := next()
-				if !ok {
-					exhausted = true
-					break
-				}
-				look = &r
-			}
-			if p.epoch0.Add(look.Arrival) >= epochEnd {
-				break
-			}
-			p.submitReq(*look, false)
-			look = nil
-		}
-		// Lookahead: bound a quiet batch by the next buffered arrival (or,
-		// once the source is dry and the pool quiesced, take the single
-		// bookkeeping step the naive loop would).
-		limit := p.Cfg.MaxEpochs - p.epochs
-		if look != nil {
-			if g := int(p.epoch0.Add(look.Arrival).Sub(p.now) / p.Cfg.Epoch); g < limit {
-				limit = g
-			}
-		} else if exhausted && p.Quiesced() {
-			limit = 0
-		}
-		if k := p.QuietEpochs(limit); k > 1 {
-			p.StepQuiet(k)
-		} else {
-			p.step()
-		}
-		if exhausted && look == nil && p.Quiesced() {
-			return nil
-		}
-	}
-}
+// Run feeds the requests next yields through the pool (the shared driver,
+// driver.go) and returns once every admitted request is terminal.
+func (p *Pool) Run(next func() (openloop.Request, bool)) error { return Run(p, next) }
 
 // RunOpenLoop feeds count requests from gen through the pool.
 func (p *Pool) RunOpenLoop(gen *openloop.Generator, count int) error {
-	issued := 0
-	return p.Run(func() (openloop.Request, bool) {
-		if issued >= count {
-			return openloop.Request{}, false
-		}
-		issued++
-		return gen.Next(), true
-	})
+	return RunOpenLoop(p, gen, count)
 }
 
 // Stats is the pool-level aggregate plus the per-channel breakdown.
@@ -1168,45 +1050,19 @@ type Stats struct {
 	// (logical members first, then spares).
 	PerMember []MemberStats
 
-	Submitted uint64
-	Completed uint64
-	// Failed counts requests that terminated with a typed fault error
-	// (retries exhausted or member quarantined with no spare). Completed +
-	// Failed + Shed + Expired + Throttled == Submitted once the pool drains.
-	Failed uint64
-	// Shed counts requests dropped typed (ErrAdmissionFull) by an admission
-	// policy; Expired counts requests whose deadline passed before
-	// completion (ErrDeadlineExceeded). Both are terminal outcomes.
-	Shed    uint64
-	Expired uint64
-	// Throttled counts requests refused at admission by their tenant's token
-	// bucket (typed ErrTenantThrottled) — terminal like Shed.
-	Throttled       uint64
-	WritesThrottled uint64
+	// Ledger books every terminal outcome; Completed + Failed + Shed +
+	// Expired + Throttled == Submitted once the pool drains.
+	Ledger
 	// PerTenant carries each configured QoS tenant's view, tenant order
 	// (nil when Cfg.QoS is off).
 	PerTenant []TenantStats
-	// CompletedLate counts completions that landed past their deadline —
-	// completed work, just late; LatMiss holds their overshoot.
-	CompletedLate uint64
-	WritesIn      uint64
-	WritesAcked   uint64
-	// WritesFailed counts writes refused with a typed error before any ack;
-	// WritesShed and WritesExpired the same for the overload outcomes.
-	// WritesAcked + WritesFailed + WritesShed + WritesExpired == WritesIn
-	// means no acked write was lost.
-	WritesFailed  uint64
-	WritesShed    uint64
-	WritesExpired uint64
 	// PostQuarantineDispatches must be zero: no fragment was dispatched to
 	// an already-quarantined member.
 	PostQuarantineDispatches uint64
 	Quarantined              int
 	Evacuated                int
 	SparesUsed               int
-	// FirstFailure samples the first terminal request error (nil when none).
-	FirstFailure error
-	Epochs       int
+	Epochs                   int
 	// HeldPeak is the deepest any channel's admission-held backlog got.
 	HeldPeak int
 }
@@ -1254,23 +1110,10 @@ func (p *Pool) Stats() Stats {
 		LatMiss:                  p.latMiss,
 		Meter:                    metrics.NewMeter(p.epoch0),
 		Ctr:                      metrics.NewCounters(),
-		Submitted:                p.submitted,
-		Completed:                p.completed,
-		Failed:                   p.failed,
-		Shed:                     p.shed,
-		Expired:                  p.expired,
-		Throttled:                p.throttled,
-		WritesThrottled:          p.writesThrottled,
+		Ledger:                   p.led,
 		PerTenant:                p.tenantStats(),
-		CompletedLate:            p.completedLate,
-		WritesIn:                 p.writesIn,
-		WritesAcked:              p.writesAck,
-		WritesFailed:             p.writesFailed,
-		WritesShed:               p.writesShed,
-		WritesExpired:            p.writesExpired,
 		PostQuarantineDispatches: p.postQuarantine,
 		SparesUsed:               p.sparesUsed,
-		FirstFailure:             p.firstFailure,
 		Epochs:                   p.epochs,
 		HeldPeak:                 p.heldPeak,
 	}
@@ -1322,19 +1165,11 @@ func (p *Pool) Members() int { return len(p.members) }
 // and evacuated members are exempt from the per-member check — containing
 // their sickness is the pool's job, and it did.
 func (p *Pool) CheckHealth() error {
-	if p.terminal() != p.submitted {
-		return fmt.Errorf("pool: %d of %d requests unaccounted (completed %d + shed %d + expired %d + failed %d + throttled %d)",
-			p.submitted-p.terminal(), p.submitted, p.completed, p.shed, p.expired, p.failed, p.throttled)
-	}
-	if p.writesAck+p.writesFailed+p.writesShed+p.writesExpired+p.writesThrottled != p.writesIn {
-		return fmt.Errorf("pool: %d writes admitted but %d acked + %d typed-failed + %d shed + %d expired + %d throttled (acked-write loss)",
-			p.writesIn, p.writesAck, p.writesFailed, p.writesShed, p.writesExpired, p.writesThrottled)
+	if err := p.led.Check(); err != nil {
+		return fmt.Errorf("pool: %w", err)
 	}
 	if err := p.checkQoSConservation(); err != nil {
 		return err
-	}
-	if p.untypedFailures != 0 {
-		return fmt.Errorf("pool: %d requests failed without a typed error", p.untypedFailures)
 	}
 	if p.postQuarantine != 0 {
 		return fmt.Errorf("pool: %d fragments dispatched to quarantined members", p.postQuarantine)

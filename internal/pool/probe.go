@@ -43,10 +43,10 @@ type Probe struct {
 func (p *Pool) Probe() Probe {
 	pr := Probe{
 		Epochs:          p.epochs,
-		Submitted:       p.submitted,
-		Completed:       p.completed,
-		Failed:          p.failed,
-		UntypedFailures: p.untypedFailures,
+		Submitted:       p.led.Submitted,
+		Completed:       p.led.Completed,
+		Failed:          p.led.Failed,
+		UntypedFailures: p.led.UntypedFailures,
 		PostQuarantine:  p.postQuarantine,
 	}
 	for i, m := range p.members {

@@ -489,7 +489,7 @@ func TestQoSStarvationRegression(t *testing.T) {
 // TestQoSWorkerCountIdentical: the full QoS machinery (buckets throttling,
 // DRR dispatch, per-tenant stats) is byte-identical at 1/2/8 workers with
 // the lookahead scheduler on and off — the per-epoch token refill replay in
-// StepQuiet must match step()'s float sequence bit for bit.
+// StepQuiet must match Step's float sequence bit for bit.
 func TestQoSWorkerCountIdentical(t *testing.T) {
 	capacity := 1e5 // any fixed rate scale works for identity; keep it brisk
 	run := func(workers int, lockstep, isolation bool) string {

@@ -18,8 +18,8 @@ type Stats struct {
 }
 
 // Drive replays up to limit records (limit <= 0: the whole trace) from r
-// through p's request plane and returns once every admitted request reached
-// a terminal outcome.
+// through the request plane pl (a socket pool or a NUMA fabric) and returns
+// once every admitted request reached a terminal outcome.
 //
 // Determinism contract: a trace fixes each record's arrival instant, and
 // the plane re-times that instant onto an epoch boundary — an arrival is
@@ -34,14 +34,14 @@ type Stats struct {
 // slightly different arrival instants, but once written the trace is the
 // truth: every replay of it is exact.
 //
-// Records that address outside the pool (a trace captured on a larger
+// Records that address outside the plane (a trace captured on a larger
 // socket) fail the drive before submission — replay refuses to silently
 // wrap or truncate offsets.
-func Drive(p *pool.Pool, r *Reader, limit int) (Stats, error) {
+func Drive(pl pool.Plane, r *Reader, limit int) (Stats, error) {
 	var st Stats
 	var rdErr error
-	capacity := p.Capacity()
-	err := p.Run(func() (openloop.Request, bool) {
+	capacity := pl.Capacity()
+	err := pool.Run(pl, func() (openloop.Request, bool) {
 		if limit > 0 && st.Ops >= limit {
 			return openloop.Request{}, false
 		}
@@ -53,7 +53,7 @@ func Drive(p *pool.Pool, r *Reader, limit int) (Stats, error) {
 			return openloop.Request{}, false
 		}
 		if q.Off+int64(q.Len) > capacity {
-			rdErr = fmt.Errorf("replay: record %d addresses [%d, %d) beyond pool capacity %d — trace captured on a larger socket?",
+			rdErr = fmt.Errorf("replay: record %d addresses [%d, %d) beyond plane capacity %d — trace captured on a larger socket?",
 				r.Records(), q.Off, q.Off+int64(q.Len), capacity)
 			return openloop.Request{}, false
 		}

@@ -523,12 +523,12 @@ func LoadGen(cfg LoadConfig) (LoadReport, error) {
 	if st.Terminal != st.Submitted {
 		bad("conservation: terminal %d != submitted %d", st.Terminal, st.Submitted)
 	}
-	if got := st.Completed + st.Failed + st.Shed + st.Expired + st.Throttled; got != st.Terminal {
+	l := st.Ledger()
+	if got := l.Terminal(); got != st.Terminal {
 		bad("terminal sum %d != reported terminal %d", got, st.Terminal)
 	}
-	wsum := st.WritesAcked + st.WritesFailed + st.WritesShed + st.WritesExpired + st.WritesThrottled
-	if wsum != st.WritesIn {
-		bad("acked-write loss: %d writes in, %d accounted", st.WritesIn, wsum)
+	if lost := l.WritesLost(); lost != 0 {
+		bad("acked-write loss: %d writes in, %d accounted", st.WritesIn, st.WritesIn-lost)
 	}
 	// Async conservation: each 202 produces exactly one ring record.
 	if got := uint64(rep.Polled) + st.PollDropped; got != uint64(rep.Accepted) {

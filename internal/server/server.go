@@ -265,7 +265,7 @@ func (s *Server) statsLocked() Stats {
 		Shed:          ps.Shed,
 		Expired:       ps.Expired,
 		Throttled:     ps.Throttled,
-		Terminal:      ps.Completed + ps.Failed + ps.Shed + ps.Expired + ps.Throttled,
+		Terminal:      ps.Terminal(),
 		CompletedLate: ps.CompletedLate,
 
 		WritesIn:        ps.WritesIn,

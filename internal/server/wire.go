@@ -6,7 +6,6 @@
 package server
 
 import (
-	"errors"
 	"net/http"
 
 	"nvdimmc/internal/pool"
@@ -60,6 +59,17 @@ type StreamSummary struct {
 	Throttled int  `json:"throttled"`
 }
 
+// Ledger rebuilds the pool ledger behind the wire counters, so a client
+// audits them with the same checks the pool runs.
+func (s Stats) Ledger() pool.Ledger {
+	return pool.Ledger{
+		Submitted: s.Submitted, Completed: s.Completed, Failed: s.Failed,
+		Shed: s.Shed, Expired: s.Expired, Throttled: s.Throttled, CompletedLate: s.CompletedLate,
+		WritesIn: s.WritesIn, WritesAcked: s.WritesAcked, WritesFailed: s.WritesFailed,
+		WritesShed: s.WritesShed, WritesExpired: s.WritesExpired, WritesThrottled: s.WritesThrottled,
+	}
+}
+
 // ChannelState is one channel's occupancy snapshot inside Stats.
 type ChannelState struct {
 	Held     int    `json:"held"`
@@ -93,10 +103,10 @@ type Stats struct {
 	LatP50US  float64 `json:"lat_p50_us"`
 	LatP99US  float64 `json:"lat_p99_us"`
 
-	Epochs   int   `json:"epochs"`
+	Epochs   int     `json:"epochs"`
 	SimUS    float64 `json:"sim_us"`
-	Backlog  int   `json:"backlog"`
-	Capacity int64 `json:"capacity"`
+	Backlog  int     `json:"backlog"`
+	Capacity int64   `json:"capacity"`
 
 	PollBuffered int    `json:"poll_buffered"`
 	PollDropped  uint64 `json:"poll_dropped"`
@@ -122,34 +132,15 @@ type errorBody struct {
 // errStatus maps a synchronous Submit refusal to its HTTP status: the
 // request never entered the plane asynchronously, but throttles and sheds
 // are still terminal outcomes in the conservation equation.
-func errStatus(err error) int {
-	switch {
-	case errors.Is(err, pool.ErrTenantThrottled):
-		return http.StatusTooManyRequests // 429
-	case errors.Is(err, pool.ErrAdmissionFull):
-		return http.StatusServiceUnavailable // 503
-	case errors.Is(err, pool.ErrDeadlineExceeded):
-		return http.StatusGatewayTimeout // 504
-	}
-	return http.StatusInternalServerError // 500
-}
+func errStatus(err error) int { return outcomeStatus(pool.OutcomeOf(err)) }
 
 // errResult is the Result line for a synchronous Submit refusal.
 func errResult(id uint64, seq int, err error) Result {
-	status := "failed"
-	switch {
-	case errors.Is(err, pool.ErrTenantThrottled):
-		status = "throttled"
-	case errors.Is(err, pool.ErrAdmissionFull):
-		status = "shed"
-	case errors.Is(err, pool.ErrDeadlineExceeded):
-		status = "expired"
-	}
-	return Result{ID: id, Seq: seq, Status: status, Error: err.Error()}
+	return Result{ID: id, Seq: seq, Status: pool.OutcomeOf(err).String(), Error: err.Error()}
 }
 
-// outcomeStatus maps a terminal Completion (a sync-wait submit's response)
-// to its HTTP status.
+// outcomeStatus maps a terminal outcome (a sync-wait submit's response, or
+// a synchronous refusal's) to its HTTP status.
 func outcomeStatus(o pool.Outcome) int {
 	switch o {
 	case pool.OutcomeCompleted:
