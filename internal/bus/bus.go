@@ -77,6 +77,9 @@ type Channel struct {
 	// against NVMC transfers.
 	hostHoldUntil sim.Time
 
+	// xferFree recycles host transfer records (see hostXfer).
+	xferFree []*hostXfer
+
 	// Counters.
 	hostCommands, nvmcCommands uint64
 	hostBytes, nvmcBytes       uint64
@@ -190,47 +193,75 @@ func (c *Channel) HostTransferTime(n int, rowSwitches int) sim.Duration {
 // HostRead acquires the host data bus, copies n bytes out of the DRAM at the
 // grant instant, and calls done (if non-nil) when the bus is released.
 func (c *Channel) HostRead(addr int64, buf []byte, rowSwitches int, done func()) {
-	hold := c.HostTransferTime(len(buf), rowSwitches)
-	c.DataBus.Acquire(hold, func(start sim.Time) {
-		if err := c.dev.CopyOut(addr, buf); err != nil {
-			panic(fmt.Sprintf("bus: host read: %v", err))
-		}
-		c.hostBytes += uint64(len(buf))
-		c.hostHoldUntil = start.Add(hold)
-		if c.Trace.Active() {
-			c.Trace.Record(trace.Event{
-				At: start, Kind: trace.KindHostData, Read: true,
-				Addr: addr, Bytes: len(buf), End: start.Add(hold),
-			})
-		}
-		if done != nil {
-			c.k.ScheduleAt(start.Add(hold), done)
-		}
-	})
+	c.hostTransfer(addr, buf, true, rowSwitches, done)
 }
 
-// HostWrite acquires the host data bus and copies data into the DRAM.
+// HostWrite acquires the host data bus and copies data into the DRAM at the
+// grant instant. HostWrite takes ownership of data: the caller must not
+// modify it until done runs (the iMC's WPQ buffer is the one caller, and it
+// recycles the buffer only then).
 func (c *Channel) HostWrite(addr int64, data []byte, rowSwitches int, done func()) {
-	hold := c.HostTransferTime(len(data), rowSwitches)
-	// Copy the caller's bytes now: the caller may reuse its buffer.
-	owned := make([]byte, len(data))
-	copy(owned, data)
-	c.DataBus.Acquire(hold, func(start sim.Time) {
-		if err := c.dev.CopyIn(addr, owned); err != nil {
-			panic(fmt.Sprintf("bus: host write: %v", err))
+	c.hostTransfer(addr, data, false, rowSwitches, done)
+}
+
+// hostXfer is one host data-bus transaction waiting for its grant. Records
+// are recycled through the channel's free list; grantFn is bound once, when
+// the record is first made, so a transfer allocates nothing in steady state.
+type hostXfer struct {
+	c       *Channel
+	addr    int64
+	buf     []byte
+	read    bool
+	hold    sim.Duration
+	done    func()
+	grantFn func(start sim.Time)
+}
+
+func (c *Channel) hostTransfer(addr int64, buf []byte, read bool, rowSwitches int, done func()) {
+	var x *hostXfer
+	if n := len(c.xferFree); n > 0 {
+		x = c.xferFree[n-1]
+		c.xferFree = c.xferFree[:n-1]
+	} else {
+		x = &hostXfer{c: c}
+		x.grantFn = x.grant
+	}
+	x.addr, x.buf, x.read, x.done = addr, buf, read, done
+	x.hold = c.HostTransferTime(len(buf), rowSwitches)
+	c.DataBus.Acquire(x.hold, x.grantFn)
+}
+
+// grant moves the bytes at the grant instant and schedules done at the
+// release; the record is free again as soon as it returns.
+func (x *hostXfer) grant(start sim.Time) {
+	c := x.c
+	var err error
+	if x.read {
+		err = c.dev.CopyOut(x.addr, x.buf)
+	} else {
+		err = c.dev.CopyIn(x.addr, x.buf)
+	}
+	if err != nil {
+		op := "write"
+		if x.read {
+			op = "read"
 		}
-		c.hostBytes += uint64(len(owned))
-		c.hostHoldUntil = start.Add(hold)
-		if c.Trace.Active() {
-			c.Trace.Record(trace.Event{
-				At: start, Kind: trace.KindHostData, Read: false,
-				Addr: addr, Bytes: len(owned), End: start.Add(hold),
-			})
-		}
-		if done != nil {
-			c.k.ScheduleAt(start.Add(hold), done)
-		}
-	})
+		panic(fmt.Sprintf("bus: host %s: %v", op, err))
+	}
+	end := start.Add(x.hold)
+	c.hostBytes += uint64(len(x.buf))
+	c.hostHoldUntil = end
+	if c.Trace.Active() {
+		c.Trace.Record(trace.Event{
+			At: start, Kind: trace.KindHostData, Read: x.read,
+			Addr: x.addr, Bytes: len(x.buf), End: end,
+		})
+	}
+	if x.done != nil {
+		c.k.ScheduleAt(end, x.done)
+	}
+	x.buf, x.done = nil, nil
+	c.xferFree = append(c.xferFree, x)
 }
 
 // NVMCAccess performs an immediate (already-timed) NVMC data transfer of n

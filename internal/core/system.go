@@ -156,6 +156,12 @@ type System struct {
 	Faults *fault.Registry
 
 	lostWPQ int
+
+	// FioTarget's op records and transfer buffers (target.go): a free list
+	// of fioOp records, the read sink and the read-only zero source.
+	opFree []*fioOp
+	sink   []byte
+	zeros  []byte
 }
 
 // LostWPQWrites reports posted stores that lost the §V-C power-fail race

@@ -150,3 +150,79 @@ func TestSmallAccessAdvantage(t *testing.T) {
 		t.Fatalf("NVDC 128B = %.0f KIOPS, want ~2147 (+/-20%%)", nvdcKIOPS)
 	}
 }
+
+// TestFioHitAllocs pins the allocation count of the hit path: one
+// resident-page 4 KiB Do read or write, run to completion, allocates
+// nothing once the System's op records, transfer buffers and the iMC's WPQ
+// buffers are warm. Refresh is stopped so the count is the op's own (a
+// refresh cycle allocates on its own schedule).
+func TestFioHitAllocs(t *testing.T) {
+	s := mustSystem(t, DefaultConfig())
+	prefillCache(t, s, 4)
+	s.IMC.StopRefresh()
+	tgt := s.NewFioTarget()
+	done := false
+	markDone := func() { done = true }
+	pending := func() bool { return !done }
+	for _, write := range []bool{false, true} {
+		if s.Driver.SlotOf(1) < 0 {
+			t.Fatal("page 1 not resident")
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			done = false
+			tgt.Do(PageSize, PageSize, write, markDone)
+			s.K.RunWhile(pending)
+		})
+		if allocs != 0 {
+			t.Errorf("write=%v: %v allocs per resident 4 KiB op, want 0", write, allocs)
+		}
+	}
+	if misses := s.Driver.Stats().Misses; misses != 4 {
+		t.Fatalf("%d misses, want only the 4 prefill faults", misses)
+	}
+}
+
+// TestFioWriteLeavesZerosInSlot: fio writes carry no data, so the bytes
+// they cover read back as zeros, exactly as when every chunk was a fresh
+// zeroed buffer, even after a read has filled the read sink; bytes outside
+// a sub-page write keep their contents. Reads of nonzero bytes land in the
+// read sink, never in the zero source, which stays all zeros.
+func TestFioWriteLeavesZerosInSlot(t *testing.T) {
+	s := mustSystem(t, DefaultConfig())
+	const lpn = 3
+	want := pattern(0x5A, PageSize)
+	stored := false
+	s.Store(lpn*PageSize, want, func() { stored = true })
+	if err := s.RunUntil(func() bool { return stored }, sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	tgt := s.NewFioTarget()
+	do := func(off, n int, write bool) {
+		t.Helper()
+		done := false
+		tgt.Do(lpn*PageSize+int64(off), n, write, func() { done = true })
+		if err := s.RunUntil(func() bool { return done }, sim.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	do(0, PageSize, false)
+	for _, w := range []struct{ off, n int }{{1024, 512}, {2048, 2048}} {
+		do(w.off, w.n, true)
+		clear(want[w.off : w.off+w.n])
+	}
+	got := make([]byte, PageSize)
+	if err := s.DRAM.CopyOut(s.Layout.SlotAddr(s.Driver.SlotOf(lpn)), got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("slot byte %d = %#x, want %#x", i, got[i], want[i])
+		}
+	}
+	do(0, 1024, false)
+	for i, b := range s.ZeroSource() {
+		if b != 0 {
+			t.Fatalf("zero source byte %d = %#x", i, b)
+		}
+	}
+}

@@ -45,10 +45,17 @@ func DefaultConfig() Config {
 	}
 }
 
-type wpqEntry struct {
-	id   uint64
-	addr int64
-	data []byte
+// wpqWrite is one posted write: its WPQ entry and the buffer that owns its
+// bytes until the bus transaction lands them in the DRAM array. Records and
+// their buffers are recycled through the controller's free list when that
+// transaction completes (never at an ADR flush: the bus grant still reads the
+// buffer after one). drainedFn is bound once, when the record is first made.
+type wpqWrite struct {
+	c         *Controller
+	addr      int64
+	data      []byte
+	done      func()
+	drainedFn func()
 }
 
 // Controller is the host iMC for one memory channel.
@@ -65,8 +72,8 @@ type Controller struct {
 	// WarpIdleRefreshes) advanced the engine past it in the meantime.
 	refGen uint64
 
-	wpq    []wpqEntry
-	wpqSeq uint64
+	wpq     []*wpqWrite
+	wpqFree []*wpqWrite
 	// wpqDrained counts entries that reached the DRAM.
 	wpqDrained uint64
 	// adrFlushes counts power-fail flushes.
@@ -218,30 +225,49 @@ func (c *Controller) Write(addr int64, data []byte, done func()) {
 	c.WriteRS(addr, data, c.rowSwitches(len(data)), done)
 }
 
-// WriteRS is Write with an explicit row-switch charge.
+// WriteRS is Write with an explicit row-switch charge. The data is copied
+// once, into the WPQ entry's buffer, which the bus transaction then owns;
+// the caller may reuse data as soon as WriteRS returns.
 func (c *Controller) WriteRS(addr int64, data []byte, rowSwitches int, done func()) {
 	c.writes++
 	c.writeBytes += uint64(len(data))
-	owned := make([]byte, len(data))
-	copy(owned, data)
-	c.wpqSeq++
-	id := c.wpqSeq
-	c.wpq = append(c.wpq, wpqEntry{id: id, addr: addr, data: owned})
-	c.ch.HostWrite(addr, owned, rowSwitches, func() {
-		c.unqueue(id)
-		if done != nil {
-			done()
-		}
-	})
+	var w *wpqWrite
+	if n := len(c.wpqFree); n > 0 {
+		w = c.wpqFree[n-1]
+		c.wpqFree = c.wpqFree[:n-1]
+	} else {
+		w = &wpqWrite{c: c}
+		w.drainedFn = w.drained
+	}
+	if cap(w.data) < len(data) {
+		w.data = make([]byte, len(data))
+	}
+	w.data = w.data[:len(data)]
+	copy(w.data, data)
+	w.addr, w.done = addr, done
+	c.wpq = append(c.wpq, w)
+	c.ch.HostWrite(addr, w.data, rowSwitches, w.drainedFn)
 }
 
-func (c *Controller) unqueue(id uint64) {
-	for i := range c.wpq {
-		if c.wpq[i].id == id {
-			c.wpq = append(c.wpq[:i], c.wpq[i+1:]...)
+// drained runs when the write's bus transaction completes: the entry leaves
+// the WPQ (unless an ADR flush already emptied it), the record and its buffer
+// return to the free list, then the caller's done runs.
+func (w *wpqWrite) drained() {
+	c := w.c
+	for i, e := range c.wpq {
+		if e == w {
+			copy(c.wpq[i:], c.wpq[i+1:])
+			c.wpq[len(c.wpq)-1] = nil
+			c.wpq = c.wpq[:len(c.wpq)-1]
 			c.wpqDrained++
-			return
+			break
 		}
+	}
+	done := w.done
+	w.done = nil
+	c.wpqFree = append(c.wpqFree, w)
+	if done != nil {
+		done()
 	}
 }
 
@@ -277,6 +303,7 @@ func (c *Controller) ADRFlushRacing(race bool) (flushed, lost int) {
 		}
 		flushed++
 	}
+	clear(c.wpq)
 	c.wpq = c.wpq[:0]
 	c.adrFlushes++
 	return flushed, lost

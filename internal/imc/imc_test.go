@@ -106,6 +106,67 @@ func TestADRFlush(t *testing.T) {
 	_ = k
 }
 
+// TestWriteCopiesCallerBuffer: a posted write copies the caller's bytes
+// into its WPQ entry, so the caller may reuse its buffer at once, even while
+// the write waits for the bus.
+func TestWriteCopiesCallerBuffer(t *testing.T) {
+	k, ch, c := newSystem(DefaultConfig())
+	c.Write(8192, make([]byte, 4096), nil) // occupies the bus
+	buf := []byte{1, 2, 3, 4}
+	c.Write(0, buf, nil)
+	buf[0] = 99 // caller reuses its buffer before the bus grant
+	k.Run()
+	got := make([]byte, 4)
+	if err := ch.Device().CopyOut(0, got); err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != 1 {
+		t.Fatalf("write observed caller mutation: %v", got)
+	}
+}
+
+// TestWPQBufferSurvivesADRFlush: an ADR flush empties the WPQ but does not
+// free the entries' buffers, because their bus grants still read them. A
+// write posted after the flush must not reuse a buffer whose grant is
+// still pending.
+func TestWPQBufferSurvivesADRFlush(t *testing.T) {
+	k, ch, c := newSystem(DefaultConfig())
+	fill := func(b byte) []byte { return bytes.Repeat([]byte{b}, 4096) }
+	c.Write(0, fill(0x11), nil) // granted at once
+	c.Write(4096, fill(0x22), nil)
+	if n := c.ADRFlush(); n != 2 {
+		t.Fatalf("ADR flushed %d entries, want 2", n)
+	}
+	c.Write(8192, fill(0x33), nil)
+	k.Run()
+	for addr, want := range map[int64]byte{0: 0x11, 4096: 0x22, 8192: 0x33} {
+		got := make([]byte, 4096)
+		if err := ch.Device().CopyOut(addr, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, fill(want)) {
+			t.Fatalf("addr %d holds %#x..., want %#x", addr, got[0], want)
+		}
+	}
+	if c.WPQDepth() != 0 {
+		t.Fatalf("WPQ depth %d after drain", c.WPQDepth())
+	}
+}
+
+// TestWriteZeroAllocWhenWarm: once a WPQ buffer of the size is on the free
+// list, a posted write and its bus transaction allocate nothing.
+func TestWriteZeroAllocWhenWarm(t *testing.T) {
+	k, _, c := newSystem(DefaultConfig())
+	data := make([]byte, 2048)
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Write(0, data, nil)
+		k.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocs per posted write, want 0", allocs)
+	}
+}
+
 func TestRefreshDelaysReads(t *testing.T) {
 	// A read arriving just after REF waits out the full programmed tRFC.
 	cfg := DefaultConfig()

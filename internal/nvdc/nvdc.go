@@ -484,9 +484,7 @@ func (d *Driver) IsResident(lpn int64) bool { return d.SlotOf(lpn) >= 0 }
 // the per-op radix-tree lookup and coherence bookkeeping every fsdax access
 // performs. Miss-path critical sections contend on the same lock.
 func (d *Driver) Serialize(hold sim.Duration, fn func()) {
-	d.lock.Acquire(hold, func(start sim.Time) {
-		d.k.ScheduleAt(start.Add(hold), fn)
-	})
+	d.lock.Hold(hold, fn)
 }
 
 // --- Fault path -----------------------------------------------------------
@@ -562,33 +560,31 @@ func (d *Driver) markDirty(slot int) {
 // missPath runs the cachefill (and possibly eviction writeback) for lpn.
 func (d *Driver) missPath(lpn int64) {
 	// Step 1 (under the driver lock): claim a slot, evicting if needed.
-	d.lock.Acquire(d.cfg.MapCost/2, func(start sim.Time) {
-		d.k.ScheduleAt(start.Add(d.cfg.MapCost/2), func() {
-			// Read-only mode never evicts: an eviction would either need the
-			// broken writeback path or discard a page the driver can no
-			// longer re-fetch safely. Misses are served from free slots only.
-			if d.mode == ModeReadOnly && len(d.free) == 0 {
-				d.failInflight(lpn, fmt.Errorf("miss on lpn %d needs an eviction: %w", lpn, ErrReadOnly))
-				return
-			}
-			slot, victimLPN, needWB := d.claimSlot()
-			// Fast path: a free slot for a block with nothing on the media
-			// needs no CP round trip — zero the slot locally and map it.
-			// Without this path the Fig. 7 free-slot phase could never be
-			// SSD-bound (a CP cachefill alone caps at ~175 MB/s).
-			if victimLPN == noLPN && !needWB && !d.cfg.Hypothetical &&
-				d.cfg.MediaWritten != nil && !d.cfg.MediaWritten(lpn) {
-				d.stats.FastFills++
-				d.mc.Write(d.cfg.Layout.SlotAddr(slot), make([]byte, PageSize), func() {
-					if d.cache != nil {
-						d.cache.Invalidate(d.cfg.Layout.SlotAddr(slot), PageSize)
-					}
-					d.install(lpn, slot)
-				})
-				return
-			}
-			d.transfer(lpn, slot, victimLPN, needWB)
-		})
+	d.Serialize(d.cfg.MapCost/2, func() {
+		// Read-only mode never evicts: an eviction would either need the
+		// broken writeback path or discard a page the driver can no
+		// longer re-fetch safely. Misses are served from free slots only.
+		if d.mode == ModeReadOnly && len(d.free) == 0 {
+			d.failInflight(lpn, fmt.Errorf("miss on lpn %d needs an eviction: %w", lpn, ErrReadOnly))
+			return
+		}
+		slot, victimLPN, needWB := d.claimSlot()
+		// Fast path: a free slot for a block with nothing on the media
+		// needs no CP round trip — zero the slot locally and map it.
+		// Without this path the Fig. 7 free-slot phase could never be
+		// SSD-bound (a CP cachefill alone caps at ~175 MB/s).
+		if victimLPN == noLPN && !needWB && !d.cfg.Hypothetical &&
+			d.cfg.MediaWritten != nil && !d.cfg.MediaWritten(lpn) {
+			d.stats.FastFills++
+			d.mc.Write(d.cfg.Layout.SlotAddr(slot), make([]byte, PageSize), func() {
+				if d.cache != nil {
+					d.cache.Invalidate(d.cfg.Layout.SlotAddr(slot), PageSize)
+				}
+				d.install(lpn, slot)
+			})
+			return
+		}
+		d.transfer(lpn, slot, victimLPN, needWB)
 	})
 }
 
@@ -754,35 +750,31 @@ func (d *Driver) cachefillFailed(lpn int64, slot int, err error) {
 // future eviction could persist dirty data.
 func (d *Driver) writebackFailed(lpn int64, slot int, victimLPN int64, err error) {
 	d.errs.Inc(CtrWritebackFail)
-	d.lock.Acquire(d.cfg.MapCost/2, func(start sim.Time) {
-		d.k.ScheduleAt(start.Add(d.cfg.MapCost/2), func() {
-			d.mapping[victimLPN] = slot
-			d.slots[slot] = slotState{lpn: victimLPN, dirty: true}
-			d.rep.Insert(slot)
-			d.metaEntries[slot] = cp.MetaEntry{NANDPage: uint32(victimLPN), Valid: true, Dirty: true}
-			d.writeMetaEntry(slot)
-			d.degrade(ModeReadOnly, fmt.Sprintf("writeback of victim lpn %d failed hard", victimLPN))
-			d.failInflight(lpn, fmt.Errorf("nvdc: writeback of victim lpn %d: %w", victimLPN, err))
-		})
+	d.Serialize(d.cfg.MapCost/2, func() {
+		d.mapping[victimLPN] = slot
+		d.slots[slot] = slotState{lpn: victimLPN, dirty: true}
+		d.rep.Insert(slot)
+		d.metaEntries[slot] = cp.MetaEntry{NANDPage: uint32(victimLPN), Valid: true, Dirty: true}
+		d.writeMetaEntry(slot)
+		d.degrade(ModeReadOnly, fmt.Sprintf("writeback of victim lpn %d failed hard", victimLPN))
+		d.failInflight(lpn, fmt.Errorf("nvdc: writeback of victim lpn %d: %w", victimLPN, err))
 	})
 }
 
 // install maps lpn to slot under the driver lock: mapping + PTE + metadata
 // update, then wake the fault waiters.
 func (d *Driver) install(lpn int64, slot int) {
-	d.lock.Acquire(d.cfg.MapCost/2, func(start sim.Time) {
-		d.k.ScheduleAt(start.Add(d.cfg.MapCost/2), func() {
-			d.mapping[lpn] = slot
-			d.slots[slot] = slotState{lpn: lpn, dirty: false}
-			d.rep.Insert(slot)
-			d.metaEntries[slot] = cp.MetaEntry{NANDPage: uint32(lpn), Valid: true}
-			d.writeMetaEntry(slot)
-			waiters := d.inflight[lpn]
-			delete(d.inflight, lpn)
-			for _, w := range waiters {
-				w(slot, nil)
-			}
-		})
+	d.Serialize(d.cfg.MapCost/2, func() {
+		d.mapping[lpn] = slot
+		d.slots[slot] = slotState{lpn: lpn, dirty: false}
+		d.rep.Insert(slot)
+		d.metaEntries[slot] = cp.MetaEntry{NANDPage: uint32(lpn), Valid: true}
+		d.writeMetaEntry(slot)
+		waiters := d.inflight[lpn]
+		delete(d.inflight, lpn)
+		for _, w := range waiters {
+			w(slot, nil)
+		}
 	})
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nvdimmc/internal/nvdc"
+	"nvdimmc/internal/sim"
 	"nvdimmc/internal/trace"
 	"nvdimmc/internal/workload/openloop"
 )
@@ -249,5 +250,56 @@ func TestQuietEpochsWorkDisables(t *testing.T) {
 	p.Cfg.DisableLookahead = true
 	if k := p.QuietEpochs(1000); k != 0 {
 		t.Fatalf("lookahead disabled: QuietEpochs = %d, want 0", k)
+	}
+}
+
+// TestQuietFoldMatchesFoldService: StepQuiet's EWMA replay (quietFold,
+// which carries the quotient and remainder across a quiet span) leaves
+// every channel's EWMA exactly where one foldService division per epoch
+// leaves it: over random spans, with svcDone = 1, with svcDone so large the
+// quotient is 0 and the cum <= 0 clamp fires (then grows past it), at a span
+// that starts on svcBusyAt, and for a channel with no completed work.
+func TestQuietFoldMatchesFoldService(t *testing.T) {
+	type span struct {
+		busyAt, now sim.Time
+		epoch       sim.Duration
+		done        int64
+		ewma        sim.Duration
+		k           int
+	}
+	const ep = 8 * sim.Microsecond
+	spans := []span{
+		{busyAt: 0, now: 40 * sim.Time(ep), epoch: ep, done: 1, ewma: 3000, k: 500},
+		{busyAt: 0, now: 0, epoch: ep, done: 7, ewma: 0, k: 50},
+		{busyAt: 1000, now: 1000 + sim.Time(ep), epoch: ep, done: 1 << 40, ewma: 5, k: 300},
+		{busyAt: 0, now: sim.Time(ep), epoch: ep, done: int64(ep) * 3, ewma: 9, k: 40},
+		{busyAt: 0, now: 10 * sim.Time(ep), epoch: ep, done: 0, ewma: 0, k: 20},
+	}
+	rng := sim.NewRand(15)
+	for i := 0; i < 300; i++ {
+		busyAt := sim.Time(rng.Int63n(1 << 40))
+		spans = append(spans, span{
+			busyAt: busyAt,
+			now:    busyAt.Add(sim.Duration(rng.Int63n(1 << 36))),
+			epoch:  sim.Duration(1 + rng.Int63n(1<<24)),
+			done:   1 + rng.Int63n(1<<uint(rng.Intn(40))),
+			ewma:   sim.Duration(rng.Int63n(1 << 30)),
+			k:      1 + rng.Intn(400),
+		})
+	}
+	for i, sp := range spans {
+		direct := channelState{svcBusyAt: sp.busyAt, svcDone: sp.done, ewma: sp.ewma}
+		inc := direct
+		f := inc.startFold(sp.now, sp.epoch)
+		e := sp.now
+		for j := 1; j <= sp.k; j++ {
+			e = e.Add(sp.epoch)
+			direct.foldService(e)
+			f.next(&inc)
+			if inc.ewma != direct.ewma {
+				t.Fatalf("span %d %+v: epoch %d: incremental ewma %d, direct %d",
+					i, sp, j, inc.ewma, direct.ewma)
+			}
+		}
 	}
 }

@@ -319,6 +319,32 @@ type member struct {
 	done []completion
 	// rdone accumulates rebuild-op completions the same way.
 	rdone []rebuildEvent
+	// opFree recycles dispatch records (memberOp). The boundary pops and the
+	// member's worker pushes; the epoch barrier orders the two.
+	opFree []*memberOp
+}
+
+// memberOp is one fragment dispatched to a member: the event that starts the
+// device op after the host CPU cost, and the completion that books it. Its
+// continuations are bound once, when the record is first made.
+type memberOp struct {
+	m      *member
+	frag   *fragment
+	phys   int
+	runFn  func()
+	doneFn func(error)
+}
+
+func (op *memberOp) run() {
+	f := op.frag
+	op.m.tgt.DoE(f.off, f.n, f.req.write, op.doneFn)
+}
+
+func (op *memberOp) done(err error) {
+	m := op.m
+	m.done = append(m.done, completion{frag: op.frag, phys: op.phys, at: m.sys.K.Now(), err: err})
+	op.frag = nil
+	m.opFree = append(m.opFree, op)
 }
 
 // channelState is the front-end's per-channel scheduler state.
@@ -385,6 +411,8 @@ type Pool struct {
 	chans   []*channelState
 	// svcScratch is collect's reusable per-channel completion-count buffer.
 	svcScratch []int
+	// foldScratch is StepQuiet's reusable per-channel EWMA replay state.
+	foldScratch []quietFold
 	// fragScratch is submitReq's reusable decode buffer; extents are copied
 	// into fragments before the next submission reuses it.
 	fragScratch []Extent
@@ -626,13 +654,17 @@ func (p *Pool) dispatch(f *fragment) {
 	}
 	cpu := m.tgt.ThreadCPU(f.n, f.req.write)
 	cpu += sim.Duration(m.jit.Int63n(int64(cpu)/2+1)) - sim.Duration(int64(cpu)/4)
-	mm := m
-	frag := f
-	m.sys.K.ScheduleAt(at.Add(cpu), func() {
-		mm.tgt.DoE(frag.off, frag.n, frag.req.write, func(err error) {
-			mm.done = append(mm.done, completion{frag: frag, phys: phys, at: mm.sys.K.Now(), err: err})
-		})
-	})
+	var op *memberOp
+	if n := len(m.opFree); n > 0 {
+		op = m.opFree[n-1]
+		m.opFree = m.opFree[:n-1]
+	} else {
+		op = &memberOp{m: m}
+		op.runFn = op.run
+		op.doneFn = op.done
+	}
+	op.frag, op.phys = f, phys
+	m.sys.K.ScheduleAt(at.Add(cpu), op.runFn)
 }
 
 // collect drains every member's completions (member order, then completion
@@ -713,7 +745,11 @@ func (ch *channelState) foldService(end sim.Time) {
 	if ch.svcDone == 0 {
 		return
 	}
-	cum := end.Sub(ch.svcBusyAt) / sim.Duration(ch.svcDone)
+	ch.smooth(end.Sub(ch.svcBusyAt) / sim.Duration(ch.svcDone))
+}
+
+// smooth folds one long-run quotient into the EWMA.
+func (ch *channelState) smooth(cum sim.Duration) {
 	if cum <= 0 {
 		cum = 1
 	}
@@ -722,6 +758,43 @@ func (ch *channelState) foldService(end sim.Time) {
 	} else {
 		ch.ewma += (cum - ch.ewma) / 8
 	}
+}
+
+// quietFold replays foldService across a quiet span without a division per
+// epoch: svcDone is fixed over the span and each epoch moves the boundary by
+// one Epoch, so the quotient and remainder of (end - svcBusyAt) / svcDone
+// advance by Epoch's own quotient and remainder, carried exactly. The zero
+// value (d 0) is a channel with no completed work, whose fold is a no-op.
+type quietFold struct {
+	q, r   sim.Duration // end - svcBusyAt = q*d + r, 0 <= r < d
+	dq, dr sim.Duration // Epoch = dq*d + dr
+	d      sim.Duration // svcDone
+}
+
+// startFold positions a fold at boundary end, which must not precede
+// svcBusyAt (it never does: svcBusyAt is a boundary already passed).
+func (ch *channelState) startFold(end sim.Time, epoch sim.Duration) quietFold {
+	if ch.svcDone == 0 {
+		return quietFold{}
+	}
+	d := sim.Duration(ch.svcDone)
+	span := end.Sub(ch.svcBusyAt)
+	return quietFold{q: span / d, r: span % d, dq: epoch / d, dr: epoch % d, d: d}
+}
+
+// next advances the fold's boundary one epoch and folds the quotient there
+// into ch's EWMA, exactly as foldService at that boundary would.
+func (f *quietFold) next(ch *channelState) {
+	if f.d == 0 {
+		return
+	}
+	f.q += f.dq
+	f.r += f.dr
+	if f.r >= f.d {
+		f.r -= f.d
+		f.q++
+	}
+	ch.smooth(f.q)
 }
 
 // fragFailed routes one failed (or quarantine-rejected) fragment: back into
@@ -990,7 +1063,8 @@ func (p *Pool) QuietEpochs(limit int) int {
 // per-epoch sequence Step performs, so bucket levels stay bit-identical to
 // the naive path), each busy-before channel's service-interval EWMA fold
 // (collect folds the long-run quotient every epoch once a channel has
-// completed work, idle epochs included), and the breaker FSMs. Every other
+// completed work, idle epochs included; quietFold carries the quotient
+// without a division per epoch), and the breaker FSMs. Every other
 // boundary pass (expiry sweep, retry promotion, fill, rebuild issue,
 // collect's drain, completion delivery) is a no-op on a quiet pool, and so
 // is every probe epoch inside the span (QuietEpochs jumps one only when
@@ -1004,13 +1078,16 @@ func (p *Pool) StepQuiet(k int) {
 	parallelEach(len(p.members), p.Cfg.Workers, func(i int) {
 		p.advanceMember(i, end)
 	})
-	e := p.now
+	folds := p.foldScratch[:0]
+	for _, ch := range p.chans {
+		folds = append(folds, ch.startFold(p.now, p.Cfg.Epoch))
+	}
+	p.foldScratch = folds
 	for j := 0; j < k; j++ {
 		p.epochs++
-		e = e.Add(p.Cfg.Epoch)
 		p.refillTokens()
-		for _, ch := range p.chans {
-			ch.foldService(e)
+		for ci, ch := range p.chans {
+			folds[ci].next(ch)
 			ch.brk.tick()
 		}
 	}
@@ -1222,19 +1299,24 @@ func parallelEach(n, workers int, fn func(i int)) {
 		return
 	}
 	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(i)
+		}
+	}
+	// The caller takes a worker's share instead of idling in Wait.
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 }

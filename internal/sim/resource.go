@@ -10,7 +10,10 @@ type Resource struct {
 	name string
 
 	busyUntil Time
-	queue     []*grant
+	// queue holds waiting grants by value and dispatchFn is r.dispatch bound
+	// once: neither a queued nor an immediate Acquire allocates.
+	queue      []grant
+	dispatchFn func()
 
 	// Busy accumulates total occupied time, for utilization reporting.
 	Busy Duration
@@ -19,13 +22,16 @@ type Resource struct {
 }
 
 type grant struct {
-	hold Duration
-	fn   func(start Time)
+	hold  Duration
+	fn    func(start Time)
+	after func()
 }
 
 // NewResource returns an idle resource attached to kernel k.
 func NewResource(k *Kernel, name string) *Resource {
-	return &Resource{k: k, name: name}
+	r := &Resource{k: k, name: name}
+	r.dispatchFn = r.dispatch
+	return r
 }
 
 // Name returns the diagnostic name the resource was created with.
@@ -35,13 +41,22 @@ func (r *Resource) Name() string { return r.name }
 // the resource is granted (service start); the resource frees itself hold
 // later. Acquire never blocks the caller.
 func (r *Resource) Acquire(hold Duration, fn func(start Time)) {
-	if hold < 0 {
-		hold = 0
+	r.acquire(grant{hold: hold, fn: fn})
+}
+
+// Hold requests exclusive use for hold picoseconds and runs fn when the
+// hold ends, before the next waiting grant starts. It is Acquire with a
+// grant callback that schedules fn at start+hold, minus the callback.
+func (r *Resource) Hold(hold Duration, fn func()) {
+	r.acquire(grant{hold: hold, after: fn})
+}
+
+func (r *Resource) acquire(g grant) {
+	if g.hold < 0 {
+		g.hold = 0
 	}
-	g := &grant{hold: hold, fn: fn}
-	now := r.k.Now()
-	if r.busyUntil <= now && len(r.queue) == 0 {
-		r.start(g, now)
+	if r.busyUntil <= r.k.Now() && len(r.queue) == 0 {
+		r.start(g)
 		return
 	}
 	r.queue = append(r.queue, g)
@@ -49,30 +64,31 @@ func (r *Resource) Acquire(hold Duration, fn func(start Time)) {
 	// by start(), so nothing more to do here.
 }
 
-func (r *Resource) start(g *grant, at Time) {
+// start grants g at the current instant: both callers (an idle Acquire and
+// the dispatcher at busyUntil) run at the service start.
+func (r *Resource) start(g grant) {
+	at := r.k.Now()
 	r.busyUntil = at.Add(g.hold)
 	r.Busy += g.hold
 	r.Grants++
 	if g.fn != nil {
-		if at == r.k.Now() {
-			g.fn(at)
-		} else {
-			r.k.ScheduleAt(at, func() { g.fn(at) })
-		}
+		g.fn(at)
 	}
-	r.k.ScheduleAt(r.busyUntil, r.dispatch)
+	if g.after != nil {
+		r.k.ScheduleAt(r.busyUntil, g.after)
+	}
+	r.k.ScheduleAt(r.busyUntil, r.dispatchFn)
 }
 
 func (r *Resource) dispatch() {
-	now := r.k.Now()
-	if r.busyUntil > now || len(r.queue) == 0 {
+	if r.busyUntil > r.k.Now() || len(r.queue) == 0 {
 		return
 	}
 	g := r.queue[0]
 	copy(r.queue, r.queue[1:])
-	r.queue[len(r.queue)-1] = nil
+	r.queue[len(r.queue)-1] = grant{}
 	r.queue = r.queue[:len(r.queue)-1]
-	r.start(g, now)
+	r.start(g)
 }
 
 // WarpGrants credits n uncontended grants of hold picoseconds each, the

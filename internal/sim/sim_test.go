@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -270,6 +271,67 @@ func TestResourceZeroHold(t *testing.T) {
 	k.Run()
 	if n != 10 {
 		t.Fatalf("zero-hold grants = %d, want 10", n)
+	}
+}
+
+// TestResourceAcquireZeroAlloc: with the queue's capacity warmed, neither an
+// uncontended grant nor a queued one allocates, and neither does Hold.
+func TestResourceAcquireZeroAlloc(t *testing.T) {
+	k := NewKernel()
+	r := NewResource(k, "r")
+	for name, run := range map[string]func(){
+		"uncontended": func() {
+			r.Acquire(10*Nanosecond, grantNop)
+			k.Run()
+		},
+		"queued": func() {
+			for j := 0; j < 4; j++ {
+				r.Acquire(10*Nanosecond, grantNop)
+			}
+			k.Run()
+		},
+		"hold": func() {
+			for j := 0; j < 4; j++ {
+				r.Hold(10*Nanosecond, nop)
+			}
+			k.Run()
+		},
+	} {
+		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+			t.Errorf("%s: %v allocs/run, want 0", name, allocs)
+		}
+	}
+}
+
+// TestResourceHoldMatchesAcquireIdiom: Hold(h, fn) fires fn exactly where
+// the idiom it replaces — Acquire with a grant callback that schedules fn
+// at start+h — fires it: at the release, before the next waiter's grant.
+func TestResourceHoldMatchesAcquireIdiom(t *testing.T) {
+	run := func(hold bool) []string {
+		k := NewKernel()
+		r := NewResource(k, "r")
+		var log []string
+		note := func(s string) func() {
+			return func() { log = append(log, fmt.Sprintf("%s@%v", s, k.Now())) }
+		}
+		for i, h := range []Duration{5, 0, 7, 3} {
+			name := fmt.Sprintf("op%d", i)
+			fn := note(name + "-released")
+			if hold {
+				r.Hold(h*Nanosecond, fn)
+			} else {
+				h := h * Nanosecond
+				r.Acquire(h, func(start Time) { k.ScheduleAt(start.Add(h), fn) })
+			}
+			r.Acquire(Nanosecond, func(Time) { note(name + "-next-granted")() })
+			k.Schedule(4*Nanosecond, note(name+"-tick"))
+		}
+		k.Run()
+		return log
+	}
+	want, got := run(false), run(true)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Hold order\n got %v\nwant %v", got, want)
 	}
 }
 
