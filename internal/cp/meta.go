@@ -52,7 +52,7 @@ func EncodeMeta(buf []byte, entries []MetaEntry) error {
 	}
 	binary.LittleEndian.PutUint32(buf[0:], metaMagic)
 	binary.LittleEndian.PutUint32(buf[4:], uint32(len(entries)))
-	binary.LittleEndian.PutUint64(buf[8:], checksum(entries))
+	binary.LittleEndian.PutUint64(buf[8:], MetaChecksum(entries))
 	off := metaHeaderSize
 	for _, e := range entries {
 		binary.LittleEndian.PutUint32(buf[off:], e.pack())
@@ -92,15 +92,16 @@ func EncodeMetaEntry(buf []byte, i int, e MetaEntry) error {
 	return nil
 }
 
-// EncodeMetaHeader rewrites the header for the given (full, authoritative)
-// entry table.
-func EncodeMetaHeader(buf []byte, entries []MetaEntry) error {
+// EncodeMetaHeader rewrites the header of an n-entry table whose checksum
+// is sum. A writer that changes slot i from old to e keeps sum current in
+// O(1): sum += MetaTerm(i, e) - MetaTerm(i, old).
+func EncodeMetaHeader(buf []byte, n int, sum uint64) error {
 	if len(buf) < metaHeaderSize {
 		return fmt.Errorf("cp: metadata buffer too small for header")
 	}
 	binary.LittleEndian.PutUint32(buf[0:], metaMagic)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(len(entries)))
-	binary.LittleEndian.PutUint64(buf[8:], checksum(entries))
+	binary.LittleEndian.PutUint32(buf[4:], uint32(n))
+	binary.LittleEndian.PutUint64(buf[8:], sum)
 	return nil
 }
 
@@ -124,18 +125,34 @@ func DecodeMeta(buf []byte) ([]MetaEntry, error) {
 		entries[i] = unpack(binary.LittleEndian.Uint32(buf[off:]))
 		off += metaEntrySize
 	}
-	if checksum(entries) != want {
+	if MetaChecksum(entries) != want {
 		return nil, fmt.Errorf("cp: metadata checksum mismatch (torn write?)")
 	}
 	return entries, nil
 }
 
-// checksum is an order-sensitive FNV-style fold over the packed entries.
-func checksum(entries []MetaEntry) uint64 {
-	h := uint64(1469598103934665603)
-	for _, e := range entries {
-		h ^= uint64(e.pack())
-		h *= 1099511628211
+// MetaChecksum is the header checksum of a full table: the wrapping sum of
+// every slot's MetaTerm. DecodeMeta recomputes it; writers keep it current
+// term by term instead (see EncodeMetaHeader).
+func MetaChecksum(entries []MetaEntry) uint64 {
+	var sum uint64
+	for i, e := range entries {
+		sum += MetaTerm(i, e)
 	}
-	return h
+	return sum
+}
+
+// MetaTerm is slot i's contribution to the table checksum: the slot index
+// and the packed entry, mixed by the splitmix64 finaliser. The finaliser is
+// a bijection, so a torn update of one slot — its entry written without the
+// header, or the header without the entry — always leaves the stored and
+// the recomputed sums apart by MetaTerm(i, new) - MetaTerm(i, old) != 0.
+// Keying the term by position makes two slots that swap values change the
+// sum too (except with probability ~2^-64).
+func MetaTerm(i int, e MetaEntry) uint64 {
+	z := uint64(i)<<32 | uint64(e.pack())
+	z += 0x9E3779B97F4A7C15
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return z ^ z>>31
 }

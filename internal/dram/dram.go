@@ -15,10 +15,11 @@
 //     window rules through InRefresh/InExtraWindow.
 //
 // Data is stored sparsely in 4 KB pages so a simulated 16 GB DIMM costs only
-// what is actually touched.
+// the pages that have held nonzero data.
 package dram
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"nvdimmc/internal/ddr4"
@@ -408,34 +409,58 @@ func (d *Device) burstAddr(bankIdx, row, col int) int64 {
 
 // --- Transfer-level data access -----------------------------------------
 
-func (d *Device) page(addr int64) *[PageSize]byte {
-	pn := addr / PageSize
-	p := d.pages[pn]
-	if p == nil {
-		p = new([PageSize]byte)
-		d.pages[pn] = p
-	}
-	return p
-}
-
+// copyIn stores data at addr. A page is materialised only when a nonzero
+// byte lands in it: an untouched page already reads as zeros, so writing
+// zeros there is a no-op (the same dedup NAND applies to programmed pages).
+// A touched page is always overwritten.
 func (d *Device) copyIn(addr int64, data []byte) {
 	for len(data) > 0 {
-		p := d.page(addr)
-		off := int(addr % PageSize)
-		n := copy(p[off:], data)
+		pn, off := addr/PageSize, int(addr%PageSize)
+		n := min(PageSize-off, len(data))
+		p := d.pages[pn]
+		if p == nil && !AllZero(data[:n]) {
+			p = new([PageSize]byte)
+			d.pages[pn] = p
+		}
+		if p != nil {
+			copy(p[off:], data[:n])
+		}
 		data = data[n:]
 		addr += int64(n)
 	}
 }
 
+// copyOut reads len(buf) bytes at addr; untouched pages read as zeros
+// without being materialised.
 func (d *Device) copyOut(addr int64, buf []byte) {
 	for len(buf) > 0 {
-		p := d.page(addr)
-		off := int(addr % PageSize)
-		n := copy(buf, p[off:])
+		pn, off := addr/PageSize, int(addr%PageSize)
+		n := min(PageSize-off, len(buf))
+		if p := d.pages[pn]; p != nil {
+			copy(buf[:n], p[off:])
+		} else {
+			clear(buf[:n])
+		}
 		buf = buf[n:]
 		addr += int64(n)
 	}
+}
+
+// AllZero reports whether every byte of p is zero, testing 8 bytes at a
+// time. It is the one zero-page check of the memory models: the DRAM store
+// skips zero writes to untouched pages, and NAND dedups all-zero programs.
+func AllZero(p []byte) bool {
+	for ; len(p) >= 8; p = p[8:] {
+		if binary.LittleEndian.Uint64(p) != 0 {
+			return false
+		}
+	}
+	for _, b := range p {
+		if b != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // CopyIn writes data at the flat byte address. Callers are responsible for
@@ -459,5 +484,6 @@ func (d *Device) CopyOut(addr int64, buf []byte) error {
 	return nil
 }
 
-// TouchedPages reports how many 4 KB pages have backing storage allocated.
+// TouchedPages reports how many 4 KB pages have backing storage allocated:
+// the pages that have ever held a nonzero byte.
 func (d *Device) TouchedPages() int { return len(d.pages) }

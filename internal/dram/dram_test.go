@@ -352,3 +352,157 @@ func TestProtocolVsReferenceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestAllZero(t *testing.T) {
+	// Every length around the 8-byte stride, with the one nonzero byte at
+	// every position: in the word loop and in the tail.
+	for n := 0; n <= 25; n++ {
+		p := make([]byte, n)
+		if !AllZero(p) {
+			t.Fatalf("len %d: zero slice reported nonzero", n)
+		}
+		for i := range p {
+			p[i] = 0x80
+			if AllZero(p) {
+				t.Fatalf("len %d: nonzero byte at %d missed", n, i)
+			}
+			p[i] = 0
+		}
+	}
+}
+
+func TestZeroWriteToUntouchedPageStoresNothing(t *testing.T) {
+	_, d := newDev()
+	// A whole page, a partial chunk and a three-page write straddling
+	// page boundaries, all zeros.
+	for _, w := range []struct{ addr, n int64 }{
+		{0, PageSize}, {5*PageSize + 100, 200}, {8*PageSize - 100, 3 * PageSize},
+	} {
+		if err := d.CopyIn(w.addr, make([]byte, w.n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := d.TouchedPages(); n != 0 {
+		t.Fatalf("zero writes materialised %d pages", n)
+	}
+	buf := bytes.Repeat([]byte{0xFF}, 3*PageSize)
+	if err := d.CopyOut(8*PageSize-100, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !AllZero(buf) {
+		t.Fatal("untouched range did not read back as zeros")
+	}
+	if _, w := d.Stats(); w == 0 {
+		t.Fatal("zero writes not counted as bus writes")
+	}
+}
+
+func TestZeroWriteOverwritesTouchedPage(t *testing.T) {
+	_, d := newDev()
+	if err := d.CopyIn(PageSize, bytes.Repeat([]byte{0xAB}, PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	// A partial zero write, then a whole-page one.
+	if err := d.CopyIn(PageSize+10, make([]byte, 20)); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, PageSize)
+	if err := d.CopyOut(PageSize, got); err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Repeat([]byte{0xAB}, PageSize)
+	clear(want[10:30])
+	if !bytes.Equal(got, want) {
+		t.Fatal("partial zero write over a touched page lost or kept the wrong bytes")
+	}
+	if err := d.CopyIn(PageSize, make([]byte, PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CopyOut(PageSize, got); err != nil {
+		t.Fatal(err)
+	}
+	if !AllZero(got) {
+		t.Fatal("zero write did not overwrite a touched page")
+	}
+	if n := d.TouchedPages(); n != 1 {
+		t.Fatalf("touched pages = %d, want 1", n)
+	}
+}
+
+// Property: over a small window, partial and page-straddling writes that
+// mix zero and nonzero chunks behave like a flat byte array, and a page is
+// materialised exactly when a nonzero byte has landed in it.
+func TestSparseStoreVsReference(t *testing.T) {
+	const window = 4 * PageSize
+	type op struct {
+		Addr  uint16
+		Len   uint16
+		Fill  byte
+		Zeros bool
+	}
+	f := func(ops []op) bool {
+		_, d := newDev()
+		ref := make([]byte, window)
+		var held [window / PageSize]bool
+		for _, o := range ops {
+			n := int(o.Len)%(2*PageSize) + 1
+			addr := int(o.Addr) % (window - n)
+			data := make([]byte, n)
+			if !o.Zeros {
+				for i := range data {
+					// Runs of zeros between nonzero bytes, so single
+					// chunks can be all-zero inside a nonzero write.
+					if (i/1500)%2 == 0 {
+						data[i] = o.Fill | 1
+					}
+				}
+			}
+			if err := d.CopyIn(int64(addr), data); err != nil {
+				return false
+			}
+			copy(ref[addr:], data)
+			for i, b := range data {
+				if b != 0 {
+					held[(addr+i)/PageSize] = true
+				}
+			}
+		}
+		got := make([]byte, window)
+		if err := d.CopyOut(0, got); err != nil || !bytes.Equal(got, ref) {
+			return false
+		}
+		want := 0
+		for _, h := range held {
+			if h {
+				want++
+			}
+		}
+		return d.TouchedPages() == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestUntouchedCopiesAllocateNothing(t *testing.T) {
+	_, d := newDev()
+	buf := make([]byte, 3*PageSize)
+	addr := int64(40*PageSize - 100)
+	if n := testing.AllocsPerRun(100, func() {
+		if err := d.CopyOut(addr, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("CopyOut of an untouched range: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := d.CopyIn(addr, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("zero CopyIn to an untouched range: %v allocs, want 0", n)
+	}
+	if d.TouchedPages() != 0 {
+		t.Fatal("untouched range materialised")
+	}
+}

@@ -5,9 +5,9 @@
 // error handling dominates tail behaviour, so the error paths need to be
 // exercisable on demand, not just on the happy path.
 //
-// A Registry holds rules keyed by injection Site (a stable string naming one
-// hardware failure point, e.g. "nand.program.fail"). Three rule shapes cover
-// the fault-model space:
+// A Registry holds rules keyed by injection Site (one hardware failure
+// point, named by a stable string such as "nand.program.fail"). Three rule
+// shapes cover the fault-model space:
 //
 //   - point faults (Always): fire on every occurrence of the site;
 //   - probabilistic faults (Prob): fire per-occurrence with probability p,
@@ -33,8 +33,10 @@ import (
 	"nvdimmc/internal/sim"
 )
 
-// Site names one injection point in a device model.
-type Site string
+// Site names one injection point in a device model. Sites are dense small
+// integers, so a consult indexes the registry's per-site slices; String
+// gives the stable name used in failure output.
+type Site uint8
 
 // The site catalog. Each constant is consulted by exactly one model; the
 // string form appears in failure output and in Registry.String().
@@ -42,34 +44,57 @@ const (
 	// NANDReadBitFlip injects raw bit errors into one page read. The rule
 	// param is the number of flipped bits (0 means one beyond the ECC
 	// correction budget, i.e. an uncorrectable codeword).
-	NANDReadBitFlip Site = "nand.read.bitflip"
+	NANDReadBitFlip Site = iota
 	// NANDProgramFail fails one page program (grown-bad-block behaviour).
-	NANDProgramFail Site = "nand.program.fail"
+	NANDProgramFail
 	// NANDEraseFail fails one block erase.
-	NANDEraseFail Site = "nand.erase.fail"
+	NANDEraseFail
 	// NANDDieTimeout multiplies one die operation's latency by the rule
 	// param (default 400x), modelling a die that stops responding for a
 	// while — long enough to trip the driver's ack deadline.
-	NANDDieTimeout Site = "nand.die.timeout"
+	NANDDieTimeout
 	// CPAckDrop makes the NVMC complete a command without ever posting its
 	// ack word (the driver's poll loop sees silence).
-	CPAckDrop Site = "cp.ack.drop"
+	CPAckDrop
 	// CPAckCorrupt flips one bit of the posted ack word so the driver's
 	// checksum validation rejects it.
-	CPAckCorrupt Site = "cp.ack.corrupt"
+	CPAckCorrupt
 	// NVMCFirmwareStall freezes the firmware for param microseconds
 	// (default 2000) between command poll and dispatch.
-	NVMCFirmwareStall Site = "nvmc.firmware.stall"
+	NVMCFirmwareStall
 	// NVMCWindowOverrun aborts one data transfer at the window boundary;
 	// the FSM retries it in the next extra-tRFC window.
-	NVMCWindowOverrun Site = "nvmc.window.overrun"
+	NVMCWindowOverrun
 	// BusSnoopDrop drops one CA-bus sample before it reaches the snoop taps
 	// (a transient deserializer glitch; a dropped REF costs one window).
-	BusSnoopDrop Site = "bus.snoop.drop"
+	BusSnoopDrop
 	// RefdetSampleFlip flips one sampled CA pin level inside the refresh
 	// detector (the migrated home of refdet's ad-hoc bit-error-rate knob).
-	RefdetSampleFlip Site = "refdet.sample.flip"
+	RefdetSampleFlip
+
+	numSites = iota
 )
+
+var siteNames = [numSites]string{
+	NANDReadBitFlip:   "nand.read.bitflip",
+	NANDProgramFail:   "nand.program.fail",
+	NANDEraseFail:     "nand.erase.fail",
+	NANDDieTimeout:    "nand.die.timeout",
+	CPAckDrop:         "cp.ack.drop",
+	CPAckCorrupt:      "cp.ack.corrupt",
+	NVMCFirmwareStall: "nvmc.firmware.stall",
+	NVMCWindowOverrun: "nvmc.window.overrun",
+	BusSnoopDrop:      "bus.snoop.drop",
+	RefdetSampleFlip:  "refdet.sample.flip",
+}
+
+// String returns the site's stable name, e.g. "nand.program.fail".
+func (s Site) String() string {
+	if int(s) < len(siteNames) {
+		return siteNames[s]
+	}
+	return fmt.Sprintf("fault.Site(%d)", uint8(s))
+}
 
 // Rule is one armed fault. Returned by the install methods so callers can
 // chain Param/Times refinements.
@@ -125,8 +150,8 @@ type Registry struct {
 	seed uint64
 	rng  *sim.Rand
 
-	rules      map[Site][]*Rule
-	hits       map[Site]uint64
+	rules      [numSites][]*Rule
+	hits       [numSites]uint64
 	firedTotal uint64
 }
 
@@ -134,11 +159,9 @@ type Registry struct {
 // its clock) and seeded with seed.
 func NewRegistry(k *sim.Kernel, seed uint64) *Registry {
 	return &Registry{
-		k:     k,
-		seed:  seed,
-		rng:   sim.NewRand(seed),
-		rules: make(map[Site][]*Rule),
-		hits:  make(map[Site]uint64),
+		k:    k,
+		seed: seed,
+		rng:  sim.NewRand(seed),
 	}
 }
 
@@ -179,7 +202,7 @@ func (g *Registry) install(r *Rule) *Rule {
 
 // Clear disarms every rule on site.
 func (g *Registry) Clear(site Site) {
-	delete(g.rules, site)
+	g.rules[site] = nil
 }
 
 // Fires reports whether an armed rule fires for this occurrence of site.
@@ -255,16 +278,18 @@ func (g *Registry) String() string {
 	if g == nil {
 		return "fault registry: none"
 	}
-	var sites []string
+	var sites []Site
 	for s := range g.rules {
-		sites = append(sites, string(s))
+		if len(g.rules[s]) > 0 {
+			sites = append(sites, Site(s))
+		}
 	}
-	sort.Strings(sites)
+	sort.Slice(sites, func(i, j int) bool { return sites[i].String() < sites[j].String() })
 	var b strings.Builder
 	fmt.Fprintf(&b, "fault registry seed=%#x", g.seed)
 	for _, s := range sites {
-		for _, r := range g.rules[Site(s)] {
-			fmt.Fprintf(&b, "; %v fired=%d/%d hits", r, r.fired, g.hits[Site(s)])
+		for _, r := range g.rules[s] {
+			fmt.Fprintf(&b, "; %v fired=%d/%d hits", r, r.fired, g.hits[s])
 		}
 	}
 	return b.String()

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -151,7 +152,7 @@ func TestStringCarriesSeedAndRules(t *testing.T) {
 	if !strings.Contains(s, "0xdead") {
 		t.Fatalf("seed missing from %q", s)
 	}
-	if !strings.Contains(s, string(NANDProgramFail)) {
+	if !strings.Contains(s, "nand.program.fail") {
 		t.Fatalf("rule missing from %q", s)
 	}
 }
@@ -167,5 +168,25 @@ func TestFirstMatchingRuleWins(t *testing.T) {
 	// Occurrence 2: the one-shot is installed first and fires with its param.
 	if ok, p := g.FiresParam(NANDReadBitFlip); !ok || p != 11 {
 		t.Fatalf("occurrence 2: ok=%v p=%d", ok, p)
+	}
+}
+
+func TestSiteNamesStable(t *testing.T) {
+	// The names appear in failure output and replay instructions, so they
+	// are part of the interface: pin a few and require every site to have
+	// its own.
+	if NANDReadBitFlip.String() != "nand.read.bitflip" || RefdetSampleFlip.String() != "refdet.sample.flip" {
+		t.Fatalf("site names moved: %v, %v", NANDReadBitFlip, RefdetSampleFlip)
+	}
+	seen := map[string]bool{}
+	for s := Site(0); s < numSites; s++ {
+		name := s.String()
+		if name == "" || seen[name] {
+			t.Fatalf("site %d has an empty or duplicate name %q", s, name)
+		}
+		seen[name] = true
+	}
+	if got, want := Site(numSites).String(), fmt.Sprintf("fault.Site(%d)", numSites); got != want {
+		t.Fatalf("out-of-catalog site renders as %q", got)
 	}
 }

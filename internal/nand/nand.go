@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 
+	"nvdimmc/internal/dram"
 	"nvdimmc/internal/fault"
 	"nvdimmc/internal/sim"
 )
@@ -287,8 +288,11 @@ func (a *Array) Program(addr PageAddr, data []byte, done func(err error)) {
 		}
 		return
 	}
+	// All-zero pages are stored deduplicated: a simulator memory
+	// optimization that lets tests prefill full-size devices cheaply
+	// without changing observable behaviour.
 	var owned []byte
-	if !allZero(data) {
+	if !dram.AllZero(data) {
 		owned = make([]byte, PageSize)
 		copy(owned, data)
 	}
@@ -440,16 +444,4 @@ func (a *Array) TotalErases() uint64 {
 		}
 	}
 	return s
-}
-
-// allZero reports whether every byte of p is zero. All-zero pages are
-// stored deduplicated: a simulator memory optimization that lets tests
-// prefill full-size devices cheaply without changing observable behaviour.
-func allZero(p []byte) bool {
-	for _, b := range p {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -231,6 +231,10 @@ type slotState struct {
 
 const noLPN = int64(-1)
 
+// zeroPage is the source of every fast fill. It is never written:
+// imc.WriteRS copies its input, so one shared page serves every driver.
+var zeroPage [PageSize]byte
+
 type cpRequest struct {
 	cmd  cp.Command
 	done func(status cp.Status, err error)
@@ -280,9 +284,11 @@ type Driver struct {
 	// lock serializes the driver's mapping-manipulation critical sections.
 	lock *sim.Resource
 
-	// metaShadow is the driver's authoritative copy of the metadata area.
+	// metaShadow is the driver's authoritative copy of the metadata area;
+	// metaSum is its checksum, kept current one slot term at a time.
 	metaShadow  []byte
 	metaEntries []cp.MetaEntry
+	metaSum     uint64
 
 	capacityPages int64
 
@@ -338,6 +344,7 @@ func New(k *sim.Kernel, mc *imc.Controller, cache *cpucache.Cache, capacityPages
 	if err := cp.EncodeMeta(d.metaShadow, d.metaEntries); err != nil {
 		return nil, err
 	}
+	d.metaSum = cp.MetaChecksum(d.metaEntries)
 	// Initialize the metadata area in DRAM so a power failure before any
 	// mapping change finds a valid (empty) table.
 	mc.Write(cfg.Layout.MetaOffset, d.metaShadow, nil)
@@ -452,8 +459,7 @@ func (d *Driver) degrade(to Mode, reason string) {
 func (d *Driver) quarantine(slot int) {
 	d.quarantined = append(d.quarantined, slot)
 	d.errs.Inc(CtrSlotQuarantined)
-	d.metaEntries[slot] = cp.MetaEntry{}
-	d.writeMetaEntry(slot)
+	d.setMeta(slot, cp.MetaEntry{})
 }
 
 // failInflight rejects every waiter coalesced on lpn's miss.
@@ -552,8 +558,9 @@ func (d *Driver) markDirty(slot int) {
 	d.slots[slot].gen++
 	if !d.slots[slot].dirty {
 		d.slots[slot].dirty = true
-		d.metaEntries[slot].Dirty = true
-		d.writeMetaEntry(slot)
+		e := d.metaEntries[slot]
+		e.Dirty = true
+		d.setMeta(slot, e)
 	}
 }
 
@@ -576,7 +583,7 @@ func (d *Driver) missPath(lpn int64) {
 		if victimLPN == noLPN && !needWB && !d.cfg.Hypothetical &&
 			d.cfg.MediaWritten != nil && !d.cfg.MediaWritten(lpn) {
 			d.stats.FastFills++
-			d.mc.Write(d.cfg.Layout.SlotAddr(slot), make([]byte, PageSize), func() {
+			d.mc.Write(d.cfg.Layout.SlotAddr(slot), zeroPage[:], func() {
 				if d.cache != nil {
 					d.cache.Invalidate(d.cfg.Layout.SlotAddr(slot), PageSize)
 				}
@@ -617,8 +624,9 @@ func (d *Driver) claimSlot() (slot int, victimLPN int64, needWB bool) {
 	// opcode gives no point between writeback and fill to flip the entry —
 	// invalidate up front as before.
 	if !needWB || d.cfg.CombineWBCF {
-		d.metaEntries[slot].Valid = false
-		d.writeMetaEntry(slot)
+		e := d.metaEntries[slot]
+		e.Valid = false
+		d.setMeta(slot, e)
 	}
 	return slot, victimLPN, needWB
 }
@@ -713,8 +721,7 @@ func (d *Driver) transfer(lpn int64, slot int, victimLPN int64, needWB bool) {
 					// CPQueueDepth of 1 a re-fault on the victim queues
 					// behind this transition, so no second Valid entry for
 					// the same NAND page can appear meanwhile.)
-					d.metaEntries[slot] = cp.MetaEntry{}
-					d.writeMetaEntry(slot)
+					d.setMeta(slot, cp.MetaEntry{})
 					cachefill()
 					return
 				}
@@ -754,8 +761,7 @@ func (d *Driver) writebackFailed(lpn int64, slot int, victimLPN int64, err error
 		d.mapping[victimLPN] = slot
 		d.slots[slot] = slotState{lpn: victimLPN, dirty: true}
 		d.rep.Insert(slot)
-		d.metaEntries[slot] = cp.MetaEntry{NANDPage: uint32(victimLPN), Valid: true, Dirty: true}
-		d.writeMetaEntry(slot)
+		d.setMeta(slot, cp.MetaEntry{NANDPage: uint32(victimLPN), Valid: true, Dirty: true})
 		d.degrade(ModeReadOnly, fmt.Sprintf("writeback of victim lpn %d failed hard", victimLPN))
 		d.failInflight(lpn, fmt.Errorf("nvdc: writeback of victim lpn %d: %w", victimLPN, err))
 	})
@@ -768,8 +774,7 @@ func (d *Driver) install(lpn int64, slot int) {
 		d.mapping[lpn] = slot
 		d.slots[slot] = slotState{lpn: lpn, dirty: false}
 		d.rep.Insert(slot)
-		d.metaEntries[slot] = cp.MetaEntry{NANDPage: uint32(lpn), Valid: true}
-		d.writeMetaEntry(slot)
+		d.setMeta(slot, cp.MetaEntry{NANDPage: uint32(lpn), Valid: true})
 		waiters := d.inflight[lpn]
 		delete(d.inflight, lpn)
 		for _, w := range waiters {
@@ -778,13 +783,17 @@ func (d *Driver) install(lpn int64, slot int) {
 	})
 }
 
-// writeMetaEntry updates slot's entry and the header in the DRAM metadata
-// area (two small bus writes; the CPU cost is folded into MapCost).
-func (d *Driver) writeMetaEntry(slot int) {
-	if err := cp.EncodeMetaEntry(d.metaShadow, slot, d.metaEntries[slot]); err != nil {
+// setMeta sets slot's metadata entry to e, moves the running checksum from
+// the old entry's term to e's, and updates the entry and the header in the
+// DRAM metadata area (two small bus writes; the CPU cost is folded into
+// MapCost).
+func (d *Driver) setMeta(slot int, e cp.MetaEntry) {
+	d.metaSum += cp.MetaTerm(slot, e) - cp.MetaTerm(slot, d.metaEntries[slot])
+	d.metaEntries[slot] = e
+	if err := cp.EncodeMetaEntry(d.metaShadow, slot, e); err != nil {
 		panic(fmt.Sprintf("nvdc: meta entry: %v", err))
 	}
-	if err := cp.EncodeMetaHeader(d.metaShadow, d.metaEntries); err != nil {
+	if err := cp.EncodeMetaHeader(d.metaShadow, len(d.metaEntries), d.metaSum); err != nil {
 		panic(fmt.Sprintf("nvdc: meta header: %v", err))
 	}
 	off := int64(16 + slot*4)
@@ -808,8 +817,7 @@ func (d *Driver) Trim(lpn int64) {
 	d.rep.Remove(slot)
 	d.slots[slot] = slotState{lpn: noLPN}
 	d.free = append(d.free, slot)
-	d.metaEntries[slot] = cp.MetaEntry{}
-	d.writeMetaEntry(slot)
+	d.setMeta(slot, cp.MetaEntry{})
 	if d.cache != nil {
 		d.cache.Invalidate(d.cfg.Layout.SlotAddr(slot), PageSize)
 	}
@@ -968,8 +976,9 @@ func (d *Driver) FlushLPN(lpn int64, done func(error)) {
 				// guard); a racing store's bytes may postdate the clflush.
 				if s, still := d.mapping[lpn]; still && s == slot && d.slots[slot].gen == gen {
 					d.slots[slot].dirty = false
-					d.metaEntries[slot].Dirty = false
-					d.writeMetaEntry(slot)
+					e := d.metaEntries[slot]
+					e.Dirty = false
+					d.setMeta(slot, e)
 				}
 				done(nil)
 			})
@@ -1021,7 +1030,15 @@ func (d *Driver) RecoverFromMetadata(meta []byte) (int, error) {
 			d.metaEntries[i] = cp.MetaEntry{}
 		}
 	}
-	copy(d.metaShadow, meta)
+	// The rebuilt table has every slot clean, unlike meta. The shadow, the
+	// DRAM copy and the running checksum must all match it: a mapping
+	// change rewrites only its own entry, so any stale dirty bit elsewhere
+	// would leave the next header's checksum matching no table.
+	if err := cp.EncodeMeta(d.metaShadow, d.metaEntries); err != nil {
+		return 0, err
+	}
+	d.metaSum = cp.MetaChecksum(d.metaEntries)
+	d.mc.Write(d.cfg.Layout.MetaOffset, d.metaShadow, nil)
 	return n, nil
 }
 

@@ -6,6 +6,7 @@ package nvdc
 // metadata shadow — through a real but tiny system assembled by hand.
 
 import (
+	"fmt"
 	"testing"
 
 	"nvdimmc/internal/bus"
@@ -19,16 +20,33 @@ import (
 
 func newDriver(t *testing.T) (*sim.Kernel, *Driver, hostmem.Layout) {
 	t.Helper()
+	k, d, layout, _ := newRig(t, 64, 0)
+	return k, d, layout
+}
+
+// newRig assembles a driver over a DRAM of rows rows (128 KiB each). With
+// slots == 0 the layout is NewLayout's with a 16 KiB metadata area;
+// otherwise it holds exactly slots slots.
+func newRig(tb testing.TB, rows, slots int) (*sim.Kernel, *Driver, hostmem.Layout, *dram.Device) {
+	tb.Helper()
 	k := sim.NewKernel()
 	dcfg := dram.DefaultConfig(ddr4.DDR4_1600)
-	dcfg.Rows = 64
+	dcfg.Rows = rows
 	dcfg.Timing.TRFC = 1250 * sim.Nanosecond
 	dev := dram.New(k, dcfg)
 	ch := bus.New(k, dev)
 	mc := imc.New(k, ch, imc.DefaultConfig())
 	layout, err := hostmem.NewLayout(dev.Capacity(), 16<<10, 0.9)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
+	}
+	if slots > 0 {
+		meta := (cp.MetaSizeFor(slots) + PageSize - 1) &^ (PageSize - 1)
+		layout = hostmem.Layout{
+			Size: dev.Capacity(), CPOffset: 0, CPSize: PageSize,
+			MetaOffset: PageSize, MetaSize: meta,
+			SlotsOffset: PageSize + meta, NumSlots: slots,
+		}
 	}
 	cfg := DefaultConfig(layout)
 	// No NVMC behind this rig: route every miss through the fast-fill path
@@ -36,10 +54,10 @@ func newDriver(t *testing.T) (*sim.Kernel, *Driver, hostmem.Layout) {
 	cfg.MediaWritten = func(int64) bool { return false }
 	d, err := New(k, mc, nil, 4096, cfg)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	k.Run() // drain the metadata-init write
-	return k, d, layout
+	return k, d, layout, dev
 }
 
 func TestNewValidatesLayout(t *testing.T) {
@@ -150,6 +168,78 @@ func TestRecoveryRoundTrip(t *testing.T) {
 		if !d.IsResident(p) {
 			t.Fatalf("page %d lost in recovery", p)
 		}
+	}
+}
+
+func TestRecoveryClearsDirtyBitsEverywhere(t *testing.T) {
+	// Recovery marks every slot clean. The shadow, the DRAM copy and the
+	// running checksum must all follow, or the first mapping change after
+	// the reboot writes a header that matches neither table and a second
+	// power failure finds the metadata unreadable.
+	k, d, layout, dev := newRig(t, 64, 0)
+	done := 0
+	for p := int64(0); p < 4; p++ {
+		d.Fault(p, true, func(int) { done++ })
+	}
+	k.RunWhile(func() bool { return done < 4 })
+	k.Run()
+	snapshot := append([]byte(nil), d.metaShadow...)
+	if n, err := d.RecoverFromMetadata(snapshot); err != nil || n != 4 {
+		t.Fatalf("recovered %d, %v; want 4", n, err)
+	}
+	k.Run()
+	d.Trim(3)
+	k.Run()
+	shadow, err := cp.DecodeMeta(d.metaShadow)
+	if err != nil {
+		t.Fatalf("shadow after recovery + trim: %v", err)
+	}
+	onDRAM := make([]byte, layout.MetaSize)
+	if err := dev.Peek(layout.MetaOffset, onDRAM); err != nil {
+		t.Fatal(err)
+	}
+	fromDRAM, err := cp.DecodeMeta(onDRAM)
+	if err != nil {
+		t.Fatalf("DRAM metadata after recovery + trim: %v", err)
+	}
+	valid := 0
+	for i, e := range shadow {
+		if e != fromDRAM[i] {
+			t.Fatalf("slot %d: shadow %+v, DRAM %+v", i, e, fromDRAM[i])
+		}
+		if e.Dirty {
+			t.Fatalf("slot %d still dirty after recovery", i)
+		}
+		if e.Valid {
+			valid++
+		}
+	}
+	if valid != 3 {
+		t.Fatalf("%d valid entries after trimming one of 4, want 3", valid)
+	}
+	if d.metaSum != cp.MetaChecksum(d.metaEntries) {
+		t.Fatal("running checksum drifted from the table")
+	}
+}
+
+func BenchmarkWriteMetaEntry(b *testing.B) {
+	// One mapping change's metadata update, shadow and DRAM: the cost must
+	// not grow with the slot count.
+	for _, slots := range []int{1 << 10, 64 << 10} {
+		b.Run(fmt.Sprintf("slots=%dKi", slots>>10), func(b *testing.B) {
+			rows := (slots+64)*PageSize/(128<<10) + 4
+			k, d, _, _ := newRig(b, rows, slots)
+			entries := [2]cp.MetaEntry{{NANDPage: 7, Valid: true}, {NANDPage: 7, Valid: true, Dirty: true}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.setMeta(i*7919%slots, entries[i&1])
+				if i&255 == 255 {
+					k.Run() // drain the posted bus writes
+				}
+			}
+			k.Run()
+		})
 	}
 }
 
