@@ -76,4 +76,3 @@ func TestGoldenReadMissTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-

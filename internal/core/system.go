@@ -353,7 +353,7 @@ func (s *System) FastForwardIdle(target sim.Time) {
 	if m, polls, rLast, ok := s.warpPlan(target); ok {
 		s.applyWarp(m, polls, rLast)
 	}
-	// Drains the invalidated stale refresh closure (a generation-guarded
+	// Drains the invalidated stale refresh event (a generation-guarded
 	// no-op) and, when the next refresh chain straddles target, begins it
 	// for real — exactly as the naive run would.
 	s.K.RunUntil(target)
@@ -370,7 +370,7 @@ func (s *System) FastForwardIdle(target sim.Time) {
 //   - every NVMC slot idle with a stale CP word: the windows are poll-only;
 //   - no trace ring or extra sinks (they would miss the warped events;
 //     the auditor is the one sink the warp replays into);
-//   - exactly one pending kernel event, and it is the refresh closure:
+//   - exactly one pending kernel event, and it is the refresh event:
 //     nothing else can happen before target except refresh cycles.
 func (s *System) warpPlan(target sim.Time) (m uint64, polls int, rLast sim.Time, ok bool) {
 	if s.Faults != nil || !s.Config.MechanismEnabled {
@@ -421,7 +421,7 @@ func (s *System) warpPlan(target sim.Time) (m uint64, polls int, rLast sim.Time,
 
 // applyWarp replays the aggregate effect of m idle refresh cycles into
 // every component the chain touches. The iMC goes last: it invalidates the
-// queued refresh closure and schedules a fresh one on the advanced cadence.
+// queued refresh event and schedules a fresh one on the advanced cadence.
 func (s *System) applyWarp(m uint64, polls int, rLast sim.Time) {
 	trfc := s.Config.TRFC
 	s.Channel.DataBus.WarpGrants(m, trfc, rLast)

@@ -182,6 +182,43 @@ func TestFioHitAllocs(t *testing.T) {
 	}
 }
 
+// TestMemberMissAllocs pins the allocation count of the miss path: a 4 KiB
+// read or write that evicts with a CP writeback and refills with a CP
+// cachefill, through the real NVMC, FTL and NAND with refresh running,
+// allocates at most one object per op once the records are warm (missRig).
+func TestMemberMissAllocs(t *testing.T) {
+	r := newMissRig(t)
+	for _, write := range []bool{false, true} {
+		misses := r.s.Driver.Stats().Misses
+		allocs := testing.AllocsPerRun(200, func() { r.op(write) })
+		if allocs > 1 {
+			t.Errorf("write=%v: %v allocs per missing 4 KiB op, want <= 1", write, allocs)
+		}
+		if got := r.s.Driver.Stats().Misses - misses; got != 201 {
+			t.Fatalf("write=%v: %d misses in 201 ops", write, got)
+		}
+	}
+	if err := r.s.CheckHealth(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestIdleRefreshAllocs: an idle member run event by event (no idle warp)
+// allocates nothing per tREFI. Each interval runs the whole refresh chain:
+// the REF event and its bus grant, the detector's decode, the NVMC's window
+// and its CP polls.
+func TestIdleRefreshAllocs(t *testing.T) {
+	s := mustSystem(t, DefaultConfig())
+	s.K.RunFor(10 * s.Config.TREFI)
+	windows := s.NVMC.Stats().WindowsSeen
+	if allocs := testing.AllocsPerRun(50, func() { s.K.RunFor(s.Config.TREFI) }); allocs != 0 {
+		t.Errorf("%v allocs per tREFI on an idle member, want 0", allocs)
+	}
+	if got := s.NVMC.Stats().WindowsSeen - windows; got < 50 {
+		t.Fatalf("%d windows in 51 tREFI", got)
+	}
+}
+
 // TestFioWriteLeavesZerosInSlot: fio writes carry no data, so the bytes
 // they cover read back as zeros, exactly as when every chunk was a fresh
 // zeroed buffer, even after a read has filled the read sink; bytes outside

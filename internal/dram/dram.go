@@ -19,7 +19,7 @@
 package dram
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
 
 	"nvdimmc/internal/ddr4"
@@ -446,21 +446,22 @@ func (d *Device) copyOut(addr int64, buf []byte) {
 	}
 }
 
-// AllZero reports whether every byte of p is zero, testing 8 bytes at a
-// time. It is the one zero-page check of the memory models: the DRAM store
-// skips zero writes to untouched pages, and NAND dedups all-zero programs.
+// zeroPage is AllZero's comparand. Nothing writes to it.
+var zeroPage [PageSize]byte
+
+// AllZero reports whether every byte of p is zero, comparing it a page at a
+// time against a zero page with bytes.Equal (the runtime's vectorised
+// memequal). It is the one zero-page check of the memory models: the DRAM
+// store skips zero writes to untouched pages, and NAND dedups all-zero
+// programs.
 func AllZero(p []byte) bool {
-	for ; len(p) >= 8; p = p[8:] {
-		if binary.LittleEndian.Uint64(p) != 0 {
+	for len(p) > PageSize {
+		if !bytes.Equal(p[:PageSize], zeroPage[:]) {
 			return false
 		}
+		p = p[PageSize:]
 	}
-	for _, b := range p {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
+	return bytes.Equal(p, zeroPage[:len(p)])
 }
 
 // CopyIn writes data at the flat byte address. Callers are responsible for

@@ -371,6 +371,40 @@ func TestAllZero(t *testing.T) {
 	}
 }
 
+// TestAllZeroMatchesByteLoop checks AllZero against a byte loop for every
+// length 0..2*PageSize+1, with one nonzero byte at every position: inside
+// the first page, across the page boundary and in the tail. For a fixed
+// position the byte loop runs incrementally over the lengths. A length that
+// ends at or before the nonzero byte is the all-zero slice of that length,
+// checked once up front. -short checks the 64 lengths past each position.
+func TestAllZeroMatchesByteLoop(t *testing.T) {
+	const max = 2*PageSize + 1
+	buf := make([]byte, max)
+	check := func(pos int) {
+		zero := true // byte-loop verdict for buf[:n]
+		for n := 0; n <= max; n++ {
+			if n > 0 && buf[n-1] != 0 {
+				zero = false
+			}
+			if n <= pos {
+				continue
+			}
+			if testing.Short() && n > pos+64 {
+				return
+			}
+			if got := AllZero(buf[:n]); got != zero {
+				t.Fatalf("len %d, nonzero byte at %d: AllZero = %v, byte loop = %v", n, pos, got, zero)
+			}
+		}
+	}
+	check(-1) // all zeros, every length
+	for pos := 0; pos < max; pos++ {
+		buf[pos] = byte(pos%255 + 1)
+		check(pos)
+		buf[pos] = 0
+	}
+}
+
 func TestZeroWriteToUntouchedPageStoresNothing(t *testing.T) {
 	_, d := newDev()
 	// A whole page, a partial chunk and a three-page write straddling

@@ -97,12 +97,10 @@ func Fig10(o Options) (Fig10Result, error) {
 	}
 
 	o.printf("== Fig. 10: granularity sweep, 1 thread ==\n")
-	for key, pts := range map[string][]Fig10Point{
-		"baseline-read": res.Series["baseline-read"],
-		"cached-read":   res.Series["cached-read"],
-	} {
+	// Rows print in a fixed order; a map range would shuffle them.
+	for _, key := range []string{"baseline-read", "cached-read"} {
 		o.printf("  %-14s", key)
-		for _, p := range pts {
+		for _, p := range res.Series[key] {
 			o.printf("  %5dB:%7.0fKIOPS", p.BlockSize, p.KIOPS)
 		}
 		o.printf("\n")

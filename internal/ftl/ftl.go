@@ -82,6 +82,11 @@ type FTL struct {
 
 	core *sim.Resource // the FTL firmware core
 
+	// Free lists of the read, host-write and program records.
+	readFree  []*pageRead
+	writeFree []*hostWrite
+	progFree  []*program
+
 	// debugLog, when non-nil, records mapping/commit events (tests).
 	debugLog func(format string, args ...interface{})
 
@@ -178,42 +183,114 @@ func (f *FTL) checkLPN(lpn int64) error {
 	return nil
 }
 
-// ReadPage fetches logical page lpn. Never-written pages complete
-// immediately with a zero page (block-device semantics).
+// ReadPage fetches logical page lpn into a fresh page: ReadPageInto for
+// callers that keep the data.
 func (f *FTL) ReadPage(lpn int64, done func(data []byte, err error)) {
 	if err := f.checkLPN(lpn); err != nil {
 		done(nil, err)
 		return
 	}
-	f.core.Acquire(f.cfg.CoreOverhead, func(sim.Time) {
-		if buf, ok := f.writeBuf[lpn]; ok {
-			// Write-buffer hit: the freshest data has not reached NAND yet.
-			out := make([]byte, PageSize)
-			copy(out, buf)
-			done(out, nil)
-			return
-		}
-		addr, ok := f.mapping[lpn]
-		if !ok {
-			done(make([]byte, PageSize), nil)
-			return
-		}
-		f.readOps++
-		f.arr.Read(addr, func(data []byte, err error) {
-			if err == nil {
-				done(data, nil)
-				return
-			}
-			// Uncorrectable ECC error: one read-retry (shifted read levels
-			// recover marginal pages on real media) before surfacing it.
-			f.readRetries++
-			f.arr.Read(addr, done)
-		})
-	})
+	buf := make([]byte, PageSize)
+	f.ReadPageInto(lpn, buf, func(err error) { done(buf, err) })
+}
+
+// pageRead is one ReadPageInto in flight. Records recycle through the FTL's
+// free list when the read completes; their continuations are bound once,
+// when the record is first made.
+type pageRead struct {
+	f    *FTL
+	lpn  int64
+	addr nand.PageAddr
+	buf  []byte
+	done func(error)
+
+	grantFn  func(sim.Time)
+	readFn   func(error)
+	finishFn func(error)
+}
+
+// ReadPageInto fills buf (PageSize bytes, the caller's until done runs)
+// with logical page lpn. Never-written pages read as zeros (block-device
+// semantics).
+func (f *FTL) ReadPageInto(lpn int64, buf []byte, done func(err error)) {
+	if err := f.checkLPN(lpn); err != nil {
+		done(err)
+		return
+	}
+	var r *pageRead
+	if n := len(f.readFree); n > 0 {
+		r = f.readFree[n-1]
+		f.readFree = f.readFree[:n-1]
+	} else {
+		r = &pageRead{f: f}
+		r.grantFn = r.grant
+		r.readFn = r.read
+		r.finishFn = r.finish
+	}
+	r.lpn, r.buf, r.done = lpn, buf, done
+	f.core.Acquire(f.cfg.CoreOverhead, r.grantFn)
+}
+
+// grant runs when the firmware core takes the read.
+func (r *pageRead) grant(sim.Time) {
+	f := r.f
+	if wb, ok := f.writeBuf[r.lpn]; ok {
+		// Write-buffer hit: the freshest data has not reached NAND yet.
+		copy(r.buf, wb)
+		r.finish(nil)
+		return
+	}
+	addr, ok := f.mapping[r.lpn]
+	if !ok {
+		clear(r.buf)
+		r.finish(nil)
+		return
+	}
+	f.readOps++
+	r.addr = addr
+	f.arr.Read(addr, r.buf, r.readFn)
+}
+
+// read completes the first NAND read. An uncorrectable ECC error gets one
+// read-retry (shifted read levels recover marginal pages on real media)
+// before it is surfaced.
+func (r *pageRead) read(err error) {
+	if err == nil {
+		r.finish(nil)
+		return
+	}
+	r.f.readRetries++
+	r.f.arr.Read(r.addr, r.buf, r.finishFn)
+}
+
+// finish releases the record, then delivers the outcome.
+func (r *pageRead) finish(err error) {
+	done := r.done
+	r.buf, r.done = nil, nil
+	r.f.readFree = append(r.f.readFree, r)
+	done(err)
+}
+
+// hostWrite is one WritePage: the page copy the FTL owns, which the write
+// buffer serves reads from, until the write's final program completes —
+// committed, superseded or failed. Stalled writes and remap retries keep it
+// until then. The record and its page then return to the FTL's free list;
+// the continuations are bound once, when the record is first made.
+type hostWrite struct {
+	f    *FTL
+	lpn  int64
+	seq  uint64
+	page []byte
+	done func(error)
+
+	grantFn  func(sim.Time)
+	checkFn  func() bool
+	retireFn func(error)
 }
 
 // WritePage stores a full logical page. The write is acknowledged once the
-// data is programmed into NAND.
+// data is programmed into NAND. The FTL copies data before WritePage
+// returns.
 func (f *FTL) WritePage(lpn int64, data []byte, done func(err error)) {
 	if err := f.checkLPN(lpn); err != nil {
 		if done != nil {
@@ -227,26 +304,51 @@ func (f *FTL) WritePage(lpn int64, data []byte, done func(err error)) {
 		}
 		return
 	}
-	owned := make([]byte, PageSize)
-	copy(owned, data)
-	f.core.Acquire(f.cfg.CoreOverhead, func(sim.Time) {
-		f.hostWrites++
-		f.seq++
-		seq := f.seq
-		f.writeBuf[lpn] = owned
-		f.writeSeq[lpn] = seq
-		check := func() bool { return f.writeSeq[lpn] == seq }
-		f.appendWrite(lpn, owned, false, check, func(err error) {
-			// Retire the buffer entry unless a newer write replaced it.
-			if f.writeSeq[lpn] == seq {
-				delete(f.writeBuf, lpn)
-				delete(f.writeSeq, lpn)
-			}
-			if done != nil {
-				done(err)
-			}
-		})
-	})
+	var w *hostWrite
+	if n := len(f.writeFree); n > 0 {
+		w = f.writeFree[n-1]
+		f.writeFree = f.writeFree[:n-1]
+	} else {
+		w = &hostWrite{f: f, page: make([]byte, PageSize)}
+		w.grantFn = w.grant
+		w.checkFn = w.current
+		w.retireFn = w.retire
+	}
+	copy(w.page, data)
+	w.lpn, w.done = lpn, done
+	f.core.Acquire(f.cfg.CoreOverhead, w.grantFn)
+}
+
+// grant runs when the firmware core takes the write: the page enters the
+// write buffer and its program is placed.
+func (w *hostWrite) grant(sim.Time) {
+	f := w.f
+	f.hostWrites++
+	f.seq++
+	w.seq = f.seq
+	f.writeBuf[w.lpn] = w.page
+	f.writeSeq[w.lpn] = w.seq
+	f.appendWrite(w.lpn, w.page, false, w.checkFn, w.retireFn)
+}
+
+// current reports whether w is still the newest write of its page.
+func (w *hostWrite) current() bool { return w.f.writeSeq[w.lpn] == w.seq }
+
+// retire runs once, at the write's final program completion: the buffer
+// entry goes unless a newer write replaced it, the record returns to the
+// free list, then done runs.
+func (w *hostWrite) retire(err error) {
+	f := w.f
+	if w.current() {
+		delete(f.writeBuf, w.lpn)
+		delete(f.writeSeq, w.lpn)
+	}
+	done := w.done
+	w.done = nil
+	f.writeFree = append(f.writeFree, w)
+	if done != nil {
+		done(err)
+	}
 }
 
 // Trim unmaps a logical page without writing.
@@ -386,56 +488,102 @@ func (f *FTL) appendWriteN(target *dieState, lpn int64, data []byte, gc bool, co
 			ds.open = nil
 		}
 	}
+	pr := f.newProgram()
+	pr.lpn, pr.data, pr.gc, pr.commitCheck, pr.done, pr.attempt = lpn, data, gc, commitCheck, done, attempt
+	pr.ds, pr.bm, pr.page = ds, bm, page
 	addr := bm.addr
 	addr.Page = page
-	f.arr.Program(addr, data, func(err error) {
-		bm.inflight--
-		if err != nil {
-			// Grown bad block: retire and retry elsewhere, up to the remap
-			// bound — persistent program failure must surface, not consume
-			// the array block by block.
-			f.grownBad++
-			f.arr.MarkBad(bm.addr)
-			bm.nextPage = f.arr.Config().PagesPerBlock // close it
-			if attempt+1 >= maxProgramRetries {
-				if done != nil {
-					done(fmt.Errorf("ftl: program of lpn %d failed after %d remap attempts: %w", lpn, attempt+1, err))
-				}
-				return
-			}
-			f.appendWriteN(nil, lpn, data, gc, commitCheck, done, attempt+1)
-			return
-		}
-		if commitCheck != nil && !commitCheck() {
-			// Superseded while the program was in flight: leave the page
-			// invalid (GC reclaims it) and keep the newer mapping intact.
-			f.supersededWrites++
+	pr.addr = addr
+	f.arr.Program(addr, data, pr.programmedFn)
+}
+
+// program is one placed NAND program of appendWriteN: the write it carries
+// and the physical page it reserved. Records recycle through the FTL's free
+// list when the program completes; programmedFn is bound once, when the
+// record is first made.
+type program struct {
+	f           *FTL
+	lpn         int64
+	data        []byte
+	gc          bool
+	commitCheck func() bool
+	done        func(error)
+	attempt     int
+	ds          *dieState
+	bm          *blockMeta
+	page        int
+	addr        nand.PageAddr
+
+	programmedFn func(error)
+}
+
+func (f *FTL) newProgram() *program {
+	if n := len(f.progFree); n > 0 {
+		pr := f.progFree[n-1]
+		f.progFree = f.progFree[:n-1]
+		return pr
+	}
+	pr := &program{f: f}
+	pr.programmedFn = pr.programmed
+	return pr
+}
+
+// programmed completes the program: a failure retires the block and
+// rewrites elsewhere, a superseded write leaves its page invalid, and
+// otherwise the mapping commits. The record is released first, so the
+// remap retry and done may reuse it.
+func (pr *program) programmed(err error) {
+	f := pr.f
+	lpn, data, gc, commitCheck, done, attempt := pr.lpn, pr.data, pr.gc, pr.commitCheck, pr.done, pr.attempt
+	ds, bm, page, addr := pr.ds, pr.bm, pr.page, pr.addr
+	*pr = program{f: f, programmedFn: pr.programmedFn}
+	f.progFree = append(f.progFree, pr)
+	bm.inflight--
+	if err != nil {
+		// Grown bad block: retire and retry elsewhere, up to the remap
+		// bound — persistent program failure must surface, not consume
+		// the array block by block.
+		f.grownBad++
+		f.arr.MarkBad(bm.addr)
+		bm.nextPage = f.arr.Config().PagesPerBlock // close it
+		if attempt+1 >= maxProgramRetries {
 			if done != nil {
-				done(nil)
+				done(fmt.Errorf("ftl: program of lpn %d failed after %d remap attempts: %w", lpn, attempt+1, err))
 			}
 			return
 		}
-		// Invalidate the previous location, commit the new mapping.
-		if bm.lpns[page] != unmapped {
-			panic(fmt.Sprintf("ftl: double commit on %v page %d (holds lpn %d, committing %d)", bm.addr, page, bm.lpns[page], lpn))
-		}
-		if old, ok := f.mapping[lpn]; ok {
-			f.invalidate(old)
-		}
-		if f.debugLog != nil {
-			f.debugLog("commit lpn=%d -> %v (gc=%v)", lpn, addr, gc)
-		}
-		f.mapping[lpn] = addr
-		bm.lpns[page] = lpn
-		bm.valid++
-		if gc {
-			f.gcWrites++
-		}
-		f.maybeGC(ds)
+		f.appendWriteN(nil, lpn, data, gc, commitCheck, done, attempt+1)
+		return
+	}
+	if commitCheck != nil && !commitCheck() {
+		// Superseded while the program was in flight: leave the page
+		// invalid (GC reclaims it) and keep the newer mapping intact.
+		f.supersededWrites++
 		if done != nil {
 			done(nil)
 		}
-	})
+		return
+	}
+	// Invalidate the previous location, commit the new mapping.
+	if bm.lpns[page] != unmapped {
+		panic(fmt.Sprintf("ftl: double commit on %v page %d (holds lpn %d, committing %d)", bm.addr, page, bm.lpns[page], lpn))
+	}
+	if old, ok := f.mapping[lpn]; ok {
+		f.invalidate(old)
+	}
+	if f.debugLog != nil {
+		f.debugLog("commit lpn=%d -> %v (gc=%v)", lpn, addr, gc)
+	}
+	f.mapping[lpn] = addr
+	bm.lpns[page] = lpn
+	bm.valid++
+	if gc {
+		f.gcWrites++
+	}
+	f.maybeGC(ds)
+	if done != nil {
+		done(nil)
+	}
 }
 
 // maybeGC starts garbage collection on the die when its free pool is low.
@@ -515,7 +663,8 @@ func (f *FTL) relocate(ds *dieState, victim *blockMeta, i int) {
 	lpn := victim.lpns[i]
 	src := victim.addr
 	src.Page = i
-	f.arr.Read(src, func(data []byte, err error) {
+	data := make([]byte, PageSize)
+	f.arr.Read(src, data, func(err error) {
 		if err != nil {
 			ds.gc = false
 			return

@@ -12,8 +12,8 @@ import (
 // IsMapped tracks the shadow exactly, and the structural invariants hold
 // after every GC the stream provokes.
 func FuzzFTLMapping(f *testing.F) {
-	f.Add([]byte{0, 1, 1, 1, 2, 1, 0, 2})           // write, read, trim, write
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 1, 0})     // hammer one lpn, then read
+	f.Add([]byte{0, 1, 1, 1, 2, 1, 0, 2})            // write, read, trim, write
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 1, 0})      // hammer one lpn, then read
 	f.Add(bytes.Repeat([]byte{0, 3, 0, 4, 0, 5}, 8)) // overwrite churn -> GC
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxOps = 64

@@ -67,10 +67,11 @@ type Controller struct {
 	refreshEnabled bool
 	refreshes      uint64
 	nextRefresh    sim.Time
-	// refGen invalidates queued refresh closures: each closure captures the
-	// generation it was scheduled under and becomes a no-op if a warp (see
+	// refGen invalidates queued refresh events: each records the generation
+	// it was scheduled under and becomes a no-op if a warp (see
 	// WarpIdleRefreshes) advanced the engine past it in the meantime.
-	refGen uint64
+	refGen  uint64
+	refFree []*refreshEvent
 
 	wpq     []*wpqWrite
 	wpqFree []*wpqWrite
@@ -129,48 +130,85 @@ func (c *Controller) StartRefresh() {
 // NVMC-frontend strawman experiments).
 func (c *Controller) StopRefresh() { c.refreshEnabled = false }
 
+// refreshEvent is one scheduled REF: the kernel event at its due instant
+// and the data-bus grant that issues it. gen is the refresh generation it
+// was scheduled under and due the instant it was due. Records recycle
+// through the controller's free list once the grant has run, or as soon as
+// the event finds itself stale; fireFn and grantFn are bound once, when the
+// record is first made.
+type refreshEvent struct {
+	c       *Controller
+	gen     uint64
+	due     sim.Time
+	fireFn  func()
+	grantFn func(sim.Time)
+}
+
 func (c *Controller) scheduleRefresh() {
 	if !c.refreshEnabled {
 		return
 	}
-	gen := c.refGen
-	c.k.ScheduleAt(c.nextRefresh, func() {
-		if !c.refreshEnabled || gen != c.refGen {
-			return
-		}
-		// Hold the data bus for the full programmed tRFC: no host command
-		// can be issued during the refresh cycle (§II-B). The hold also
-		// covers the extra window the NVMC uses.
-		due := c.nextRefresh
-		c.ch.DataBus.Acquire(c.cfg.TRFC, func(start sim.Time) {
-			if c.selfRefresh {
-				return // the DIMM refreshes itself
-			}
-			if start.Sub(due) > c.cfg.TREFI {
-				c.postponed++
-			}
-			if c.ch.Trace.Active() {
-				c.ch.Trace.Record(trace.Event{
-					At: start, Kind: trace.KindRefreshHold,
-					End: start.Add(c.cfg.TRFC),
-				})
-			}
-			// DDR4 has no per-bank refresh: precharge all banks first
-			// (§III-B), then issue REF.
-			c.ch.Issue(bus.HostIMC, ddr4.Command{Kind: ddr4.CmdPrechargeAll})
-			c.ch.Issue(bus.HostIMC, ddr4.Command{Kind: ddr4.CmdRefresh})
-			c.refreshes++
+	var r *refreshEvent
+	if n := len(c.refFree); n > 0 {
+		r = c.refFree[n-1]
+		c.refFree = c.refFree[:n-1]
+	} else {
+		r = &refreshEvent{c: c}
+		r.fireFn = r.fire
+		r.grantFn = r.grant
+	}
+	r.gen = c.refGen
+	c.k.ScheduleAt(c.nextRefresh, r.fireFn)
+}
+
+// fire runs at the REF's due instant: it queues the bus grant and schedules
+// the next REF. A stale event (refresh stopped, or a warp moved the cadence
+// past it) returns its record and does nothing else.
+func (r *refreshEvent) fire() {
+	c := r.c
+	if !c.refreshEnabled || r.gen != c.refGen {
+		c.refFree = append(c.refFree, r)
+		return
+	}
+	// Hold the data bus for the full programmed tRFC: no host command
+	// can be issued during the refresh cycle (§II-B). The hold also
+	// covers the extra window the NVMC uses.
+	r.due = c.nextRefresh
+	c.ch.DataBus.Acquire(c.cfg.TRFC, r.grantFn)
+	// Fixed cadence: the next REF is due tREFI after this one was due,
+	// regardless of queueing delay, so the average interval holds.
+	c.nextRefresh = c.nextRefresh.Add(c.cfg.TREFI)
+	c.scheduleRefresh()
+}
+
+// grant issues PREA+REF at the start of the refresh hold, then returns the
+// record.
+func (r *refreshEvent) grant(start sim.Time) {
+	c := r.c
+	due := r.due
+	c.refFree = append(c.refFree, r)
+	if c.selfRefresh {
+		return // the DIMM refreshes itself
+	}
+	if start.Sub(due) > c.cfg.TREFI {
+		c.postponed++
+	}
+	if c.ch.Trace.Active() {
+		c.ch.Trace.Record(trace.Event{
+			At: start, Kind: trace.KindRefreshHold,
+			End: start.Add(c.cfg.TRFC),
 		})
-		// Fixed cadence: the next REF is due tREFI after this one was due,
-		// regardless of queueing delay, so the average interval holds.
-		c.nextRefresh = c.nextRefresh.Add(c.cfg.TREFI)
-		c.scheduleRefresh()
-	})
+	}
+	// DDR4 has no per-bank refresh: precharge all banks first
+	// (§III-B), then issue REF.
+	c.ch.Issue(bus.HostIMC, ddr4.Command{Kind: ddr4.CmdPrechargeAll})
+	c.ch.Issue(bus.HostIMC, ddr4.Command{Kind: ddr4.CmdRefresh})
+	c.refreshes++
 }
 
 // NextRefreshAt reports when the next REF is due and whether the refresh
 // engine is running. Idle-warp schedulers use it to identify the one
-// pending kernel event on a quiescent member as the refresh closure.
+// pending kernel event on a quiescent member as the refresh event.
 func (c *Controller) NextRefreshAt() (sim.Time, bool) {
 	return c.nextRefresh, c.refreshEnabled
 }
@@ -182,9 +220,10 @@ func (c *Controller) InSelfRefresh() bool { return c.selfRefresh }
 // WarpIdleRefreshes credits m uncontended refresh cycles without running
 // their events: counters and the cadence advance exactly as if each REF
 // had been granted at its due instant on an otherwise idle channel (so
-// none count as postponed). The previously queued refresh closure is
+// none count as postponed). The previously queued refresh event is
 // invalidated via the generation counter and a fresh one is scheduled at
-// the new cadence position; the stale closure drains as a no-op.
+// the new cadence position; the stale event drains as a no-op and returns
+// its record.
 func (c *Controller) WarpIdleRefreshes(m uint64) {
 	if m == 0 || !c.refreshEnabled {
 		return

@@ -273,3 +273,42 @@ func TestPostponedRefreshCounter(t *testing.T) {
 		t.Fatal("no postponed refreshes recorded under a saturating transfer")
 	}
 }
+
+// TestWarpRecyclesStaleRefreshEvent: each warp strands the queued refresh
+// event, which drains as a no-op and returns its record to the free list.
+// The chain that reuses it keeps the iMC's REF count equal to the DRAM's,
+// and once warm the refresh chain allocates nothing.
+func TestWarpRecyclesStaleRefreshEvent(t *testing.T) {
+	cfg := DefaultConfig()
+	k, ch, c := newSystem(cfg)
+	dev := ch.Device()
+	c.StartRefresh()
+	const m = 4
+	for round := 0; round < 3; round++ {
+		k.RunFor(50 * sim.Microsecond)
+		if k.Pending() != 1 {
+			t.Fatalf("round %d: %d pending events, want only the next REF", round, k.Pending())
+		}
+		// The iMC, bus and DRAM halves of core.System's idle warp.
+		nr, _ := c.NextRefreshAt()
+		rLast := nr.Add(sim.Duration(m-1) * cfg.TREFI)
+		ch.DataBus.WarpGrants(m, cfg.TRFC, rLast)
+		ch.WarpIdleRefreshCycles(m, rLast, 0)
+		dev.WarpIdleRefreshCycles(m, rLast, 0)
+		c.WarpIdleRefreshes(m)
+		k.RunUntil(rLast.Add(cfg.TREFI / 2))
+	}
+	k.RunFor(100 * sim.Microsecond)
+	if c.Refreshes() != dev.RefreshCount() {
+		t.Fatalf("iMC issued %d REFs, DRAM saw %d", c.Refreshes(), dev.RefreshCount())
+	}
+	if n := dev.ViolationCount(); n != 0 {
+		t.Fatalf("violations = %d: %v", n, dev.Violations())
+	}
+	if allocs := testing.AllocsPerRun(20, func() { k.RunFor(cfg.TREFI) }); allocs != 0 {
+		t.Fatalf("%v allocs per tREFI of refresh, want 0", allocs)
+	}
+	if c.Refreshes() != dev.RefreshCount() {
+		t.Fatalf("after the alloc run: iMC issued %d REFs, DRAM saw %d", c.Refreshes(), dev.RefreshCount())
+	}
+}

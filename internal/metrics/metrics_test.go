@@ -207,7 +207,7 @@ func TestHistogramMerge(t *testing.T) {
 	if a.Min() != sim.Microsecond || a.Max() != 3000*sim.Microsecond {
 		t.Fatalf("min/max = %v/%v", a.Min(), a.Max())
 	}
-	wantMean := (1000*1001/2 + 1000*2001+1000*1001/2) / 2000
+	wantMean := (1000*1001/2 + 1000*2001 + 1000*1001/2) / 2000
 	if got := a.Mean().Microseconds(); got < float64(wantMean)*0.99 || got > float64(wantMean)*1.01 {
 		t.Fatalf("mean = %vus, want ~%dus", got, wantMean)
 	}

@@ -109,6 +109,9 @@ type Array struct {
 	uncorrectable uint64
 	errRng        *sim.Rand
 
+	// opFree recycles Read and Program records (pageOp).
+	opFree []*pageOp
+
 	// faults, when non-nil, is consulted at every media operation: read
 	// bit-flips (fault.NANDReadBitFlip), program fails (NANDProgramFail),
 	// erase fails (NANDEraseFail) and die timeouts (NANDDieTimeout).
@@ -212,68 +215,139 @@ func (a *Array) Erases(addr PageAddr) uint64 {
 	return b.erases
 }
 
-// Read fetches one page. done receives the page contents (never-programmed
-// pages read as all-0xFF, as erased NAND does) after tR plus the channel
-// transfer.
-func (a *Array) Read(addr PageAddr, done func(data []byte, err error)) {
+// pageOp is one Read or Program in flight: the die and channel grants and
+// the completion event that deliver it. Records recycle through the array's
+// free list when the op completes; their continuations are bound once, when
+// the record is first made.
+type pageOp struct {
+	a    *Array
+	addr PageAddr
+	d    *die
+	b    *block
+	// buf is the caller's page a Read fills; data is a Program's stored
+	// copy (nil for an all-zero page).
+	buf  []byte
+	data []byte
+	// lat is the die occupancy (tR or tPROG, stretched by a die timeout).
+	lat  sim.Duration
+	err  error
+	done func(error)
+
+	readSensedFn func(sim.Time)
+	readXferFn   func()
+	readSendFn   func(sim.Time)
+	progXferFn   func(sim.Time)
+	progDieFn    func()
+	progStartFn  func(sim.Time)
+	deliverFn    func()
+}
+
+func (a *Array) newOp(addr PageAddr, d *die, b *block, done func(error)) *pageOp {
+	var op *pageOp
+	if n := len(a.opFree); n > 0 {
+		op = a.opFree[n-1]
+		a.opFree = a.opFree[:n-1]
+	} else {
+		op = &pageOp{a: a}
+		op.readSensedFn = op.readSensed
+		op.readXferFn = op.readXfer
+		op.readSendFn = op.readSend
+		op.progXferFn = op.progXfer
+		op.progDieFn = op.progDie
+		op.progStartFn = op.progStart
+		op.deliverFn = op.deliver
+	}
+	op.addr, op.d, op.b, op.done = addr, d, b, done
+	return op
+}
+
+// release returns op to the free list.
+func (op *pageOp) release() {
+	op.d, op.b, op.buf, op.data, op.err, op.done = nil, nil, nil, nil, nil, nil
+	op.a.opFree = append(op.a.opFree, op)
+}
+
+// deliver runs at the op's completion instant: the record is released
+// before done runs, so done may start the next op on it.
+func (op *pageOp) deliver() {
+	done, err := op.done, op.err
+	op.release()
+	done(err)
+}
+
+// Read fills buf (PageSize bytes) with one page: never-programmed pages
+// read as all-0xFF, as erased NAND does. done receives the outcome after tR
+// plus the channel transfer; buf belongs to the array until then.
+func (a *Array) Read(addr PageAddr, buf []byte, done func(err error)) {
 	d, b, err := a.check(addr)
 	if err != nil {
-		done(nil, err)
+		done(err)
 		return
 	}
 	a.reads++
 	// Die busy for tR (array sense), then channel busy for the transfer. An
 	// injected die timeout stretches the sense phase.
-	sense := a.opLatency(a.cfg.ReadLatency)
-	d.busy.Acquire(sense, func(senseStart sim.Time) {
-		a.k.ScheduleAt(senseStart.Add(sense), func() {
-			a.channels[addr.Channel].Acquire(a.cfg.TransferPerPage, func(start sim.Time) {
-				buf := make([]byte, PageSize)
-				switch {
-				case b.data[addr.Page] != nil:
-					copy(buf, b.data[addr.Page])
-				case b.programmed[addr.Page] && b.zero[addr.Page]:
-					// all-zero page, stored deduplicated
-				default:
-					for i := range buf {
-						buf[i] = 0xFF
-					}
-				}
-				// ECC: raw bit errors are corrected up to the code's budget;
-				// beyond it the read fails and the (corrupted) data must not
-				// be served. An injected fault adds raw flips on top of the
-				// sampled media rate (param = flip count; default one beyond
-				// the correction budget, i.e. an uncorrectable codeword).
-				var eccErr error
-				errs := a.sampleBitErrors()
-				if ok, flips := a.faults.FiresParam(fault.NANDReadBitFlip); ok {
-					if flips <= 0 {
-						flips = int64(a.cfg.ECCCorrectableBits) + 1
-					}
-					errs += int(flips)
-				}
-				if errs > 0 {
-					if errs <= a.cfg.ECCCorrectableBits {
-						a.correctedBits += uint64(errs)
-					} else {
-						a.uncorrectable++
-						for i := 0; i < errs; i++ {
-							bit := a.errRng.Intn(PageSize * 8)
-							buf[bit/8] ^= 1 << uint(bit%8)
-						}
-						eccErr = fmt.Errorf("nand: uncorrectable ECC error at %v (%d bit errors > %d correctable)",
-							addr, errs, a.cfg.ECCCorrectableBits)
-					}
-				}
-				a.k.ScheduleAt(start.Add(a.cfg.TransferPerPage), func() { done(buf, eccErr) })
-			})
-		})
-	})
+	op := a.newOp(addr, d, b, done)
+	op.buf = buf
+	op.lat = a.opLatency(a.cfg.ReadLatency)
+	d.busy.Acquire(op.lat, op.readSensedFn)
+}
+
+func (op *pageOp) readSensed(senseStart sim.Time) {
+	op.a.k.ScheduleAt(senseStart.Add(op.lat), op.readXferFn)
+}
+
+func (op *pageOp) readXfer() {
+	op.a.channels[op.addr.Channel].Acquire(op.a.cfg.TransferPerPage, op.readSendFn)
+}
+
+// readSend moves the page to the controller at the start of the channel
+// transfer, applying ECC.
+func (op *pageOp) readSend(start sim.Time) {
+	a, b, addr, buf := op.a, op.b, op.addr, op.buf
+	switch {
+	case b.data[addr.Page] != nil:
+		copy(buf, b.data[addr.Page])
+	case b.programmed[addr.Page] && b.zero[addr.Page]:
+		// all-zero page, stored deduplicated
+		clear(buf)
+	default:
+		for i := range buf {
+			buf[i] = 0xFF
+		}
+	}
+	// ECC: raw bit errors are corrected up to the code's budget;
+	// beyond it the read fails and the (corrupted) data must not
+	// be served. An injected fault adds raw flips on top of the
+	// sampled media rate (param = flip count; default one beyond
+	// the correction budget, i.e. an uncorrectable codeword).
+	errs := a.sampleBitErrors()
+	if ok, flips := a.faults.FiresParam(fault.NANDReadBitFlip); ok {
+		if flips <= 0 {
+			flips = int64(a.cfg.ECCCorrectableBits) + 1
+		}
+		errs += int(flips)
+	}
+	if errs > 0 {
+		if errs <= a.cfg.ECCCorrectableBits {
+			a.correctedBits += uint64(errs)
+		} else {
+			a.uncorrectable++
+			for i := 0; i < errs; i++ {
+				bit := a.errRng.Intn(PageSize * 8)
+				buf[bit/8] ^= 1 << uint(bit%8)
+			}
+			op.err = fmt.Errorf("nand: uncorrectable ECC error at %v (%d bit errors > %d correctable)",
+				addr, errs, a.cfg.ECCCorrectableBits)
+		}
+	}
+	a.k.ScheduleAt(start.Add(a.cfg.TransferPerPage), op.deliverFn)
 }
 
 // Program writes one page. NAND constraints are enforced: the block must not
 // be bad, the page must be erased, and pages within a block must be written
-// in order. done receives any error after transfer plus tPROG.
+// in order. done receives any error after transfer plus tPROG. The array
+// copies data before Program returns.
 func (a *Array) Program(addr PageAddr, data []byte, done func(err error)) {
 	d, b, err := a.check(addr)
 	if err != nil {
@@ -288,55 +362,64 @@ func (a *Array) Program(addr PageAddr, data []byte, done func(err error)) {
 		}
 		return
 	}
+	op := a.newOp(addr, d, b, done)
 	// All-zero pages are stored deduplicated: a simulator memory
 	// optimization that lets tests prefill full-size devices cheaply
 	// without changing observable behaviour.
-	var owned []byte
 	if !dram.AllZero(data) {
-		owned = make([]byte, PageSize)
-		copy(owned, data)
+		op.data = make([]byte, PageSize)
+		copy(op.data, data)
 	}
 	// Channel transfer first (controller pushes data to the die's page
 	// register), then the die is busy for tPROG. Legality is checked when
 	// the die takes the operation: commands queue at the die, so a pipelined
 	// program to page N+1 issued while page N is still in flight is legal.
-	a.channels[addr.Channel].Acquire(a.cfg.TransferPerPage, func(xferStart sim.Time) {
-		a.k.ScheduleAt(xferStart.Add(a.cfg.TransferPerPage), func() {
-			prog := a.opLatency(a.cfg.ProgramLatency)
-			d.busy.Acquire(prog, func(start sim.Time) {
-				var err error
-				switch {
-				case b.bad:
-					err = fmt.Errorf("nand: program to bad block %v", addr)
-				case b.programmed[addr.Page]:
-					err = fmt.Errorf("nand: overwrite of programmed page %v without erase", addr)
-				case addr.Page != b.nextPage:
-					err = fmt.Errorf("nand: out-of-order program %v (next programmable page is %d)", addr, b.nextPage)
-				}
-				if err == nil && a.faults.Fires(fault.NANDProgramFail) {
-					// Injected media program failure: the program-status
-					// register reports FAIL and the page contents are
-					// undefined; the FTL retires the block and rewrites.
-					err = fmt.Errorf("nand: program failed at %v (injected media fault)", addr)
-				}
-				if err != nil {
-					a.programFails++
-					if done != nil {
-						a.k.ScheduleAt(start.Add(prog), func() { done(err) })
-					}
-					return
-				}
-				a.programs++
-				b.data[addr.Page] = owned
-				b.zero[addr.Page] = owned == nil
-				b.programmed[addr.Page] = true
-				b.nextPage = addr.Page + 1
-				if done != nil {
-					a.k.ScheduleAt(start.Add(prog), func() { done(nil) })
-				}
-			})
-		})
-	})
+	a.channels[addr.Channel].Acquire(a.cfg.TransferPerPage, op.progXferFn)
+}
+
+func (op *pageOp) progXfer(xferStart sim.Time) {
+	op.a.k.ScheduleAt(xferStart.Add(op.a.cfg.TransferPerPage), op.progDieFn)
+}
+
+func (op *pageOp) progDie() {
+	op.lat = op.a.opLatency(op.a.cfg.ProgramLatency)
+	op.d.busy.Acquire(op.lat, op.progStartFn)
+}
+
+// progStart checks legality when the die takes the program and stores the
+// page; the outcome is delivered tPROG later.
+func (op *pageOp) progStart(start sim.Time) {
+	a, b, addr := op.a, op.b, op.addr
+	var err error
+	switch {
+	case b.bad:
+		err = fmt.Errorf("nand: program to bad block %v", addr)
+	case b.programmed[addr.Page]:
+		err = fmt.Errorf("nand: overwrite of programmed page %v without erase", addr)
+	case addr.Page != b.nextPage:
+		err = fmt.Errorf("nand: out-of-order program %v (next programmable page is %d)", addr, b.nextPage)
+	}
+	if err == nil && a.faults.Fires(fault.NANDProgramFail) {
+		// Injected media program failure: the program-status
+		// register reports FAIL and the page contents are
+		// undefined; the FTL retires the block and rewrites.
+		err = fmt.Errorf("nand: program failed at %v (injected media fault)", addr)
+	}
+	if err != nil {
+		a.programFails++
+	} else {
+		a.programs++
+		b.data[addr.Page] = op.data
+		b.zero[addr.Page] = op.data == nil
+		b.programmed[addr.Page] = true
+		b.nextPage = addr.Page + 1
+	}
+	if op.done == nil {
+		op.release()
+		return
+	}
+	op.err = err
+	a.k.ScheduleAt(start.Add(op.lat), op.deliverFn)
 }
 
 // Erase wipes a block, incrementing its wear counter.

@@ -26,7 +26,7 @@ func TestProgramReadRoundTrip(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		a.Read(addr, func(data []byte, err error) {
+		read(a, addr, func(data []byte, err error) {
 			if err != nil {
 				t.Error(err)
 				return
@@ -44,7 +44,7 @@ func TestErasedPageReadsFF(t *testing.T) {
 	k := sim.NewKernel()
 	a := newArray(k)
 	var got []byte
-	a.Read(PageAddr{Block: 1, Page: 2}, func(data []byte, err error) {
+	read(a, PageAddr{Block: 1, Page: 2}, func(data []byte, err error) {
 		if err != nil {
 			t.Error(err)
 		}
@@ -104,7 +104,7 @@ func TestEraseResetsBlock(t *testing.T) {
 					t.Error(err)
 				}
 			})
-			a.Read(addr, func(d []byte, _ error) { after = d })
+			read(a, addr, func(d []byte, _ error) { after = d })
 		})
 	})
 	k.Run()
@@ -144,7 +144,7 @@ func TestLatencies(t *testing.T) {
 		t.Fatalf("program done at %v, want %v", progDone, wantProg)
 	}
 	start := k.Now()
-	a.Read(PageAddr{Block: 0, Page: 0}, func([]byte, error) { readDone = k.Now() })
+	read(a, PageAddr{Block: 0, Page: 0}, func([]byte, error) { readDone = k.Now() })
 	k.Run()
 	wantRead := cfg.ReadLatency + cfg.TransferPerPage // sense, then channel transfer
 	gotRead := readDone.Sub(start)
@@ -162,8 +162,8 @@ func TestChannelSerializesDies(t *testing.T) {
 	cfg.PagesPerBlock = 4
 	a := New(k, cfg)
 	var done []sim.Time
-	a.Read(PageAddr{Channel: 0, Die: 0, Block: 0, Page: 0}, func([]byte, error) { done = append(done, k.Now()) })
-	a.Read(PageAddr{Channel: 0, Die: 1, Block: 0, Page: 0}, func([]byte, error) { done = append(done, k.Now()) })
+	read(a, PageAddr{Channel: 0, Die: 0, Block: 0, Page: 0}, func([]byte, error) { done = append(done, k.Now()) })
+	read(a, PageAddr{Channel: 0, Die: 1, Block: 0, Page: 0}, func([]byte, error) { done = append(done, k.Now()) })
 	k.Run()
 	if len(done) != 2 {
 		t.Fatalf("completed %d", len(done))
@@ -200,7 +200,7 @@ func TestAddressValidation(t *testing.T) {
 	k := sim.NewKernel()
 	a := newArray(k)
 	var err error
-	a.Read(PageAddr{Channel: 99}, func(_ []byte, e error) { err = e })
+	read(a, PageAddr{Channel: 99}, func(_ []byte, e error) { err = e })
 	k.Run()
 	if err == nil {
 		t.Fatal("out-of-range read accepted")
@@ -233,7 +233,7 @@ func TestECCZeroRBERIsClean(t *testing.T) {
 	a := New(k, cfg)
 	a.Program(PageAddr{}, make([]byte, PageSize), nil)
 	for i := 0; i < 50; i++ {
-		a.Read(PageAddr{}, func(_ []byte, err error) {
+		read(a, PageAddr{}, func(_ []byte, err error) {
 			if err != nil {
 				t.Error(err)
 			}
@@ -258,7 +258,7 @@ func TestECCCorrectsModerateErrors(t *testing.T) {
 	a.Program(PageAddr{}, want, nil)
 	k.Run()
 	for i := 0; i < 500; i++ {
-		a.Read(PageAddr{}, func(got []byte, err error) {
+		read(a, PageAddr{}, func(got []byte, err error) {
 			if err != nil {
 				t.Errorf("uncorrectable at moderate RBER: %v", err)
 			}
@@ -289,7 +289,7 @@ func TestECCUncorrectableSurfaces(t *testing.T) {
 	a.Program(PageAddr{}, want, nil)
 	k.Run()
 	sawErr := false
-	a.Read(PageAddr{}, func(got []byte, err error) {
+	read(a, PageAddr{}, func(got []byte, err error) {
 		if err == nil {
 			t.Fatal("worn-out media read returned no error")
 		}
@@ -305,4 +305,10 @@ func TestECCUncorrectableSurfaces(t *testing.T) {
 	if _, unc := a.ECCStats(); unc == 0 {
 		t.Fatal("uncorrectable not counted")
 	}
+}
+
+// read is Read into a fresh page, for tests that keep the data.
+func read(a *Array, addr PageAddr, done func([]byte, error)) {
+	buf := make([]byte, PageSize)
+	a.Read(addr, buf, func(err error) { done(buf, err) })
 }

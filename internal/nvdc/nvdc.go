@@ -235,15 +235,77 @@ const noLPN = int64(-1)
 // imc.WriteRS copies its input, so one shared page serves every driver.
 var zeroPage [PageSize]byte
 
+// zeroAck clears an ack cacheline before a re-issue (imc.WriteRS copies it).
+var zeroAck [8]byte
+
 type cpRequest struct {
 	cmd  cp.Command
 	done func(status cp.Status, err error)
 }
 
+// cpSlot is one CP mailbox slot and the record of the command it carries:
+// the request, the attempt, the ack deadline and backoff interval, and the
+// command and ack words the bus moves. Its steps are bound once, when the
+// slot is made. A slot belongs to one driver boot: recovery replaces every
+// slot, and a step of an earlier boot's slot is a no-op (see stale).
 type cpSlot struct {
+	d     *Driver
+	idx   int
+	boot  uint64
 	phase bool
 	busy  bool
+
+	req      cpRequest
+	attempt  int
+	deadline sim.Time
+	interval sim.Duration
+	word     [16]byte
+	ack      [8]byte
+
+	issueFn, writeCmdFn, cmdWrittenFn, pollFn, ackReadFn func()
 }
+
+func (d *Driver) newCPSlot(idx int, phase bool) *cpSlot {
+	sl := &cpSlot{d: d, idx: idx, boot: d.boot, phase: phase}
+	sl.issueFn = sl.issue
+	sl.writeCmdFn = sl.writeCmd
+	sl.cmdWrittenFn = sl.cmdWritten
+	sl.pollFn = sl.poll
+	sl.ackReadFn = sl.ackRead
+	return sl
+}
+
+// stale reports whether sl belongs to an earlier boot of its driver.
+func (sl *cpSlot) stale() bool { return sl.boot != sl.d.boot }
+
+// waiter is one fault waiting on a miss.
+type waiter struct {
+	done  func(slot int, err error)
+	write bool
+}
+
+// miss is one DRAM-cache miss in flight: the faulting page, the slot it
+// claimed, the victim it evicts and the faults coalesced on it. It carries
+// every step from the slot claim to the install, each bound once, when the
+// record is first made. Records recycle through the driver's free list when
+// the miss ends (installed or failed). A miss belongs to the boot it started
+// in: after recovery its queued steps are no-ops and the record is dropped.
+type miss struct {
+	d       *Driver
+	boot    uint64
+	lpn     int64
+	slot    int
+	victim  int64
+	needWB  bool
+	attempt int
+	waiters []waiter
+
+	claimFn, fastFilledFn, flushedFn, filledFn, installFn func()
+	writtenFn, cachefilledFn                              func(cp.Status, error)
+}
+
+// stale reports whether m started in an earlier boot of its driver.
+func (m *miss) stale() bool { return m.boot != m.d.boot }
 
 // Driver is the nvdc driver instance for one NVDIMM-C module.
 type Driver struct {
@@ -257,7 +319,8 @@ type Driver struct {
 	mapping map[int64]int // block lpn -> slot
 	rep     replacer
 
-	inflight map[int64][]func(slot int, err error)
+	inflight map[int64]*miss
+	missFree []*miss
 
 	// Degradation state (forward-only; see Mode).
 	mode        Mode
@@ -268,6 +331,10 @@ type Driver struct {
 	// runs, so nothing may count errors or complete callbacks. Cleared by
 	// RecoverFromMetadata (the reboot).
 	halted bool
+	// boot counts reboots (RecoverFromMetadata). CP slots and misses record
+	// the boot they belong to; a step queued before a reboot finds its
+	// record stale when it fires and does nothing.
+	boot uint64
 
 	// OnModeChange, if set, observes degradation transitions (core wires a
 	// logger/metric; tests assert on it).
@@ -278,7 +345,7 @@ type Driver struct {
 
 	// CP mailbox slots: the PoC has one; with CPQueueDepth > 1 the driver
 	// round-robins commands across slots and polls their acks concurrently.
-	cpSlots []cpSlot
+	cpSlots []*cpSlot
 	cpQueue []cpRequest
 
 	// lock serializes the driver's mapping-manipulation critical sections.
@@ -329,10 +396,9 @@ func New(k *sim.Kernel, mc *imc.Controller, cache *cpucache.Cache, capacityPages
 		slots:         make([]slotState, cfg.Layout.NumSlots),
 		mapping:       make(map[int64]int),
 		rep:           newReplacer(cfg.Policy, cfg.Layout.NumSlots),
-		inflight:      make(map[int64][]func(int, error)),
+		inflight:      make(map[int64]*miss),
 		errs:          metrics.NewCounters(),
 		lock:          sim.NewResource(k, "nvdc-lock"),
-		cpSlots:       make([]cpSlot, cfg.CPQueueDepth),
 		metaShadow:    make([]byte, cfg.Layout.MetaSize),
 		metaEntries:   make([]cp.MetaEntry, cfg.Layout.NumSlots),
 		capacityPages: capacityPages,
@@ -340,6 +406,9 @@ func New(k *sim.Kernel, mc *imc.Controller, cache *cpucache.Cache, capacityPages
 	for i := range d.slots {
 		d.slots[i].lpn = noLPN
 		d.free = append(d.free, i)
+	}
+	for i := 0; i < cfg.CPQueueDepth; i++ {
+		d.cpSlots = append(d.cpSlots, d.newCPSlot(i, false))
 	}
 	if err := cp.EncodeMeta(d.metaShadow, d.metaEntries); err != nil {
 		return nil, err
@@ -462,14 +531,54 @@ func (d *Driver) quarantine(slot int) {
 	d.setMeta(slot, cp.MetaEntry{})
 }
 
-// failInflight rejects every waiter coalesced on lpn's miss.
-func (d *Driver) failInflight(lpn int64, err error) {
-	waiters := d.inflight[lpn]
-	delete(d.inflight, lpn)
+// failInflight ends miss m with err: every coalesced waiter gets it.
+func (d *Driver) failInflight(m *miss, err error) {
+	delete(d.inflight, m.lpn)
 	d.errs.Inc(CtrFaultFailed)
-	for _, w := range waiters {
-		w(-1, err)
+	for _, w := range m.waiters {
+		d.wake(w, -1, err)
 	}
+	d.releaseMiss(m)
+}
+
+// wake delivers a miss's outcome to one waiter.
+func (d *Driver) wake(w waiter, slot int, err error) {
+	if err != nil {
+		w.done(-1, err)
+		return
+	}
+	if w.write {
+		d.markDirty(slot)
+	}
+	w.done(slot, nil)
+}
+
+// newMiss returns a miss record for lpn, bound to the current boot.
+func (d *Driver) newMiss(lpn int64) *miss {
+	var m *miss
+	if n := len(d.missFree); n > 0 {
+		m = d.missFree[n-1]
+		d.missFree = d.missFree[:n-1]
+	} else {
+		m = &miss{d: d}
+		m.claimFn = m.claim
+		m.fastFilledFn = m.fastFilled
+		m.flushedFn = m.flushed
+		m.filledFn = m.filled
+		m.installFn = m.install
+		m.writtenFn = m.written
+		m.cachefilledFn = m.cachefilled
+	}
+	m.boot, m.lpn, m.attempt = d.boot, lpn, 0
+	return m
+}
+
+// releaseMiss returns an ended miss to the free list; its waiters have
+// been woken.
+func (d *Driver) releaseMiss(m *miss) {
+	clear(m.waiters)
+	m.waiters = m.waiters[:0]
+	d.missFree = append(d.missFree, m)
 }
 
 // Config returns the driver configuration.
@@ -534,24 +643,17 @@ func (d *Driver) FaultE(lpn int64, write bool, done func(slot int, err error)) {
 		done(slot, nil)
 		return
 	}
-	wake := func(slot int, err error) {
-		if err != nil {
-			done(-1, err)
-			return
-		}
-		if write {
-			d.markDirty(slot)
-		}
-		done(slot, nil)
-	}
-	if waiters, ok := d.inflight[lpn]; ok {
+	if m, ok := d.inflight[lpn]; ok {
 		d.stats.CoalescedFaults++
-		d.inflight[lpn] = append(waiters, wake)
+		m.waiters = append(m.waiters, waiter{done: done, write: write})
 		return
 	}
 	d.stats.Misses++
-	d.inflight[lpn] = []func(int, error){wake}
-	d.missPath(lpn)
+	m := d.newMiss(lpn)
+	m.waiters = append(m.waiters, waiter{done: done, write: write})
+	d.inflight[lpn] = m
+	// Step 1 (under the driver lock): claim a slot, evicting if needed.
+	d.Serialize(d.cfg.MapCost/2, m.claimFn)
 }
 
 func (d *Driver) markDirty(slot int) {
@@ -564,35 +666,44 @@ func (d *Driver) markDirty(slot int) {
 	}
 }
 
-// missPath runs the cachefill (and possibly eviction writeback) for lpn.
-func (d *Driver) missPath(lpn int64) {
-	// Step 1 (under the driver lock): claim a slot, evicting if needed.
-	d.Serialize(d.cfg.MapCost/2, func() {
-		// Read-only mode never evicts: an eviction would either need the
-		// broken writeback path or discard a page the driver can no
-		// longer re-fetch safely. Misses are served from free slots only.
-		if d.mode == ModeReadOnly && len(d.free) == 0 {
-			d.failInflight(lpn, fmt.Errorf("miss on lpn %d needs an eviction: %w", lpn, ErrReadOnly))
-			return
-		}
-		slot, victimLPN, needWB := d.claimSlot()
-		// Fast path: a free slot for a block with nothing on the media
-		// needs no CP round trip — zero the slot locally and map it.
-		// Without this path the Fig. 7 free-slot phase could never be
-		// SSD-bound (a CP cachefill alone caps at ~175 MB/s).
-		if victimLPN == noLPN && !needWB && !d.cfg.Hypothetical &&
-			d.cfg.MediaWritten != nil && !d.cfg.MediaWritten(lpn) {
-			d.stats.FastFills++
-			d.mc.Write(d.cfg.Layout.SlotAddr(slot), zeroPage[:], func() {
-				if d.cache != nil {
-					d.cache.Invalidate(d.cfg.Layout.SlotAddr(slot), PageSize)
-				}
-				d.install(lpn, slot)
-			})
-			return
-		}
-		d.transfer(lpn, slot, victimLPN, needWB)
-	})
+// claim runs under the driver lock: it claims a slot for the miss, evicting
+// if needed, then zero-fills it locally or starts the CP transfer.
+func (m *miss) claim() {
+	d := m.d
+	if m.stale() {
+		return
+	}
+	// Read-only mode never evicts: an eviction would either need the
+	// broken writeback path or discard a page the driver can no
+	// longer re-fetch safely. Misses are served from free slots only.
+	if d.mode == ModeReadOnly && len(d.free) == 0 {
+		d.failInflight(m, fmt.Errorf("miss on lpn %d needs an eviction: %w", m.lpn, ErrReadOnly))
+		return
+	}
+	m.slot, m.victim, m.needWB = d.claimSlot()
+	// Fast path: a free slot for a block with nothing on the media
+	// needs no CP round trip — zero the slot locally and map it.
+	// Without this path the Fig. 7 free-slot phase could never be
+	// SSD-bound (a CP cachefill alone caps at ~175 MB/s).
+	if m.victim == noLPN && !m.needWB && !d.cfg.Hypothetical &&
+		d.cfg.MediaWritten != nil && !d.cfg.MediaWritten(m.lpn) {
+		d.stats.FastFills++
+		d.mc.Write(d.cfg.Layout.SlotAddr(m.slot), zeroPage[:], m.fastFilledFn)
+		return
+	}
+	m.transfer()
+}
+
+// fastFilled runs when the fast fill's zeros are in the slot.
+func (m *miss) fastFilled() {
+	d := m.d
+	if m.stale() {
+		return
+	}
+	if d.cache != nil {
+		d.cache.Invalidate(d.cfg.Layout.SlotAddr(m.slot), PageSize)
+	}
+	d.Serialize(d.cfg.MapCost/2, m.installFn)
 }
 
 // claimSlot picks the slot that will receive lpn's data. It returns the
@@ -633,16 +744,8 @@ func (d *Driver) claimSlot() (slot int, victimLPN int64, needWB bool) {
 
 // transfer performs writeback (if needed) then cachefill, then installs the
 // mapping.
-func (d *Driver) transfer(lpn int64, slot int, victimLPN int64, needWB bool) {
-	finish := func() {
-		// CPU cachelines over the slot hold pre-fill data: invalidate so
-		// loads observe the NVMC's fresh bytes (§V-B).
-		if d.cache != nil && !d.cfg.UnsafeNoFlush {
-			d.cache.Invalidate(d.cfg.Layout.SlotAddr(slot), PageSize)
-		}
-		d.install(lpn, slot)
-	}
-
+func (m *miss) transfer() {
+	d := m.d
 	if d.cfg.Hypothetical {
 		// Fig. 12 mode: no FPGA communication; the driver waits TDWaits
 		// programmable delays per miss (§VII-D1), of which TDOverlap is
@@ -651,103 +754,127 @@ func (d *Driver) transfer(lpn int64, slot int, victimLPN int64, needWB bool) {
 		// an exposed stall of roughly one tD per access (see the Fig. 12
 		// calibration note in EXPERIMENTS.md).
 		stall := sim.Duration(float64(d.cfg.TDWaits) * float64(d.cfg.TD) * (1 - d.cfg.TDOverlap))
-		d.k.Schedule(stall, finish)
+		d.k.Schedule(stall, m.filledFn)
 		return
 	}
-
-	// Cachefill with bounded read-retry: an error ack means the NAND read
-	// came back uncorrectable; transient upsets (injected or real) clear on
-	// a reread, so the command is re-issued whole. Exhausting the retries
-	// is a hard media failure: the slot is quarantined and the driver
-	// degrades to write-through.
-	var attemptCachefill func(attempt int)
-	attemptCachefill = func(attempt int) {
-		d.stats.Cachefills++
-		d.sendCP(cp.Command{Opcode: cp.OpCachefill, DRAMSlot: uint32(slot), NANDPage: uint32(lpn)},
-			func(st cp.Status, err error) {
-				if err == nil && st == cp.StatusDone {
-					finish()
-					return
-				}
-				if err == nil {
-					err = fmt.Errorf("device error status on lpn %d: %w", lpn, ErrMediaRead)
-				}
-				if attempt+1 < d.cfg.CachefillRetries {
-					d.errs.Inc(CtrCachefillRetry)
-					attemptCachefill(attempt + 1)
-					return
-				}
-				d.cachefillFailed(lpn, slot, err)
-			})
-	}
-	cachefill := func() { attemptCachefill(0) }
-
-	if !needWB {
-		cachefill()
+	if !m.needWB {
+		m.cachefill()
 		return
 	}
-
 	// Coherence discipline before the NVMC reads the slot: flush + fence.
-	flushDone := func() {
-		if d.cfg.CombineWBCF {
-			d.stats.CombinedCmds++
-			d.sendCP(cp.Command{
-				Opcode: cp.OpCombined,
-				// Primary pair = cachefill, secondary = writeback (§cp).
-				DRAMSlot: uint32(slot), NANDPage: uint32(lpn),
-				DRAMSlot2: uint32(slot), NANDPage2: uint32(victimLPN),
-			}, func(st cp.Status, err error) {
-				if err == nil && st == cp.StatusDone {
-					finish()
-					return
-				}
-				if err == nil {
-					err = fmt.Errorf("nvdc: combined command error status")
-				}
-				// The writeback half is the dangerous one: treat any
-				// combined failure as a writeback failure.
-				d.writebackFailed(lpn, slot, victimLPN, err)
-			})
-			return
-		}
-		d.stats.Writebacks++
-		d.sendCP(cp.Command{Opcode: cp.OpWriteback, DRAMSlot: uint32(slot), NANDPage: uint32(victimLPN)},
-			func(st cp.Status, err error) {
-				if err == nil && st == cp.StatusDone {
-					// The victim is on the media: drop its metadata entry
-					// BEFORE the cachefill replaces the slot's bytes, or a
-					// power failure in between would flush the new page's
-					// data over the victim's NAND page. (With the default
-					// CPQueueDepth of 1 a re-fault on the victim queues
-					// behind this transition, so no second Valid entry for
-					// the same NAND page can appear meanwhile.)
-					d.setMeta(slot, cp.MetaEntry{})
-					cachefill()
-					return
-				}
-				if err == nil {
-					err = fmt.Errorf("nvdc: writeback error status")
-				}
-				d.writebackFailed(lpn, slot, victimLPN, err)
-			})
-	}
 	if d.cache != nil && !d.cfg.UnsafeNoFlush {
-		if err := d.cache.Clflush(d.cfg.Layout.SlotAddr(slot), PageSize); err != nil {
+		if err := d.cache.Clflush(d.cfg.Layout.SlotAddr(m.slot), PageSize); err != nil {
 			panic(fmt.Sprintf("nvdc: clflush: %v", err))
 		}
 		d.cache.SFence()
 	}
-	d.k.Schedule(d.cfg.FlushCost4K, flushDone)
+	d.k.Schedule(d.cfg.FlushCost4K, m.flushedFn)
+}
+
+// flushed runs once the victim slot is flushed: it issues the eviction
+// writeback (or, with CombineWBCF, the combined command).
+func (m *miss) flushed() {
+	d := m.d
+	if m.stale() {
+		return
+	}
+	slot, lpn, victimLPN := m.slot, m.lpn, m.victim
+	if d.cfg.CombineWBCF {
+		d.stats.CombinedCmds++
+		d.sendCP(cp.Command{
+			Opcode: cp.OpCombined,
+			// Primary pair = cachefill, secondary = writeback (§cp).
+			DRAMSlot: uint32(slot), NANDPage: uint32(lpn),
+			DRAMSlot2: uint32(slot), NANDPage2: uint32(victimLPN),
+		}, func(st cp.Status, err error) {
+			if err == nil && st == cp.StatusDone {
+				m.filled()
+				return
+			}
+			if err == nil {
+				err = fmt.Errorf("nvdc: combined command error status")
+			}
+			// The writeback half is the dangerous one: treat any
+			// combined failure as a writeback failure.
+			d.writebackFailed(m, err)
+		})
+		return
+	}
+	d.stats.Writebacks++
+	d.sendCP(cp.Command{Opcode: cp.OpWriteback, DRAMSlot: uint32(slot), NANDPage: uint32(victimLPN)}, m.writtenFn)
+}
+
+// written completes the eviction writeback.
+func (m *miss) written(st cp.Status, err error) {
+	d := m.d
+	if err == nil && st == cp.StatusDone {
+		// The victim is on the media: drop its metadata entry BEFORE the
+		// cachefill replaces the slot's bytes, or a power failure in
+		// between would flush the new page's data over the victim's NAND
+		// page. (With the default CPQueueDepth of 1 a re-fault on the
+		// victim queues behind this transition, so no second Valid entry
+		// for the same NAND page can appear meanwhile.)
+		d.setMeta(m.slot, cp.MetaEntry{})
+		m.cachefill()
+		return
+	}
+	if err == nil {
+		err = fmt.Errorf("nvdc: writeback error status")
+	}
+	d.writebackFailed(m, err)
+}
+
+// cachefill issues the cachefill command for attempt m.attempt.
+func (m *miss) cachefill() {
+	d := m.d
+	d.stats.Cachefills++
+	d.sendCP(cp.Command{Opcode: cp.OpCachefill, DRAMSlot: uint32(m.slot), NANDPage: uint32(m.lpn)}, m.cachefilledFn)
+}
+
+// cachefilled completes a cachefill, with bounded read-retry: an error ack
+// means the NAND read came back uncorrectable; transient upsets (injected or
+// real) clear on a reread, so the command is re-issued whole. Exhausting the
+// retries is a hard media failure: the slot is quarantined and the driver
+// degrades to write-through.
+func (m *miss) cachefilled(st cp.Status, err error) {
+	d := m.d
+	if err == nil && st == cp.StatusDone {
+		m.filled()
+		return
+	}
+	if err == nil {
+		err = fmt.Errorf("device error status on lpn %d: %w", m.lpn, ErrMediaRead)
+	}
+	if m.attempt+1 < d.cfg.CachefillRetries {
+		d.errs.Inc(CtrCachefillRetry)
+		m.attempt++
+		m.cachefill()
+		return
+	}
+	d.cachefillFailed(m, err)
+}
+
+// filled runs once the slot holds the page: CPU cachelines over the slot
+// hold pre-fill data, so they are invalidated (§V-B) before the install.
+func (m *miss) filled() {
+	d := m.d
+	if m.stale() {
+		return
+	}
+	if d.cache != nil && !d.cfg.UnsafeNoFlush {
+		d.cache.Invalidate(d.cfg.Layout.SlotAddr(m.slot), PageSize)
+	}
+	d.Serialize(d.cfg.MapCost/2, m.installFn)
 }
 
 // cachefillFailed ends a miss whose fill the device could not serve even
 // after retries: the slot involved is retired, the driver degrades to
 // write-through, and every coalesced waiter gets the error.
-func (d *Driver) cachefillFailed(lpn int64, slot int, err error) {
+func (d *Driver) cachefillFailed(m *miss, err error) {
 	d.errs.Inc(CtrCachefillFail)
-	d.quarantine(slot)
-	d.degrade(ModeDegraded, fmt.Sprintf("cachefill of lpn %d failed hard (slot %d quarantined)", lpn, slot))
-	d.failInflight(lpn, fmt.Errorf("nvdc: cachefill of lpn %d: %w", lpn, err))
+	d.quarantine(m.slot)
+	d.degrade(ModeDegraded, fmt.Sprintf("cachefill of lpn %d failed hard (slot %d quarantined)", m.lpn, m.slot))
+	d.failInflight(m, fmt.Errorf("nvdc: cachefill of lpn %d: %w", m.lpn, err))
 }
 
 // writebackFailed handles a hard eviction-writeback failure. The failed
@@ -755,32 +882,40 @@ func (d *Driver) cachefillFailed(lpn int64, slot int, err error) {
 // intact: the victim mapping is restored under the lock (no acked data is
 // lost) and the driver goes read-only — it can no longer promise that a
 // future eviction could persist dirty data.
-func (d *Driver) writebackFailed(lpn int64, slot int, victimLPN int64, err error) {
+func (d *Driver) writebackFailed(m *miss, err error) {
 	d.errs.Inc(CtrWritebackFail)
+	slot, victimLPN := m.slot, m.victim
 	d.Serialize(d.cfg.MapCost/2, func() {
+		if m.stale() {
+			return
+		}
 		d.mapping[victimLPN] = slot
 		d.slots[slot] = slotState{lpn: victimLPN, dirty: true}
 		d.rep.Insert(slot)
 		d.setMeta(slot, cp.MetaEntry{NANDPage: uint32(victimLPN), Valid: true, Dirty: true})
 		d.degrade(ModeReadOnly, fmt.Sprintf("writeback of victim lpn %d failed hard", victimLPN))
-		d.failInflight(lpn, fmt.Errorf("nvdc: writeback of victim lpn %d: %w", victimLPN, err))
+		d.failInflight(m, fmt.Errorf("nvdc: writeback of victim lpn %d: %w", victimLPN, err))
 	})
 }
 
-// install maps lpn to slot under the driver lock: mapping + PTE + metadata
-// update, then wake the fault waiters.
-func (d *Driver) install(lpn int64, slot int) {
-	d.Serialize(d.cfg.MapCost/2, func() {
-		d.mapping[lpn] = slot
-		d.slots[slot] = slotState{lpn: lpn, dirty: false}
-		d.rep.Insert(slot)
-		d.setMeta(slot, cp.MetaEntry{NANDPage: uint32(lpn), Valid: true})
-		waiters := d.inflight[lpn]
-		delete(d.inflight, lpn)
-		for _, w := range waiters {
-			w(slot, nil)
-		}
-	})
+// install runs under the driver lock: it maps the miss's page to its slot
+// (mapping + PTE + metadata update), then wakes the fault waiters and ends
+// the miss.
+func (m *miss) install() {
+	d := m.d
+	if m.stale() {
+		return
+	}
+	lpn, slot := m.lpn, m.slot
+	d.mapping[lpn] = slot
+	d.slots[slot] = slotState{lpn: lpn, dirty: false}
+	d.rep.Insert(slot)
+	d.setMeta(slot, cp.MetaEntry{NANDPage: uint32(lpn), Valid: true})
+	delete(d.inflight, lpn)
+	for _, w := range m.waiters {
+		d.wake(w, slot, nil)
+	}
+	d.releaseMiss(m)
 }
 
 // setMeta sets slot's metadata entry to e, moves the running checksum from
@@ -834,18 +969,21 @@ func (d *Driver) sendCP(cmd cp.Command, done func(cp.Status, error)) {
 	d.cpDispatch()
 }
 
-// cpDispatch hands queued commands to free mailbox slots.
+// cpDispatch hands queued commands to free mailbox slots. It pops cpQueue
+// in place, so the queue keeps its capacity.
 func (d *Driver) cpDispatch() {
-	for i := range d.cpSlots {
+	for _, sl := range d.cpSlots {
 		if len(d.cpQueue) == 0 {
 			return
 		}
-		if d.cpSlots[i].busy {
+		if sl.busy {
 			continue
 		}
-		req := d.cpQueue[0]
-		d.cpQueue = d.cpQueue[1:]
-		d.cpStart(i, req)
+		sl.req = d.cpQueue[0]
+		n := copy(d.cpQueue, d.cpQueue[1:])
+		d.cpQueue[n] = cpRequest{}
+		d.cpQueue = d.cpQueue[:n]
+		d.issueCP(sl, 0)
 	}
 }
 
@@ -854,11 +992,7 @@ func (d *Driver) cpDispatch() {
 func cpCmdOffset(i int) int64 { return int64(128 * i) }
 func cpAckOffset(i int) int64 { return int64(128*i + 64) }
 
-func (d *Driver) cpStart(slot int, req cpRequest) {
-	d.issueCP(slot, req, 0)
-}
-
-// issueCP writes (or re-writes) req's command word with a freshly toggled
+// issueCP writes (or re-writes) sl.req's command word with a freshly toggled
 // phase bit and starts the deadline-bounded ack poll. On a re-issue the ack
 // cacheline is cleared first: the one-bit phase protocol cannot tell an ack
 // for this attempt from a stale same-phase ack two commands back, and the
@@ -866,83 +1000,114 @@ func (d *Driver) cpStart(slot int, req cpRequest) {
 // Re-issuing while the device still works on the earlier attempt is safe:
 // the NVMC serves commands one at a time per slot, stale-phase acks are
 // ignored, and the page moves themselves are idempotent.
-func (d *Driver) issueCP(slot int, req cpRequest, attempt int) {
+func (d *Driver) issueCP(sl *cpSlot, attempt int) {
 	if d.halted {
 		return
 	}
-	sl := &d.cpSlots[slot]
 	sl.busy = true
 	sl.phase = !sl.phase
-	req.cmd.Phase = sl.phase
-	var word [16]byte
-	putUint64(word[0:8], req.cmd.Encode())
-	putUint64(word[8:16], req.cmd.EncodeSecondary())
+	sl.attempt = attempt
+	sl.req.cmd.Phase = sl.phase
+	putUint64(sl.word[0:8], sl.req.cmd.Encode())
+	putUint64(sl.word[8:16], sl.req.cmd.EncodeSecondary())
 	// Build + store + clflush + sfence the CP cacheline, then the bus write
 	// lands it in DRAM where the NVMC's next poll sees it.
-	d.k.Schedule(d.cfg.CPWriteCost, func() {
-		writeCmd := func() {
-			d.mc.Write(d.cfg.Layout.CPOffset+cpCmdOffset(slot), word[:], func() {
-				deadline := d.k.Now().Add(d.cfg.AckTimeout)
-				d.pollAck(slot, req, attempt, deadline, d.cfg.AckPollInterval)
-			})
-		}
-		if attempt == 0 {
-			writeCmd()
-			return
-		}
-		d.mc.Write(d.cfg.Layout.CPOffset+cpAckOffset(slot), make([]byte, 8), writeCmd)
-	})
+	d.k.Schedule(d.cfg.CPWriteCost, sl.issueFn)
 }
 
-// pollAck polls the ack word with exponential backoff until a checksum-valid
-// ack with the expected phase arrives or the attempt's deadline passes; the
-// deadline re-issues (bounded) and then surfaces a CPTimeoutError.
-func (d *Driver) pollAck(slot int, req cpRequest, attempt int, deadline sim.Time, interval sim.Duration) {
-	if d.halted {
+// issue runs once the CP cacheline is built: a re-issue clears the ack
+// cacheline before the command write.
+func (sl *cpSlot) issue() {
+	d := sl.d
+	if sl.stale() {
+		return
+	}
+	if sl.attempt == 0 {
+		sl.writeCmd()
+		return
+	}
+	d.mc.Write(d.cfg.Layout.CPOffset+cpAckOffset(sl.idx), zeroAck[:], sl.writeCmdFn)
+}
+
+// writeCmd stores the command word.
+func (sl *cpSlot) writeCmd() {
+	d := sl.d
+	if sl.stale() {
+		return
+	}
+	d.mc.Write(d.cfg.Layout.CPOffset+cpCmdOffset(sl.idx), sl.word[:], sl.cmdWrittenFn)
+}
+
+// cmdWritten runs when the command word is in DRAM: the attempt's ack
+// deadline starts and so does the poll.
+func (sl *cpSlot) cmdWritten() {
+	d := sl.d
+	if sl.stale() {
+		return
+	}
+	sl.deadline = d.k.Now().Add(d.cfg.AckTimeout)
+	sl.interval = d.cfg.AckPollInterval
+	sl.poll()
+}
+
+// poll reads the ack word. The poll continues with exponential backoff
+// until a checksum-valid ack with the expected phase arrives or the
+// attempt's deadline passes; the deadline re-issues (bounded) and then
+// surfaces a CPTimeoutError.
+func (sl *cpSlot) poll() {
+	d := sl.d
+	if d.halted || sl.stale() {
 		return
 	}
 	d.stats.AckPolls++
-	buf := make([]byte, 8)
-	d.mc.Read(d.cfg.Layout.CPOffset+cpAckOffset(slot), buf, func() {
-		if d.halted {
-			return
-		}
-		w := leUint64(buf)
-		ack := cp.DecodeAck(w)
-		if ack.Phase == d.cpSlots[slot].phase && (ack.Status == cp.StatusDone || ack.Status == cp.StatusError) {
-			if cp.AckChecksumOK(w) {
-				d.cpSlots[slot].busy = false
-				st := ack.Status
-				d.cpDispatch()
-				req.done(st, nil)
-				return
-			}
-			// Corrupt ack: the device already posted its one ack for this
-			// phase, so nothing will overwrite the word — only the deadline
-			// path (re-issue) recovers. Keep polling until it fires.
-			d.errs.Inc(CtrAckChecksumBad)
-		}
-		if d.k.Now() >= deadline {
-			d.errs.Inc(CtrAckTimeout)
-			if attempt+1 < d.cfg.CPRetries {
-				d.errs.Inc(CtrCPReissue)
-				d.issueCP(slot, req, attempt+1)
-				return
-			}
-			d.cpSlots[slot].busy = false
+	d.mc.Read(d.cfg.Layout.CPOffset+cpAckOffset(sl.idx), sl.ack[:], sl.ackReadFn)
+}
+
+// ackRead examines the ack word a poll fetched.
+func (sl *cpSlot) ackRead() {
+	d := sl.d
+	if d.halted || sl.stale() {
+		return
+	}
+	w := leUint64(sl.ack[:])
+	ack := cp.DecodeAck(w)
+	if ack.Phase == sl.phase && (ack.Status == cp.StatusDone || ack.Status == cp.StatusError) {
+		if cp.AckChecksumOK(w) {
+			sl.busy = false
+			st, done := ack.Status, sl.req.done
+			sl.req = cpRequest{}
 			d.cpDispatch()
-			req.done(0, &CPTimeoutError{Opcode: req.cmd.Opcode, Slot: slot, Attempts: attempt + 1})
+			done(st, nil)
 			return
 		}
-		// Exponential backoff: cheap uncached reads early (acks usually land
-		// within a window or two), then progressively lazier polling so a
-		// stalled device does not monopolize the bus with 64 B reads.
-		next := interval * 2
-		if max := d.cfg.AckPollInterval * 16; next > max {
-			next = max
+		// Corrupt ack: the device already posted its one ack for this
+		// phase, so nothing will overwrite the word — only the deadline
+		// path (re-issue) recovers. Keep polling until it fires.
+		d.errs.Inc(CtrAckChecksumBad)
+	}
+	if d.k.Now() >= sl.deadline {
+		d.errs.Inc(CtrAckTimeout)
+		if sl.attempt+1 < d.cfg.CPRetries {
+			d.errs.Inc(CtrCPReissue)
+			d.issueCP(sl, sl.attempt+1)
+			return
 		}
-		d.k.Schedule(interval, func() { d.pollAck(slot, req, attempt, deadline, next) })
-	})
+		sl.busy = false
+		req, attempts := sl.req, sl.attempt+1
+		sl.req = cpRequest{}
+		d.cpDispatch()
+		req.done(0, &CPTimeoutError{Opcode: req.cmd.Opcode, Slot: sl.idx, Attempts: attempts})
+		return
+	}
+	// Exponential backoff: cheap uncached reads early (acks usually land
+	// within a window or two), then progressively lazier polling so a
+	// stalled device does not monopolize the bus with 64 B reads.
+	wait := sl.interval
+	sl.interval = wait * 2
+	if max := d.cfg.AckPollInterval * 16; sl.interval > max {
+		sl.interval = max
+	}
+	d.k.Schedule(wait, sl.pollFn)
 }
 
 // FlushLPN synchronously persists lpn's slot to the NVM media: a
@@ -1008,12 +1173,16 @@ func (d *Driver) RecoverFromMetadata(meta []byte) (int, error) {
 	d.mapping = make(map[int64]int)
 	d.free = d.free[:0]
 	d.rep = newReplacer(d.cfg.Policy, len(d.slots))
-	// Reboot: lift a power-fail halt and forget in-flight mailbox state.
+	// Reboot: lift a power-fail halt and forget in-flight misses and
+	// mailbox state. Steps still queued from before the reboot belong to
+	// the old boot's slot and miss records and do nothing when they fire.
 	d.halted = false
-	d.inflight = make(map[int64][]func(int, error))
-	d.cpQueue = nil
-	for i := range d.cpSlots {
-		d.cpSlots[i].busy = false
+	d.boot++
+	clear(d.inflight)
+	clear(d.cpQueue)
+	d.cpQueue = d.cpQueue[:0]
+	for i, sl := range d.cpSlots {
+		d.cpSlots[i] = d.newCPSlot(i, sl.phase)
 	}
 	n := 0
 	for i, e := range entries {

@@ -383,3 +383,45 @@ func TestAccessorsAndDirtyMark(t *testing.T) {
 		t.Fatal("metadata dirty bit not set")
 	}
 }
+
+// TestRebootDropsPreCrashCPChain: CP steps queued before a power failure
+// must not resume after the reboot. No NVMC sits behind the rig and every
+// block counts as written, so no ack ever arrives and lpn 1's command is
+// still being polled when the host halts. Recovering with those steps still
+// queued must leave the driver exactly where recovering after draining them
+// does: the old chain must not re-issue into the rebooted driver's mailbox
+// slot or quarantine the slot recovery freed.
+func TestRebootDropsPreCrashCPChain(t *testing.T) {
+	run := func(drain bool) (Stats, map[string]uint64) {
+		k, d, _, _ := newRig(t, 64, 0)
+		d.cfg.MediaWritten = func(int64) bool { return true }
+		ignore := func(int, error) {}
+		d.FaultE(1, false, ignore)
+		k.RunFor(20 * sim.Microsecond)
+		if d.Stats().AckPolls == 0 {
+			t.Fatal("lpn 1's ack poll had not started at the failure instant")
+		}
+		d.Halt()
+		if drain {
+			k.Run()
+		}
+		meta := append([]byte(nil), d.metaShadow...)
+		if _, err := d.RecoverFromMetadata(meta); err != nil {
+			t.Fatal(err)
+		}
+		d.FaultE(2, false, ignore)
+		k.RunFor(100 * sim.Millisecond)
+		return d.Stats(), d.Counters().Snapshot()
+	}
+	want, wantCtr := run(true)
+	got, gotCtr := run(false)
+	if got != want {
+		t.Errorf("stats after an undrained reboot:\n%+v\nwant (drained first):\n%+v", got, want)
+	}
+	if fmt.Sprint(gotCtr) != fmt.Sprint(wantCtr) {
+		t.Errorf("counters after an undrained reboot: %v, want %v", gotCtr, wantCtr)
+	}
+	if want.SlotsQuarantined != 1 {
+		t.Errorf("%d slots quarantined, want 1 (lpn 2's cachefill failed hard)", want.SlotsQuarantined)
+	}
+}

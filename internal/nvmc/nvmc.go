@@ -88,18 +88,51 @@ const (
 	engAck       // ack write pending
 )
 
+// cmdFSM is one command slot's state machine. Every continuation it
+// schedules is bound once, in New; the two that must carry more than the
+// FSM, a decoded command and a NAND read's page, are records (decoded,
+// pageFill) recycled through the controller's free lists. Serving a command
+// allocates nothing.
 type cmdFSM struct {
+	c         *Controller
 	idx       int
 	state     fsmState
 	ready     bool // firmware prep done; may act in a window
 	cur       cp.Command
-	buf       []byte
 	lastPhase bool
+	// fill is the page the latest successful NAND read delivered: the
+	// cachefill data. nil until the current command's read is in.
+	fill *pageFill
 	// For OpCombined: whether the writeback half is done.
 	wbDone bool
 	// windowsUsed counts windows this command consumed (for stats).
 	windowsUsed int
 	startedAt   sim.Time
+
+	readyFn, toWriteFn, toReadFn, toAckFn, awaitFn func()
+	programmedFn                                   func(error)
+}
+
+// decoded is a polled command on its way through the firmware decode; its
+// dispatch event carries the command. With AckAfterProgram the FSM can be
+// acked early and polled again before that event fires (see doReadData),
+// so the command cannot wait on the FSM itself.
+type decoded struct {
+	f          *cmdFSM
+	cmd        cp.Command
+	dispatchFn func()
+}
+
+// pageFill is one NAND read into a controller page. While the read is in
+// flight it owns the page; once it succeeds the page becomes its FSM's
+// fill until a later read replaces it or the ack clears it, and the record
+// then returns to the controller's free list. Reads never share a page, so
+// a read still in flight (see decoded) cannot overwrite the page a window
+// is about to move.
+type pageFill struct {
+	f                    *cmdFSM
+	page                 []byte
+	filledFn, combinedFn func(error)
 }
 
 // Stats aggregates controller behaviour.
@@ -134,6 +167,16 @@ type Controller struct {
 
 	windowStart, windowEnd sim.Time
 	windowRefAt            sim.Time // bus time of the REF that opened the window
+	// runWindowFn and postedFn are runWindow and posted, bound once.
+	runWindowFn func()
+	postedFn    func(error)
+	// word and xfer are scratch for CP control words and writeback pages:
+	// each use is done with them before it returns (ftl.WritePage copies).
+	word [16]byte
+	xfer []byte
+	// Free lists of the decoded and pageFill records.
+	decodeFree []*decoded
+	fillFree   []*pageFill
 
 	fsms []*cmdFSM
 	rr   int
@@ -170,11 +213,20 @@ func New(k *sim.Kernel, ch *bus.Channel, det *refdet.Detector, f *ftl.FTL, layou
 	}
 	c := &Controller{
 		k: k, ch: ch, det: det, ftl: f, layout: layout, cfg: cfg,
-		enabled: true,
+		enabled: true, xfer: make([]byte, PageSize),
 	}
 	for i := 0; i < cfg.CommandDepth; i++ {
-		c.fsms = append(c.fsms, &cmdFSM{idx: i, state: engIdle, ready: true})
+		f := &cmdFSM{c: c, idx: i, state: engIdle, ready: true}
+		f.readyFn = func() { f.ready = true }
+		f.toWriteFn = func() { f.enter(engWriteData) }
+		f.toReadFn = func() { f.enter(engReadData) }
+		f.toAckFn = func() { f.enter(engAck) }
+		f.awaitFn = f.awaitNAND
+		f.programmedFn = f.programmed
+		c.fsms = append(c.fsms, f)
 	}
+	c.runWindowFn = c.runWindow
+	c.postedFn = c.posted
 	det.OnRefresh = c.onRefresh
 	return c
 }
@@ -219,7 +271,7 @@ func (c *Controller) onRefresh(refAt sim.Time) {
 		c.runWindow()
 		return
 	}
-	c.k.ScheduleAt(start, c.runWindow)
+	c.k.ScheduleAt(start, c.runWindowFn)
 }
 
 // runWindow performs this window's work: at most MaxBytesPerWindow of data
@@ -281,8 +333,8 @@ func (c *Controller) runWindow() {
 // firmware for decoding.
 func (c *Controller) pollSlot(f *cmdFSM) {
 	c.stats.Polls++
-	var word [16]byte
-	if err := c.ch.NVMCAccess(c.cpAddr(cmdOffset(f.idx)), word[:], true); err != nil {
+	word := c.word[:]
+	if err := c.ch.NVMCAccess(c.cpAddr(cmdOffset(f.idx)), word, true); err != nil {
 		panic(fmt.Sprintf("nvmc: CP poll: %v", err))
 	}
 	w := leUint64(word[0:8])
@@ -314,67 +366,113 @@ func (c *Controller) pollSlot(f *cmdFSM) {
 		decode += sim.Duration(stallUS) * sim.Microsecond
 		c.stats.FirmwareStalls++
 	}
-	c.k.Schedule(sim.Duration(c.windowEnd.Sub(c.k.Now()))+decode, func() {
-		c.dispatch(f, cmd)
-	})
+	var d *decoded
+	if n := len(c.decodeFree); n > 0 {
+		d = c.decodeFree[n-1]
+		c.decodeFree = c.decodeFree[:n-1]
+	} else {
+		d = &decoded{}
+		d.dispatchFn = d.dispatch
+	}
+	d.f, d.cmd = f, cmd
+	c.k.Schedule(sim.Duration(c.windowEnd.Sub(c.k.Now()))+decode, d.dispatchFn)
+}
+
+// dispatch hands the decoded command to its FSM and returns the record.
+func (d *decoded) dispatch() {
+	f, cmd := d.f, d.cmd
+	d.f = nil
+	f.c.decodeFree = append(f.c.decodeFree, d)
+	f.dispatch(cmd)
+}
+
+// enter moves the FSM to state s, ready to act in the next window.
+func (f *cmdFSM) enter(s fsmState) {
+	f.state = s
+	f.ready = true
 }
 
 // dispatch steers a decoded command into its pipeline.
-func (c *Controller) dispatch(f *cmdFSM, cmd cp.Command) {
+func (f *cmdFSM) dispatch(cmd cp.Command) {
+	c := f.c
 	f.cur = cmd
 	switch cmd.Opcode {
 	case cp.OpCachefill:
 		c.stats.Cachefills++
 		f.state = engWaitNAND
-		c.ftl.ReadPage(int64(cmd.NANDPage), func(data []byte, err error) {
-			if err != nil {
-				c.fail(f, err)
-				return
-			}
-			f.buf = data
-			// DMA setup, then the next window may move the data.
-			c.k.Schedule(c.cfg.DMASetup, func() {
-				f.state = engWriteData
-				f.ready = true
-			})
-		})
+		p := c.newFill(f)
+		c.ftl.ReadPageInto(int64(cmd.NANDPage), p.page, p.filledFn)
 	case cp.OpWriteback:
 		c.stats.Writebacks++
 		// DMA setup for the DRAM read; data moves in the next window.
-		c.k.Schedule(c.cfg.DMASetup, func() {
-			f.state = engReadData
-			f.ready = true
-		})
+		c.k.Schedule(c.cfg.DMASetup, f.toReadFn)
 	case cp.OpCombined:
 		c.stats.Combined++
 		f.wbDone = false
 		// Start the NAND read for the cachefill half immediately; the
 		// writeback half's DRAM read is set up in parallel.
-		nandReady := false
-		c.ftl.ReadPage(int64(cmd.NANDPage), func(data []byte, err error) {
-			if err != nil {
-				c.fail(f, err)
-				return
-			}
-			f.buf = data
-			nandReady = true
-			_ = nandReady
-		})
-		c.k.Schedule(c.cfg.DMASetup, func() {
-			f.state = engReadData // writeback half first
-			f.ready = true
-		})
+		p := c.newFill(f)
+		c.ftl.ReadPageInto(int64(cmd.NANDPage), p.page, p.combinedFn)
+		c.k.Schedule(c.cfg.DMASetup, f.toReadFn) // writeback half first
 	case cp.OpFlushAll:
 		c.k.Schedule(c.cfg.FirmwareDecode, func() {
-			c.flushAll(func() {
-				f.state = engAck
-				f.ready = true
-			})
+			c.flushAll(f.toAckFn)
 		})
 	default:
 		c.fail(f, fmt.Errorf("nvmc: unknown opcode %v", cmd.Opcode))
 	}
 }
+
+// newFill returns a pageFill for a NAND read on behalf of f.
+func (c *Controller) newFill(f *cmdFSM) *pageFill {
+	var p *pageFill
+	if n := len(c.fillFree); n > 0 {
+		p = c.fillFree[n-1]
+		c.fillFree = c.fillFree[:n-1]
+	} else {
+		p = &pageFill{page: make([]byte, PageSize)}
+		p.filledFn = p.filled
+		p.combinedFn = p.combined
+	}
+	p.f = f
+	return p
+}
+
+// release returns p to the controller's free list.
+func (p *pageFill) release() {
+	c := p.f.c
+	p.f = nil
+	c.fillFree = append(c.fillFree, p)
+}
+
+// deliver makes p its FSM's fill, or drops it on a read error, which
+// fails the command.
+func (p *pageFill) deliver(err error) bool {
+	f := p.f
+	if err != nil {
+		p.release()
+		f.c.fail(f, err)
+		return false
+	}
+	if f.fill != nil {
+		f.fill.release()
+	}
+	f.fill = p
+	return true
+}
+
+// filled completes a cachefill's NAND read: DMA setup, then the next window
+// may move the data.
+func (p *pageFill) filled(err error) {
+	f := p.f
+	if p.deliver(err) {
+		f.c.k.Schedule(f.c.cfg.DMASetup, f.toWriteFn)
+	}
+}
+
+// combined completes the cachefill half's NAND read of a combined command;
+// the writeback half's completion picks the page up.
+func (p *pageFill) combined(err error) { p.deliver(err) }
 
 func (c *Controller) fail(f *cmdFSM, err error) {
 	// Post an error ack so the driver does not spin forever.
@@ -395,20 +493,21 @@ func (c *Controller) doWriteData(f *cmdFSM) {
 	}
 	slot := f.cur.DRAMSlot
 	addr := c.layout.SlotAddr(int(slot))
-	if err := c.ch.NVMCAccess(addr, f.buf, false); err != nil {
+	var buf []byte
+	if f.fill != nil {
+		buf = f.fill.page
+	}
+	if err := c.ch.NVMCAccess(addr, buf, false); err != nil {
 		panic(fmt.Sprintf("nvmc: cachefill DMA: %v", err))
 	}
-	c.stats.BytesToDRAM += uint64(len(f.buf))
+	c.stats.BytesToDRAM += uint64(len(buf))
 	if c.cfg.AckMergesWithData {
 		c.postAck(f)
 		return
 	}
 	// Ack in a later window, after firmware status update.
 	f.ready = false
-	c.k.Schedule(sim.Duration(c.windowEnd.Sub(c.k.Now()))+c.cfg.FirmwareDecode/2, func() {
-		f.state = engAck
-		f.ready = true
-	})
+	c.k.Schedule(sim.Duration(c.windowEnd.Sub(c.k.Now()))+c.cfg.FirmwareDecode/2, f.toAckFn)
 }
 
 // doReadData moves the 4 KB slot out of DRAM (writeback data phase) and
@@ -424,58 +523,19 @@ func (c *Controller) doReadData(f *cmdFSM) {
 	if cmd.Opcode == cp.OpCombined {
 		slot, page = cmd.DRAMSlot2, cmd.NANDPage2
 	}
-	buf := make([]byte, PageSize)
+	buf := c.xfer
 	if err := c.ch.NVMCAccess(c.layout.SlotAddr(int(slot)), buf, true); err != nil {
 		panic(fmt.Sprintf("nvmc: writeback DMA: %v", err))
 	}
 	c.stats.BytesFromDRAM += uint64(len(buf))
 
-	advance := func() {
-		if cmd.Opcode == cp.OpCombined {
-			// Writeback half done; the cachefill half proceeds when the
-			// NAND read has the buffer ready.
-			f.wbDone = true
-			f.ready = false
-			f.state = engWaitNAND
-			c.k.Schedule(c.cfg.DMASetup, func() {
-				if f.buf != nil {
-					f.state = engWriteData
-					f.ready = true
-				} else {
-					// NAND read still in flight; ReadPage callback will
-					// flip the state via the poll below.
-					c.awaitNAND(f)
-				}
-			})
-			return
-		}
-		if c.cfg.AckMergesWithData {
-			c.postAck(f)
-			return
-		}
-		f.ready = false
-		// With AckAfterProgram, advance() runs from the program-completion
-		// callback, which can land long after the refresh window this
-		// command started in; the window wait is then already over.
-		wait := sim.Duration(c.windowEnd.Sub(c.k.Now()))
-		if wait < 0 {
-			wait = 0
-		}
-		c.k.Schedule(wait+c.cfg.FirmwareDecode/2, func() {
-			f.state = engAck
-			f.ready = true
-		})
-	}
-
 	if c.cfg.AckAfterProgram && cmd.Opcode == cp.OpWriteback {
-		c.ftl.WritePage(int64(page), buf, func(err error) {
-			if err != nil {
-				// Ack not yet posted: surface the failure to the driver.
-				c.fail(f, err)
-				return
-			}
-			advance()
-		})
+		// The FSM stays ready in engReadData until a program completes, so
+		// each window until then moves the slot and programs it again, and
+		// each completion schedules an ack: a command can be acked several
+		// times, and later acks land on later commands. The faultpool
+		// campaign's output depends on this behaviour as it stands.
+		c.ftl.WritePage(int64(page), buf, f.programmedFn)
 		return
 	}
 	// Posted program: the controller's battery-backed buffer holds the data;
@@ -483,23 +543,69 @@ func (c *Controller) doReadData(f *cmdFSM) {
 	// posted by then, so a late failure cannot use the slot FSM — it is
 	// only counted. The FTL's internal remap-and-rewrite makes this path
 	// fire only after every remap attempt is exhausted.
-	c.ftl.WritePage(int64(page), buf, func(err error) {
-		if err != nil {
-			c.stats.PostedProgramFails++
-		}
-	})
-	advance()
-}
-
-// awaitNAND polls (on the firmware core) for the combined command's NAND
-// buffer; cheap busy-wait at firmware granularity.
-func (c *Controller) awaitNAND(f *cmdFSM) {
-	if f.buf != nil {
-		f.state = engWriteData
-		f.ready = true
+	c.ftl.WritePage(int64(page), buf, c.postedFn)
+	if cmd.Opcode == cp.OpCombined {
+		f.combinedWritebackDone()
 		return
 	}
-	c.k.Schedule(c.cfg.DMASetup, func() { c.awaitNAND(f) })
+	f.writebackDone()
+}
+
+// posted observes a posted writeback's program completion.
+func (c *Controller) posted(err error) {
+	if err != nil {
+		c.stats.PostedProgramFails++
+	}
+}
+
+// programmed completes an AckAfterProgram writeback's NAND program. The ack
+// is not posted yet, so a failure surfaces to the driver.
+func (f *cmdFSM) programmed(err error) {
+	if err != nil {
+		f.c.fail(f, err)
+		return
+	}
+	f.writebackDone()
+}
+
+// combinedWritebackDone advances a combined command once its writeback half
+// is off the DRAM: the cachefill half proceeds when the NAND read has the
+// page ready.
+func (f *cmdFSM) combinedWritebackDone() {
+	f.wbDone = true
+	f.ready = false
+	f.state = engWaitNAND
+	f.c.k.Schedule(f.c.cfg.DMASetup, f.awaitFn)
+}
+
+// writebackDone advances the FSM once a writeback's data is off the DRAM
+// (and, with AckAfterProgram, programmed).
+func (f *cmdFSM) writebackDone() {
+	c := f.c
+	if c.cfg.AckMergesWithData {
+		c.postAck(f)
+		return
+	}
+	f.ready = false
+	// With AckAfterProgram, this runs from the program-completion
+	// callback, which can land long after the refresh window this
+	// command started in; the window wait is then already over.
+	wait := sim.Duration(c.windowEnd.Sub(c.k.Now()))
+	if wait < 0 {
+		wait = 0
+	}
+	c.k.Schedule(wait+c.cfg.FirmwareDecode/2, f.toAckFn)
+}
+
+// awaitNAND runs a DMA setup after a combined command's writeback half and
+// polls (on the firmware core) until the cachefill half's NAND read is in;
+// cheap busy-wait at firmware granularity.
+func (f *cmdFSM) awaitNAND() {
+	if f.fill != nil {
+		f.enter(engWriteData)
+		return
+	}
+	f.c.k.Schedule(f.c.cfg.DMASetup, f.awaitFn)
 }
 
 // postAck writes the ack word for f's command and recycles the slot.
@@ -525,9 +631,9 @@ func (c *Controller) postAck(f *cmdFSM) {
 		c.stats.AcksCorrupted++
 	}
 	if !dropped {
-		var word [8]byte
-		putUint64(word[:], w)
-		if err := c.ch.NVMCAccess(c.cpAddr(ackOffset(f.idx)), word[:], false); err != nil {
+		word := c.word[:8]
+		putUint64(word, w)
+		if err := c.ch.NVMCAccess(c.cpAddr(ackOffset(f.idx)), word, false); err != nil {
 			panic(fmt.Sprintf("nvmc: ack write: %v", err))
 		}
 	}
@@ -547,11 +653,14 @@ func (c *Controller) postAck(f *cmdFSM) {
 	f.lastPhase = f.cur.Phase
 	f.state = engIdle
 	f.ready = false
-	f.buf = nil
+	if f.fill != nil {
+		f.fill.release()
+		f.fill = nil
+	}
 	f.wbDone = false
 	// The firmware needs a moment before it polls again; by the next window
 	// it is ready.
-	c.k.Schedule(c.cfg.FirmwareDecode/2, func() { f.ready = true })
+	c.k.Schedule(c.cfg.FirmwareDecode/2, f.readyFn)
 }
 
 // cpAddr converts a CP-area offset to a DRAM address.

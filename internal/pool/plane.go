@@ -369,7 +369,11 @@ func (p *Pool) submitReq(r openloop.Request, notify bool) (uint64, error) {
 		channel0:  p.channelOf(frags[0].Member),
 	}
 	for i := range frags {
-		f := &fragment{req: req, member: frags[i].Member, off: frags[i].Off, n: frags[i].Len}
+		f := &req.frag0
+		if i > 0 {
+			f = new(fragment)
+		}
+		*f = fragment{req: req, member: frags[i].Member, off: frags[i].Off, n: frags[i].Len}
 		ci := p.channelOf(f.member)
 		ch := p.chans[ci]
 		switch {
@@ -513,7 +517,7 @@ func (p *Pool) displaceOldest(ch *channelState, ci int) {
 			}
 		}
 		victim := (*list)[0]
-		*list = (*list)[1:]
+		*list = dropFront(*list, 1)
 		ch.ctr.Inc("frags-shed-oldest")
 		p.cancelRequest(victim.req,
 			fmt.Errorf("pool: channel %d shed oldest held request %d: %w", ci, victim.req.id, ErrAdmissionFull))

@@ -282,6 +282,8 @@ type request struct {
 	canceled bool
 	// notify: emit a Completion record for Poll/Notify (plane submissions).
 	notify bool
+	// frag0 is the first fragment, allocated with the request.
+	frag0 fragment
 }
 
 // fragment is the per-member piece of a request. member is the LOGICAL
@@ -449,6 +451,12 @@ type Pool struct {
 	sparesUsed     int
 	epochs         int
 	heldPeak       int
+
+	// fan is the member fan-out (New, advanceAll). advanceFn advances
+	// member i to advanceTo, bound once.
+	fan       fanout
+	advanceFn func(i int)
+	advanceTo sim.Time
 }
 
 // New assembles Channels x DIMMsPerChannel member systems (in parallel when
@@ -461,8 +469,9 @@ func New(cfg Config) (*Pool, error) {
 	n := cfg.Channels * cfg.DIMMsPerChannel
 	total := n + cfg.Spares
 	p := &Pool{Cfg: cfg, members: make([]*member, total)}
+	p.advanceFn = func(i int) { p.advanceMember(i, p.advanceTo) }
 	errs := make([]error, total)
-	parallelEach(total, cfg.Workers, func(i int) {
+	p.fan.run(total, cfg.Workers, func(i int) {
 		mcfg := cfg.Member
 		mcfg.Seed = sim.SplitSeed(cfg.Seed, fmt.Sprintf("pool/member-%02d", i))
 		if cfg.FaultSeed != 0 {
@@ -600,19 +609,19 @@ func (p *Pool) fill(ci int) {
 	if len(ch.tq) > 0 {
 		p.fillDRR(ch)
 	} else {
-		for len(ch.pending) > 0 && len(ch.queue) < p.Cfg.QueueCap {
-			ch.queue = append(ch.queue, ch.pending[0])
-			ch.pending = ch.pending[1:]
-			ch.ctr.Inc("frags-admitted")
+		if n := min(len(ch.pending), p.Cfg.QueueCap-len(ch.queue)); n > 0 {
+			ch.queue = append(ch.queue, ch.pending[:n]...)
+			ch.pending = dropFront(ch.pending, n)
+			ch.ctr.Add("frags-admitted", uint64(n))
 		}
 	}
 	ch.mark()
 	budget := ch.brk.budget()
 	dispatched := false
-	for len(ch.queue) > 0 {
-		f := ch.queue[0]
+	i := 0
+	for ; i < len(ch.queue); i++ {
+		f := ch.queue[i]
 		if phys := p.route[f.member]; p.health[phys].state >= StateQuarantined {
-			ch.queue = ch.queue[1:]
 			ch.ctr.Inc("frags-rejected")
 			p.fragFailed(f, fmt.Errorf("logical %d -> member %d: %w", f.member, phys, ErrMemberQuarantined), p.now)
 			continue
@@ -621,18 +630,27 @@ func (p *Pool) fill(ci int) {
 			break
 		}
 		budget--
-		ch.queue = ch.queue[1:]
 		ch.inflight++
 		ch.ctr.Inc("frags-dispatched")
 		dispatched = true
 		p.dispatch(f)
 	}
+	ch.queue = dropFront(ch.queue, i)
 	if dispatched {
 		ch.ctr.Inc("dispatch-batches")
 	}
 	if held := ch.held(); held > p.heldPeak {
 		p.heldPeak = held
 	}
+}
+
+// dropFront removes q's first n fragments in place. The FIFOs pop this way
+// so they keep their capacity: reslicing q[n:] would strand the front of
+// the array, and the next append would grow a new one.
+func dropFront(q []*fragment, n int) []*fragment {
+	m := copy(q, q[n:])
+	clear(q[m:])
+	return q[:m]
 }
 
 // dispatch schedules one fragment on its member's kernel: the host CPU cost
@@ -960,9 +978,7 @@ func (p *Pool) Step() {
 		p.fill(ci)
 	}
 	p.issueRebuilds()
-	parallelEach(len(p.members), p.Cfg.Workers, func(i int) {
-		p.advanceMember(i, epochEnd)
-	})
+	p.advanceAll(epochEnd)
 	p.collect()
 	p.probeMembers()
 	for _, ch := range p.chans {
@@ -970,6 +986,67 @@ func (p *Pool) Step() {
 	}
 	p.now = epochEnd
 	p.out.Flush(p.Cfg.Notify)
+}
+
+// fanout runs fn(0..n-1) across at most a given number of goroutines.
+// Callers guarantee fn(i) touches only item-i state, so scheduling order
+// cannot leak into results — the same contract as the experiment layer's
+// runShards. Its state lives in the Pool and helperFn is bound once, so a
+// run allocates no closure, counter or WaitGroup. Helpers are still
+// goroutines spawned per run: a Pool has no Close, so parked workers would
+// leak.
+type fanout struct {
+	n        int
+	fn       func(i int)
+	next     atomic.Int64
+	wg       sync.WaitGroup
+	helperFn func()
+}
+
+// run calls fn(0..n-1) on at most workers goroutines (serially with one),
+// the calling goroutine taking a worker's share instead of idling in Wait.
+func (a *fanout) run(n, workers int, fn func(i int)) {
+	if workers = min(workers, n); workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	if a.helperFn == nil {
+		a.helperFn = a.helper
+	}
+	a.n, a.fn = n, fn
+	a.next.Store(0)
+	a.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go a.helperFn()
+	}
+	a.work()
+	a.wg.Wait()
+	a.fn = nil
+}
+
+func (a *fanout) helper() {
+	defer a.wg.Done()
+	a.work()
+}
+
+// work calls fn on items until none is left unclaimed.
+func (a *fanout) work() {
+	for {
+		i := int(a.next.Add(1)) - 1
+		if i >= a.n {
+			return
+		}
+		a.fn(i)
+	}
+}
+
+// advanceAll runs every member kernel to the boundary at to, across at most
+// Cfg.Workers goroutines.
+func (p *Pool) advanceAll(to sim.Time) {
+	p.advanceTo = to
+	p.fan.run(len(p.members), p.Cfg.Workers, p.advanceFn)
 }
 
 // advanceMember runs member i's kernel to the boundary at to — through the
@@ -1075,9 +1152,7 @@ func (p *Pool) QuietEpochs(limit int) int {
 // boundary: StepQuiet trusts the caller and does not re-check the span.
 func (p *Pool) StepQuiet(k int) {
 	end := p.now.Add(sim.Duration(k) * p.Cfg.Epoch)
-	parallelEach(len(p.members), p.Cfg.Workers, func(i int) {
-		p.advanceMember(i, end)
-	})
+	p.advanceAll(end)
 	folds := p.foldScratch[:0]
 	for _, ch := range p.chans {
 		folds = append(folds, ch.startFold(p.now, p.Cfg.Epoch))
@@ -1282,41 +1357,4 @@ func (p *Pool) CheckHealth() error {
 		}
 	}
 	return nil
-}
-
-// parallelEach runs fn(0..n-1) across at most workers goroutines (serial
-// when workers <= 1). Callers guarantee fn(i) touches only item-i state, so
-// scheduling order cannot leak into results — the same contract as the
-// experiment layer's runShards.
-func parallelEach(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			fn(i)
-		}
-	}
-	// The caller takes a worker's share instead of idling in Wait.
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
 }

@@ -242,3 +242,22 @@ func TestPoolConfigValidation(t *testing.T) {
 		t.Fatal("unaligned interleave accepted")
 	}
 }
+
+// TestStepAllocs: an epoch of an idle pool with two workers allocates
+// nothing, with and without lookahead: the member fan-out keeps its
+// state in the Pool, and the members' refresh chains recycle their records.
+func TestStepAllocs(t *testing.T) {
+	for _, lockstep := range []bool{false, true} {
+		p := newTestPool(t, 2, 1, 2, 4096, func(c *Config) { c.DisableLookahead = lockstep })
+		for i := 0; i < 20; i++ {
+			p.Step()
+		}
+		epochs := p.Stats().Epochs
+		if allocs := testing.AllocsPerRun(100, p.Step); allocs != 0 {
+			t.Errorf("lockstep=%v: %v allocs per epoch, want 0", lockstep, allocs)
+		}
+		if got := p.Stats().Epochs - epochs; got != 101 {
+			t.Fatalf("lockstep=%v: %d epochs stepped, want 101", lockstep, got)
+		}
+	}
+}

@@ -297,18 +297,20 @@ func (p *Pool) fillDRR(ch *channelState) {
 		if !mid {
 			tq.deficit += tq.quantum
 		}
-		for len(tq.fifo) > 0 && len(ch.queue) < p.Cfg.QueueCap {
-			f := tq.fifo[0]
+		taken := 0
+		for taken < len(tq.fifo) && len(ch.queue) < p.Cfg.QueueCap {
+			f := tq.fifo[taken]
 			cost := int64(f.n)
 			if tq.deficit < cost {
 				break
 			}
 			tq.deficit -= cost
-			tq.fifo = tq.fifo[1:]
+			taken++
 			active--
 			ch.queue = append(ch.queue, f)
 			ch.ctr.Inc("frags-admitted")
 		}
+		tq.fifo = dropFront(tq.fifo, taken)
 		switch {
 		case len(tq.fifo) == 0:
 			tq.deficit = 0

@@ -98,6 +98,8 @@ type Detector struct {
 
 	des   [NumPins]Deserializer
 	stats Stats
+	// detFree recycles decode-pipeline records (detection).
+	detFree []*detection
 
 	enabled bool
 }
@@ -204,17 +206,39 @@ func (d *Detector) SampleCommand(at sim.Time, s ddr4.CAState) {
 	// Position of this sample within its deserializer frame.
 	pos := int((int64(at) / int64(d.tck)) % FrameBits)
 	latency := sim.Duration(FrameBits-pos)*d.tck + d.pipeline
-	refAt := at
-	d.k.Schedule(latency, func() {
-		if d.Trace.Active() {
-			d.Trace.Record(trace.Event{
-				At: d.k.Now(), Kind: trace.KindRefDetect, RefAt: refAt,
-			})
-		}
-		if d.OnRefresh != nil {
-			d.OnRefresh(refAt)
-		}
-	})
+	var e *detection
+	if n := len(d.detFree); n > 0 {
+		e = d.detFree[n-1]
+		d.detFree = d.detFree[:n-1]
+	} else {
+		e = &detection{d: d}
+		e.resolveFn = e.resolve
+	}
+	e.refAt = at
+	d.k.Schedule(latency, e.resolveFn)
+}
+
+// detection is one REF in the decode pipeline: refAt is when it was on the
+// bus. The record returns to the detector's free list when the decode
+// resolves; resolveFn is bound once, when the record is first made.
+type detection struct {
+	d         *Detector
+	refAt     sim.Time
+	resolveFn func()
+}
+
+// resolve publishes the detection and fires OnRefresh.
+func (e *detection) resolve() {
+	d, refAt := e.d, e.refAt
+	d.detFree = append(d.detFree, e)
+	if d.Trace.Active() {
+		d.Trace.Record(trace.Event{
+			At: d.k.Now(), Kind: trace.KindRefDetect, RefAt: refAt,
+		})
+	}
+	if d.OnRefresh != nil {
+		d.OnRefresh(refAt)
+	}
 }
 
 // PushSample drives the RTL-level path directly: one sampled level per pin,

@@ -130,12 +130,12 @@ func TestSubmitAsyncAndPoll(t *testing.T) {
 func TestSubmitValidation(t *testing.T) {
 	_, c := newTestServer(t, nil)
 	cases := []Op{
-		{Op: "x", Off: 0},                 // bad verb
-		{Off: -4096},                      // negative offset
-		{Off: 0, Len: -1},                 // negative length
-		{Off: 1 << 60},                    // beyond capacity
-		{Off: 0, Tenant: -1},              // negative tenant
-		{Off: 0, DeadlineUS: -1},          // negative deadline
+		{Op: "x", Off: 0},        // bad verb
+		{Off: -4096},             // negative offset
+		{Off: 0, Len: -1},        // negative length
+		{Off: 1 << 60},           // beyond capacity
+		{Off: 0, Tenant: -1},     // negative tenant
+		{Off: 0, DeadlineUS: -1}, // negative deadline
 	}
 	for i, op := range cases {
 		_, code, err := c.Submit(op, false)
