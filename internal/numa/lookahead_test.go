@@ -404,10 +404,12 @@ func TestFabricIdleLookaheadIdentical(t *testing.T) {
 				t.Fatalf("%s: link fault fired %d times", label, s.Ctr.Get("link-degraded"))
 			}
 			switch {
-			case lockstep && f.quietSpan != 0:
-				t.Fatalf("%s: lockstep batched %d epochs", label, f.quietSpan)
+			case lockstep && (f.quietSpan != 0 || closedFolds(f) != 0):
+				t.Fatalf("%s: lockstep batched %d epochs, %d folds in closed form", label, f.quietSpan, closedFolds(f))
 			case !lockstep && 2*f.quietSpan < s.Epochs:
 				t.Fatalf("%s: only %d of %d epochs batched", label, f.quietSpan, s.Epochs)
+			case !lockstep && closedFolds(f) == 0:
+				t.Fatalf("%s: no quiet span folded an EWMA in closed form", label)
 			}
 			snaps = append(snaps, snapshot(s))
 			labels = append(labels, label)
@@ -419,6 +421,16 @@ func TestFabricIdleLookaheadIdentical(t *testing.T) {
 				labels[i], labels[0], labels[0], snaps[0], labels[i], snaps[i])
 		}
 	}
+}
+
+// closedFolds sums the channel-epochs every socket's quiet spans folded
+// in closed form (pool.ClosedFormFolds).
+func closedFolds(f *Fabric) int {
+	n := 0
+	for s := range f.socks {
+		n += f.Socket(s).ClosedFormFolds()
+	}
+	return n
 }
 
 // cachedTenants is fabricTenants over each socket's cache-resident
@@ -470,10 +482,12 @@ func TestFabricIdleProbeJumpIdentical(t *testing.T) {
 					label, s.Ctr.Get("socket-suspect"), s.Ctr.Get("socket-recovered"), s.ChunksRehomed)
 			}
 			switch {
-			case lockstep && f.quietSpan != 0:
-				t.Fatalf("%s: lockstep batched %d epochs", label, f.quietSpan)
+			case lockstep && (f.quietSpan != 0 || closedFolds(f) != 0):
+				t.Fatalf("%s: lockstep batched %d epochs, %d folds in closed form", label, f.quietSpan, closedFolds(f))
 			case !lockstep && f.probesJumped == 0:
 				t.Fatalf("%s: no batch jumped a probe epoch", label)
+			case !lockstep && closedFolds(f) == 0:
+				t.Fatalf("%s: no quiet span folded an EWMA in closed form", label)
 			}
 			snaps = append(snaps, snapshot(s))
 			labels = append(labels, label)

@@ -149,6 +149,9 @@ type fabReq struct {
 	// retiring with it set resolved synchronously, so the caller holds the
 	// typed error and no Completion record is produced (pool.Submit parity).
 	insub bool
+	// first is the request's first piece, embedded so a request that stays
+	// on one socket allocates no sockOp of its own.
+	first sockOp
 }
 
 // sockOp is one per-socket piece of a fabric request.
@@ -157,6 +160,12 @@ type sockOp struct {
 	off      int64 // fabric address of this piece
 	n        int
 	attempts int
+}
+
+// seg is one contiguous same-owner address run of a request being split.
+type seg struct {
+	off int64
+	n   int
 }
 
 type fabRetry struct {
@@ -191,6 +200,10 @@ type Fabric struct {
 
 	nextID uint64
 	out    pool.Outbox
+	// segScratch is submit's reusable split buffer, and drain collect's
+	// reusable buffer of socket completions.
+	segScratch []seg
+	drain      []pool.Completion
 
 	ctr        *metrics.Counters
 	lat        *metrics.Histogram // local foreground completions
@@ -393,11 +406,7 @@ func (f *Fabric) submit(r openloop.Request, notify bool) (uint64, error) {
 	f.led.Submit(r.Write)
 	// Split at chunk boundaries, merging consecutive chunks with the same
 	// serving socket so a request crossing an un-re-homed span stays one op.
-	type seg struct {
-		off int64
-		n   int
-	}
-	var segs []seg
+	segs := f.segScratch[:0]
 	off, n := r.Off, r.Len
 	for n > 0 {
 		run := int(f.Cfg.ChunkBytes - off%f.Cfg.ChunkBytes)
@@ -418,10 +427,16 @@ func (f *Fabric) submit(r openloop.Request, notify bool) (uint64, error) {
 		off += int64(run)
 		n -= run
 	}
+	f.segScratch = segs
 	req.remaining = len(segs)
 	req.insub = true
-	for _, sg := range segs {
-		f.dispatch(&sockOp{req: req, off: sg.off, n: sg.n})
+	for i, sg := range segs {
+		op := &req.first
+		if i > 0 {
+			op = &sockOp{}
+		}
+		*op = sockOp{req: req, off: sg.off, n: sg.n}
+		f.dispatch(op)
 	}
 	req.insub = false
 	if req.remaining == 0 {
@@ -625,7 +640,8 @@ func (f *Fabric) Step() {
 // remote pieces (a read's payload rides home; acks are descriptor-sized).
 func (f *Fabric) collect() {
 	for si, s := range f.socks {
-		for _, c := range s.pool.Poll(0) {
+		f.drain = s.pool.AppendCompletions(f.drain[:0])
+		for _, c := range f.drain {
 			rel := c.At.Sub(s.pool.Origin())
 			if op, ok := s.pend[c.ID]; ok {
 				delete(s.pend, c.ID)

@@ -440,3 +440,37 @@ func TestFabricSuspectRecovery(t *testing.T) {
 		t.Fatalf("transient burst re-homed %d chunks — socket was condemned", s.ChunksRehomed)
 	}
 }
+
+// TestFabricRequestAllocs: a request through a warm fabric allocates its
+// fabReq, whose first piece is embedded, one more sockOp per extra piece,
+// and one pool request per piece — nothing per epoch and nothing to split
+// or collect it: submit splits into a fabric-owned buffer and collect
+// drains the sockets' completions into another.
+func TestFabricRequestAllocs(t *testing.T) {
+	f := quietFabric(t)
+	for _, c := range []struct {
+		name string
+		off  int64
+		want float64
+	}{
+		{"one socket", 8192, 2},
+		{"across sockets", f.Span() - 2048, 4},
+	} {
+		run := func() {
+			f.Offer(openloop.Request{Arrival: f.Now(), Off: c.off, Len: 4096})
+			for !f.Quiesced() {
+				f.Step()
+			}
+		}
+		for i := 0; i < 20; i++ {
+			run()
+		}
+		done := f.Stats().Completed
+		if allocs := testing.AllocsPerRun(100, run); allocs > c.want {
+			t.Errorf("%s: %v allocs per request, want <= %v", c.name, allocs, c.want)
+		}
+		if got := f.Stats().Completed - done; got != 101 {
+			t.Fatalf("%s: %d requests completed, want 101", c.name, got)
+		}
+	}
+}

@@ -354,6 +354,69 @@ func TestHaltFreezesDriver(t *testing.T) {
 	}
 }
 
+// TestErrorEventsMatchesHealth: the ErrorEvents accessor the pool's probes
+// read equals Health().ErrorEvents after every injected error kind — ack
+// drop, ack corruption, a read upset the fill retries through, an
+// exhausted CP that quarantines a slot and degrades, a dead program path
+// that goes read-only — and after a bump of each error counter alone.
+func TestErrorEventsMatchesHealth(t *testing.T) {
+	cfg := rigConfig()
+	cfg.NVMC.AckAfterProgram = true // surface program failures to the driver
+	s := newRig(t, cfg)
+	for lpn := int64(1); lpn <= 5; lpn++ {
+		prewrite(t, s, lpn, fill(pageSize, byte(lpn)))
+	}
+	var last uint64
+	check := func(step string) {
+		t.Helper()
+		got, want := s.Driver.ErrorEvents(), s.Driver.Health().ErrorEvents
+		if got != want || got <= last {
+			t.Fatalf("%s: ErrorEvents() = %d, Health().ErrorEvents = %d, want equal and above %d",
+				step, got, want, last)
+		}
+		last = got
+	}
+	if n := s.Driver.ErrorEvents(); n != 0 || s.Driver.Health().ErrorEvents != 0 {
+		t.Fatalf("fresh driver: ErrorEvents() = %d, Health().ErrorEvents = %d", n, s.Driver.Health().ErrorEvents)
+	}
+	for _, c := range []struct {
+		name  string
+		site  fault.Site
+		times uint64
+		lpn   int64
+	}{
+		{"ack drop", fault.CPAckDrop, 1, 1},
+		{"ack corrupt", fault.CPAckCorrupt, 1, 2},
+		{"read upset", fault.NANDReadBitFlip, 2, 3},
+	} {
+		s.Faults.Always(c.site).Times(c.times)
+		if _, err := loadSync(t, s, c.lpn); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		s.Faults.Clear(c.site)
+		check(c.name)
+	}
+	s.Faults.Always(fault.CPAckDrop)
+	if _, err := loadSync(t, s, 4); err == nil {
+		t.Fatal("access must fail when no ack ever arrives")
+	}
+	s.Faults.Clear(fault.CPAckDrop)
+	check("exhausted CP")
+	s.Faults.Always(fault.NANDProgramFail)
+	if err := storeSync(t, s, 5, fill(pageSize, 0x55)); err == nil {
+		t.Fatal("store must fail when its write-through cannot persist")
+	}
+	s.Faults.Clear(fault.NANDProgramFail)
+	if s.Driver.Mode() != nvdc.ModeReadOnly {
+		t.Fatalf("mode = %v, want read-only", s.Driver.Mode())
+	}
+	check("dead program path")
+	for _, name := range nvdc.ErrorCounterNames() {
+		s.Driver.Counters().Inc(name)
+		check(name)
+	}
+}
+
 // TestCPQueueDepthPipelines runs concurrent misses across two mailbox slots
 // (the §VII-C item-2 configuration) and under an ack drop on each slot.
 func TestCPQueueDepthPipelines(t *testing.T) {

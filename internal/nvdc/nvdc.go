@@ -103,13 +103,14 @@ const (
 // ErrorCounterNames lists the counters that may only move on a fault path.
 // CtrWriteThrough is deliberately absent: it also counts legitimate msync
 // write-throughs, so a healthy no-fault run can have it nonzero.
-func ErrorCounterNames() []string {
-	return []string{
-		CtrAckTimeout, CtrAckChecksumBad, CtrCPReissue,
-		CtrCachefillRetry, CtrCachefillFail, CtrWritebackFail,
-		CtrSlotQuarantined, CtrModeDegraded, CtrModeReadOnly,
-		CtrFaultFailed,
-	}
+func ErrorCounterNames() []string { return append([]string(nil), errorCounters...) }
+
+// errorCounters backs ErrorCounterNames and ErrorEvents.
+var errorCounters = []string{
+	CtrAckTimeout, CtrAckChecksumBad, CtrCPReissue,
+	CtrCachefillRetry, CtrCachefillFail, CtrWritebackFail,
+	CtrSlotQuarantined, CtrModeDegraded, CtrModeReadOnly,
+	CtrFaultFailed,
 }
 
 // Config parameterizes the driver.
@@ -466,9 +467,13 @@ func (d *Driver) Health() Health {
 		SlotsQuarantined: len(d.quarantined),
 		HardFailures:     d.errs.Sum(CtrCachefillFail, CtrWritebackFail),
 		Transients:       d.errs.Sum(CtrAckTimeout, CtrAckChecksumBad, CtrCPReissue, CtrCachefillRetry),
-		ErrorEvents:      d.errs.Sum(ErrorCounterNames()...),
+		ErrorEvents:      d.ErrorEvents(),
 	}
 }
+
+// ErrorEvents is Health().ErrorEvents without the rest of the snapshot: the
+// sum over every error-path counter, for probes that read only the delta.
+func (d *Driver) ErrorEvents() uint64 { return d.errs.Sum(errorCounters...) }
 
 // ResidentPage describes one DRAM-cache-resident page: what a rebuild scan
 // must replay onto a replacement module to evacuate this one.

@@ -101,7 +101,7 @@ func (b *breaker) observe(failed bool) {
 // breaker's cooldown expiry (the half-open transition, which restores
 // dispatch budget) must land at or before the batch's final replayed tick,
 // never silently inside the span. Closed and half-open breakers impose no
-// bound, because StepQuiet replays their ticks exactly. With no
+// bound, because StepQuiet replays their ticks exactly (ticks). With no
 // observations folding in, a half-open breaker cannot change state, but a
 // closed one still can: a window that already holds a tripping sample set
 // (tripReady) trips at its window-end tick, inside the span if that is
@@ -141,6 +141,38 @@ func (b *breaker) tick() {
 			b.state = breakerHalfOpen
 			b.streak = 0
 			b.ctr.Inc("breaker-halfopen")
+		}
+	}
+}
+
+// ticks advances the FSM k epochs with no observation folding in, exactly
+// as k tick calls, in O(1) transitions. The only ticks that act are the
+// closed window end and the open cooldown expiry, so it jumps to the next
+// one and takes a real tick there: a tripReady window trips and counts as
+// it always does. A window that closes without tripping restarts empty,
+// and an empty window that cannot trip closes unchanged every
+// BreakerWindow ticks, so the rest of the span is only its remainder.
+// Half-open ticks are no-ops.
+func (b *breaker) ticks(k int) {
+	for k > 0 {
+		left := &b.winLeft
+		switch b.state {
+		case breakerOpen:
+			left = &b.cooldown
+		case breakerHalfOpen:
+			return
+		}
+		n := max(*left, 1) // ticks up to and including the acting one
+		if k < n {
+			*left -= k
+			return
+		}
+		*left -= n - 1
+		k -= n
+		b.tick()
+		if b.state == breakerClosed && !b.tripReady() {
+			b.winLeft -= k % max(b.cfg.BreakerWindow, 1)
+			return
 		}
 	}
 }

@@ -98,19 +98,20 @@ func (p *Pool) probeMembers() {
 		if h.state >= StateQuarantined {
 			continue
 		}
-		hs := m.sys.Driver.Health()
+		d := m.sys.Driver
+		errs := d.ErrorEvents()
 		var viol uint64
 		if m.sys.Auditor != nil {
 			viol = m.sys.Auditor.ViolationCount()
 		}
 		switch {
-		case hs.Mode == nvdc.ModeReadOnly:
+		case d.Mode() == nvdc.ModeReadOnly:
 			p.quarantine(i, "driver read-only")
 		case viol > 0:
 			p.quarantine(i, fmt.Sprintf("%d protocol violations", viol))
 		case h.fragErrs >= p.Cfg.QuarantineFragErrs:
 			p.quarantine(i, fmt.Sprintf("%d fragment failures", h.fragErrs))
-		case hs.Mode == nvdc.ModeDegraded || hs.ErrorEvents > h.lastErrs || h.fragErrs > h.fragErrsAtProbe:
+		case d.Mode() == nvdc.ModeDegraded || errs > h.lastErrs || h.fragErrs > h.fragErrsAtProbe:
 			if h.state == StateUp {
 				h.state = StateSuspect
 				p.ctrPool.Inc("member-suspect")
@@ -125,7 +126,7 @@ func (p *Pool) probeMembers() {
 				p.ctrPool.Inc("member-recovered")
 			}
 		}
-		h.lastErrs = hs.ErrorEvents
+		h.lastErrs = errs
 		h.fragErrsAtProbe = h.fragErrs
 	}
 }
@@ -164,7 +165,7 @@ func (p *Pool) probesIdle() bool {
 		if m.sys.Faults != nil || m.sys.Detector.BitErrorRate != 0 {
 			return false
 		}
-		if m.sys.Driver.Health().ErrorEvents != h.lastErrs {
+		if m.sys.Driver.ErrorEvents() != h.lastErrs {
 			return false
 		}
 		if m.sys.Auditor != nil && m.sys.Auditor.ViolationCount() > 0 {

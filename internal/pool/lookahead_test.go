@@ -2,8 +2,10 @@ package pool
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
+	"nvdimmc/internal/metrics"
 	"nvdimmc/internal/nvdc"
 	"nvdimmc/internal/sim"
 	"nvdimmc/internal/trace"
@@ -18,7 +20,8 @@ func noProbe(c *Config) { c.ProbeEvery = 1 << 20 }
 // contract: an idle-heavy rated load (mean inter-arrival well above the
 // epoch, so both the member idle-warp and quiet-epoch batching engage)
 // produces byte-identical stats with the scheduler on and off, at 1, 2 and
-// 8 epoch workers. Runs unshortened so the -race lane checks the batched
+// 8 epoch workers, and the lookahead runs reach StepQuiet's closed-form
+// EWMA replay. Runs unshortened so the -race lane checks the batched
 // paths' barriers too.
 func TestPoolLookaheadIdenticalAcrossWorkers(t *testing.T) {
 	var snaps []string
@@ -32,6 +35,11 @@ func TestPoolLookaheadIdenticalAcrossWorkers(t *testing.T) {
 			if s.Completed != 300 {
 				t.Fatalf("lockstep=%v workers=%d: completed %d of 300",
 					lockstep, workers, s.Completed)
+			}
+			// The compare must cover StepQuiet's closed-form EWMA replay.
+			if n := p.ClosedFormFolds(); (n == 0) != lockstep {
+				t.Fatalf("lockstep=%v workers=%d: %d channel-epochs folded in closed form",
+					lockstep, workers, n)
 			}
 			snaps = append(snaps, snapshot(s))
 			labels = append(labels, fmt.Sprintf("lockstep=%v workers=%d", lockstep, workers))
@@ -258,7 +266,8 @@ func TestQuietEpochsWorkDisables(t *testing.T) {
 // every channel's EWMA exactly where one foldService division per epoch
 // leaves it: over random spans, with svcDone = 1, with svcDone so large the
 // quotient is 0 and the cum <= 0 clamp fires (then grows past it), at a span
-// that starts on svcBusyAt, and for a channel with no completed work.
+// that starts on svcBusyAt, and for a channel with no completed work. Then
+// run(ch, k), which finishes a span in closed form, is held to k next calls.
 func TestQuietFoldMatchesFoldService(t *testing.T) {
 	type span struct {
 		busyAt, now sim.Time
@@ -301,5 +310,199 @@ func TestQuietFoldMatchesFoldService(t *testing.T) {
 					i, sp, j, inc.ewma, direct.ewma)
 			}
 		}
+	}
+
+	// run(ch, k) finishes a span in closed form once g = q - ewma is in
+	// the band [7*dq, 7*dq+7]. It must land where k next calls do: from g
+	// below, inside and above the band, negative g, ewma 0 (and negative),
+	// q 0, svcDone 1, svcDone >= Epoch (dq 0) and dr 0, over chained spans.
+	closed := 0
+	for i := 0; i < 100_000; i++ {
+		epoch := sim.Duration(1 + rng.Int63n(1<<24))
+		var d sim.Duration
+		switch rng.Intn(4) {
+		case 0:
+			d = 1
+		case 1:
+			d = epoch + sim.Duration(rng.Int63n(1<<20)) // dq 0
+		case 2:
+			d = sim.Duration(1 + rng.Int63n(64))
+			epoch = d * sim.Duration(1+rng.Int63n(1<<18)) // dr 0
+		default:
+			d = sim.Duration(1 + rng.Int63n(1<<uint(rng.Intn(31))))
+		}
+		f := quietFold{dq: epoch / d, dr: epoch % d, d: d, r: sim.Duration(rng.Int63n(int64(d)))}
+		switch rng.Intn(3) {
+		case 0:
+			f.q = 0
+		case 1:
+			f.q = sim.Duration(rng.Int63n(1 << 12))
+		default:
+			f.q = sim.Duration(rng.Int63n(1 << 36))
+		}
+		lo := 7 * f.dq
+		var g sim.Duration
+		switch rng.Intn(5) {
+		case 0: // inside the band
+			g = lo + sim.Duration(rng.Intn(8))
+		case 1: // just below or above it
+			g = lo - 1 - sim.Duration(rng.Intn(8))
+			if rng.Intn(2) == 0 {
+				g = lo + 8 + sim.Duration(rng.Intn(8))
+			}
+		case 2: // far above
+			g = lo + 8 + sim.Duration(rng.Int63n(1<<30))
+		default: // negative: a completion just moved svcDone
+			g = -1 - sim.Duration(rng.Int63n(1<<uint(rng.Intn(34))))
+		}
+		ewma := f.q - g
+		switch rng.Intn(10) {
+		case 0:
+			ewma = 0
+		case 1:
+			ewma = -sim.Duration(rng.Int63n(1 << 10))
+		}
+		ref, got := channelState{ewma: ewma}, channelState{ewma: ewma}
+		rf := f
+		for span := 1 + rng.Intn(3); span > 0; span-- {
+			k := 1 + rng.Intn(300)
+			for j := 0; j < k; j++ {
+				rf.next(&ref)
+			}
+			closed += f.run(&got, k)
+			if got.ewma != ref.ewma || f != rf {
+				t.Fatalf("state %d (g %d) span k=%d: run gave ewma %d fold %+v, next gave ewma %d fold %+v",
+					i, g, k, got.ewma, f, ref.ewma, rf)
+			}
+		}
+	}
+	if closed == 0 {
+		t.Fatal("no span reached the closed form")
+	}
+}
+
+// TestBreakerTicksMatchTick: breaker.ticks(k), which jumps to the next
+// window end or cooldown expiry, leaves the FSM and its breaker-* counters
+// exactly where k tick calls leave them, from random closed (trip-ready or
+// not), open and half-open states, over chained spans. BreakerMinSamples 0
+// covers an empty window that trips on its own.
+func TestBreakerTicksMatchTick(t *testing.T) {
+	rng := sim.NewRand(18)
+	rates := []float64{0.25, 0.5, 1}
+	for i := 0; i < 100_000; i++ {
+		cfg := &Config{
+			BreakerWindow:     1 + rng.Intn(16),
+			BreakerMinSamples: rng.Intn(9),
+			BreakerErrRate:    rates[rng.Intn(len(rates))],
+			BreakerCooldown:   1 + rng.Intn(32),
+		}
+		st := breaker{cfg: cfg, state: breakerState(rng.Intn(3)), coolBase: cfg.BreakerCooldown << uint(rng.Intn(4))}
+		switch st.state {
+		case breakerClosed:
+			st.winTotal = rng.Intn(12)
+			st.winFail = rng.Intn(st.winTotal + 1)
+			st.winLeft = 1 + rng.Intn(cfg.BreakerWindow)
+		case breakerOpen:
+			st.cooldown = 1 + rng.Intn(st.coolBase)
+		case breakerHalfOpen:
+			st.streak = rng.Intn(8)
+		}
+		ref, got := st, st
+		ref.ctr, got.ctr = metrics.NewCounters(), metrics.NewCounters()
+		for span := 1 + rng.Intn(3); span > 0; span-- {
+			k := 1 + rng.Intn(300)
+			for j := 0; j < k; j++ {
+				ref.tick()
+			}
+			got.ticks(k)
+			a, b := got, ref
+			a.ctr, b.ctr, a.cfg, b.cfg = nil, nil, nil, nil
+			if a != b || got.ctr.String() != ref.ctr.String() {
+				t.Fatalf("state %d (window %d, min samples %d, rate %g): ticks(%d) gave %+v [%s], tick gave %+v [%s]",
+					i, cfg.BreakerWindow, cfg.BreakerMinSamples, cfg.BreakerErrRate, k, a, got.ctr, b, ref.ctr)
+			}
+		}
+	}
+}
+
+// TestRefillTokensSpanMatchesEpochs: one refillTokens(k) leaves every
+// bucket bit-identical to k epochs of the naive refill (one addition, then
+// the burst cap): buckets that fill to burst mid-span, start full or above
+// burst, never fill inside the span, take an allotment too small to move
+// the float, or are unpoliced. Step's refillTokens(1) is held to the same
+// reference.
+func TestRefillTokensSpanMatchesEpochs(t *testing.T) {
+	rng := sim.NewRand(18)
+	for i := 0; i < 20_000; i++ {
+		ts := make([]tenantState, 1+rng.Intn(4))
+		for j := range ts {
+			ts[j].burst = float64(1 + rng.Intn(64))
+			ts[j].refill = rng.Float64() * 2
+			switch rng.Intn(5) {
+			case 0:
+				ts[j].refill = 0
+			case 1:
+				ts[j].refill = 1e-18
+			}
+			ts[j].tokens = rng.Float64() * ts[j].burst * 1.2
+		}
+		ref := make([]float64, len(ts))
+		for j := range ts {
+			ref[j] = ts[j].tokens
+		}
+		got := &Pool{qosT: ts}
+		one := &Pool{qosT: append([]tenantState(nil), ts...)}
+		for span := 1 + rng.Intn(3); span > 0; span-- {
+			k := 1 + rng.Intn(200)
+			for j := range ts {
+				for e := 0; e < k && ts[j].refill > 0; e++ {
+					ref[j] += ts[j].refill
+					if ref[j] > ts[j].burst {
+						ref[j] = ts[j].burst
+					}
+				}
+			}
+			got.refillTokens(k)
+			for e := 0; e < k; e++ {
+				one.refillTokens(1)
+			}
+			for j := range ts {
+				want := math.Float64bits(ref[j])
+				if a, b := got.qosT[j].tokens, one.qosT[j].tokens; math.Float64bits(a) != want || math.Float64bits(b) != want {
+					t.Fatalf("state %d tenant %d (refill %g burst %g) k=%d: span %v, per-epoch %v, naive %v",
+						i, j, ts[j].refill, ts[j].burst, k, a, b, ref[j])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkStepQuiet times one k-epoch quiet span of an idle 6-channel
+// pool whose channels have all completed work, so every channel's EWMA
+// folds and every breaker ticks across the span. The boundary replay is
+// O(channels + tenants), so ns/op should not grow with k; what remains is
+// the members' idle warp.
+func BenchmarkStepQuiet(b *testing.B) {
+	for _, k := range []int{64, 4096} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			p := newTestPool(b, 6, 1, 1, 4096)
+			for off := int64(0); off < 6*4096; off += 4096 {
+				if _, err := p.Submit(openloop.Request{Off: off, Len: 4096}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for !p.Quiesced() {
+				p.Step()
+			}
+			p.Poll(0)
+			if q := p.QuietEpochs(k); q != k {
+				b.Fatalf("QuietEpochs(%d) = %d on an idle pool", k, q)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.StepQuiet(k)
+			}
+		})
 	}
 }

@@ -217,6 +217,16 @@ func (p *Pool) Submit(r openloop.Request) (uint64, error) {
 // configured.
 func (p *Pool) Poll(max int) []Completion { return p.out.Poll(max) }
 
+// AppendCompletions removes every buffered completion and appends it to
+// dst: Poll(0) into a buffer the caller reuses, so draining allocates
+// nothing once the buffer has grown.
+func (p *Pool) AppendCompletions(dst []Completion) []Completion {
+	dst = append(dst, p.out.recs...)
+	clear(p.out.recs)
+	p.out.recs = p.out.recs[:0]
+	return dst
+}
+
 // Outbox holds a plane's terminal Completion records in deterministic
 // boundary order. It carries the one record rule both planes follow: a
 // request submitted through Submit always leaves a record; one the driver

@@ -413,8 +413,6 @@ type Pool struct {
 	chans   []*channelState
 	// svcScratch is collect's reusable per-channel completion-count buffer.
 	svcScratch []int
-	// foldScratch is StepQuiet's reusable per-channel EWMA replay state.
-	foldScratch []quietFold
 	// fragScratch is submitReq's reusable decode buffer; extents are copied
 	// into fragments before the next submission reuses it.
 	fragScratch []Extent
@@ -451,6 +449,9 @@ type Pool struct {
 	sparesUsed     int
 	epochs         int
 	heldPeak       int
+	// closedFolds counts the channel-epochs StepQuiet folded in closed
+	// form (ClosedFormFolds).
+	closedFolds int
 
 	// fan is the member fan-out (New, advanceAll). advanceFn advances
 	// member i to advanceTo, bound once.
@@ -815,6 +816,41 @@ func (f *quietFold) next(ch *channelState) {
 	ch.smooth(f.q)
 }
 
+// run advances the fold k epochs, exactly as k next calls, and returns how
+// many of them it folded in closed form. Let g = q - ewma after a fold.
+// The next fold sees x = g + dq + c, with c in {0, 1} the epoch's
+// remainder carry, and leaves g' = x - x/8. Inside the band
+// 7*dq <= g <= 7*dq+7 that is g' = min(g + c, 7*dq+7), which stays in the
+// band, so from there the span needs only its total carry C: q advances by
+// k*dq + C and g ends at min(g + C, 7*dq+7). Outside the band — where a
+// completion that moved svcDone leaves a channel — it folds one epoch at a
+// time, and g closes on the band geometrically (about 7.5*ln|g| epochs).
+// The band form also needs smooth's other branches to stay shut: ewma > 0,
+// which then stays positive, and the cum <= 0 clamp, which cannot fire
+// because g >= 0 puts every quotient at or above ewma.
+func (f *quietFold) run(ch *channelState, k int) int {
+	if f.d == 0 {
+		return 0
+	}
+	lo := 7 * f.dq
+	for ; k > 0; k-- {
+		if g := f.q - ch.ewma; ch.ewma > 0 && g >= lo && g <= lo+7 {
+			break
+		}
+		f.next(ch)
+	}
+	if k == 0 {
+		return 0
+	}
+	s := f.r + sim.Duration(k)*f.dr
+	c := s / f.d
+	g := min(f.q-ch.ewma+c, lo+7)
+	f.q += sim.Duration(k)*f.dq + c
+	f.r = s % f.d
+	ch.ewma = f.q - g
+	return k
+}
+
 // fragFailed routes one failed (or quarantine-rejected) fragment: back into
 // the retry queue with capped exponential backoff while budget remains,
 // terminal otherwise. A fragment whose request is already doomed (canceled
@@ -971,7 +1007,7 @@ func (p *Pool) promoteRetries() {
 func (p *Pool) Step() {
 	p.epochs++
 	epochEnd := p.now.Add(p.Cfg.Epoch)
-	p.refillTokens()
+	p.refillTokens(1)
 	p.expireAndSweep()
 	p.promoteRetries()
 	for ci := range p.chans {
@@ -1135,17 +1171,19 @@ func (p *Pool) QuietEpochs(limit int) int {
 // StepQuiet advances the pool k quiet epochs (QuietEpochs' preconditions)
 // in one pass: every member kernel runs — and warps — straight to the final
 // boundary, and the per-epoch boundary effects that still tick in an idle
-// pool are replayed exactly, epoch-major in canonical channel order: the
-// epoch counter, the per-tenant token-bucket refills (the same one-addition-
-// per-epoch sequence Step performs, so bucket levels stay bit-identical to
-// the naive path), each busy-before channel's service-interval EWMA fold
-// (collect folds the long-run quotient every epoch once a channel has
-// completed work, idle epochs included; quietFold carries the quotient
-// without a division per epoch), and the breaker FSMs. Every other
-// boundary pass (expiry sweep, retry promotion, fill, rebuild issue,
-// collect's drain, completion delivery) is a no-op on a quiet pool, and so
-// is every probe epoch inside the span (QuietEpochs jumps one only when
-// probesIdle proves it). The final epoch may be a probe epoch:
+// pool are replayed exactly, in O(channels + tenants) rather than once per
+// epoch: the epoch counter, the per-tenant token-bucket refills (the same
+// one-addition-per-epoch sequence Step performs, cut short once a bucket
+// stops moving, so bucket levels stay bit-identical to the naive path),
+// each busy-before channel's service-interval EWMA fold (collect folds the
+// long-run quotient every epoch once a channel has completed work, idle
+// epochs included; quietFold.run replays the span, in closed form once the
+// fold settles), and the breaker FSMs (breaker.ticks). Channels, breakers
+// and tenant buckets share no state, so the replay runs channel by channel.
+// Every other boundary pass (expiry sweep, retry promotion, fill, rebuild
+// issue, collect's drain, completion delivery) is a no-op on a quiet pool,
+// and so is every probe epoch inside the span (QuietEpochs jumps one only
+// when probesIdle proves it). The final epoch may be a probe epoch:
 // probeMembers runs after the members have advanced, self-gated on the
 // epoch counter, with p.now at the same epoch-start boundary Step would
 // give it. k must not exceed what QuietEpochs just reported at this
@@ -1153,23 +1191,23 @@ func (p *Pool) QuietEpochs(limit int) int {
 func (p *Pool) StepQuiet(k int) {
 	end := p.now.Add(sim.Duration(k) * p.Cfg.Epoch)
 	p.advanceAll(end)
-	folds := p.foldScratch[:0]
+	p.epochs += k
+	p.refillTokens(k)
 	for _, ch := range p.chans {
-		folds = append(folds, ch.startFold(p.now, p.Cfg.Epoch))
-	}
-	p.foldScratch = folds
-	for j := 0; j < k; j++ {
-		p.epochs++
-		p.refillTokens()
-		for ci, ch := range p.chans {
-			folds[ci].next(ch)
-			ch.brk.tick()
-		}
+		f := ch.startFold(p.now, p.Cfg.Epoch)
+		p.closedFolds += f.run(ch, k)
+		ch.brk.ticks(k)
 	}
 	p.now = end.Add(-p.Cfg.Epoch)
 	p.probeMembers()
 	p.now = end
 }
+
+// ClosedFormFolds returns how many channel-epochs of EWMA folding quiet
+// spans have replayed in closed form. It is a lookahead diagnostic, kept
+// out of Stats so lockstep and lookahead runs stay byte-comparable: the
+// lockstep-vs-lookahead tests read it to prove they cover that branch.
+func (p *Pool) ClosedFormFolds() int { return p.closedFolds }
 
 // Run feeds the requests next yields through the pool (the shared driver,
 // driver.go) and returns once every admitted request is terminal.

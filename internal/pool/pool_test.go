@@ -19,7 +19,7 @@ func testMember() core.Config {
 	return cfg
 }
 
-func newTestPool(t *testing.T, channels, dimms, workers int, interleave int64, mut ...func(*Config)) *Pool {
+func newTestPool(t testing.TB, channels, dimms, workers int, interleave int64, mut ...func(*Config)) *Pool {
 	t.Helper()
 	cfg := Config{
 		Channels:        channels,

@@ -62,7 +62,7 @@ func (p *Pool) Probe() Probe {
 		if h.spare && !h.inService && h.state == StateUp {
 			pr.SparesFree++
 		}
-		pr.DriverErrors += m.sys.Driver.Health().ErrorEvents
+		pr.DriverErrors += m.sys.Driver.ErrorEvents()
 	}
 	for _, phys := range p.route {
 		if p.health[phys].state >= StateQuarantined {

@@ -236,21 +236,30 @@ func (ts *tenantState) admitBucket() bool {
 }
 
 // refillTokens adds each policed tenant's per-epoch allotment, capped at its
-// burst depth. Runs once per epoch at the boundary — Step on the naive
-// path, and once per replayed epoch inside StepQuiet — in canonical tenant
-// order, so the float addition sequence (and therefore every admission
-// decision that reads it) is identical at any worker count and under the
-// lookahead scheduler. Refilling is pure accumulation: it never creates a
-// cross-member event, so it bounds no quiet horizon.
-func (p *Pool) refillTokens() {
+// burst depth, for k epochs: Step refills one, StepQuiet its whole span.
+// Each epoch is one float addition, in the same order the naive path makes
+// them, so bucket levels (and therefore every admission decision that reads
+// them) are bit-identical at any worker count and under the lookahead
+// scheduler. The replay stops at the first epoch that leaves a bucket
+// unchanged — full at burst, or an allotment too small to move the float —
+// because every later epoch would repeat it. Refilling is pure
+// accumulation: it never creates a cross-member event, so it bounds no
+// quiet horizon.
+func (p *Pool) refillTokens(k int) {
 	for i := range p.qosT {
 		ts := &p.qosT[i]
 		if ts.refill <= 0 {
 			continue
 		}
-		ts.tokens += ts.refill
-		if ts.tokens > ts.burst {
-			ts.tokens = ts.burst
+		for j := 0; j < k; j++ {
+			t := ts.tokens + ts.refill
+			if t > ts.burst {
+				t = ts.burst
+			}
+			if t == ts.tokens {
+				break
+			}
+			ts.tokens = t
 		}
 	}
 }
