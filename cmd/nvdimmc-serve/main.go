@@ -29,8 +29,8 @@
 //	nvdimmc-serve -replay FILE [-limit N] [pool geometry flags as above]
 //
 // Replays a captured trace through an offline pool (no HTTP) and prints the
-// final stats. Deterministic: byte-identical at any -workers and with
-// -lockstep on or off.
+// final stats. Deterministic: byte-identical at any -workers (which only
+// builds and prefills members concurrently) and with -lockstep on or off.
 package main
 
 import (
@@ -57,7 +57,7 @@ func main() {
 		dimms    = flag.Int("dimms", 1, "DIMMs per channel")
 		spares   = flag.Int("spares", 0, "hot-spare members")
 		interlv  = flag.Int64("interleave", 4096, "stripe granularity in bytes")
-		workers  = flag.Int("workers", 0, "epoch workers (0: GOMAXPROCS; output identical at any count)")
+		workers  = flag.Int("workers", 0, "member build/prefill workers (0: GOMAXPROCS; output identical at any count)")
 		seed     = flag.Uint64("seed", 7, "pool / loadgen seed")
 		small    = flag.Bool("small", false, "shrunken members (1 MB cache) for demos and smoke tests")
 		admit    = flag.String("admission", "block", "admission policy: block | shed-newest | shed-oldest | deadline-aware")

@@ -39,21 +39,19 @@ type sfaultSpec struct {
 }
 
 // parseSocketFaults parses the -sfaults flag:
-// "socket:kind:onset[,socket:kind:onset...]" with kind kill | slow | link.
-func parseSocketFaults(spec string, sockets int) []sfaultSpec {
+// "socket:kind:onset[,socket:kind:onset...]" with kind kill | slow | link and
+// socket in [0, sockets).
+func parseSocketFaults(spec string, sockets int) ([]sfaultSpec, error) {
 	var out []sfaultSpec
 	for _, part := range strings.Split(spec, ",") {
 		f := strings.Split(strings.TrimSpace(part), ":")
 		if len(f) != 3 {
-			fmt.Fprintf(os.Stderr, "nvdimmc-sim: bad -sfaults entry %q (want socket:kind:onset)\n", part)
-			os.Exit(2)
+			return nil, fmt.Errorf("bad -sfaults entry %q (want socket:kind:onset)", part)
 		}
 		socket, err1 := strconv.Atoi(f[0])
 		onset, err2 := strconv.Atoi(f[2])
 		if err1 != nil || err2 != nil || socket < 0 || socket >= sockets || onset < 0 {
-			fmt.Fprintf(os.Stderr, "nvdimmc-sim: bad -sfaults entry %q: socket in [0,%d) and onset >= 0 required\n",
-				part, sockets)
-			os.Exit(2)
+			return nil, fmt.Errorf("bad -sfaults entry %q: socket in [0,%d) and onset >= 0 required", part, sockets)
 		}
 		if onset == 0 {
 			onset = 1
@@ -61,12 +59,11 @@ func parseSocketFaults(spec string, sockets int) []sfaultSpec {
 		switch f[1] {
 		case "kill", "slow", "link":
 		default:
-			fmt.Fprintf(os.Stderr, "nvdimmc-sim: unknown socket fault kind %q (want kill | slow | link)\n", f[1])
-			os.Exit(2)
+			return nil, fmt.Errorf("unknown socket fault kind %q (want kill | slow | link)", f[1])
 		}
 		out = append(out, sfaultSpec{socket: socket, kind: f[1], onset: onset})
 	}
-	return out
+	return out, nil
 }
 
 // runFabric drives the multi-socket NUMA fabric (see internal/numa): N
@@ -85,7 +82,11 @@ func runFabric(o fabricOpts) {
 	specs := []sfaultSpec(nil)
 	member := nvdimmc.DefaultConfig()
 	if o.sfaults != "" {
-		specs = parseSocketFaults(o.sfaults, o.sockets)
+		var err error
+		if specs, err = parseSocketFaults(o.sfaults, o.sockets); err != nil {
+			fmt.Fprintln(os.Stderr, "nvdimmc-sim:", err)
+			os.Exit(2)
+		}
 		// Same shrink as pooled -faults: fault sites live on NAND and the CP
 		// transport, so run a small module near capacity with deferred
 		// program acks surfaced (see runPool).

@@ -203,20 +203,19 @@ type faultSpec struct {
 	nth    uint64
 }
 
-// parseFaults parses the -faults flag: "member:kind:nth[,member:kind:nth...]".
-func parseFaults(spec string) []faultSpec {
+// parseFaults parses the -faults flag: "member:kind:nth[,member:kind:nth...]"
+// with member in [0, members).
+func parseFaults(spec string, members int) ([]faultSpec, error) {
 	var out []faultSpec
 	for _, part := range strings.Split(spec, ",") {
 		f := strings.Split(strings.TrimSpace(part), ":")
 		if len(f) != 3 {
-			fmt.Fprintf(os.Stderr, "nvdimmc-sim: bad -faults entry %q (want member:kind:nth)\n", part)
-			os.Exit(2)
+			return nil, fmt.Errorf("bad -faults entry %q (want member:kind:nth)", part)
 		}
 		member, err1 := strconv.Atoi(f[0])
 		nth, err2 := strconv.ParseUint(f[2], 10, 64)
-		if err1 != nil || err2 != nil || member < 0 {
-			fmt.Fprintf(os.Stderr, "nvdimmc-sim: bad -faults entry %q: member and nth must be non-negative integers\n", part)
-			os.Exit(2)
+		if err1 != nil || err2 != nil || member < 0 || member >= members {
+			return nil, fmt.Errorf("bad -faults entry %q: member in [0,%d) and nth >= 0 required", part, members)
 		}
 		if nth == 0 {
 			nth = 1
@@ -224,12 +223,11 @@ func parseFaults(spec string) []faultSpec {
 		switch f[1] {
 		case "program", "mediaread", "dietimeout", "ackdrop":
 		default:
-			fmt.Fprintf(os.Stderr, "nvdimmc-sim: unknown fault kind %q (want program | mediaread | dietimeout | ackdrop)\n", f[1])
-			os.Exit(2)
+			return nil, fmt.Errorf("unknown fault kind %q (want program | mediaread | dietimeout | ackdrop)", f[1])
 		}
 		out = append(out, faultSpec{member: member, kind: f[1], nth: nth})
 	}
-	return out
+	return out, nil
 }
 
 // armSpecs arms the parsed fault schedules on one member's registry.
@@ -325,7 +323,11 @@ func runPool(o poolOpts) {
 	member := nvdimmc.DefaultConfig()
 	walk := int64(15 << 30)
 	if faults != "" {
-		specs = parseFaults(faults)
+		var err error
+		if specs, err = parseFaults(faults, channels*dimms+spares); err != nil {
+			fmt.Fprintln(os.Stderr, "nvdimmc-sim:", err)
+			os.Exit(2)
+		}
 		// Fault sites live on NAND and the CP transport, which a paper-scale
 		// member at a cache-resident footprint never touches; shrink the
 		// module and run near capacity so misses map pages onto media.

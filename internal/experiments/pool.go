@@ -108,9 +108,9 @@ func poolMemberCfg(o Options) core.Config {
 // Pool sweeps the pooled socket: 1/2/4/6 channels x {4 KB, 2 MB} interleave
 // under a saturating two-tenant open-loop load (a zipfian read-mostly
 // key-value tenant over the low half, a uniform mixed tenant over the high
-// half). Cells run in sequence; inside each cell the pool's epoch-lockstep
-// engine fans the members across o.Parallel workers with byte-identical
-// output, so this experiment is the end-to-end exercise of that guarantee.
+// half). Cells run in sequence; inside each cell the pool builds and
+// prefills its members on o.Parallel workers with byte-identical output,
+// so this experiment is the end-to-end exercise of that guarantee.
 func Pool(o Options) (PoolResult, error) {
 	var res PoolResult
 	channelCounts := []int{1, 2, 4, 6}

@@ -13,14 +13,16 @@ import (
 // The replay campaign caps the trace front-end: a live pool run under an
 // overloaded, deadlined, shedding workload is captured into both trace
 // formats by the generator's capture hook, then each trace is replayed
-// through fresh pools across every execution variant — 1, 2 and 8 epoch
-// workers, lookahead scheduler on and off. The claim under test is the
-// determinism contract end to end: every replay reproduces the live run's
-// observable statistics byte for byte (latency histograms, per-channel
-// meters, outcome counters — the works), with zero re-timed records, and
-// the binary format carries the same stream at a fraction of the text size.
+// through fresh pools across every execution variant — 1, 2 and 8
+// member-build workers, lookahead scheduler on and off. The claim under
+// test is the determinism contract end to end: every replay reproduces the
+// live run's observable statistics byte for byte (latency histograms,
+// per-channel meters, outcome counters — the works), with zero re-timed
+// records, and the binary format carries the same stream at a fraction of
+// the text size.
 
-// replayWorkerCounts are the epoch-worker settings each trace replays under.
+// replayWorkerCounts are the member-build worker settings each trace replays
+// under.
 var replayWorkerCounts = []int{1, 2, 8}
 
 // ReplayVariant is one replay execution: a (format, lockstep, workers)

@@ -110,8 +110,9 @@ type Config struct {
 
 	// MaxEpochs guards Run/Drain against wedges (default 1<<21).
 	MaxEpochs int
-	// Workers parallelizes each pool's member advance (fabric state is
-	// boundary-only and never sharded).
+	// Workers caps how many members each socket's pool builds and prefills
+	// concurrently (pool.Config.Workers); epochs advance on the stepping
+	// goroutine.
 	Workers int
 	// Seed derives every per-socket pool seed (zero gets a fixed default).
 	Seed uint64
@@ -617,8 +618,7 @@ func (f *Fabric) requestPieceDone(r *fabReq, at sim.Duration) {
 
 // Step advances the fabric one epoch: boundary bookkeeping (link faults,
 // retry promotion, migration issue) in canonical order, every socket pool
-// one epoch (each parallelizing its members per Cfg.Workers; socket order
-// is serial and state-independent), then completion collection, socket
+// one epoch in canonical socket order, then completion collection, socket
 // probes and migration sweep — all single-threaded at the boundary.
 func (f *Fabric) Step() {
 	f.epochs++

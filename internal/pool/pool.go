@@ -12,11 +12,11 @@
 //
 // Channels advance in conservative epoch lockstep. All cross-member
 // interaction — arrival admission, queue refill, window dispatch, completion
-// collection — happens single-threaded at epoch boundaries, in canonical
-// member/channel order; between boundaries each member's kernel runs
-// independently (optionally on parallel workers) and touches only its own
-// state, exactly the PR-2 shard contract. A member never observes another
-// member's mid-epoch state, so the pooled run is byte-identical at any
+// collection — happens at epoch boundaries, in canonical member/channel
+// order; between boundaries each member's kernel runs to the next boundary
+// in member order on the stepping goroutine, touching only its own state. A
+// member never observes another member's mid-epoch state. Workers build and
+// prefill members only (New), so the pooled run is byte-identical at any
 // worker count, including under -race. The price is scheduling latency
 // quantized to the epoch (default one tREFI) and an in-flight window that
 // only recycles at boundaries; both are front-end costs a real socket pays
@@ -76,8 +76,9 @@ type Config struct {
 	QueueCap int
 	// Epoch is the lockstep quantum (default: the member tREFI).
 	Epoch sim.Duration
-	// Workers caps how many members advance concurrently per epoch (<=1
-	// serial; output is identical either way).
+	// Workers caps how many members New builds and prefills concurrently
+	// (<=1 serial; output is identical either way). Epochs advance members
+	// on the stepping goroutine.
 	Workers int
 	// Seed master-seeds per-member systems and the dispatch jitter streams.
 	Seed uint64
@@ -316,13 +317,13 @@ type member struct {
 	sys *core.System
 	tgt *core.FioTarget
 	jit *sim.Rand
-	// done accumulates completions during an epoch; only this member's
-	// worker touches it until the barrier.
+	// done accumulates completions while the member advances; collect
+	// drains it at the boundary.
 	done []completion
 	// rdone accumulates rebuild-op completions the same way.
 	rdone []rebuildEvent
 	// opFree recycles dispatch records (memberOp). The boundary pops and the
-	// member's worker pushes; the epoch barrier orders the two.
+	// member's completions push while it advances.
 	opFree []*memberOp
 }
 
@@ -452,17 +453,11 @@ type Pool struct {
 	// closedFolds counts the channel-epochs StepQuiet folded in closed
 	// form (ClosedFormFolds).
 	closedFolds int
-
-	// fan is the member fan-out (New, advanceAll). advanceFn advances
-	// member i to advanceTo, bound once.
-	fan       fanout
-	advanceFn func(i int)
-	advanceTo sim.Time
 }
 
-// New assembles Channels x DIMMsPerChannel member systems (in parallel when
-// cfg.Workers > 1 — construction order is irrelevant to state), prefills
-// them, and aligns their clocks on the first epoch boundary.
+// New assembles Channels x DIMMsPerChannel member systems and prefills them
+// (on up to cfg.Workers goroutines — construction order is irrelevant to
+// state), then aligns their clocks on the first epoch boundary.
 func New(cfg Config) (*Pool, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
@@ -470,9 +465,8 @@ func New(cfg Config) (*Pool, error) {
 	n := cfg.Channels * cfg.DIMMsPerChannel
 	total := n + cfg.Spares
 	p := &Pool{Cfg: cfg, members: make([]*member, total)}
-	p.advanceFn = func(i int) { p.advanceMember(i, p.advanceTo) }
 	errs := make([]error, total)
-	p.fan.run(total, cfg.Workers, func(i int) {
+	build := func(i int) {
 		mcfg := cfg.Member
 		mcfg.Seed = sim.SplitSeed(cfg.Seed, fmt.Sprintf("pool/member-%02d", i))
 		if cfg.FaultSeed != 0 {
@@ -507,7 +501,24 @@ func New(cfg Config) (*Pool, error) {
 			tgt: tgt,
 			jit: sim.NewRand(sim.SplitSeed(cfg.Seed, fmt.Sprintf("pool/jitter-%02d", i))),
 		}
-	})
+	}
+	// Up to cfg.Workers goroutines, this one included, claim members in turn.
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < total; i = int(next.Add(1)) - 1 {
+			build(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(cfg.Workers, total); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -655,10 +666,9 @@ func dropFront(q []*fragment, n int) []*fragment {
 }
 
 // dispatch schedules one fragment on its member's kernel: the host CPU cost
-// (plus deterministic jitter, drawn here at the single-threaded boundary so
-// worker count cannot reorder draws), then the device op. The completion
-// callback runs mid-epoch on the member's worker and only touches
-// member-local state.
+// (plus deterministic jitter, drawn here at the boundary in canonical
+// order), then the device op. The completion callback runs mid-epoch, while
+// the member advances, and only touches member-local state.
 func (p *Pool) dispatch(f *fragment) {
 	phys := p.route[f.member]
 	if p.health[phys].state >= StateQuarantined {
@@ -999,11 +1009,10 @@ func (p *Pool) promoteRetries() {
 
 // Step advances the plane one epoch: boundary bookkeeping (deadline expiry,
 // retry promotion, queue fill, rebuild issue) in canonical channel order,
-// then every member kernel to the next boundary (in parallel when
-// Cfg.Workers > 1 — the output is identical either way), then completion
-// collection, health probes and breaker ticks. Completions are delivered to
-// Cfg.Notify (or retained for Poll) in deterministic order at the end of
-// the step.
+// then every member kernel to the next boundary in member order, then
+// completion collection, health probes and breaker ticks. Completions are
+// delivered to Cfg.Notify (or retained for Poll) in deterministic order at
+// the end of the step.
 func (p *Pool) Step() {
 	p.epochs++
 	epochEnd := p.now.Add(p.Cfg.Epoch)
@@ -1024,65 +1033,13 @@ func (p *Pool) Step() {
 	p.out.Flush(p.Cfg.Notify)
 }
 
-// fanout runs fn(0..n-1) across at most a given number of goroutines.
-// Callers guarantee fn(i) touches only item-i state, so scheduling order
-// cannot leak into results — the same contract as the experiment layer's
-// runShards. Its state lives in the Pool and helperFn is bound once, so a
-// run allocates no closure, counter or WaitGroup. Helpers are still
-// goroutines spawned per run: a Pool has no Close, so parked workers would
-// leak.
-type fanout struct {
-	n        int
-	fn       func(i int)
-	next     atomic.Int64
-	wg       sync.WaitGroup
-	helperFn func()
-}
-
-// run calls fn(0..n-1) on at most workers goroutines (serially with one),
-// the calling goroutine taking a worker's share instead of idling in Wait.
-func (a *fanout) run(n, workers int, fn func(i int)) {
-	if workers = min(workers, n); workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	if a.helperFn == nil {
-		a.helperFn = a.helper
-	}
-	a.n, a.fn = n, fn
-	a.next.Store(0)
-	a.wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go a.helperFn()
-	}
-	a.work()
-	a.wg.Wait()
-	a.fn = nil
-}
-
-func (a *fanout) helper() {
-	defer a.wg.Done()
-	a.work()
-}
-
-// work calls fn on items until none is left unclaimed.
-func (a *fanout) work() {
-	for {
-		i := int(a.next.Add(1)) - 1
-		if i >= a.n {
-			return
-		}
-		a.fn(i)
-	}
-}
-
-// advanceAll runs every member kernel to the boundary at to, across at most
-// Cfg.Workers goroutines.
+// advanceAll runs every member kernel to the boundary at to, in canonical
+// member order on the calling goroutine. An epoch is one tREFI of member
+// work, too little to pay for handing it to other goroutines.
 func (p *Pool) advanceAll(to sim.Time) {
-	p.advanceTo = to
-	p.fan.run(len(p.members), p.Cfg.Workers, p.advanceFn)
+	for i := range p.members {
+		p.advanceMember(i, to)
+	}
 }
 
 // advanceMember runs member i's kernel to the boundary at to — through the

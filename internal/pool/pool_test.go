@@ -243,21 +243,80 @@ func TestPoolConfigValidation(t *testing.T) {
 	}
 }
 
-// TestStepAllocs: an epoch of an idle pool with two workers allocates
-// nothing, with and without lookahead: the member fan-out keeps its
-// state in the Pool, and the members' refresh chains recycle their records.
+// TestStepAllocs: an epoch of an idle pool allocates nothing at 2 or 8
+// workers, with and without lookahead, and so does a quiet span
+// (StepQuiet) over channels that have completed work: the members advance
+// on the stepping goroutine, and their refresh chains recycle their records.
 func TestStepAllocs(t *testing.T) {
-	for _, lockstep := range []bool{false, true} {
-		p := newTestPool(t, 2, 1, 2, 4096, func(c *Config) { c.DisableLookahead = lockstep })
-		for i := 0; i < 20; i++ {
+	for _, workers := range []int{2, 8} {
+		for _, lockstep := range []bool{false, true} {
+			p := newTestPool(t, 2, 1, workers, 4096, func(c *Config) { c.DisableLookahead = lockstep })
+			for i := 0; i < 20; i++ {
+				p.Step()
+			}
+			epochs := p.Stats().Epochs
+			if allocs := testing.AllocsPerRun(100, p.Step); allocs != 0 {
+				t.Errorf("workers=%d lockstep=%v: %v allocs per epoch, want 0", workers, lockstep, allocs)
+			}
+			if got := p.Stats().Epochs - epochs; got != 101 {
+				t.Fatalf("workers=%d lockstep=%v: %d epochs stepped, want 101", workers, lockstep, got)
+			}
+		}
+
+		const k = 16
+		p := newTestPool(t, 2, 1, workers, 4096)
+		for off := int64(0); off < 2*4096; off += 4096 {
+			if _, err := p.Submit(openloop.Request{Off: off, Len: 4096}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for !p.Quiesced() {
 			p.Step()
 		}
+		p.Poll(0)
+		p.StepQuiet(p.QuietEpochs(k)) // first span grows the fold's state
 		epochs := p.Stats().Epochs
-		if allocs := testing.AllocsPerRun(100, p.Step); allocs != 0 {
-			t.Errorf("lockstep=%v: %v allocs per epoch, want 0", lockstep, allocs)
+		allocs := testing.AllocsPerRun(100, func() {
+			if q := p.QuietEpochs(k); q != k {
+				t.Fatalf("workers=%d: QuietEpochs(%d) = %d on an idle pool", workers, k, q)
+			}
+			p.StepQuiet(k)
+		})
+		if allocs != 0 {
+			t.Errorf("workers=%d: %v allocs per quiet span, want 0", workers, allocs)
 		}
-		if got := p.Stats().Epochs - epochs; got != 101 {
-			t.Fatalf("lockstep=%v: %d epochs stepped, want 101", lockstep, got)
+		if got := p.Stats().Epochs - epochs; got != 101*k {
+			t.Fatalf("workers=%d: %d epochs in quiet spans, want %d", workers, got, 101*k)
 		}
+	}
+}
+
+// BenchmarkPoolStep times one busy epoch of a 6-channel pool at two
+// workers: each op submits one cache-resident 4 KiB read per channel, steps
+// the pool one epoch and drains the completions. This is the per-epoch cost
+// of the boundary plus a few hits of member work on every channel; the
+// request record makes the one allocation per request.
+func BenchmarkPoolStep(b *testing.B) {
+	p := newTestPool(b, 6, 1, 2, 4096)
+	foot := p.CachedFootprint() / 4096 * 4096
+	var done []Completion
+	var off int64
+	op := func() {
+		for c := 0; c < 6; c++ {
+			if _, err := p.Submit(openloop.Request{Arrival: p.Elapsed(), Off: off, Len: 4096}); err != nil {
+				b.Fatal(err)
+			}
+			off = (off + 4096) % foot
+		}
+		p.Step()
+		done = p.AppendCompletions(done[:0])
+	}
+	for i := 0; i < 100; i++ {
+		op()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
 	}
 }
