@@ -66,6 +66,17 @@ func parseSocketFaults(spec string, sockets int) ([]sfaultSpec, error) {
 	return out, nil
 }
 
+// linkBandwidth converts -xbw, in GB/s per directed link, to bytes per
+// second. The fabric reads 0 B/s as its 8 GB/s default, so a value that
+// converts below 1 B/s is an error, as is one past int64 or not finite.
+func linkBandwidth(gbps float64) (int64, error) {
+	bps := gbps * (1 << 30)
+	if !(bps >= 1 && bps < 1<<63) { // NaN fails both comparisons
+		return 0, fmt.Errorf("-xbw %g: want a finite link bandwidth of at least 1 B/s", gbps)
+	}
+	return int64(bps), nil
+}
+
 // runFabric drives the multi-socket NUMA fabric (see internal/numa): N
 // pooled sockets behind one request plane, a socket-affine open-loop load
 // plus a fabric-wide roamer, and an end-of-run socket state table.
@@ -79,10 +90,14 @@ func runFabric(o fabricOpts) {
 		fmt.Fprintf(os.Stderr, "nvdimmc-sim: fabric mode supports -rw randread|randwrite, not %q\n", o.rw)
 		os.Exit(2)
 	}
+	xbw, err := linkBandwidth(o.xbwGBps)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nvdimmc-sim:", err)
+		os.Exit(2)
+	}
 	specs := []sfaultSpec(nil)
 	member := nvdimmc.DefaultConfig()
 	if o.sfaults != "" {
-		var err error
 		if specs, err = parseSocketFaults(o.sfaults, o.sockets); err != nil {
 			fmt.Fprintln(os.Stderr, "nvdimmc-sim:", err)
 			os.Exit(2)
@@ -107,7 +122,7 @@ func runFabric(o fabricOpts) {
 			Spares:          o.spares,
 		},
 		XLat:           sim.Duration(o.xlatNS * float64(sim.Nanosecond)),
-		XBWBytesPerSec: int64(o.xbwGBps * float64(1<<30)),
+		XBWBytesPerSec: xbw,
 		Workers:        runtime.GOMAXPROCS(0),
 		Seed:           7,
 	}

@@ -93,6 +93,13 @@ func main() {
 	sfaults := flag.String("sfaults", "", "NUMA fabric: comma-separated socket:kind:onset schedules (kind: kill | slow | link)")
 	flag.Parse()
 
+	pooled := *channels > 1 || *dimms > 1 || *spares > 0 || *faults != "" ||
+		*admission != "block" || *deadline > 0 || *pendingCap > 0 || *qos != ""
+	if err := checkPlaneFlags(*bs, *pendingCap, pooled || *sockets > 1); err != nil {
+		fmt.Fprintln(os.Stderr, "nvdimmc-sim:", err)
+		os.Exit(2)
+	}
+
 	if *sockets > 1 {
 		runFabric(fabricOpts{
 			sockets: *sockets, channels: *channels, dimms: *dimms,
@@ -102,8 +109,7 @@ func main() {
 		return
 	}
 
-	if *channels > 1 || *dimms > 1 || *spares > 0 || *faults != "" ||
-		*admission != "block" || *deadline > 0 || *pendingCap > 0 || *qos != "" {
+	if pooled {
 		runPool(poolOpts{
 			channels: *channels, dimms: *dimms, interleave: *interleave,
 			rate: *rate, rw: *rw, bs: *bs, ops: *ops,
@@ -193,6 +199,21 @@ func main() {
 		}
 		die(sys.CheckHealth())
 	}
+}
+
+// checkPlaneFlags rejects values the pooled and fabric layers would
+// silently replace with their defaults: a negative -pendingcap (the pool
+// reads any cap below 1 as 256; 0 asks for the default) and, when plane
+// is set, a non-positive -bs (the open-loop generator reads a block size
+// of 0 as 4096). Single-module mode checks -bs itself (fio rejects 0).
+func checkPlaneFlags(bs, pendingCap int, plane bool) error {
+	if pendingCap < 0 {
+		return fmt.Errorf("-pendingcap %d: want >= 0 (0 = default)", pendingCap)
+	}
+	if plane && bs <= 0 {
+		return fmt.Errorf("-bs %d: block size must be positive", bs)
+	}
+	return nil
 }
 
 // faultSpec is one parsed -faults entry: arm <kind> on member <member>

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -128,4 +129,54 @@ func FuzzParseSocketFaults(f *testing.F) {
 			}
 		}
 	})
+}
+
+func TestCheckPlaneFlags(t *testing.T) {
+	cases := []struct {
+		bs, pendingCap int
+		plane, ok      bool
+	}{
+		{4096, 0, true, true},
+		{512, 64, true, true},
+		{0, 0, true, false}, // the generator would run it as 4096
+		{-4096, 0, true, false},
+		{4096, -3, true, false}, // the pool would run it as 256
+		{4096, -1, false, false},
+		{0, 0, false, true}, // single-module mode: fio rejects it itself
+	}
+	for _, c := range cases {
+		err := checkPlaneFlags(c.bs, c.pendingCap, c.plane)
+		if (err == nil) != c.ok {
+			t.Errorf("checkPlaneFlags(%d, %d, %v) = %v, want ok=%v", c.bs, c.pendingCap, c.plane, err, c.ok)
+		}
+	}
+}
+
+func TestLinkBandwidth(t *testing.T) {
+	cases := []struct {
+		gbps float64
+		want int64 // 0: an error
+	}{
+		{8, 8 << 30},
+		{0.5, 1 << 29},
+		{1.0 / (1 << 30), 1}, // exactly 1 B/s
+		{0, 0},               // the fabric would run it as 8 GB/s
+		{-4, 0},
+		{1e-12, 0}, // below 1 B/s: converts to 0
+		{math.Inf(1), 0},
+		{math.NaN(), 0},
+		{1e10, 0}, // past int64
+	}
+	for _, c := range cases {
+		got, err := linkBandwidth(c.gbps)
+		if c.want == 0 {
+			if err == nil {
+				t.Errorf("linkBandwidth(%g) = %d, want an error", c.gbps, got)
+			}
+			continue
+		}
+		if err != nil || got != c.want {
+			t.Errorf("linkBandwidth(%g) = %d, %v; want %d", c.gbps, got, err, c.want)
+		}
+	}
 }

@@ -247,6 +247,9 @@ func TestPoolConfigValidation(t *testing.T) {
 // workers, with and without lookahead, and so does a quiet span
 // (StepQuiet) over channels that have completed work: the members advance
 // on the stepping goroutine, and their refresh chains recycle their records.
+// Under lookahead the idle members park, and neither skipping them nor
+// catching one up (Member, like dispatch, warps it over the skipped epochs)
+// allocates.
 func TestStepAllocs(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		for _, lockstep := range []bool{false, true} {
@@ -260,6 +263,18 @@ func TestStepAllocs(t *testing.T) {
 			}
 			if got := p.Stats().Epochs - epochs; got != 101 {
 				t.Fatalf("workers=%d lockstep=%v: %d epochs stepped, want 101", workers, lockstep, got)
+			}
+			if parked := p.ParkedAdvances(); (parked == 0) != lockstep {
+				t.Fatalf("workers=%d lockstep=%v: %d parked member advances", workers, lockstep, parked)
+			}
+			catchUp := func() {
+				for i := 0; i < 4; i++ {
+					p.Step()
+				}
+				p.Member(0)
+			}
+			if allocs := testing.AllocsPerRun(100, catchUp); allocs != 0 {
+				t.Errorf("workers=%d lockstep=%v: %v allocs per parked span and catch-up, want 0", workers, lockstep, allocs)
 			}
 		}
 
@@ -291,32 +306,65 @@ func TestStepAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkPoolStep times one busy epoch of a 6-channel pool at two
-// workers: each op submits one cache-resident 4 KiB read per channel, steps
-// the pool one epoch and drains the completions. This is the per-epoch cost
-// of the boundary plus a few hits of member work on every channel; the
-// request record makes the one allocation per request.
+// BenchmarkPoolStep times one epoch of a 6-channel pool at two workers.
+//
+// busy: each op submits one cache-resident 4 KiB read per channel, steps
+// the pool one epoch and drains the completions. This is the per-epoch
+// cost of the boundary plus a few hits of member work on every channel;
+// the request record makes the one allocation per request.
+//
+// idle: the shape of the idle-pool workload, one cache-resident read on one
+// of the six channels every 64 epochs, so most members sit parked and one
+// is caught up per read. Each op is one epoch.
 func BenchmarkPoolStep(b *testing.B) {
-	p := newTestPool(b, 6, 1, 2, 4096)
-	foot := p.CachedFootprint() / 4096 * 4096
-	var done []Completion
-	var off int64
-	op := func() {
-		for c := 0; c < 6; c++ {
-			if _, err := p.Submit(openloop.Request{Arrival: p.Elapsed(), Off: off, Len: 4096}); err != nil {
-				b.Fatal(err)
+	b.Run("busy", func(b *testing.B) {
+		p := newTestPool(b, 6, 1, 2, 4096)
+		foot := p.CachedFootprint() / 4096 * 4096
+		var done []Completion
+		var off int64
+		op := func() {
+			for c := 0; c < 6; c++ {
+				if _, err := p.Submit(openloop.Request{Arrival: p.Elapsed(), Off: off, Len: 4096}); err != nil {
+					b.Fatal(err)
+				}
+				off = (off + 4096) % foot
 			}
-			off = (off + 4096) % foot
+			p.Step()
+			done = p.AppendCompletions(done[:0])
 		}
-		p.Step()
-		done = p.AppendCompletions(done[:0])
-	}
-	for i := 0; i < 100; i++ {
-		op()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		op()
-	}
+		for i := 0; i < 100; i++ {
+			op()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			op()
+		}
+	})
+	b.Run("idle", func(b *testing.B) {
+		p := newTestPool(b, 6, 1, 2, 4096)
+		foot := p.CachedFootprint() / 4096 * 4096
+		var done []Completion
+		var off int64
+		epoch := 0
+		op := func() {
+			if epoch%64 == 0 {
+				if _, err := p.Submit(openloop.Request{Arrival: p.Elapsed(), Off: off, Len: 4096}); err != nil {
+					b.Fatal(err)
+				}
+				off = (off + 4096) % foot // the next read lands on the next channel
+			}
+			epoch++
+			p.Step()
+			done = p.AppendCompletions(done[:0])
+		}
+		for i := 0; i < 64*12; i++ {
+			op()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			op()
+		}
+	})
 }

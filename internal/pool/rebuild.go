@@ -92,8 +92,11 @@ func (p *Pool) issueRebuilds() {
 	}
 }
 
+// rebuildOp schedules one page copy's half on member phys, first catching
+// a parked member up to the boundary.
 func (p *Pool) rebuildOp(j *rebuildJob, phys int, lpn int64, write bool) {
 	m := p.members[phys]
+	p.wake(m)
 	cpu := m.tgt.ThreadCPU(PageSize, write)
 	jj, mm, w := j, m, write
 	m.sys.K.ScheduleAt(p.now.Add(cpu), func() {
@@ -101,6 +104,17 @@ func (p *Pool) rebuildOp(j *rebuildJob, phys int, lpn int64, write bool) {
 			mm.rdone = append(mm.rdone, rebuildEvent{job: jj, write: w, err: err})
 		})
 	})
+}
+
+// rebuilding reports whether an active rebuild job copies from or to
+// member phys.
+func (p *Pool) rebuilding(phys int) bool {
+	for _, j := range p.rebuilds {
+		if j.victim == phys || j.spare == phys {
+			return true
+		}
+	}
+	return false
 }
 
 // sweepRebuilds retires finished jobs after the boundary drain: a job is
