@@ -315,6 +315,9 @@ type Counters struct {
 	names  []string
 	sorted bool
 	m      map[string]uint64
+	// changes counts Add calls, so a reader caching a sum over some names
+	// can tell whether any counter may have moved since (Changes).
+	changes uint64
 }
 
 // NewCounters returns an empty counter set.
@@ -334,7 +337,12 @@ func (c *Counters) Add(name string, n uint64) {
 		c.sorted = false
 	}
 	c.m[name] += n
+	c.changes++
 }
+
+// Changes returns how many times Add (Inc, Merge) has run on c. It only
+// grows, so a sum cached against it stays valid while it stands still.
+func (c *Counters) Changes() uint64 { return c.changes }
 
 // Get returns the named counter's value (0 if never touched).
 func (c *Counters) Get(name string) uint64 { return c.m[name] }

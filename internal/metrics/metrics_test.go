@@ -366,6 +366,8 @@ func TestHistogramString(t *testing.T) {
 	}
 }
 
+// TestCountersSum also checks Changes, the count a cached sum is keyed on:
+// every Add, Inc and merged counter moves it, reads never do.
 func TestCountersSum(t *testing.T) {
 	c := NewCounters()
 	c.Add("a", 3)
@@ -375,5 +377,18 @@ func TestCountersSum(t *testing.T) {
 	}
 	if got := c.Sum(); got != 0 {
 		t.Fatalf("empty Sum = %d, want 0", got)
+	}
+	_, _ = c.Get("a"), c.String()
+	if n := c.Changes(); n != 2 {
+		t.Fatalf("Changes after two Adds and reads = %d, want 2", n)
+	}
+	c.Inc("a")
+	c.Add("c", 0)
+	o := NewCounters()
+	o.Inc("x")
+	o.Inc("y")
+	c.Merge(o)
+	if n := c.Changes(); n != 6 {
+		t.Fatalf("Changes after Inc, Add of zero and a two-name Merge = %d, want 6", n)
 	}
 }

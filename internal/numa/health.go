@@ -101,7 +101,7 @@ func (f *Fabric) probeSockets() {
 		if h.state >= SocketEvacuating {
 			continue // monotone past Evacuating
 		}
-		pr := s.pool.Probe()
+		pr := f.probe(s)
 		switch reason := condemned(pr); {
 		case reason != "":
 			f.evacuate(si, reason)
@@ -143,22 +143,38 @@ func (f *Fabric) probeSockets() {
 //     value would change what a later probe calls growth;
 //   - its pool vouches for the span (pool.ProbeSteady): member probes are
 //     no-ops and no closed breaker trips at its window end, so every
-//     skipped probe would read the snapshot checked here.
+//     skipped probe would read the snapshot checked here. A parked socket
+//     needs no call: its pool vouched when it parked, for the whole
+//     horizon, or else that horizon ends at the next socket probe (park),
+//     which bounds QuietEpochs' batch at least as tightly as this clause.
 func (f *Fabric) probesIdle() bool {
 	for _, s := range f.socks {
 		h := s.health
 		if h.state >= SocketEvacuating {
 			continue
 		}
-		if h.state != SocketUp || !s.pool.ProbeSteady() {
+		if h.state != SocketUp || !s.parked && !s.pool.ProbeSteady() {
 			return false
 		}
-		pr := s.pool.Probe()
+		pr := f.probe(s)
 		if condemned(pr) != "" || suspicious(pr, h.last) || pr.Quarantined != h.last.Quarantined {
 			return false
 		}
 	}
 	return true
+}
+
+// probe reads socket s's pool.Probe. A parked socket's is the snapshot
+// pinned when it parked, stamped with the fabric's epoch count as its live
+// pool's would be, so the lattice's baseline (h.last) matches a lockstep
+// run field for field.
+func (f *Fabric) probe(s *socket) pool.Probe {
+	if !s.parked {
+		return s.pool.Probe()
+	}
+	pr := s.pinned
+	pr.Epochs = f.epochs
+	return pr
 }
 
 // survivors returns the sockets still accepting re-homed chunks (Up or

@@ -381,7 +381,8 @@ func TestFabricStepQuietMatchesSteps(t *testing.T) {
 // sockets, with a socket kill whose evacuation lands inside idle gaps and
 // a link fault scheduled mid-gap, produces byte-identical stats at 1, 2
 // and 8 workers under both lockstep and lookahead — and the lookahead runs
-// really batch most of their epochs. Runs in the -race -short lane.
+// really batch most of their epochs and park idle sockets. Runs in the
+// -race -short lane.
 func TestFabricIdleLookaheadIdentical(t *testing.T) {
 	const count = 200 // enough writes for the kill's first program failure
 	var snaps, labels []string
@@ -404,8 +405,11 @@ func TestFabricIdleLookaheadIdentical(t *testing.T) {
 				t.Fatalf("%s: link fault fired %d times", label, s.Ctr.Get("link-degraded"))
 			}
 			switch {
-			case lockstep && (f.quietSpan != 0 || closedFolds(f) != 0):
-				t.Fatalf("%s: lockstep batched %d epochs, %d folds in closed form", label, f.quietSpan, closedFolds(f))
+			case lockstep && (f.quietSpan != 0 || closedFolds(f) != 0 || f.parkedSteps != 0):
+				t.Fatalf("%s: lockstep batched %d epochs, %d folds in closed form, skipped %d parked socket steps",
+					label, f.quietSpan, closedFolds(f), f.parkedSteps)
+			case !lockstep && f.parkedSteps == 0:
+				t.Fatalf("%s: no socket was ever parked", label)
 			case !lockstep && 2*f.quietSpan < s.Epochs:
 				t.Fatalf("%s: only %d of %d epochs batched", label, f.quietSpan, s.Epochs)
 			case !lockstep && closedFolds(f) == 0:
@@ -458,7 +462,7 @@ func cachedTenants(f *Fabric, seed uint64, rate float64) openloop.Config {
 // Suspect or a breaker is open, probes can act and bound every batch; in
 // between, batches jump no-op probes at both levels. Stats must be
 // byte-identical at 1, 2 and 8 workers under lockstep and lookahead, and
-// the lookahead runs must really jump probe epochs. Unlike
+// the lookahead runs must really jump probe epochs and park sockets. Unlike
 // TestFabricIdleLookaheadIdentical, no member carries a fault registry.
 func TestFabricIdleProbeJumpIdentical(t *testing.T) {
 	const count = 200
@@ -482,8 +486,11 @@ func TestFabricIdleProbeJumpIdentical(t *testing.T) {
 					label, s.Ctr.Get("socket-suspect"), s.Ctr.Get("socket-recovered"), s.ChunksRehomed)
 			}
 			switch {
-			case lockstep && (f.quietSpan != 0 || closedFolds(f) != 0):
-				t.Fatalf("%s: lockstep batched %d epochs, %d folds in closed form", label, f.quietSpan, closedFolds(f))
+			case lockstep && (f.quietSpan != 0 || closedFolds(f) != 0 || f.parkedSteps != 0):
+				t.Fatalf("%s: lockstep batched %d epochs, %d folds in closed form, skipped %d parked socket steps",
+					label, f.quietSpan, closedFolds(f), f.parkedSteps)
+			case !lockstep && f.parkedSteps == 0:
+				t.Fatalf("%s: no socket was ever parked", label)
 			case !lockstep && f.probesJumped == 0:
 				t.Fatalf("%s: no batch jumped a probe epoch", label)
 			case !lockstep && closedFolds(f) == 0:
@@ -520,5 +527,201 @@ func TestFabricDrainBatchesRetryBackoff(t *testing.T) {
 	}
 	if f.quietSpan != 49 {
 		t.Fatalf("backoff to epoch 50 batched %d epochs, want 49", f.quietSpan)
+	}
+}
+
+// twin drives one of two fabrics, lookahead and lockstep, through the same
+// actions. On the lookahead one it checks that each wake point really
+// meets a parked socket; on the lockstep one, that nothing ever parks.
+type twin struct {
+	t    *testing.T
+	f    *Fabric
+	hits int
+}
+
+// advance moves the fabric n epochs the way the shared driver does: a
+// quiet batch when QuietEpochs proves one, else a Step.
+func (d *twin) advance(n int) {
+	for end := d.f.epochs + n; d.f.epochs < end; {
+		if k := d.f.QuietEpochs(end - d.f.epochs); k > 1 {
+			d.f.StepQuiet(k)
+		} else {
+			d.f.Step()
+		}
+		d.check()
+	}
+}
+
+// steps moves the fabric n epochs by plain Steps, as the driver does while
+// another socket has work in flight.
+func (d *twin) steps(n int) {
+	for i := 0; i < n; i++ {
+		d.f.Step()
+		d.check()
+	}
+}
+
+// check asserts what must hold between steps: no socket sits parked while
+// a migration job runs, and none lags past its horizon.
+func (d *twin) check() {
+	d.t.Helper()
+	for si, s := range d.f.socks {
+		if s.parked && (len(d.f.jobs) > 0 || s.until <= d.f.epochs) {
+			d.t.Fatalf("epoch %d: socket %d parked until %d with %d migration jobs",
+				d.f.epochs, si, s.until, len(d.f.jobs))
+		}
+	}
+}
+
+// touch precedes an action that must wake socket si.
+func (d *twin) touch(si int, what string) {
+	d.t.Helper()
+	s := d.f.socks[si]
+	if d.f.Cfg.DisableLookahead {
+		if s.parked {
+			d.t.Fatalf("%s: lockstep socket %d parked", what, si)
+		}
+		return
+	}
+	if !s.parked {
+		d.t.Fatalf("%s at epoch %d: socket %d not parked", what, d.f.epochs, si)
+	}
+	d.hits++
+}
+
+// expire moves n epochs with move, touching nothing on socket si, whose
+// bounded horizon must run out inside them and catch it up.
+func (d *twin) expire(si, n int, move func(int), what string) {
+	d.t.Helper()
+	s := d.f.socks[si]
+	if d.f.Cfg.DisableLookahead {
+		move(n)
+		return
+	}
+	if !s.parked || s.until > d.f.epochs+n {
+		d.t.Fatalf("%s at epoch %d: socket %d parked=%v until %d, want a horizon inside %d epochs",
+			what, d.f.epochs, si, s.parked, s.until, n)
+	}
+	until := s.until
+	move(n)
+	if s.pool.Epochs() < until {
+		d.t.Fatalf("%s: socket %d pool at epoch %d, horizon ran out at %d without a catch-up",
+			what, si, s.pool.Epochs(), until)
+	}
+	d.hits++
+}
+
+// TestParkedSocketsMatchLockstep: a lookahead fabric parks quiescent
+// sockets and catches each up where it is next touched or where its
+// horizon runs out. Driven through the same actions as a lockstep twin
+// that never parks, it must agree with it on every observable (sameFabric)
+// after meeting each wake point with the socket parked: a local and a
+// remote Submit, Socket() and Stats() reads, horizon expiry from an open
+// breaker's cooldown and from pools whose probes can act (armed fault
+// registries), and an evacuation that starts while the survivors are parked.
+func TestParkedSocketsMatchLockstep(t *testing.T) {
+	write := func(f *Fabric, src int, off int64) {
+		t.Helper()
+		if _, err := f.Submit(openloop.Request{Arrival: f.Now(), Socket: src, Off: off, Len: 4096, Write: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		cfg   func(*Config)
+		drive func(d *twin)
+	}{
+		{"submit and reads", nil, func(d *twin) {
+			f := d.f
+			d.advance(20)
+			d.touch(1, "local submit")
+			write(f, 1, f.Span()+8192)
+			d.advance(50)
+			d.touch(1, "remote submit")
+			write(f, 0, f.Span()+4096) // socket 0 stays parked
+			d.advance(50)
+			d.touch(0, "Socket()")
+			_ = f.Socket(0).Now()
+			d.advance(30)
+			d.touch(1, "Stats()")
+			_ = f.Stats()
+			d.advance(30)
+		}},
+		{"breaker cooldown", func(c *Config) {
+			// One request trips socket 1's breaker at the end of a 2-epoch
+			// window; the open breaker keeps the socket Suspect, never
+			// evacuated.
+			c.Pool.BreakerLatency = 1
+			c.Pool.BreakerWindow = 2
+			c.Pool.BreakerMinSamples = 1
+			c.Pool.BreakerErrRate = 0.5
+			c.Pool.BreakerCooldown = 40
+			c.EvacuateAfterProbes = 1 << 20
+		}, func(d *twin) {
+			f := d.f
+			d.advance(4)
+			d.touch(1, "submit")
+			write(f, 1, f.Span())
+			d.advance(20)
+			d.expire(1, 60, d.advance, "cooldown")
+			d.advance(100)
+			d.touch(1, "submit after cooldown")
+			write(f, 1, f.Span()+4096)
+			d.advance(60)
+		}},
+		{"probes can act", func(c *Config) {
+			armRegistries(c)
+			c.ProbeEvery = 16
+			c.Pool.ProbeEvery = 4
+		}, func(d *twin) {
+			f := d.f
+			d.advance(5)
+			d.expire(1, 8, d.advance, "pool probe, quiet fabric")
+			write(f, 0, 8192)
+			d.expire(1, 8, d.steps, "pool probe, stepping fabric")
+			d.advance(40)
+		}},
+		{"evacuation", func(c *Config) {
+			c.Pool.Member.Audit = true
+			c.Pool.ProbeEvery = 1
+		}, func(d *twin) {
+			f := d.f
+			d.advance(20)
+			d.touch(1, "Member()")
+			// An auditor violation quarantines the member at the next pool
+			// probe; with no spare its position goes degraded and the next
+			// socket probe evacuates socket 1 onto sockets 0 and 2.
+			f.Socket(1).Member(0).Auditor.Record(trace.Event{At: 0, Kind: trace.KindOther})
+			d.touch(0, "evacuation")
+			d.touch(2, "evacuation")
+			d.advance(400)
+			if st := f.socks[1].health.state; st != SocketEvacuated {
+				d.t.Fatalf("victim %s, want evacuated", st)
+			}
+			write(f, 1, f.Span()) // re-homed onto a survivor
+			d.advance(40)
+		}},
+	} {
+		var fabs []*Fabric
+		for _, lockstep := range []bool{false, true} {
+			f := newTestFabric(t, 3, 1, func(cfg *Config) {
+				cfg.SuspectClearProbes = 1 << 20
+				if c.cfg != nil {
+					c.cfg(cfg)
+				}
+				cfg.DisableLookahead = lockstep
+			})
+			// Idle socket 2 stays Suspect, so every socket probe runs (none
+			// is jumped) and reads its pinned snapshot while it is parked:
+			// the lattice baselines must then agree field for field.
+			f.socks[2].health.state = SocketSuspect
+			d := &twin{t: t, f: f}
+			c.drive(d)
+			if !lockstep && d.hits == 0 {
+				t.Fatalf("%s: no wake point met a parked socket", c.name)
+			}
+			fabs = append(fabs, f)
+		}
+		sameFabric(t, c.name, fabs[0], fabs[1])
 	}
 }

@@ -47,8 +47,13 @@ type migOp struct {
 
 // startMigration snapshots the victim's resident set and queues the job.
 // Pages above the fabric span (capacity the pool has but the fabric never
-// addressed) cannot hold fabric data and are skipped.
+// addressed) cannot hold fabric data and are skipped. It wakes every
+// socket first, and no socket parks while a job runs (park), so migSubmit
+// always finds its pool caught up.
 func (f *Fabric) startMigration(victim int) {
+	for _, s := range f.socks {
+		f.wake(s)
+	}
 	all := f.socks[victim].pool.ResidentPooled()
 	pages := all[:0]
 	for _, off := range all {

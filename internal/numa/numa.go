@@ -23,6 +23,19 @@
 // (QuietEpochs/StepQuiet), byte-identical to the lockstep oracle that
 // DisableLookahead keeps.
 //
+// A quiescent socket is also parked, as the pool parks idle members: while
+// other sockets work, Step skips it, and it catches up with one pool
+// StepQuiet over everything it skipped when something next touches it.
+// Touching means handing its pool work or handing its pool out: dispatch,
+// migration (startMigration wakes every socket), Socket, Stats and
+// CheckHealth, plus the Step at which the horizon its pool's QuietEpochs
+// proved runs out. Those reads and writes see the pool's clock and
+// members, so they need it caught up. The lattice's probe reads need no
+// catch-up: the pool's probe snapshot was pinned at parking and its pool
+// vouched it holds for the whole horizon (pool.ProbeSteady), so the probes
+// read the pinned copy. A socket whose pool cannot vouch parks only until
+// the next socket probe. Lockstep never parks.
+//
 // Socket health is the member lattice lifted one level (Up → Suspect →
 // Evacuating → Evacuated), driven by epoch-boundary probes that diff each
 // pool's health snapshot (pool.Probe). A failing socket is drained by a
@@ -189,12 +202,18 @@ type Fabric struct {
 	epoch  sim.Duration
 	now    sim.Duration // current boundary, relative to fabric origin
 	epochs int
-	// quietSpan counts the epochs advanced inside quiet batches, and
-	// probesJumped the socket-probe epochs strictly inside them: lookahead
-	// diagnostics, deliberately outside Stats so lockstep and lookahead
-	// runs stay byte-comparable.
+	// boundary is the pool epoch count the unparked sockets stand at: the
+	// fabric's epoch count between Steps, one less while a Step is issuing
+	// work before its pools advance. wake catches a parked socket up to it.
+	boundary int
+	// quietSpan counts the epochs advanced inside quiet batches,
+	// probesJumped the socket-probe epochs strictly inside them, and
+	// parkedSteps the socket advances skipped because the socket was
+	// parked: lookahead diagnostics, deliberately outside Stats so lockstep
+	// and lookahead runs stay byte-comparable.
 	quietSpan    int
 	probesJumped int
+	parkedSteps  int
 
 	retries []fabRetry
 	jobs    []*migJob
@@ -225,6 +244,14 @@ type socket struct {
 	health *socketHealth
 	pend   map[uint64]*sockOp // pool request ID -> foreground op
 	mig    map[uint64]*migOp  // pool request ID -> migration op
+
+	// parked: the socket sits quiescent at its pool's epoch count, skipped
+	// by Step and StepQuiet until it is caught up (see park and wake).
+	// until is the fabric epoch at which its horizon runs out, and pinned
+	// its pool.Probe taken at parking.
+	parked bool
+	until  int
+	pinned pool.Probe
 }
 
 func (c *Config) fillDefaults() error {
@@ -358,8 +385,13 @@ func (f *Fabric) Capacity() int64 { return f.span * int64(f.Cfg.Sockets) }
 // Now returns the current epoch boundary as a duration since fabric start.
 func (f *Fabric) Now() sim.Duration { return f.now }
 
-// Socket exposes socket s's pool (tests, health checks, CLI tables).
-func (f *Fabric) Socket(s int) *pool.Pool { return f.socks[s].pool }
+// Socket exposes socket s's pool (tests, health checks, CLI tables),
+// caught up to the fabric's boundary first. A later Step may park the
+// socket again, so call Socket again after one rather than keep the pool.
+func (f *Fabric) Socket(s int) *pool.Pool {
+	f.wake(f.socks[s])
+	return f.socks[s].pool
+}
 
 // ownerOf returns the socket currently serving the chunk holding off.
 func (f *Fabric) ownerOf(off int64) int {
@@ -495,6 +527,7 @@ func (f *Fabric) dispatch(op *sockOp) {
 		// CheckHealth must surface.
 		f.postEvacSubmissions++
 	}
+	f.wake(f.socks[dst])
 	pid, err := f.socks[dst].pool.Submit(openloop.Request{
 		Arrival:  arrive,
 		Deadline: budget,
@@ -619,20 +652,89 @@ func (f *Fabric) requestPieceDone(r *fabReq, at sim.Duration) {
 // Step advances the fabric one epoch: boundary bookkeeping (link faults,
 // retry promotion, migration issue) in canonical order, every socket pool
 // one epoch in canonical socket order, then completion collection, socket
-// probes and migration sweep — all single-threaded at the boundary.
+// probes and migration sweep — all single-threaded at the boundary. A
+// parked socket is skipped until the epoch its horizon runs out, where it
+// catches up through that epoch instead of stepping.
 func (f *Fabric) Step() {
 	f.epochs++
 	f.applyLinkFaults()
 	f.promoteRetries()
 	f.issueMigrations()
 	for _, s := range f.socks {
-		s.pool.Step()
+		switch {
+		case !s.parked:
+			s.pool.Step()
+		case f.epochs < s.until:
+			f.parkedSteps++
+		default:
+			f.catchUp(s, f.epochs)
+		}
 	}
+	f.boundary = f.epochs
 	f.collect()
 	f.sweepMigrations()
 	f.probeSockets()
+	f.park()
 	f.now += f.epoch
 	f.out.Flush(f.Cfg.Notify)
+}
+
+// park parks every socket that has just advanced and can sit out the
+// coming epochs: lookahead is on, no migration job runs, the fabric has no
+// piece pending on it, its pool is quiesced, and its pool's QuietEpochs
+// proves a horizon of at least two quiet epochs. The socket's pool may then
+// cover any part of that horizon with one StepQuiet, byte-identical to the
+// Steps it skipped; the horizon also bounds the fabric's batches
+// (QuietEpochs), so a parked socket never lags further than its pool
+// vouched for. Its probe is pinned for the fabric's lattice when the pool
+// vouches that the snapshot holds over the horizon (pool.ProbeSteady).
+// When it cannot, as with armed fault registries, the horizon also ends at
+// the next socket-probe epoch, where the socket catches up before the
+// probe reads it.
+func (f *Fabric) park() {
+	if f.Cfg.DisableLookahead || len(f.jobs) > 0 {
+		return
+	}
+	for _, s := range f.socks {
+		if s.parked || len(s.pend)+len(s.mig) != 0 || !s.pool.Quiesced() {
+			continue
+		}
+		h := s.pool.QuietEpochs(f.Cfg.MaxEpochs - f.epochs)
+		if !s.pool.ProbeSteady() {
+			h = min(h, f.Cfg.ProbeEvery-f.epochs%f.Cfg.ProbeEvery)
+		}
+		if h >= 2 {
+			s.parked, s.until, s.pinned = true, f.epochs+h, s.pool.Probe()
+		}
+	}
+}
+
+// wake catches a parked socket up to the fabric's boundary and unparks it.
+// Every place the fabric submits to a socket or hands its pool out calls
+// it first: dispatch, startMigration (which wakes every socket before
+// migSubmit's copies), Socket, Stats and CheckHealth. Step and StepQuiet
+// catch a socket up themselves at the epoch its horizon runs out. The
+// fabric's other reads of a parked socket need no catch-up: probeSockets
+// and probesIdle read the pinned probe, which ProbeSteady vouched for over
+// the whole horizon (no socket probe falls inside any other horizon, see
+// park), and Quiesced and collect find nothing a quiet span could change.
+func (f *Fabric) wake(s *socket) { f.catchUp(s, f.boundary) }
+
+// catchUp unparks s and advances its pool to fabric epoch to with one Step
+// or StepQuiet: exact, because to lies inside the horizon the pool's
+// QuietEpochs reported when the socket parked, and StepQuiet over any part
+// of such a span equals that many Steps.
+func (f *Fabric) catchUp(s *socket, to int) {
+	if !s.parked {
+		return
+	}
+	s.parked = false
+	switch gap := to - s.pool.Epochs(); {
+	case gap == 1:
+		s.pool.Step()
+	case gap > 1:
+		s.pool.StepQuiet(gap)
+	}
 }
 
 // collect drains every socket's completions in socket order and folds them
@@ -640,6 +742,9 @@ func (f *Fabric) Step() {
 // remote pieces (a read's payload rides home; acks are descriptor-sized).
 func (f *Fabric) collect() {
 	for si, s := range f.socks {
+		if s.parked {
+			continue // nothing pending on it
+		}
 		f.drain = s.pool.AppendCompletions(f.drain[:0])
 		for _, c := range f.drain {
 			rel := c.At.Sub(s.pool.Origin())
@@ -705,7 +810,8 @@ func (f *Fabric) Quiesced() bool {
 //   - each future LinkFault's epoch, minus one, so the fault fires on a
 //     real Step;
 //   - each socket pool's own QuietEpochs, which carries the pool's probe,
-//     retry, deadline and breaker bounds.
+//     retry, deadline and breaker bounds. A parked socket's pool answered
+//     that when it parked, so its remaining horizon stands in for the call.
 //
 // Link busy-until horizons need no bound: a quiet batch moves no byte over
 // the interconnect.
@@ -732,16 +838,23 @@ func (f *Fabric) QuietEpochs(limit int) int {
 			k = d
 		}
 	}
-	// A pool reports 0 when busy or when handed a limit below 2, so k leaves
-	// this loop either 0 or a batch every socket can take.
 	for _, s := range f.socks {
-		k = s.pool.QuietEpochs(k)
+		if s.parked {
+			k = min(k, s.until-f.epochs)
+		} else {
+			k = s.pool.QuietEpochs(k)
+		}
+	}
+	if k < 2 {
+		return 0
 	}
 	return k
 }
 
 // StepQuiet advances the fabric k quiet epochs (QuietEpochs' preconditions)
-// in one batch: every socket pool takes one StepQuiet(k), and of the
+// in one batch: every unparked socket pool takes one StepQuiet(k), a parked
+// socket stays put or, when its horizon runs out at the batch's end, catches
+// up to it (QuietEpochs kept k inside every horizon), and of the
 // fabric's boundary passes only the socket probe can act on an idle fabric.
 // Link faults, retry promotion, migration issue and sweep, and collection
 // are no-ops inside the span by construction, and so is every socket probe
@@ -750,14 +863,24 @@ func (f *Fabric) QuietEpochs(limit int) int {
 // once, after the pools have advanced, with f.now at the final epoch's
 // start, exactly as Step would run it.
 func (f *Fabric) StepQuiet(k int) {
+	end := f.epochs + k
 	for _, s := range f.socks {
-		s.pool.StepQuiet(k)
+		switch {
+		case !s.parked:
+			s.pool.StepQuiet(k)
+		case end < s.until:
+			f.parkedSteps++
+		default:
+			f.catchUp(s, end)
+		}
 	}
 	f.probesJumped += (f.epochs+k-1)/f.Cfg.ProbeEvery - f.epochs/f.Cfg.ProbeEvery
-	f.epochs += k
+	f.epochs = end
+	f.boundary = end
 	f.quietSpan += k
 	f.now += sim.Duration(k-1) * f.epoch
 	f.probeSockets()
+	f.park()
 	f.now += f.epoch
 }
 

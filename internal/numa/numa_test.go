@@ -26,7 +26,7 @@ func testMember() core.Config {
 	return cfg
 }
 
-func newTestFabric(t *testing.T, sockets, workers int, mut ...func(*Config)) *Fabric {
+func newTestFabric(t testing.TB, sockets, workers int, mut ...func(*Config)) *Fabric {
 	t.Helper()
 	cfg := Config{
 		Sockets: sockets,
@@ -118,9 +118,9 @@ func snapshot(s Stats) string {
 	}
 	fmt.Fprintf(&b, "ctr %s\n", s.Ctr.String())
 	for i, ss := range s.PerSocket {
-		fmt.Fprintf(&b, "sock%d state=%s reason=%q pool req=%d/%d q=%d ev=%d\n",
+		fmt.Fprintf(&b, "sock%d state=%s reason=%q pool req=%d/%d q=%d ev=%d epochs=%d\n",
 			i, ss.State, ss.Reason, ss.Pool.Completed, ss.Pool.Submitted,
-			ss.Pool.Quarantined, ss.Pool.Evacuated)
+			ss.Pool.Quarantined, ss.Pool.Evacuated, ss.Pool.Epochs)
 	}
 	return b.String()
 }
@@ -473,4 +473,37 @@ func TestFabricRequestAllocs(t *testing.T) {
 			t.Fatalf("%s: %d requests completed, want 101", c.name, got)
 		}
 	}
+}
+
+// BenchmarkFabricStep times one epoch of a 2-socket fabric of 3-channel
+// pools at two workers. idle is the idle-fabric shape and the fabric twin
+// of pool's BenchmarkPoolStep/idle: one cache-resident read every 64
+// epochs, alternating sockets, so the socket without work sits parked and
+// each read catches its socket up. Each op is one epoch.
+func BenchmarkFabricStep(b *testing.B) {
+	b.Run("idle", func(b *testing.B) {
+		f := newTestFabric(b, 2, 2, func(c *Config) { c.Pool.Channels = 3 })
+		var foot, off [2]int64
+		for s := range foot {
+			foot[s] = f.Socket(s).CachedFootprint() / 4096 * 4096
+		}
+		epoch := 0
+		op := func() {
+			if epoch%64 == 0 {
+				s := epoch / 64 % 2
+				f.Offer(openloop.Request{Arrival: f.Now(), Socket: s, Off: int64(s)*f.Span() + off[s], Len: 4096})
+				off[s] = (off[s] + 4096) % foot[s] // the next read lands on the next channel
+			}
+			epoch++
+			f.Step()
+		}
+		for i := 0; i < 64*12; i++ {
+			op()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			op()
+		}
+	})
 }

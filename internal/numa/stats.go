@@ -60,6 +60,7 @@ func (f *Fabric) Stats() Stats {
 	}
 	s.Ctr.Merge(f.ctr)
 	for si, sock := range f.socks {
+		f.wake(sock)
 		ps := sock.pool.Stats()
 		s.Ctr.MergePrefixed(fmt.Sprintf("s%d/", si), ps.Ctr)
 		s.PerSocket = append(s.PerSocket, SocketStats{
@@ -97,6 +98,7 @@ func (f *Fabric) CheckHealth() error {
 		return fmt.Errorf("numa: %d migration jobs still active", len(f.jobs))
 	}
 	for si, s := range f.socks {
+		f.wake(s)
 		if len(s.pend) != 0 || len(s.mig) != 0 {
 			return fmt.Errorf("numa: socket %d left %d foreground + %d migration ops pending",
 				si, len(s.pend), len(s.mig))

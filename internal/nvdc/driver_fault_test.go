@@ -355,10 +355,11 @@ func TestHaltFreezesDriver(t *testing.T) {
 }
 
 // TestErrorEventsMatchesHealth: the ErrorEvents accessor the pool's probes
-// read equals Health().ErrorEvents after every injected error kind — ack
-// drop, ack corruption, a read upset the fill retries through, an
-// exhausted CP that quarantines a slot and degrades, a dead program path
-// that goes read-only — and after a bump of each error counter alone.
+// read, cached against the counters' change count, equals the fresh sum in
+// Health().ErrorEvents after every injected error kind — ack drop, ack
+// corruption, a read upset the fill retries through, an exhausted CP that
+// quarantines a slot and degrades, a dead program path that goes
+// read-only — and after a direct bump of each error counter alone.
 func TestErrorEventsMatchesHealth(t *testing.T) {
 	cfg := rigConfig()
 	cfg.NVMC.AckAfterProgram = true // surface program failures to the driver

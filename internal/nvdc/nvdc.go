@@ -343,6 +343,8 @@ type Driver struct {
 
 	// errs counts every error, retry and degradation event by name.
 	errs *metrics.Counters
+	// errSum caches ErrorEvents, valid while errs.Changes() == errSeen.
+	errSum, errSeen uint64
 
 	// CP mailbox slots: the PoC has one; with CPQueueDepth > 1 the driver
 	// round-robins commands across slots and polls their acks concurrently.
@@ -467,13 +469,21 @@ func (d *Driver) Health() Health {
 		SlotsQuarantined: len(d.quarantined),
 		HardFailures:     d.errs.Sum(CtrCachefillFail, CtrWritebackFail),
 		Transients:       d.errs.Sum(CtrAckTimeout, CtrAckChecksumBad, CtrCPReissue, CtrCachefillRetry),
-		ErrorEvents:      d.ErrorEvents(),
+		ErrorEvents:      d.errs.Sum(errorCounters...),
 	}
 }
 
 // ErrorEvents is Health().ErrorEvents without the rest of the snapshot: the
 // sum over every error-path counter, for probes that read only the delta.
-func (d *Driver) ErrorEvents() uint64 { return d.errs.Sum(errorCounters...) }
+// Pool and fabric probes read it for every member at every boundary, so the
+// sum is cached against the counter set's change count: a caller that bumps
+// a counter directly (Counters().Inc) moves that count too.
+func (d *Driver) ErrorEvents() uint64 {
+	if n := d.errs.Changes(); n != d.errSeen {
+		d.errSum, d.errSeen = d.errs.Sum(errorCounters...), n
+	}
+	return d.errSum
+}
 
 // ResidentPage describes one DRAM-cache-resident page: what a rebuild scan
 // must replay onto a replacement module to evacuate this one.

@@ -798,15 +798,17 @@ func (ch *channelState) foldService(end sim.Time) {
 }
 
 // smooth folds one long-run quotient into the EWMA.
-func (ch *channelState) smooth(cum sim.Duration) {
+func (ch *channelState) smooth(cum sim.Duration) { ch.ewma = smoothed(ch.ewma, cum) }
+
+// smoothed returns ewma with one long-run quotient cum folded in.
+func smoothed(ewma, cum sim.Duration) sim.Duration {
 	if cum <= 0 {
 		cum = 1
 	}
-	if ch.ewma == 0 {
-		ch.ewma = cum
-	} else {
-		ch.ewma += (cum - ch.ewma) / 8
+	if ewma == 0 {
+		return cum
 	}
+	return ewma + (cum-ewma)/8
 }
 
 // quietFold replays foldService across a quiet span without a division per
@@ -832,18 +834,25 @@ func (ch *channelState) startFold(end sim.Time, epoch sim.Duration) quietFold {
 }
 
 // next advances the fold's boundary one epoch and folds the quotient there
-// into ch's EWMA, exactly as foldService at that boundary would.
+// into ch's EWMA, exactly as foldService at that boundary would. run's
+// epoch-at-a-time loop is the same step on locals; tests hold run to next.
 func (f *quietFold) next(ch *channelState) {
 	if f.d == 0 {
 		return
 	}
-	f.q += f.dq
-	f.r += f.dr
-	if f.r >= f.d {
-		f.r -= f.d
-		f.q++
-	}
+	f.q, f.r = f.advance(f.q, f.r)
 	ch.smooth(f.q)
+}
+
+// advance moves the boundary position (q, r) on by one Epoch.
+func (f *quietFold) advance(q, r sim.Duration) (sim.Duration, sim.Duration) {
+	q += f.dq
+	r += f.dr
+	if r >= f.d {
+		r -= f.d
+		q++
+	}
+	return q, r
 }
 
 // run advances the fold k epochs, exactly as k next calls, and returns how
@@ -857,27 +866,30 @@ func (f *quietFold) next(ch *channelState) {
 // time, and g closes on the band geometrically (about 7.5*ln|g| epochs).
 // The band form also needs smooth's other branches to stay shut: ewma > 0,
 // which then stays positive, and the cum <= 0 clamp, which cannot fire
-// because g >= 0 puts every quotient at or above ewma.
+// because g >= 0 puts every quotient at or above ewma. The epoch-at-a-time
+// folds work on locals and write back once, the same arithmetic as next.
 func (f *quietFold) run(ch *channelState, k int) int {
 	if f.d == 0 {
 		return 0
 	}
+	q, r, ewma := f.q, f.r, ch.ewma
 	lo := 7 * f.dq
 	for ; k > 0; k-- {
-		if g := f.q - ch.ewma; ch.ewma > 0 && g >= lo && g <= lo+7 {
+		if g := q - ewma; ewma > 0 && g >= lo && g <= lo+7 {
 			break
 		}
-		f.next(ch)
+		q, r = f.advance(q, r)
+		ewma = smoothed(ewma, q)
 	}
-	if k == 0 {
-		return 0
+	if k > 0 {
+		s := r + sim.Duration(k)*f.dr
+		c := s / f.d
+		g := min(q-ewma+c, lo+7)
+		q += sim.Duration(k)*f.dq + c
+		r = s % f.d
+		ewma = q - g
 	}
-	s := f.r + sim.Duration(k)*f.dr
-	c := s / f.d
-	g := min(f.q-ch.ewma+c, lo+7)
-	f.q += sim.Duration(k)*f.dq + c
-	f.r = s % f.d
-	ch.ewma = f.q - g
+	f.q, f.r, ch.ewma = q, r, ewma
 	return k
 }
 
