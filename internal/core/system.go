@@ -357,9 +357,8 @@ func (s *System) FastForwardIdle(target sim.Time) {
 	if m, polls, rLast, ok := s.warpPlan(target); ok {
 		s.applyWarp(m, polls, rLast)
 	}
-	// Drains the invalidated stale refresh event (a generation-guarded
-	// no-op) and, when the next refresh chain straddles target, begins it
-	// for real — exactly as the naive run would.
+	// When the next refresh chain straddles target, begins it for real —
+	// exactly as the naive run would.
 	s.K.RunUntil(target)
 }
 
@@ -439,8 +438,8 @@ func (s *System) warpPlan(target sim.Time) (m uint64, polls int, rLast sim.Time,
 }
 
 // applyWarp replays the aggregate effect of m idle refresh cycles into
-// every component the chain touches. The iMC goes last: it invalidates the
-// queued refresh event and schedules a fresh one on the advanced cadence.
+// every component the chain touches. The iMC goes last: it re-times the
+// queued refresh event, the kernel's only one, to the advanced cadence.
 func (s *System) applyWarp(m uint64, polls int, rLast sim.Time) {
 	trfc := s.Config.TRFC
 	s.Channel.DataBus.WarpGrants(m, trfc, rLast)

@@ -67,11 +67,7 @@ type Controller struct {
 	refreshEnabled bool
 	refreshes      uint64
 	nextRefresh    sim.Time
-	// refGen invalidates queued refresh events: each records the generation
-	// it was scheduled under and becomes a no-op if a warp (see
-	// WarpIdleRefreshes) advanced the engine past it in the meantime.
-	refGen  uint64
-	refFree []*refreshEvent
+	refFree        []*refreshEvent
 
 	wpq     []*wpqWrite
 	wpqFree []*wpqWrite
@@ -131,14 +127,12 @@ func (c *Controller) StartRefresh() {
 func (c *Controller) StopRefresh() { c.refreshEnabled = false }
 
 // refreshEvent is one scheduled REF: the kernel event at its due instant
-// and the data-bus grant that issues it. gen is the refresh generation it
-// was scheduled under and due the instant it was due. Records recycle
-// through the controller's free list once the grant has run, or as soon as
-// the event finds itself stale; fireFn and grantFn are bound once, when the
-// record is first made.
+// and the data-bus grant that issues it. due is the instant it was due.
+// Records recycle through the controller's free list once the grant has
+// run, or as soon as the event finds refresh stopped; fireFn and grantFn are
+// bound once, when the record is first made.
 type refreshEvent struct {
 	c       *Controller
-	gen     uint64
 	due     sim.Time
 	fireFn  func()
 	grantFn func(sim.Time)
@@ -157,16 +151,15 @@ func (c *Controller) scheduleRefresh() {
 		r.fireFn = r.fire
 		r.grantFn = r.grant
 	}
-	r.gen = c.refGen
 	c.k.ScheduleAt(c.nextRefresh, r.fireFn)
 }
 
 // fire runs at the REF's due instant: it queues the bus grant and schedules
-// the next REF. A stale event (refresh stopped, or a warp moved the cadence
-// past it) returns its record and does nothing else.
+// the next REF. With refresh stopped it returns its record and does nothing
+// else.
 func (r *refreshEvent) fire() {
 	c := r.c
-	if !c.refreshEnabled || r.gen != c.refGen {
+	if !c.refreshEnabled {
 		c.refFree = append(c.refFree, r)
 		return
 	}
@@ -220,18 +213,21 @@ func (c *Controller) InSelfRefresh() bool { return c.selfRefresh }
 // WarpIdleRefreshes credits m uncontended refresh cycles without running
 // their events: counters and the cadence advance exactly as if each REF
 // had been granted at its due instant on an otherwise idle channel (so
-// none count as postponed). The previously queued refresh event is
-// invalidated via the generation counter and a fresh one is scheduled at
-// the new cadence position; the stale event drains as a no-op and returns
-// its record.
+// none count as postponed). The queued refresh event is re-timed to the new
+// cadence position under a fresh sequence number. It must be the kernel's
+// only pending event, due at the next REF (core.System proves that before
+// every warp); anything else panics.
 func (c *Controller) WarpIdleRefreshes(m uint64) {
 	if m == 0 || !c.refreshEnabled {
 		return
 	}
+	due := c.nextRefresh
+	next := due.Add(sim.Duration(m) * c.cfg.TREFI)
+	if at, ok := c.k.NextAt(); !ok || at != due || !c.k.RetimeLone(next) {
+		panic(fmt.Sprintf("imc: idle warp with %d pending events, want only the REF due at %v", c.k.Pending(), due))
+	}
 	c.refreshes += m
-	c.nextRefresh = c.nextRefresh.Add(sim.Duration(m) * c.cfg.TREFI)
-	c.refGen++
-	c.scheduleRefresh()
+	c.nextRefresh = next
 }
 
 func (c *Controller) rowSwitches(n int) int {

@@ -274,10 +274,10 @@ func TestPostponedRefreshCounter(t *testing.T) {
 	}
 }
 
-// TestWarpRecyclesStaleRefreshEvent: each warp strands the queued refresh
-// event, which drains as a no-op and returns its record to the free list.
-// The chain that reuses it keeps the iMC's REF count equal to the DRAM's,
-// and once warm the refresh chain allocates nothing.
+// TestWarpRecyclesStaleRefreshEvent: each warp re-times the queued refresh
+// event, the kernel's only one, to the next REF instead of stranding a stale
+// one. The chain keeps the iMC's REF count equal to the DRAM's, and once
+// warm the refresh chain allocates nothing.
 func TestWarpRecyclesStaleRefreshEvent(t *testing.T) {
 	cfg := DefaultConfig()
 	k, ch, c := newSystem(cfg)
@@ -296,6 +296,14 @@ func TestWarpRecyclesStaleRefreshEvent(t *testing.T) {
 		ch.WarpIdleRefreshCycles(m, rLast, 0)
 		dev.WarpIdleRefreshCycles(m, rLast, 0)
 		c.WarpIdleRefreshes(m)
+		nr, _ = c.NextRefreshAt()
+		if at, ok := k.NextAt(); k.Pending() != 1 || !ok || at != nr {
+			t.Fatalf("round %d: after the warp %d pending, next at %v; want one event at the next REF %v",
+				round, k.Pending(), at, nr)
+		}
+		if c.Refreshes() != dev.RefreshCount() {
+			t.Fatalf("round %d: after the warp the iMC counts %d REFs, DRAM %d", round, c.Refreshes(), dev.RefreshCount())
+		}
 		k.RunUntil(rLast.Add(cfg.TREFI / 2))
 	}
 	k.RunFor(100 * sim.Microsecond)

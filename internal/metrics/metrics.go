@@ -312,18 +312,70 @@ func (s *Series) Mean() float64 {
 // harness: each sharded sim instance owns its set, never shared across
 // goroutines, and the merge step reads them only after the shard joins.
 type Counters struct {
+	// idx maps a name to its slot; a slot exists once a name is added or a
+	// handle asks for it. names lists the registered names (those added to
+	// at least once), the only ones reads report.
+	idx    map[string]int
+	slots  []counterSlot
 	names  []string
 	sorted bool
-	m      map[string]uint64
 	// changes counts Add calls, so a reader caching a sum over some names
 	// can tell whether any counter may have moved since (Changes).
 	changes uint64
 }
 
+type counterSlot struct {
+	name string
+	v    uint64
+	live bool // registered: added to at least once
+}
+
+// Counter is a handle on one named counter of a Counters set: Add and Inc
+// index the set's value slice instead of looking the name up. Taking a
+// handle does not register the name; its first Add does, exactly as a
+// named Add would, so a set read through Names, String or Snapshot cannot
+// tell handles from names.
+type Counter struct {
+	c *Counters
+	i int
+}
+
 // NewCounters returns an empty counter set.
 func NewCounters() *Counters {
-	return &Counters{m: make(map[string]uint64)}
+	return &Counters{idx: make(map[string]int)}
 }
+
+// slot returns name's slot index, creating an unregistered one if needed.
+func (c *Counters) slot(name string) int {
+	i, ok := c.idx[name]
+	if !ok {
+		i = len(c.slots)
+		c.idx[name] = i
+		c.slots = append(c.slots, counterSlot{name: name})
+	}
+	return i
+}
+
+// add adds n to slot i, registering its name on first use.
+func (c *Counters) add(i int, n uint64) {
+	sl := &c.slots[i]
+	if !sl.live {
+		sl.live = true
+		c.names = append(c.names, sl.name)
+		c.sorted = false
+	}
+	sl.v += n
+	c.changes++
+}
+
+// Counter returns a handle on the named counter.
+func (c *Counters) Counter(name string) Counter { return Counter{c: c, i: c.slot(name)} }
+
+// Add adds n to the counter.
+func (h Counter) Add(n uint64) { h.c.add(h.i, n) }
+
+// Inc adds one to the counter.
+func (h Counter) Inc() { h.c.add(h.i, 1) }
 
 // Inc adds one to the named counter.
 func (c *Counters) Inc(name string) { c.Add(name, 1) }
@@ -331,21 +383,19 @@ func (c *Counters) Inc(name string) { c.Add(name, 1) }
 // Add adds n to the named counter. First-use registration is O(1): the name
 // list is sorted lazily on read (the old eager re-sort per registration was
 // O(n^2 log n) across a run).
-func (c *Counters) Add(name string, n uint64) {
-	if _, ok := c.m[name]; !ok {
-		c.names = append(c.names, name)
-		c.sorted = false
-	}
-	c.m[name] += n
-	c.changes++
-}
+func (c *Counters) Add(name string, n uint64) { c.add(c.slot(name), n) }
 
 // Changes returns how many times Add (Inc, Merge) has run on c. It only
 // grows, so a sum cached against it stays valid while it stands still.
 func (c *Counters) Changes() uint64 { return c.changes }
 
 // Get returns the named counter's value (0 if never touched).
-func (c *Counters) Get(name string) uint64 { return c.m[name] }
+func (c *Counters) Get(name string) uint64 {
+	if i, ok := c.idx[name]; ok {
+		return c.slots[i].v
+	}
+	return 0
+}
 
 // sortNames establishes the sorted order readers rely on.
 func (c *Counters) sortNames() {
@@ -365,9 +415,9 @@ func (c *Counters) Names() []string {
 
 // Snapshot returns a copy of all counters.
 func (c *Counters) Snapshot() map[string]uint64 {
-	out := make(map[string]uint64, len(c.m))
-	for k, v := range c.m {
-		out[k] = v
+	out := make(map[string]uint64, len(c.names))
+	for _, n := range c.names {
+		out[n] = c.Get(n)
 	}
 	return out
 }
@@ -382,7 +432,7 @@ func (c *Counters) Merge(o *Counters) {
 	}
 	o.sortNames()
 	for _, n := range o.names {
-		c.Add(n, o.m[n])
+		c.Add(n, o.Get(n))
 	}
 }
 
@@ -396,7 +446,7 @@ func (c *Counters) MergePrefixed(prefix string, o *Counters) {
 	}
 	o.sortNames()
 	for _, n := range o.names {
-		c.Add(prefix+n, o.m[n])
+		c.Add(prefix+n, o.Get(n))
 	}
 }
 
@@ -406,7 +456,7 @@ func (c *Counters) MergePrefixed(prefix string, o *Counters) {
 func (c *Counters) Sum(names ...string) uint64 {
 	var t uint64
 	for _, n := range names {
-		t += c.m[n]
+		t += c.Get(n)
 	}
 	return t
 }
@@ -415,7 +465,7 @@ func (c *Counters) Sum(names ...string) uint64 {
 // the first offender's name and value.
 func (c *Counters) NonZero(names ...string) (string, uint64, bool) {
 	for _, n := range names {
-		if v := c.m[n]; v != 0 {
+		if v := c.Get(n); v != 0 {
 			return n, v, true
 		}
 	}
@@ -429,7 +479,7 @@ func (c *Counters) String() string {
 	c.sortNames()
 	parts := make([]string, 0, len(c.names))
 	for _, n := range c.names {
-		parts = append(parts, fmt.Sprintf("%s=%d", n, c.m[n]))
+		parts = append(parts, fmt.Sprintf("%s=%d", n, c.Get(n)))
 	}
 	return "{" + joinStrings(parts, " ") + "}"
 }

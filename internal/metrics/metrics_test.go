@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"testing"
 
 	"nvdimmc/internal/sim"
@@ -390,5 +391,57 @@ func TestCountersSum(t *testing.T) {
 	c.Merge(o)
 	if n := c.Changes(); n != 6 {
 		t.Fatalf("Changes after Inc, Add of zero and a two-name Merge = %d, want 6", n)
+	}
+}
+
+// TestCounterHandles: a handle shares its counter with the name, registers
+// the name only on its first Add, and moves Changes like a named Add, so a
+// set driven through handles reads exactly like one driven by name.
+func TestCounterHandles(t *testing.T) {
+	byName, byHandle := NewCounters(), NewCounters()
+	hit, miss := byHandle.Counter("hit"), byHandle.Counter("miss")
+	byHandle.Counter("never") // taken, never added to
+	if got := byHandle.Names(); len(got) != 0 {
+		t.Fatalf("Names() after taking handles = %v, want none registered", got)
+	}
+	if s := byHandle.String(); s != "{}" {
+		t.Fatalf("String() after taking handles = %q, want {}", s)
+	}
+	if byHandle.Changes() != 0 {
+		t.Fatalf("taking handles moved Changes to %d", byHandle.Changes())
+	}
+	miss.Add(2)
+	byName.Add("miss", 2)
+	hit.Inc()
+	byName.Inc("hit")
+	byHandle.Inc("hit") // the name and the handle address one counter
+	byName.Inc("hit")
+	hit.Add(0)
+	byName.Add("hit", 0)
+	if byHandle.String() != byName.String() || fmt.Sprint(byHandle.Names()) != fmt.Sprint(byName.Names()) {
+		t.Fatalf("handle-driven %s %v, name-driven %s %v",
+			byHandle.String(), byHandle.Names(), byName.String(), byName.Names())
+	}
+	if fmt.Sprint(byHandle.Snapshot()) != fmt.Sprint(byName.Snapshot()) {
+		t.Fatalf("Snapshot: handle-driven %v, name-driven %v", byHandle.Snapshot(), byName.Snapshot())
+	}
+	if byHandle.Get("hit") != 2 || byHandle.Get("never") != 0 || byHandle.Sum("hit", "miss", "never") != 4 {
+		t.Fatalf("Get/Sum: hit=%d never=%d sum=%d", byHandle.Get("hit"), byHandle.Get("never"),
+			byHandle.Sum("hit", "miss", "never"))
+	}
+	if _, _, nz := byHandle.NonZero("never"); nz {
+		t.Fatal("NonZero reported a never-added handle")
+	}
+	if byHandle.Changes() != byName.Changes() {
+		t.Fatalf("Changes: handle-driven %d, name-driven %d", byHandle.Changes(), byName.Changes())
+	}
+	merged, prefixed := NewCounters(), NewCounters()
+	merged.Merge(byHandle)
+	prefixed.MergePrefixed("s0/", byHandle)
+	if merged.String() != "{hit=2 miss=2}" || prefixed.String() != "{s0/hit=2 s0/miss=2}" {
+		t.Fatalf("merges carried %s and %s", merged.String(), prefixed.String())
+	}
+	if allocs := testing.AllocsPerRun(100, func() { hit.Inc(); miss.Add(3) }); allocs != 0 {
+		t.Fatalf("handle Add allocates %v times", allocs)
 	}
 }

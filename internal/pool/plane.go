@@ -51,6 +51,7 @@ package pool
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"nvdimmc/internal/sim"
 	"nvdimmc/internal/workload/openloop"
@@ -367,7 +368,7 @@ func (p *Pool) submitReq(r openloop.Request, notify bool) (uint64, error) {
 		return id, reason
 	}
 
-	req := &request{
+	req := p.newRequest(request{
 		id:        id,
 		arrival:   arrival,
 		deadline:  deadline,
@@ -377,11 +378,11 @@ func (p *Pool) submitReq(r openloop.Request, notify bool) (uint64, error) {
 		notify:    notify,
 		remaining: len(frags),
 		channel0:  p.channelOf(frags[0].Member),
-	}
+	}, len(frags)-1)
 	for i := range frags {
 		f := &req.frag0
 		if i > 0 {
-			f = new(fragment)
+			f = &req.more[i-1]
 		}
 		*f = fragment{req: req, member: frags[i].Member, off: frags[i].Off, n: frags[i].Len}
 		ci := p.channelOf(f.member)
@@ -397,20 +398,37 @@ func (p *Pool) submitReq(r openloop.Request, notify bool) (uint64, error) {
 			}
 			qi := p.qosIndex(r.Tenant)
 			ch.tq[qi].fifo = append(ch.tq[qi].fifo, f)
-			ch.ctr.Inc("frags-held")
+			ch.c.held.Inc()
 		case len(ch.queue) < p.Cfg.QueueCap:
 			ch.queue = append(ch.queue, f)
-			ch.ctr.Inc("frags-admitted")
+			ch.c.admitted.Inc()
 		default:
 			if p.Cfg.Admission == AdmitShedOldest {
 				p.displaceOldest(ch, ci)
 			}
 			ch.pending = append(ch.pending, f)
-			ch.ctr.Inc("frags-held")
+			ch.c.held.Inc()
 		}
 		ch.mark()
 	}
 	return id, nil
+}
+
+// newRequest takes a retired record off the free list, or makes one, and
+// overwrites all of it with r, keeping only the capacity of its fragment
+// array, which it sizes for extra fragments beyond the first.
+func (p *Pool) newRequest(r request, extra int) *request {
+	var req *request
+	if n := len(p.reqFree); n > 0 {
+		req = p.reqFree[n-1]
+		p.reqFree = p.reqFree[:n-1]
+	} else {
+		req = new(request)
+	}
+	more := req.more[:0]
+	*req = r
+	req.more = slices.Grow(more, extra)[:extra]
+	return req
 }
 
 // shedAtAdmission decides whether an incoming request is dropped before any

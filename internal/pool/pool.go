@@ -285,8 +285,10 @@ type request struct {
 	canceled bool
 	// notify: emit a Completion record for Poll/Notify (plane submissions).
 	notify bool
-	// frag0 is the first fragment, allocated with the request.
+	// frag0 is the first fragment and more holds the rest; both live and
+	// recycle with the record.
 	frag0 fragment
+	more  []fragment
 }
 
 // fragment is the per-member piece of a request. member is the LOGICAL
@@ -401,6 +403,29 @@ type channelState struct {
 	lat     *metrics.Histogram
 	meter   *metrics.Meter
 	ctr     *metrics.Counters
+	// c holds handles on ctr's per-request counters; the rare ones go by
+	// name.
+	c chanCounters
+}
+
+// chanCounters are handles on the counters every request moves.
+type chanCounters struct {
+	admitted, held, dispatched, batches, completed metrics.Counter
+	outcome                                        [len(requestCounter)]metrics.Counter
+}
+
+func newChanCounters(ctr *metrics.Counters) chanCounters {
+	c := chanCounters{
+		admitted:   ctr.Counter("frags-admitted"),
+		held:       ctr.Counter("frags-held"),
+		dispatched: ctr.Counter("frags-dispatched"),
+		batches:    ctr.Counter("dispatch-batches"),
+		completed:  ctr.Counter("frags-completed"),
+	}
+	for o, name := range requestCounter {
+		c.outcome[o] = ctr.Counter(name)
+	}
+	return c
 }
 
 // mark folds the current occupancy into the high-water marks; called at
@@ -446,6 +471,9 @@ type Pool struct {
 	// latMiss holds the lateness overshoot of completed-but-late requests:
 	// its tail is the campaign's deadline-miss p99/p999.
 	latMiss *metrics.Histogram
+	// reqFree recycles request records (with their fragments): a record
+	// returns here when its last piece retires (requestPieceDone).
+	reqFree []*request
 	// out buffers terminal records for Notify or Poll.
 	out    Outbox
 	nextID uint64
@@ -599,6 +627,7 @@ func New(cfg Config) (*Pool, error) {
 			lat:   metrics.NewHistogram(),
 			meter: metrics.NewMeter(p.epoch0),
 			ctr:   ctr,
+			c:     newChanCounters(ctr),
 		}
 	}
 	p.initQoS()
@@ -641,7 +670,7 @@ func (p *Pool) fill(ci int) {
 		if n := min(len(ch.pending), p.Cfg.QueueCap-len(ch.queue)); n > 0 {
 			ch.queue = append(ch.queue, ch.pending[:n]...)
 			ch.pending = dropFront(ch.pending, n)
-			ch.ctr.Add("frags-admitted", uint64(n))
+			ch.c.admitted.Add(uint64(n))
 		}
 	}
 	ch.mark()
@@ -660,13 +689,13 @@ func (p *Pool) fill(ci int) {
 		}
 		budget--
 		ch.inflight++
-		ch.ctr.Inc("frags-dispatched")
+		ch.c.dispatched.Inc()
 		dispatched = true
 		p.dispatch(f)
 	}
 	ch.queue = dropFront(ch.queue, i)
 	if dispatched {
-		ch.ctr.Inc("dispatch-batches")
+		ch.c.batches.Inc()
 	}
 	if held := ch.held(); held > p.heldPeak {
 		p.heldPeak = held
@@ -748,7 +777,7 @@ func (p *Pool) collect() {
 				continue
 			}
 			ch.meter.Record(c.at, f.n)
-			ch.ctr.Inc("frags-completed")
+			ch.c.completed.Inc()
 			p.requestPieceDone(f.req, c.at)
 		}
 		m.done = m.done[:0]
@@ -985,6 +1014,10 @@ func (p *Pool) requestPieceDone(r *request, at sim.Time) {
 		}
 	}
 	p.out.Add(rec, r.notify, p.Cfg.Notify)
+	// Every piece is collected, swept or failed, so no queue, retry entry
+	// or member op still refers to r or its fragments. The record is not
+	// cleared: newRequest overwrites it whole.
+	p.reqFree = append(p.reqFree, r)
 }
 
 // poolTyped lists the sentinels that make a pool failure typed.
@@ -1006,7 +1039,7 @@ func (p *Pool) retire(ch *channelState, ts *tenantState, write, late bool, err e
 	if ts != nil {
 		ts.led.Retire(write, late, err, poolTyped)
 	}
-	ch.ctr.Inc(requestCounter[o])
+	ch.c.outcome[o].Inc()
 	return o
 }
 

@@ -311,7 +311,7 @@ func TestStepAllocs(t *testing.T) {
 // busy: each op submits one cache-resident 4 KiB read per channel, steps
 // the pool one epoch and drains the completions. This is the per-epoch
 // cost of the boundary plus a few hits of member work on every channel;
-// the request record makes the one allocation per request.
+// request records recycle, so it allocates nothing.
 //
 // idle: the shape of the idle-pool workload, one cache-resident read on one
 // of the six channels every 64 epochs, so most members sit parked and one

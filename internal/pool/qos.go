@@ -317,7 +317,7 @@ func (p *Pool) fillDRR(ch *channelState) {
 			taken++
 			active--
 			ch.queue = append(ch.queue, f)
-			ch.ctr.Inc("frags-admitted")
+			ch.c.admitted.Inc()
 		}
 		tq.fifo = dropFront(tq.fifo, taken)
 		switch {

@@ -14,6 +14,18 @@ type Resource struct {
 	// once: neither a queued nor an immediate Acquire allocates.
 	queue      []grant
 	dispatchFn func()
+	// Every grant reserves the kernel sequence number of a dispatcher event
+	// at its release instant, but the event is queued (armed) only once a
+	// grant waits: an uncontended grant costs no kernel event. resv holds
+	// the numbers reserved for instant resvAt, oldest first, from resvHead
+	// on; several exist only when zero-length holds chain at one instant.
+	// An armed dispatcher is resv[resvHead], and it is the earliest of them,
+	// so it fires where the first always-queued dispatcher that found work
+	// would have, and the rest would have found nothing to do.
+	resvAt   Time
+	resv     []uint64
+	resvHead int
+	armed    bool
 
 	// Busy accumulates total occupied time, for utilization reporting.
 	Busy Duration
@@ -54,18 +66,21 @@ func (r *Resource) Hold(hold Duration, fn func()) {
 func (r *Resource) acquire(g grant) {
 	if g.hold < 0 {
 		g.hold = 0
+		r.k.negDelays++
 	}
 	if r.busyUntil <= r.k.Now() && len(r.queue) == 0 {
 		r.start(g)
 		return
 	}
 	r.queue = append(r.queue, g)
-	// The dispatcher event at busyUntil drains the queue; it is scheduled
-	// by start(), so nothing more to do here.
+	r.arm()
 }
 
 // start grants g at the current instant: both callers (an idle Acquire and
-// the dispatcher at busyUntil) run at the service start.
+// the dispatcher at busyUntil) run at the service start. The dispatcher's
+// sequence number is reserved after g's callbacks, where an always-queued
+// dispatcher would be scheduled, and armed at once if a grant already
+// waits (one queued by g.fn, or the rest of the queue).
 func (r *Resource) start(g grant) {
 	at := r.k.Now()
 	r.busyUntil = at.Add(g.hold)
@@ -77,10 +92,29 @@ func (r *Resource) start(g grant) {
 	if g.after != nil {
 		r.k.ScheduleAt(r.busyUntil, g.after)
 	}
-	r.k.ScheduleAt(r.busyUntil, r.dispatchFn)
+	// busyUntil is a grant start plus its hold: never before now.
+	if r.busyUntil != r.resvAt {
+		r.resvAt, r.resv, r.resvHead = r.busyUntil, r.resv[:0], 0
+	}
+	r.resv = append(r.resv, r.k.reserve(r.busyUntil))
+	r.arm()
+}
+
+// arm queues the earliest reserved dispatcher for the current release
+// instant if a grant waits and none is queued yet. Inside start, before
+// the grant's own number is reserved, the reservations belong to an
+// earlier instant and arm waits for the end of start.
+func (r *Resource) arm() {
+	if r.armed || len(r.queue) == 0 || r.resvAt != r.busyUntil || r.resvHead == len(r.resv) {
+		return
+	}
+	r.armed = true
+	r.k.push(event{at: r.resvAt, seq: r.resv[r.resvHead], fn: r.dispatchFn})
 }
 
 func (r *Resource) dispatch() {
+	r.armed = false
+	r.resvHead++
 	if r.busyUntil > r.k.Now() || len(r.queue) == 0 {
 		return
 	}
@@ -96,8 +130,8 @@ func (r *Resource) dispatch() {
 // owns the proof that the resource is idle and uncontended across every
 // warped grant (no queue, each grant's hold ends before the next starts);
 // counters and the release instant then land exactly where n real Acquire
-// calls would have left them. No dispatcher events are scheduled — warped
-// grants have no queue to drain.
+// calls would have left them. No dispatcher is reserved — warped grants
+// have no queue to drain.
 func (r *Resource) WarpGrants(n uint64, hold Duration, lastStart Time) {
 	if n == 0 {
 		return

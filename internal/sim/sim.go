@@ -90,9 +90,14 @@ type Kernel struct {
 	// nProcessed counts events executed since reset, for diagnostics and
 	// runaway detection in tests.
 	nProcessed uint64
-	// negDelays counts Schedule calls that had to clamp a negative delay —
-	// a causality bug in the caller. core.CheckHealth asserts it is zero.
+	// negDelays counts Schedule calls that had to clamp a negative delay,
+	// and Resource grants that had to clamp a negative hold — a causality
+	// bug in the caller. core.CheckHealth asserts it is zero.
 	negDelays uint64
+	// reservedUntil is the latest instant a sequence number was reserved
+	// for (reserve): Run ends no earlier, as if every reserved event had
+	// been pushed and fired.
+	reservedUntil Time
 }
 
 // NewKernel returns a kernel at time zero with an empty event queue.
@@ -186,9 +191,38 @@ func (k *Kernel) ScheduleAt(t Time, fn func()) {
 	k.push(event{at: t, seq: k.seq, fn: fn})
 }
 
-// NegativeDelays reports how many Schedule calls passed a negative delay and
-// were clamped to zero. A nonzero value means some model computed an event
-// time in the past; core.CheckHealth fails on it.
+// reserve takes the sequence number an event at t (not before now) would
+// get from ScheduleAt, without queueing anything. An event pushed later at
+// t under that number fires exactly where the ScheduleAt would have; one
+// never pushed is one that would have done nothing.
+func (k *Kernel) reserve(t Time) uint64 {
+	k.seq++
+	if t > k.reservedUntil {
+		k.reservedUntil = t
+	}
+	return k.seq
+}
+
+// RetimeLone moves the kernel's only pending event to t (clamped to now)
+// under a fresh sequence number, as if it had fired as a no-op and been
+// scheduled again with ScheduleAt(t). It reports false, changing nothing,
+// unless exactly one event is pending.
+func (k *Kernel) RetimeLone(t Time) bool {
+	if len(k.events) != 1 {
+		return false
+	}
+	if t < k.now {
+		t = k.now
+	}
+	k.seq++
+	k.events[0].at, k.events[0].seq = t, k.seq
+	return true
+}
+
+// NegativeDelays reports how many Schedule calls passed a negative delay,
+// and how many Resource grants asked for a negative hold, clamped to zero.
+// A nonzero value means some model computed an event time in the past;
+// core.CheckHealth fails on it.
 func (k *Kernel) NegativeDelays() uint64 { return k.negDelays }
 
 // Step executes the single earliest event. It reports false when the queue
@@ -207,9 +241,15 @@ func (k *Kernel) Step() bool {
 	return true
 }
 
-// Run executes events until the queue is empty.
+// Run executes events until the queue is empty. The clock ends at the
+// latest instant any event was queued or reserved for, so a Resource's
+// final release counts as elapsed time whether or not its dispatcher event
+// ever had to be queued.
 func (k *Kernel) Run() {
 	for k.Step() {
+	}
+	if k.now < k.reservedUntil {
+		k.now = k.reservedUntil
 	}
 }
 
