@@ -24,11 +24,11 @@ func TestTimingAccessor(t *testing.T) {
 }
 
 func TestSnoopDropFault(t *testing.T) {
-	k, ch := newChannel()
+	_, ch := newChannel()
 	var seen int
 	ch.AttachSnoop(func(sim.Time, ddr4.CAState) { seen++ })
 
-	g := fault.NewRegistry(k, 1)
+	g := fault.NewRegistry(1)
 	g.Always(fault.BusSnoopDrop)
 	ch.SetFaults(g)
 	ch.Issue(HostIMC, ddr4.Command{Kind: ddr4.CmdRefresh})

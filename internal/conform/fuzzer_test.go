@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"nvdimmc/internal/fault"
-	"nvdimmc/internal/sim"
 )
 
 func TestNewPlanDeterministic(t *testing.T) {
@@ -67,8 +66,7 @@ func TestNewPlanShape(t *testing.T) {
 }
 
 func TestPlanArm(t *testing.T) {
-	k := sim.NewKernel()
-	reg := fault.NewRegistry(k, 1)
+	reg := fault.NewRegistry(1)
 	p := Plan{Faults: []FaultArm{
 		{Site: fault.NANDReadBitFlip, OnNth: 1, Times: 1},
 		{Site: fault.CPAckDrop, Prob: 1.0},

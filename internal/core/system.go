@@ -34,8 +34,6 @@ const PageSize = 4096
 
 // Config sizes and parameterizes a full NVDIMM-C system.
 type Config struct {
-	// Grade is the channel speed (the PoC is limited to DDR4-1600, §VI).
-	Grade ddr4.SpeedGrade
 	// TREFI is the refresh cadence (7.8 us normal; 3.9 "tREFI2"; 1.95
 	// "tREFI4" per §VII-D).
 	TREFI sim.Duration
@@ -45,12 +43,6 @@ type Config struct {
 
 	// CacheBytes is the DRAM-cache module size (16 GB on the PoC).
 	CacheBytes int64
-	// MetaBytes is the metadata area size (16 MB on the PoC). Zero derives
-	// a size just large enough for the slot count.
-	MetaBytes int64
-	// SlotFraction is the share of post-metadata space used as slots
-	// (15/16 GB on the PoC).
-	SlotFraction float64
 
 	// NAND geometry (2 x 64 GB Z-NAND on the PoC; scale down for tests).
 	NAND nand.Config
@@ -104,6 +96,13 @@ type Config struct {
 	FaultSeed uint64
 }
 
+// grade is the channel speed (the PoC is limited to DDR4-1600, §VI).
+const grade = ddr4.DDR4_1600
+
+// slotFraction is the share of post-metadata space used as slots (15/16 GB
+// on the PoC).
+const slotFraction = 0.9375
+
 // DefaultConfig returns a laptop-scale system preserving the PoC's ratios:
 // 16 MB DRAM cache standing in for 16 GB, 128 MB of Z-NAND for 128 GB.
 func DefaultConfig() Config {
@@ -113,12 +112,9 @@ func DefaultConfig() Config {
 	n.BlocksPerDie = 128
 	imcCfg := imc.DefaultConfig()
 	return Config{
-		Grade:            ddr4.DDR4_1600,
 		TREFI:            ddr4.TREFI,
 		TRFC:             1250 * sim.Nanosecond,
 		CacheBytes:       16 << 20,
-		MetaBytes:        0,
-		SlotFraction:     0.9375,
 		NAND:             n,
 		FTL:              ftl.DefaultConfig(),
 		NVMC:             nvmc.DefaultConfig(),
@@ -174,7 +170,7 @@ func NewSystem(cfg Config) (*System, error) {
 	k := sim.NewKernel()
 
 	// DRAM-cache DIMM geometry from CacheBytes: 16 banks, 8 KB rows.
-	timing := ddr4.NewTiming(cfg.Grade)
+	timing := ddr4.NewTiming(grade)
 	timing.TRFC = cfg.TRFC
 	timing.TREFI = cfg.TREFI
 	if err := timing.Validate(); err != nil {
@@ -218,12 +214,10 @@ func NewSystem(cfg Config) (*System, error) {
 	f := ftl.New(k, arr, cfg.FTL)
 
 	// Region layout over the DRAM cache (region base = DRAM address 0).
-	metaBytes := cfg.MetaBytes
-	if metaBytes == 0 {
-		// Size for the worst case slot count (all post-meta space).
-		metaBytes = ((dev.Capacity()/PageSize)*4 + 16 + PageSize - 1) &^ (PageSize - 1)
-	}
-	layout, err := hostmem.NewLayout(dev.Capacity(), metaBytes, cfg.SlotFraction)
+	// The metadata area is sized for the worst case slot count (all
+	// post-meta space).
+	metaBytes := ((dev.Capacity()/PageSize)*4 + 16 + PageSize - 1) &^ (PageSize - 1)
+	layout, err := hostmem.NewLayout(dev.Capacity(), metaBytes, slotFraction)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -236,21 +230,16 @@ func NewSystem(cfg Config) (*System, error) {
 		cache = cpucache.New(dev, cfg.CPUCacheBytes)
 	}
 
-	drvCfg := cfg.Driver
-	if drvCfg.MapCost == 0 {
-		drvCfg = nvdc.DefaultConfig(layout)
-		drvCfg.Policy = cfg.Driver.Policy
-		drvCfg.TrackDirty = cfg.Driver.TrackDirty
-		drvCfg.CombineWBCF = cfg.Driver.CombineWBCF
-		drvCfg.UnsafeNoFlush = cfg.Driver.UnsafeNoFlush
-		drvCfg.CPQueueDepth = cfg.Driver.CPQueueDepth
-		drvCfg.Hypothetical = cfg.Driver.Hypothetical
-		drvCfg.TD = cfg.Driver.TD
-		if cfg.Driver.TDOverlap != 0 {
-			drvCfg.TDOverlap = cfg.Driver.TDOverlap
-		}
-	} else {
-		drvCfg.Layout = layout
+	drvCfg := nvdc.DefaultConfig(layout)
+	drvCfg.Policy = cfg.Driver.Policy
+	drvCfg.TrackDirty = cfg.Driver.TrackDirty
+	drvCfg.CombineWBCF = cfg.Driver.CombineWBCF
+	drvCfg.UnsafeNoFlush = cfg.Driver.UnsafeNoFlush
+	drvCfg.CPQueueDepth = cfg.Driver.CPQueueDepth
+	drvCfg.Hypothetical = cfg.Driver.Hypothetical
+	drvCfg.TD = cfg.Driver.TD
+	if cfg.Driver.TDOverlap != 0 {
+		drvCfg.TDOverlap = cfg.Driver.TDOverlap
 	}
 	// The filesystem's written/unwritten-extent knowledge: a block has media
 	// data iff the FTL maps it.
@@ -266,7 +255,7 @@ func NewSystem(cfg Config) (*System, error) {
 		CPUCache: cache, Layout: layout,
 	}
 	if cfg.FaultSeed != 0 {
-		g := fault.NewRegistry(k, cfg.FaultSeed)
+		g := fault.NewRegistry(cfg.FaultSeed)
 		arr.SetFaults(g)
 		nc.SetFaults(g)
 		ch.SetFaults(g)
@@ -286,7 +275,7 @@ func NewSystem(cfg Config) (*System, error) {
 			TREFI:             cfg.TREFI,
 			TRFC:              cfg.TRFC,
 			StandardTRFC:      dcfg.StandardTRFC,
-			WindowGuard:       cfg.NVMC.WindowGuard,
+			WindowGuard:       nvmc.WindowGuard,
 			MaxBytesPerWindow: cfg.NVMC.MaxBytesPerWindow,
 			Banks:             banks,
 		})
@@ -314,10 +303,6 @@ func (s *System) AttachSink(sink trace.Sink) {
 	s.NVMC.Trace = s.rec
 	s.Detector.Trace = s.rec
 }
-
-// Run drains all pending events (the refresh engine keeps scheduling, so
-// prefer RunFor/RunUntilIdle in workloads).
-func (s *System) Run() { s.K.Run() }
 
 // RunFor advances simulated time by d.
 func (s *System) RunFor(d sim.Duration) { s.K.RunFor(d) }
@@ -405,7 +390,7 @@ func (s *System) quiescent() (nr sim.Time, polls int, ok bool) {
 	if s.IMC.InSelfRefresh() || s.DRAM.InSelfRefresh() {
 		return 0, 0, false
 	}
-	if s.DRAM.Config().StandardTRFC+s.Config.NVMC.WindowGuard >= s.Config.TRFC {
+	if s.DRAM.Config().StandardTRFC+nvmc.WindowGuard >= s.Config.TRFC {
 		return 0, 0, false // no usable window: cycle shape differs
 	}
 	nr, on := s.IMC.NextRefreshAt()

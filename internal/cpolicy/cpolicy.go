@@ -8,7 +8,6 @@ package cpolicy
 
 import (
 	"container/list"
-	"fmt"
 )
 
 // Policy selects the replacement algorithm.
@@ -20,19 +19,6 @@ const (
 	LRU
 	Clock
 )
-
-func (p Policy) String() string {
-	switch p {
-	case LRC:
-		return "LRC"
-	case LRU:
-		return "LRU"
-	case Clock:
-		return "CLOCK"
-	default:
-		return "policy?"
-	}
-}
 
 // Result summarizes one simulation.
 type Result struct {
@@ -50,20 +36,6 @@ func (r Result) HitRate() float64 {
 		return 0
 	}
 	return float64(r.Hits) / float64(r.Accesses)
-}
-
-// WarmHitRate excludes compulsory (cold) misses from the denominator,
-// which is how cache studies usually quote steady-state rates.
-func (r Result) WarmHitRate() float64 {
-	warm := r.Accesses - r.ColdMisses
-	if warm == 0 {
-		return 0
-	}
-	return float64(r.Hits) / float64(warm)
-}
-
-func (r Result) String() string {
-	return fmt.Sprintf("%v slots=%d: %.1f%% hit (%.1f%% warm)", r.Policy, r.Slots, 100*r.HitRate(), 100*r.WarmHitRate())
 }
 
 // Simulator replays a page trace.
@@ -185,15 +157,4 @@ func Replay(p Policy, slots int, trace []int64) Result {
 		s.Access(pg)
 	}
 	return s.Result()
-}
-
-// Sweep replays the trace at several cache sizes (in slots) and returns one
-// result per size — the Fig. 11 companion study's shape: hit rate rising
-// with cache size, LRU >= LRC for reuse-heavy traces.
-func Sweep(p Policy, slotSizes []int, trace []int64) []Result {
-	out := make([]Result, 0, len(slotSizes))
-	for _, n := range slotSizes {
-		out = append(out, Replay(p, n, trace))
-	}
-	return out
 }

@@ -153,15 +153,6 @@ func (fs *FS) Create(name string, size int64) (*File, error) {
 	return f, nil
 }
 
-// Open returns an existing file.
-func (fs *FS) Open(name string) (*File, error) {
-	f, ok := fs.files[name]
-	if !ok {
-		return nil, fmt.Errorf("dax: no file %q", name)
-	}
-	return f, nil
-}
-
 // Remove deletes a file, trimming its device pages.
 func (fs *FS) Remove(name string) error {
 	f, ok := fs.files[name]
@@ -172,17 +163,5 @@ func (fs *FS) Remove(name string) error {
 	delete(fs.files, name)
 	f.extents = nil
 	f.pages = 0
-	return nil
-}
-
-// Extend grows a file by size bytes (page rounded).
-func (f *File) Extend(size int64) error {
-	pages := (size + PageSize - 1) / PageSize
-	exts, err := f.fs.allocate(pages, f.pages)
-	if err != nil {
-		return err
-	}
-	f.extents = append(f.extents, exts...)
-	f.pages += pages
 	return nil
 }

@@ -144,13 +144,3 @@ func (m *Mapping) Translate(off int64, write bool, done func(phys int64, err err
 		done(physAddr+rest, nil)
 	})
 }
-
-// InvalidatePage drops the PTE and TLB entry for a file page (the driver
-// does this when it evicts the backing slot).
-func (m *Mapping) InvalidatePage(page int64) {
-	if e, ok := m.ptes[page]; ok {
-		e.valid = false
-		m.ptes[page] = e
-	}
-	m.tlb.Invalidate(page)
-}

@@ -17,8 +17,9 @@ func TestTCK(t *testing.T) {
 }
 
 func TestPeakBandwidth(t *testing.T) {
-	// DDR4-1600 on a 64-bit channel: 1600 MT/s * 8 B = 12.8 GB/s.
-	if got := DDR4_1600.DataRateBytesPerSec(); got != 12.8e9 {
+	// DDR4-1600 on a 64-bit channel: 1600 MT/s * 8 B = 12.8 GB/s, one
+	// 64 B burst every tBL.
+	if got := BurstBytes / NewTiming(DDR4_1600).TBL.Seconds(); got != 12.8e9 {
 		t.Errorf("DDR4-1600 peak = %v, want 12.8e9", got)
 	}
 }
@@ -49,8 +50,8 @@ func TestRandomAccessTimeBudget(t *testing.T) {
 	if max < 51*sim.Nanosecond || max > 52*sim.Nanosecond {
 		t.Errorf("max programmable access time = %v, want ~51.6ns", max)
 	}
-	if tm.RandomAccessTime() > max {
-		t.Errorf("nominal access %v exceeds programmable max %v", tm.RandomAccessTime(), max)
+	if nominal := tm.TRCD + tm.TCL; nominal > max {
+		t.Errorf("nominal access %v exceeds programmable max %v", nominal, max)
 	}
 }
 

@@ -31,12 +31,6 @@ func (g SpeedGrade) TCK() sim.Duration {
 	return sim.Duration(2_000_000 / int64(g))
 }
 
-// DataRateBytesPerSec returns the peak data bus bandwidth for a 64-bit
-// channel at this grade, in bytes per second.
-func (g SpeedGrade) DataRateBytesPerSec() float64 {
-	return float64(g) * 1e6 * 8 // MT/s * 8 bytes per transfer
-}
-
 func (g SpeedGrade) String() string { return fmt.Sprintf("DDR4-%d", int(g)) }
 
 // Density identifies a DRAM component density, which selects tRFC.
@@ -144,10 +138,6 @@ func NewTiming(g SpeedGrade) Timing {
 
 // BurstBytes is the number of bytes moved by one BL8 burst on a 64-bit bus.
 const BurstBytes = 64
-
-// RandomAccessTime returns tRCD+tCL: the budget an NVMC-as-frontend design
-// (Fig. 1a) has to put data on the DQ bus after ACTIVATE+READ.
-func (t Timing) RandomAccessTime() sim.Duration { return t.TRCD + t.TCL }
 
 // MaxProgrammableAccessTime returns the largest tRCD+tCL a Skylake-class iMC
 // can be programmed to: each parameter is a 5-bit register, so at most

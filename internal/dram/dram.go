@@ -198,15 +198,6 @@ func (d *Device) InExtraWindow() bool {
 		now < d.refreshStart.Add(d.cfg.Timing.TRFC)
 }
 
-// LastRefreshStart returns when the most recent REF was received.
-func (d *Device) LastRefreshStart() sim.Time { return d.refreshStart }
-
-// ExtraWindow returns the [start, end) of the NVMC window for the most
-// recent refresh.
-func (d *Device) ExtraWindow() (start, end sim.Time) {
-	return d.refreshStart.Add(d.cfg.StandardTRFC), d.refreshStart.Add(d.cfg.Timing.TRFC)
-}
-
 // Apply executes one command at the current simulation instant, enforcing
 // the protocol rules relevant to the NVDIMM-C mechanism.
 func (d *Device) Apply(cmd ddr4.Command) {

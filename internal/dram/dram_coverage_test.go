@@ -67,18 +67,35 @@ func TestSREWithOpenBankViolates(t *testing.T) {
 	}
 }
 
+// TestLastRefreshStart: the refresh and extra windows follow the latest
+// REF's start instant, not the first one's.
 func TestLastRefreshStart(t *testing.T) {
-	k, d := newDev()
-	refAt := sim.Time(0).Add(5 * sim.Microsecond)
-	at(k, 5*sim.Microsecond, func() { d.Apply(ddr4.Command{Kind: ddr4.CmdRefresh}) })
+	k := sim.NewKernel()
+	cfg := DefaultConfig(ddr4.DDR4_1600)
+	cfg.Rows = 256
+	cfg.Timing.TRFC = 1250 * sim.Nanosecond
+	d := New(k, cfg)
+	refAt := 5 * sim.Microsecond
+	at(k, 0, func() { d.Apply(ddr4.Command{Kind: ddr4.CmdRefresh}) })
+	at(k, refAt, func() { d.Apply(ddr4.Command{Kind: ddr4.CmdRefresh}) })
+	for _, c := range []struct {
+		off            sim.Duration
+		refresh, extra bool
+	}{
+		{-100 * sim.Nanosecond, false, false},
+		{100 * sim.Nanosecond, true, false},
+		{cfg.StandardTRFC + 50*sim.Nanosecond, false, true},
+		{cfg.Timing.TRFC + 50*sim.Nanosecond, false, false},
+	} {
+		c := c
+		at(k, refAt+c.off, func() {
+			if d.InRefresh() != c.refresh || d.InExtraWindow() != c.extra {
+				t.Errorf("REF+%v: in refresh %v, in extra window %v; want %v, %v",
+					c.off, d.InRefresh(), d.InExtraWindow(), c.refresh, c.extra)
+			}
+		})
+	}
 	k.Run()
-	if got := d.LastRefreshStart(); got != refAt {
-		t.Fatalf("LastRefreshStart = %v, want %v", got, refAt)
-	}
-	start, end := d.ExtraWindow()
-	if start != refAt.Add(d.Config().StandardTRFC) || end != refAt.Add(d.Config().Timing.TRFC) {
-		t.Fatalf("ExtraWindow = [%v, %v)", start, end)
-	}
 }
 
 func TestAddrToBRCRoundTrip(t *testing.T) {

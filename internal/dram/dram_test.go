@@ -125,10 +125,6 @@ func TestExtraWindowAfterStandardTRFC(t *testing.T) {
 		}
 	})
 	k2.Run()
-	s, e := d.ExtraWindow()
-	if e.Sub(s) != 900*sim.Nanosecond {
-		t.Fatalf("extra window = %v, want 900ns", e.Sub(s))
-	}
 }
 
 func TestRefreshWithOpenBankViolates(t *testing.T) {

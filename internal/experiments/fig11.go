@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nvdimmc/internal/imdb"
+	"nvdimmc/internal/nand"
 	"nvdimmc/internal/pmem"
 	"nvdimmc/internal/sim"
 	"nvdimmc/internal/workload/tpch"
@@ -86,7 +87,7 @@ func fig11QueryNVDC(o Options, q tpch.QuerySpec, cacheBytes, datasetBytes int64)
 	cfg := nvdcConfig(0)
 	cfg.CacheBytes = cacheBytes
 	// NAND must hold the dataset.
-	for int64(cfg.NAND.Channels*cfg.NAND.DiesPerChan*cfg.NAND.BlocksPerDie*cfg.NAND.PagesPerBlock)*PageSize < datasetBytes*3/2 {
+	for int64(nand.Channels*nand.DiesPerChan*cfg.NAND.BlocksPerDie*cfg.NAND.PagesPerBlock)*PageSize < datasetBytes*3/2 {
 		cfg.NAND.BlocksPerDie *= 2
 	}
 	s, err := coreSystem(cfg)

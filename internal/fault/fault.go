@@ -12,9 +12,8 @@
 //   - point faults (Always): fire on every occurrence of the site;
 //   - probabilistic faults (Prob): fire per-occurrence with probability p,
 //     drawn from the registry's single seeded RNG;
-//   - one-shot faults (OnOccurrence, AtTime): fire exactly once, at an exact
-//     site occurrence count or at the first consult at/after an exact
-//     sim.Time.
+//   - one-shot faults (OnOccurrence): fire exactly once, at an exact site
+//     occurrence count.
 //
 // Every random draw comes from one xorshift RNG seeded at construction, and
 // consult order inside the discrete-event simulation is deterministic, so any
@@ -102,8 +101,6 @@ type Rule struct {
 	site  Site
 	prob  float64 // probabilistic when > 0
 	onNth uint64  // fires from the Nth occurrence (1-based) when > 0
-	at    sim.Time
-	hasAt bool
 	param int64
 
 	maxFires uint64 // 0 = unlimited
@@ -135,8 +132,6 @@ func (r *Rule) String() string {
 		return fmt.Sprintf("%s prob=%g", r.site, r.prob)
 	case r.onNth > 0:
 		return fmt.Sprintf("%s on-occurrence=%d times=%d", r.site, r.onNth, r.maxFires)
-	case r.hasAt:
-		return fmt.Sprintf("%s at=%v", r.site, r.at)
 	default:
 		return fmt.Sprintf("%s always", r.site)
 	}
@@ -146,7 +141,6 @@ func (r *Rule) String() string {
 // draws come from. The zero value is not usable; a nil *Registry is inert
 // (all consults report no fault), so models hold one unconditionally.
 type Registry struct {
-	k    *sim.Kernel
 	seed uint64
 	rng  *sim.Rand
 
@@ -155,19 +149,13 @@ type Registry struct {
 	firedTotal uint64
 }
 
-// NewRegistry returns an empty registry bound to kernel k (AtTime rules read
-// its clock) and seeded with seed.
-func NewRegistry(k *sim.Kernel, seed uint64) *Registry {
+// NewRegistry returns an empty registry seeded with seed.
+func NewRegistry(seed uint64) *Registry {
 	return &Registry{
-		k:    k,
 		seed: seed,
 		rng:  sim.NewRand(seed),
 	}
 }
-
-// Seed returns the construction seed — print it in any failure output so the
-// run can be replayed.
-func (g *Registry) Seed() uint64 { return g.seed }
 
 // Rand exposes the registry's seeded RNG for injectors that need payload
 // randomness (e.g. which ack bit to corrupt) tied to the same seed.
@@ -187,12 +175,6 @@ func (g *Registry) Prob(site Site, p float64) *Rule {
 // (1-based) since the registry was armed.
 func (g *Registry) OnOccurrence(site Site, n uint64) *Rule {
 	return g.install(&Rule{site: site, onNth: n, maxFires: 1})
-}
-
-// AtTime arms a one-shot fault firing at the first consult of site at or
-// after simulated instant t.
-func (g *Registry) AtTime(site Site, t sim.Time) *Rule {
-	return g.install(&Rule{site: site, at: t, hasAt: true, maxFires: 1})
 }
 
 func (g *Registry) install(r *Rule) *Rule {
@@ -229,8 +211,6 @@ func (g *Registry) FiresParam(site Site) (bool, int64) {
 			match = g.rng.Float64() < r.prob
 		case r.onNth > 0:
 			match = n >= r.onNth
-		case r.hasAt:
-			match = g.k.Now() >= r.at
 		default:
 			match = true
 		}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"nvdimmc/internal/sim"
 )
 
 func TestNilRegistryIsInert(t *testing.T) {
@@ -25,7 +23,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 }
 
 func TestAlwaysFiresEveryOccurrence(t *testing.T) {
-	g := NewRegistry(sim.NewKernel(), 1)
+	g := NewRegistry(1)
 	g.Always(NANDProgramFail).Param(7)
 	for i := 0; i < 5; i++ {
 		ok, p := g.FiresParam(NANDProgramFail)
@@ -43,7 +41,7 @@ func TestAlwaysFiresEveryOccurrence(t *testing.T) {
 }
 
 func TestOnOccurrenceIsOneShotAtExactCount(t *testing.T) {
-	g := NewRegistry(sim.NewKernel(), 1)
+	g := NewRegistry(1)
 	g.OnOccurrence(CPAckDrop, 3)
 	var fires []int
 	for i := 1; i <= 6; i++ {
@@ -57,7 +55,7 @@ func TestOnOccurrenceIsOneShotAtExactCount(t *testing.T) {
 }
 
 func TestTimesExtendsOneShot(t *testing.T) {
-	g := NewRegistry(sim.NewKernel(), 1)
+	g := NewRegistry(1)
 	g.OnOccurrence(CPAckDrop, 2).Times(3)
 	var fires []int
 	for i := 1; i <= 8; i++ {
@@ -76,26 +74,9 @@ func TestTimesExtendsOneShot(t *testing.T) {
 	}
 }
 
-func TestAtTimeFiresOnceAfterDeadline(t *testing.T) {
-	k := sim.NewKernel()
-	g := NewRegistry(k, 1)
-	g.AtTime(NVMCFirmwareStall, sim.Time(100))
-	if g.Fires(NVMCFirmwareStall) {
-		t.Fatal("fired before the scheduled instant")
-	}
-	k.Schedule(150*sim.Picosecond, func() {})
-	k.Run()
-	if !g.Fires(NVMCFirmwareStall) {
-		t.Fatal("did not fire after the scheduled instant")
-	}
-	if g.Fires(NVMCFirmwareStall) {
-		t.Fatal("one-shot fired twice")
-	}
-}
-
 func TestProbIsSeedReproducible(t *testing.T) {
 	run := func(seed uint64) []bool {
-		g := NewRegistry(sim.NewKernel(), seed)
+		g := NewRegistry(seed)
 		g.Prob(RefdetSampleFlip, 0.3)
 		out := make([]bool, 64)
 		for i := range out {
@@ -133,7 +114,7 @@ func TestProbIsSeedReproducible(t *testing.T) {
 }
 
 func TestClearDisarms(t *testing.T) {
-	g := NewRegistry(sim.NewKernel(), 1)
+	g := NewRegistry(1)
 	g.Always(BusSnoopDrop)
 	if !g.Fires(BusSnoopDrop) {
 		t.Fatal("armed rule did not fire")
@@ -145,7 +126,7 @@ func TestClearDisarms(t *testing.T) {
 }
 
 func TestStringCarriesSeedAndRules(t *testing.T) {
-	g := NewRegistry(sim.NewKernel(), 0xDEAD)
+	g := NewRegistry(0xDEAD)
 	g.Always(NANDProgramFail)
 	g.Fires(NANDProgramFail)
 	s := g.String()
@@ -158,7 +139,7 @@ func TestStringCarriesSeedAndRules(t *testing.T) {
 }
 
 func TestFirstMatchingRuleWins(t *testing.T) {
-	g := NewRegistry(sim.NewKernel(), 1)
+	g := NewRegistry(1)
 	g.OnOccurrence(NANDReadBitFlip, 2).Param(11)
 	g.Always(NANDReadBitFlip).Param(22)
 	// Occurrence 1: one-shot not yet eligible, Always fires.

@@ -21,7 +21,7 @@ func newFaultyFTL(t *testing.T, blocksPerDie, pagesPerBlock int) (*sim.Kernel, *
 	ncfg.ProgramLatency = 10 * sim.Microsecond
 	ncfg.EraseLatency = 50 * sim.Microsecond
 	arr := nand.New(k, ncfg)
-	g := fault.NewRegistry(k, 0xF71)
+	g := fault.NewRegistry(0xF71)
 	arr.SetFaults(g)
 	f := New(k, arr, DefaultConfig())
 	return k, f, arr, g

@@ -21,22 +21,22 @@ type Config struct {
 	// OverProvisionPct is the fraction of raw blocks reserved for GC
 	// headroom, in percent. The PoC reserves 128-120 = 6.25%.
 	OverProvisionPct float64
-	// GCLowWaterBlocks triggers foreground GC when the free-block pool of a
-	// die drops to this size.
-	GCLowWaterBlocks int
-	// CoreOverhead is the firmware processing time per FTL operation
-	// (mapping lookup/update on the Cortex-A53).
-	CoreOverhead sim.Duration
 }
 
 // DefaultConfig matches the PoC proportions.
 func DefaultConfig() Config {
 	return Config{
 		OverProvisionPct: 6.25,
-		GCLowWaterBlocks: 2,
-		CoreOverhead:     1 * sim.Microsecond,
 	}
 }
+
+// gcLowWaterBlocks triggers foreground GC when the free-block pool of a die
+// drops to this size.
+const gcLowWaterBlocks = 2
+
+// coreOverhead is the firmware processing time per FTL operation (mapping
+// lookup/update on the Cortex-A53).
+const coreOverhead = 1 * sim.Microsecond
 
 type blockMeta struct {
 	addr     nand.PageAddr // page index unused
@@ -99,7 +99,6 @@ type FTL struct {
 	hostWrites, gcWrites, gcRuns uint64
 	readOps                      uint64
 	readRetries                  uint64
-	supersededWrites             uint64
 	grownBad                     uint64
 	stallEvents                  uint64
 }
@@ -125,8 +124,8 @@ func New(k *sim.Kernel, arr *nand.Array, cfg Config) *FTL {
 	}
 	ncfg := arr.Config()
 	usable := 0
-	for c := 0; c < ncfg.Channels; c++ {
-		for d := 0; d < ncfg.DiesPerChan; d++ {
+	for c := 0; c < nand.Channels; c++ {
+		for d := 0; d < nand.DiesPerChan; d++ {
 			ds := &dieState{}
 			for b := 0; b < ncfg.BlocksPerDie; b++ {
 				addr := nand.PageAddr{Channel: c, Die: d, Block: b}
@@ -228,7 +227,7 @@ func (f *FTL) ReadPageInto(lpn int64, buf []byte, done func(err error)) {
 		r.finishFn = r.finish
 	}
 	r.lpn, r.buf, r.done = lpn, buf, done
-	f.core.Acquire(f.cfg.CoreOverhead, r.grantFn)
+	f.core.Acquire(coreOverhead, r.grantFn)
 }
 
 // grant runs when the firmware core takes the read.
@@ -316,7 +315,7 @@ func (f *FTL) WritePage(lpn int64, data []byte, done func(err error)) {
 	}
 	copy(w.page, data)
 	w.lpn, w.done = lpn, done
-	f.core.Acquire(f.cfg.CoreOverhead, w.grantFn)
+	f.core.Acquire(coreOverhead, w.grantFn)
 }
 
 // grant runs when the firmware core takes the write: the page enters the
@@ -375,7 +374,7 @@ func (f *FTL) invalidate(addr nand.PageAddr) {
 }
 
 func (f *FTL) dieFor(addr nand.PageAddr) *dieState {
-	return f.dies[addr.Channel*f.arr.Config().DiesPerChan+addr.Die]
+	return f.dies[addr.Channel*nand.DiesPerChan+addr.Die]
 }
 
 // allocOpen ensures die ds has an open block, taking the least-worn free
@@ -558,7 +557,6 @@ func (pr *program) programmed(err error) {
 	if commitCheck != nil && !commitCheck() {
 		// Superseded while the program was in flight: leave the page
 		// invalid (GC reclaims it) and keep the newer mapping intact.
-		f.supersededWrites++
 		if done != nil {
 			done(nil)
 		}
@@ -588,7 +586,7 @@ func (pr *program) programmed(err error) {
 
 // maybeGC starts garbage collection on the die when its free pool is low.
 func (f *FTL) maybeGC(ds *dieState) {
-	if ds.gc || len(ds.free) > f.cfg.GCLowWaterBlocks {
+	if ds.gc || len(ds.free) > gcLowWaterBlocks {
 		return
 	}
 	// Victim: closed block with fewest valid pages (greedy), not open/pool.
@@ -709,10 +707,6 @@ func (f *FTL) StallEvents() uint64 { return f.stallEvents }
 
 // ReadRetries reports ECC-triggered read retries.
 func (f *FTL) ReadRetries() uint64 { return f.readRetries }
-
-// SupersededWrites reports in-flight writes abandoned because a newer write
-// to the same logical page overtook them.
-func (f *FTL) SupersededWrites() uint64 { return f.supersededWrites }
 
 // FreeBlocks returns the total free-pool size across dies (for tests).
 func (f *FTL) FreeBlocks() int {

@@ -94,8 +94,8 @@ func CopyChunks(n int) int {
 	return c
 }
 
-// ThreadCPU returns the full per-op CPU time (dispatch + copy); kept for
-// callers that do not interleave.
+// ThreadCPU returns the full per-op CPU time (dispatch + copy), the sum the
+// Fig. 8 calibration anchors are stated in.
 func (m Model) ThreadCPU(n int, write bool, footprint int64) sim.Duration {
 	return m.DispatchCPU(n, write, footprint) + m.CopyCPU(n)
 }

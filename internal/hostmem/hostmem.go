@@ -1,91 +1,16 @@
-// Package hostmem models the host physical address space management the
-// nvdc driver depends on: the Linux memmap=nn$ss kernel parameter that
-// reserves the NVDIMM-C DRAM range from normal use (§IV-B), and the layout
-// of that reserved region (Fig. 5): the CP area in the first physical page,
-// a metadata area holding the DRAM-to-NAND mappings, and the remaining
-// space carved into 4 KB cache slots.
+// Package hostmem models the layout the nvdc driver imposes on the NVDIMM-C
+// DRAM range that the Linux memmap=nn$ss kernel parameter reserves from
+// normal use (§IV-B, Fig. 5): the CP area in the first physical page, a
+// metadata area holding the DRAM-to-NAND mappings, and the remaining space
+// carved into 4 KB cache slots.
 package hostmem
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 )
 
 // PageSize is the x86-64 base page size, also the cache slot size.
 const PageSize = 4096
-
-// ParseMemmap parses a Linux memmap=nn[KMG]$ss[KMG] region-reservation
-// parameter and returns (start, size). The '$' separates size from start;
-// suffixes K, M, G scale by 2^10, 2^20, 2^30.
-func ParseMemmap(s string) (start, size int64, err error) {
-	i := strings.IndexByte(s, '$')
-	if i < 0 {
-		return 0, 0, fmt.Errorf("hostmem: memmap %q missing '$'", s)
-	}
-	size, err = parseSize(s[:i])
-	if err != nil {
-		return 0, 0, fmt.Errorf("hostmem: memmap size: %w", err)
-	}
-	start, err = parseSize(s[i+1:])
-	if err != nil {
-		return 0, 0, fmt.Errorf("hostmem: memmap start: %w", err)
-	}
-	if size <= 0 {
-		return 0, 0, fmt.Errorf("hostmem: memmap size %d must be positive", size)
-	}
-	if start < 0 {
-		return 0, 0, fmt.Errorf("hostmem: memmap start %d must be non-negative", start)
-	}
-	return start, size, nil
-}
-
-func parseSize(s string) (int64, error) {
-	if s == "" {
-		return 0, fmt.Errorf("empty value")
-	}
-	mult := int64(1)
-	switch s[len(s)-1] {
-	case 'K', 'k':
-		mult = 1 << 10
-		s = s[:len(s)-1]
-	case 'M', 'm':
-		mult = 1 << 20
-		s = s[:len(s)-1]
-	case 'G', 'g':
-		mult = 1 << 30
-		s = s[:len(s)-1]
-	}
-	base := 10
-	if strings.HasPrefix(s, "0x") || strings.HasPrefix(s, "0X") {
-		base = 16
-		s = s[2:]
-	}
-	v, err := strconv.ParseInt(s, base, 64)
-	if err != nil {
-		return 0, err
-	}
-	return v * mult, nil
-}
-
-// FormatMemmap renders (start, size) back into memmap syntax using the
-// largest exact binary suffix.
-func FormatMemmap(start, size int64) string {
-	return fmt.Sprintf("%s$%s", suffixed(size), suffixed(start))
-}
-
-func suffixed(v int64) string {
-	switch {
-	case v != 0 && v%(1<<30) == 0:
-		return fmt.Sprintf("%dG", v>>30)
-	case v != 0 && v%(1<<20) == 0:
-		return fmt.Sprintf("%dM", v>>20)
-	case v != 0 && v%(1<<10) == 0:
-		return fmt.Sprintf("%dK", v>>10)
-	default:
-		return strconv.FormatInt(v, 10)
-	}
-}
 
 // Layout carves the reserved DRAM region into the Fig. 5 areas. All offsets
 // are relative to the region base (which is also DRAM device address 0 in

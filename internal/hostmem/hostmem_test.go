@@ -5,49 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestParseMemmap(t *testing.T) {
-	cases := []struct {
-		in          string
-		start, size int64
-	}{
-		{"16G$256G", 256 << 30, 16 << 30}, // the paper's reservation shape
-		{"4096$8192", 8192, 4096},
-		{"512M$0x100000", 1 << 20, 512 << 20},
-		{"1K$2K", 2048, 1024},
-	}
-	for _, c := range cases {
-		start, size, err := ParseMemmap(c.in)
-		if err != nil {
-			t.Errorf("%q: %v", c.in, err)
-			continue
-		}
-		if start != c.start || size != c.size {
-			t.Errorf("%q: got (start=%d,size=%d), want (%d,%d)", c.in, start, size, c.start, c.size)
-		}
-	}
-}
-
-func TestParseMemmapErrors(t *testing.T) {
-	for _, in := range []string{"", "16G", "$", "16G$", "$256G", "x$y", "-4K$0", "0$1G"} {
-		if _, _, err := ParseMemmap(in); err == nil {
-			t.Errorf("%q accepted", in)
-		}
-	}
-}
-
-func TestFormatRoundTrip(t *testing.T) {
-	f := func(startRaw, sizeRaw uint32) bool {
-		start := int64(startRaw) * PageSize
-		size := (int64(sizeRaw)%(1<<20) + 1) * PageSize
-		s := FormatMemmap(start, size)
-		gotStart, gotSize, err := ParseMemmap(s)
-		return err == nil && gotStart == start && gotSize == size
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLayoutFig5(t *testing.T) {
 	// 16 GB region, 16 MB metadata (§V-C), ~15/16 slot fraction.
 	l, err := NewLayout(16<<30, 16<<20, 0.9375)

@@ -26,22 +26,13 @@ type Config struct {
 	// TRFC is the programmed refresh cycle time the controller keeps the
 	// bus quiet for after REF. The PoC programs 1.25 us (§IV-A).
 	TRFC sim.Duration
-	// RowSwitchesPer4K approximates how many row activations a random 4 KB
-	// transfer incurs (the 4 KB may straddle a row boundary and the row is
-	// rarely already open under random traffic).
-	RowSwitchesPer4K int
-	// WPQCapacity bounds the write pending queue (64 entries on Skylake-SP
-	// class parts; the exact value only matters to the persistence tests).
-	WPQCapacity int
 }
 
 // DefaultConfig mirrors the PoC configuration from Table I.
 func DefaultConfig() Config {
 	return Config{
-		TREFI:            ddr4.TREFI,
-		TRFC:             1250 * sim.Nanosecond,
-		RowSwitchesPer4K: 1,
-		WPQCapacity:      64,
+		TREFI: ddr4.TREFI,
+		TRFC:  1250 * sim.Nanosecond,
 	}
 }
 
@@ -96,17 +87,8 @@ func New(k *sim.Kernel, ch *bus.Channel, cfg Config) *Controller {
 	if cfg.TRFC >= cfg.TREFI {
 		panic(fmt.Sprintf("imc: tRFC %v >= tREFI %v", cfg.TRFC, cfg.TREFI))
 	}
-	if cfg.RowSwitchesPer4K <= 0 {
-		cfg.RowSwitchesPer4K = 1
-	}
-	if cfg.WPQCapacity <= 0 {
-		cfg.WPQCapacity = 64
-	}
 	return &Controller{k: k, ch: ch, cfg: cfg}
 }
-
-// Config returns the controller configuration.
-func (c *Controller) Config() Config { return c.cfg }
 
 // Refreshes returns the number of REF commands issued.
 func (c *Controller) Refreshes() uint64 { return c.refreshes }
@@ -230,9 +212,14 @@ func (c *Controller) WarpIdleRefreshes(m uint64) {
 	c.nextRefresh = next
 }
 
+// rowSwitchesPer4K approximates how many row activations a random 4 KB
+// transfer incurs (the 4 KB may straddle a row boundary and the row is
+// rarely already open under random traffic).
+const rowSwitchesPer4K = 1
+
 func (c *Controller) rowSwitches(n int) int {
 	// Scale the per-4K estimate by transfer size, minimum one.
-	s := (n*c.cfg.RowSwitchesPer4K + 4095) / 4096
+	s := (n*rowSwitchesPer4K + 4095) / 4096
 	if s < 1 {
 		s = 1
 	}
@@ -309,15 +296,6 @@ func (w *wpqWrite) drained() {
 // WPQDepth reports posted writes not yet in the DRAM array.
 func (c *Controller) WPQDepth() int { return len(c.wpq) }
 
-// ADRFlush models the asynchronous DRAM refresh power-fail flush: all WPQ
-// entries are forced into the DRAM array immediately (the platform ensures
-// stores in the WPQ reach the media on power failure, §V-C). It returns the
-// number of entries flushed.
-func (c *Controller) ADRFlush() int {
-	n, _ := c.ADRFlushRacing(false)
-	return n
-}
-
 // ADRFlushRacing models the §V-C caveat: on the PoC, the platform's WPQ
 // drain and the FPGA's metadata-driven flush run in PARALLEL, so some WPQ
 // stores may reach the DRAM cache only after the FPGA has already read the
@@ -376,10 +354,4 @@ func (c *Controller) ExitSelfRefresh() {
 		c.ch.Issue(bus.HostIMC, ddr4.Command{Kind: ddr4.CmdSelfRefreshExit})
 		c.selfRefresh = false
 	})
-}
-
-// RefreshOverhead returns the fraction of bus time consumed by refresh at
-// the programmed parameters: tRFC/tREFI.
-func (c *Controller) RefreshOverhead() float64 {
-	return float64(c.cfg.TRFC) / float64(c.cfg.TREFI)
 }

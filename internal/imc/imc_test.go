@@ -93,7 +93,7 @@ func TestADRFlush(t *testing.T) {
 	data := bytes.Repeat([]byte{0x5A}, 4096)
 	c.Write(4096, data, nil)
 	// Power fails before the bus transaction completes.
-	if n := c.ADRFlush(); n != 1 {
+	if n, _ := c.ADRFlushRacing(false); n != 1 {
 		t.Fatalf("ADR flushed %d entries, want 1", n)
 	}
 	got := make([]byte, 4096)
@@ -134,7 +134,7 @@ func TestWPQBufferSurvivesADRFlush(t *testing.T) {
 	fill := func(b byte) []byte { return bytes.Repeat([]byte{b}, 4096) }
 	c.Write(0, fill(0x11), nil) // granted at once
 	c.Write(4096, fill(0x22), nil)
-	if n := c.ADRFlush(); n != 2 {
+	if n, _ := c.ADRFlushRacing(false); n != 2 {
 		t.Fatalf("ADR flushed %d entries, want 2", n)
 	}
 	c.Write(8192, fill(0x33), nil)
@@ -183,16 +183,6 @@ func TestRefreshDelaysReads(t *testing.T) {
 	// Must wait until 7.8us+1.25us = 9.05us, i.e. >= 1.15 us latency.
 	if lat < 1100*sim.Nanosecond {
 		t.Fatalf("read latency through refresh = %v, want >= ~1.15us", lat)
-	}
-}
-
-func TestRefreshOverhead(t *testing.T) {
-	cfg := DefaultConfig()
-	_, _, c := newSystem(cfg)
-	got := c.RefreshOverhead()
-	want := 1250.0 / 7800.0
-	if got < want-0.001 || got > want+0.001 {
-		t.Fatalf("overhead = %v, want %v", got, want)
 	}
 }
 

@@ -115,14 +115,8 @@ func New(dev Device, k Kernel, capacity int64, cost CostModel) *DB {
 	}
 }
 
-// Tables returns the catalog.
-func (db *DB) Tables() map[string]*Table { return db.tables }
-
 // Table returns a table by name.
 func (db *DB) Table(name string) *Table { return db.tables[name] }
-
-// Footprint returns total allocated bytes.
-func (db *DB) Footprint() int64 { return db.alloc }
 
 // Gen produces the value for (row, column) when loading a table.
 type Gen func(row int64, col int) int64
@@ -306,23 +300,4 @@ func (db *DB) ProbeTable(table string, count, probeBytes int, rng *sim.Rand, don
 		})
 	}
 	step()
-}
-
-// HashJoin scans the build column fully, then performs one probe into the
-// probe column per selected build row (selectivity in (0,1]).
-func (db *DB) HashJoin(buildTable, buildCol, probeTable, probeCol string, selectivity float64, rng *sim.Rand, done func(err error)) {
-	if selectivity <= 0 || selectivity > 1 {
-		selectivity = 1
-	}
-	db.ScanAgg(buildTable, buildCol, 1, 1, func(_ int64, err error) {
-		if err != nil {
-			done(err)
-			return
-		}
-		bt := db.tables[buildTable]
-		probes := int(float64(bt.Rows) * selectivity)
-		db.Probe(probeTable, probeCol, probes, 64, rng, func(_ byte, err error) {
-			done(err)
-		})
-	})
 }

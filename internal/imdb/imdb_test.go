@@ -139,24 +139,6 @@ func TestCapacityEnforced(t *testing.T) {
 	}
 }
 
-func TestHashJoin(t *testing.T) {
-	k, db := newDB(t, 1<<20)
-	db.CreateTable("build", 500, []string{"k"}, func(row int64, _ int) int64 { return row }, func(*Table, error) {})
-	db.CreateTable("probe", 2000, []string{"v"}, func(row int64, _ int) int64 { return row * 2 }, func(*Table, error) {})
-	k.Run()
-	joined := false
-	db.HashJoin("build", "k", "probe", "v", 0.5, sim.NewRand(3), func(err error) {
-		if err != nil {
-			t.Error(err)
-		}
-		joined = true
-	})
-	k.Run()
-	if !joined {
-		t.Fatal("join did not complete")
-	}
-}
-
 func TestMixedLoadValidatesCleanly(t *testing.T) {
 	k, db := newDB(t, 1<<20)
 	m, err := NewMixedLoad(db, 200, 64)

@@ -22,21 +22,12 @@ const PageSize = 4096
 
 // Config sizes a Z-NAND subsystem.
 type Config struct {
-	Channels      int
-	DiesPerChan   int
 	BlocksPerDie  int
 	PagesPerBlock int
 
-	// Media latencies. Z-NAND is low-latency SLC: reads in single-digit
-	// microseconds (vs ~50 us for conventional TLC).
-	ReadLatency    sim.Duration
+	// Media program and erase latencies (reads take readLatency).
 	ProgramLatency sim.Duration
 	EraseLatency   sim.Duration
-
-	// TransferPerPage is the channel occupancy to move one page between the
-	// die and the controller. The PoC's NAND PHY runs at 50 MHz — a tenth
-	// of the media's capability (§VII-C) — so this dominates small reads.
-	TransferPerPage sim.Duration
 
 	// InitialBadBlockPPM injects factory bad blocks at this rate (parts per
 	// million of blocks).
@@ -44,30 +35,43 @@ type Config struct {
 
 	// RawBitErrorRate is the per-bit flip probability on reads (media RBER;
 	// SLC Z-NAND is ~1e-8 fresh, rising with wear). The on-die ECC corrects
-	// up to ECCCorrectableBits per 4 KB codeword (§III-A: primitive NAND
-	// operations carry ECC at 4 KB granularity).
-	RawBitErrorRate    float64
-	ECCCorrectableBits int
+	// up to eccCorrectableBits per 4 KB codeword.
+	RawBitErrorRate float64
 
 	// Seed for bad-block placement and error injection.
 	Seed uint64
 }
 
+// Geometry of the scaled-down two-channel Z-NAND array.
+const (
+	Channels    = 2
+	DiesPerChan = 2
+)
+
+// readLatency is the media read time. Z-NAND is low-latency SLC: reads in
+// single-digit microseconds (vs ~50 us for conventional TLC).
+const readLatency = 3 * sim.Microsecond
+
+// transferPerPage is the channel occupancy to move one page between the die
+// and the controller. The PoC's NAND PHY runs at 50 MHz — a tenth of the
+// media's capability (§VII-C) — so this dominates small reads.
+const transferPerPage = 8 * sim.Microsecond
+
+// eccCorrectableBits is how many bit errors the on-die ECC corrects per 4 KB
+// codeword (§III-A: primitive NAND operations carry ECC at 4 KB
+// granularity).
+const eccCorrectableBits = 40
+
 // DefaultConfig returns a scaled-down two-channel Z-NAND array with PoC-like
 // latencies. Capacity = Channels*DiesPerChan*BlocksPerDie*PagesPerBlock*4 KB.
 func DefaultConfig() Config {
 	return Config{
-		Channels:           2,
-		DiesPerChan:        2,
 		BlocksPerDie:       256,
 		PagesPerBlock:      64,
-		ReadLatency:        3 * sim.Microsecond,
 		ProgramLatency:     100 * sim.Microsecond,
 		EraseLatency:       1 * sim.Millisecond,
-		TransferPerPage:    8 * sim.Microsecond,
 		InitialBadBlockPPM: 2000,
 		RawBitErrorRate:    1e-8,
-		ECCCorrectableBits: 40,
 		Seed:               0xBAD5EED,
 	}
 }
@@ -120,15 +124,15 @@ type Array struct {
 
 // New builds the array and injects factory bad blocks.
 func New(k *sim.Kernel, cfg Config) *Array {
-	if cfg.Channels <= 0 || cfg.DiesPerChan <= 0 || cfg.BlocksPerDie <= 0 || cfg.PagesPerBlock <= 0 {
+	if cfg.BlocksPerDie <= 0 || cfg.PagesPerBlock <= 0 {
 		panic("nand: invalid geometry")
 	}
 	a := &Array{k: k, cfg: cfg, errRng: sim.NewRand(cfg.Seed ^ 0xECC)}
 	rng := sim.NewRand(cfg.Seed)
-	for c := 0; c < cfg.Channels; c++ {
+	for c := 0; c < Channels; c++ {
 		a.channels = append(a.channels, sim.NewResource(k, fmt.Sprintf("nand-ch%d", c)))
 		var ds []*die
-		for d := 0; d < cfg.DiesPerChan; d++ {
+		for d := 0; d < DiesPerChan; d++ {
 			dd := &die{
 				blocks: make([]block, cfg.BlocksPerDie),
 				busy:   sim.NewResource(k, fmt.Sprintf("nand-ch%d-die%d", c, d)),
@@ -173,18 +177,18 @@ func (a *Array) opLatency(nominal sim.Duration) sim.Duration {
 // Capacity returns the raw capacity in bytes (including bad blocks).
 func (a *Array) Capacity() int64 {
 	c := a.cfg
-	return int64(c.Channels) * int64(c.DiesPerChan) * int64(c.BlocksPerDie) * int64(c.PagesPerBlock) * PageSize
+	return int64(Channels) * int64(DiesPerChan) * int64(c.BlocksPerDie) * int64(c.PagesPerBlock) * PageSize
 }
 
 // TotalBlocks returns the number of physical blocks.
 func (a *Array) TotalBlocks() int {
-	return a.cfg.Channels * a.cfg.DiesPerChan * a.cfg.BlocksPerDie
+	return Channels * DiesPerChan * a.cfg.BlocksPerDie
 }
 
 func (a *Array) check(addr PageAddr) (*die, *block, error) {
 	c := a.cfg
-	if addr.Channel < 0 || addr.Channel >= c.Channels ||
-		addr.Die < 0 || addr.Die >= c.DiesPerChan ||
+	if addr.Channel < 0 || addr.Channel >= Channels ||
+		addr.Die < 0 || addr.Die >= DiesPerChan ||
 		addr.Block < 0 || addr.Block >= c.BlocksPerDie ||
 		addr.Page < 0 || addr.Page >= c.PagesPerBlock {
 		return nil, nil, fmt.Errorf("nand: address %v out of range", addr)
@@ -289,7 +293,7 @@ func (a *Array) Read(addr PageAddr, buf []byte, done func(err error)) {
 	// injected die timeout stretches the sense phase.
 	op := a.newOp(addr, d, b, done)
 	op.buf = buf
-	op.lat = a.opLatency(a.cfg.ReadLatency)
+	op.lat = a.opLatency(readLatency)
 	d.busy.Acquire(op.lat, op.readSensedFn)
 }
 
@@ -298,7 +302,7 @@ func (op *pageOp) readSensed(senseStart sim.Time) {
 }
 
 func (op *pageOp) readXfer() {
-	op.a.channels[op.addr.Channel].Acquire(op.a.cfg.TransferPerPage, op.readSendFn)
+	op.a.channels[op.addr.Channel].Acquire(transferPerPage, op.readSendFn)
 }
 
 // readSend moves the page to the controller at the start of the channel
@@ -324,12 +328,12 @@ func (op *pageOp) readSend(start sim.Time) {
 	errs := a.sampleBitErrors()
 	if ok, flips := a.faults.FiresParam(fault.NANDReadBitFlip); ok {
 		if flips <= 0 {
-			flips = int64(a.cfg.ECCCorrectableBits) + 1
+			flips = int64(eccCorrectableBits) + 1
 		}
 		errs += int(flips)
 	}
 	if errs > 0 {
-		if errs <= a.cfg.ECCCorrectableBits {
+		if errs <= eccCorrectableBits {
 			a.correctedBits += uint64(errs)
 		} else {
 			a.uncorrectable++
@@ -338,10 +342,10 @@ func (op *pageOp) readSend(start sim.Time) {
 				buf[bit/8] ^= 1 << uint(bit%8)
 			}
 			op.err = fmt.Errorf("nand: uncorrectable ECC error at %v (%d bit errors > %d correctable)",
-				addr, errs, a.cfg.ECCCorrectableBits)
+				addr, errs, eccCorrectableBits)
 		}
 	}
-	a.k.ScheduleAt(start.Add(a.cfg.TransferPerPage), op.deliverFn)
+	a.k.ScheduleAt(start.Add(transferPerPage), op.deliverFn)
 }
 
 // Program writes one page. NAND constraints are enforced: the block must not
@@ -374,11 +378,11 @@ func (a *Array) Program(addr PageAddr, data []byte, done func(err error)) {
 	// register), then the die is busy for tPROG. Legality is checked when
 	// the die takes the operation: commands queue at the die, so a pipelined
 	// program to page N+1 issued while page N is still in flight is legal.
-	a.channels[addr.Channel].Acquire(a.cfg.TransferPerPage, op.progXferFn)
+	a.channels[addr.Channel].Acquire(transferPerPage, op.progXferFn)
 }
 
 func (op *pageOp) progXfer(xferStart sim.Time) {
-	op.a.k.ScheduleAt(xferStart.Add(op.a.cfg.TransferPerPage), op.progDieFn)
+	op.a.k.ScheduleAt(xferStart.Add(transferPerPage), op.progDieFn)
 }
 
 func (op *pageOp) progDie() {

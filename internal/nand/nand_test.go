@@ -139,14 +139,14 @@ func TestLatencies(t *testing.T) {
 	var readDone, progDone sim.Time
 	a.Program(PageAddr{Block: 0, Page: 0}, make([]byte, PageSize), func(error) { progDone = k.Now() })
 	k.Run()
-	wantProg := sim.Time(0).Add(cfg.TransferPerPage + cfg.ProgramLatency)
+	wantProg := sim.Time(0).Add(transferPerPage + cfg.ProgramLatency)
 	if progDone != wantProg {
 		t.Fatalf("program done at %v, want %v", progDone, wantProg)
 	}
 	start := k.Now()
 	read(a, PageAddr{Block: 0, Page: 0}, func([]byte, error) { readDone = k.Now() })
 	k.Run()
-	wantRead := cfg.ReadLatency + cfg.TransferPerPage // sense, then channel transfer
+	wantRead := readLatency + transferPerPage // sense, then channel transfer
 	gotRead := readDone.Sub(start)
 	if gotRead != wantRead {
 		t.Fatalf("read latency = %v, want %v", gotRead, wantRead)
@@ -169,8 +169,8 @@ func TestChannelSerializesDies(t *testing.T) {
 		t.Fatalf("completed %d", len(done))
 	}
 	gap := done[1].Sub(done[0])
-	if gap != cfg.TransferPerPage {
-		t.Fatalf("second read trails by %v, want one transfer (%v)", gap, cfg.TransferPerPage)
+	if gap != transferPerPage {
+		t.Fatalf("second read trails by %v, want one transfer (%v)", gap, transferPerPage)
 	}
 }
 
@@ -181,8 +181,8 @@ func TestFactoryBadBlocks(t *testing.T) {
 	cfg.BlocksPerDie = 500
 	a := New(k, cfg)
 	bad := 0
-	for c := 0; c < cfg.Channels; c++ {
-		for d := 0; d < cfg.DiesPerChan; d++ {
+	for c := 0; c < Channels; c++ {
+		for d := 0; d < DiesPerChan; d++ {
 			for b := 0; b < cfg.BlocksPerDie; b++ {
 				if a.IsBad(PageAddr{Channel: c, Die: d, Block: b}) {
 					bad++

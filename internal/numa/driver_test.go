@@ -26,7 +26,7 @@ func TestFabricRunRetainsNoRecords(t *testing.T) {
 	if st.Submitted != count || st.Completed == 0 {
 		t.Fatalf("run: %d submitted, %d completed", st.Submitted, st.Completed)
 	}
-	if recs := f.Poll(0); len(recs) != 0 {
+	if recs := f.Poll(nil, 0); len(recs) != 0 {
 		t.Fatalf("Run retained %d of %d Completion records nobody polls", len(recs), count)
 	}
 
@@ -56,7 +56,7 @@ func TestFabricRunRetainsNoRecords(t *testing.T) {
 			}
 		}
 		h.Step()
-		polled = append(polled, h.Poll(0)...)
+		polled = h.Poll(polled, 0)
 	}
 	if !reflect.DeepEqual(notified, polled) {
 		t.Fatalf("Notify order diverges from the polled twin (%d vs %d records)", len(notified), len(polled))

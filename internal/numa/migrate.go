@@ -65,13 +65,17 @@ func (f *Fabric) startMigration(victim int) {
 	f.jobs = append(f.jobs, &migJob{victim: victim, pages: pages})
 }
 
-// issueMigrations advances every job by up to MigratePagesPerEpoch pages at
+// migratePagesPerEpoch rate-limits background evacuation migration: pages
+// per epoch per job, the pool rebuild engine's rate.
+const migratePagesPerEpoch = 8
+
+// issueMigrations advances every job by up to migratePagesPerEpoch pages at
 // the boundary, before the pools step — rate-limited so evacuation shares
 // the epoch with foreground traffic instead of monopolizing it (the
 // migration-interference histogram measures exactly this contention).
 func (f *Fabric) issueMigrations() {
 	for _, j := range f.jobs {
-		budget := f.Cfg.MigratePagesPerEpoch
+		budget := migratePagesPerEpoch
 		for budget > 0 && j.next < len(j.pages) {
 			off := j.pages[j.next]
 			j.next++

@@ -109,17 +109,6 @@ type Config struct {
 	// escalates Suspect to Evacuating (default 3). Degraded positions and
 	// pool-invariant breaches escalate immediately.
 	EvacuateAfterProbes int
-	// MigratePagesPerEpoch rate-limits background evacuation migration
-	// (default 8 pages per epoch per job, the rebuild engine's default).
-	MigratePagesPerEpoch int
-
-	// MaxRetries bounds cross-socket re-dispatch of typed-failed requests
-	// (default 4; negative disables retry).
-	MaxRetries int
-	// RetryBackoffEpochs / RetryBackoffCap shape the exponential backoff
-	// between attempts, in fabric epochs (defaults 1 / 8).
-	RetryBackoffEpochs int
-	RetryBackoffCap    int
 
 	// MaxEpochs guards Run/Drain against wedges (default 1<<21).
 	MaxEpochs int
@@ -288,21 +277,6 @@ func (c *Config) fillDefaults() error {
 	if c.EvacuateAfterProbes <= 0 {
 		c.EvacuateAfterProbes = 3
 	}
-	if c.MigratePagesPerEpoch <= 0 {
-		c.MigratePagesPerEpoch = 8
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 4
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0 // retry disabled; first typed failure is terminal
-	}
-	if c.RetryBackoffEpochs <= 0 {
-		c.RetryBackoffEpochs = 1
-	}
-	if c.RetryBackoffCap <= 0 {
-		c.RetryBackoffCap = 8
-	}
 	if c.MaxEpochs <= 0 {
 		c.MaxEpochs = 1 << 21
 	}
@@ -357,7 +331,7 @@ func New(cfg Config) (*Fabric, error) {
 			mig:    map[uint64]*migOp{},
 		})
 	}
-	f.epoch = f.socks[0].pool.Cfg.Epoch
+	f.epoch = f.socks[0].pool.Epoch()
 	span := f.socks[0].pool.Capacity()
 	for _, s := range f.socks[1:] {
 		if c := s.pool.Capacity(); c < span {
@@ -558,6 +532,9 @@ func (f *Fabric) opDone(op *sockOp, at sim.Duration) {
 	f.requestPieceDone(op.req, at)
 }
 
+// maxRetries bounds cross-socket re-dispatch of typed-failed requests.
+const maxRetries = 4
+
 // opFailed handles an asynchronous typed failure: re-dispatch through the
 // directory after capped exponential backoff — the failure usually means
 // the serving socket just degraded, and the probe/evacuation machinery is
@@ -565,15 +542,12 @@ func (f *Fabric) opDone(op *sockOp, at sim.Duration) {
 // cannot cover the next attempt.
 func (f *Fabric) opFailed(op *sockOp, err error, at sim.Duration) {
 	op.attempts++
-	if op.attempts > f.Cfg.MaxRetries {
+	if op.attempts > maxRetries {
 		f.ctr.Inc("fab-retry-exhausted")
 		f.opTerminal(op, fmt.Errorf("%w after %d attempts: %v", ErrFabricDegraded, op.attempts, err), at)
 		return
 	}
-	delay := f.Cfg.RetryBackoffEpochs << (op.attempts - 1)
-	if delay > f.Cfg.RetryBackoffCap {
-		delay = f.Cfg.RetryBackoffCap
-	}
+	delay := pool.RetryBackoff(op.attempts)
 	if dl := op.req.deadline; dl > 0 {
 		eta := f.now + sim.Duration(delay)*f.epoch + f.Cfg.XLat
 		if eta > dl {
@@ -745,7 +719,7 @@ func (f *Fabric) collect() {
 		if s.parked {
 			continue // nothing pending on it
 		}
-		f.drain = s.pool.AppendCompletions(f.drain[:0])
+		f.drain = s.pool.Poll(f.drain[:0], 0)
 		for _, c := range f.drain {
 			rel := c.At.Sub(s.pool.Origin())
 			if op, ok := s.pend[c.ID]; ok {
@@ -776,8 +750,11 @@ func (f *Fabric) collect() {
 	}
 }
 
-// Poll removes and returns up to max buffered completions (all if max <= 0).
-func (f *Fabric) Poll(max int) []pool.Completion { return f.out.Poll(max) }
+// Poll removes up to max buffered completions (all when max <= 0) and
+// appends them to dst.
+func (f *Fabric) Poll(dst []pool.Completion, max int) []pool.Completion {
+	return f.out.Poll(dst, max)
+}
 
 // Quiesced reports whether every submitted request is terminal and no
 // background work (retries, migrations, in-flight pieces) remains.

@@ -325,7 +325,7 @@ func TestFabricChunkStraddle(t *testing.T) {
 	if s.Completed != 1 || s.WritesAcked != 1 {
 		t.Fatalf("straddling write: completed=%d acked=%d", s.Completed, s.WritesAcked)
 	}
-	if got := len(f.Poll(0)); got != 1 {
+	if got := len(f.Poll(nil, 0)); got != 1 {
 		t.Fatalf("Poll returned %d records, want 1", got)
 	}
 }

@@ -149,8 +149,8 @@ func TestAckTransportRecovery(t *testing.T) {
 }
 
 // TestCPRetriesExhausted drops every ack: each cachefill attempt must burn
-// exactly CPRetries issues before its CPTimeoutError, the driver must retry
-// the fill CachefillRetries times, then quarantine the slot and degrade.
+// exactly cpRetries issues before its CPTimeoutError, the driver must retry
+// the fill cachefillRetries times, then quarantine the slot and degrade.
 func TestCPRetriesExhausted(t *testing.T) {
 	s := newRig(t, rigConfig())
 	prewrite(t, s, 3, fill(pageSize, 0x42))
@@ -164,18 +164,20 @@ func TestCPRetriesExhausted(t *testing.T) {
 	if !errors.As(err, &te) {
 		t.Fatalf("err = %v, want CPTimeoutError", err)
 	}
-	cfg := s.Driver.Config()
-	if te.Attempts != cfg.CPRetries {
-		t.Fatalf("Attempts = %d, want CPRetries = %d", te.Attempts, cfg.CPRetries)
+	// The driver issues a CP command at most 4 times and retries a failed
+	// cachefill at most 3 times.
+	const cpRetries, cachefillRetries = 4, 3
+	if te.Attempts != cpRetries {
+		t.Fatalf("Attempts = %d, want CPRetries = %d", te.Attempts, cpRetries)
 	}
 	ctr := s.Driver.Counters()
-	wantReissues := uint64(cfg.CachefillRetries * (cfg.CPRetries - 1))
+	wantReissues := uint64(cachefillRetries * (cpRetries - 1))
 	if got := ctr.Get(nvdc.CtrCPReissue); got != wantReissues {
 		t.Fatalf("CtrCPReissue = %d, want %d (%d fills x %d re-issues)",
-			got, wantReissues, cfg.CachefillRetries, cfg.CPRetries-1)
+			got, wantReissues, cachefillRetries, cpRetries-1)
 	}
-	if got := ctr.Get(nvdc.CtrAckTimeout); got != uint64(cfg.CachefillRetries*cfg.CPRetries) {
-		t.Fatalf("CtrAckTimeout = %d, want %d", got, cfg.CachefillRetries*cfg.CPRetries)
+	if got := ctr.Get(nvdc.CtrAckTimeout); got != uint64(cachefillRetries*cpRetries) {
+		t.Fatalf("CtrAckTimeout = %d, want %d", got, cachefillRetries*cpRetries)
 	}
 	if s.Driver.Mode() != nvdc.ModeDegraded {
 		t.Fatalf("mode = %v, want degraded", s.Driver.Mode())

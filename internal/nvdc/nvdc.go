@@ -139,28 +139,6 @@ type Config struct {
 	// CommandDepth.
 	CPQueueDepth int
 
-	// CPU-side cost model.
-	MapCost         sim.Duration // victim search + PTE + metadata update per miss
-	FlushCost4K     sim.Duration // clflush loop over one 4 KB slot + sfence
-	CPWriteCost     sim.Duration // build/store/flush the CP cacheline
-	AckPollInterval sim.Duration // delay between ack polls
-
-	// AckTimeout is the hard simulated-time deadline for one CP command
-	// attempt: if no checksum-valid ack carrying the expected phase bit
-	// appears within this window, the driver re-issues the command with a
-	// freshly toggled phase bit. The NVMC treats the re-issue as a new
-	// command; cachefill and writeback are idempotent page moves, so
-	// re-execution after a lost or corrupt ack is safe. Zero selects the
-	// default (1.5 ms — several times the worst healthy command latency).
-	AckTimeout sim.Duration
-	// CPRetries bounds total issues (first + re-issues) per CP command
-	// before the driver gives up with a CPTimeoutError. Zero -> default 4.
-	CPRetries int
-	// CachefillRetries bounds whole-command retries after the device acks
-	// a cachefill with an error status (transient NAND read upsets clear
-	// on a reread). Zero -> default 3.
-	CachefillRetries int
-
 	// MediaWritten reports whether a block has data on the NVM media (the
 	// filesystem's written/unwritten-extent knowledge; core wires it to the
 	// FTL mapping). Faults on unwritten blocks taken from the FREE slot
@@ -176,12 +154,9 @@ type Config struct {
 	// nothing"), so this mode is for performance experiments only.
 	Hypothetical bool
 	TD           sim.Duration
-	// TDWaits is the nominal number of refresh-window delays per miss
-	// (3 per §V-A: poll, data, status).
-	TDWaits int
 	// TDOverlap is the fraction of each wait hidden by pipelining with the
 	// driver's own mapping work and the ack-free hypothetical path. The
-	// exposed stall per miss is TDWaits*TD*(1-TDOverlap). Calibrated so the
+	// exposed stall per miss is tdWaits*TD*(1-TDOverlap). Calibrated so the
 	// single-thread Fig. 12 bandwidths land near the paper's.
 	TDOverlap float64
 }
@@ -189,20 +164,42 @@ type Config struct {
 // DefaultConfig returns the PoC-like driver configuration for the layout.
 func DefaultConfig(layout hostmem.Layout) Config {
 	return Config{
-		Layout:           layout,
-		Policy:           PolicyLRC,
-		TrackDirty:       false,
-		MapCost:          1200 * sim.Nanosecond,
-		FlushCost4K:      2 * sim.Microsecond,
-		CPWriteCost:      300 * sim.Nanosecond,
-		AckPollInterval:  600 * sim.Nanosecond,
-		AckTimeout:       1500 * sim.Microsecond,
-		CPRetries:        4,
-		CachefillRetries: 3,
-		TDWaits:          3,
-		TDOverlap:        0.7,
+		Layout:     layout,
+		Policy:     PolicyLRC,
+		TrackDirty: false,
+		TDOverlap:  0.7,
 	}
 }
+
+// CPU-side cost model.
+const (
+	mapCost         = 1200 * sim.Nanosecond // victim search + PTE + metadata update per miss
+	flushCost4K     = 2 * sim.Microsecond   // clflush loop over one 4 KB slot + sfence
+	cpWriteCost     = 300 * sim.Nanosecond  // build/store/flush the CP cacheline
+	ackPollInterval = 600 * sim.Nanosecond  // delay between ack polls
+)
+
+// ackTimeout is the hard simulated-time deadline for one CP command
+// attempt: if no checksum-valid ack carrying the expected phase bit appears
+// within this window, the driver re-issues the command with a freshly
+// toggled phase bit. The NVMC treats the re-issue as a new command;
+// cachefill and writeback are idempotent page moves, so re-execution after
+// a lost or corrupt ack is safe. 1.5 ms is several times the worst healthy
+// command latency.
+const ackTimeout = 1500 * sim.Microsecond
+
+// cpRetries bounds total issues (first + re-issues) per CP command before
+// the driver gives up with a CPTimeoutError.
+const cpRetries = 4
+
+// cachefillRetries bounds whole-command retries after the device acks a
+// cachefill with an error status (transient NAND read upsets clear on a
+// reread).
+const cachefillRetries = 3
+
+// tdWaits is the nominal number of refresh-window delays per miss in the
+// hypothetical device mode (3 per §V-A: poll, data, status).
+const tdWaits = 3
 
 // Stats aggregates driver behaviour.
 type Stats struct {
@@ -376,20 +373,8 @@ func New(k *sim.Kernel, mc *imc.Controller, cache *cpucache.Cache, capacityPages
 		return nil, fmt.Errorf("nvdc: metadata area (%d B) cannot index %d slots",
 			cfg.Layout.MetaSize, cfg.Layout.NumSlots)
 	}
-	if cfg.TDWaits <= 0 {
-		cfg.TDWaits = 3
-	}
 	if cfg.CPQueueDepth < 1 {
 		cfg.CPQueueDepth = 1
-	}
-	if cfg.AckTimeout <= 0 {
-		cfg.AckTimeout = 1500 * sim.Microsecond
-	}
-	if cfg.CPRetries < 1 {
-		cfg.CPRetries = 4
-	}
-	if cfg.CachefillRetries < 1 {
-		cfg.CachefillRetries = 3
 	}
 	d := &Driver{
 		k:             k,
@@ -668,7 +653,7 @@ func (d *Driver) FaultE(lpn int64, write bool, done func(slot int, err error)) {
 	m.waiters = append(m.waiters, waiter{done: done, write: write})
 	d.inflight[lpn] = m
 	// Step 1 (under the driver lock): claim a slot, evicting if needed.
-	d.Serialize(d.cfg.MapCost/2, m.claimFn)
+	d.Serialize(mapCost/2, m.claimFn)
 }
 
 func (d *Driver) markDirty(slot int) {
@@ -718,7 +703,7 @@ func (m *miss) fastFilled() {
 	if d.cache != nil {
 		d.cache.Invalidate(d.cfg.Layout.SlotAddr(m.slot), PageSize)
 	}
-	d.Serialize(d.cfg.MapCost/2, m.installFn)
+	d.Serialize(mapCost/2, m.installFn)
 }
 
 // claimSlot picks the slot that will receive lpn's data. It returns the
@@ -762,13 +747,13 @@ func (d *Driver) claimSlot() (slot int, victimLPN int64, needWB bool) {
 func (m *miss) transfer() {
 	d := m.d
 	if d.cfg.Hypothetical {
-		// Fig. 12 mode: no FPGA communication; the driver waits TDWaits
+		// Fig. 12 mode: no FPGA communication; the driver waits tdWaits
 		// programmable delays per miss (§VII-D1), of which TDOverlap is
 		// hidden behind the driver's own mapping work and the ack-free
 		// pipeline — the single-thread bandwidths the paper reports imply
 		// an exposed stall of roughly one tD per access (see the Fig. 12
 		// calibration note in EXPERIMENTS.md).
-		stall := sim.Duration(float64(d.cfg.TDWaits) * float64(d.cfg.TD) * (1 - d.cfg.TDOverlap))
+		stall := sim.Duration(float64(tdWaits) * float64(d.cfg.TD) * (1 - d.cfg.TDOverlap))
 		d.k.Schedule(stall, m.filledFn)
 		return
 	}
@@ -783,7 +768,7 @@ func (m *miss) transfer() {
 		}
 		d.cache.SFence()
 	}
-	d.k.Schedule(d.cfg.FlushCost4K, m.flushedFn)
+	d.k.Schedule(flushCost4K, m.flushedFn)
 }
 
 // flushed runs once the victim slot is flushed: it issues the eviction
@@ -860,7 +845,7 @@ func (m *miss) cachefilled(st cp.Status, err error) {
 	if err == nil {
 		err = fmt.Errorf("device error status on lpn %d: %w", m.lpn, ErrMediaRead)
 	}
-	if m.attempt+1 < d.cfg.CachefillRetries {
+	if m.attempt+1 < cachefillRetries {
 		d.errs.Inc(CtrCachefillRetry)
 		m.attempt++
 		m.cachefill()
@@ -879,7 +864,7 @@ func (m *miss) filled() {
 	if d.cache != nil && !d.cfg.UnsafeNoFlush {
 		d.cache.Invalidate(d.cfg.Layout.SlotAddr(m.slot), PageSize)
 	}
-	d.Serialize(d.cfg.MapCost/2, m.installFn)
+	d.Serialize(mapCost/2, m.installFn)
 }
 
 // cachefillFailed ends a miss whose fill the device could not serve even
@@ -900,7 +885,7 @@ func (d *Driver) cachefillFailed(m *miss, err error) {
 func (d *Driver) writebackFailed(m *miss, err error) {
 	d.errs.Inc(CtrWritebackFail)
 	slot, victimLPN := m.slot, m.victim
-	d.Serialize(d.cfg.MapCost/2, func() {
+	d.Serialize(mapCost/2, func() {
 		if m.stale() {
 			return
 		}
@@ -936,7 +921,7 @@ func (m *miss) install() {
 // setMeta sets slot's metadata entry to e, moves the running checksum from
 // the old entry's term to e's, and updates the entry and the header in the
 // DRAM metadata area (two small bus writes; the CPU cost is folded into
-// MapCost).
+// mapCost).
 func (d *Driver) setMeta(slot int, e cp.MetaEntry) {
 	d.metaSum += cp.MetaTerm(slot, e) - cp.MetaTerm(slot, d.metaEntries[slot])
 	d.metaEntries[slot] = e
@@ -977,7 +962,7 @@ func (d *Driver) Trim(lpn int64) {
 
 // sendCP queues a command into the CP mailbox (queue depth 1 on the PoC,
 // §IV-C; CPQueueDepth slots when pipelining) and calls done when the device
-// acks it — or with an error after the ack deadline has expired CPRetries
+// acks it — or with an error after the ack deadline has expired cpRetries
 // times.
 func (d *Driver) sendCP(cmd cp.Command, done func(cp.Status, error)) {
 	d.cpQueue = append(d.cpQueue, cpRequest{cmd: cmd, done: done})
@@ -1027,7 +1012,7 @@ func (d *Driver) issueCP(sl *cpSlot, attempt int) {
 	putUint64(sl.word[8:16], sl.req.cmd.EncodeSecondary())
 	// Build + store + clflush + sfence the CP cacheline, then the bus write
 	// lands it in DRAM where the NVMC's next poll sees it.
-	d.k.Schedule(d.cfg.CPWriteCost, sl.issueFn)
+	d.k.Schedule(cpWriteCost, sl.issueFn)
 }
 
 // issue runs once the CP cacheline is built: a re-issue clears the ack
@@ -1060,8 +1045,8 @@ func (sl *cpSlot) cmdWritten() {
 	if sl.stale() {
 		return
 	}
-	sl.deadline = d.k.Now().Add(d.cfg.AckTimeout)
-	sl.interval = d.cfg.AckPollInterval
+	sl.deadline = d.k.Now().Add(ackTimeout)
+	sl.interval = ackPollInterval
 	sl.poll()
 }
 
@@ -1102,7 +1087,7 @@ func (sl *cpSlot) ackRead() {
 	}
 	if d.k.Now() >= sl.deadline {
 		d.errs.Inc(CtrAckTimeout)
-		if sl.attempt+1 < d.cfg.CPRetries {
+		if sl.attempt+1 < cpRetries {
 			d.errs.Inc(CtrCPReissue)
 			d.issueCP(sl, sl.attempt+1)
 			return
@@ -1119,7 +1104,7 @@ func (sl *cpSlot) ackRead() {
 	// stalled device does not monopolize the bus with 64 B reads.
 	wait := sl.interval
 	sl.interval = wait * 2
-	if max := d.cfg.AckPollInterval * 16; sl.interval > max {
+	if max := ackPollInterval * 16; sl.interval > max {
 		sl.interval = max
 	}
 	d.k.Schedule(wait, sl.pollFn)
@@ -1169,7 +1154,7 @@ func (d *Driver) FlushLPN(lpn int64, done func(error)) {
 		}
 		d.cache.SFence()
 	}
-	d.k.Schedule(d.cfg.FlushCost4K, flush)
+	d.k.Schedule(flushCost4K, flush)
 }
 
 // --- Recovery ---------------------------------------------------------------

@@ -295,8 +295,8 @@ func TestHypotheticalModeStall(t *testing.T) {
 	d.Fault(3, false, func(int) { done = true })
 	k.RunWhile(func() bool { return !done })
 	lat := k.Now().Sub(start)
-	// Exposed stall = 3 * tD * (1-0.7) = 7.02us, plus MapCost.
-	wantStall := sim.Duration(float64(cfg.TDWaits) * float64(cfg.TD) * (1 - cfg.TDOverlap))
+	// Exposed stall = 3 * tD * (1-0.7) = 7.02us, plus mapCost.
+	wantStall := sim.Duration(float64(tdWaits) * float64(cfg.TD) * (1 - cfg.TDOverlap))
 	if lat < wantStall || lat > wantStall+10*sim.Microsecond {
 		t.Fatalf("hypothetical miss latency %v, want >= stall %v", lat, wantStall)
 	}

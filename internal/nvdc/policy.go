@@ -51,36 +51,55 @@ func newReplacer(p Policy, slots int) replacer {
 	case PolicyClock:
 		return newClock(slots)
 	default:
-		return newLRC()
+		return newLRC(slots)
 	}
 }
 
-// lrc is the paper's FIFO-of-caching-order policy.
+// lrc is the paper's FIFO-of-caching-order policy. Removal is lazy: a
+// removed slot's queue entry stays until it reaches the head, where it is
+// skipped unless the slot was cached again meanwhile, in which case the
+// slot is evicted at that older position.
 type lrc struct {
-	queue []int
-	pos   map[int]bool
+	queue  []int // FIFO entries; queue[head:] are pending
+	head   int
+	member []bool // per slot: cached
+	n      int
 }
 
-func newLRC() *lrc { return &lrc{pos: make(map[int]bool)} }
+func newLRC(slots int) *lrc { return &lrc{member: make([]bool, slots)} }
 
 func (l *lrc) Insert(slot int) {
+	if len(l.queue) == cap(l.queue) && l.head > 0 {
+		// Reuse the popped prefix before append would grow the array.
+		l.queue = l.queue[:copy(l.queue, l.queue[l.head:])]
+		l.head = 0
+	}
 	l.queue = append(l.queue, slot)
-	l.pos[slot] = true
+	if !l.member[slot] {
+		l.member[slot] = true
+		l.n++
+	}
 }
 func (l *lrc) Touch(int) {} // hits do not affect caching order
 func (l *lrc) Victim() int {
-	for len(l.queue) > 0 {
-		s := l.queue[0]
-		l.queue = l.queue[1:]
-		if l.pos[s] {
-			delete(l.pos, s)
+	for l.head < len(l.queue) {
+		s := l.queue[l.head]
+		l.head++
+		if l.member[s] {
+			l.member[s] = false
+			l.n--
 			return s
 		}
 	}
 	return -1
 }
-func (l *lrc) Remove(slot int) { delete(l.pos, slot) } // lazy removal
-func (l *lrc) Len() int        { return len(l.pos) }
+func (l *lrc) Remove(slot int) { // lazy removal
+	if l.member[slot] {
+		l.member[slot] = false
+		l.n--
+	}
+}
+func (l *lrc) Len() int { return l.n }
 
 // lru is a classic move-to-front list.
 type lru struct {

@@ -6,7 +6,7 @@ import (
 )
 
 func TestLRCVictimIsCachingOrder(t *testing.T) {
-	r := newLRC()
+	r := newLRC(4)
 	r.Insert(1)
 	r.Insert(2)
 	r.Insert(3)
@@ -19,16 +19,67 @@ func TestLRCVictimIsCachingOrder(t *testing.T) {
 	}
 }
 
-func TestLRCRemoveIsLazy(t *testing.T) {
-	r := newLRC()
-	r.Insert(1)
-	r.Insert(2)
-	r.Remove(1)
-	if r.Len() != 1 {
-		t.Fatalf("len = %d", r.Len())
+// refLRC is the plain model lrc is held to: a FIFO of insertions and a set
+// of cached slots, where a popped entry whose slot is not cached is skipped.
+type refLRC struct {
+	queue  []int
+	cached map[int]bool
+}
+
+func (r *refLRC) insert(s int) { r.queue = append(r.queue, s); r.cached[s] = true }
+func (r *refLRC) remove(s int) { delete(r.cached, s) }
+func (r *refLRC) victim() int {
+	for len(r.queue) > 0 {
+		s := r.queue[0]
+		r.queue = r.queue[1:]
+		if r.cached[s] {
+			delete(r.cached, s)
+			return s
+		}
 	}
-	if v := r.Victim(); v != 2 {
-		t.Fatalf("victim = %d, want 2 (1 was removed)", v)
+	return -1
+}
+
+// TestLRCRemoveIsLazy drives lrc and refLRC with the same operations and
+// requires the same victims and lengths. The inputs cover a removed slot
+// that is skipped, a slot removed and cached again before its stale entry
+// pops (it is evicted at the older position), and a long mixed run that
+// makes the queue compact in place.
+func TestLRCRemoveIsLazy(t *testing.T) {
+	const slots = 16
+	type op struct {
+		kind byte // 'i' insert, 'r' remove, 'v' victim
+		slot int
+	}
+	long := make([]op, 3000)
+	x := uint32(7)
+	for i := range long {
+		x = x*1664525 + 1013904223
+		long[i] = op{"iirv"[x>>30], int(x>>8) % slots}
+	}
+	for name, ops := range map[string][]op{
+		"removed slot skipped":       {{'i', 1}, {'i', 2}, {'r', 1}, {'v', 0}, {'v', 0}},
+		"re-cached before stale pop": {{'i', 1}, {'i', 2}, {'r', 1}, {'i', 1}, {'v', 0}, {'v', 0}, {'v', 0}},
+		"long mixed run":             long,
+	} {
+		got, want := newLRC(slots), &refLRC{cached: map[int]bool{}}
+		for i, o := range ops {
+			switch o.kind {
+			case 'i':
+				got.Insert(o.slot)
+				want.insert(o.slot)
+			case 'r':
+				got.Remove(o.slot)
+				want.remove(o.slot)
+			case 'v':
+				if g, w := got.Victim(), want.victim(); g != w {
+					t.Fatalf("%s: op %d: victim = %d, want %d", name, i, g, w)
+				}
+			}
+			if got.Len() != len(want.cached) {
+				t.Fatalf("%s: op %d: len = %d, want %d", name, i, got.Len(), len(want.cached))
+			}
+		}
 	}
 }
 
@@ -95,7 +146,7 @@ func TestReplacerConservationProperty(t *testing.T) {
 		var r replacer
 		switch policyRaw % 3 {
 		case 0:
-			r = newLRC()
+			r = newLRC(n)
 		case 1:
 			r = newLRU()
 		default:

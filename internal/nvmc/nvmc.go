@@ -38,12 +38,6 @@ type Config struct {
 	// CommandDepth is the number of CP command slots (1 on the PoC;
 	// §VII-C item 2 proposes more).
 	CommandDepth int
-	// FirmwareDecode is the Cortex-A53 time to decode a polled command and
-	// steer the RTL FSMs (the software-controlled data path of §VII-C).
-	FirmwareDecode sim.Duration
-	// DMASetup is the per-transfer configuration overhead before the DDR4
-	// controller can move data in a window.
-	DMASetup sim.Duration
 	// AckMergesWithData lets the 64 B ack ride in the same window as the
 	// command's 4 KB data transfer instead of a window of its own.
 	AckMergesWithData bool
@@ -51,8 +45,6 @@ type Config struct {
 	// finish instead of acking once the data is in the controller's buffer
 	// (battery-backed, so posting is safe — the PoC posts).
 	AckAfterProgram bool
-	// WindowGuard is margin kept at the window end (signal settle).
-	WindowGuard sim.Duration
 }
 
 // DefaultConfig mirrors the PoC.
@@ -60,16 +52,25 @@ func DefaultConfig() Config {
 	return Config{
 		MaxBytesPerWindow: PageSize,
 		CommandDepth:      1,
-		// The PoC's CPU-controlled FSMs make a writeback+cachefill pair
-		// cost ~8.9 tREFI windows instead of the 6-window theoretical
-		// minimum (§VII-B2); these decode/setup times reproduce that lag.
-		FirmwareDecode:    7 * sim.Microsecond,
-		DMASetup:          2 * sim.Microsecond,
 		AckMergesWithData: false,
 		AckAfterProgram:   false,
-		WindowGuard:       50 * sim.Nanosecond,
 	}
 }
+
+// The PoC's CPU-controlled FSMs make a writeback+cachefill pair cost ~8.9
+// tREFI windows instead of the 6-window theoretical minimum (§VII-B2);
+// these decode/setup times reproduce that lag.
+const (
+	// firmwareDecode is the Cortex-A53 time to decode a polled command and
+	// steer the RTL FSMs (the software-controlled data path of §VII-C).
+	firmwareDecode = 7 * sim.Microsecond
+	// dmaSetup is the per-transfer configuration overhead before the DDR4
+	// controller can move data in a window.
+	dmaSetup = 2 * sim.Microsecond
+)
+
+// WindowGuard is the margin kept at the window end (signal settle).
+const WindowGuard = 50 * sim.Nanosecond
 
 // CP area layout with depth: command slot i occupies the cacheline at
 // 128*i, its ack the cacheline at 128*i+64. Depth 1 matches cp's constants.
@@ -187,9 +188,6 @@ type Controller struct {
 	// accesses without windows to demonstrate collisions).
 	enabled bool
 
-	// onComplete, if set, observes each completed command (tests).
-	onComplete func(c cp.Command, windows int)
-
 	// faults, when non-nil, injects controller-level failures: firmware
 	// stalls (NVMCFirmwareStall), aborted window transfers
 	// (NVMCWindowOverrun), and CP ack loss/corruption (CPAckDrop,
@@ -243,12 +241,6 @@ func (c *Controller) Stats() Stats {
 // SetEnabled gates the window engine.
 func (c *Controller) SetEnabled(v bool) { c.enabled = v }
 
-// SetOnComplete registers a test observer for completed commands.
-func (c *Controller) SetOnComplete(fn func(cp.Command, int)) { c.onComplete = fn }
-
-// FTL exposes the flash translation layer (for inspection tools).
-func (c *Controller) FTL() *ftl.FTL { return c.ftl }
-
 // SetFaults attaches the fault-injection registry (nil detaches).
 func (c *Controller) SetFaults(g *fault.Registry) { c.faults = g }
 
@@ -261,7 +253,7 @@ func (c *Controller) onRefresh(refAt sim.Time) {
 	}
 	dev := c.ch.Device()
 	start, end := refAt.Add(dev.Config().StandardTRFC), refAt.Add(dev.Config().Timing.TRFC)
-	end = end.Add(-c.cfg.WindowGuard)
+	end = end.Add(-WindowGuard)
 	if end <= start {
 		return // no extra window programmed: mechanism cannot run
 	}
@@ -354,7 +346,7 @@ func (c *Controller) pollSlot(f *cmdFSM) {
 	f.ready = false
 	f.windowsUsed = 1
 	f.startedAt = c.k.Now()
-	decode := c.cfg.FirmwareDecode
+	decode := firmwareDecode
 	if ok, stallUS := c.faults.FiresParam(fault.NVMCFirmwareStall); ok {
 		// Firmware hangs on its core for the injected duration (param is
 		// microseconds; default ~2 ms) before the decode completes. The
@@ -405,7 +397,7 @@ func (f *cmdFSM) dispatch(cmd cp.Command) {
 	case cp.OpWriteback:
 		c.stats.Writebacks++
 		// DMA setup for the DRAM read; data moves in the next window.
-		c.k.Schedule(c.cfg.DMASetup, f.toReadFn)
+		c.k.Schedule(dmaSetup, f.toReadFn)
 	case cp.OpCombined:
 		c.stats.Combined++
 		f.wbDone = false
@@ -413,9 +405,9 @@ func (f *cmdFSM) dispatch(cmd cp.Command) {
 		// writeback half's DRAM read is set up in parallel.
 		p := c.newFill(f)
 		c.ftl.ReadPageInto(int64(cmd.NANDPage), p.page, p.combinedFn)
-		c.k.Schedule(c.cfg.DMASetup, f.toReadFn) // writeback half first
+		c.k.Schedule(dmaSetup, f.toReadFn) // writeback half first
 	case cp.OpFlushAll:
-		c.k.Schedule(c.cfg.FirmwareDecode, func() {
+		c.k.Schedule(firmwareDecode, func() {
 			c.flushAll(f.toAckFn)
 		})
 	default:
@@ -466,7 +458,7 @@ func (p *pageFill) deliver(err error) bool {
 func (p *pageFill) filled(err error) {
 	f := p.f
 	if p.deliver(err) {
-		f.c.k.Schedule(f.c.cfg.DMASetup, f.toWriteFn)
+		f.c.k.Schedule(dmaSetup, f.toWriteFn)
 	}
 }
 
@@ -507,7 +499,7 @@ func (c *Controller) doWriteData(f *cmdFSM) {
 	}
 	// Ack in a later window, after firmware status update.
 	f.ready = false
-	c.k.Schedule(sim.Duration(c.windowEnd.Sub(c.k.Now()))+c.cfg.FirmwareDecode/2, f.toAckFn)
+	c.k.Schedule(sim.Duration(c.windowEnd.Sub(c.k.Now()))+firmwareDecode/2, f.toAckFn)
 }
 
 // doReadData moves the 4 KB slot out of DRAM (writeback data phase) and
@@ -575,7 +567,7 @@ func (f *cmdFSM) combinedWritebackDone() {
 	f.wbDone = true
 	f.ready = false
 	f.state = engWaitNAND
-	f.c.k.Schedule(f.c.cfg.DMASetup, f.awaitFn)
+	f.c.k.Schedule(dmaSetup, f.awaitFn)
 }
 
 // writebackDone advances the FSM once a writeback's data is off the DRAM
@@ -594,7 +586,7 @@ func (f *cmdFSM) writebackDone() {
 	if wait < 0 {
 		wait = 0
 	}
-	c.k.Schedule(wait+c.cfg.FirmwareDecode/2, f.toAckFn)
+	c.k.Schedule(wait+firmwareDecode/2, f.toAckFn)
 }
 
 // awaitNAND runs a DMA setup after a combined command's writeback half and
@@ -605,7 +597,7 @@ func (f *cmdFSM) awaitNAND() {
 		f.enter(engWriteData)
 		return
 	}
-	f.c.k.Schedule(f.c.cfg.DMASetup, f.awaitFn)
+	f.c.k.Schedule(dmaSetup, f.awaitFn)
 }
 
 // postAck writes the ack word for f's command and recycles the slot.
@@ -647,9 +639,6 @@ func (c *Controller) postAck(f *cmdFSM) {
 	c.stats.AcksPosted++
 	c.stats.cmdWindowsTotal += uint64(f.windowsUsed)
 	c.stats.cmdsCompleted++
-	if c.onComplete != nil {
-		c.onComplete(f.cur, f.windowsUsed)
-	}
 	f.lastPhase = f.cur.Phase
 	f.state = engIdle
 	f.ready = false
@@ -660,7 +649,7 @@ func (c *Controller) postAck(f *cmdFSM) {
 	f.wbDone = false
 	// The firmware needs a moment before it polls again; by the next window
 	// it is ready.
-	c.k.Schedule(c.cfg.FirmwareDecode/2, f.readyFn)
+	c.k.Schedule(firmwareDecode/2, f.readyFn)
 }
 
 // cpAddr converts a CP-area offset to a DRAM address.
@@ -709,7 +698,7 @@ func (c *Controller) WarpIdleWindows(m uint64, rLast sim.Time) {
 	c.stats.Polls += m * uint64(n)
 	dev := c.ch.Device()
 	c.windowStart = rLast.Add(dev.Config().StandardTRFC)
-	c.windowEnd = rLast.Add(dev.Config().Timing.TRFC).Add(-c.cfg.WindowGuard)
+	c.windowEnd = rLast.Add(dev.Config().Timing.TRFC).Add(-WindowGuard)
 	c.windowRefAt = rLast
 	c.rr = (c.rr + int(m%uint64(n))) % n
 }

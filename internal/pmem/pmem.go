@@ -19,25 +19,25 @@ import (
 
 // Config sizes the emulated device.
 type Config struct {
-	Grade ddr4.SpeedGrade
-	TREFI sim.Duration
-	TRFC  sim.Duration
 	// Bytes is the module capacity (128 GB on the testbed; sparse storage
 	// makes full size affordable).
 	Bytes int64
-	Cost  hostcost.Model
 }
 
 // DefaultConfig mirrors Table I.
 func DefaultConfig() Config {
 	return Config{
-		Grade: ddr4.DDR4_1600,
-		TREFI: ddr4.TREFI,
-		TRFC:  1250 * sim.Nanosecond,
 		Bytes: 128 << 30,
-		Cost:  hostcost.Default(),
 	}
 }
+
+// The emulated module's channel mirrors Table I: DDR4-1600 with the PoC's
+// refresh programming.
+const (
+	grade = ddr4.DDR4_1600
+	trefi = ddr4.TREFI
+	trfc  = 1250 * sim.Nanosecond
+)
 
 // Device is the emulated pmem module with its own channel and iMC.
 type Device struct {
@@ -46,6 +46,7 @@ type Device struct {
 	Channel *bus.Channel
 	IMC     *imc.Controller
 	cfg     Config
+	cost    hostcost.Model
 
 	footprint int64
 }
@@ -53,9 +54,9 @@ type Device struct {
 // New builds and boots the device (refresh running).
 func New(cfg Config) (*Device, error) {
 	k := sim.NewKernel()
-	timing := ddr4.NewTiming(cfg.Grade)
-	timing.TRFC = cfg.TRFC
-	timing.TREFI = cfg.TREFI
+	timing := ddr4.NewTiming(grade)
+	timing.TRFC = trfc
+	timing.TREFI = trefi
 	if err := timing.Validate(); err != nil {
 		return nil, fmt.Errorf("pmem: %w", err)
 	}
@@ -74,11 +75,11 @@ func New(cfg Config) (*Device, error) {
 	dev := dram.New(k, dcfg)
 	ch := bus.New(k, dev)
 	imcCfg := imc.DefaultConfig()
-	imcCfg.TREFI = cfg.TREFI
-	imcCfg.TRFC = cfg.TRFC
+	imcCfg.TREFI = trefi
+	imcCfg.TRFC = trfc
 	mc := imc.New(k, ch, imcCfg)
 	mc.StartRefresh()
-	return &Device{K: k, DRAM: dev, Channel: ch, IMC: mc, cfg: cfg}, nil
+	return &Device{K: k, DRAM: dev, Channel: ch, IMC: mc, cfg: cfg, cost: hostcost.Default()}, nil
 }
 
 // Name identifies the target in reports.
@@ -96,7 +97,7 @@ func (d *Device) Prepare(footprint int64) { d.footprint = footprint }
 // ThreadCPU is the pre-op host CPU cost on the issuing thread; the copy
 // cost is interleaved with the transfer inside Do.
 func (d *Device) ThreadCPU(n int, write bool) sim.Duration {
-	return d.cfg.Cost.DispatchCPU(n, write, d.footprint)
+	return d.cost.DispatchCPU(n, write, d.footprint)
 }
 
 // Do performs one I/O against the device: the memcpy through the iMC,
@@ -107,7 +108,7 @@ func (d *Device) Do(off int64, n int, write bool, done func()) {
 		panic(fmt.Sprintf("pmem: access [%d,%d) out of range", off, off+int64(n)))
 	}
 	chunks := hostcost.CopyChunks(n)
-	cpuSlice := d.cfg.Cost.CopyCPU(n) / sim.Duration(chunks)
+	cpuSlice := d.cost.CopyCPU(n) / sim.Duration(chunks)
 	per := n / chunks
 	i := 0
 	var step func()

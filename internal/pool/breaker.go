@@ -31,7 +31,7 @@ func (s breakerState) String() string {
 // Open when the window holds >= BreakerMinSamples observations and the
 // failure fraction reaches BreakerErrRate. Open: dispatch nothing for
 // BreakerCooldown epochs (doubled on each consecutive reopen, capped at 8x),
-// then go HalfOpen. HalfOpen: allow BreakerProbes dispatches per epoch; any
+// then go HalfOpen. HalfOpen: allow breakerProbes dispatches per epoch; any
 // failure reopens, BreakerCloseStreak consecutive successes close.
 //
 // A "failure" is a fragment completing with an error, or — when
@@ -49,6 +49,10 @@ type breaker struct {
 	streak   int // consecutive half-open successes
 }
 
+// breakerProbes is how many fragments a half-open breaker dispatches per
+// epoch.
+const breakerProbes = 2
+
 func newBreaker(cfg *Config, ctr *metrics.Counters) *breaker {
 	return &breaker{cfg: cfg, ctr: ctr, winLeft: cfg.BreakerWindow, coolBase: cfg.BreakerCooldown}
 }
@@ -61,7 +65,7 @@ func (b *breaker) budget() int {
 	case breakerOpen:
 		return 0
 	case breakerHalfOpen:
-		return b.cfg.BreakerProbes
+		return breakerProbes
 	}
 	return int(^uint(0) >> 1)
 }

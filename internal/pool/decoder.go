@@ -58,9 +58,6 @@ func NewDecoder(members int, gran, memberCap int64) (*Decoder, error) {
 // Members returns the member count.
 func (d *Decoder) Members() int { return d.members }
 
-// Granularity returns the interleave stripe size in bytes.
-func (d *Decoder) Granularity() int64 { return d.gran }
-
 // Capacity returns the pooled address-space size.
 func (d *Decoder) Capacity() int64 { return int64(d.members) * d.memberCap }
 
@@ -122,14 +119,9 @@ func (d *Decoder) Inverse(member int, memberOff int64) int64 {
 	return (group*n+pos)*d.gran + memberOff%d.gran
 }
 
-// Fragments splits the pooled access [off, off+n) at stripe boundaries into
-// per-member extents, in pooled-address order.
-func (d *Decoder) Fragments(off int64, n int) []Extent {
-	return d.FragmentsInto(nil, off, n)
-}
-
-// FragmentsInto is the allocation-free Fragments: extents are appended to
-// buf (reusing its capacity) and the extended slice returned. Per-epoch hot
+// FragmentsInto splits the pooled access [off, off+n) at stripe boundaries
+// into per-member extents, in pooled-address order, appended to buf
+// (reusing its capacity); it returns the extended slice. Per-epoch hot
 // paths that copy the extents out before the next decode pass their scratch
 // buffer here.
 func (d *Decoder) FragmentsInto(buf []Extent, off int64, n int) []Extent {

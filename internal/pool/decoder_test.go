@@ -131,7 +131,7 @@ func TestDecoderFragments(t *testing.T) {
 		{4096*7 + 100, 64, 1}, // small op deep in the space
 	}
 	for _, c := range cases {
-		fr := d.Fragments(c.off, c.n)
+		fr := d.FragmentsInto(nil, c.off, c.n)
 		if len(fr) != c.frags {
 			t.Fatalf("[%d,+%d): %d fragments, want %d: %+v", c.off, c.n, len(fr), c.frags, fr)
 		}

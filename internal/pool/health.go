@@ -77,12 +77,16 @@ type memberHealth struct {
 	// this member (lifetime).
 	fragErrs int
 	// cleanProbes counts consecutive probes with no new error activity; at
-	// SuspectClearProbes a Suspect healthy-mode member returns to Up.
+	// suspectClearProbes a Suspect healthy-mode member returns to Up.
 	cleanProbes int
 
 	quarantinedAt sim.Time
 	reason        string
 }
+
+// suspectClearProbes is how many consecutive clean probes return a Suspect
+// member to Up.
+const suspectClearProbes = 4
 
 // probeMembers runs the health probe over every member in canonical order.
 // It is called at the epoch boundary after collect(), so quarantine
@@ -121,7 +125,7 @@ func (p *Pool) probeMembers() {
 			h.cleanProbes++
 			// ModeDegraded is sticky in the driver, so degraded members can
 			// never take this branch: they stay Suspect for the run.
-			if h.cleanProbes >= p.Cfg.SuspectClearProbes {
+			if h.cleanProbes >= suspectClearProbes {
 				h.state = StateUp
 				p.ctrPool.Inc("member-recovered")
 			}

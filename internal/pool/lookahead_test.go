@@ -201,7 +201,7 @@ func TestQuietEpochsRetryReadyBound(t *testing.T) {
 // first sweep it; an already-expired deadline disables batching.
 func TestQuietEpochsDeadlineBound(t *testing.T) {
 	p := newTestPool(t, 2, 1, 1, 4096, noProbe)
-	e := p.Cfg.Epoch
+	e := p.Epoch()
 	req := &request{deadline: p.now.Add(5*e + 1)}
 	p.retries = append(p.retries, retryEntry{f: &fragment{req: req}, ready: 1 << 20})
 	if k := p.QuietEpochs(1000); k != 6 {
@@ -494,7 +494,7 @@ func BenchmarkStepQuiet(b *testing.B) {
 			for !p.Quiesced() {
 				p.Step()
 			}
-			p.Poll(0)
+			p.Poll(nil, 0)
 			if q := p.QuietEpochs(k); q != k {
 				b.Fatalf("QuietEpochs(%d) = %d on an idle pool", k, q)
 			}

@@ -103,7 +103,7 @@ func TestParkedMembersMatchLockstep(t *testing.T) {
 					switch n := rng.Intn(10); {
 					case n < 4:
 						r := openloop.Request{
-							Arrival: a.Elapsed() + sim.Duration(rng.Int63n(int64(2*a.Cfg.Epoch))),
+							Arrival: a.Elapsed() + sim.Duration(rng.Int63n(int64(2*a.Epoch()))),
 							Tenant:  rng.Intn(3),
 							Off:     rng.Int63n(foot) * PageSize,
 							Len:     PageSize * (1 + rng.Intn(2)),

@@ -213,20 +213,11 @@ func (p *Pool) Submit(r openloop.Request) (uint64, error) {
 	return p.submitReq(r, true)
 }
 
-// Poll removes and returns up to max buffered completions (all when max <=
-// 0). Records buffer only for Submit requests when no Notify callback is
-// configured.
-func (p *Pool) Poll(max int) []Completion { return p.out.Poll(max) }
-
-// AppendCompletions removes every buffered completion and appends it to
-// dst: Poll(0) into a buffer the caller reuses, so draining allocates
-// nothing once the buffer has grown.
-func (p *Pool) AppendCompletions(dst []Completion) []Completion {
-	dst = append(dst, p.out.recs...)
-	clear(p.out.recs)
-	p.out.recs = p.out.recs[:0]
-	return dst
-}
+// Poll removes up to max buffered completions (all when max <= 0) and
+// appends them to dst. Records buffer only for Submit requests when no
+// Notify callback is configured. Draining into a buffer the caller reuses
+// allocates nothing once the buffer has grown.
+func (p *Pool) Poll(dst []Completion, max int) []Completion { return p.out.Poll(dst, max) }
 
 // Outbox holds a plane's terminal Completion records in deterministic
 // boundary order. It carries the one record rule both planes follow: a
@@ -255,18 +246,17 @@ func (o *Outbox) Flush(notify func(Completion)) {
 	o.recs = o.recs[:0]
 }
 
-// Poll removes and returns up to max buffered records (all when max <= 0).
-func (o *Outbox) Poll(max int) []Completion {
+// Poll removes up to max buffered records (all when max <= 0) and appends
+// them to dst.
+func (o *Outbox) Poll(dst []Completion, max int) []Completion {
 	if max <= 0 || max > len(o.recs) {
 		max = len(o.recs)
 	}
-	if max == 0 {
-		return nil
-	}
-	out := make([]Completion, max)
-	copy(out, o.recs)
-	o.recs = o.recs[:copy(o.recs, o.recs[max:])]
-	return out
+	dst = append(dst, o.recs[:max]...)
+	n := copy(o.recs, o.recs[max:])
+	clear(o.recs[n:])
+	o.recs = o.recs[:n]
+	return dst
 }
 
 // Now returns the current epoch-boundary instant — the arrival a front-end
@@ -322,7 +312,7 @@ func (p *Pool) Offer(r openloop.Request) { p.submitReq(r, false) }
 func (p *Pool) Elapsed() sim.Duration { return p.now.Sub(p.epoch0) }
 
 // Epoch returns the epoch length.
-func (p *Pool) Epoch() sim.Duration { return p.Cfg.Epoch }
+func (p *Pool) Epoch() sim.Duration { return p.epoch }
 
 // Epochs returns the epochs taken so far.
 func (p *Pool) Epochs() int { return p.epochs }

@@ -50,15 +50,15 @@ func TestPlaneManualDrive(t *testing.T) {
 			t.Fatal("quiesced plane still has backlog")
 		}
 		// Poll in two batches to check the max bound, then exhaustion.
-		recs := p.Poll(3)
+		recs := p.Poll(nil, 3)
 		if len(recs) != 3 {
 			t.Fatalf("Poll(3) returned %d records", len(recs))
 		}
-		recs = append(recs, p.Poll(0)...)
+		recs = p.Poll(recs, 0)
 		if len(recs) != 8 {
 			t.Fatalf("polled %d completions, want 8", len(recs))
 		}
-		if got := p.Poll(0); got != nil {
+		if got := p.Poll(nil, 0); got != nil {
 			t.Fatalf("second Poll returned %d records, want none", len(got))
 		}
 		for i, c := range recs {
@@ -93,7 +93,7 @@ func TestPlaneDeadlineExpiresAtBoundary(t *testing.T) {
 	p := newTestPool(t, 1, 1, 1, 4096)
 	for i := 0; i < 200; i++ {
 		if _, err := p.Submit(openloop.Request{
-			Off: int64(i%64) * 4096, Len: 4096, Deadline: p.Cfg.Epoch,
+			Off: int64(i%64) * 4096, Len: 4096, Deadline: p.Epoch(),
 		}); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -105,7 +105,7 @@ func TestPlaneDeadlineExpiresAtBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	var completed, expired int
-	for _, c := range p.Poll(0) {
+	for _, c := range p.Poll(nil, 0) {
 		switch c.Outcome {
 		case OutcomeCompleted:
 			completed++
@@ -114,11 +114,11 @@ func TestPlaneDeadlineExpiresAtBoundary(t *testing.T) {
 			if !errors.Is(c.Err, ErrDeadlineExceeded) {
 				t.Fatalf("expired request %d error %v, want ErrDeadlineExceeded chain", c.ID, c.Err)
 			}
-			if off := c.At.Sub(p.epoch0) % p.Cfg.Epoch; off != 0 {
+			if off := c.At.Sub(p.epoch0) % p.Epoch(); off != 0 {
 				t.Fatalf("request %d expired %v past a boundary — expiry must be boundary-only", c.ID, off)
 			}
-			if c.Latency < p.Cfg.Epoch {
-				t.Fatalf("request %d expired after %v, before its %v budget", c.ID, c.Latency, p.Cfg.Epoch)
+			if c.Latency < p.Epoch() {
+				t.Fatalf("request %d expired after %v, before its %v budget", c.ID, c.Latency, p.Epoch())
 			}
 		default:
 			t.Fatalf("request %d: unexpected outcome %v (%v)", c.ID, c.Outcome, c.Err)
@@ -138,9 +138,9 @@ func TestPlaneDeadlineExpiresAtBoundary(t *testing.T) {
 func TestPlaneRetryFailFast(t *testing.T) {
 	p := newTestPool(t, 1, 1, 1, 4096)
 	ch := p.chans[0]
-	ch.ewma = 2 * p.Cfg.Epoch // measured service alone overshoots the budget
+	ch.ewma = 2 * p.Epoch() // measured service alone overshoots the budget
 
-	r := &request{id: 1, arrival: p.now, deadline: p.now.Add(p.Cfg.Epoch), remaining: 1, notify: true}
+	r := &request{id: 1, arrival: p.now, deadline: p.now.Add(p.Epoch()), remaining: 1, notify: true}
 	p.led.Submitted++
 	epochsBefore := p.epochs
 	p.fragFailed(&fragment{req: r, member: 0, n: 4096}, fmt.Errorf("injected media error"), p.now)
@@ -159,7 +159,7 @@ func TestPlaneRetryFailFast(t *testing.T) {
 	if got := ch.ctr.Get("frags-retry-expired"); got != 1 {
 		t.Fatalf("frags-retry-expired=%d, want 1", got)
 	}
-	recs := p.Poll(0)
+	recs := p.Poll(nil, 0)
 	if len(recs) != 1 || recs[0].Outcome != OutcomeExpired || recs[0].At != p.now {
 		t.Fatalf("terminal record %+v, want immediate expired completion", recs)
 	}
@@ -171,8 +171,8 @@ func TestPlaneRetryFailFast(t *testing.T) {
 	if len(p.retries) != 1 {
 		t.Fatalf("%d retries armed without a deadline, want 1", len(p.retries))
 	}
-	if p.retries[0].ready != p.epochs+p.Cfg.RetryBackoffEpochs {
-		t.Fatalf("retry ready at epoch %d, want %d", p.retries[0].ready, p.epochs+p.Cfg.RetryBackoffEpochs)
+	if p.retries[0].ready != p.epochs+RetryBackoff(1) {
+		t.Fatalf("retry ready at epoch %d, want %d", p.retries[0].ready, p.epochs+RetryBackoff(1))
 	}
 }
 
@@ -218,7 +218,7 @@ func TestPlaneShedNewestBoundsHeld(t *testing.T) {
 	}
 	// Synchronously shed requests produce no completion record — the caller
 	// already holds the typed error.
-	if recs := p.Poll(0); len(recs) != 12 {
+	if recs := p.Poll(nil, 0); len(recs) != 12 {
 		t.Fatalf("polled %d records, want only the 12 admitted", len(recs))
 	}
 }
@@ -244,7 +244,7 @@ func TestPlaneShedOldestDisplacesOldest(t *testing.T) {
 		t.Fatal(err)
 	}
 	victims := map[uint64]bool{}
-	for _, c := range p.Poll(0) {
+	for _, c := range p.Poll(nil, 0) {
 		if c.Outcome == OutcomeShed {
 			if !errors.Is(c.Err, ErrAdmissionFull) {
 				t.Fatalf("victim %d error %v, want ErrAdmissionFull chain", c.ID, c.Err)
@@ -315,15 +315,15 @@ func TestPlaneDeadlineAwareShedsInfeasible(t *testing.T) {
 		c.Admission = AdmitDeadlineAware
 	})
 	ch := p.chans[0]
-	ch.ewma = 4 * p.Cfg.Epoch // priced: ~4 epochs of wait per queued fragment
+	ch.ewma = 4 * p.Epoch() // priced: ~4 epochs of wait per queued fragment
 
-	if _, err := p.Submit(openloop.Request{Off: 0, Len: 4096, Deadline: p.Cfg.Epoch}); !errors.Is(err, ErrAdmissionFull) {
+	if _, err := p.Submit(openloop.Request{Off: 0, Len: 4096, Deadline: p.Epoch()}); !errors.Is(err, ErrAdmissionFull) {
 		t.Fatalf("infeasible deadline admitted (err=%v), want ErrAdmissionFull", err)
 	}
 	if got := ch.ctr.Get("shed-deadline-infeasible"); got != 1 {
 		t.Fatalf("shed-deadline-infeasible=%d, want 1", got)
 	}
-	if _, err := p.Submit(openloop.Request{Off: 0, Len: 4096, Deadline: 64 * p.Cfg.Epoch}); err != nil {
+	if _, err := p.Submit(openloop.Request{Off: 0, Len: 4096, Deadline: 64 * p.Epoch()}); err != nil {
 		t.Fatalf("feasible deadline refused: %v", err)
 	}
 	// An undeadlined request is never priced — only budget-carrying work
@@ -368,7 +368,7 @@ func TestPlaneOverloadedWorkerCountIdentical(t *testing.T) {
 		})
 		gcfg := openloop.Config{
 			Seed: 77, RatePerSec: 1e7, // well past the 3-channel faulted capacity
-			Deadline: 48 * p.Cfg.Epoch,
+			Deadline: 48 * p.Epoch(),
 			Tenants: []openloop.Tenant{
 				{Name: "mix", Dist: openloop.Uniform, ReadPct: 60, Footprint: faultFootprint(p)},
 			},
@@ -384,7 +384,7 @@ func TestPlaneOverloadedWorkerCountIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The driver offers its requests: with no Notify, nothing is kept.
-		if recs := p.Poll(0); len(recs) != 0 {
+		if recs := p.Poll(nil, 0); len(recs) != 0 {
 			t.Fatalf("workers=%d: Run retained %d Completion records nobody polls", workers, len(recs))
 		}
 		s := p.Stats()
@@ -431,14 +431,14 @@ func TestPlaneNotifyMatchesPollAcrossDrain(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, chunk := range []int{1, 5, 0} { // 0 drains the rest
-			recs = append(recs, p.Poll(chunk)...)
+			recs = p.Poll(recs, chunk)
 		}
 		submitWave(t, p, 1)
 		if err := p.Drain(); err != nil {
 			t.Fatal(err)
 		}
-		recs = append(recs, p.Poll(7)...)
-		recs = append(recs, p.Poll(0)...)
+		recs = p.Poll(recs, 7)
+		recs = p.Poll(recs, 0)
 		return recs
 	}()
 
@@ -452,7 +452,7 @@ func TestPlaneNotifyMatchesPollAcrossDrain(t *testing.T) {
 		if err := p.Drain(); err != nil {
 			t.Fatal(err)
 		}
-		if got := p.Poll(0); got != nil {
+		if got := p.Poll(nil, 0); got != nil {
 			t.Fatalf("Poll returned %d records with Notify configured", len(got))
 		}
 		submitWave(t, p, 1)

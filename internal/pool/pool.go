@@ -75,8 +75,6 @@ type Config struct {
 	// QueueCap bounds each channel's dispatch queue (default 64); beyond it
 	// arrivals are held at admission (backpressure).
 	QueueCap int
-	// Epoch is the lockstep quantum (default: the member tREFI).
-	Epoch sim.Duration
 	// Workers caps how many members New builds and prefills concurrently
 	// (<=1 serial; output is identical either way). Epochs advance members
 	// on the stepping goroutine.
@@ -111,9 +109,6 @@ type Config struct {
 	// ProbeEvery runs the member health probe every this many epochs
 	// (default 4).
 	ProbeEvery int
-	// SuspectClearProbes is how many consecutive clean probes return a
-	// Suspect member to Up (default 4).
-	SuspectClearProbes int
 	// QuarantineFragErrs quarantines a member once this many of its
 	// dispatched fragments have failed (default 8).
 	QuarantineFragErrs int
@@ -121,14 +116,6 @@ type Config struct {
 	// MaxRetries caps per-fragment redispatch attempts before the request
 	// fails with ErrPoolDegraded (default 4; negative disables retries).
 	MaxRetries int
-	// RetryBackoffEpochs is the first retry delay in epochs (default 1);
-	// it doubles per attempt up to RetryBackoffCap (default 8).
-	RetryBackoffEpochs int
-	RetryBackoffCap    int
-
-	// RebuildPagesPerEpoch rate-limits the background rebuild (default 8
-	// page copies per epoch per job).
-	RebuildPagesPerEpoch int
 
 	// Admission selects the front-end admission policy (default AdmitBlock,
 	// the hold-everything behavior; see plane.go for the shedding policies).
@@ -150,7 +137,6 @@ type Config struct {
 	BreakerMinSamples  int          // min observations to evaluate a window (default 8)
 	BreakerErrRate     float64      // failure fraction that trips (default 0.5)
 	BreakerCooldown    int          // epochs open before half-open (default 16)
-	BreakerProbes      int          // half-open dispatches per epoch (default 2)
 	BreakerCloseStreak int          // half-open successes to close (default 8)
 	BreakerLatency     sim.Duration // completions slower than this count as failures (0 disables)
 
@@ -192,12 +178,6 @@ func (c *Config) fillDefaults() error {
 	if c.QueueCap <= 0 {
 		c.QueueCap = 64
 	}
-	if c.Epoch <= 0 {
-		c.Epoch = c.Member.TREFI
-		if c.Epoch <= 0 {
-			c.Epoch = 7800 * sim.Nanosecond
-		}
-	}
 	if c.MaxEpochs <= 0 {
 		c.MaxEpochs = 1 << 22
 	}
@@ -213,9 +193,6 @@ func (c *Config) fillDefaults() error {
 	if c.ProbeEvery <= 0 {
 		c.ProbeEvery = 4
 	}
-	if c.SuspectClearProbes <= 0 {
-		c.SuspectClearProbes = 4
-	}
 	if c.QuarantineFragErrs <= 0 {
 		c.QuarantineFragErrs = 8
 	}
@@ -224,15 +201,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.MaxRetries < 0 {
 		c.MaxRetries = 0
-	}
-	if c.RetryBackoffEpochs <= 0 {
-		c.RetryBackoffEpochs = 1
-	}
-	if c.RetryBackoffCap <= 0 {
-		c.RetryBackoffCap = 8
-	}
-	if c.RebuildPagesPerEpoch <= 0 {
-		c.RebuildPagesPerEpoch = 8
 	}
 	if c.PendingCap <= 0 {
 		c.PendingCap = 256
@@ -248,9 +216,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 16
-	}
-	if c.BreakerProbes <= 0 {
-		c.BreakerProbes = 2
 	}
 	if c.BreakerCloseStreak <= 0 {
 		c.BreakerCloseStreak = 8
@@ -454,8 +419,10 @@ type Pool struct {
 	// chanScratch is fragsPerChannel's reusable per-channel count buffer
 	// (its two callers' lifetimes never overlap).
 	chanScratch []int
-	epoch0      sim.Time
-	now         sim.Time
+	// epoch is the lockstep quantum: the member tREFI.
+	epoch  sim.Duration
+	epoch0 sim.Time
+	now    sim.Time
 	// boundary is where advanceAll last took the members (a parked member
 	// stands at or before it). It equals now except inside StepQuiet's
 	// probe, where now is one epoch behind it.
@@ -508,7 +475,10 @@ func New(cfg Config) (*Pool, error) {
 	}
 	n := cfg.Channels * cfg.DIMMsPerChannel
 	total := n + cfg.Spares
-	p := &Pool{Cfg: cfg, members: make([]*member, total)}
+	p := &Pool{Cfg: cfg, members: make([]*member, total), epoch: cfg.Member.TREFI}
+	if p.epoch <= 0 {
+		p.epoch = 7800 * sim.Nanosecond
+	}
 	errs := make([]error, total)
 	build := func(i int) {
 		mcfg := cfg.Member
@@ -801,7 +771,7 @@ func (p *Pool) collect() {
 	// estimate reads (canonical channel order, integer arithmetic). A
 	// channel's clock starts at its first busy epoch — idle time before any
 	// work is not evidence of a slow channel.
-	end := p.now.Add(p.Cfg.Epoch)
+	end := p.now.Add(p.epoch)
 	for ci, ch := range p.chans {
 		busy := svcDone[ci] > 0 || ch.inflight > 0 || len(ch.queue) > 0 || ch.held() > 0
 		if !ch.svcSeen {
@@ -922,6 +892,18 @@ func (f *quietFold) run(ch *channelState, k int) int {
 	return k
 }
 
+// RetryBackoff returns the delay, in epochs, before retry attempt n
+// (1-based): one epoch, doubling per attempt, capped at eight. The pool
+// re-dispatches fragments and the NUMA fabric re-dispatches requests on
+// this one schedule.
+func RetryBackoff(n int) int {
+	const first, max = 1, 8
+	if d := first << (n - 1); d <= max {
+		return d
+	}
+	return max
+}
+
 // fragFailed routes one failed (or quarantine-rejected) fragment: back into
 // the retry queue with capped exponential backoff while budget remains,
 // terminal otherwise. A fragment whose request is already doomed (canceled
@@ -940,15 +922,12 @@ func (p *Pool) fragFailed(f *fragment, err error, at sim.Time) {
 	}
 	f.attempts++
 	if f.attempts <= p.Cfg.MaxRetries {
-		delay := p.Cfg.RetryBackoffEpochs << (f.attempts - 1)
-		if delay > p.Cfg.RetryBackoffCap {
-			delay = p.Cfg.RetryBackoffCap
-		}
+		delay := RetryBackoff(f.attempts)
 		if r.deadline > 0 {
 			// Earliest the retry can finish: backoff epochs out, plus one
 			// smoothed service interval. Past the deadline, re-arming only
 			// burns epochs — fail the request typed now.
-			eta := p.now.Add(sim.Duration(delay) * p.Cfg.Epoch).Add(ch.ewma)
+			eta := p.now.Add(sim.Duration(delay) * p.epoch).Add(ch.ewma)
 			if eta > r.deadline {
 				ch.ctr.Inc("frags-retry-expired")
 				p.cancelRequest(r, fmt.Errorf("pool: retry %d cannot land inside deadline: %w (last error: %w)",
@@ -1080,7 +1059,7 @@ func (p *Pool) promoteRetries() {
 // the end of the step.
 func (p *Pool) Step() {
 	p.epochs++
-	epochEnd := p.now.Add(p.Cfg.Epoch)
+	epochEnd := p.now.Add(p.epoch)
 	p.refillTokens(1)
 	p.expireAndSweep()
 	p.promoteRetries()
@@ -1199,7 +1178,7 @@ func (p *Pool) QuietEpochs(limit int) int {
 			if dl <= p.now {
 				return 0
 			}
-			if d := int((dl.Sub(p.now)-1)/p.Cfg.Epoch) + 1; d < k {
+			if d := int((dl.Sub(p.now)-1)/p.epoch) + 1; d < k {
 				k = d
 			}
 		}
@@ -1236,16 +1215,16 @@ func (p *Pool) QuietEpochs(limit int) int {
 // give it. k must not exceed what QuietEpochs just reported at this
 // boundary: StepQuiet trusts the caller and does not re-check the span.
 func (p *Pool) StepQuiet(k int) {
-	end := p.now.Add(sim.Duration(k) * p.Cfg.Epoch)
+	end := p.now.Add(sim.Duration(k) * p.epoch)
 	p.advanceAll(end)
 	p.epochs += k
 	p.refillTokens(k)
 	for _, ch := range p.chans {
-		f := ch.startFold(p.now, p.Cfg.Epoch)
+		f := ch.startFold(p.now, p.epoch)
 		p.closedFolds += f.run(ch, k)
 		ch.brk.ticks(k)
 	}
-	p.now = end.Add(-p.Cfg.Epoch)
+	p.now = end.Add(-p.epoch)
 	p.probeMembers()
 	p.now = end
 }

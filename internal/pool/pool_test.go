@@ -288,7 +288,7 @@ func TestStepAllocs(t *testing.T) {
 		for !p.Quiesced() {
 			p.Step()
 		}
-		p.Poll(0)
+		p.Poll(nil, 0)
 		p.StepQuiet(p.QuietEpochs(k)) // first span grows the fold's state
 		epochs := p.Stats().Epochs
 		allocs := testing.AllocsPerRun(100, func() {
@@ -330,7 +330,7 @@ func BenchmarkPoolStep(b *testing.B) {
 				off = (off + 4096) % foot
 			}
 			p.Step()
-			done = p.AppendCompletions(done[:0])
+			done = p.Poll(done[:0], 0)
 		}
 		for i := 0; i < 100; i++ {
 			op()
@@ -356,7 +356,7 @@ func BenchmarkPoolStep(b *testing.B) {
 			}
 			epoch++
 			p.Step()
-			done = p.AppendCompletions(done[:0])
+			done = p.Poll(done[:0], 0)
 		}
 		for i := 0; i < 64*12; i++ {
 			op()

@@ -172,7 +172,7 @@ func (p *Pool) initQoS() {
 	if !q.enabled() {
 		return
 	}
-	epochSec := float64(p.Cfg.Epoch) / float64(sim.Second)
+	epochSec := float64(p.epoch) / float64(sim.Second)
 	p.qosT = make([]tenantState, len(q.Tenants)+1)
 	for i := range q.Tenants {
 		t := q.Tenants[i]

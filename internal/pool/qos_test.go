@@ -142,7 +142,7 @@ func drrDrive(t *testing.T, p *Pool, nTen, per int, submit []bool, target, epoch
 			t.Fatalf("wedged: %d completions after %d epochs", done, p.epochs)
 		}
 		p.Step()
-		for _, c := range p.Poll(0) {
+		for _, c := range p.Poll(nil, 0) {
 			if c.Outcome != OutcomeCompleted {
 				t.Fatalf("request %d finished %v: %v", c.ID, c.Outcome, c.Err)
 			}
@@ -159,7 +159,7 @@ func finish(t *testing.T, p *Pool) Stats {
 	if err := p.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	p.Poll(0)
+	p.Poll(nil, 0)
 	if err := p.CheckHealth(); err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestTokenBucketPolicing(t *testing.T) {
 	for i := 0; i < k; i++ {
 		p.Step()
 	}
-	refill := rate * float64(p.Cfg.Epoch) / float64(sim.Second) * k
+	refill := rate * float64(p.Epoch()) / float64(sim.Second) * k
 	wantLo := int(math.Min(refill, burst)) - 1
 	if wantLo < 1 {
 		wantLo = 1

@@ -5,7 +5,7 @@ import "nvdimmc/internal/nvdc"
 // rebuildJob copies a quarantined victim's resident state onto the spare
 // that took over its logical position. Pages are the victim's cache-resident
 // set snapshotted (LPN-sorted, hence deterministic) at failover time; each
-// epoch the front end issues at most RebuildPagesPerEpoch page copies, each
+// epoch the front end issues at most rebuildPagesPerEpoch page copies, each
 // a victim read paired with a spare write, so the rebuild is rate-limited
 // and its interference with foreground tails is measurable. The victim stays
 // Quarantined until the last copy lands, then becomes Evacuated.
@@ -71,15 +71,19 @@ func (p *Pool) failover(logical, victim int) {
 	p.rebuilds = append(p.rebuilds, &rebuildJob{victim: victim, spare: spare, pages: pages})
 }
 
+// rebuildPagesPerEpoch rate-limits the background rebuild: page copies per
+// epoch per job.
+const rebuildPagesPerEpoch = 8
+
 // issueRebuilds runs at the epoch boundary before the kernels advance: for
-// each active job, in job order, it schedules up to RebuildPagesPerEpoch
+// each active job, in job order, it schedules up to rebuildPagesPerEpoch
 // page copies. Rebuild ops bypass the channel queues, windows and breakers —
 // they are the pool's own evacuation traffic, not front-end submissions (the
 // post-quarantine dispatch audit does not count them) — and draw no jitter,
 // so the schedule is a pure function of the fault history.
 func (p *Pool) issueRebuilds() {
 	for _, j := range p.rebuilds {
-		budget := p.Cfg.RebuildPagesPerEpoch
+		budget := rebuildPagesPerEpoch
 		for budget > 0 && j.next < len(j.pages) {
 			pg := j.pages[j.next]
 			j.next++

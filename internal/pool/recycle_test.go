@@ -12,8 +12,8 @@ import (
 // TestHitRequestZeroAlloc: once warm, a cache-resident request allocates
 // nothing from Submit to its Completion record, under lookahead (members
 // park between requests) and lockstep, whether it is one fragment or spans
-// both channels. The records are drained with AppendCompletions, Poll into
-// a buffer the caller reuses.
+// both channels. The records are drained with Poll into a buffer the
+// caller reuses.
 func TestHitRequestZeroAlloc(t *testing.T) {
 	for _, lockstep := range []bool{false, true} {
 		for _, n := range []int{4096, 8192} {
@@ -28,7 +28,7 @@ func TestHitRequestZeroAlloc(t *testing.T) {
 				off = (off + int64(n)) % foot
 				for len(done) == 0 {
 					p.Step()
-					done = p.AppendCompletions(done)
+					done = p.Poll(done, 0)
 				}
 				if len(done) != 1 || done[0].Outcome != OutcomeCompleted {
 					t.Fatalf("lockstep=%v len=%d: completions %+v, want one completed hit", lockstep, n, done)
@@ -96,7 +96,7 @@ func TestRequestRecordsRecycleOnce(t *testing.T) {
 	}
 	check := func(when string) {
 		t.Helper()
-		done = p.AppendCompletions(done[:0])
+		done = p.Poll(done[:0], 0)
 		free := map[*request]int{}
 		for _, r := range p.reqFree {
 			free[r]++
@@ -157,7 +157,7 @@ func TestRequestRecordsRecycleOnce(t *testing.T) {
 					r.Off = foot - int64(r.Len)
 				}
 				if rng.Intn(2) == 0 {
-					r.Deadline = sim.Duration(2+rng.Intn(12)) * p.Cfg.Epoch
+					r.Deadline = sim.Duration(2+rng.Intn(12)) * p.Epoch()
 				}
 				fresh := len(p.reqFree) == 0
 				id, err := p.Submit(r)

@@ -10,39 +10,6 @@ import (
 	"strings"
 )
 
-// Bar renders one labelled horizontal bar scaled against max.
-func Bar(label string, value, max float64, width int, unit string) string {
-	if width < 8 {
-		width = 8
-	}
-	n := 0
-	if max > 0 {
-		n = int(value / max * float64(width))
-	}
-	if n > width {
-		n = width
-	}
-	if n < 0 {
-		n = 0
-	}
-	return fmt.Sprintf("%-34s %8.1f %-5s |%s%s|",
-		label, value, unit, strings.Repeat("#", n), strings.Repeat(" ", width-n))
-}
-
-// BarGroup renders labelled values as a bar chart scaled to the group max.
-func BarGroup(w io.Writer, title string, labels []string, values []float64, unit string) {
-	fmt.Fprintln(w, title)
-	max := 0.0
-	for _, v := range values {
-		if v > max {
-			max = v
-		}
-	}
-	for i := range labels {
-		fmt.Fprintln(w, " ", Bar(labels[i], values[i], max, 40, unit))
-	}
-}
-
 // Line renders an (x, y) series as a height-row ASCII plot. X values are
 // assumed ascending; the plot is column-per-point.
 func Line(w io.Writer, title string, xs, ys []float64, height int, yUnit string) {

@@ -5,33 +5,6 @@ import (
 	"testing"
 )
 
-func TestBarScaling(t *testing.T) {
-	full := Bar("a", 100, 100, 20, "MB/s")
-	half := Bar("b", 50, 100, 20, "MB/s")
-	if strings.Count(full, "#") != 20 {
-		t.Fatalf("full bar: %q", full)
-	}
-	if strings.Count(half, "#") != 10 {
-		t.Fatalf("half bar: %q", half)
-	}
-	if zero := Bar("c", 0, 100, 20, ""); strings.Count(zero, "#") != 0 {
-		t.Fatalf("zero bar: %q", zero)
-	}
-	// Degenerate max must not panic or overflow.
-	if over := Bar("d", 10, 0, 20, ""); strings.Count(over, "#") != 0 {
-		t.Fatalf("zero-max bar: %q", over)
-	}
-}
-
-func TestBarGroup(t *testing.T) {
-	var sb strings.Builder
-	BarGroup(&sb, "title", []string{"x", "y"}, []float64{1, 2}, "u")
-	out := sb.String()
-	if !strings.Contains(out, "title") || strings.Count(out, "|") != 4 {
-		t.Fatalf("group output:\n%s", out)
-	}
-}
-
 func TestLinePlot(t *testing.T) {
 	var sb strings.Builder
 	Line(&sb, "bw", []float64{0, 0.5, 1}, []float64{10, 20, 5}, 4, "MB/s")

@@ -64,16 +64,3 @@ func (r *Rand) Int63n(n int64) int64 {
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / float64(1<<53)
 }
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}

@@ -141,21 +141,6 @@ func (r *Resource) WarpGrants(n uint64, hold Duration, lastStart Time) {
 	r.Grants += n
 }
 
-// QueueLen reports the number of waiting requests (not counting the one in
-// service).
-func (r *Resource) QueueLen() int { return len(r.queue) }
-
 // BusyUntil reports the instant the current grant (if any) releases the
 // resource.
 func (r *Resource) BusyUntil() Time { return r.busyUntil }
-
-// Idle reports whether the resource is free and nothing is queued.
-func (r *Resource) Idle() bool { return r.busyUntil <= r.k.Now() && len(r.queue) == 0 }
-
-// Utilization reports Busy as a fraction of the elapsed simulated time.
-func (r *Resource) Utilization() float64 {
-	if r.k.Now() == 0 {
-		return 0
-	}
-	return float64(r.Busy) / float64(r.k.Now())
-}

@@ -404,18 +404,6 @@ func TestRandRanges(t *testing.T) {
 	}
 }
 
-func TestRandPerm(t *testing.T) {
-	r := NewRand(11)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestRandZeroSeed(t *testing.T) {
 	r := NewRand(0)
 	if r.Uint64() == 0 && r.Uint64() == 0 {

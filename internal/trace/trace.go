@@ -195,14 +195,13 @@ func (r *Recorder) Record(e Event) {
 }
 
 // Log is a bounded ring of events with per-kind counters, attachable to a
-// Recorder as a Sink. The zero value is disabled; create with New.
+// Recorder as a Sink. Create with New.
 type Log struct {
-	ring     []Event
-	next     int
-	wrapped  bool
-	counts   map[Kind]uint64
-	total    uint64
-	disabled bool
+	ring    []Event
+	next    int
+	wrapped bool
+	counts  map[Kind]uint64
+	total   uint64
 }
 
 // New returns a log keeping the most recent capacity events.
@@ -213,12 +212,9 @@ func New(capacity int) *Log {
 	return &Log{ring: make([]Event, capacity), counts: make(map[Kind]uint64)}
 }
 
-// SetEnabled toggles recording (counters freeze too when disabled).
-func (l *Log) SetEnabled(v bool) { l.disabled = !v }
-
 // Record implements Sink.
 func (l *Log) Record(e Event) {
-	if l == nil || l.disabled {
+	if l == nil {
 		return
 	}
 	l.counts[e.Kind]++
@@ -229,22 +225,6 @@ func (l *Log) Record(e Event) {
 		l.next = 0
 		l.wrapped = true
 	}
-}
-
-// Add records a free-form event.
-func (l *Log) Add(at sim.Time, kind Kind, detail string) {
-	if l == nil || l.disabled {
-		return
-	}
-	l.Record(Event{At: at, Kind: kind, Detail: detail})
-}
-
-// Addf records a formatted free-form event.
-func (l *Log) Addf(at sim.Time, kind Kind, format string, args ...interface{}) {
-	if l == nil || l.disabled {
-		return
-	}
-	l.Add(at, kind, fmt.Sprintf(format, args...))
 }
 
 // Total reports events recorded since creation (including overwritten ones).

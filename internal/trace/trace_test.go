@@ -11,7 +11,7 @@ import (
 func TestRingOrderAndWrap(t *testing.T) {
 	l := New(3)
 	for i := 0; i < 5; i++ {
-		l.Add(sim.Time(i), KindCommand, string(rune('a'+i)))
+		l.Record(Event{At: sim.Time(i), Kind: KindCommand, Detail: string(rune('a' + i))})
 	}
 	evs := l.Events()
 	if len(evs) != 3 {
@@ -27,38 +27,23 @@ func TestRingOrderAndWrap(t *testing.T) {
 
 func TestCounts(t *testing.T) {
 	l := New(8)
-	l.Add(0, KindRefresh, "r")
-	l.Add(0, KindRefresh, "r")
-	l.Add(0, KindCollision, "boom")
+	l.Record(Event{Kind: KindRefresh, Detail: "r"})
+	l.Record(Event{Kind: KindRefresh, Detail: "r"})
+	l.Record(Event{Kind: KindCollision, Detail: "boom"})
 	if l.Count(KindRefresh) != 2 || l.Count(KindCollision) != 1 {
 		t.Fatal("counters wrong")
 	}
 }
 
-func TestDisabled(t *testing.T) {
-	l := New(4)
-	l.SetEnabled(false)
-	l.Add(0, KindCommand, "x")
-	if l.Total() != 0 {
-		t.Fatal("disabled log recorded")
-	}
-	l.SetEnabled(true)
-	l.Add(0, KindCommand, "x")
-	if l.Total() != 1 {
-		t.Fatal("re-enabled log did not record")
-	}
-}
-
 func TestNilSafe(t *testing.T) {
 	var l *Log
-	l.Add(0, KindCommand, "x") // must not panic
-	l.Addf(0, KindCommand, "%d", 1)
+	l.Record(Event{Kind: KindCommand, Detail: "x"}) // must not panic
 }
 
 func TestDump(t *testing.T) {
 	l := New(8)
-	l.Addf(sim.Time(7800*sim.Nanosecond), KindRefresh, "iMC-issued-refresh")
-	l.Add(sim.Time(8200*sim.Nanosecond), KindWindow, "open")
+	l.Record(Event{At: sim.Time(7800 * sim.Nanosecond), Kind: KindRefresh, Detail: "iMC-issued-refresh"})
+	l.Record(Event{At: sim.Time(8200 * sim.Nanosecond), Kind: KindWindow, Detail: "open"})
 	var sb strings.Builder
 	l.Dump(&sb, 0)
 	out := sb.String()

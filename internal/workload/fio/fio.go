@@ -129,9 +129,6 @@ func (r Result) KIOPS() float64 { return r.Meter.KIOPS() }
 // BandwidthMBps of the measured phase.
 func (r Result) BandwidthMBps() float64 { return r.Meter.BandwidthMBps() }
 
-// MeanLatency of the measured ops.
-func (r Result) MeanLatency() sim.Duration { return r.Latency.Mean() }
-
 func (r Result) String() string {
 	return fmt.Sprintf("%s %s bs=%d jobs=%d: %.0f KIOPS %.0f MB/s lat(mean=%v p99=%v)",
 		r.Target, r.Job.Pattern, r.Job.BlockSize, r.Job.NumJobs,

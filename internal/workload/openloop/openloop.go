@@ -53,17 +53,6 @@ const (
 	Zipfian
 )
 
-func (d Dist) String() string {
-	switch d {
-	case Uniform:
-		return "uniform"
-	case Zipfian:
-		return "zipfian"
-	default:
-		return "dist?"
-	}
-}
-
 // Tenant is one traffic source sharing the pool.
 type Tenant struct {
 	Name string

@@ -289,17 +289,6 @@ func TestDeadlineStamping(t *testing.T) {
 	}
 }
 
-func TestDistString(t *testing.T) {
-	for _, c := range []struct {
-		d    Dist
-		want string
-	}{{Uniform, "uniform"}, {Zipfian, "zipfian"}, {Dist(99), "dist?"}} {
-		if got := c.d.String(); got != c.want {
-			t.Fatalf("Dist(%d).String() = %q, want %q", c.d, got, c.want)
-		}
-	}
-}
-
 // TestCaptureHook: the capture hook sees exactly the emitted stream, in
 // order, without perturbing it — a hooked generator and a bare one with the
 // same seed stay identical.

@@ -8,7 +8,6 @@ package stream
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 )
 
@@ -46,9 +45,6 @@ func New(mem Memory, base int64, n int) *Runner {
 		scalar: 3.0,
 	}
 }
-
-// Footprint returns the total bytes the three vectors occupy.
-func (r *Runner) Footprint() int64 { return int64(3 * r.N * elemSize) }
 
 func encodeVec(v []float64) []byte {
 	b := make([]byte, len(v)*elemSize)
@@ -152,8 +148,3 @@ func (r *Runner) verify(off int64, want []float64, errs *int, next func()) {
 
 func floatBits(f float64) uint64     { return math.Float64bits(f) }
 func floatFromBits(u uint64) float64 { return math.Float64frombits(u) }
-
-// String summarizes the runner state.
-func (r *Runner) String() string {
-	return fmt.Sprintf("stream: %d iterations, %d inconsistencies", r.Iterations, r.Inconsistencies)
-}

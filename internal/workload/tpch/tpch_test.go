@@ -106,7 +106,7 @@ func TestRunQueryCompletes(t *testing.T) {
 func TestPageTraceWithinDataset(t *testing.T) {
 	sc := Scale{TotalBytes: 8 << 20}
 	total := DatasetPages(sc)
-	for _, opts := range []TraceOptions{TimingTrace(), BufferTrace()} {
+	for _, opts := range []TraceOptions{TraceOptions{ProbeMultiplier: 1}, BufferTrace()} {
 		trace := PageTrace(Specs(), sc, 1, opts)
 		if len(trace) == 0 {
 			t.Fatal("empty trace")
@@ -121,7 +121,7 @@ func TestPageTraceWithinDataset(t *testing.T) {
 
 func TestBufferTraceAmplifies(t *testing.T) {
 	sc := Scale{TotalBytes: 8 << 20}
-	timing := PageTrace(Specs(), sc, 1, TimingTrace())
+	timing := PageTrace(Specs(), sc, 1, TraceOptions{ProbeMultiplier: 1})
 	buffer := PageTrace(Specs(), sc, 1, BufferTrace())
 	if len(buffer) <= len(timing) {
 		t.Fatalf("buffer trace (%d) not larger than timing trace (%d)", len(buffer), len(timing))

@@ -17,10 +17,6 @@ type TraceOptions struct {
 	HotSetFraction float64
 }
 
-// TimingTrace are the options matching the Fig. 11 timing model: one-touch
-// uniform probes, no buffer-reuse amplification.
-func TimingTrace() TraceOptions { return TraceOptions{ProbeMultiplier: 1} }
-
 // BufferTrace are the options approximating the paper's in-house buffer
 // trace for the LRU study.
 func BufferTrace() TraceOptions {
