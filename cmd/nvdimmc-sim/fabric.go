@@ -170,7 +170,7 @@ func runFabric(o fabricOpts) {
 		Seed: 7, RatePerSec: o.rate, Tenants: ts,
 	})
 	die(err)
-	die(f.RunOpenLoop(gen, o.ops))
+	die(pool.RunOpenLoop(f, gen, o.ops, nil))
 
 	s := f.Stats()
 	fmt.Printf("fabric: %d sockets x (%d channels x %d DIMMs +%d spare), interleave %d B, chunk %d KiB, span %d MB\n",

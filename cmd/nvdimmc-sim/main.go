@@ -414,7 +414,7 @@ func runPool(o poolOpts) {
 		Tenants:    tenants,
 	})
 	die(err)
-	die(p.RunOpenLoop(gen, ops))
+	die(pool.RunOpenLoop(p, gen, ops, nil))
 	s := p.Stats()
 	fmt.Printf("pool: %d channels x %d DIMMs (+%d spare), interleave %d B, capacity %d MB, admission %v\n",
 		channels, dimms, spares, interleave, p.Capacity()>>20, policy)

@@ -32,7 +32,7 @@ func TestZeroSourceUntouchedByPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.RunOpenLoop(gen, 400); err != nil {
+	if err := pool.RunOpenLoop(p, gen, 400, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.CheckHealth(); err != nil {

@@ -122,6 +122,63 @@ func faultMemberCfg() core.Config {
 	return cfg
 }
 
+// campaignPool is the pool shape of the fault, overload and QoS campaigns
+// (and the numa campaign's per-socket template): 3 channels + 1 hot spare
+// of member, prefilled to 90% of the cache. It builds on one worker, as
+// campaign points are the parallel axis (TestPoolFaultedWorkerCountIdentical
+// covers the in-pool axis). Misses serialize on a member's driver (~10
+// epochs per completion), so the breaker window spans many epochs to
+// gather samples.
+func campaignPool(member core.Config, seed uint64, lockstep bool) pool.Config {
+	return pool.Config{
+		Channels:           3,
+		DIMMsPerChannel:    1,
+		Interleave:         4096,
+		Member:             member,
+		Workers:            1,
+		Seed:               seed,
+		PrefillPages:       -1,
+		Spares:             1,
+		DisableLookahead:   lockstep,
+		BreakerWindow:      64,
+		BreakerMinSamples:  6,
+		BreakerErrRate:     0.4,
+		BreakerCooldown:    8,
+		BreakerCloseStreak: 4,
+	}
+}
+
+// armFault returns the ArmFaults hook that installs fault kind on member
+// victim, its occurrence-triggered kinds firing from the onset-th visit of
+// their site; nil for "none".
+func armFault(kind string, victim, onset int) func(int, *fault.Registry) {
+	if kind == "none" {
+		return nil
+	}
+	return func(member int, g *fault.Registry) {
+		if member != victim {
+			return
+		}
+		switch kind {
+		case "program":
+			g.OnOccurrence(fault.NANDProgramFail, uint64(onset)).Times(1 << 30)
+		case "mediaread":
+			g.OnOccurrence(fault.NANDReadBitFlip, uint64(onset)).Times(300)
+		case "dietimeout":
+			g.Prob(fault.NANDDieTimeout, 0.25).Param(400)
+		case "ackdrop":
+			g.OnOccurrence(fault.CPAckDrop, uint64(onset)).Times(12)
+		}
+	}
+}
+
+// campaignFootprint is the pool capacity rounded down to the interleave:
+// the near-capacity working set the campaigns draw from.
+func campaignFootprint(p *pool.Pool) int64 {
+	foot := p.Capacity()
+	return foot - foot%p.Cfg.Interleave
+}
+
 // faultPoolPoint runs one campaign point. Each point is a fully independent
 // pool (own seed splits for member RNG, fault schedules and workload), so
 // points fan across shards with byte-identical merged output.
@@ -131,46 +188,15 @@ func faultPoolPoint(o Options, pt, reqs int) (FaultPoolPoint, error) {
 	victim := (pt / len(faultKinds)) % channels
 	onset := 1 + 7*(pt/(len(faultKinds)*channels))
 
-	p, err := pool.New(pool.Config{
-		Channels:         channels,
-		DIMMsPerChannel:  1,
-		Interleave:       4096,
-		Member:           faultMemberCfg(),
-		Workers:          1, // points are the parallel axis; see TestPoolFaultedWorkerCountIdentical for the in-pool axis
-		Seed:             sim.SplitSeed(11, fmt.Sprintf("faultpool/%d", pt)),
-		PrefillPages:     -1,
-		Spares:           1,
-		DisableLookahead: o.DisableLookahead,
-		// Misses serialize on a member's driver (~10 epochs per completion),
-		// so the breaker window must span many epochs to gather samples.
-		BreakerWindow:      64,
-		BreakerMinSamples:  6,
-		BreakerErrRate:     0.4,
-		BreakerCooldown:    8,
-		BreakerCloseStreak: 4,
-		ArmFaults: func(member int, g *fault.Registry) {
-			if member != victim {
-				return
-			}
-			switch kind {
-			case "program":
-				g.OnOccurrence(fault.NANDProgramFail, uint64(onset)).Times(1 << 30)
-			case "mediaread":
-				g.OnOccurrence(fault.NANDReadBitFlip, uint64(onset)).Times(300)
-			case "dietimeout":
-				g.Prob(fault.NANDDieTimeout, 0.25).Param(400)
-			case "ackdrop":
-				g.OnOccurrence(fault.CPAckDrop, uint64(onset)).Times(12)
-			}
-		},
-	})
+	cfg := campaignPool(faultMemberCfg(), sim.SplitSeed(11, fmt.Sprintf("faultpool/%d", pt)), o.DisableLookahead)
+	cfg.ArmFaults = armFault(kind, victim, onset)
+	p, err := pool.New(cfg)
 	if err != nil {
 		return FaultPoolPoint{}, fmt.Errorf("faultpool point %d: %w", pt, err)
 	}
 	// Full-capacity footprint: most accesses miss, evictions map pages onto
 	// NAND, and re-reads consult the media fault sites (see faultMemberCfg).
-	foot := p.Capacity()
-	foot -= foot % p.Cfg.Interleave
+	foot := campaignFootprint(p)
 	// mediaread points run a pure-read tenant at triple length: the bitflip
 	// site is only consulted when a read reaches NAND, which takes an
 	// evicted dirty page being re-read later — a rare event per op, so
@@ -193,7 +219,7 @@ func faultPoolPoint(o Options, pt, reqs int) (FaultPoolPoint, error) {
 	if err != nil {
 		return FaultPoolPoint{}, err
 	}
-	if err := p.RunOpenLoop(gen, preqs); err != nil {
+	if err := pool.RunOpenLoop(p, gen, preqs, nil); err != nil {
 		return FaultPoolPoint{}, fmt.Errorf("faultpool point %d (%s m%d): %w", pt, kind, victim, err)
 	}
 	if err := p.CheckHealth(); err != nil {

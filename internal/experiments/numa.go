@@ -133,21 +133,12 @@ func numaPoint(o Options, pt, reqs int) (NumaPoint, error) {
 	victim := (pt / len(numaKinds)) % sockets
 	onset := 1 + 7*(pt/(len(numaKinds)*sockets))
 
+	// The fabric sets each socket's seed, workers and lookahead switch.
+	pc := campaignPool(faultMemberCfg(), 0, false)
+	pc.Channels, pc.Spares = 2, 0
 	cfg := numa.Config{
-		Sockets: sockets,
-		Pool: pool.Config{
-			Channels:        2,
-			DIMMsPerChannel: 1,
-			Interleave:      4096,
-			Member:          faultMemberCfg(),
-			PrefillPages:    -1,
-			// The pool fault-campaign breaker tuning (see faultpool).
-			BreakerWindow:      64,
-			BreakerMinSamples:  6,
-			BreakerErrRate:     0.4,
-			BreakerCooldown:    8,
-			BreakerCloseStreak: 4,
-		},
+		Sockets:    sockets,
+		Pool:       pc,
 		ChunkBytes: 64 << 10,
 		// A slow socket breeds sporadic suspicion (queueing delays bunch
 		// completions); six consecutive suspect probes separate "condemn"
@@ -205,7 +196,7 @@ func numaPoint(o Options, pt, reqs int) (NumaPoint, error) {
 	if err != nil {
 		return NumaPoint{}, err
 	}
-	if err := f.RunOpenLoop(gen, reqs); err != nil {
+	if err := pool.RunOpenLoop(f, gen, reqs, nil); err != nil {
 		return NumaPoint{}, fmt.Errorf("numa point %d (%s s%d): %w", pt, kind, victim, err)
 	}
 	if err := f.CheckHealth(); err != nil {
@@ -342,7 +333,7 @@ func numaIdleRun(o Options, reqs int, lockstep bool) (string, int, float64, erro
 		return "", 0, 0, err
 	}
 	start := time.Now()
-	if err := f.RunOpenLoop(gen, reqs); err != nil {
+	if err := pool.RunOpenLoop(f, gen, reqs, nil); err != nil {
 		return "", 0, 0, fmt.Errorf("numa idle segment: %w", err)
 	}
 	wallMS := float64(time.Since(start).Microseconds()) / 1000

@@ -1,10 +1,10 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"nvdimmc/internal/core"
-	"nvdimmc/internal/fault"
 	"nvdimmc/internal/pool"
 	"nvdimmc/internal/report"
 	"nvdimmc/internal/sim"
@@ -185,62 +185,28 @@ func overloadMemberCfg() core.Config {
 	return cfg
 }
 
-// overloadPool builds the campaign pool: the faultpool member shape (small
-// members, near-capacity footprints, faults surfaced to the driver) behind
-// 3 channels + 1 hot spare, with the requested admission policy and fault
-// schedule on logical member 1.
-func overloadPool(seed uint64, admission pool.AdmissionPolicy, faultKind string, lockstep bool, notify func(pool.Completion)) (*pool.Pool, error) {
-	cfg := pool.Config{
-		Channels:         3,
-		DIMMsPerChannel:  1,
-		Interleave:       4096,
-		Member:           overloadMemberCfg(),
-		Workers:          1, // points are the parallel axis
-		Seed:             seed,
-		PrefillPages:     -1,
-		Spares:           1,
-		Admission:        admission,
-		Notify:           notify,
-		DisableLookahead: lockstep,
-		// Same breaker shape as the fault campaign: misses serialize on a
-		// member's driver, so windows must span many epochs.
-		BreakerWindow:      64,
-		BreakerMinSamples:  6,
-		BreakerErrRate:     0.4,
-		BreakerCooldown:    8,
-		BreakerCloseStreak: 4,
-	}
-	if faultKind != "none" {
-		const victim = 1
-		cfg.ArmFaults = func(member int, g *fault.Registry) {
-			if member != victim {
-				return
-			}
-			switch faultKind {
-			case "program":
-				g.OnOccurrence(fault.NANDProgramFail, 40).Times(1 << 30)
-			case "dietimeout":
-				g.Prob(fault.NANDDieTimeout, 0.25).Param(400)
-			}
-		}
-	}
-	return pool.New(cfg)
+// overloadPool is the campaign pool: the campaign shape over the overload
+// member, with the requested admission policy and fault schedule on
+// logical member 1.
+func overloadPool(seed uint64, admission pool.AdmissionPolicy, faultKind string, lockstep bool) pool.Config {
+	cfg := campaignPool(overloadMemberCfg(), seed, lockstep)
+	cfg.Admission = admission
+	cfg.ArmFaults = armFault(faultKind, 1, 40)
+	return cfg
 }
 
-// overloadGen builds the campaign load: one mixed tenant over a
-// near-capacity footprint (evictions map pages onto media, so faulted
+// overloadLoad is the campaign load: one mixed tenant over the
+// near-capacity footprint foot (evictions map pages onto media, so faulted
 // points exercise real NAND — see faultMemberCfg).
-func overloadGen(p *pool.Pool, seed uint64, rate float64, deadline sim.Duration) (*openloop.Generator, error) {
-	foot := p.Capacity()
-	foot -= foot % p.Cfg.Interleave
-	return openloop.New(openloop.Config{
+func overloadLoad(seed uint64, rate float64, deadline sim.Duration, foot int64) openloop.Config {
+	return openloop.Config{
 		Seed:       seed,
 		RatePerSec: rate,
 		Deadline:   deadline,
 		Tenants: []openloop.Tenant{
 			{Name: "mix", Dist: openloop.Uniform, ReadPct: 70, Footprint: foot},
 		},
-	})
+	}
 }
 
 // overloadGoodput computes in-deadline completions per second over the
@@ -288,31 +254,45 @@ func overloadGoodput(recs []pool.Completion) float64 {
 	return float64(good) / window
 }
 
-// overloadCalibrate measures the campaign pool's saturating throughput:
-// completed requests per second over the post-warmup completion window (the
-// same accounting every point uses). One serial run, the same shape and seed
-// at any o.Parallel — every point's offered rate derives from it, so the
-// whole table is a pure function of the seeds.
+// overloadCalibrate measures the campaign pool's saturating throughput
+// (calibrate). One serial run, the same shape and seed at any o.Parallel —
+// every point's offered rate derives from it, so the whole table is a pure
+// function of the seeds.
 func overloadCalibrate(reqs int, lockstep bool) (float64, error) {
-	var recs []pool.Completion
-	p, err := overloadPool(sim.SplitSeed(17, "overload/cal"), pool.AdmitBlock, "none", lockstep,
-		func(c pool.Completion) { recs = append(recs, c) })
+	capacity, err := calibrate(overloadPool(sim.SplitSeed(17, "overload/cal"), pool.AdmitBlock, "none", lockstep), reqs,
+		func(foot int64) openloop.Config {
+			return overloadLoad(sim.SplitSeed(17, "overload-load/cal"), 0, 0, foot)
+		})
 	if err != nil {
 		return 0, fmt.Errorf("overload calibration: %w", err)
 	}
-	gen, err := overloadGen(p, sim.SplitSeed(17, "overload-load/cal"), 0, 0)
+	return capacity, nil
+}
+
+// calibrate runs reqs arrivals of the load gen shapes over the pool's
+// campaign footprint through one pool built from cfg, audits it, and
+// returns its saturating throughput: completed requests per second over
+// the post-warmup completion window, the accounting every campaign point
+// uses (overloadGoodput).
+func calibrate(cfg pool.Config, reqs int, gen func(foot int64) openloop.Config) (float64, error) {
+	p, err := pool.New(cfg)
 	if err != nil {
 		return 0, err
 	}
-	if err := p.RunOpenLoop(gen, reqs); err != nil {
-		return 0, fmt.Errorf("overload calibration: %w", err)
+	g, err := openloop.New(gen(campaignFootprint(p)))
+	if err != nil {
+		return 0, err
+	}
+	var recs []pool.Completion
+	if err := pool.RunOpenLoop(p, g, reqs, func(c pool.Completion) { recs = append(recs, c) }); err != nil {
+		return 0, err
 	}
 	if err := p.CheckHealth(); err != nil {
-		return 0, fmt.Errorf("overload calibration: %w", err)
+		return 0, err
 	}
 	capacity := overloadGoodput(recs)
 	if capacity <= 0 {
-		return 0, fmt.Errorf("overload calibration: no completions to measure")
+		return 0, errors.New("no completions to measure")
 	}
 	return capacity, nil
 }
@@ -334,18 +314,17 @@ func overloadPoint(pt, reqs int, loads []float64, faults []string, capacity floa
 		admission = pool.AdmitDeadlineAware
 		budget = deadline
 	}
-	var recs []pool.Completion
-	p, err := overloadPool(sim.SplitSeed(17, fmt.Sprintf("overload/%d", pt)), admission, kind, lockstep,
-		func(c pool.Completion) { recs = append(recs, c) })
+	p, err := pool.New(overloadPool(sim.SplitSeed(17, fmt.Sprintf("overload/%d", pt)), admission, kind, lockstep))
 	if err != nil {
 		return OverloadPoint{}, fmt.Errorf("overload point %d: %w", pt, err)
 	}
 	offered := loadX * capacity
-	gen, err := overloadGen(p, sim.SplitSeed(17, fmt.Sprintf("overload-load/%d", pt)), offered, budget)
+	gen, err := openloop.New(overloadLoad(sim.SplitSeed(17, fmt.Sprintf("overload-load/%d", pt)), offered, budget, campaignFootprint(p)))
 	if err != nil {
 		return OverloadPoint{}, err
 	}
-	if err := p.RunOpenLoop(gen, reqs); err != nil {
+	var recs []pool.Completion
+	if err := pool.RunOpenLoop(p, gen, reqs, func(c pool.Completion) { recs = append(recs, c) }); err != nil {
 		return OverloadPoint{}, fmt.Errorf("overload point %d (%.1fx %s %s): %w", pt, loadX, mode, kind, err)
 	}
 	// Extended conservation — submitted = completed + shed + expired +

@@ -147,7 +147,7 @@ func Pool(o Options) (PoolResult, error) {
 			if err != nil {
 				return res, err
 			}
-			if err := p.RunOpenLoop(gen, perChannel*channels); err != nil {
+			if err := pool.RunOpenLoop(p, gen, perChannel*channels, nil); err != nil {
 				return res, fmt.Errorf("pool %dch gran=%d: %w", channels, gran, err)
 			}
 			if err := p.CheckHealth(); err != nil {
@@ -210,7 +210,7 @@ func Pool(o Options) (PoolResult, error) {
 			return "", 0, 0, err
 		}
 		start := time.Now()
-		if err := p.RunOpenLoop(gen, idleReqs); err != nil {
+		if err := pool.RunOpenLoop(p, gen, idleReqs, nil); err != nil {
 			return "", 0, 0, fmt.Errorf("pool idle segment: %w", err)
 		}
 		wallMS := float64(time.Since(start).Microseconds()) / 1000

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"nvdimmc/internal/fault"
 	"nvdimmc/internal/pool"
 	"nvdimmc/internal/sim"
 	"nvdimmc/internal/workload/openloop"
@@ -203,87 +202,28 @@ func qosTenants(foot int64, mixCap, uniCap float64, slo sim.Duration) []openloop
 	return ts
 }
 
-// qosPool builds one campaign pool: the overload campaign's member shape
-// (small members, near-capacity footprints, heavy flash over-provisioning so
-// the sweep stays off the GC write cliff) behind 3 channels + 1 hot spare,
-// with the tenant QoS contracts armed or disarmed and the requested fault
-// schedule on logical member 1.
-func qosPool(seed uint64, tenants []openloop.Tenant, isolation bool, faultKind string, lockstep bool, notify func(pool.Completion)) (*pool.Pool, error) {
-	cfg := pool.Config{
-		Channels:        3,
-		DIMMsPerChannel: 1,
-		Interleave:      4096,
-		Member:          overloadMemberCfg(),
-		Workers:         1, // points are the parallel axis
-		Seed:            seed,
-		PrefillPages:    -1,
-		Spares:          1,
-		Notify:          notify,
-		// The off arm drops enforcement but keeps per-tenant tracking
-		// (QoSFromTenants carries the isolation switch), so both arms
-		// report the same observables.
-		QoS:              pool.QoSFromTenants(tenants, isolation),
-		DisableLookahead: lockstep,
-		// Same breaker shape as the fault and overload campaigns.
-		BreakerWindow:      64,
-		BreakerMinSamples:  6,
-		BreakerErrRate:     0.4,
-		BreakerCooldown:    8,
-		BreakerCloseStreak: 4,
-	}
-	if faultKind != "none" {
-		const victim = 1
-		cfg.ArmFaults = func(member int, g *fault.Registry) {
-			if member != victim {
-				return
-			}
-			switch faultKind {
-			case "program":
-				g.OnOccurrence(fault.NANDProgramFail, 40).Times(1 << 30)
-			case "dietimeout":
-				g.Prob(fault.NANDDieTimeout, 0.25).Param(400)
-			}
-		}
-	}
-	return pool.New(cfg)
+// qosPool is one campaign pool: the overload campaign's pool with the
+// tenant QoS contracts armed or disarmed and the requested fault schedule
+// on logical member 1. The off arm drops enforcement but keeps per-tenant
+// tracking (QoSFromTenants carries the isolation switch), so both arms
+// report the same observables.
+func qosPool(seed uint64, tenants []openloop.Tenant, isolation bool, faultKind string, lockstep bool) pool.Config {
+	cfg := campaignPool(overloadMemberCfg(), seed, lockstep)
+	cfg.QoS = pool.QoSFromTenants(tenants, isolation)
+	cfg.ArmFaults = armFault(faultKind, 1, 40)
+	return cfg
 }
 
-// qosFootprint rounds the pool capacity to the interleave, the campaign
-// working-set base.
-func qosFootprint(p *pool.Pool) int64 {
-	foot := p.Capacity()
-	return foot - foot%p.Cfg.Interleave
-}
-
-// qosCalibrateOne measures one saturating capacity number with the QoS
-// contracts disarmed: completed requests per second over the post-warmup
-// completion window (the overload campaign's accounting). One serial run
-// per probe shape.
+// qosCalibrateOne measures one saturating capacity number (calibrate) with
+// the QoS contracts disarmed, one serial run per probe shape.
 func qosCalibrateOne(label string, reqs int, lockstep bool,
 	shape func(foot int64) []openloop.Tenant) (float64, error) {
-	var recs []pool.Completion
-	p, err := qosPool(sim.SplitSeed(23, "qos/cal/"+label), nil, false, "none", lockstep,
-		func(c pool.Completion) { recs = append(recs, c) })
+	capacity, err := calibrate(qosPool(sim.SplitSeed(23, "qos/cal/"+label), nil, false, "none", lockstep), reqs,
+		func(foot int64) openloop.Config {
+			return openloop.Config{Seed: sim.SplitSeed(23, "qos-load/cal/"+label), Tenants: shape(foot)}
+		})
 	if err != nil {
 		return 0, fmt.Errorf("qos %s calibration: %w", label, err)
-	}
-	gen, err := openloop.New(openloop.Config{
-		Seed:       sim.SplitSeed(23, "qos-load/cal/"+label),
-		RatePerSec: 0,
-		Tenants:    shape(qosFootprint(p)),
-	})
-	if err != nil {
-		return 0, err
-	}
-	if err := p.RunOpenLoop(gen, reqs); err != nil {
-		return 0, fmt.Errorf("qos %s calibration: %w", label, err)
-	}
-	if err := p.CheckHealth(); err != nil {
-		return 0, fmt.Errorf("qos %s calibration: %w", label, err)
-	}
-	capacity := overloadGoodput(recs)
-	if capacity <= 0 {
-		return 0, fmt.Errorf("qos %s calibration: no completions to measure", label)
 	}
 	return capacity, nil
 }
@@ -324,18 +264,18 @@ func qosPoint(pt, reqs int, faults []string, mixCap, uniCap float64, slo sim.Dur
 	// contracts armed. Footprint depends only on (member shape, seed), so
 	// the two agree.
 	seed := sim.SplitSeed(23, fmt.Sprintf("qos/%d", pt))
-	probe, err := qosPool(seed, nil, false, "none", lockstep, nil)
+	probe, err := pool.New(qosPool(seed, nil, false, "none", lockstep))
 	if err != nil {
 		return QoSPoint{}, fmt.Errorf("qos point %d: %w", pt, err)
 	}
-	tenants := qosTenants(qosFootprint(probe), mixCap, uniCap, slo)
+	tenants := qosTenants(campaignFootprint(probe), mixCap, uniCap, slo)
 	// Tenant weights are absolute offered rates; the arrival clock runs at
 	// their sum.
 	offered := 0.0
 	for _, t := range tenants {
 		offered += t.Weight
 	}
-	p, err := qosPool(seed, tenants, isolation, kind, lockstep, nil)
+	p, err := pool.New(qosPool(seed, tenants, isolation, kind, lockstep))
 	if err != nil {
 		return QoSPoint{}, fmt.Errorf("qos point %d: %w", pt, err)
 	}
@@ -347,7 +287,7 @@ func qosPoint(pt, reqs int, faults []string, mixCap, uniCap float64, slo sim.Dur
 	if err != nil {
 		return QoSPoint{}, err
 	}
-	if err := p.RunOpenLoop(gen, reqs); err != nil {
+	if err := pool.RunOpenLoop(p, gen, reqs, nil); err != nil {
 		return QoSPoint{}, fmt.Errorf("qos point %d (iso=%v %s): %w", pt, isolation, kind, err)
 	}
 	// Conservation — pool-wide and per-tenant, including throttled —

@@ -163,7 +163,7 @@ func replayCapture(reqs int, lockstep bool) (text, binary []byte, live pool.Stat
 	}
 	trec, brec := replay.NewRecorder(tw), replay.NewRecorder(bw)
 	gen.SetCapture(func(q openloop.Request) { trec.Record(q); brec.Record(q) })
-	if err := p.RunOpenLoop(gen, reqs); err != nil {
+	if err := pool.RunOpenLoop(p, gen, reqs, nil); err != nil {
 		return nil, nil, live, fmt.Errorf("replay capture: %w", err)
 	}
 	if err := p.CheckHealth(); err != nil {

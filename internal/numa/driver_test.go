@@ -12,37 +12,33 @@ import (
 	"nvdimmc/internal/workload/openloop"
 )
 
-// TestFabricRunRetainsNoRecords: requests the shared driver offers get a
-// Completion record only when Notify is set, as in the pool. Without
-// Notify nothing waits in Poll after RunOpenLoop; with Notify every record
-// arrives, in the order a fabric driven through the public Submit/Step/Poll
-// surface would have buffered them.
+// TestFabricRunRetainsNoRecords: the shared driver hands its sink every
+// fabric record, in the order a twin driven through the public
+// Submit/Step/Poll surface polls them, and leaves nothing buffered.
 func TestFabricRunRetainsNoRecords(t *testing.T) {
 	const count = 500
 	gcfg := func(f *Fabric) openloop.Config { return fabricTenants(f, 5, false) }
 
 	f := newTestFabric(t, 2, 1)
-	st := runFabric(t, f, gcfg(f), count)
-	if st.Submitted != count || st.Completed == 0 {
-		t.Fatalf("run: %d submitted, %d completed", st.Submitted, st.Completed)
+	gen, err := openloop.New(gcfg(f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sunk []pool.Completion
+	if err := pool.RunOpenLoop(f, gen, count, func(c pool.Completion) { sunk = append(sunk, c) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(sunk) != count {
+		t.Fatalf("sink saw %d of %d records", len(sunk), count)
 	}
 	if recs := f.Poll(nil, 0); len(recs) != 0 {
-		t.Fatalf("Run retained %d of %d Completion records nobody polls", len(recs), count)
-	}
-
-	var notified []pool.Completion
-	g := newTestFabric(t, 2, 1, func(c *Config) {
-		c.Notify = func(c pool.Completion) { notified = append(notified, c) }
-	})
-	runFabric(t, g, gcfg(g), count)
-	if len(notified) != count {
-		t.Fatalf("Notify saw %d of %d records", len(notified), count)
+		t.Fatalf("Run left %d records buffered", len(recs))
 	}
 
 	// The twin submits the same stream through Submit at each epoch
 	// boundary and polls after every Step.
 	h := newTestFabric(t, 2, 1)
-	gen, err := openloop.New(gcfg(h))
+	gen, err = openloop.New(gcfg(h))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +54,8 @@ func TestFabricRunRetainsNoRecords(t *testing.T) {
 		h.Step()
 		polled = h.Poll(polled, 0)
 	}
-	if !reflect.DeepEqual(notified, polled) {
-		t.Fatalf("Notify order diverges from the polled twin (%d vs %d records)", len(notified), len(polled))
+	if !reflect.DeepEqual(sunk, polled) {
+		t.Fatalf("sink order diverges from the polled twin (%d vs %d records)", len(sunk), len(polled))
 	}
 }
 

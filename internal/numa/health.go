@@ -118,7 +118,7 @@ func (f *Fabric) probeSockets() {
 		case h.state == SocketSuspect:
 			h.suspectProbes = 0
 			h.cleanProbes++
-			if h.cleanProbes >= f.Cfg.SuspectClearProbes {
+			if h.cleanProbes >= pool.SuspectClearProbes {
 				h.state = SocketUp
 				h.reason = ""
 				h.cleanProbes = 0

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nvdimmc/internal/fault"
+	"nvdimmc/internal/pool"
 	"nvdimmc/internal/sim"
 	"nvdimmc/internal/trace"
 	"nvdimmc/internal/workload/openloop"
@@ -60,10 +61,13 @@ func TestFabricQuietEpochsProbeBound(t *testing.T) {
 		f := newTestFabric(t, 2, 1, armRegistries, func(cfg *Config) {
 			cfg.ProbeEvery = c.fabric
 			cfg.Pool.ProbeEvery = c.pool
-			cfg.SuspectClearProbes = 1 << 20 // count clean probes, never recover
 		})
 		// A Suspect socket's clean streak counts the fabric probes that ran.
-		f.socks[1].health.state = SocketSuspect
+		// Taking the streak after every batch keeps it under
+		// pool.SuspectClearProbes, so the socket never recovers.
+		h := f.socks[1].health
+		h.state = SocketSuspect
+		clean := 0
 		for i, want := range c.batches {
 			k := f.QuietEpochs(1000)
 			if k != want {
@@ -71,10 +75,12 @@ func TestFabricQuietEpochsProbeBound(t *testing.T) {
 					c.fabric, c.pool, i, f.epochs, k, want)
 			}
 			f.StepQuiet(k)
+			clean += h.cleanProbes
+			h.cleanProbes = 0
 		}
-		if want := f.epochs / c.fabric; f.socks[1].health.cleanProbes != want {
+		if want := f.epochs / c.fabric; clean != want {
 			t.Fatalf("%d/%d: %d clean probes by epoch %d, want %d (a probe was jumped)",
-				c.fabric, c.pool, f.socks[1].health.cleanProbes, f.epochs, want)
+				c.fabric, c.pool, clean, f.epochs, want)
 		}
 	}
 	f = newTestFabric(t, 2, 1, armRegistries, func(cfg *Config) { cfg.Pool.ProbeEvery = 1 << 20 })
@@ -221,7 +227,7 @@ func TestFabricQuietEpochsLinkFaultBound(t *testing.T) {
 // every epoch, so no batch may form.
 func TestFabricQuietEpochsMigrationDisables(t *testing.T) {
 	f := quietFabric(t)
-	f.jobs = append(f.jobs, &migJob{})
+	f.jobs = append(f.jobs, &pool.Copy{})
 	if k := f.QuietEpochs(1000); k != 0 {
 		t.Fatalf("active migration: QuietEpochs = %d, want 0", k)
 	}
@@ -347,7 +353,6 @@ func TestFabricStepQuietMatchesSteps(t *testing.T) {
 		f := newTestFabric(t, 2, 2, func(c *Config) {
 			c.ProbeEvery = 6
 			c.Pool.ProbeEvery = 4
-			c.SuspectClearProbes = 1 << 20
 		})
 		runFabric(t, f, fabricTenants(f, 5, false), 40)
 		f.socks[1].health.state = SocketSuspect
@@ -355,7 +360,7 @@ func TestFabricStepQuietMatchesSteps(t *testing.T) {
 	}
 	a, b := twin(), twin()
 	sameFabric(t, "warm-up", a, b)
-	batches := 0
+	batches, clean := 0, 0
 	for end := a.epochs + 60; a.epochs < end; {
 		k := a.QuietEpochs(1000)
 		if k > 1 {
@@ -369,10 +374,15 @@ func TestFabricStepQuietMatchesSteps(t *testing.T) {
 			b.Step()
 		}
 		sameFabric(t, fmt.Sprintf("k=%d to epoch %d", k, a.epochs), a, b)
+		// Take the clean streak on both twins so it stays under
+		// pool.SuspectClearProbes and the socket stays Suspect.
+		clean += a.socks[1].health.cleanProbes
+		a.socks[1].health.cleanProbes = 0
+		b.socks[1].health.cleanProbes = 0
 	}
-	if batches < 10 || a.socks[1].health.cleanProbes < 10 {
+	if batches < 10 || clean < 10 {
 		t.Fatalf("%d batches and %d fabric probes in the compared span, want >= 10 each",
-			batches, a.socks[1].health.cleanProbes)
+			batches, clean)
 	}
 }
 
@@ -472,7 +482,6 @@ func TestFabricIdleProbeJumpIdentical(t *testing.T) {
 			f := newTestFabric(t, 2, workers, func(c *Config) {
 				c.ProbeEvery = 8
 				c.Pool.ProbeEvery = 16
-				c.SuspectClearProbes = 2
 				c.EvacuateAfterProbes = 1 << 20
 				c.Pool.BreakerLatency = 3 * sim.Microsecond
 				c.Pool.BreakerMinSamples = 1
@@ -562,9 +571,15 @@ func (d *twin) steps(n int) {
 }
 
 // check asserts what must hold between steps: no socket sits parked while
-// a migration job runs, and none lags past its horizon.
+// a migration job runs, and none lags past its horizon. It also takes the
+// clean streak of Suspect socket 2, which every move covers at most one
+// socket probe of, so the streak never reaches pool.SuspectClearProbes and
+// the socket stays Suspect.
 func (d *twin) check() {
 	d.t.Helper()
+	if h := d.f.socks[2].health; h.state == SocketSuspect {
+		h.cleanProbes = 0
+	}
 	for si, s := range d.f.socks {
 		if s.parked && (len(d.f.jobs) > 0 || s.until <= d.f.epochs) {
 			d.t.Fatalf("epoch %d: socket %d parked until %d with %d migration jobs",
@@ -705,7 +720,6 @@ func TestParkedSocketsMatchLockstep(t *testing.T) {
 		var fabs []*Fabric
 		for _, lockstep := range []bool{false, true} {
 			f := newTestFabric(t, 3, 1, func(cfg *Config) {
-				cfg.SuspectClearProbes = 1 << 20
 				if c.cfg != nil {
 					c.cfg(cfg)
 				}

@@ -1,15 +1,15 @@
-// Background evacuation migration: the pool's rebuild engine lifted to
-// socket scale. When a socket is condemned, its resident set (the pooled
-// page offsets its DRAM caches hold, via pool.ResidentPooled) is snapshot
-// once; each epoch a bounded batch of pages is copied — a read on the
-// victim paired with a write on the page's new owner, issued together like
-// rebuild's paired ops, the write's arrival carrying the page across the
-// interconnect. Copies are best-effort occupancy traffic, exactly like
-// rebuild: a read the victim's quarantined members refuse counts as a
-// migrate read miss (typed, attributed), it is not retried — the
-// durability story is the conservation gate (no acked write is ever
-// dropped; foreground rerouting is what preserves service), the migration
-// models the traffic and its interference.
+// Background evacuation migration: the pool's rebuild copier (pool.Copy)
+// at socket scale. When a socket is condemned, its resident set (the
+// pooled page offsets its DRAM caches hold, via pool.ResidentPooled) is
+// snapshot once; each epoch a bounded batch of pages is copied — a read on
+// the victim paired with a write on the page's new owner, the write's
+// arrival carrying the page across the interconnect. Copies are
+// best-effort occupancy traffic, exactly like rebuild: a read the victim's
+// quarantined members refuse counts as a migrate read miss (typed,
+// attributed), it is not retried — the durability story is the
+// conservation gate (no acked write is ever dropped; foreground rerouting
+// is what preserves service), the migration models the traffic and its
+// interference.
 //
 // Note the fabric's address model makes re-homed chunks alias the
 // survivor's own local offsets (local offset is preserved across
@@ -28,24 +28,15 @@ import (
 // as the rebuild engine's unit.
 const migPageSize = 4096
 
-// migJob is one socket evacuation in progress.
-type migJob struct {
-	victim      int
-	pages       []int64 // victim-local page offsets (fabric-span-local)
-	next        int     // cursor into pages
-	outstanding int     // in-flight paired ops (reads + writes)
-	readMiss    int     // victim reads refused (quarantined members, shed)
-	writeFail   int     // survivor writes refused
-}
-
 // migOp is one half of a paired page copy, keyed by pool request ID in the
 // owning socket's mig map.
 type migOp struct {
-	job   *migJob
+	job   *pool.Copy
 	write bool
 }
 
-// startMigration snapshots the victim's resident set and queues the job.
+// startMigration snapshots the victim's resident set, as victim-local page
+// offsets, and queues its copy.
 // Pages above the fabric span (capacity the pool has but the fabric never
 // addressed) cannot hold fabric data and are skipped. It wakes every
 // socket first, and no socket parks while a job runs (park), so migSubmit
@@ -62,41 +53,34 @@ func (f *Fabric) startMigration(victim int) {
 		}
 	}
 	f.ctr.Add("mig-pages-planned", uint64(len(pages)))
-	f.jobs = append(f.jobs, &migJob{victim: victim, pages: pages})
+	f.jobs = append(f.jobs, &pool.Copy{Victim: victim, Dest: -1, Pages: pages})
 }
 
-// migratePagesPerEpoch rate-limits background evacuation migration: pages
-// per epoch per job, the pool rebuild engine's rate.
-const migratePagesPerEpoch = 8
-
-// issueMigrations advances every job by up to migratePagesPerEpoch pages at
+// issueMigrations advances every copy by its next pages (Copy.Issue) at
 // the boundary, before the pools step — rate-limited so evacuation shares
 // the epoch with foreground traffic instead of monopolizing it (the
 // migration-interference histogram measures exactly this contention).
 func (f *Fabric) issueMigrations() {
 	for _, j := range f.jobs {
-		budget := migratePagesPerEpoch
-		for budget > 0 && j.next < len(j.pages) {
-			off := j.pages[j.next]
-			j.next++
-			budget--
+		j.Issue(func(off int64) int {
 			// The page's fabric address lies under the victim's own logical
 			// span; its current owner is wherever re-homing sent that chunk.
-			dst := f.ownerOf(int64(j.victim)*f.span + off)
-			f.migSubmit(j, j.victim, off, false, f.now)
-			at := f.links.xfer(j.victim, dst, migPageSize, f.now)
-			f.migSubmit(j, dst, off, true, at)
+			dst := f.ownerOf(int64(j.Victim)*f.span + off)
+			n := f.migSubmit(j, j.Victim, off, false, f.now)
+			at := f.links.xfer(j.Victim, dst, migPageSize, f.now)
+			n += f.migSubmit(j, dst, off, true, at)
 			f.ctr.Inc("mig-pages")
-		}
+			return n
+		})
 	}
 }
 
 // migSubmit issues one migration half-op directly to a socket's pool
 // (bypassing the fabric's foreground dispatch — migration deliberately
 // reads from an Evacuating victim). A synchronous refusal — admission shed
-// on a loaded survivor, typed fast-fail on a dead victim — is folded into
-// the job's miss counters at once.
-func (f *Fabric) migSubmit(j *migJob, sock int, off int64, write bool, at sim.Duration) {
+// on a loaded survivor, typed fast-fail on a dead victim — is counted as a
+// miss at once. It returns how many halves it left outstanding (0 or 1).
+func (f *Fabric) migSubmit(j *pool.Copy, sock int, off int64, write bool, at sim.Duration) int {
 	id, err := f.socks[sock].pool.Submit(openloop.Request{
 		Arrival: at,
 		Socket:  sock,
@@ -105,42 +89,34 @@ func (f *Fabric) migSubmit(j *migJob, sock int, off int64, write bool, at sim.Du
 		Write:   write,
 	})
 	if err != nil {
-		f.migMiss(j, write)
-		return
+		f.migMiss(write)
+		return 0
 	}
-	j.outstanding++
 	f.socks[sock].mig[id] = &migOp{job: j, write: write}
+	return 1
 }
 
-// migDone folds one asynchronous migration completion into its job.
+// migDone folds one asynchronous migration completion into its copy.
 func (f *Fabric) migDone(mo *migOp, c pool.Completion) {
-	mo.job.outstanding--
+	mo.job.Outstanding--
 	if c.Outcome != pool.OutcomeCompleted {
-		f.migMiss(mo.job, mo.write)
+		f.migMiss(mo.write)
 	}
 }
 
-func (f *Fabric) migMiss(j *migJob, write bool) {
+func (f *Fabric) migMiss(write bool) {
 	if write {
-		j.writeFail++
 		f.ctr.Inc("mig-write-fail")
 	} else {
-		j.readMiss++
 		f.ctr.Inc("mig-read-miss")
 	}
 }
 
-// sweepMigrations retires finished jobs after collection: all pages issued
-// and no op in flight means the victim is fully Evacuated.
+// sweepMigrations retires drained copies after collection: all pages
+// issued and no op in flight means the victim is fully Evacuated.
 func (f *Fabric) sweepMigrations() {
-	keep := f.jobs[:0]
-	for _, j := range f.jobs {
-		if j.next >= len(j.pages) && j.outstanding == 0 {
-			f.socks[j.victim].health.state = SocketEvacuated
-			f.ctr.Inc("socket-evacuated")
-			continue
-		}
-		keep = append(keep, j)
-	}
-	f.jobs = keep
+	f.jobs = pool.SweepCopies(f.jobs, func(victim int) {
+		f.socks[victim].health.state = SocketEvacuated
+		f.ctr.Inc("socket-evacuated")
+	})
 }

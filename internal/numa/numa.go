@@ -102,9 +102,6 @@ type Config struct {
 
 	// ProbeEvery gates socket probes to every Nth fabric epoch (default 8).
 	ProbeEvery int
-	// SuspectClearProbes is the clean-probe streak that returns a Suspect
-	// socket to Up (default 4).
-	SuspectClearProbes int
 	// EvacuateAfterProbes is the consecutive-suspect-probe streak that
 	// escalates Suspect to Evacuating (default 3). Degraded positions and
 	// pool-invariant breaches escalate immediately.
@@ -120,8 +117,6 @@ type Config struct {
 	Seed uint64
 	// DisableLookahead forces naive per-epoch member advance in every pool.
 	DisableLookahead bool
-	// Notify, when set, receives terminal completions instead of Poll.
-	Notify func(pool.Completion)
 	// LinkFaults schedules interconnect degradations.
 	LinkFaults []LinkFault
 	// ArmFaults arms per-member fault registries, keyed by socket and
@@ -145,9 +140,6 @@ type fabReq struct {
 	remaining int
 	lastDone  sim.Duration
 	err       error
-	// notify: emit a Completion record for Poll/Notify (Submit, not the
-	// driver's Offer), the pool's rule one level up.
-	notify bool
 	// insub is true while Submit is still dispatching pieces: a request
 	// retiring with it set resolved synchronously, so the caller holds the
 	// typed error and no Completion record is produced (pool.Submit parity).
@@ -205,7 +197,7 @@ type Fabric struct {
 	parkedSteps  int
 
 	retries []fabRetry
-	jobs    []*migJob
+	jobs    []*pool.Copy
 
 	nextID uint64
 	out    pool.Outbox
@@ -271,9 +263,6 @@ func (c *Config) fillDefaults() error {
 	if c.ProbeEvery <= 0 {
 		c.ProbeEvery = 8
 	}
-	if c.SuspectClearProbes <= 0 {
-		c.SuspectClearProbes = 4
-	}
 	if c.EvacuateAfterProbes <= 0 {
 		c.EvacuateAfterProbes = 3
 	}
@@ -308,7 +297,6 @@ func New(cfg Config) (*Fabric, error) {
 		pc.Seed = sim.SplitSeed(cfg.Seed, fmt.Sprintf("numa/socket-%02d", s))
 		pc.Workers = cfg.Workers
 		pc.DisableLookahead = cfg.DisableLookahead
-		pc.Notify = nil // the fabric polls
 		if cfg.ArmFaults != nil {
 			sock := s
 			prev := cfg.Pool.ArmFaults
@@ -380,16 +368,10 @@ func (f *Fabric) localOff(off int64) int64 { return off % f.span }
 // Submit offers one request to the fabric at the current epoch boundary.
 // Requests wholly refused at admission (every piece shed or throttled
 // synchronously by its pool) return the typed error immediately, like
-// pool.Submit; partially admitted requests resolve through Poll/Notify
-// with the typed chain attached. Addresses outside [0, Capacity) panic:
-// callers own admission of addresses, as with the pool decoder.
-func (f *Fabric) Submit(r openloop.Request) (uint64, error) { return f.submit(r, true) }
-
-// Offer submits a driver-owned request (pool.Plane): its terminal record
-// reaches only Cfg.Notify, never Poll.
-func (f *Fabric) Offer(r openloop.Request) { f.submit(r, false) }
-
-func (f *Fabric) submit(r openloop.Request, notify bool) (uint64, error) {
+// pool.Submit; partially admitted requests resolve through Poll with the
+// typed chain attached. Addresses outside [0, Capacity) panic: callers own
+// admission of addresses, as with the pool decoder.
+func (f *Fabric) Submit(r openloop.Request) (uint64, error) {
 	if r.Off < 0 || r.Len <= 0 || r.Off+int64(r.Len) > f.Capacity() {
 		panic(fmt.Sprintf("numa: request [%d,+%d) outside fabric capacity %d", r.Off, r.Len, f.Capacity()))
 	}
@@ -405,7 +387,6 @@ func (f *Fabric) submit(r openloop.Request, notify bool) (uint64, error) {
 		arrival: r.Arrival,
 		write:   r.Write,
 		bytes:   r.Len,
-		notify:  notify,
 	}
 	if r.Deadline > 0 {
 		req.deadline = r.Arrival + r.Deadline
@@ -619,7 +600,7 @@ func (f *Fabric) requestPieceDone(r *fabReq, at sim.Duration) {
 		}
 	}
 	if !r.insub {
-		f.out.Add(c, r.notify, f.Cfg.Notify)
+		f.out.Add(c)
 	}
 }
 
@@ -650,7 +631,6 @@ func (f *Fabric) Step() {
 	f.probeSockets()
 	f.park()
 	f.now += f.epoch
-	f.out.Flush(f.Cfg.Notify)
 }
 
 // park parks every socket that has just advanced and can sit out the
@@ -868,12 +848,8 @@ func (f *Fabric) Drain() error { return pool.Drain(f) }
 // Run feeds the stream next yields through the fabric and drains it (the
 // shared driver, pool.Run): quiet spans batch through QuietEpochs/StepQuiet,
 // and with DisableLookahead every epoch is a full Step, the lockstep oracle.
-func (f *Fabric) Run(next func() (openloop.Request, bool)) error { return pool.Run(f, next) }
-
-// RunOpenLoop runs count arrivals from gen through the fabric.
-func (f *Fabric) RunOpenLoop(gen *openloop.Generator, count int) error {
-	return pool.RunOpenLoop(f, gen, count)
-}
+// It discards the completion records.
+func (f *Fabric) Run(next func() (openloop.Request, bool)) error { return pool.Run(f, next, nil) }
 
 // Elapsed returns the current boundary (pool.Plane); it equals Now.
 func (f *Fabric) Elapsed() sim.Duration { return f.now }

@@ -86,7 +86,7 @@ func runFabric(t *testing.T, f *Fabric, gcfg openloop.Config, count int) Stats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.RunOpenLoop(gen, count); err != nil {
+	if err := pool.RunOpenLoop(f, gen, count, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.CheckHealth(); err != nil {
@@ -390,7 +390,6 @@ func TestFabricSuspectRecovery(t *testing.T) {
 	f := newTestFabric(t, 2, 1, func(c *Config) {
 		c.EvacuateAfterProbes = 1000 // never condemn on streak in this test
 		c.ProbeEvery = 2
-		c.SuspectClearProbes = 2
 		// Keep the transient below the member-quarantine threshold: with no
 		// spares a quarantine degrades the position and forces evacuation,
 		// which is exactly what this test must NOT reach.
@@ -456,11 +455,13 @@ func TestFabricRequestAllocs(t *testing.T) {
 		{"one socket", 8192, 2},
 		{"across sockets", f.Span() - 2048, 4},
 	} {
+		var recs []pool.Completion
 		run := func() {
-			f.Offer(openloop.Request{Arrival: f.Now(), Off: c.off, Len: 4096})
+			f.Submit(openloop.Request{Arrival: f.Now(), Off: c.off, Len: 4096})
 			for !f.Quiesced() {
 				f.Step()
 			}
+			recs = f.Poll(recs[:0], 0)
 		}
 		for i := 0; i < 20; i++ {
 			run()
@@ -488,14 +489,16 @@ func BenchmarkFabricStep(b *testing.B) {
 			foot[s] = f.Socket(s).CachedFootprint() / 4096 * 4096
 		}
 		epoch := 0
+		var recs []pool.Completion
 		op := func() {
 			if epoch%64 == 0 {
 				s := epoch / 64 % 2
-				f.Offer(openloop.Request{Arrival: f.Now(), Socket: s, Off: int64(s)*f.Span() + off[s], Len: 4096})
+				f.Submit(openloop.Request{Arrival: f.Now(), Socket: s, Off: int64(s)*f.Span() + off[s], Len: 4096})
 				off[s] = (off[s] + 4096) % foot[s] // the next read lands on the next channel
 			}
 			epoch++
 			f.Step()
+			recs = f.Poll(recs[:0], 0)
 		}
 		for i := 0; i < 64*12; i++ {
 			op()

@@ -11,11 +11,15 @@ import (
 // socket pool (*Pool) or a multi-socket fabric (numa.Fabric) behind the
 // same fixed front end, the way the paper's DDR interface fronts whatever
 // module sits behind it. Every method is called at an epoch boundary only.
+// Completion is poll-only, like the host polling a CP slot for its ack.
 type Plane interface {
-	// Offer submits a driver-owned request: admitted exactly like the
-	// plane's Submit, but its terminal record reaches only a configured
-	// Notify, never Poll. Synchronous refusals are booked in the ledger.
-	Offer(r openloop.Request)
+	// Submit admits one request and returns its ID. A synchronous refusal
+	// returns the typed error, is booked in the ledger and leaves no
+	// record; every other request leaves exactly one record for Poll.
+	Submit(r openloop.Request) (uint64, error)
+	// Poll removes up to max buffered records (all when max <= 0), in
+	// retirement order, and appends them to dst.
+	Poll(dst []Completion, max int) []Completion
 	// Step advances one epoch; QuietEpochs reports how many upcoming epochs
 	// (at most limit) are provably quiet, and StepQuiet advances that many
 	// in one batch, byte-identical to as many Steps.
@@ -39,14 +43,17 @@ type Plane interface {
 
 // Run feeds the requests next yields (until it reports false) through pl
 // and returns once every admitted request reached a terminal outcome. next
-// is called at epoch boundaries only: each epoch's arrivals are offered,
+// is called at epoch boundaries only: each epoch's arrivals are submitted,
 // then the plane advances, one quiet batch at a time when its lookahead
 // proves one (bounded by the next buffered arrival), else one Step. With
 // lookahead disabled every epoch is a full Step, the lockstep oracle the
 // batched path matches byte for byte. Sheds and throttles are terminal
-// outcomes booked at submission, so they are not Run failures.
-func Run(pl Plane, next func() (openloop.Request, bool)) error {
+// outcomes booked at submission, so they are not Run failures. After each
+// advance Run polls the plane and hands every record, in order, to sink
+// (nil discards them), so a successful Run leaves nothing buffered.
+func Run(pl Plane, next func() (openloop.Request, bool), sink func(Completion)) error {
 	var look openloop.Request
+	var recs []Completion
 	have, exhausted := false, false
 	for {
 		if pl.Epochs() >= pl.MaxEpochs() {
@@ -63,7 +70,7 @@ func Run(pl Plane, next func() (openloop.Request, bool)) error {
 			if look.Arrival >= epochEnd {
 				break
 			}
-			pl.Offer(look)
+			pl.Submit(look)
 			have = false
 		}
 		// Bound a quiet batch by the next buffered arrival (or, once the
@@ -78,14 +85,20 @@ func Run(pl Plane, next func() (openloop.Request, bool)) error {
 			limit = 0
 		}
 		advance(pl, limit)
+		recs = pl.Poll(recs[:0], 0)
+		if sink != nil {
+			for _, c := range recs {
+				sink(c)
+			}
+		}
 		if exhausted && !have && pl.Quiesced() {
 			return nil
 		}
 	}
 }
 
-// RunOpenLoop feeds count requests from gen through pl.
-func RunOpenLoop(pl Plane, gen *openloop.Generator, count int) error {
+// RunOpenLoop feeds count requests from gen through pl, records to sink.
+func RunOpenLoop(pl Plane, gen *openloop.Generator, count int, sink func(Completion)) error {
 	issued := 0
 	return Run(pl, func() (openloop.Request, bool) {
 		if issued >= count {
@@ -93,12 +106,12 @@ func RunOpenLoop(pl Plane, gen *openloop.Generator, count int) error {
 		}
 		issued++
 		return gen.Next(), true
-	})
+	}, sink)
 }
 
 // Drain steps pl until it quiesces (or the MaxEpochs guard trips),
 // batching provably quiet spans (retry backoffs waiting out their epochs)
-// through the lookahead.
+// through the lookahead. Records stay buffered for the caller's Poll.
 func Drain(pl Plane) error {
 	for !pl.Quiesced() {
 		if pl.Epochs() >= pl.MaxEpochs() {

@@ -74,7 +74,7 @@ func TestPoolReadOnlyMidRunSurfacesTypedError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.RunOpenLoop(gen, 250); err != nil {
+	if err := RunOpenLoop(p, gen, 250, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.CheckHealth(); err != nil {
@@ -133,7 +133,7 @@ func TestPoolQuarantineFailoverRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.RunOpenLoop(gen, 300); err != nil {
+	if err := RunOpenLoop(p, gen, 300, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.CheckHealth(); err != nil {
@@ -199,7 +199,7 @@ func TestPoolFaultedWorkerCountIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := p.RunOpenLoop(gen, 300); err != nil {
+		if err := RunOpenLoop(p, gen, 300, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := p.CheckHealth(); err != nil {
@@ -248,7 +248,7 @@ func TestPoolBreakerTripsAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.RunOpenLoop(gen, 300); err != nil {
+	if err := RunOpenLoop(p, gen, 300, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.CheckHealth(); err != nil {

@@ -250,7 +250,7 @@ func TestQuietEpochsWorkDisables(t *testing.T) {
 		t.Fatalf("inflight fragment: QuietEpochs = %d, want 0", k)
 	}
 	p.chans[1].inflight = 0
-	p.rebuilds = append(p.rebuilds, &rebuildJob{})
+	p.rebuilds = append(p.rebuilds, &Copy{})
 	if k := p.QuietEpochs(1000); k != 0 {
 		t.Fatalf("running rebuild: QuietEpochs = %d, want 0", k)
 	}

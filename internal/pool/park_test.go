@@ -28,13 +28,14 @@ func memberState(s *core.System) string {
 		s.DRAM.RefreshCount(), rd, wr, hc, nc, hb, nb, aud)
 }
 
-// rebuildState prints the progress of every active rebuild job.
+// rebuildState prints the progress of every active rebuild and the
+// pool's rebuild read-miss and write-fail counts.
 func rebuildState(p *Pool) string {
 	var b strings.Builder
 	for _, j := range p.rebuilds {
-		fmt.Fprintf(&b, "%d->%d next=%d out=%d miss=%d wfail=%d;",
-			j.victim, j.spare, j.next, j.outstanding, j.readMiss, j.writeFail)
+		fmt.Fprintf(&b, "%d->%d next=%d out=%d;", j.Victim, j.Dest, j.next, j.Outstanding)
 	}
+	fmt.Fprintf(&b, "miss=%d wfail=%d", p.ctrPool.Get("rebuild-read-miss"), p.ctrPool.Get("rebuild-write-fail"))
 	return b.String()
 }
 

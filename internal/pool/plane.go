@@ -5,10 +5,10 @@
 // *push* requests, observe backpressure, and collect completions on its own
 // schedule (the VANS add_rq/add_wq + operate() shape). This file is that
 // surface: non-blocking Submit returning a request ID, Step advancing one
-// epoch, Poll/Notify draining typed completion records, and occupancy
-// queries for admission feedback. Run/RunOpenLoop/Drain are the one
-// driver over the Plane interface (driver.go), shared with the NUMA fabric,
-// so every workload generator rides the same surface.
+// epoch, Poll draining typed completion records, and occupancy queries for
+// admission feedback. Run/RunOpenLoop/Drain are the one driver over the
+// Plane interface (driver.go), shared with the NUMA fabric, so every
+// workload generator rides the same surface.
 //
 // # Overload robustness
 //
@@ -164,8 +164,8 @@ func (o Outcome) String() string {
 }
 
 // Completion is one terminal request record, delivered in deterministic
-// boundary order through Poll or Config.Notify. Requests shed synchronously
-// at Submit produce no record — the caller already holds the typed error.
+// boundary order through Poll. Requests shed synchronously at Submit
+// produce no record — the caller already holds the typed error.
 type Completion struct {
 	ID      uint64
 	Tenant  int
@@ -210,41 +210,94 @@ type ChannelOccupancy struct {
 // Submit only between Steps, at the epoch boundary — the same instants the
 // internal harnesses use.
 func (p *Pool) Submit(r openloop.Request) (uint64, error) {
-	return p.submitReq(r, true)
+	frags := p.Dec.FragmentsInto(p.fragScratch[:0], r.Off, r.Len)
+	p.fragScratch = frags[:0]
+	arrival := p.epoch0.Add(r.Arrival)
+	var deadline sim.Time
+	if r.Deadline > 0 {
+		deadline = arrival.Add(r.Deadline)
+	}
+	p.nextID++
+	id := p.nextID
+	p.led.Submit(r.Write)
+	ts := p.qosTenant(r.Tenant)
+	if ts != nil {
+		ts.led.Submit(r.Write)
+	}
+	ch0 := p.chans[p.channelOf(frags[0].Member)]
+
+	// Token-bucket policing gates admission before every other policy: a
+	// tenant over its rate is refused here, synchronously and typed, before
+	// its fragments could occupy any queue. Enforcement is armed only under
+	// QoS isolation; tracking-only configs never throttle.
+	if p.Cfg.QoS.Isolation && !ts.admitBucket() {
+		err := fmt.Errorf("pool: tenant %d: %w", r.Tenant, ErrTenantThrottled)
+		p.retire(ch0, ts, r.Write, false, err)
+		return id, err
+	}
+
+	if reason := p.shedAtAdmission(frags, r.Write, arrival, deadline); reason != nil {
+		p.retire(ch0, ts, r.Write, false, reason)
+		return id, reason
+	}
+
+	req := p.newRequest(request{
+		id:        id,
+		arrival:   arrival,
+		deadline:  deadline,
+		write:     r.Write,
+		tenant:    r.Tenant,
+		bytes:     r.Len,
+		remaining: len(frags),
+		channel0:  p.channelOf(frags[0].Member),
+	}, len(frags)-1)
+	for i := range frags {
+		f := &req.frag0
+		if i > 0 {
+			f = &req.more[i-1]
+		}
+		*f = fragment{req: req, member: frags[i].Member, off: frags[i].Off, n: frags[i].Len}
+		ci := p.channelOf(f.member)
+		ch := p.chans[ci]
+		switch {
+		case len(ch.tq) > 0:
+			// Isolation: every fragment waits in its tenant's FIFO and enters
+			// the queue through the DRR refill at the next boundary — a single
+			// ordering authority, so a burst cannot bypass the round robin
+			// through the direct-to-queue fast path.
+			if p.Cfg.Admission == AdmitShedOldest {
+				p.displaceOldest(ch, ci)
+			}
+			qi := p.qosIndex(r.Tenant)
+			ch.tq[qi].fifo = append(ch.tq[qi].fifo, f)
+			ch.c.held.Inc()
+		case len(ch.queue) < p.Cfg.QueueCap:
+			ch.queue = append(ch.queue, f)
+			ch.c.admitted.Inc()
+		default:
+			if p.Cfg.Admission == AdmitShedOldest {
+				p.displaceOldest(ch, ci)
+			}
+			ch.pending = append(ch.pending, f)
+			ch.c.held.Inc()
+		}
+		ch.mark()
+	}
+	return id, nil
 }
 
 // Poll removes up to max buffered completions (all when max <= 0) and
-// appends them to dst. Records buffer only for Submit requests when no
-// Notify callback is configured. Draining into a buffer the caller reuses
-// allocates nothing once the buffer has grown.
+// appends them to dst. Draining into a buffer the caller reuses allocates
+// nothing once the buffer has grown.
 func (p *Pool) Poll(dst []Completion, max int) []Completion { return p.out.Poll(dst, max) }
 
 // Outbox holds a plane's terminal Completion records in deterministic
-// boundary order. It carries the one record rule both planes follow: a
-// request submitted through Submit always leaves a record; one the driver
-// offered leaves a record only when a Notify callback is configured. Flush,
-// at the end of each step, hands the records to Notify, or leaves them for
-// Poll.
+// boundary order until Poll takes them: every request that does not fail
+// synchronously at Submit leaves exactly one record.
 type Outbox struct{ recs []Completion }
 
-// Add keeps c when its request was submitted (polled) or notify is set.
-func (o *Outbox) Add(c Completion, polled bool, notify func(Completion)) {
-	if polled || notify != nil {
-		o.recs = append(o.recs, c)
-	}
-}
-
-// Flush delivers the buffered records to notify in order; without notify
-// they stay for Poll.
-func (o *Outbox) Flush(notify func(Completion)) {
-	if notify == nil {
-		return
-	}
-	for _, c := range o.recs {
-		notify(c)
-	}
-	o.recs = o.recs[:0]
-}
+// Add buffers c.
+func (o *Outbox) Add(c Completion) { o.recs = append(o.recs, c) }
 
 // Poll removes up to max buffered records (all when max <= 0) and appends
 // them to dst.
@@ -304,10 +357,6 @@ func (p *Pool) Quiesced() bool {
 // Drain steps the plane until it quiesces (the shared driver, driver.go).
 func (p *Pool) Drain() error { return Drain(p) }
 
-// Offer submits a driver-owned request (Plane): its terminal record reaches
-// only Cfg.Notify, never Poll.
-func (p *Pool) Offer(r openloop.Request) { p.submitReq(r, false) }
-
 // Elapsed returns the current boundary relative to Origin.
 func (p *Pool) Elapsed() sim.Duration { return p.now.Sub(p.epoch0) }
 
@@ -322,87 +371,6 @@ func (p *Pool) MaxEpochs() int { return p.Cfg.MaxEpochs }
 
 // Ledger returns the pool's outcome ledger.
 func (p *Pool) Ledger() Ledger { return p.led }
-
-// submitReq decodes one arrival, applies the admission policy, and either
-// enqueues its fragments or sheds the request typed. notify marks
-// plane-submitted requests whose terminal record should reach Poll/Notify.
-func (p *Pool) submitReq(r openloop.Request, notify bool) (uint64, error) {
-	frags := p.Dec.FragmentsInto(p.fragScratch[:0], r.Off, r.Len)
-	p.fragScratch = frags[:0]
-	arrival := p.epoch0.Add(r.Arrival)
-	var deadline sim.Time
-	if r.Deadline > 0 {
-		deadline = arrival.Add(r.Deadline)
-	}
-	p.nextID++
-	id := p.nextID
-	p.led.Submit(r.Write)
-	ts := p.qosTenant(r.Tenant)
-	if ts != nil {
-		ts.led.Submit(r.Write)
-	}
-	ch0 := p.chans[p.channelOf(frags[0].Member)]
-
-	// Token-bucket policing gates admission before every other policy: a
-	// tenant over its rate is refused here, synchronously and typed, before
-	// its fragments could occupy any queue. Enforcement is armed only under
-	// QoS isolation; tracking-only configs never throttle.
-	if p.Cfg.QoS.Isolation && !ts.admitBucket() {
-		err := fmt.Errorf("pool: tenant %d: %w", r.Tenant, ErrTenantThrottled)
-		p.retire(ch0, ts, r.Write, false, err)
-		return id, err
-	}
-
-	if reason := p.shedAtAdmission(frags, r.Write, arrival, deadline); reason != nil {
-		p.retire(ch0, ts, r.Write, false, reason)
-		return id, reason
-	}
-
-	req := p.newRequest(request{
-		id:        id,
-		arrival:   arrival,
-		deadline:  deadline,
-		write:     r.Write,
-		tenant:    r.Tenant,
-		bytes:     r.Len,
-		notify:    notify,
-		remaining: len(frags),
-		channel0:  p.channelOf(frags[0].Member),
-	}, len(frags)-1)
-	for i := range frags {
-		f := &req.frag0
-		if i > 0 {
-			f = &req.more[i-1]
-		}
-		*f = fragment{req: req, member: frags[i].Member, off: frags[i].Off, n: frags[i].Len}
-		ci := p.channelOf(f.member)
-		ch := p.chans[ci]
-		switch {
-		case len(ch.tq) > 0:
-			// Isolation: every fragment waits in its tenant's FIFO and enters
-			// the queue through the DRR refill at the next boundary — a single
-			// ordering authority, so a burst cannot bypass the round robin
-			// through the direct-to-queue fast path.
-			if p.Cfg.Admission == AdmitShedOldest {
-				p.displaceOldest(ch, ci)
-			}
-			qi := p.qosIndex(r.Tenant)
-			ch.tq[qi].fifo = append(ch.tq[qi].fifo, f)
-			ch.c.held.Inc()
-		case len(ch.queue) < p.Cfg.QueueCap:
-			ch.queue = append(ch.queue, f)
-			ch.c.admitted.Inc()
-		default:
-			if p.Cfg.Admission == AdmitShedOldest {
-				p.displaceOldest(ch, ci)
-			}
-			ch.pending = append(ch.pending, f)
-			ch.c.held.Inc()
-		}
-		ch.mark()
-	}
-	return id, nil
-}
 
 // newRequest takes a retired record off the free list, or makes one, and
 // overwrites all of it with r, keeping only the capacity of its fragment

@@ -140,7 +140,7 @@ func TestPlaneRetryFailFast(t *testing.T) {
 	ch := p.chans[0]
 	ch.ewma = 2 * p.Epoch() // measured service alone overshoots the budget
 
-	r := &request{id: 1, arrival: p.now, deadline: p.now.Add(p.Epoch()), remaining: 1, notify: true}
+	r := &request{id: 1, arrival: p.now, deadline: p.now.Add(p.Epoch()), remaining: 1}
 	p.led.Submitted++
 	epochsBefore := p.epochs
 	p.fragFailed(&fragment{req: r, member: 0, n: 4096}, fmt.Errorf("injected media error"), p.now)
@@ -377,15 +377,15 @@ func TestPlaneOverloadedWorkerCountIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := p.RunOpenLoop(gen, 400); err != nil {
+		if err := RunOpenLoop(p, gen, 400, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := p.CheckHealth(); err != nil {
 			t.Fatal(err)
 		}
-		// The driver offers its requests: with no Notify, nothing is kept.
+		// Run polls after every advance, so nothing is left buffered.
 		if recs := p.Poll(nil, 0); len(recs) != 0 {
-			t.Fatalf("workers=%d: Run retained %d Completion records nobody polls", workers, len(recs))
+			t.Fatalf("workers=%d: Run left %d Completion records buffered", workers, len(recs))
 		}
 		s := p.Stats()
 		if s.Shed == 0 || s.Expired == 0 {
@@ -401,69 +401,64 @@ func TestPlaneOverloadedWorkerCountIdentical(t *testing.T) {
 	}
 }
 
-// TestPlaneNotifyMatchesPollAcrossDrain pins the delivery contract: the
-// Notify callback and the Poll buffer observe the same completion records
-// in the same deterministic order, and that order is stable across multiple
-// Drain cycles with new submissions in between and regardless of how the
-// Poll buffer is chunked.
-func TestPlaneNotifyMatchesPollAcrossDrain(t *testing.T) {
-	// Two submission waves with mixed reads/writes and a few hopeless
-	// deadlines, so the sequence interleaves several outcomes.
-	submitWave := func(t *testing.T, p *Pool, wave int) {
-		t.Helper()
-		for i := 0; i < 24; i++ {
-			r := openloop.Request{Off: int64((wave*24+i)%64) * 4096, Len: 4096, Write: i%3 == 0}
-			if i%7 == 0 {
-				r.Deadline = 1 // 1 ps: expires at the first boundary
-			}
-			if _, err := p.Submit(r); err != nil {
-				t.Fatalf("wave %d submit %d: %v", wave, i, err)
-			}
-		}
+// TestRunSinkMatchesPolledTwin pins the one delivery path: Run hands its
+// sink exactly the records a hand-driven twin (Submit each epoch's
+// arrivals, Step, Poll in uneven chunks) polls, in the same order, and
+// leaves nothing buffered. The stream overloads a shed-oldest front end
+// and carries tight deadlines, so records retire at Submit (displaced
+// victims) as well as at boundaries (expiries, completions).
+func TestRunSinkMatchesPolledTwin(t *testing.T) {
+	opts := func(c *Config) {
+		c.Admission = AdmitShedOldest
+		c.PendingCap = 4
+	}
+	p := newTestPool(t, 2, 1, 1, 4096, opts)
+	gen, err := openloop.New(openloop.Config{
+		Seed: 5, RatePerSec: 5e6, Deadline: 16 * p.Epoch(),
+		Tenants: []openloop.Tenant{
+			{Name: "mix", Dist: openloop.Uniform, ReadPct: 60, Footprint: faultFootprint(p)},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]openloop.Request, 300)
+	for i := range reqs {
+		reqs[i] = gen.Next()
 	}
 
-	// Run A: Poll, drained in uneven chunks across two Drain cycles.
-	polled := func() []Completion {
-		p := newTestPool(t, 2, 1, 1, 4096)
-		var recs []Completion
-		submitWave(t, p, 0)
-		if err := p.Drain(); err != nil {
-			t.Fatal(err)
+	var sunk []Completion
+	n := 0
+	next := func() (openloop.Request, bool) {
+		if n == len(reqs) {
+			return openloop.Request{}, false
 		}
-		for _, chunk := range []int{1, 5, 0} { // 0 drains the rest
-			recs = p.Poll(recs, chunk)
-		}
-		submitWave(t, p, 1)
-		if err := p.Drain(); err != nil {
-			t.Fatal(err)
-		}
-		recs = p.Poll(recs, 7)
-		recs = p.Poll(recs, 0)
-		return recs
-	}()
+		n++
+		return reqs[n-1], true
+	}
+	if err := Run(p, next, func(c Completion) { sunk = append(sunk, c) }); err != nil {
+		t.Fatal(err)
+	}
+	if left := p.Poll(nil, 0); len(left) != 0 {
+		t.Fatalf("Run left %d records buffered", len(left))
+	}
 
-	// Run B: identical drive, records delivered through Notify instead.
-	notified := func() []Completion {
-		var recs []Completion
-		p := newTestPool(t, 2, 1, 1, 4096, func(cfg *Config) {
-			cfg.Notify = func(c Completion) { recs = append(recs, c) }
-		})
-		submitWave(t, p, 0)
-		if err := p.Drain(); err != nil {
-			t.Fatal(err)
+	q := newTestPool(t, 2, 1, 1, 4096, opts)
+	var polled []Completion
+	chunks := []int{1, 5, 0} // 0 drains the rest
+	for i, step := 0, 0; i < len(reqs) || !q.Quiesced(); step++ {
+		for end := q.Elapsed() + q.Epoch(); i < len(reqs) && reqs[i].Arrival < end; i++ {
+			if _, err := q.Submit(reqs[i]); err != nil {
+				t.Fatalf("request %d refused at Submit: %v", i, err)
+			}
 		}
-		if got := p.Poll(nil, 0); got != nil {
-			t.Fatalf("Poll returned %d records with Notify configured", len(got))
-		}
-		submitWave(t, p, 1)
-		if err := p.Drain(); err != nil {
-			t.Fatal(err)
-		}
-		return recs
-	}()
+		q.Step()
+		polled = q.Poll(polled, chunks[step%len(chunks)])
+	}
+	polled = q.Poll(polled, 0)
 
-	if len(polled) != 48 || len(notified) != 48 {
-		t.Fatalf("delivered %d polled / %d notified records, want 48 each", len(polled), len(notified))
+	if len(sunk) != len(reqs) || len(polled) != len(reqs) {
+		t.Fatalf("sink saw %d, twin polled %d records, want %d each", len(sunk), len(polled), len(reqs))
 	}
 	// Err carries freshly allocated wrapped errors, so compare records by
 	// rendered value, not interface identity.
@@ -475,28 +470,15 @@ func TestPlaneNotifyMatchesPollAcrossDrain(t *testing.T) {
 		return fmt.Sprintf("id=%d tenant=%d write=%v outcome=%v err=%q at=%v lat=%v late=%v lateness=%v",
 			c.ID, c.Tenant, c.Write, c.Outcome, errText, c.At, c.Latency, c.Late, c.Lateness)
 	}
-	expired := 0
-	for i := range polled {
-		if render(polled[i]) != render(notified[i]) {
-			t.Fatalf("record %d differs between Poll and Notify delivery:\npoll:   %+v\nnotify: %+v",
-				i, polled[i], notified[i])
+	outcomes := map[Outcome]int{}
+	for i := range sunk {
+		if render(sunk[i]) != render(polled[i]) {
+			t.Fatalf("record %d differs between Run's sink and the polled twin:\nsink: %+v\npoll: %+v",
+				i, sunk[i], polled[i])
 		}
-		if polled[i].Outcome == OutcomeExpired {
-			expired++
-			if !errors.Is(polled[i].Err, ErrDeadlineExceeded) {
-				t.Fatalf("expired record %d lacks typed error: %v", i, polled[i].Err)
-			}
-		}
+		outcomes[sunk[i].Outcome]++
 	}
-	if expired == 0 {
-		t.Fatal("no expirations: the waves' hopeless deadlines never fired")
-	}
-	// Delivery order is per-epoch canonical channel order, not terminal-
-	// instant order — but records never cross a Drain cycle: every wave-0
-	// record (IDs 1..24) is delivered before any wave-1 record (25..48).
-	for i, c := range polled {
-		if i < 24 != (c.ID <= 24) {
-			t.Fatalf("record %d (ID %d) crossed its drain cycle", i, c.ID)
-		}
+	if outcomes[OutcomeCompleted] == 0 || outcomes[OutcomeShed] == 0 || outcomes[OutcomeExpired] == 0 {
+		t.Fatalf("outcomes %v: want completions, displaced sheds and expiries", outcomes)
 	}
 }

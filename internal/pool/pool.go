@@ -49,7 +49,6 @@ import (
 	"nvdimmc/internal/nvdc"
 	"nvdimmc/internal/sim"
 	"nvdimmc/internal/workload/fio"
-	"nvdimmc/internal/workload/openloop"
 )
 
 // PageSize re-exports the system-wide management granularity.
@@ -127,10 +126,6 @@ type Config struct {
 	// under the shedding policies (default 256; AdmitBlock ignores it and
 	// holds unbounded).
 	PendingCap int
-	// Notify, when non-nil, receives every terminal Completion record in
-	// deterministic order at the end of the epoch that retired it. Leave nil
-	// to buffer records from plane-submitted requests for Poll instead.
-	Notify func(Completion)
 
 	// Per-channel circuit breaker thresholds; see type breaker.
 	BreakerWindow      int          // epochs per closed-state window (default 8)
@@ -248,8 +243,6 @@ type request struct {
 	// waiting fragments are swept at the next boundary, in-flight ones
 	// complete and count their pieces.
 	canceled bool
-	// notify: emit a Completion record for Poll/Notify (plane submissions).
-	notify bool
 	// frag0 is the first fragment and more holds the rest; both live and
 	// recycle with the record.
 	frag0 fragment
@@ -413,7 +406,7 @@ type Pool struct {
 	chans   []*channelState
 	// svcScratch is collect's reusable per-channel completion-count buffer.
 	svcScratch []int
-	// fragScratch is submitReq's reusable decode buffer; extents are copied
+	// fragScratch is Submit's reusable decode buffer; extents are copied
 	// into fragments before the next submission reuses it.
 	fragScratch []Extent
 	// chanScratch is fragsPerChannel's reusable per-channel count buffer
@@ -432,7 +425,7 @@ type Pool struct {
 	health     []*memberHealth // per physical member
 	route      []int           // logical index -> physical member
 	retries    []retryEntry
-	rebuilds   []*rebuildJob
+	rebuilds   []*Copy
 	ctrPool    *metrics.Counters  // pool-level fault/failover counters
 	latRebuild *metrics.Histogram // request latencies landed while a rebuild ran
 	// latMiss holds the lateness overshoot of completed-but-late requests:
@@ -441,7 +434,7 @@ type Pool struct {
 	// reqFree recycles request records (with their fragments): a record
 	// returns here when its last piece retires (requestPieceDone).
 	reqFree []*request
-	// out buffers terminal records for Notify or Poll.
+	// out buffers terminal records for Poll.
 	out    Outbox
 	nextID uint64
 
@@ -752,16 +745,13 @@ func (p *Pool) collect() {
 		}
 		m.done = m.done[:0]
 		for _, e := range m.rdone {
-			j := e.job
-			j.outstanding--
-			if e.err != nil {
-				if e.write {
-					j.writeFail++
-					p.ctrPool.Inc("rebuild-write-fail")
-				} else {
-					j.readMiss++
-					p.ctrPool.Inc("rebuild-read-miss")
-				}
+			e.job.Outstanding--
+			switch {
+			case e.err == nil:
+			case e.write:
+				p.ctrPool.Inc("rebuild-write-fail")
+			default:
+				p.ctrPool.Inc("rebuild-read-miss")
 			}
 		}
 		m.rdone = m.rdone[:0]
@@ -992,7 +982,7 @@ func (p *Pool) requestPieceDone(r *request, at sim.Time) {
 			ch0.ctr.Inc("requests-late")
 		}
 	}
-	p.out.Add(rec, r.notify, p.Cfg.Notify)
+	p.out.Add(rec)
 	// Every piece is collected, swept or failed, so no queue, retry entry
 	// or member op still refers to r or its fragments. The record is not
 	// cleared: newRequest overwrites it whole.
@@ -1054,9 +1044,8 @@ func (p *Pool) promoteRetries() {
 // Step advances the plane one epoch: boundary bookkeeping (deadline expiry,
 // retry promotion, queue fill, rebuild issue) in canonical channel order,
 // then every member kernel to the next boundary in member order, then
-// completion collection, health probes and breaker ticks. Completions are
-// delivered to Cfg.Notify (or retained for Poll) in deterministic order at
-// the end of the step.
+// completion collection, health probes and breaker ticks. The records of
+// the requests it retired wait for Poll, in deterministic order.
 func (p *Pool) Step() {
 	p.epochs++
 	epochEnd := p.now.Add(p.epoch)
@@ -1074,7 +1063,6 @@ func (p *Pool) Step() {
 		ch.brk.tick()
 	}
 	p.now = epochEnd
-	p.out.Flush(p.Cfg.Notify)
 }
 
 // advanceAll runs every member kernel to the boundary at to, in canonical
@@ -1239,15 +1227,6 @@ func (p *Pool) ClosedFormFolds() int { return p.closedFolds }
 // member was parked. Like ClosedFormFolds it is a lookahead diagnostic kept
 // out of Stats; it stays 0 under lockstep.
 func (p *Pool) ParkedAdvances() int { return p.parkedAdvances }
-
-// Run feeds the requests next yields through the pool (the shared driver,
-// driver.go) and returns once every admitted request is terminal.
-func (p *Pool) Run(next func() (openloop.Request, bool)) error { return Run(p, next) }
-
-// RunOpenLoop feeds count requests from gen through the pool.
-func (p *Pool) RunOpenLoop(gen *openloop.Generator, count int) error {
-	return RunOpenLoop(p, gen, count)
-}
 
 // Stats is the pool-level aggregate plus the per-channel breakdown.
 type Stats struct {

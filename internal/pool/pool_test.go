@@ -82,7 +82,7 @@ func runPool(t *testing.T, p *Pool, gcfg openloop.Config, count int) Stats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.RunOpenLoop(gen, count); err != nil {
+	if err := RunOpenLoop(p, gen, count, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.CheckHealth(); err != nil {

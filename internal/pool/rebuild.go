@@ -1,27 +1,56 @@
 package pool
 
-import "nvdimmc/internal/nvdc"
+// CopyPagesPerEpoch rate-limits a background copy: pages started per
+// epoch per copy, so it shares each epoch with foreground traffic and its
+// interference with foreground tails is measurable.
+const CopyPagesPerEpoch = 8
 
-// rebuildJob copies a quarantined victim's resident state onto the spare
-// that took over its logical position. Pages are the victim's cache-resident
-// set snapshotted (LPN-sorted, hence deterministic) at failover time; each
-// epoch the front end issues at most rebuildPagesPerEpoch page copies, each
-// a victim read paired with a spare write, so the rebuild is rate-limited
-// and its interference with foreground tails is measurable. The victim stays
-// Quarantined until the last copy lands, then becomes Evacuated.
-type rebuildJob struct {
-	victim, spare int
-	pages         []nvdc.ResidentPage
-	next          int // next pages[] index to issue
-	outstanding   int // issued ops (reads + writes) not yet collected
-	readMiss      int // victim reads that failed (page copied best-effort)
-	writeFail     int // spare writes that failed
+// Copy is one rate-limited background copy of a victim's resident set, the
+// engine behind the pool's spare rebuild and the fabric's evacuation
+// migration. Pages is the set snapshotted when the copy starts (sorted,
+// hence deterministic); each page copy is a read on the victim paired with
+// a write on its destination. Copies are best-effort occupancy traffic:
+// the owner counts a failed half and never retries it, since what matters
+// is that the copy terminates and its interference window closes.
+type Copy struct {
+	Victim int
+	// Dest is the one destination of a pool rebuild (the spare); the
+	// fabric routes each page to its chunk's new owner and leaves it -1.
+	Dest  int
+	Pages []int64
+	next  int // next Pages index to start
+	// Outstanding counts started halves not yet collected.
+	Outstanding int
+}
+
+// Issue starts up to CopyPagesPerEpoch more pages through start, which
+// issues one page's halves and returns how many of them are outstanding.
+func (c *Copy) Issue(start func(page int64) int) {
+	for n := 0; n < CopyPagesPerEpoch && c.next < len(c.Pages); n++ {
+		pg := c.Pages[c.next]
+		c.next++
+		c.Outstanding += start(pg)
+	}
+}
+
+// SweepCopies drops the drained copies (every page started, every half
+// collected) from copies, in order, handing each victim to done.
+func SweepCopies(copies []*Copy, done func(victim int)) []*Copy {
+	keep := copies[:0]
+	for _, c := range copies {
+		if c.next >= len(c.Pages) && c.Outstanding == 0 {
+			done(c.Victim)
+			continue
+		}
+		keep = append(keep, c)
+	}
+	return keep
 }
 
 // rebuildEvent is a rebuild op completion, recorded member-locally mid-epoch
 // and drained at the boundary like front-end completions.
 type rebuildEvent struct {
-	job   *rebuildJob
+	job   *Copy
 	write bool
 	err   error
 }
@@ -59,46 +88,38 @@ func (p *Pool) failover(logical, victim int) {
 	if c := p.members[spare].tgt.Capacity(); c < lim {
 		lim = c
 	}
-	all := p.members[victim].sys.Driver.Resident()
-	pages := all[:0]
-	for _, pg := range all {
+	var pages []int64
+	for _, pg := range p.members[victim].sys.Driver.Resident() {
 		if (pg.LPN+1)*PageSize <= lim {
-			pages = append(pages, pg)
+			pages = append(pages, pg.LPN)
 		} else {
 			p.ctrPool.Inc("rebuild-skipped")
 		}
 	}
-	p.rebuilds = append(p.rebuilds, &rebuildJob{victim: victim, spare: spare, pages: pages})
+	p.rebuilds = append(p.rebuilds, &Copy{Victim: victim, Dest: spare, Pages: pages})
 }
 
-// rebuildPagesPerEpoch rate-limits the background rebuild: page copies per
-// epoch per job.
-const rebuildPagesPerEpoch = 8
-
-// issueRebuilds runs at the epoch boundary before the kernels advance: for
-// each active job, in job order, it schedules up to rebuildPagesPerEpoch
-// page copies. Rebuild ops bypass the channel queues, windows and breakers —
-// they are the pool's own evacuation traffic, not front-end submissions (the
-// post-quarantine dispatch audit does not count them) — and draw no jitter,
-// so the schedule is a pure function of the fault history.
+// issueRebuilds runs at the epoch boundary before the kernels advance: each
+// active rebuild, in order, starts its next page copies (Copy.Issue), a
+// victim read and a spare write per LPN. Rebuild ops bypass the channel
+// queues, windows and breakers — they are the pool's own evacuation
+// traffic, not front-end submissions (the post-quarantine dispatch audit
+// does not count them) — and draw no jitter, so the schedule is a pure
+// function of the fault history.
 func (p *Pool) issueRebuilds() {
 	for _, j := range p.rebuilds {
-		budget := rebuildPagesPerEpoch
-		for budget > 0 && j.next < len(j.pages) {
-			pg := j.pages[j.next]
-			j.next++
-			budget--
-			p.rebuildOp(j, j.victim, pg.LPN, false)
-			p.rebuildOp(j, j.spare, pg.LPN, true)
-			j.outstanding += 2
+		j.Issue(func(lpn int64) int {
+			p.rebuildOp(j, j.Victim, lpn, false)
+			p.rebuildOp(j, j.Dest, lpn, true)
 			p.ctrPool.Inc("rebuild-pages")
-		}
+			return 2
+		})
 	}
 }
 
 // rebuildOp schedules one page copy's half on member phys, first catching
 // a parked member up to the boundary.
-func (p *Pool) rebuildOp(j *rebuildJob, phys int, lpn int64, write bool) {
+func (p *Pool) rebuildOp(j *Copy, phys int, lpn int64, write bool) {
 	m := p.members[phys]
 	p.wake(m)
 	cpu := m.tgt.ThreadCPU(PageSize, write)
@@ -114,31 +135,23 @@ func (p *Pool) rebuildOp(j *rebuildJob, phys int, lpn int64, write bool) {
 // member phys.
 func (p *Pool) rebuilding(phys int) bool {
 	for _, j := range p.rebuilds {
-		if j.victim == phys || j.spare == phys {
+		if j.Victim == phys || j.Dest == phys {
 			return true
 		}
 	}
 	return false
 }
 
-// sweepRebuilds retires finished jobs after the boundary drain: a job is
-// done when every page was issued and every op collected. The victim is then
-// Evacuated. Failed victim reads or spare writes are counted, not retried —
-// the copy is best-effort occupancy traffic (the pool carries no redundancy
-// to reconstruct from); what matters for the campaign is that the job
-// terminates and its interference window closes.
+// sweepRebuilds retires drained rebuilds after the boundary drain: the
+// victim is then Evacuated. Failed victim reads and spare writes were
+// counted at collection (rebuild-read-miss, rebuild-write-fail); the pool
+// carries no redundancy to reconstruct them from.
 func (p *Pool) sweepRebuilds() {
 	if len(p.rebuilds) == 0 {
 		return
 	}
-	active := p.rebuilds[:0]
-	for _, j := range p.rebuilds {
-		if j.next >= len(j.pages) && j.outstanding == 0 {
-			p.health[j.victim].state = StateEvacuated
-			p.ctrPool.Inc("member-evacuated")
-			continue
-		}
-		active = append(active, j)
-	}
-	p.rebuilds = active
+	p.rebuilds = SweepCopies(p.rebuilds, func(victim int) {
+		p.health[victim].state = StateEvacuated
+		p.ctrPool.Inc("member-evacuated")
+	})
 }

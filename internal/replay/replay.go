@@ -59,7 +59,7 @@ func Drive(pl pool.Plane, r *Reader, limit int) (Stats, error) {
 		}
 		st.Ops++
 		return q, true
-	})
+	}, nil)
 	st.Retimed = r.Retimed()
 	if rdErr != nil {
 		return st, rdErr

@@ -84,7 +84,7 @@ func captureRun(t *testing.T, f Format, count int) ([]byte, string) {
 	}
 	rec := NewRecorder(w)
 	gen.SetCapture(rec.Record)
-	if err := p.RunOpenLoop(gen, count); err != nil {
+	if err := pool.RunOpenLoop(p, gen, count, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.CheckHealth(); err != nil {

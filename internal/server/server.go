@@ -8,12 +8,11 @@
 // outright. HTTP handlers never touch it: they hand submissions and control
 // closures to the loop over channels and wait for the reply. The loop
 // blocks when the plane is quiesced and nothing is queued, admits whatever
-// arrived at the current boundary, then Steps; completions come back
-// through the pool's Notify hook (still inside the loop goroutine) and are
-// routed either to the sync waiter parked on that request ID or into a
-// bounded poll ring for async callers. Simulated time therefore advances
-// only while there is work, as fast as the host allows — this is a
-// simulation service, not a real-time one; latencies in responses are
+// arrived at the current boundary, then Steps and polls the plane; each
+// completion is routed either to the sync waiter parked on that request ID
+// or into a bounded poll ring for async callers. Simulated time therefore
+// advances only while there is work, as fast as the host allows — this is
+// a simulation service, not a real-time one; latencies in responses are
 // simulated time.
 //
 // Determinism boundary. Admission instants depend on wall-clock
@@ -42,8 +41,7 @@ var errDraining = errors.New("server: draining, no new submissions")
 
 // Config configures a Server.
 type Config struct {
-	// Pool configures the owned pool. Notify must be nil — the server
-	// installs its own completion router.
+	// Pool configures the owned pool.
 	Pool pool.Config
 	// Capture, when non-nil, observes every offered request (arrival
 	// already stamped) before it is submitted — including ones the plane
@@ -98,6 +96,7 @@ type Server struct {
 	// Loop-owned state: touched only by the sim-loop goroutine (admit,
 	// onCompletion and ctl closures all execute there).
 	waiters     map[uint64]*submission
+	recs        []pool.Completion // step's reusable Poll buffer
 	ring        []pool.Completion
 	ringDropped uint64
 	captured    int
@@ -107,9 +106,6 @@ type Server struct {
 // New constructs the pool and starts the sim loop. The caller must
 // eventually Shutdown to stop it.
 func New(cfg Config) (*Server, error) {
-	if cfg.Pool.Notify != nil {
-		return nil, fmt.Errorf("server: Config.Pool.Notify is owned by the server")
-	}
 	if cfg.PollBuf <= 0 {
 		cfg.PollBuf = 65536
 	}
@@ -124,7 +120,6 @@ func New(cfg Config) (*Server, error) {
 		done:    make(chan struct{}),
 		waiters: make(map[uint64]*submission),
 	}
-	cfg.Pool.Notify = s.onCompletion
 	p, err := pool.New(cfg.Pool)
 	if err != nil {
 		return nil, err
@@ -182,8 +177,17 @@ func (s *Server) loop() {
 			}
 		}
 		if !s.p.Quiesced() {
-			s.p.Step()
+			s.step()
 		}
+	}
+}
+
+// step advances the plane one epoch and routes the records it retired.
+func (s *Server) step() {
+	s.p.Step()
+	s.recs = s.p.Poll(s.recs[:0], 0)
+	for _, c := range s.recs {
+		s.onCompletion(c)
 	}
 }
 
@@ -212,8 +216,8 @@ func (s *Server) admit(sub *submission) {
 }
 
 // onCompletion routes one terminal record: to the sync waiter parked on its
-// ID, else into the poll ring (dropping the oldest when full). Runs inside
-// Step, on the sim-loop goroutine.
+// ID, else into the poll ring (dropping the oldest when full). Runs in
+// step, on the sim-loop goroutine.
 func (s *Server) onCompletion(c pool.Completion) {
 	if sub, ok := s.waiters[c.ID]; ok {
 		delete(s.waiters, c.ID)
@@ -305,7 +309,7 @@ func (s *Server) drainLocked() error {
 			return fmt.Errorf("server: %d drain epochs without quiescing (backlog %d) — wedged?",
 				i, s.p.Backlog())
 		}
-		s.p.Step()
+		s.step()
 	}
 	return nil
 }
