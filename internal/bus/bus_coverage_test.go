@@ -101,9 +101,9 @@ func TestNVMCTransferOverlapsHostHold(t *testing.T) {
 
 type collisionSink struct{ events []trace.Event }
 
-func (s *collisionSink) Record(e trace.Event) {
+func (s *collisionSink) Record(e *trace.Event) {
 	if e.Kind == trace.KindCollision {
-		s.events = append(s.events, e)
+		s.events = append(s.events, *e)
 	}
 }
 

@@ -212,7 +212,7 @@ func (a *Auditor) inWindow(t sim.Time) bool {
 }
 
 // Record implements trace.Sink.
-func (a *Auditor) Record(e trace.Event) {
+func (a *Auditor) Record(e *trace.Event) {
 	a.events++
 	if e.At < a.lastAt {
 		a.violate(e.At, "time", "event %v at %v precedes previous event at %v",
@@ -251,7 +251,7 @@ func quietKind(k ddr4.CommandKind) bool {
 	return false
 }
 
-func (a *Auditor) command(e trace.Event) {
+func (a *Auditor) command(e *trace.Event) {
 	cmd := e.Cmd
 
 	// Exclusivity, NVMC side: any real NVMC command outside the window is
@@ -328,14 +328,14 @@ func (a *Auditor) command(e trace.Event) {
 	a.lastCmdValid = true
 }
 
-func (a *Auditor) refreshHold(e trace.Event) {
+func (a *Auditor) refreshHold(e *trace.Event) {
 	if a.lastHostEnd > e.At {
 		a.violate(e.At, "exclusivity", "host burst (until %v) still in flight at refresh-hold start", a.lastHostEnd)
 	}
 	a.curHold = hold{at: e.At, end: e.End, valid: true}
 }
 
-func (a *Auditor) refDetect(e trace.Event) {
+func (a *Auditor) refDetect(e *trace.Event) {
 	// Detector truthfulness: the claimed REF time must be the REF most
 	// recently on the bus. A false positive (detection with no matching
 	// REF) is the system-fatal failure mode of §IV-A.
@@ -351,7 +351,7 @@ func (a *Auditor) refDetect(e trace.Event) {
 	}
 }
 
-func (a *Auditor) window(e trace.Event) {
+func (a *Auditor) window(e *trace.Event) {
 	w := window{at: e.At, end: e.End, refAt: e.RefAt, valid: true}
 	if !a.seenRef || w.refAt != a.lastRefAt {
 		a.violate(e.At, "window", "window for REF@%v but last REF was %v", w.refAt, a.lastRefAt)
@@ -373,7 +373,7 @@ func (a *Auditor) window(e trace.Event) {
 	a.curWindow = w
 }
 
-func (a *Auditor) nvmcData(e trace.Event) {
+func (a *Auditor) nvmcData(e *trace.Event) {
 	if !a.inWindow(e.At) {
 		a.violate(e.At, "exclusivity", "NVMC data transfer (%dB @%#x) outside the extra-tRFC window",
 			e.Bytes, e.Addr)
@@ -390,7 +390,7 @@ func (a *Auditor) nvmcData(e trace.Event) {
 	}
 }
 
-func (a *Auditor) hostData(e trace.Event) {
+func (a *Auditor) hostData(e *trace.Event) {
 	if a.inWindow(e.At) {
 		a.violate(e.At, "exclusivity", "host burst (%dB @%#x) inside the extra-tRFC window",
 			e.Bytes, e.Addr)
@@ -413,7 +413,7 @@ func (a *Auditor) slot(i int) *cpSlot {
 	return s
 }
 
-func (a *Auditor) cpCommand(e trace.Event) {
+func (a *Auditor) cpCommand(e *trace.Event) {
 	if !a.inWindow(e.At) {
 		a.violate(e.At, "exclusivity", "CP command poll for slot %d outside the window", e.Slot)
 	}
@@ -425,7 +425,7 @@ func (a *Auditor) cpCommand(e trace.Event) {
 	s.phase = e.Word&1 != 0
 }
 
-func (a *Auditor) cpAck(e trace.Event) {
+func (a *Auditor) cpAck(e *trace.Event) {
 	if !a.inWindow(e.At) {
 		a.violate(e.At, "exclusivity", "CP ack for slot %d outside the window", e.Slot)
 	}

@@ -189,7 +189,7 @@ func TestAuditorRules(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			a := New(p)
 			for _, e := range tc.events() {
-				a.Record(e)
+				a.Record(&e)
 			}
 			if tc.rule == "" {
 				if err := a.Err(); err != nil {
@@ -220,11 +220,11 @@ func TestAuditorDroppedAckTolerated(t *testing.T) {
 	a := New(p)
 	t0 := sim.Time(0).Add(1000 * sim.Nanosecond)
 	for _, e := range refCycle(p, t0) {
-		a.Record(e)
+		a.Record(&e)
 	}
 	at := inWin(p, t0)
-	a.Record(trace.Event{At: at, Kind: trace.KindCPCommand, Slot: 1, Word: 1})
-	a.Record(trace.Event{At: at.Add(sim.Nanosecond), Kind: trace.KindCPAck, Slot: 1, Word: 1, Dropped: true})
+	a.Record(&trace.Event{At: at, Kind: trace.KindCPCommand, Slot: 1, Word: 1})
+	a.Record(&trace.Event{At: at.Add(sim.Nanosecond), Kind: trace.KindCPAck, Slot: 1, Word: 1, Dropped: true})
 	if err := a.Err(); err != nil {
 		t.Fatalf("dropped ack flagged: %v", err)
 	}
@@ -243,7 +243,7 @@ func TestAuditorErrAndLimit(t *testing.T) {
 		t.Fatal("fresh auditor reports an error")
 	}
 	for i := 0; i < 10; i++ {
-		a.Record(trace.Event{At: sim.Time(i + 1), Kind: trace.KindNVMCData, Bytes: 4096})
+		a.Record(&trace.Event{At: sim.Time(i + 1), Kind: trace.KindNVMCData, Bytes: 4096})
 	}
 	if got := a.ViolationCount(); got != 10 {
 		t.Fatalf("ViolationCount = %d, want 10", got)
@@ -266,7 +266,7 @@ func TestAuditorEvents(t *testing.T) {
 	t0 := sim.Time(0).Add(1000 * sim.Nanosecond)
 	evs := refCycle(p, t0)
 	for _, e := range evs {
-		a.Record(e)
+		a.Record(&e)
 	}
 	if got := a.Events(); got != uint64(len(evs)) {
 		t.Fatalf("Events = %d, want %d", got, len(evs))

@@ -16,7 +16,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden trace file")
 // goldenSink captures the full event stream as rendered lines.
 type goldenSink struct{ lines []string }
 
-func (g *goldenSink) Record(e trace.Event) { g.lines = append(g.lines, e.String()) }
+func (g *goldenSink) Record(e *trace.Event) { g.lines = append(g.lines, e.String()) }
 
 // TestGoldenReadMissTrace pins the canonical read-miss sequence — CP fetch
 // command, refresh window, in-window NVMC data movement, ack — byte for

@@ -153,6 +153,15 @@ type System struct {
 
 	lostWPQ int
 
+	// stdTRFC is the DRAM's standard refresh time: a window opens that long
+	// after its REF.
+	stdTRFC sim.Duration
+	// collapseUntil is the target of the latest FastForwardIdle: a REF
+	// collapses (collapseRefresh) only when its window opens by then. Once
+	// the kernel passes it no grant can qualify, so plain RunUntil always
+	// runs the full chain.
+	collapseUntil sim.Time
+
 	// FioTarget's op records and transfer buffers (target.go): a free list
 	// of fioOp records, the read sink and the read-only zero source.
 	opFree []*fioOp
@@ -252,7 +261,7 @@ func NewSystem(cfg Config) (*System, error) {
 	s := &System{
 		K: k, Config: cfg, DRAM: dev, Channel: ch, IMC: mc,
 		Detector: det, NAND: arr, FTL: f, NVMC: nc, Driver: drv,
-		CPUCache: cache, Layout: layout,
+		CPUCache: cache, Layout: layout, stdTRFC: dcfg.StandardTRFC,
 	}
 	if cfg.FaultSeed != 0 {
 		g := fault.NewRegistry(cfg.FaultSeed)
@@ -281,6 +290,7 @@ func NewSystem(cfg Config) (*System, error) {
 		})
 		rec.Attach(s.Auditor)
 	}
+	mc.SetRefreshCollapse(s.collapseRefresh)
 	if rec.Active() {
 		ch.Trace = rec
 		nc.Trace = rec
@@ -318,6 +328,11 @@ func (s *System) RunFor(d sim.Duration) { s.K.RunFor(d) }
 // auditor verdicts, future event timing) is byte-identical to the naive
 // run; only the kernel's processed-event count diverges.
 //
+// A busy member — one with other events queued, such as an op's host-CPU
+// phase — still runs its refresh events, but while this method advances it
+// each REF granted on time collapses at the grant into one event
+// (collapseRefresh).
+//
 // Eligibility is checked conservatively; on any doubt the method falls
 // back to plain RunUntil, so it is always safe to call. Because it equals
 // RunUntil, and RunUntil composes, one call to a far target equals a call
@@ -325,6 +340,7 @@ func (s *System) RunFor(d sim.Duration) { s.K.RunFor(d) }
 // for many boundaries and catch it up with one call when it next needs it
 // (the pool parks idle members this way).
 func (s *System) FastForwardIdle(target sim.Time) {
+	s.collapseUntil = target
 	// A refresh chain in flight at entry (the boundary landed mid-cycle)
 	// blocks the one-pending-event check; drain it the naive way first —
 	// its events all land by lastREF+tRFC — then try to warp the rest.
@@ -354,12 +370,7 @@ func (s *System) FastForwardIdle(target sim.Time) {
 // leaves unchanged can move meanwhile. It is the target-independent half of
 // FastForwardIdle's eligibility:
 //
-//   - no fault registry (fault consults mutate RNG and hit counters),
-//     no detector sampling noise: each cycle is deterministic and clean;
-//   - no trace ring or extra sinks (they would miss the warped events;
-//     the auditor is the one sink the warp replays into);
-//   - mechanism on, not in self-refresh, and a real extra window
-//     programmed: the cycle shape is hold→PREA→REF→detect→window→polls;
+//   - every cycle is clean and of one shape (cleanCycles);
 //   - exactly one pending kernel event, and it is the refresh event:
 //     nothing else can happen except refresh cycles;
 //   - every NVMC slot idle with a stale CP word: the windows are poll-only.
@@ -371,27 +382,8 @@ func (s *System) Quiescent() bool {
 // quiescent is Quiescent plus what a warp needs: the queued refresh instant
 // nr and the CP polls each idle window performs.
 func (s *System) quiescent() (nr sim.Time, polls int, ok bool) {
-	if s.Faults != nil || !s.Config.MechanismEnabled {
+	if !s.cleanCycles() {
 		return 0, 0, false
-	}
-	if !s.Detector.Enabled() || s.Detector.BitErrorRate != 0 {
-		return 0, 0, false
-	}
-	if s.Trace != nil {
-		return 0, 0, false
-	}
-	expectSinks := 0
-	if s.Auditor != nil {
-		expectSinks = 1
-	}
-	if s.rec.Sinks() != expectSinks {
-		return 0, 0, false
-	}
-	if s.IMC.InSelfRefresh() || s.DRAM.InSelfRefresh() {
-		return 0, 0, false
-	}
-	if s.DRAM.Config().StandardTRFC+nvmc.WindowGuard >= s.Config.TRFC {
-		return 0, 0, false // no usable window: cycle shape differs
 	}
 	nr, on := s.IMC.NextRefreshAt()
 	if !on {
@@ -404,6 +396,77 @@ func (s *System) quiescent() (nr sim.Time, polls int, ok bool) {
 	// The NVMC slot probe (CP-word decode) is the expensive check: last.
 	polls, ok = s.NVMC.WarpEligible()
 	return nr, polls, ok
+}
+
+// cleanCycles reports whether every refresh cycle, as long as the NVMC
+// stays idle, has the one shape the Warp* credits replay:
+//
+//   - no fault registry (fault consults mutate RNG and hit counters),
+//     no detector sampling noise: each cycle is deterministic and clean;
+//   - no trace ring or extra sinks (they would miss the credited events;
+//     the auditor is the one sink the credits replay into);
+//   - mechanism on, not in self-refresh, and a real extra window
+//     programmed: the cycle shape is hold→PREA→REF→detect→window→polls.
+func (s *System) cleanCycles() bool {
+	if s.Faults != nil || !s.Config.MechanismEnabled {
+		return false
+	}
+	if !s.Detector.Enabled() || s.Detector.BitErrorRate != 0 {
+		return false
+	}
+	if s.Trace != nil {
+		return false
+	}
+	expectSinks := 0
+	if s.Auditor != nil {
+		expectSinks = 1
+	}
+	if s.rec.Sinks() != expectSinks {
+		return false
+	}
+	if s.IMC.InSelfRefresh() || s.DRAM.InSelfRefresh() {
+		return false
+	}
+	// Without a usable window the cycle shape differs.
+	return s.stdTRFC+nvmc.WindowGuard < s.Config.TRFC
+}
+
+// collapseRefresh is the iMC's refresh-collapse hook, offered each REF
+// granted at its due instant at. The REF's chain — PREA and REF on the CA
+// wires, the detector's decode at at plus at most ten tCK, and the window
+// at at+StandardTRFC whose polls find stale CP words — is credited in one
+// step through the idle warp's per-component credits, with m = 1, when
+// nothing can tell the difference:
+//
+//   - the chain would end inside the running FastForwardIdle (its window
+//     opens by collapseUntil), so no caller sees the member mid-chain;
+//   - no other event is queued up to the window's start, so nothing runs
+//     between the REF and its window, and what the checks below see at the
+//     REF is what the window would find;
+//   - cleanCycles holds, and every NVMC slot is idle and ready with a stale
+//     CP word (WarpEligible), so the window is poll-only.
+//
+// The cheap checks come first, and WarpEligible reads CP words only after
+// every slot's state passed, so a refusal costs O(1) on a member whose NVMC
+// is busy. DESIGN.md §12 ("Busy refresh cycles") argues each skipped
+// step unobservable.
+func (s *System) collapseRefresh(at sim.Time) bool {
+	open := at.Add(s.stdTRFC)
+	if open > s.collapseUntil {
+		return false
+	}
+	if next, any := s.K.NextAt(); any && next <= open {
+		return false
+	}
+	if !s.cleanCycles() {
+		return false
+	}
+	polls, ok := s.NVMC.WarpEligible()
+	if !ok {
+		return false
+	}
+	s.creditCycles(1, polls, at)
+	return true
 }
 
 // warpPlan decides whether idle refresh cycles can be warped before target
@@ -426,8 +489,17 @@ func (s *System) warpPlan(target sim.Time) (m uint64, polls int, rLast sim.Time,
 // every component the chain touches. The iMC goes last: it re-times the
 // queued refresh event, the kernel's only one, to the advanced cadence.
 func (s *System) applyWarp(m uint64, polls int, rLast sim.Time) {
-	trfc := s.Config.TRFC
-	s.Channel.DataBus.WarpGrants(m, trfc, rLast)
+	s.Channel.DataBus.WarpGrants(m, s.Config.TRFC, rLast)
+	s.creditCycles(m, polls, rLast)
+	s.IMC.WarpIdleRefreshes(m)
+}
+
+// creditCycles credits m refresh cycles' PREA and REF, detection and
+// poll-only window (polls stale CP polls each), the last REF at rLast, to
+// the channel, DRAM, detector, NVMC and auditor. The data-bus hold and the
+// iMC's own counters are the caller's: the idle warp credits them too, the
+// refresh collapse runs them for real.
+func (s *System) creditCycles(m uint64, polls int, rLast sim.Time) {
 	s.Channel.WarpIdleRefreshCycles(m, rLast, uint64(polls)*16)
 	s.DRAM.WarpIdleRefreshCycles(m, rLast, uint64(polls))
 	s.Detector.WarpIdleRefreshCycles(m)
@@ -435,7 +507,6 @@ func (s *System) applyWarp(m uint64, polls int, rLast sim.Time) {
 	if s.Auditor != nil {
 		s.Auditor.WarpIdleRefreshCycles(m, rLast, polls)
 	}
-	s.IMC.WarpIdleRefreshes(m)
 }
 
 // RunUntil steps until cond() holds, bounded by maxSim time to catch hangs.

@@ -96,6 +96,11 @@ type Device struct {
 	k    *sim.Kernel
 	cfg  Config
 	bank []bank
+	// prechargedAt, while prechargePending, is the latest precharge-all a
+	// warp credited and the banks have not taken yet: settle applies it
+	// before anything reads them, so a warp costs O(1), not O(banks).
+	prechargedAt     sim.Time
+	prechargePending bool
 
 	// Refresh state.
 	refreshStart sim.Time
@@ -201,6 +206,7 @@ func (d *Device) InExtraWindow() bool {
 // Apply executes one command at the current simulation instant, enforcing
 // the protocol rules relevant to the NVDIMM-C mechanism.
 func (d *Device) Apply(cmd ddr4.Command) {
+	d.settle()
 	now := d.k.Now()
 	t := d.cfg.Timing
 
@@ -342,14 +348,19 @@ func (d *Device) WarpIdleRefreshCycles(m uint64, rLast sim.Time, pollBursts uint
 	if m == 0 {
 		return
 	}
-	for i := range d.bank {
-		d.bank[i].state = BankIdle
-		d.bank[i].lastPRE = rLast
-	}
+	d.prechargedAt, d.prechargePending = rLast, true
 	d.refreshBusy = true
 	d.refreshStart = rLast
 	d.refreshCount += m
-	d.refreshRow = int((int64(d.refreshRow) + int64(m%uint64(d.cfg.Rows))) % int64(d.cfg.Rows))
+	// refreshRow+m mod Rows, with no division when m < Rows.
+	step := m
+	if rows := uint64(d.cfg.Rows); step >= rows {
+		step %= rows
+	}
+	d.refreshRow += int(step)
+	if d.refreshRow >= d.cfg.Rows {
+		d.refreshRow -= d.cfg.Rows
+	}
 	d.reads += m * pollBursts
 }
 
@@ -378,7 +389,21 @@ func (d *Device) InSelfRefresh() bool { return d.selfRefresh }
 
 // BankState returns the state and open row of bank i.
 func (d *Device) BankState(i int) (BankState, int) {
+	d.settle()
 	return d.bank[i].state, d.bank[i].openRow
+}
+
+// settle precharges every bank at the instant a warp credited last, if the
+// banks have not taken it yet.
+func (d *Device) settle() {
+	if !d.prechargePending {
+		return
+	}
+	d.prechargePending = false
+	for i := range d.bank {
+		d.bank[i].state = BankIdle
+		d.bank[i].lastPRE = d.prechargedAt
+	}
 }
 
 // AddrToBRC inverts the burst address mapping: the (bank, row, column)

@@ -76,6 +76,10 @@ type Controller struct {
 	// postponed counts refreshes granted more than tREFI late (JEDEC allows
 	// postponing up to 8).
 	postponed uint64
+
+	// collapse, when set, is offered every REF granted at its due instant
+	// (SetRefreshCollapse).
+	collapse func(at sim.Time) bool
 }
 
 // New wires a controller to the channel. Call StartRefresh to begin the
@@ -107,6 +111,15 @@ func (c *Controller) StartRefresh() {
 // StopRefresh halts the refresh engine (used by teardown and by the
 // NVMC-frontend strawman experiments).
 func (c *Controller) StopRefresh() { c.refreshEnabled = false }
+
+// SetRefreshCollapse installs fn as the refresh-collapse hook (nil removes
+// it). fn is offered each REF granted at its due instant, at the grant,
+// before PREA+REF are driven. When it returns true it has credited the
+// cycle's PREA, REF and everything they set off, and the controller issues
+// neither command; the data-bus hold stays a real grant either way. The
+// controller knows nothing of what follows a REF on the channel: the
+// hook's owner decides when nothing can observe the difference.
+func (c *Controller) SetRefreshCollapse(fn func(at sim.Time) bool) { c.collapse = fn }
 
 // refreshEvent is one scheduled REF: the kernel event at its due instant
 // and the data-bus grant that issues it. due is the instant it was due.
@@ -167,6 +180,10 @@ func (r *refreshEvent) grant(start sim.Time) {
 	}
 	if start.Sub(due) > c.cfg.TREFI {
 		c.postponed++
+	}
+	if start == due && c.collapse != nil && c.collapse(start) {
+		c.refreshes++
+		return
 	}
 	if c.ch.Trace.Active() {
 		c.ch.Trace.Record(trace.Event{

@@ -141,7 +141,7 @@ func TestFabricQuietEpochsProbeFailsClosed(t *testing.T) {
 			// An auditor violation quarantines the member at the next pool
 			// probe; with no spare its position goes degraded. The baseline
 			// is moved along so only the condemnation can tell.
-			f.Socket(0).Member(0).Auditor.Record(trace.Event{At: 0, Kind: trace.KindOther})
+			f.Socket(0).Member(0).Auditor.Record(&trace.Event{At: 0, Kind: trace.KindOther})
 			f.Step()
 			pr := f.Socket(0).Probe()
 			if pr.DegradedPositions != 1 {
@@ -706,7 +706,7 @@ func TestParkedSocketsMatchLockstep(t *testing.T) {
 			// An auditor violation quarantines the member at the next pool
 			// probe; with no spare its position goes degraded and the next
 			// socket probe evacuates socket 1 onto sockets 0 and 2.
-			f.Socket(1).Member(0).Auditor.Record(trace.Event{At: 0, Kind: trace.KindOther})
+			f.Socket(1).Member(0).Auditor.Record(&trace.Event{At: 0, Kind: trace.KindOther})
 			d.touch(0, "evacuation")
 			d.touch(2, "evacuation")
 			d.advance(400)

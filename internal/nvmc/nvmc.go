@@ -14,6 +14,7 @@
 package nvmc
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"nvdimmc/internal/bus"
@@ -168,6 +169,10 @@ type Controller struct {
 
 	windowStart, windowEnd sim.Time
 	windowRefAt            sim.Time // bus time of the REF that opened the window
+	// winOpen and winClose place a window after its REF:
+	// [REF+winOpen, REF+winClose), from the DRAM's standard and programmed
+	// tRFC.
+	winOpen, winClose sim.Duration
 	// runWindowFn and postedFn are runWindow and posted, bound once.
 	runWindowFn func()
 	postedFn    func(error)
@@ -209,9 +214,11 @@ func New(k *sim.Kernel, ch *bus.Channel, det *refdet.Detector, f *ftl.FTL, layou
 	if cfg.CommandDepth < 1 {
 		cfg.CommandDepth = 1
 	}
+	dcfg := ch.Device().Config()
 	c := &Controller{
 		k: k, ch: ch, det: det, ftl: f, layout: layout, cfg: cfg,
 		enabled: true, xfer: make([]byte, PageSize),
+		winOpen: dcfg.StandardTRFC, winClose: dcfg.Timing.TRFC - WindowGuard,
 	}
 	for i := 0; i < cfg.CommandDepth; i++ {
 		f := &cmdFSM{c: c, idx: i, state: engIdle, ready: true}
@@ -251,9 +258,7 @@ func (c *Controller) onRefresh(refAt sim.Time) {
 	if !c.enabled {
 		return
 	}
-	dev := c.ch.Device()
-	start, end := refAt.Add(dev.Config().StandardTRFC), refAt.Add(dev.Config().Timing.TRFC)
-	end = end.Add(-WindowGuard)
+	start, end := refAt.Add(c.winOpen), refAt.Add(c.winClose)
 	if end <= start {
 		return // no extra window programmed: mechanism cannot run
 	}
@@ -329,8 +334,8 @@ func (c *Controller) pollSlot(f *cmdFSM) {
 	if err := c.ch.NVMCAccess(c.cpAddr(cmdOffset(f.idx)), word, true); err != nil {
 		panic(fmt.Sprintf("nvmc: CP poll: %v", err))
 	}
-	w := leUint64(word[0:8])
-	sec := leUint64(word[8:16])
+	w := binary.LittleEndian.Uint64(word[0:8])
+	sec := binary.LittleEndian.Uint64(word[8:16])
 	cmd := cp.Decode(w, sec)
 	if cmd.Phase == f.lastPhase || cmd.Opcode == cp.OpNone {
 		return // stale or empty slot
@@ -624,7 +629,7 @@ func (c *Controller) postAck(f *cmdFSM) {
 	}
 	if !dropped {
 		word := c.word[:8]
-		putUint64(word, w)
+		binary.LittleEndian.PutUint64(word, w)
 		if err := c.ch.NVMCAccess(c.cpAddr(ackOffset(f.idx)), word, false); err != nil {
 			panic(fmt.Sprintf("nvmc: ack write: %v", err))
 		}
@@ -660,9 +665,11 @@ func (c *Controller) cpAddr(off int64) int64 { return c.layout.CPOffset + off }
 // registry (fault consults burn RNG/hit-counter state), every command slot
 // idle and ready to poll, and every slot's CP word stale — so each warped
 // window would have been an empty poll-only window. polls is the number of
-// CP polls such a window performs (one per slot). The CP words are read
-// through the DRAM's side-effect-free Peek so eligibility probing does not
-// perturb device counters.
+// CP polls such a window performs (one per slot). Every slot's state is
+// checked before any CP word is read, so a busy controller refuses in
+// O(slots) without touching the DRAM. The CP words are read through the
+// DRAM's side-effect-free Peek so eligibility probing does not perturb
+// device counters.
 func (c *Controller) WarpEligible() (polls int, ok bool) {
 	if !c.enabled || c.faults != nil {
 		return 0, false
@@ -671,11 +678,13 @@ func (c *Controller) WarpEligible() (polls int, ok bool) {
 		if !f.ready || f.state != engIdle {
 			return 0, false
 		}
+	}
+	for _, f := range c.fsms {
 		var word [16]byte
 		if err := c.ch.Device().Peek(c.cpAddr(cmdOffset(f.idx)), word[:]); err != nil {
 			return 0, false
 		}
-		cmd := cp.Decode(leUint64(word[0:8]), leUint64(word[8:16]))
+		cmd := cp.Decode(binary.LittleEndian.Uint64(word[0:8]), binary.LittleEndian.Uint64(word[8:16]))
 		if cmd.Phase != f.lastPhase && cmd.Opcode != cp.OpNone {
 			return 0, false // live command queued: the next window has real work
 		}
@@ -696,9 +705,7 @@ func (c *Controller) WarpIdleWindows(m uint64, rLast sim.Time) {
 	c.stats.WindowsSeen += m
 	c.stats.WindowsUsed += m
 	c.stats.Polls += m * uint64(n)
-	dev := c.ch.Device()
-	c.windowStart = rLast.Add(dev.Config().StandardTRFC)
-	c.windowEnd = rLast.Add(dev.Config().Timing.TRFC).Add(-WindowGuard)
+	c.windowStart, c.windowEnd = rLast.Add(c.winOpen), rLast.Add(c.winClose)
 	c.windowRefAt = rLast
 	c.rr = (c.rr + int(m%uint64(n))) % n
 }
@@ -763,18 +770,4 @@ func (c *Controller) flushFromMetadata(bypassWindows bool, done func(int, error)
 		})
 	}
 	step(0)
-}
-
-func leUint64(b []byte) uint64 {
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
-}
-
-func putUint64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
 }

@@ -2,6 +2,7 @@ package nvmc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"nvdimmc/internal/bus"
@@ -63,8 +64,8 @@ func (r *rig) sendCP(t *testing.T, cmd cp.Command) sim.Duration {
 	r.phase = !r.phase
 	cmd.Phase = r.phase
 	var word [16]byte
-	putUint64(word[0:8], cmd.Encode())
-	putUint64(word[8:16], cmd.EncodeSecondary())
+	binary.LittleEndian.PutUint64(word[0:8], cmd.Encode())
+	binary.LittleEndian.PutUint64(word[8:16], cmd.EncodeSecondary())
 	start := r.k.Now()
 	acked := false
 	r.mc.Write(r.layout.CPOffset, word[:], nil)
@@ -72,7 +73,7 @@ func (r *rig) sendCP(t *testing.T, cmd cp.Command) sim.Duration {
 	poll = func() {
 		buf := make([]byte, 8)
 		r.mc.Read(r.layout.CPOffset+cp.AckOffset, buf, func() {
-			ack := cp.DecodeAck(leUint64(buf))
+			ack := cp.DecodeAck(binary.LittleEndian.Uint64(buf))
 			if ack.Phase == r.phase && ack.Status != cp.StatusIdle && ack.Status != cp.StatusBusy {
 				acked = true
 				return
@@ -221,13 +222,13 @@ func TestCommandDepth2Pipelines(t *testing.T) {
 		i := i
 		var word [16]byte
 		c := cp.Command{Phase: true, Opcode: cp.OpCachefill, DRAMSlot: uint32(10 + i), NANDPage: uint32(i)}
-		putUint64(word[0:8], c.Encode())
+		binary.LittleEndian.PutUint64(word[0:8], c.Encode())
 		r.mc.Write(r.layout.CPOffset+int64(128*i), word[:], nil)
 		var poll func()
 		poll = func() {
 			buf := make([]byte, 8)
 			r.mc.Read(r.layout.CPOffset+int64(128*i+64), buf, func() {
-				ack := cp.DecodeAck(leUint64(buf))
+				ack := cp.DecodeAck(binary.LittleEndian.Uint64(buf))
 				if ack.Phase && ack.Status == cp.StatusDone {
 					acked++
 					return
@@ -307,7 +308,7 @@ func TestErrorAckOnBadPage(t *testing.T) {
 	r.phase = !r.phase
 	c := cp.Command{Phase: r.phase, Opcode: cp.OpCachefill, DRAMSlot: 1, NANDPage: 1 << 30}
 	var word [16]byte
-	putUint64(word[0:8], c.Encode())
+	binary.LittleEndian.PutUint64(word[0:8], c.Encode())
 	r.mc.Write(r.layout.CPOffset, word[:], nil)
 	var st cp.Status
 	got := false
@@ -315,7 +316,7 @@ func TestErrorAckOnBadPage(t *testing.T) {
 	poll = func() {
 		buf := make([]byte, 8)
 		r.mc.Read(r.layout.CPOffset+cp.AckOffset, buf, func() {
-			ack := cp.DecodeAck(leUint64(buf))
+			ack := cp.DecodeAck(binary.LittleEndian.Uint64(buf))
 			if ack.Phase == r.phase && ack.Status != cp.StatusIdle {
 				st, got = ack.Status, true
 				return
@@ -354,7 +355,7 @@ func Test8KBWindowMovesTwoPages(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		c := cp.Command{Phase: true, Opcode: cp.OpCachefill, DRAMSlot: uint32(20 + i), NANDPage: uint32(i)}
 		var word [16]byte
-		putUint64(word[0:8], c.Encode())
+		binary.LittleEndian.PutUint64(word[0:8], c.Encode())
 		r.mc.Write(r.layout.CPOffset+int64(128*i), word[:], nil)
 	}
 	r.k.RunFor(2 * sim.Millisecond)

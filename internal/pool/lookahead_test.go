@@ -94,7 +94,7 @@ func TestQuietEpochsProbeFailsClosed(t *testing.T) {
 		{"fragment error growth", nil, func(p *Pool) { p.health[1].fragErrs++ }},
 		{"auditor violation", nil, func(p *Pool) {
 			a := p.Member(1).Auditor
-			a.Record(trace.Event{At: 0, Kind: trace.KindOther}) // time runs backwards
+			a.Record(&trace.Event{At: 0, Kind: trace.KindOther}) // time runs backwards
 			if a.ViolationCount() == 0 {
 				t.Fatal("backwards event logged no violation")
 			}

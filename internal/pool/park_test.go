@@ -98,7 +98,7 @@ func TestParkedMembersMatchLockstep(t *testing.T) {
 				for act := 1; act <= 400; act++ {
 					if act == c.violateAt {
 						for _, p := range []*Pool{a, b} {
-							p.Member(1).Auditor.Record(trace.Event{At: 0, Kind: trace.KindOther}) // time runs backwards
+							p.Member(1).Auditor.Record(&trace.Event{At: 0, Kind: trace.KindOther}) // time runs backwards
 						}
 					}
 					switch n := rng.Intn(10); {

@@ -150,10 +150,11 @@ func (e Event) String() string {
 	return fmt.Sprintf("%-12v %-10s %s", e.At, e.Kind, e.Describe())
 }
 
-// Sink consumes every published event. Implementations must not retain e's
-// address; the value is theirs to copy.
+// Sink consumes every published event. e points at an event the publishing
+// Recorder owns and reuses for its next event: implementations must not
+// retain or modify it, and copy *e to keep it.
 type Sink interface {
-	Record(e Event)
+	Record(e *Event)
 }
 
 // Recorder fans events out to attached sinks. The zero value and nil are
@@ -162,6 +163,9 @@ type Sink interface {
 // when nobody listens.
 type Recorder struct {
 	sinks []Sink
+	// ev is the event being published: every sink reads it through one
+	// pointer instead of receiving its own copy.
+	ev Event
 }
 
 // Attach subscribes a sink to all future events.
@@ -189,8 +193,9 @@ func (r *Recorder) Record(e Event) {
 	if r == nil {
 		return
 	}
+	r.ev = e
 	for _, s := range r.sinks {
-		s.Record(e)
+		s.Record(&r.ev)
 	}
 }
 
@@ -213,13 +218,13 @@ func New(capacity int) *Log {
 }
 
 // Record implements Sink.
-func (l *Log) Record(e Event) {
+func (l *Log) Record(e *Event) {
 	if l == nil {
 		return
 	}
 	l.counts[e.Kind]++
 	l.total++
-	l.ring[l.next] = e
+	l.ring[l.next] = *e
 	l.next++
 	if l.next == len(l.ring) {
 		l.next = 0

@@ -11,7 +11,7 @@ import (
 func TestRingOrderAndWrap(t *testing.T) {
 	l := New(3)
 	for i := 0; i < 5; i++ {
-		l.Record(Event{At: sim.Time(i), Kind: KindCommand, Detail: string(rune('a' + i))})
+		l.Record(&Event{At: sim.Time(i), Kind: KindCommand, Detail: string(rune('a' + i))})
 	}
 	evs := l.Events()
 	if len(evs) != 3 {
@@ -27,9 +27,9 @@ func TestRingOrderAndWrap(t *testing.T) {
 
 func TestCounts(t *testing.T) {
 	l := New(8)
-	l.Record(Event{Kind: KindRefresh, Detail: "r"})
-	l.Record(Event{Kind: KindRefresh, Detail: "r"})
-	l.Record(Event{Kind: KindCollision, Detail: "boom"})
+	l.Record(&Event{Kind: KindRefresh, Detail: "r"})
+	l.Record(&Event{Kind: KindRefresh, Detail: "r"})
+	l.Record(&Event{Kind: KindCollision, Detail: "boom"})
 	if l.Count(KindRefresh) != 2 || l.Count(KindCollision) != 1 {
 		t.Fatal("counters wrong")
 	}
@@ -37,13 +37,13 @@ func TestCounts(t *testing.T) {
 
 func TestNilSafe(t *testing.T) {
 	var l *Log
-	l.Record(Event{Kind: KindCommand, Detail: "x"}) // must not panic
+	l.Record(&Event{Kind: KindCommand, Detail: "x"}) // must not panic
 }
 
 func TestDump(t *testing.T) {
 	l := New(8)
-	l.Record(Event{At: sim.Time(7800 * sim.Nanosecond), Kind: KindRefresh, Detail: "iMC-issued-refresh"})
-	l.Record(Event{At: sim.Time(8200 * sim.Nanosecond), Kind: KindWindow, Detail: "open"})
+	l.Record(&Event{At: sim.Time(7800 * sim.Nanosecond), Kind: KindRefresh, Detail: "iMC-issued-refresh"})
+	l.Record(&Event{At: sim.Time(8200 * sim.Nanosecond), Kind: KindWindow, Detail: "open"})
 	var sb strings.Builder
 	l.Dump(&sb, 0)
 	out := sb.String()
@@ -62,7 +62,7 @@ func TestDump(t *testing.T) {
 
 type captureSink struct{ evs []Event }
 
-func (c *captureSink) Record(e Event) { c.evs = append(c.evs, e) }
+func (c *captureSink) Record(e *Event) { c.evs = append(c.evs, *e) }
 
 func TestRecorderFanOut(t *testing.T) {
 	var r Recorder
