@@ -432,6 +432,37 @@ func TestSelfRefreshSilencesNVMC(t *testing.T) {
 	}
 }
 
+// TestSelfRefreshEntryIssuesQueuedREFs: SRE reaches the DIMM only at its
+// data-bus grant, so the REFs that came due while a host burst held the
+// bus, queued ahead of SRE, must still be issued to the DRAM.
+func TestSelfRefreshEntryIssuesQueuedREFs(t *testing.T) {
+	s := mustSystem(t, smallConfig())
+	trefi := s.Config.TREFI
+	s.RunFor(50 * sim.Microsecond)
+	refs := s.DRAM.RefreshCount()
+	due0, _ := s.IMC.NextRefreshAt()
+	s.IMC.Read(0, make([]byte, 256<<10), nil) // holds the bus ~2.7 tREFI
+	s.RunFor(2*trefi + trefi/2)
+	due1, _ := s.IMC.NextRefreshAt()
+	queued := uint64(due1.Sub(due0) / trefi)
+	if queued < 2 {
+		t.Fatalf("only %d REFs queued behind the burst; the test needs 2", queued)
+	}
+	s.IMC.EnterSelfRefresh()
+	s.RunFor(10 * sim.Microsecond) // the burst, the queued REFs, then SRE
+	if !s.DRAM.InSelfRefresh() {
+		t.Fatal("DRAM not in self-refresh after SRE's grant")
+	}
+	if got := s.DRAM.RefreshCount() - refs; got != queued {
+		t.Fatalf("DRAM saw %d REFs, want the %d granted ahead of SRE", got, queued)
+	}
+	s.IMC.ExitSelfRefresh()
+	s.RunFor(100 * sim.Microsecond)
+	if err := s.CheckHealth(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCoherenceDisciplineAblation(t *testing.T) {
 	// §V-B both ways: with the clflush/sfence + invalidate discipline the
 	// CPU-cached path survives evictions byte-perfectly (covered by

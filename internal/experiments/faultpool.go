@@ -26,12 +26,9 @@ type FaultPoolPoint struct {
 	Victim int // logical member carrying the fault
 	Onset  int // site occurrence at which the fault schedule starts
 
-	Availability float64 // completed / submitted
-	P99          sim.Duration
-	RebuildP99   sim.Duration // p99 of requests completing while a rebuild ran (0: none did)
+	Outcome
+	RebuildP99 sim.Duration // p99 of requests completing while a rebuild ran (0: none did)
 
-	Failed         uint64
-	AckedLost      uint64 // writes admitted but neither acked nor typed-failed (must be 0)
 	PostQuarantine uint64 // fragments dispatched after quarantine (must be 0)
 	Quarantined    int
 	Evacuated      int
@@ -51,54 +48,17 @@ type FaultPoolPoint struct {
 
 // FaultPoolResult is the socket-scale fault campaign table.
 type FaultPoolResult struct {
-	Rows []FaultPoolPoint
-}
-
-// Points returns the campaign size.
-func (r FaultPoolResult) Points() int { return len(r.Rows) }
-
-// AckedLostTotal sums acked-write loss across the campaign; the robustness
-// claim is that it is zero at every point.
-func (r FaultPoolResult) AckedLostTotal() uint64 {
-	var t uint64
-	for _, p := range r.Rows {
-		t += p.AckedLost
-	}
-	return t
+	Campaign[FaultPoolPoint]
 }
 
 // PostQuarantineTotal sums post-quarantine dispatches (must be zero).
 func (r FaultPoolResult) PostQuarantineTotal() uint64 {
-	var t uint64
-	for _, p := range r.Rows {
-		t += p.PostQuarantine
-	}
-	return t
-}
-
-// MinAvailability returns the campaign's worst per-point availability.
-func (r FaultPoolResult) MinAvailability() float64 {
-	min := 1.0
-	for _, p := range r.Rows {
-		if p.Availability < min {
-			min = p.Availability
-		}
-	}
-	if len(r.Rows) == 0 {
-		return 0
-	}
-	return min
+	return total(r.Rows, func(p FaultPoolPoint) uint64 { return p.PostQuarantine })
 }
 
 // Failovers returns how many points engaged the hot spare.
 func (r FaultPoolResult) Failovers() int {
-	n := 0
-	for _, p := range r.Rows {
-		if p.SparesUsed > 0 {
-			n++
-		}
-	}
-	return n
+	return count(r.Rows, func(p FaultPoolPoint) bool { return p.SparesUsed > 0 })
 }
 
 // faultMemberCfg is the campaign member at both scales: a shrunken module
@@ -120,32 +80,6 @@ func faultMemberCfg() core.Config {
 	// (it flags them as duplicated acks), so it is off for the campaign.
 	cfg.Audit = false
 	return cfg
-}
-
-// campaignPool is the pool shape of the fault, overload and QoS campaigns
-// (and the numa campaign's per-socket template): 3 channels + 1 hot spare
-// of member, prefilled to 90% of the cache. It builds on one worker, as
-// campaign points are the parallel axis (TestPoolFaultedWorkerCountIdentical
-// covers the in-pool axis). Misses serialize on a member's driver (~10
-// epochs per completion), so the breaker window spans many epochs to
-// gather samples.
-func campaignPool(member core.Config, seed uint64, lockstep bool) pool.Config {
-	return pool.Config{
-		Channels:           3,
-		DIMMsPerChannel:    1,
-		Interleave:         4096,
-		Member:             member,
-		Workers:            1,
-		Seed:               seed,
-		PrefillPages:       -1,
-		Spares:             1,
-		DisableLookahead:   lockstep,
-		BreakerWindow:      64,
-		BreakerMinSamples:  6,
-		BreakerErrRate:     0.4,
-		BreakerCooldown:    8,
-		BreakerCloseStreak: 4,
-	}
 }
 
 // armFault returns the ArmFaults hook that installs fault kind on member
@@ -172,13 +106,6 @@ func armFault(kind string, victim, onset int) func(int, *fault.Registry) {
 	}
 }
 
-// campaignFootprint is the pool capacity rounded down to the interleave:
-// the near-capacity working set the campaigns draw from.
-func campaignFootprint(p *pool.Pool) int64 {
-	foot := p.Capacity()
-	return foot - foot%p.Cfg.Interleave
-}
-
 // faultPoolPoint runs one campaign point. Each point is a fully independent
 // pool (own seed splits for member RNG, fault schedules and workload), so
 // points fan across shards with byte-identical merged output.
@@ -188,11 +115,12 @@ func faultPoolPoint(o Options, pt, reqs int) (FaultPoolPoint, error) {
 	victim := (pt / len(faultKinds)) % channels
 	onset := 1 + 7*(pt/(len(faultKinds)*channels))
 
+	label := fmt.Sprintf("faultpool point %d (%s m%d)", pt, kind, victim)
 	cfg := campaignPool(faultMemberCfg(), sim.SplitSeed(11, fmt.Sprintf("faultpool/%d", pt)), o.DisableLookahead)
 	cfg.ArmFaults = armFault(kind, victim, onset)
 	p, err := pool.New(cfg)
 	if err != nil {
-		return FaultPoolPoint{}, fmt.Errorf("faultpool point %d: %w", pt, err)
+		return FaultPoolPoint{}, fmt.Errorf("%s: %w", label, err)
 	}
 	// Full-capacity footprint: most accesses miss, evictions map pages onto
 	// NAND, and re-reads consult the media fault sites (see faultMemberCfg).
@@ -219,11 +147,9 @@ func faultPoolPoint(o Options, pt, reqs int) (FaultPoolPoint, error) {
 	if err != nil {
 		return FaultPoolPoint{}, err
 	}
-	if err := pool.RunOpenLoop(p, gen, preqs, nil); err != nil {
-		return FaultPoolPoint{}, fmt.Errorf("faultpool point %d (%s m%d): %w", pt, kind, victim, err)
-	}
-	if err := p.CheckHealth(); err != nil {
-		return FaultPoolPoint{}, fmt.Errorf("faultpool point %d (%s m%d): %w", pt, kind, victim, err)
+	out, err := runPoint(label, p, gen, preqs, nil)
+	if err != nil {
+		return FaultPoolPoint{}, err
 	}
 	s := p.Stats()
 	row := FaultPoolPoint{
@@ -231,9 +157,7 @@ func faultPoolPoint(o Options, pt, reqs int) (FaultPoolPoint, error) {
 		Kind:           kind,
 		Victim:         victim,
 		Onset:          onset,
-		P99:            s.Lat.Percentile(99),
-		Failed:         s.Failed,
-		AckedLost:      s.WritesLost(),
+		Outcome:        out,
 		PostQuarantine: s.PostQuarantineDispatches,
 		Quarantined:    s.Quarantined,
 		Evacuated:      s.Evacuated,
@@ -245,9 +169,6 @@ func faultPoolPoint(o Options, pt, reqs int) (FaultPoolPoint, error) {
 	}
 	for _, m := range s.PerMember {
 		row.DriverErrors += m.DriverErrors
-	}
-	if s.Submitted > 0 {
-		row.Availability = float64(s.Completed) / float64(s.Submitted)
 	}
 	if s.LatRebuild.Count() > 0 {
 		row.RebuildP99 = s.LatRebuild.Percentile(99)
@@ -268,28 +189,28 @@ func FaultPool(o Options) (FaultPoolResult, error) {
 	points := o.pick(48, 32)
 	reqs := o.pick(600, 300)
 
-	rows, err := runShards(points, o.workers(), func(pt int) (FaultPoolPoint, error) {
+	var err error
+	res.Rows, err = runShards(points, o.workers(), func(pt int) (FaultPoolPoint, error) {
 		return faultPoolPoint(o, pt, reqs)
 	})
 	if err != nil {
 		return res, err
 	}
-	res.Rows = rows
 
 	o.printf("== FaultPool: %d-point socket fault campaign (3ch + 1 spare, %d reqs/point) ==\n",
 		points, reqs)
 	var avail []float64
 	for _, r := range res.Rows {
-		avail = append(avail, 100*r.Availability)
+		avail = append(avail, 100*r.Availability())
 		reb := "-"
 		if r.RebuildP99 > 0 {
 			reb = fmt.Sprint(r.RebuildP99)
 		}
 		o.printf("  pt%02d %-10s m%d@%-3d avail=%6.2f%% p99=%-10v rebuild-p99=%-10s "+
 			"derr=%-3d failed=%-3d retries=%-3d susp=%d trips=%d quar=%d evac=%d spare=%d pages=%-3d lost=%d postq=%d\n",
-			r.Point, r.Kind, r.Victim, r.Onset, 100*r.Availability, r.P99, reb,
+			r.Point, r.Kind, r.Victim, r.Onset, 100*r.Availability(), r.Lat.Percentile(99), reb,
 			r.DriverErrors, r.Failed, r.Retries, r.Suspects, r.BreakerTrips, r.Quarantined, r.Evacuated,
-			r.SparesUsed, r.RebuildPages, r.AckedLost, r.PostQuarantine)
+			r.SparesUsed, r.RebuildPages, r.WritesLost(), r.PostQuarantine)
 	}
 	o.printf("  availability %s  min %.2f%%\n", report.Sparkline(avail), 100*res.MinAvailability())
 	o.printf("  acked writes lost: %d  post-quarantine dispatches: %d  failovers: %d/%d points\n",

@@ -46,8 +46,8 @@ func TestFaultPoolConservation(t *testing.T) {
 		t.Fatalf("campaign ran %d points, want >= 32", res.Points())
 	}
 	for _, r := range res.Rows {
-		if r.AckedLost != 0 {
-			t.Errorf("point %d (%s m%d): %d acked writes lost", r.Point, r.Kind, r.Victim, r.AckedLost)
+		if lost := r.WritesLost(); lost != 0 {
+			t.Errorf("point %d (%s m%d): %d acked writes lost", r.Point, r.Kind, r.Victim, lost)
 		}
 		if r.PostQuarantine != 0 {
 			t.Errorf("point %d (%s m%d): %d post-quarantine dispatches", r.Point, r.Kind, r.Victim, r.PostQuarantine)

@@ -30,13 +30,11 @@ type NumaPoint struct {
 	Victim int // victim socket
 	Onset  int // fault onset (site occurrence, or link-fault epoch x8)
 
-	Availability float64 // completed / submitted
-	P99          sim.Duration
-	RemoteP99    sim.Duration // p99 of completions that crossed the interconnect
-	MigrateP99   sim.Duration // p99 of foreground completions during migration (0: none)
+	// Outcome's Lat holds local completions.
+	Outcome
+	RemoteP99  sim.Duration // p99 of completions that crossed the interconnect
+	MigrateP99 sim.Duration // p99 of foreground completions during migration (0: none)
 
-	Failed      uint64
-	AckedLost   uint64 // writes admitted but neither acked nor typed-terminal (must be 0)
 	PostEvac    uint64 // foreground submissions past Evacuating (must be 0)
 	Rehomed     uint64 // directory chunks re-homed to survivors
 	MigPages    uint64 // resident pages migrated off the victim
@@ -49,54 +47,18 @@ type NumaPoint struct {
 // harness-performance measurement (fabric lookahead vs lockstep) on a
 // 4-socket fabric.
 type NumaResult struct {
-	Rows []NumaPoint
+	Campaign[NumaPoint]
 	IdleSegment
-}
-
-// Points returns the campaign size.
-func (r NumaResult) Points() int { return len(r.Rows) }
-
-// AckedLostTotal sums acked-write loss across the campaign (must be zero).
-func (r NumaResult) AckedLostTotal() uint64 {
-	var t uint64
-	for _, p := range r.Rows {
-		t += p.AckedLost
-	}
-	return t
 }
 
 // PostEvacTotal sums post-evacuation submissions (structurally zero).
 func (r NumaResult) PostEvacTotal() uint64 {
-	var t uint64
-	for _, p := range r.Rows {
-		t += p.PostEvac
-	}
-	return t
-}
-
-// MinAvailability returns the worst per-point availability.
-func (r NumaResult) MinAvailability() float64 {
-	min := 1.0
-	for _, p := range r.Rows {
-		if p.Availability < min {
-			min = p.Availability
-		}
-	}
-	if len(r.Rows) == 0 {
-		return 0
-	}
-	return min
+	return total(r.Rows, func(p NumaPoint) uint64 { return p.PostEvac })
 }
 
 // Evacuations counts points whose victim ended Evacuated.
 func (r NumaResult) Evacuations() int {
-	n := 0
-	for _, p := range r.Rows {
-		if p.VictimState == "evacuated" {
-			n++
-		}
-	}
-	return n
+	return count(r.Rows, func(p NumaPoint) bool { return p.VictimState == "evacuated" })
 }
 
 // CheckLattice verifies the campaign's structural claims: every socket-kill
@@ -170,37 +132,23 @@ func numaPoint(o Options, pt, reqs int) (NumaPoint, error) {
 			{Epoch: onset * 8, Socket: victim, LatFactor: 20, BWDivide: 16},
 		}
 	}
+	label := fmt.Sprintf("numa point %d (%s s%d)", pt, kind, victim)
 	f, err := numa.New(cfg)
 	if err != nil {
-		return NumaPoint{}, fmt.Errorf("numa point %d: %w", pt, err)
+		return NumaPoint{}, fmt.Errorf("%s: %w", label, err)
 	}
 
-	// Socket-affine tenants plus a roamer spanning the fabric: local traffic
-	// on every socket, guaranteed cross-socket requests paying the wire.
-	ts := make([]openloop.Tenant, 0, sockets+1)
-	for s := 0; s < sockets; s++ {
-		ts = append(ts, openloop.Tenant{
-			Name: fmt.Sprintf("s%d", s), Socket: s, Dist: openloop.Uniform,
-			ReadPct: 20, Weight: 2, Footprint: f.Span(), Offset: int64(s) * f.Span(),
-		})
-	}
-	ts = append(ts, openloop.Tenant{
-		Name: "roam", Socket: 0, Dist: openloop.Uniform,
-		ReadPct: 20, Weight: 1, Footprint: f.Capacity(),
-	})
-	gen, err := openloop.New(openloop.Config{
-		Seed:       sim.SplitSeed(13, fmt.Sprintf("numa-load/%d", pt)),
-		RatePerSec: 1.5e6,
-		Tenants:    ts,
-	})
+	// Socket-affine tenants over their whole spans plus a roamer over the
+	// fabric: local traffic on every socket, guaranteed cross-socket
+	// requests paying the wire.
+	gen, err := numaLoad(f, sim.SplitSeed(13, fmt.Sprintf("numa-load/%d", pt)), 1.5e6, 20,
+		func(int) int64 { return f.Span() }, f.Capacity(), 0)
 	if err != nil {
 		return NumaPoint{}, err
 	}
-	if err := pool.RunOpenLoop(f, gen, reqs, nil); err != nil {
-		return NumaPoint{}, fmt.Errorf("numa point %d (%s s%d): %w", pt, kind, victim, err)
-	}
-	if err := f.CheckHealth(); err != nil {
-		return NumaPoint{}, fmt.Errorf("numa point %d (%s s%d): %w", pt, kind, victim, err)
+	out, err := runPoint(label, f, gen, reqs, nil)
+	if err != nil {
+		return NumaPoint{}, err
 	}
 	s := f.Stats()
 	row := NumaPoint{
@@ -208,10 +156,8 @@ func numaPoint(o Options, pt, reqs int) (NumaPoint, error) {
 		Kind:        kind,
 		Victim:      victim,
 		Onset:       onset,
-		P99:         s.Lat.Percentile(99),
+		Outcome:     out,
 		RemoteP99:   s.LatRemote.Percentile(99),
-		Failed:      s.Failed,
-		AckedLost:   s.WritesLost(),
 		PostEvac:    s.PostEvacSubmissions,
 		Rehomed:     s.ChunksRehomed,
 		MigPages:    s.MigPages,
@@ -219,13 +165,29 @@ func numaPoint(o Options, pt, reqs int) (NumaPoint, error) {
 		Retries:     s.Ctr.Get("fab-retry-promoted"),
 		VictimState: s.PerSocket[victim].State.String(),
 	}
-	if s.Submitted > 0 {
-		row.Availability = float64(s.Completed) / float64(s.Submitted)
-	}
 	if s.LatMigrate.Count() > 0 {
 		row.MigrateP99 = s.LatMigrate.Percentile(99)
 	}
 	return row, nil
+}
+
+// numaLoad is the fabric campaigns' load at rate req/s, readPct% reads:
+// one uniform tenant per socket (weight 2) over foot(s) bytes from the
+// start of its own span, plus a roamer (weight 1) homed on socket 0 over
+// roamFoot bytes from roamOff.
+func numaLoad(f *numa.Fabric, seed uint64, rate float64, readPct int,
+	foot func(s int) int64, roamFoot, roamOff int64) (*openloop.Generator, error) {
+	var ts []openloop.Tenant
+	for s := 0; s < f.Cfg.Sockets; s++ {
+		ts = append(ts, openloop.Tenant{
+			Name: fmt.Sprintf("s%d", s), Socket: s, Dist: openloop.Uniform, ReadPct: readPct, Weight: 2,
+			Footprint: foot(s), Offset: int64(s) * f.Span(),
+		})
+	}
+	ts = append(ts, openloop.Tenant{
+		Name: "roam", Dist: openloop.Uniform, ReadPct: readPct, Weight: 1, Footprint: roamFoot, Offset: roamOff,
+	})
+	return openloop.New(openloop.Config{Seed: seed, RatePerSec: rate, Tenants: ts})
 }
 
 // Numa is the multi-socket fabric fault campaign capping the NUMA layer:
@@ -242,13 +204,13 @@ func Numa(o Options) (NumaResult, error) {
 	points := o.pick(18, 9)
 	reqs := o.pick(400, 250)
 
-	rows, err := runShards(points, o.workers(), func(pt int) (NumaPoint, error) {
+	var err error
+	res.Rows, err = runShards(points, o.workers(), func(pt int) (NumaPoint, error) {
 		return numaPoint(o, pt, reqs)
 	})
 	if err != nil {
 		return res, err
 	}
-	res.Rows = rows
 	idleReqs := o.pick(1000, 100)
 	seg, idleFP, err := measureIdle("numa", idleReqs, func(lockstep bool) (string, int, float64, error) {
 		return numaIdleRun(o, idleReqs, lockstep)
@@ -262,16 +224,16 @@ func Numa(o Options) (NumaResult, error) {
 		points, reqs)
 	var avail []float64
 	for _, r := range res.Rows {
-		avail = append(avail, 100*r.Availability)
+		avail = append(avail, 100*r.Availability())
 		mig := "-"
 		if r.MigrateP99 > 0 {
 			mig = fmt.Sprint(r.MigrateP99)
 		}
 		o.printf("  pt%02d %-13s s%d@%-2d avail=%6.2f%% p99=%-10v remote-p99=%-10v mig-p99=%-10s "+
 			"failed=%-3d retries=%-2d rehomed=%-3d mig=%d/%d %-10s lost=%d postevac=%d\n",
-			r.Point, r.Kind, r.Victim, r.Onset, 100*r.Availability, r.P99, r.RemoteP99, mig,
+			r.Point, r.Kind, r.Victim, r.Onset, 100*r.Availability(), r.Lat.Percentile(99), r.RemoteP99, mig,
 			r.Failed, r.Retries, r.Rehomed, r.MigPages, r.MigReadMiss, r.VictimState,
-			r.AckedLost, r.PostEvac)
+			r.WritesLost(), r.PostEvac)
 	}
 	o.printf("  availability %s  min %.2f%%\n", report.Sparkline(avail), 100*res.MinAvailability())
 	o.printf("  acked writes lost: %d  post-evacuation submissions: %d  evacuations: %d/%d points\n",
@@ -311,35 +273,18 @@ func numaIdleRun(o Options, reqs int, lockstep bool) (string, int, float64, erro
 	}
 	// Tenants stay inside the DRAM caches, so requests are short hits and
 	// the idle gaps between them dominate: one per socket over its own
-	// cached footprint, plus a roamer homed on socket 0 that addresses the
-	// last socket's.
-	ts := make([]openloop.Tenant, 0, sockets+1)
-	for s := 0; s < sockets; s++ {
-		ts = append(ts, openloop.Tenant{
-			Name: fmt.Sprintf("s%d", s), Socket: s, Dist: openloop.Uniform, ReadPct: 70, Weight: 2,
-			Footprint: f.Socket(s).CachedFootprint(), Offset: int64(s) * f.Span(),
-		})
-	}
-	ts = append(ts, openloop.Tenant{
-		Name: "roam", Socket: 0, Dist: openloop.Uniform, ReadPct: 70, Weight: 1,
-		Footprint: f.Socket(sockets - 1).CachedFootprint(), Offset: int64(sockets-1) * f.Span(),
-	})
-	gen, err := openloop.New(openloop.Config{
-		Seed:       sim.SplitSeed(13, "numa-load/idle"),
-		RatePerSec: 2e3,
-		Tenants:    ts,
-	})
+	// cached footprint, plus a roamer that addresses the last socket's.
+	gen, err := numaLoad(f, sim.SplitSeed(13, "numa-load/idle"), 2e3, 70,
+		func(s int) int64 { return f.Socket(s).CachedFootprint() },
+		f.Socket(sockets-1).CachedFootprint(), int64(sockets-1)*f.Span())
 	if err != nil {
 		return "", 0, 0, err
 	}
 	start := time.Now()
-	if err := pool.RunOpenLoop(f, gen, reqs, nil); err != nil {
-		return "", 0, 0, fmt.Errorf("numa idle segment: %w", err)
+	if _, err := runPoint("numa idle segment", f, gen, reqs, nil); err != nil {
+		return "", 0, 0, err
 	}
 	wallMS := float64(time.Since(start).Microseconds()) / 1000
-	if err := f.CheckHealth(); err != nil {
-		return "", 0, 0, fmt.Errorf("numa idle segment: %w", err)
-	}
 	s := f.Stats()
 	fp := fmt.Sprintf("reqs=%d done=%d failed=%d epochs=%d remote=%d p50=%v p99=%v remote-p99=%v",
 		s.Submitted, s.Completed, s.Failed, s.Epochs, s.RemoteRequests,

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	"nvdimmc/internal/core"
@@ -58,14 +57,9 @@ type OverloadPoint struct {
 	// completion counts as good — late is invisible there by construction.
 	GoodputRatio float64
 
-	Completed uint64
-	Late      uint64 // completed past deadline (counted in Completed, not in goodput)
-	Shed      uint64
-	Expired   uint64
-	Failed    uint64
-	AckedLost uint64 // writes neither acked nor typed-terminal (must be 0)
-
-	P99      sim.Duration // completion latency p99
+	// Outcome's CompletedLate counts completions past their deadline
+	// (counted in Completed, not in goodput).
+	Outcome
 	MissP99  sim.Duration // lateness overshoot p99 of late completions (0: none)
 	MissP999 sim.Duration
 	HeldHW   int // deepest per-channel admission-held backlog
@@ -80,36 +74,7 @@ type OverloadResult struct {
 	// DeadlineBudget is the per-request completion budget the deadline and
 	// shed modes stamp.
 	DeadlineBudget sim.Duration
-	Rows           []OverloadPoint
-}
-
-// Points returns the campaign size.
-func (r OverloadResult) Points() int { return len(r.Rows) }
-
-// AckedLostTotal sums acked-write loss across the campaign (must be zero).
-func (r OverloadResult) AckedLostTotal() uint64 {
-	var t uint64
-	for _, p := range r.Rows {
-		t += p.AckedLost
-	}
-	return t
-}
-
-// ShedTotal / ExpiredTotal sum the overload outcomes across the campaign.
-func (r OverloadResult) ShedTotal() uint64 {
-	var t uint64
-	for _, p := range r.Rows {
-		t += p.Shed
-	}
-	return t
-}
-
-func (r OverloadResult) ExpiredTotal() uint64 {
-	var t uint64
-	for _, p := range r.Rows {
-		t += p.Expired
-	}
-	return t
+	Campaign[OverloadPoint]
 }
 
 // maxLoad returns the campaign's highest offered-load multiple.
@@ -254,49 +219,6 @@ func overloadGoodput(recs []pool.Completion) float64 {
 	return float64(good) / window
 }
 
-// overloadCalibrate measures the campaign pool's saturating throughput
-// (calibrate). One serial run, the same shape and seed at any o.Parallel —
-// every point's offered rate derives from it, so the whole table is a pure
-// function of the seeds.
-func overloadCalibrate(reqs int, lockstep bool) (float64, error) {
-	capacity, err := calibrate(overloadPool(sim.SplitSeed(17, "overload/cal"), pool.AdmitBlock, "none", lockstep), reqs,
-		func(foot int64) openloop.Config {
-			return overloadLoad(sim.SplitSeed(17, "overload-load/cal"), 0, 0, foot)
-		})
-	if err != nil {
-		return 0, fmt.Errorf("overload calibration: %w", err)
-	}
-	return capacity, nil
-}
-
-// calibrate runs reqs arrivals of the load gen shapes over the pool's
-// campaign footprint through one pool built from cfg, audits it, and
-// returns its saturating throughput: completed requests per second over
-// the post-warmup completion window, the accounting every campaign point
-// uses (overloadGoodput).
-func calibrate(cfg pool.Config, reqs int, gen func(foot int64) openloop.Config) (float64, error) {
-	p, err := pool.New(cfg)
-	if err != nil {
-		return 0, err
-	}
-	g, err := openloop.New(gen(campaignFootprint(p)))
-	if err != nil {
-		return 0, err
-	}
-	var recs []pool.Completion
-	if err := pool.RunOpenLoop(p, g, reqs, func(c pool.Completion) { recs = append(recs, c) }); err != nil {
-		return 0, err
-	}
-	if err := p.CheckHealth(); err != nil {
-		return 0, err
-	}
-	capacity := overloadGoodput(recs)
-	if capacity <= 0 {
-		return 0, errors.New("no completions to measure")
-	}
-	return capacity, nil
-}
-
 // overloadPoint runs one campaign point. Each point is a fully independent
 // pool (own seed splits for members, faults and workload), so points fan
 // across shards with byte-identical merged output.
@@ -314,23 +236,22 @@ func overloadPoint(pt, reqs int, loads []float64, faults []string, capacity floa
 		admission = pool.AdmitDeadlineAware
 		budget = deadline
 	}
+	label := fmt.Sprintf("overload point %d (%.1fx %s %s)", pt, loadX, mode, kind)
 	p, err := pool.New(overloadPool(sim.SplitSeed(17, fmt.Sprintf("overload/%d", pt)), admission, kind, lockstep))
 	if err != nil {
-		return OverloadPoint{}, fmt.Errorf("overload point %d: %w", pt, err)
+		return OverloadPoint{}, fmt.Errorf("%s: %w", label, err)
 	}
 	offered := loadX * capacity
 	gen, err := openloop.New(overloadLoad(sim.SplitSeed(17, fmt.Sprintf("overload-load/%d", pt)), offered, budget, campaignFootprint(p)))
 	if err != nil {
 		return OverloadPoint{}, err
 	}
-	var recs []pool.Completion
-	if err := pool.RunOpenLoop(p, gen, reqs, func(c pool.Completion) { recs = append(recs, c) }); err != nil {
-		return OverloadPoint{}, fmt.Errorf("overload point %d (%.1fx %s %s): %w", pt, loadX, mode, kind, err)
-	}
 	// Extended conservation — submitted = completed + shed + expired +
-	// typed-failed — asserted at every point, under every policy and fault.
-	if err := p.CheckHealth(); err != nil {
-		return OverloadPoint{}, fmt.Errorf("overload point %d (%.1fx %s %s): %w", pt, loadX, mode, kind, err)
+	// typed-failed — is audited at every point, under every policy and fault.
+	var recs []pool.Completion
+	out, err := runPoint(label, p, gen, reqs, func(c pool.Completion) { recs = append(recs, c) })
+	if err != nil {
+		return OverloadPoint{}, err
 	}
 	s := p.Stats()
 	row := OverloadPoint{
@@ -339,13 +260,7 @@ func overloadPoint(pt, reqs int, loads []float64, faults []string, capacity floa
 		Mode:       mode,
 		Fault:      kind,
 		OfferedOps: offered,
-		Completed:  s.Completed,
-		Late:       s.CompletedLate,
-		Shed:       s.Shed,
-		Expired:    s.Expired,
-		Failed:     s.Failed,
-		AckedLost:  s.WritesLost(),
-		P99:        s.Lat.Percentile(99),
+		Outcome:    out,
 	}
 	if s.LatMiss.Count() > 0 {
 		row.MissP99 = s.LatMiss.Percentile(99)
@@ -385,7 +300,14 @@ func Overload(o Options) (OverloadResult, error) {
 	}
 	points := len(loads) * len(overloadModes) * len(faults)
 
-	capacity, err := overloadCalibrate(reqs, o.DisableLookahead)
+	// One serial calibration run, the same shape and seed at any
+	// o.Parallel: every point's offered rate derives from it, so the whole
+	// table is a pure function of the seeds.
+	capacity, err := calibrate("overload calibration",
+		overloadPool(sim.SplitSeed(17, "overload/cal"), pool.AdmitBlock, "none", o.DisableLookahead), reqs,
+		func(foot int64) openloop.Config {
+			return overloadLoad(sim.SplitSeed(17, "overload-load/cal"), 0, 0, foot)
+		})
 	if err != nil {
 		return res, err
 	}
@@ -393,13 +315,12 @@ func Overload(o Options) (OverloadResult, error) {
 	epoch := overloadMemberCfg().TREFI
 	res.DeadlineBudget = overloadDeadlineEpochs * epoch
 
-	rows, err := runShards(points, o.workers(), func(pt int) (OverloadPoint, error) {
+	res.Rows, err = runShards(points, o.workers(), func(pt int) (OverloadPoint, error) {
 		return overloadPoint(pt, reqs, loads, faults, capacity, res.DeadlineBudget, o.DisableLookahead)
 	})
 	if err != nil {
 		return res, err
 	}
-	res.Rows = rows
 
 	o.printf("== Overload: %d-point saturation campaign (3ch + 1 spare, %d reqs/point) ==\n", points, reqs)
 	o.printf("  measured capacity %.0f ops/s, deadline budget %v (%d epochs)\n",
@@ -414,7 +335,7 @@ func Overload(o Options) (OverloadResult, error) {
 		o.printf("  pt%02d %.1fx %-8s %-10s goodput=%8.0f ops/s (%.2fx cap) done=%-4d late=%-3d shed=%-4d expired=%-4d failed=%-3d "+
 			"p99=%-10v miss-p99/999=%-21s heldHW=%-4d lost=%d\n",
 			r.Point, r.LoadX, r.Mode, r.Fault, r.GoodputOps, r.GoodputRatio,
-			r.Completed, r.Late, r.Shed, r.Expired, r.Failed, r.P99, miss, r.HeldHW, r.AckedLost)
+			r.Completed, r.CompletedLate, r.Shed, r.Expired, r.Failed, r.Lat.Percentile(99), miss, r.HeldHW, r.WritesLost())
 	}
 	o.printf("  goodput/capacity %s\n", report.Sparkline(ratios))
 	o.printf("  4x deadline-aware goodput (fault-free): %.2fx capacity  shed: %d  expired: %d  acked writes lost: %d\n",

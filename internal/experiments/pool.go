@@ -16,10 +16,8 @@ type PoolPoint struct {
 	Channels     int
 	InterleaveKB int
 	MBps         float64
-	P50          sim.Duration
-	P99          sim.Duration
-	P999         sim.Duration
-	HeldPeak     int
+	Outcome
+	HeldPeak int
 }
 
 // PoolResult is the channel-scaling table (the paper's §VIII deployment
@@ -27,7 +25,7 @@ type PoolPoint struct {
 // harness-performance measurement (lookahead scheduler vs naive lockstep)
 // on a 6-channel pool.
 type PoolResult struct {
-	Rows []PoolPoint
+	Campaign[PoolPoint]
 	IdleSegment
 }
 
@@ -105,6 +103,39 @@ func poolMemberCfg(o Options) core.Config {
 	return cfg
 }
 
+// poolShape is the pool campaign's socket: channels x 1 DIMM interleaved
+// at gran, its members built and prefilled on o.Parallel workers.
+func poolShape(o Options, channels int, gran int64) pool.Config {
+	return pool.Config{
+		Channels:         channels,
+		DIMMsPerChannel:  1,
+		Interleave:       gran,
+		Member:           poolMemberCfg(o),
+		Workers:          o.workers(),
+		Seed:             7,
+		PrefillPages:     -1,
+		WalkFootprint:    15 << 30,
+		DisableLookahead: o.DisableLookahead,
+	}
+}
+
+// poolLoad is the pool campaign's two-tenant load over the pool's cached
+// footprint: a zipfian read-mostly key-value tenant over the low half, a
+// uniform mixed tenant over the high half.
+func poolLoad(p *pool.Pool, seed uint64, rate float64) (*openloop.Generator, error) {
+	foot := p.CachedFootprint()
+	return openloop.New(openloop.Config{
+		Seed:       seed,
+		RatePerSec: rate,
+		Tenants: []openloop.Tenant{
+			{Name: "kv", Dist: openloop.Zipfian, Weight: 3, ReadPct: 90,
+				Footprint: foot / 2},
+			{Name: "mix", Dist: openloop.Uniform, Weight: 1, ReadPct: 50,
+				Footprint: foot - foot/2, Offset: foot / 2},
+		},
+	})
+}
+
 // Pool sweeps the pooled socket: 1/2/4/6 channels x {4 KB, 2 MB} interleave
 // under a saturating two-tenant open-loop load (a zipfian read-mostly
 // key-value tenant over the low half, a uniform mixed tenant over the high
@@ -119,48 +150,26 @@ func Pool(o Options) (PoolResult, error) {
 
 	for _, gran := range grans {
 		for _, channels := range channelCounts {
-			p, err := pool.New(pool.Config{
-				Channels:         channels,
-				DIMMsPerChannel:  1,
-				Interleave:       gran,
-				Member:           poolMemberCfg(o),
-				Workers:          o.workers(),
-				Seed:             7,
-				PrefillPages:     -1,
-				WalkFootprint:    15 << 30,
-				DisableLookahead: o.DisableLookahead,
-			})
+			label := fmt.Sprintf("pool %dch gran=%d", channels, gran)
+			p, err := pool.New(poolShape(o, channels, gran))
 			if err != nil {
-				return res, fmt.Errorf("pool %dch gran=%d: %w", channels, gran, err)
+				return res, fmt.Errorf("%s: %w", label, err)
 			}
-			foot := p.CachedFootprint()
-			gen, err := openloop.New(openloop.Config{
-				Seed:       sim.SplitSeed(7, fmt.Sprintf("pool-exp/%d/%d", channels, gran)),
-				RatePerSec: 0, // saturating: measure delivered, not offered, bandwidth
-				Tenants: []openloop.Tenant{
-					{Name: "kv", Dist: openloop.Zipfian, Weight: 3, ReadPct: 90,
-						Footprint: foot / 2},
-					{Name: "mix", Dist: openloop.Uniform, Weight: 1, ReadPct: 50,
-						Footprint: foot - foot/2, Offset: foot / 2},
-				},
-			})
+			// Saturating (rate 0): measure delivered, not offered, bandwidth.
+			gen, err := poolLoad(p, sim.SplitSeed(7, fmt.Sprintf("pool-exp/%d/%d", channels, gran)), 0)
 			if err != nil {
 				return res, err
 			}
-			if err := pool.RunOpenLoop(p, gen, perChannel*channels, nil); err != nil {
-				return res, fmt.Errorf("pool %dch gran=%d: %w", channels, gran, err)
-			}
-			if err := p.CheckHealth(); err != nil {
-				return res, fmt.Errorf("pool %dch gran=%d: %w", channels, gran, err)
+			out, err := runPoint(label, p, gen, perChannel*channels, nil)
+			if err != nil {
+				return res, err
 			}
 			s := p.Stats()
 			res.Rows = append(res.Rows, PoolPoint{
 				Channels:     channels,
 				InterleaveKB: int(gran >> 10),
 				MBps:         s.Meter.BandwidthMBps(),
-				P50:          s.Lat.Percentile(50),
-				P99:          s.Lat.Percentile(99),
-				P999:         s.Lat.Percentile(99.9),
+				Outcome:      out,
 				HeldPeak:     s.HeldPeak,
 			})
 		}
@@ -176,47 +185,27 @@ func Pool(o Options) (PoolResult, error) {
 	// across runs, worker counts and scheduler modes.
 	idleReqs := o.pick(3000, 400)
 	idleRun := func(lockstep bool) (string, int, float64, error) {
-		p, err := pool.New(pool.Config{
-			Channels:        6,
-			DIMMsPerChannel: 1,
-			Interleave:      4096,
-			Member:          poolMemberCfg(o),
-			Workers:         o.workers(),
-			Seed:            7,
-			PrefillPages:    -1,
-			WalkFootprint:   15 << 30,
-			// The default 4-epoch probe period clips every quiet batch to 4
-			// epochs; this segment measures scheduler throughput on a
-			// fault-free pool, so the probe runs at a deployment-style period
-			// instead (identical in both runs either way).
-			ProbeEvery:       64,
-			DisableLookahead: lockstep,
-		})
+		cfg := poolShape(o, 6, 4096)
+		// The default 4-epoch probe period clips every quiet batch to 4
+		// epochs; this segment measures scheduler throughput on a
+		// fault-free pool, so the probe runs at a deployment-style period
+		// instead (identical in both runs either way).
+		cfg.ProbeEvery = 64
+		cfg.DisableLookahead = lockstep
+		p, err := pool.New(cfg)
 		if err != nil {
 			return "", 0, 0, fmt.Errorf("pool idle segment: %w", err)
 		}
-		foot := p.CachedFootprint()
-		gen, err := openloop.New(openloop.Config{
-			Seed:       sim.SplitSeed(7, "pool-exp/idle"),
-			RatePerSec: 2e3, // ~500 us between arrivals (~64 epochs): idle-dominated
-			Tenants: []openloop.Tenant{
-				{Name: "kv", Dist: openloop.Zipfian, Weight: 3, ReadPct: 90,
-					Footprint: foot / 2},
-				{Name: "mix", Dist: openloop.Uniform, Weight: 1, ReadPct: 50,
-					Footprint: foot - foot/2, Offset: foot / 2},
-			},
-		})
+		// ~500 us between arrivals (~64 epochs): idle-dominated.
+		gen, err := poolLoad(p, sim.SplitSeed(7, "pool-exp/idle"), 2e3)
 		if err != nil {
 			return "", 0, 0, err
 		}
 		start := time.Now()
-		if err := pool.RunOpenLoop(p, gen, idleReqs, nil); err != nil {
-			return "", 0, 0, fmt.Errorf("pool idle segment: %w", err)
+		if _, err := runPoint("pool idle segment", p, gen, idleReqs, nil); err != nil {
+			return "", 0, 0, err
 		}
 		wallMS := float64(time.Since(start).Microseconds()) / 1000
-		if err := p.CheckHealth(); err != nil {
-			return "", 0, 0, fmt.Errorf("pool idle segment: %w", err)
-		}
 		s := p.Stats()
 		fp := fmt.Sprintf("reqs=%d done=%d failed=%d shed=%d expired=%d epochs=%d held-peak=%d p50=%v p99=%v p999=%v bw=%.3fMB/s",
 			s.Submitted, s.Completed, s.Failed, s.Shed, s.Expired, s.Epochs, s.HeldPeak,
@@ -243,7 +232,7 @@ func Pool(o Options) (PoolResult, error) {
 		for _, channels := range channelCounts {
 			pt := res.At(channels, kb)
 			o.printf("    %dch  p50=%-10v p99=%-10v p999=%-10v held-peak=%d\n",
-				channels, pt.P50, pt.P99, pt.P999, pt.HeldPeak)
+				channels, pt.Lat.Percentile(50), pt.Lat.Percentile(99), pt.Lat.Percentile(99.9), pt.HeldPeak)
 		}
 	}
 	o.printf("  1->6ch scaling at 4 KB interleave: %.2fx (paper board: 6 channels/socket)\n",

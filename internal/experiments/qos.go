@@ -59,16 +59,11 @@ type QoSTenantRow struct {
 	Name       string
 	OfferedOps float64 // this tenant's share of the offered arrival rate
 	BucketOps  float64 // token-bucket rate (0: unpoliced)
-	Completed  uint64
-	Throttled  uint64
-	Shed       uint64
-	Expired    uint64
-	Failed     uint64
+	// Outcome is the tenant's own ledger and latency histogram.
+	Outcome
 	// GoodputOps is the tenant's completions per second over its completion
 	// span.
 	GoodputOps float64
-	P99        sim.Duration
-	P999       sim.Duration
 	SLO        sim.Duration // p99 target (0: untracked)
 	Violated   bool         // p99 over SLO at end of run
 }
@@ -83,9 +78,9 @@ type QoSPoint struct {
 	OfferedOps float64
 	// HotRatio is the hot tenant's goodput over its bucket rate — the
 	// throttle-to-contract observable (only meaningful with isolation on).
-	HotRatio  float64
-	AckedLost uint64 // writes neither acked nor typed-terminal (must be 0)
-	Tenants   []QoSTenantRow
+	HotRatio float64
+	Outcome
+	Tenants []QoSTenantRow
 }
 
 // QoSResult is the noisy-neighbor campaign table.
@@ -100,11 +95,8 @@ type QoSResult struct {
 	UniformOps float64
 	// SLOTarget is the light tenants' p99 target.
 	SLOTarget sim.Duration
-	Rows      []QoSPoint
+	Campaign[QoSPoint]
 }
-
-// Points returns the campaign size.
-func (r QoSResult) Points() int { return len(r.Rows) }
 
 // Find returns the campaign point for one (isolation, fault) combination,
 // or nil.
@@ -135,28 +127,29 @@ func (p *QoSPoint) HotThrottled() uint64 { return p.Tenants[0].Throttled }
 func (p *QoSPoint) WorstLightP99() sim.Duration {
 	var w sim.Duration
 	for _, t := range p.Tenants[1:] {
-		if t.P99 > w {
-			w = t.P99
+		if p99 := t.Lat.Percentile(99); p99 > w {
+			w = p99
 		}
 	}
 	return w
 }
 
-// AckedLostTotal sums acked-write loss across the campaign (must be zero).
-func (r QoSResult) AckedLostTotal() uint64 {
-	var t uint64
-	for _, p := range r.Rows {
-		t += p.AckedLost
+// qosMix lays the campaign's four tenants over the pool footprint: the hot
+// zipfian tenant works the first half, three uniform lights split the
+// rest, page-aligned, all at 80% reads. hot and light carry the weights and
+// contracts.
+func qosMix(foot int64, hot, light openloop.Tenant) []openloop.Tenant {
+	hotFoot := (foot / 2) &^ 4095
+	lightFoot := ((foot - hotFoot) / 3) &^ 4095
+	hot.Name, hot.Dist, hot.ReadPct, hot.Footprint = "hot", openloop.Zipfian, 80, hotFoot
+	ts := []openloop.Tenant{hot}
+	for i := 0; i < 3; i++ {
+		l := light
+		l.Name, l.Dist, l.ReadPct = fmt.Sprintf("light%d", i), openloop.Uniform, 80
+		l.Footprint, l.Offset = lightFoot, hotFoot+int64(i)*lightFoot
+		ts = append(ts, l)
 	}
-	return t
-}
-
-// qosFootSplit carves the pool footprint: the hot zipfian tenant works the
-// first half, the lights split the rest, page-aligned.
-func qosFootSplit(foot int64) (hotFoot, lightFoot int64) {
-	hotFoot = (foot / 2) &^ 4095
-	lightFoot = ((foot - hotFoot) / 3) &^ 4095
-	return
+	return ts
 }
 
 // qosCalTenants is the calibration blend: the campaign's footprints and
@@ -164,17 +157,7 @@ func qosFootSplit(foot int64) (hotFoot, lightFoot int64) {
 // ~80% share of the no-isolation arrival stream), no contracts — capacity
 // is measured with QoS disarmed.
 func qosCalTenants(foot int64) []openloop.Tenant {
-	hotFoot, lightFoot := qosFootSplit(foot)
-	ts := []openloop.Tenant{{
-		Name: "hot", Dist: openloop.Zipfian, Weight: 12, ReadPct: 80, Footprint: hotFoot,
-	}}
-	for i := 0; i < 3; i++ {
-		ts = append(ts, openloop.Tenant{
-			Name: fmt.Sprintf("light%d", i), Dist: openloop.Uniform, Weight: 1, ReadPct: 80,
-			Footprint: lightFoot, Offset: hotFoot + int64(i)*lightFoot,
-		})
-	}
-	return ts
+	return qosMix(foot, openloop.Tenant{Weight: 12}, openloop.Tenant{Weight: 1})
 }
 
 // qosTenants builds the campaign mix with the contracts armed. Arrival
@@ -184,22 +167,10 @@ func qosCalTenants(foot int64) []openloop.Tenant {
 // x uniform capacity with a p99 SLO. DRR service weights stay equal — the
 // fairness mechanism, not the arrival mix, is the campaign subject.
 func qosTenants(foot int64, mixCap, uniCap float64, slo sim.Duration) []openloop.Tenant {
-	hotFoot, lightFoot := qosFootSplit(foot)
 	hotRate := qosHotX * mixCap
-	lightRate := qosLightX * uniCap
-	ts := []openloop.Tenant{{
-		Name: "hot", Dist: openloop.Zipfian, Weight: hotRate, ReadPct: 80,
-		Footprint:   hotFoot,
-		LimitPerSec: hotRate / qosBucketDiv, Burst: 32,
-	}}
-	for i := 0; i < 3; i++ {
-		ts = append(ts, openloop.Tenant{
-			Name: fmt.Sprintf("light%d", i), Dist: openloop.Uniform, Weight: lightRate, ReadPct: 80,
-			Footprint: lightFoot, Offset: hotFoot + int64(i)*lightFoot,
-			SLOP99: slo,
-		})
-	}
-	return ts
+	return qosMix(foot,
+		openloop.Tenant{Weight: hotRate, LimitPerSec: hotRate / qosBucketDiv, Burst: 32},
+		openloop.Tenant{Weight: qosLightX * uniCap, SLOP99: slo})
 }
 
 // qosPool is one campaign pool: the overload campaign's pool with the
@@ -214,42 +185,29 @@ func qosPool(seed uint64, tenants []openloop.Tenant, isolation bool, faultKind s
 	return cfg
 }
 
-// qosCalibrateOne measures one saturating capacity number (calibrate) with
-// the QoS contracts disarmed, one serial run per probe shape.
-func qosCalibrateOne(label string, reqs int, lockstep bool,
-	shape func(foot int64) []openloop.Tenant) (float64, error) {
-	capacity, err := calibrate(qosPool(sim.SplitSeed(23, "qos/cal/"+label), nil, false, "none", lockstep), reqs,
-		func(foot int64) openloop.Config {
-			return openloop.Config{Seed: sim.SplitSeed(23, "qos-load/cal/"+label), Tenants: shape(foot)}
-		})
-	if err != nil {
-		return 0, fmt.Errorf("qos %s calibration: %w", label, err)
-	}
-	return capacity, nil
-}
-
-// qosCalibrate measures the campaign's two capacity references: the
-// hot-dominated mix blend (the hot tenant's overload multiple) and a pure
-// uniform probe (the lights' miss-dominated regime). Calibrating on the mix
-// matters for the hot side — its zipfian working set is far more
-// cache-friendly than a uniform probe, so a uniform capacity number would
-// not overload the mix at any modest multiple — while the lights must be
-// priced against the uniform number or their "light" load would itself
-// exceed the miss-service rate.
+// qosCalibrate measures the campaign's two capacity references, each one
+// serial calibrate run with the QoS contracts disarmed: the hot-dominated
+// mix blend (the hot tenant's overload multiple) and a pure uniform probe
+// (the lights' miss-dominated regime). Calibrating on the mix matters for
+// the hot side — its zipfian working set is far more cache-friendly than a
+// uniform probe, so a uniform capacity number would not overload the mix
+// at any modest multiple — while the lights must be priced against the
+// uniform number or their "light" load would itself exceed the
+// miss-service rate.
 func qosCalibrate(reqs int, lockstep bool) (mixCap, uniCap float64, err error) {
-	mixCap, err = qosCalibrateOne("mix", reqs, lockstep, qosCalTenants)
-	if err != nil {
+	cal := func(label string, shape func(foot int64) []openloop.Tenant) (float64, error) {
+		return calibrate("qos "+label+" calibration", qosPool(sim.SplitSeed(23, "qos/cal/"+label), nil, false, "none", lockstep), reqs,
+			func(foot int64) openloop.Config {
+				return openloop.Config{Seed: sim.SplitSeed(23, "qos-load/cal/"+label), Tenants: shape(foot)}
+			})
+	}
+	if mixCap, err = cal("mix", qosCalTenants); err != nil {
 		return 0, 0, err
 	}
-	uniCap, err = qosCalibrateOne("uniform", reqs, lockstep, func(foot int64) []openloop.Tenant {
-		return []openloop.Tenant{
-			{Name: "uni", Dist: openloop.Uniform, ReadPct: 80, Footprint: foot},
-		}
+	uniCap, err = cal("uniform", func(foot int64) []openloop.Tenant {
+		return []openloop.Tenant{{Name: "uni", Dist: openloop.Uniform, ReadPct: 80, Footprint: foot}}
 	})
-	if err != nil {
-		return 0, 0, err
-	}
-	return mixCap, uniCap, nil
+	return mixCap, uniCap, err
 }
 
 // qosPoint runs one campaign point. Each point is a fully independent pool
@@ -263,10 +221,11 @@ func qosPoint(pt, reqs int, faults []string, mixCap, uniCap float64, slo sim.Dur
 	// throwaway config first to size footprints, then the real pool with the
 	// contracts armed. Footprint depends only on (member shape, seed), so
 	// the two agree.
+	label := fmt.Sprintf("qos point %d (iso=%v %s)", pt, isolation, kind)
 	seed := sim.SplitSeed(23, fmt.Sprintf("qos/%d", pt))
 	probe, err := pool.New(qosPool(seed, nil, false, "none", lockstep))
 	if err != nil {
-		return QoSPoint{}, fmt.Errorf("qos point %d: %w", pt, err)
+		return QoSPoint{}, fmt.Errorf("%s: %w", label, err)
 	}
 	tenants := qosTenants(campaignFootprint(probe), mixCap, uniCap, slo)
 	// Tenant weights are absolute offered rates; the arrival clock runs at
@@ -277,7 +236,7 @@ func qosPoint(pt, reqs int, faults []string, mixCap, uniCap float64, slo sim.Dur
 	}
 	p, err := pool.New(qosPool(seed, tenants, isolation, kind, lockstep))
 	if err != nil {
-		return QoSPoint{}, fmt.Errorf("qos point %d: %w", pt, err)
+		return QoSPoint{}, fmt.Errorf("%s: %w", label, err)
 	}
 	gen, err := openloop.New(openloop.Config{
 		Seed:       sim.SplitSeed(23, fmt.Sprintf("qos-load/%d", pt)),
@@ -287,38 +246,29 @@ func qosPoint(pt, reqs int, faults []string, mixCap, uniCap float64, slo sim.Dur
 	if err != nil {
 		return QoSPoint{}, err
 	}
-	if err := pool.RunOpenLoop(p, gen, reqs, nil); err != nil {
-		return QoSPoint{}, fmt.Errorf("qos point %d (iso=%v %s): %w", pt, isolation, kind, err)
+	// Conservation — pool-wide and per-tenant, including throttled — is
+	// audited at every point, under every fault schedule.
+	out, err := runPoint(label, p, gen, reqs, nil)
+	if err != nil {
+		return QoSPoint{}, err
 	}
-	// Conservation — pool-wide and per-tenant, including throttled —
-	// asserted at every point, under every fault schedule.
-	if err := p.CheckHealth(); err != nil {
-		return QoSPoint{}, fmt.Errorf("qos point %d (iso=%v %s): %w", pt, isolation, kind, err)
-	}
-	s := p.Stats()
 	row := QoSPoint{
 		Point:      pt,
 		Isolation:  isolation,
 		Fault:      kind,
 		OfferedOps: offered,
-		AckedLost:  s.WritesLost(),
+		Outcome:    out,
 	}
 	weightSum := 0.0
 	for _, t := range tenants {
 		weightSum += t.Weight
 	}
-	for i, ts := range s.PerTenant {
+	for i, ts := range p.Stats().PerTenant {
 		tr := QoSTenantRow{
 			Name:       ts.Name,
 			OfferedOps: offered * tenants[i].Weight / weightSum,
 			BucketOps:  ts.RatePerSec,
-			Completed:  ts.Completed,
-			Throttled:  ts.Throttled,
-			Shed:       ts.Shed,
-			Expired:    ts.Expired,
-			Failed:     ts.Failed,
-			P99:        ts.Lat.Percentile(99),
-			P999:       ts.Lat.Percentile(99.9),
+			Outcome:    Outcome{Ledger: ts.Ledger, Lat: ts.Lat},
 			SLO:        ts.SLOP99,
 			Violated:   ts.SLOViolated(),
 		}
@@ -360,13 +310,12 @@ func QoS(o Options) (QoSResult, error) {
 	res.UniformOps = uniCap
 	res.SLOTarget = qosSLOEpochs * overloadMemberCfg().TREFI
 
-	rows, err := runShards(points, o.workers(), func(pt int) (QoSPoint, error) {
+	res.Rows, err = runShards(points, o.workers(), func(pt int) (QoSPoint, error) {
 		return qosPoint(pt, reqs, faults, mixCap, uniCap, res.SLOTarget, o.DisableLookahead)
 	})
 	if err != nil {
 		return res, err
 	}
-	res.Rows = rows
 
 	o.printf("== QoS: %d-point noisy-neighbor campaign (3ch + 1 spare, %d reqs/point, hot %.1fx mix capacity) ==\n",
 		points, reqs, qosHotX)
@@ -378,7 +327,7 @@ func QoS(o Options) (QoSResult, error) {
 			iso = "isolation=on "
 		}
 		o.printf("  pt%02d %s %-10s offered=%8.0f ops/s hot-ratio=%.2f lost=%d\n",
-			r.Point, iso, r.Fault, r.OfferedOps, r.HotRatio, r.AckedLost)
+			r.Point, iso, r.Fault, r.OfferedOps, r.HotRatio, r.WritesLost())
 		for _, t := range r.Tenants {
 			verdict := "-"
 			if t.SLO > 0 {
@@ -390,7 +339,7 @@ func QoS(o Options) (QoSResult, error) {
 			}
 			o.printf("    %-7s offered=%8.0f bucket=%8.0f goodput=%8.0f ops/s done=%-5d thr=%-5d shed=%-4d exp=%-4d fail=%-3d p99=%-10v p999=%-10v slo=%s\n",
 				t.Name, t.OfferedOps, t.BucketOps, t.GoodputOps, t.Completed, t.Throttled,
-				t.Shed, t.Expired, t.Failed, t.P99, t.P999, verdict)
+				t.Shed, t.Expired, t.Failed, t.Lat.Percentile(99), t.Lat.Percentile(99.9), verdict)
 		}
 	}
 	if on, off := res.Find(true, "none"), res.Find(false, "none"); on != nil && off != nil {

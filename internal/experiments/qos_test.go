@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"nvdimmc/internal/pool"
 )
 
 // TestQoSIdenticalAcrossWorkers pins the QoS campaign's full determinism
@@ -87,24 +89,21 @@ func TestQoSCampaignGates(t *testing.T) {
 	}
 }
 
-// TestQoSResultAccessors exercises the campaign-table accessors on a
+// TestQoSResultAccessors exercises the QoS verdict accessors on a
 // hand-built result so the -short lane covers the façade's gate inputs
-// without running a campaign.
+// without running a campaign; the shared totals are TestCampaignAccessors'.
 func TestQoSResultAccessors(t *testing.T) {
-	res := QoSResult{Rows: []QoSPoint{
-		{Isolation: true, Fault: "none", AckedLost: 0, Tenants: []QoSTenantRow{
-			{Name: "hot", Throttled: 7}, {Name: "light0", P99: 10}, {Name: "light1", P99: 30, Violated: true},
+	res := QoSResult{Campaign: Campaign[QoSPoint]{Rows: []QoSPoint{
+		{Isolation: true, Fault: "none", Tenants: []QoSTenantRow{
+			{Name: "hot", Outcome: Outcome{Ledger: pool.Ledger{Throttled: 7}, Lat: lat()}},
+			{Name: "light0", Outcome: Outcome{Lat: lat(10)}},
+			{Name: "light1", Outcome: Outcome{Lat: lat(30)}, Violated: true},
 		}},
-		{Isolation: false, Fault: "none", AckedLost: 2, Tenants: []QoSTenantRow{
-			{Name: "hot"}, {Name: "light0", P99: 50, Violated: true},
+		{Isolation: false, Fault: "none", Tenants: []QoSTenantRow{
+			{Name: "hot", Outcome: Outcome{Lat: lat()}},
+			{Name: "light0", Outcome: Outcome{Lat: lat(50)}, Violated: true},
 		}},
-	}}
-	if got := res.Points(); got != 2 {
-		t.Fatalf("Points() = %d, want 2", got)
-	}
-	if got := res.AckedLostTotal(); got != 2 {
-		t.Fatalf("AckedLostTotal() = %d, want 2", got)
-	}
+	}}}
 	on := res.Find(true, "none")
 	if on == nil || on.HotThrottled() != 7 {
 		t.Fatalf("Find(true, none) = %+v, want hot throttled 7", on)

@@ -32,6 +32,8 @@ type ReplayVariant struct {
 	Format   replay.Format
 	Lockstep bool
 	Workers  int
+	// Outcome is the replay pool's ledger and latency histogram.
+	Outcome
 	// Matched reports whether the replay's full stats snapshot equals the
 	// live run's.
 	Matched bool
@@ -48,36 +50,21 @@ type ReplayResult struct {
 	Ops         int
 	TextBytes   int
 	BinaryBytes int
-	// Live outcome mix (the replays must reproduce it exactly).
-	Completed uint64
-	Late      uint64
-	Shed      uint64
-	Expired   uint64
-	LiveSnap  string
-	Rows      []ReplayVariant
+	// Live is the captured run's outcome; the replays must reproduce it
+	// exactly, LiveSnap byte for byte.
+	Live     Outcome
+	LiveSnap string
+	Campaign[ReplayVariant]
 }
-
-// Points returns the variant count.
-func (r ReplayResult) Points() int { return len(r.Rows) }
 
 // Divergent counts replays whose snapshot differed from the live run.
 func (r ReplayResult) Divergent() int {
-	n := 0
-	for _, v := range r.Rows {
-		if !v.Matched {
-			n++
-		}
-	}
-	return n
+	return count(r.Rows, func(v ReplayVariant) bool { return !v.Matched })
 }
 
 // RetimedTotal sums reader-side arrival clamps across every replay.
 func (r ReplayResult) RetimedTotal() int {
-	n := 0
-	for _, v := range r.Rows {
-		n += v.Retimed
-	}
-	return n
+	return total(r.Rows, func(v ReplayVariant) int { return v.Retimed })
 }
 
 // CompactionX is the text-to-binary trace size ratio.
@@ -88,22 +75,16 @@ func (r ReplayResult) CompactionX() float64 {
 	return float64(r.TextBytes) / float64(r.BinaryBytes)
 }
 
-// replayPool builds one campaign pool: the overload member shape behind 3
-// channels with bounded, shedding admission — so the captured run exercises
-// completions, late completions, sheds and expiries all at once.
+// replayPool builds one campaign pool: the campaign shape over the
+// overload member, without a spare (no fault is armed, so the breakers
+// never see a failed fragment), built on workers, with bounded, shedding
+// admission — so the captured run exercises completions, late
+// completions, sheds and expiries all at once.
 func replayPool(workers int, lockstep bool) (*pool.Pool, error) {
-	return pool.New(pool.Config{
-		Channels:         3,
-		DIMMsPerChannel:  1,
-		Interleave:       4096,
-		Member:           overloadMemberCfg(),
-		Workers:          workers,
-		Seed:             sim.SplitSeed(23, "replay/pool"),
-		PrefillPages:     -1,
-		Admission:        pool.AdmitShedNewest,
-		PendingCap:       16,
-		DisableLookahead: lockstep,
-	})
+	cfg := campaignPool(overloadMemberCfg(), sim.SplitSeed(23, "replay/pool"), lockstep)
+	cfg.Workers, cfg.Spares = workers, 0
+	cfg.Admission, cfg.PendingCap = pool.AdmitShedNewest, 16
+	return pool.New(cfg)
 }
 
 // replaySnapshot serializes every externally observable pool stat; two runs
@@ -137,8 +118,7 @@ func replayCapture(reqs int, lockstep bool) (text, binary []byte, live pool.Stat
 	// capacity (cache misses spill to NAND), with a hard per-request budget:
 	// the run sheds at admission and expires queued stragglers, so the trace
 	// encodes every outcome class.
-	foot := p.Capacity()
-	foot -= foot % p.Cfg.Interleave
+	foot := campaignFootprint(p)
 	gen, err := openloop.New(openloop.Config{
 		Seed:       sim.SplitSeed(23, "replay/load"),
 		RatePerSec: 1e6,
@@ -163,11 +143,8 @@ func replayCapture(reqs int, lockstep bool) (text, binary []byte, live pool.Stat
 	}
 	trec, brec := replay.NewRecorder(tw), replay.NewRecorder(bw)
 	gen.SetCapture(func(q openloop.Request) { trec.Record(q); brec.Record(q) })
-	if err := pool.RunOpenLoop(p, gen, reqs, nil); err != nil {
-		return nil, nil, live, fmt.Errorf("replay capture: %w", err)
-	}
-	if err := p.CheckHealth(); err != nil {
-		return nil, nil, live, fmt.Errorf("replay capture: %w", err)
+	if _, err := runPoint("replay capture", p, gen, reqs, nil); err != nil {
+		return nil, nil, live, err
 	}
 	if err := trec.Close(); err != nil {
 		return nil, nil, live, fmt.Errorf("replay capture (text): %w", err)
@@ -212,7 +189,9 @@ func replayVariant(pt, reqs int, traces map[replay.Format][]byte, liveSnap strin
 		return row, fmt.Errorf("replay variant %d: %w", pt, err)
 	}
 	row.Retimed = st.Retimed
-	row.Snapshot = replaySnapshot(p.Stats())
+	s := p.Stats()
+	row.Outcome = Outcome{Ledger: s.Ledger, Lat: s.Lat}
+	row.Snapshot = replaySnapshot(s)
 	row.Matched = row.Snapshot == liveSnap
 	return row, nil
 }
@@ -232,23 +211,20 @@ func Replay(o Options) (ReplayResult, error) {
 		return res, err
 	}
 	res.TextBytes, res.BinaryBytes = len(text), len(binary)
-	res.Completed, res.Late = live.Completed, live.CompletedLate
-	res.Shed, res.Expired = live.Shed, live.Expired
-	res.LiveSnap = replaySnapshot(live)
+	res.Live, res.LiveSnap = Outcome{Ledger: live.Ledger, Lat: live.Lat}, replaySnapshot(live)
 	traces := map[replay.Format][]byte{replay.Text: text, replay.Binary: binary}
 
 	points := 2 * 2 * len(replayWorkerCounts)
-	rows, err := runShards(points, o.workers(), func(pt int) (ReplayVariant, error) {
+	res.Rows, err = runShards(points, o.workers(), func(pt int) (ReplayVariant, error) {
 		return replayVariant(pt, reqs, traces, res.LiveSnap)
 	})
 	if err != nil {
 		return res, err
 	}
-	res.Rows = rows
 
 	o.printf("== Replay: %d-op capture -> %d replay variants (formats x lockstep x workers) ==\n", reqs, points)
 	o.printf("  live run: completed=%d (late %d) shed=%d expired=%d\n",
-		res.Completed, res.Late, res.Shed, res.Expired)
+		res.Live.Completed, res.Live.CompletedLate, res.Live.Shed, res.Live.Expired)
 	o.printf("  trace: text %d B, binary %d B (%.1fx compaction, %.1f B/op)\n",
 		res.TextBytes, res.BinaryBytes, res.CompactionX(), float64(res.BinaryBytes)/float64(reqs))
 	for _, v := range res.Rows {

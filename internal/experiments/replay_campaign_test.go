@@ -29,9 +29,9 @@ func TestReplayCampaignByteIdentical(t *testing.T) {
 	}
 	// The capture must exercise more than the happy path: the determinism
 	// claim is only interesting if sheds or expiries are in the trace.
-	if res.Shed+res.Expired == 0 {
+	if res.Live.Shed+res.Live.Expired == 0 {
 		t.Fatalf("capture saw no sheds or expiries (completed=%d): the overload knobs regressed",
-			res.Completed)
+			res.Live.Completed)
 	}
 	if !strings.Contains(out.String(), "12/12 variants reproduce the live run exactly") {
 		t.Fatalf("missing verdict line in output:\n%s", out.String())

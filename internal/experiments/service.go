@@ -40,19 +40,14 @@ type ServicePoint struct {
 	Ops      int // total ops sent (clients x per-client ops)
 	Sent     int
 	Accepted int
-	// Terminal mix as the server retired it.
-	Completed uint64
-	Shed      uint64
-	Expired   uint64
-	Failed    uint64
-	Throttled uint64
-	Polled    int
-	Dropped   uint64
-	P99US     float64
-	Health    string
-	// AckedLost is the writes-conservation residual: offered writes not
-	// accounted for by any terminal counter. Must be 0.
-	AckedLost int64
+	// Outcome holds the terminal mix as the server retired it (no latency
+	// histogram crosses the wire: P99US is the server's p99). Its
+	// WritesLost is the writes-conservation residual and must be 0.
+	Outcome
+	Polled  int
+	Dropped uint64
+	P99US   float64
+	Health  string
 	// Violations are the load generator's conservation breaches. Must be
 	// empty.
 	Violations []string
@@ -61,37 +56,17 @@ type ServicePoint struct {
 // ServiceResult is the campaign table.
 type ServiceResult struct {
 	Clients int
-	Rows    []ServicePoint
+	Campaign[ServicePoint]
 }
-
-// Points returns the policy-point count.
-func (r ServiceResult) Points() int { return len(r.Rows) }
 
 // OpsTotal sums ops sent across points.
 func (r ServiceResult) OpsTotal() int {
-	n := 0
-	for _, p := range r.Rows {
-		n += p.Ops
-	}
-	return n
+	return total(r.Rows, func(p ServicePoint) int { return p.Ops })
 }
 
 // ViolationTotal counts conservation breaches across every point.
 func (r ServiceResult) ViolationTotal() int {
-	n := 0
-	for _, p := range r.Rows {
-		n += len(p.Violations)
-	}
-	return n
-}
-
-// AckedLostTotal sums the writes-conservation residuals.
-func (r ServiceResult) AckedLostTotal() int64 {
-	var n int64
-	for _, p := range r.Rows {
-		n += p.AckedLost
-	}
-	return n
+	return total(r.Rows, func(p ServicePoint) int { return len(p.Violations) })
 }
 
 // servicePoint boots a server on an ephemeral loopback port, drives the
@@ -100,18 +75,12 @@ func servicePoint(o Options, pt, clients, opsPer int) (ServicePoint, error) {
 	pol := servicePolicies[pt]
 	row := ServicePoint{Policy: pol.Policy, Clients: clients, Ops: clients * opsPer}
 
-	s, err := server.New(server.Config{Pool: pool.Config{
-		Channels:         3,
-		DIMMsPerChannel:  1,
-		Interleave:       4096,
-		Member:           overloadMemberCfg(),
-		Workers:          o.workers(),
-		Seed:             sim.SplitSeed(29, fmt.Sprintf("service/%d", pt)),
-		PrefillPages:     -1,
-		Admission:        pol.Policy,
-		PendingCap:       pol.PendingCap,
-		DisableLookahead: o.DisableLookahead,
-	}})
+	// The replay campaign's pool shape (no spare, no fault armed) under
+	// this point's admission policy.
+	cfg := campaignPool(overloadMemberCfg(), sim.SplitSeed(29, fmt.Sprintf("service/%d", pt)), o.DisableLookahead)
+	cfg.Workers, cfg.Spares = o.workers(), 0
+	cfg.Admission, cfg.PendingCap = pol.Policy, pol.PendingCap
+	s, err := server.New(server.Config{Pool: cfg})
 	if err != nil {
 		return row, fmt.Errorf("service point %d (%v): %w", pt, pol.Policy, err)
 	}
@@ -154,16 +123,11 @@ func servicePoint(o Options, pt, clients, opsPer int) (ServicePoint, error) {
 	st := drain.Stats
 	row.Sent = rep.Sent
 	row.Accepted = rep.Accepted
-	row.Completed = st.Completed
-	row.Shed = st.Shed
-	row.Expired = st.Expired
-	row.Failed = st.Failed
-	row.Throttled = st.Throttled
+	row.Outcome = Outcome{Ledger: st.Ledger()}
 	row.Polled = rep.Polled
 	row.Dropped = st.PollDropped
 	row.P99US = st.LatP99US
 	row.Health = drain.Health
-	row.AckedLost = int64(st.Ledger().WritesLost()) // signed: an over-count reads negative
 	row.Violations = rep.Violations
 	return row, nil
 }
@@ -201,8 +165,8 @@ func Service(o Options) (ServiceResult, error) {
 			return res, fmt.Errorf("service (%v): sent %d of %d ops (client-side refusals or transport errors)",
 				row.Policy, row.Sent, row.Ops)
 		}
-		if row.AckedLost != 0 {
-			return res, fmt.Errorf("service (%v): writes-conservation residual %d", row.Policy, row.AckedLost)
+		if lost := row.WritesLost(); lost != 0 {
+			return res, fmt.Errorf("service (%v): writes-conservation residual %d", row.Policy, int64(lost))
 		}
 	}
 	o.printf("  %d/%d points: conservation holds end to end, drain audits clean\n", res.Points(), res.Points())

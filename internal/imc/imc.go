@@ -71,8 +71,10 @@ type Controller struct {
 	readBytes     uint64
 	writeBytes    uint64
 
-	// selfRefresh tracks the power-state the controller put the DIMM in.
-	selfRefresh bool
+	// srWant is the power state last requested (EnterSelfRefresh,
+	// ExitSelfRefresh); selfRefresh is the DIMM's, which takes srWant at
+	// each SRE/SRX grant. REFs granted before SRE's grant still issue.
+	srWant, selfRefresh bool
 	// postponed counts refreshes granted more than tREFI late (JEDEC allows
 	// postponing up to 8).
 	postponed uint64
@@ -205,9 +207,9 @@ func (c *Controller) NextRefreshAt() (sim.Time, bool) {
 	return c.nextRefresh, c.refreshEnabled
 }
 
-// InSelfRefresh reports whether the controller has put the DIMM into
-// self-refresh.
-func (c *Controller) InSelfRefresh() bool { return c.selfRefresh }
+// InSelfRefresh reports whether the DIMM is in self-refresh or the
+// controller has asked it to enter.
+func (c *Controller) InSelfRefresh() bool { return c.srWant || c.selfRefresh }
 
 // WarpIdleRefreshes credits m uncontended refresh cycles without running
 // their events: counters and the cadence advance exactly as if each REF
@@ -347,28 +349,38 @@ func (c *Controller) Stats() (reads, writes, readBytes, writeBytes uint64) {
 // PostponedRefreshes reports refreshes granted more than one tREFI late.
 func (c *Controller) PostponedRefreshes() uint64 { return c.postponed }
 
-// EnterSelfRefresh puts the DIMM into self-refresh (idle power state): the
-// controller precharges all banks, issues SRE, and stops issuing REF. In
-// this state the NVMC gets no windows — the §IV-A decode distinction between
-// REF and SRE is what keeps it off the bus.
+// EnterSelfRefresh puts the DIMM into self-refresh (idle power state): at
+// its data-bus grant the controller precharges all banks, issues SRE, and
+// stops issuing REF. In this state the NVMC gets no windows — the §IV-A
+// decode distinction between REF and SRE is what keeps it off the bus.
+// REFs queued ahead of SRE still issue. An ExitSelfRefresh that comes
+// before the grant calls the entry off.
 func (c *Controller) EnterSelfRefresh() {
-	if c.selfRefresh {
+	if c.srWant {
 		return
 	}
-	c.selfRefresh = true
+	c.srWant = true
 	c.ch.DataBus.Acquire(c.cfg.TRFC, func(sim.Time) {
-		c.ch.Issue(bus.HostIMC, ddr4.Command{Kind: ddr4.CmdPrechargeAll})
-		c.ch.Issue(bus.HostIMC, ddr4.Command{Kind: ddr4.CmdSelfRefreshEntry})
+		if c.srWant && !c.selfRefresh {
+			c.ch.Issue(bus.HostIMC, ddr4.Command{Kind: ddr4.CmdPrechargeAll})
+			c.ch.Issue(bus.HostIMC, ddr4.Command{Kind: ddr4.CmdSelfRefreshEntry})
+			c.selfRefresh = true
+		}
 	})
 }
 
-// ExitSelfRefresh wakes the DIMM (SRX) and resumes normal refresh.
+// ExitSelfRefresh wakes the DIMM (SRX) at its data-bus grant and resumes
+// normal refresh. An EnterSelfRefresh that comes before the grant keeps
+// the DIMM in self-refresh.
 func (c *Controller) ExitSelfRefresh() {
-	if !c.selfRefresh {
+	if !c.srWant {
 		return
 	}
+	c.srWant = false
 	c.ch.DataBus.Acquire(c.cfg.TRFC, func(sim.Time) {
-		c.ch.Issue(bus.HostIMC, ddr4.Command{Kind: ddr4.CmdSelfRefreshExit})
-		c.selfRefresh = false
+		if !c.srWant && c.selfRefresh {
+			c.ch.Issue(bus.HostIMC, ddr4.Command{Kind: ddr4.CmdSelfRefreshExit})
+			c.selfRefresh = false
+		}
 	})
 }

@@ -252,6 +252,49 @@ func TestSelfRefreshStopsREF(t *testing.T) {
 	}
 }
 
+// TestSelfRefreshSettlesAtGrant: the DIMM takes the last requested power
+// state at each SRE/SRX grant. A repeated Enter issues one SRE, and an Exit
+// that overtakes a pending entry leaves the DIMM refreshing normally.
+func TestSelfRefreshSettlesAtGrant(t *testing.T) {
+	cfg := DefaultConfig()
+	k, ch, c := newSystem(cfg)
+	c.StartRefresh()
+	k.RunFor(20 * sim.Microsecond)
+
+	c.Read(0, make([]byte, 64<<10), nil) // hold the bus so SRE queues
+	c.EnterSelfRefresh()
+	c.ExitSelfRefresh() // before SRE's grant: the entry is called off
+	if c.InSelfRefresh() {
+		t.Fatal("controller reports self-refresh after Exit")
+	}
+	before := c.Refreshes()
+	k.RunFor(50 * sim.Microsecond)
+	if ch.Device().InSelfRefresh() {
+		t.Fatal("an entry overtaken by Exit reached the DIMM")
+	}
+	if c.Refreshes() == before {
+		t.Fatal("refresh stopped after a called-off entry")
+	}
+
+	c.EnterSelfRefresh()
+	c.EnterSelfRefresh()
+	if !c.InSelfRefresh() {
+		t.Fatal("controller does not report the pending entry")
+	}
+	k.RunFor(50 * sim.Microsecond)
+	if !ch.Device().InSelfRefresh() {
+		t.Fatal("DIMM not in self-refresh")
+	}
+	c.ExitSelfRefresh()
+	k.RunFor(50 * sim.Microsecond)
+	if ch.Device().InSelfRefresh() {
+		t.Fatal("DIMM stuck in self-refresh")
+	}
+	if n := ch.Device().ViolationCount(); n != 0 {
+		t.Fatalf("violations: %v", ch.Device().Violations())
+	}
+}
+
 func TestPostponedRefreshCounter(t *testing.T) {
 	cfg := DefaultConfig()
 	k, _, c := newSystem(cfg)

@@ -288,9 +288,6 @@ func (s *Series) Add(x, v float64) {
 	s.Values = append(s.Values, v)
 }
 
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.Values) }
-
 // Mean returns the average of the values (0 if empty).
 func (s *Series) Mean() float64 {
 	if len(s.Values) == 0 {

@@ -153,8 +153,8 @@ func TestSeries(t *testing.T) {
 	var s Series
 	s.Add(0.1, 10)
 	s.Add(0.2, 30)
-	if s.Len() != 2 {
-		t.Fatalf("len = %d", s.Len())
+	if len(s.X) != 2 || len(s.Values) != 2 {
+		t.Fatalf("len = %d/%d", len(s.X), len(s.Values))
 	}
 	if s.Mean() != 20 {
 		t.Fatalf("mean = %v", s.Mean())

@@ -72,6 +72,9 @@ func (f *Fabric) Stats() Stats {
 	return s
 }
 
+// Latency is the fabric's local foreground latency histogram (Stats.Lat).
+func (f *Fabric) Latency() *metrics.Histogram { return f.lat }
+
 // CheckHealth verifies the fabric's conservation invariants and every
 // socket pool's own, victims included — a condemned socket must still
 // account for every request it ever accepted:

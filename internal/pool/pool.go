@@ -1305,7 +1305,7 @@ type MemberStats struct {
 // Merge primitives (no sample is re-recorded).
 func (p *Pool) Stats() Stats {
 	s := Stats{
-		Lat:                      metrics.NewHistogram(),
+		Lat:                      p.Latency(),
 		LatRebuild:               p.latRebuild,
 		LatMiss:                  p.latMiss,
 		Meter:                    metrics.NewMeter(p.epoch0),
@@ -1318,7 +1318,6 @@ func (p *Pool) Stats() Stats {
 		HeldPeak:                 p.heldPeak,
 	}
 	for _, ch := range p.chans {
-		s.Lat.Merge(ch.lat)
 		s.Meter.Merge(ch.meter)
 		s.Ctr.Merge(ch.ctr)
 		s.PerChannel = append(s.PerChannel, ChannelStats{
@@ -1348,6 +1347,15 @@ func (p *Pool) Stats() Stats {
 		})
 	}
 	return s
+}
+
+// Latency merges the channels' request-latency histograms (Stats.Lat).
+func (p *Pool) Latency() *metrics.Histogram {
+	h := metrics.NewHistogram()
+	for _, ch := range p.chans {
+		h.Merge(ch.lat)
+	}
+	return h
 }
 
 // Member exposes member i's system (tests and health checks), caught up to

@@ -102,304 +102,247 @@ func Experiments(opts ExperimentOptions) map[string]func() error {
 			hl("~"+prefix+"-idle-speedup-x", s.IdleSpeedupX())
 		}
 	}
+	// campaign reports the headlines every campaign shares, its point count
+	// and acked-write loss, and fails the campaign on any lost acked write.
+	campaign := func(name string, r interface {
+		Points() int
+		AckedLostTotal() uint64
+	}) error {
+		hl("points", float64(r.Points()))
+		hl("acked-writes-lost", float64(r.AckedLostTotal()))
+		if lost := r.AckedLostTotal(); lost > 0 {
+			return fmt.Errorf("%s: %d acked writes lost across %d points", name, lost, r.Points())
+		}
+		return nil
+	}
 	return map[string]func() error{
 		"table1": func() error { experiments.Table1(opts); return nil },
 		"table2": func() error { experiments.Table2(opts); return nil },
-		"aging": func() error {
-			res, err := experiments.Aging(opts)
-			if err == nil {
-				hl("windows", float64(res.WindowsSeen))
-			}
-			return err
-		},
-		"fig7": func() error {
-			res, err := experiments.Fig7(opts)
-			if err == nil {
-				hl("cached-MBps", res.CachedMBps)
-				hl("uncached-MBps", res.UncachedMBps)
-			}
-			return err
-		},
-		"fig8": func() error {
-			res, err := experiments.Fig8(opts)
-			if err == nil {
-				hl("baseline-read-MBps", res.Get("baseline-read bandwidth"))
-				hl("cached-read-MBps", res.Get("cached-read bandwidth"))
-				hl("uncached-read-MBps", res.Get("uncached-read bandwidth"))
-			}
-			return err
-		},
-		"fig9": func() error {
-			res, err := experiments.Fig9(opts)
-			if err == nil {
-				_, basePeak := res.Peak("baseline-read")
-				_, cachedPeak := res.Peak("cached-read")
-				hl("baseline-peak-MBps", basePeak)
-				hl("cached-peak-MBps", cachedPeak)
-			}
-			return err
-		},
-		"fig10": func() error {
-			res, err := experiments.Fig10(opts)
-			if err == nil {
-				hl("cached-128B-KIOPS", res.At("cached-read", 128).KIOPS)
-				hl("cached-64K-MBps", res.At("cached-read", 65536).MBps)
-			}
-			return err
-		},
-		"fig11": func() error {
-			res, err := experiments.Fig11(opts)
-			if err == nil && len(res.Slowdown) > 0 {
+		"aging": harness(experiments.Aging, opts, func(res experiments.AgingResult) error {
+			hl("windows", float64(res.WindowsSeen))
+			return nil
+		}),
+		"fig7": harness(experiments.Fig7, opts, func(res experiments.Fig7Result) error {
+			hl("cached-MBps", res.CachedMBps)
+			hl("uncached-MBps", res.UncachedMBps)
+			return nil
+		}),
+		"fig8": harness(experiments.Fig8, opts, func(res experiments.Fig8Result) error {
+			hl("baseline-read-MBps", res.Get("baseline-read bandwidth"))
+			hl("cached-read-MBps", res.Get("cached-read bandwidth"))
+			hl("uncached-read-MBps", res.Get("uncached-read bandwidth"))
+			return nil
+		}),
+		"fig9": harness(experiments.Fig9, opts, func(res experiments.Fig9Result) error {
+			_, basePeak := res.Peak("baseline-read")
+			_, cachedPeak := res.Peak("cached-read")
+			hl("baseline-peak-MBps", basePeak)
+			hl("cached-peak-MBps", cachedPeak)
+			return nil
+		}),
+		"fig10": harness(experiments.Fig10, opts, func(res experiments.Fig10Result) error {
+			hl("cached-128B-KIOPS", res.At("cached-read", 128).KIOPS)
+			hl("cached-64K-MBps", res.At("cached-read", 65536).MBps)
+			return nil
+		}),
+		"fig11": harness(experiments.Fig11, opts, func(res experiments.Fig11Result) error {
+			if len(res.Slowdown) > 0 {
 				hl("Q1-slowdown-x", res.Slowdown[0])
 				hl("Qlast-slowdown-x", res.Slowdown[len(res.Slowdown)-1])
 			}
-			return err
-		},
-		"fig12": func() error {
-			res, err := experiments.Fig12(opts)
-			if err == nil && len(res.Rows) > 0 {
+			return nil
+		}),
+		"fig12": harness(experiments.Fig12, opts, func(res experiments.Fig12Result) error {
+			if len(res.Rows) > 0 {
 				hl("tD1.85us-MBps", res.Rows[len(res.Rows)-1].Measured)
 			}
-			return err
-		},
-		"fig13": func() error {
-			res, err := experiments.Fig13(opts)
-			if err == nil && len(res.Rows) > 0 {
+			return nil
+		}),
+		"fig13": harness(experiments.Fig13, opts, func(res experiments.Fig13Result) error {
+			if len(res.Rows) > 0 {
 				hl("tREFI-MBps", res.Rows[0].Measured)
 				hl("tREFI4-16T-MBps", res.Peak16T)
 			}
-			return err
-		},
-		"mixed": func() error {
-			res, err := experiments.MixedLoad(opts)
-			if err == nil {
-				hl("transactions", float64(res.Transactions))
-			}
-			return err
-		},
-		"lru": func() error {
-			res, err := experiments.LRUStudy(opts)
-			if err == nil && len(res.LRU) > 0 {
+			return nil
+		}),
+		"mixed": harness(experiments.MixedLoad, opts, func(res experiments.MixedLoadResult) error {
+			hl("transactions", float64(res.Transactions))
+			return nil
+		}),
+		"lru": harness(experiments.LRUStudy, opts, func(res experiments.LRUStudyResult) error {
+			if len(res.LRU) > 0 {
 				hl("LRU-first-hit-pct", 100*res.LRU[0])
 				hl("LRU-last-hit-pct", 100*res.LRU[len(res.LRU)-1])
 			}
-			return err
-		},
-		"windows": func() error {
-			res, err := experiments.Windows(opts)
-			if err == nil {
-				hl("pair-us", res.MeasuredPairUS)
-			}
-			return err
-		},
-		"ablations": func() error {
-			res, err := experiments.Ablations(opts)
-			if err == nil && len(res.Rows) > 4 {
+			return nil
+		}),
+		"windows": harness(experiments.Windows, opts, func(res experiments.WindowsResult) error {
+			hl("pair-us", res.MeasuredPairUS)
+			return nil
+		}),
+		"ablations": harness(experiments.Ablations, opts, func(res experiments.AblationResult) error {
+			if len(res.Rows) > 4 {
 				hl("PoC-MBps", res.Rows[0].Measured)
 				hl("optimized-MBps", res.Rows[4].Measured)
 			}
-			return err
-		},
-		"endurance": func() error {
-			res, err := experiments.Endurance(opts)
-			if err == nil {
-				hl("write-amp", res.WriteAmp)
-			}
-			return err
-		},
+			return nil
+		}),
+		"endurance": harness(experiments.Endurance, opts, func(res experiments.EnduranceResult) error {
+			hl("write-amp", res.WriteAmp)
+			return nil
+		}),
 		"frontend": func() error {
 			res := experiments.FrontendAnalysis(opts)
 			hl("budget-ns", res.Budget.Nanoseconds())
 			return nil
 		},
-		"crash": func() error {
-			res, err := experiments.CrashSweep(opts)
-			if err == nil {
-				hl("points", float64(res.Points))
-				hl("acked-writes", float64(res.Acked))
-				hl("flushed-pages", float64(res.Flushed))
-				hl("acked-writes-lost", float64(len(res.Failures)))
+		"crash": harness(experiments.CrashSweep, opts, func(res *experiments.CrashResult) error {
+			hl("points", float64(res.Points))
+			hl("acked-writes", float64(res.Acked))
+			hl("flushed-pages", float64(res.Flushed))
+			hl("acked-writes-lost", float64(len(res.Failures)))
+			if len(res.Failures) > 0 {
+				return fmt.Errorf("crash sweep: %d acked writes lost (seed %#x)", len(res.Failures), res.Seed)
 			}
-			if err == nil && len(res.Failures) > 0 {
-				err = fmt.Errorf("crash sweep: %d acked writes lost (seed %#x)",
-					len(res.Failures), res.Seed)
+			return nil
+		}),
+		"pool": harness(experiments.Pool, opts, func(res experiments.PoolResult) error {
+			hl("1ch-4K-MBps", res.At(1, 4).MBps)
+			hl("6ch-4K-MBps", res.At(6, 4).MBps)
+			hl("scaling-x", res.ScalingX())
+			hl("6ch-4K-p99-ns", float64(res.At(6, 4).Lat.Percentile(99).Nanoseconds()))
+			idleHL("6ch", res.IdleSegment)
+			return nil
+		}),
+		"faultpool": harness(experiments.FaultPool, opts, func(res experiments.FaultPoolResult) error {
+			hl("post-quarantine-dispatches", float64(res.PostQuarantineTotal()))
+			hl("min-availability", res.MinAvailability())
+			hl("failover-points", float64(res.Failovers()))
+			if err := campaign("faultpool", res); err != nil {
+				return err
 			}
-			return err
-		},
-		"pool": func() error {
-			res, err := experiments.Pool(opts)
-			if err == nil {
-				hl("1ch-4K-MBps", res.At(1, 4).MBps)
-				hl("6ch-4K-MBps", res.At(6, 4).MBps)
-				hl("scaling-x", res.ScalingX())
-				hl("6ch-4K-p99-ns", float64(res.At(6, 4).P99.Nanoseconds()))
-				idleHL("6ch", res.IdleSegment)
-			}
-			return err
-		},
-		"faultpool": func() error {
-			res, err := experiments.FaultPool(opts)
-			if err == nil {
-				hl("points", float64(res.Points()))
-				hl("acked-writes-lost", float64(res.AckedLostTotal()))
-				hl("post-quarantine-dispatches", float64(res.PostQuarantineTotal()))
-				hl("min-availability", res.MinAvailability())
-				hl("failover-points", float64(res.Failovers()))
-			}
-			if err == nil && res.AckedLostTotal() > 0 {
-				err = fmt.Errorf("faultpool: %d acked writes lost across %d points",
-					res.AckedLostTotal(), res.Points())
-			}
-			if err == nil && res.PostQuarantineTotal() > 0 {
-				err = fmt.Errorf("faultpool: %d fragments dispatched to quarantined members",
+			if res.PostQuarantineTotal() > 0 {
+				return fmt.Errorf("faultpool: %d fragments dispatched to quarantined members",
 					res.PostQuarantineTotal())
 			}
-			return err
-		},
-		"overload": func() error {
-			res, err := experiments.Overload(opts)
-			if err == nil {
-				hl("points", float64(res.Points()))
-				hl("capacity-ops", res.CapacityOps)
-				hl("4x-shed-goodput-ratio", res.ShedGoodputRatio())
-				hl("shed", float64(res.ShedTotal()))
-				hl("expired", float64(res.ExpiredTotal()))
-				hl("acked-writes-lost", float64(res.AckedLostTotal()))
+			return nil
+		}),
+		"overload": harness(experiments.Overload, opts, func(res experiments.OverloadResult) error {
+			hl("capacity-ops", res.CapacityOps)
+			hl("4x-shed-goodput-ratio", res.ShedGoodputRatio())
+			hl("shed", float64(res.ShedTotal()))
+			hl("expired", float64(res.ExpiredTotal()))
+			if err := campaign("overload", res); err != nil {
+				return err
 			}
-			if err == nil && res.AckedLostTotal() > 0 {
-				err = fmt.Errorf("overload: %d acked writes lost across %d points",
-					res.AckedLostTotal(), res.Points())
-			}
-			if err == nil && res.ShedGoodputRatio() < 0.9 {
-				err = fmt.Errorf("overload: 4x deadline-aware goodput %.2fx capacity, below the 0.9x graceful-degradation bound",
+			if res.ShedGoodputRatio() < 0.9 {
+				return fmt.Errorf("overload: 4x deadline-aware goodput %.2fx capacity, below the 0.9x graceful-degradation bound",
 					res.ShedGoodputRatio())
 			}
-			if err == nil {
-				err = res.ShedBeatsQueueing()
+			return res.ShedBeatsQueueing()
+		}),
+		"qos": harness(experiments.QoS, opts, func(res experiments.QoSResult) error {
+			hl("capacity-ops", res.CapacityOps)
+			on, off := res.Find(true, "none"), res.Find(false, "none")
+			if on != nil {
+				hl("iso-light-violations", float64(on.LightViolations()))
+				hl("iso-hot-throttled", float64(on.HotThrottled()))
+				hl("iso-hot-bucket-ratio", on.HotRatio)
+				hl("iso-worst-light-p99-us", float64(on.WorstLightP99().Microseconds()))
 			}
-			return err
-		},
-		"qos": func() error {
-			res, err := experiments.QoS(opts)
-			if err == nil {
-				hl("points", float64(res.Points()))
-				hl("capacity-ops", res.CapacityOps)
-				hl("acked-writes-lost", float64(res.AckedLostTotal()))
-				if on := res.Find(true, "none"); on != nil {
-					hl("iso-light-violations", float64(on.LightViolations()))
-					hl("iso-hot-throttled", float64(on.HotThrottled()))
-					hl("iso-hot-bucket-ratio", on.HotRatio)
-					hl("iso-worst-light-p99-us", float64(on.WorstLightP99().Microseconds()))
-				}
-				if off := res.Find(false, "none"); off != nil {
-					hl("noiso-light-violations", float64(off.LightViolations()))
-					hl("noiso-worst-light-p99-us", float64(off.WorstLightP99().Microseconds()))
-				}
+			if off != nil {
+				hl("noiso-light-violations", float64(off.LightViolations()))
+				hl("noiso-worst-light-p99-us", float64(off.WorstLightP99().Microseconds()))
 			}
-			if err == nil && res.AckedLostTotal() > 0 {
-				err = fmt.Errorf("qos: %d acked writes lost across %d points",
-					res.AckedLostTotal(), res.Points())
+			if err := campaign("qos", res); err != nil {
+				return err
 			}
-			if err == nil {
-				if on := res.Find(true, "none"); on != nil {
-					switch {
-					case on.LightViolations() > 0:
-						err = fmt.Errorf("qos: isolation on, %d light tenant(s) missed the p99 SLO (worst %v)",
-							on.LightViolations(), on.WorstLightP99())
-					case on.HotThrottled() == 0:
-						err = fmt.Errorf("qos: hot tenant at %dx its bucket rate was never throttled", 4)
-					case on.HotRatio < 0.75 || on.HotRatio > 1.25:
-						err = fmt.Errorf("qos: hot goodput %.2fx its bucket rate, outside the 0.75-1.25 throttle-to-contract band",
-							on.HotRatio)
-					}
+			if on != nil {
+				switch {
+				case on.LightViolations() > 0:
+					return fmt.Errorf("qos: isolation on, %d light tenant(s) missed the p99 SLO (worst %v)",
+						on.LightViolations(), on.WorstLightP99())
+				case on.HotThrottled() == 0:
+					return fmt.Errorf("qos: hot tenant at %dx its bucket rate was never throttled", 4)
+				case on.HotRatio < 0.75 || on.HotRatio > 1.25:
+					return fmt.Errorf("qos: hot goodput %.2fx its bucket rate, outside the 0.75-1.25 throttle-to-contract band",
+						on.HotRatio)
 				}
 			}
-			if err == nil {
-				if off := res.Find(false, "none"); off != nil && off.LightViolations() == 0 {
-					err = fmt.Errorf("qos: isolation off, no light tenant violated its SLO — the campaign lost its control arm")
-				}
+			if off != nil && off.LightViolations() == 0 {
+				return fmt.Errorf("qos: isolation off, no light tenant violated its SLO — the campaign lost its control arm")
 			}
-			return err
-		},
-		"numa": func() error {
-			res, err := experiments.Numa(opts)
-			if err == nil {
-				hl("points", float64(res.Points()))
-				hl("acked-writes-lost", float64(res.AckedLostTotal()))
-				hl("post-evac-submissions", float64(res.PostEvacTotal()))
-				hl("min-availability", res.MinAvailability())
-				hl("evacuations", float64(res.Evacuations()))
-				idleHL("numa", res.IdleSegment)
+			return nil
+		}),
+		"numa": harness(experiments.Numa, opts, func(res experiments.NumaResult) error {
+			hl("post-evac-submissions", float64(res.PostEvacTotal()))
+			hl("min-availability", res.MinAvailability())
+			hl("evacuations", float64(res.Evacuations()))
+			idleHL("numa", res.IdleSegment)
+			if err := campaign("numa", res); err != nil {
+				return err
 			}
-			if err == nil && res.AckedLostTotal() > 0 {
-				err = fmt.Errorf("numa: %d acked writes lost across %d points",
-					res.AckedLostTotal(), res.Points())
-			}
-			if err == nil && res.PostEvacTotal() > 0 {
-				err = fmt.Errorf("numa: %d foreground submissions reached an evacuating socket",
+			if res.PostEvacTotal() > 0 {
+				return fmt.Errorf("numa: %d foreground submissions reached an evacuating socket",
 					res.PostEvacTotal())
 			}
-			if err == nil {
-				err = res.CheckLattice()
-			}
-			return err
-		},
-		"replay": func() error {
-			res, err := experiments.Replay(opts)
-			if err == nil {
-				hl("ops", float64(res.Ops))
-				hl("variants", float64(res.Points()))
-				hl("divergent", float64(res.Divergent()))
-				hl("retimed", float64(res.RetimedTotal()))
-				hl("binary-bytes-per-op", float64(res.BinaryBytes)/float64(res.Ops))
-				hl("compaction-x", res.CompactionX())
-			}
-			if err == nil && res.Divergent() > 0 {
-				err = fmt.Errorf("replay: %d of %d variants diverged from the live run",
-					res.Divergent(), res.Points())
-			}
-			if err == nil && res.RetimedTotal() > 0 {
-				err = fmt.Errorf("replay: %d arrival clamps replaying a monotone capture", res.RetimedTotal())
-			}
-			if err == nil && res.CompactionX() < 2 {
-				err = fmt.Errorf("replay: binary format only %.2fx smaller than text, below the 2x bound",
+			return res.CheckLattice()
+		}),
+		"replay": harness(experiments.Replay, opts, func(res experiments.ReplayResult) error {
+			hl("ops", float64(res.Ops))
+			hl("variants", float64(res.Points()))
+			hl("divergent", float64(res.Divergent()))
+			hl("retimed", float64(res.RetimedTotal()))
+			hl("binary-bytes-per-op", float64(res.BinaryBytes)/float64(res.Ops))
+			hl("compaction-x", res.CompactionX())
+			switch {
+			case res.Divergent() > 0:
+				return fmt.Errorf("replay: %d of %d variants diverged from the live run", res.Divergent(), res.Points())
+			case res.RetimedTotal() > 0:
+				return fmt.Errorf("replay: %d arrival clamps replaying a monotone capture", res.RetimedTotal())
+			case res.CompactionX() < 2:
+				return fmt.Errorf("replay: binary format only %.2fx smaller than text, below the 2x bound",
 					res.CompactionX())
 			}
-			return err
-		},
-		"service": func() error {
-			res, err := experiments.Service(opts)
-			if err == nil {
-				hl("points", float64(res.Points()))
-				hl("clients", float64(res.Clients))
-				hl("ops-total", float64(res.OpsTotal()))
-				hl("violations", float64(res.ViolationTotal()))
-				hl("acked-writes-lost", float64(res.AckedLostTotal()))
+			return nil
+		}),
+		"service": harness(experiments.Service, opts, func(res experiments.ServiceResult) error {
+			hl("clients", float64(res.Clients))
+			hl("ops-total", float64(res.OpsTotal()))
+			hl("violations", float64(res.ViolationTotal()))
+			if err := campaign("service", res); err != nil {
+				return err
 			}
-			if err == nil && res.ViolationTotal() > 0 {
-				err = fmt.Errorf("service: %d conservation violations across %d points",
+			if res.ViolationTotal() > 0 {
+				return fmt.Errorf("service: %d conservation violations across %d points",
 					res.ViolationTotal(), res.Points())
 			}
-			if err == nil && res.AckedLostTotal() != 0 {
-				err = fmt.Errorf("service: writes-conservation residual %d across %d points",
-					res.AckedLostTotal(), res.Points())
-			}
-			return err
-		},
-		"conformance": func() error {
-			res, err := experiments.Conformance(opts)
-			if err == nil {
-				hl("iterations", float64(res.Iterations))
-				hl("ops", float64(res.OpsRun))
-				hl("events-audited", float64(res.Events))
-				hl("violations", float64(len(res.Failures)))
-			}
-			if err == nil && len(res.Failures) > 0 {
-				err = fmt.Errorf("conformance: %d protocol violation(s) (seed %#x); first: %s",
+			return nil
+		}),
+		"conformance": harness(experiments.Conformance, opts, func(res *experiments.ConformanceResult) error {
+			hl("iterations", float64(res.Iterations))
+			hl("ops", float64(res.OpsRun))
+			hl("events-audited", float64(res.Events))
+			hl("violations", float64(len(res.Failures)))
+			if len(res.Failures) > 0 {
+				return fmt.Errorf("conformance: %d protocol violation(s) (seed %#x); first: %s",
 					len(res.Failures), res.Seed, res.Failures[0])
 			}
+			return nil
+		}),
+	}
+}
+
+// harness adapts one experiment to the registry: it runs the experiment
+// with opts and, when it succeeds, hands the result to check, which
+// reports the headlines and gates the result.
+func harness[R any](run func(experiments.Options) (R, error), opts experiments.Options, check func(R) error) func() error {
+	return func() error {
+		res, err := run(opts)
+		if err != nil {
 			return err
-		},
+		}
+		return check(res)
 	}
 }
 
