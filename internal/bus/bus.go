@@ -204,17 +204,31 @@ func (c *Channel) HostWrite(addr int64, data []byte, rowSwitches int, done func(
 	c.hostTransfer(addr, data, false, rowSwitches, done)
 }
 
-// hostXfer is one host data-bus transaction waiting for its grant. Records
-// are recycled through the channel's free list; grantFn is bound once, when
-// the record is first made, so a transfer allocates nothing in steady state.
+// maxGrant bounds one host data-bus grant in bytes. A longer transfer is
+// split into grants of at most maxGrant bytes, each requested when the
+// previous one releases the bus, so a REF that fell due meanwhile is
+// granted between them, as a real iMC refreshes between bursts: one grant
+// for a whole 1 MiB transfer held the bus about 82 µs, past the JEDEC
+// budget of nine postponed REFs. The row-switch charge is spread over the
+// grants, so their holds add up to HostTransferTime of the whole transfer.
+const maxGrant = 64 << 10
+
+// hostXfer is one host data-bus transaction waiting for its grants. Records
+// are recycled through the channel's free list; grantFn and requestFn are
+// bound once, when the record is first made, so a transfer allocates
+// nothing in steady state.
 type hostXfer struct {
-	c       *Channel
-	addr    int64
-	buf     []byte
-	read    bool
-	hold    sim.Duration
-	done    func()
-	grantFn func(start sim.Time)
+	c    *Channel
+	addr int64
+	buf  []byte // the bytes not yet moved
+	read bool
+	rows int // row switches not yet charged
+	n    int // the pending grant's bytes
+	hold sim.Duration
+	done func()
+
+	grantFn   func(start sim.Time)
+	requestFn func()
 }
 
 func (c *Channel) hostTransfer(addr int64, buf []byte, read bool, rowSwitches int, done func()) {
@@ -225,21 +239,37 @@ func (c *Channel) hostTransfer(addr int64, buf []byte, read bool, rowSwitches in
 	} else {
 		x = &hostXfer{c: c}
 		x.grantFn = x.grant
+		x.requestFn = x.request
 	}
-	x.addr, x.buf, x.read, x.done = addr, buf, read, done
-	x.hold = c.HostTransferTime(len(buf), rowSwitches)
-	c.DataBus.Acquire(x.hold, x.grantFn)
+	x.addr, x.buf, x.read, x.rows, x.done = addr, buf, read, rowSwitches, done
+	x.request()
 }
 
-// grant moves the bytes at the grant instant and schedules done at the
-// release; the record is free again as soon as it returns.
+// request asks for the bus for the next grant: at most maxGrant bytes, and
+// an equal share of the row switches still to charge.
+func (x *hostXfer) request() {
+	x.n = min(len(x.buf), maxGrant)
+	rows := x.rows
+	if x.n < len(x.buf) {
+		rows /= (len(x.buf) + maxGrant - 1) / maxGrant
+	}
+	x.rows -= rows
+	x.hold = x.c.HostTransferTime(x.n, rows)
+	x.c.DataBus.Acquire(x.hold, x.grantFn)
+}
+
+// grant moves the grant's bytes at its start. Until the last grant it
+// requests the next one at the release, where it queues behind whatever
+// asked for the bus meanwhile (a due REF among them); the last grant
+// schedules done at its release and frees the record.
 func (x *hostXfer) grant(start sim.Time) {
 	c := x.c
+	buf := x.buf[:x.n]
 	var err error
 	if x.read {
-		err = c.dev.CopyOut(x.addr, x.buf)
+		err = c.dev.CopyOut(x.addr, buf)
 	} else {
-		err = c.dev.CopyIn(x.addr, x.buf)
+		err = c.dev.CopyIn(x.addr, buf)
 	}
 	if err != nil {
 		op := "write"
@@ -249,13 +279,19 @@ func (x *hostXfer) grant(start sim.Time) {
 		panic(fmt.Sprintf("bus: host %s: %v", op, err))
 	}
 	end := start.Add(x.hold)
-	c.hostBytes += uint64(len(x.buf))
+	c.hostBytes += uint64(x.n)
 	c.hostHoldUntil = end
 	if c.Trace.Active() {
 		c.Trace.Record(trace.Event{
 			At: start, Kind: trace.KindHostData, Read: x.read,
-			Addr: x.addr, Bytes: len(x.buf), End: end,
+			Addr: x.addr, Bytes: x.n, End: end,
 		})
+	}
+	if x.n < len(x.buf) {
+		x.addr += int64(x.n)
+		x.buf = x.buf[x.n:]
+		c.k.ScheduleAt(end, x.requestFn)
+		return
 	}
 	if x.done != nil {
 		c.k.ScheduleAt(end, x.done)

@@ -160,9 +160,13 @@ func runCollapseMix(seed uint64, rounds int, twins ...*collapseTwin) {
 					at = s.K.Now()
 				}
 				s.K.ScheduleAt(at, func() { s.IMC.Read(0, small, w.finish(name+"-burst")) })
-			case act < 41: // a burst holding the bus past the postponement budget
+			case act < 41: // a 1 MiB burst: REFs due meanwhile wait out one grant
 				s.IMC.Read(0, big, w.finish(name+"-long"))
-			case act < 43: // self-refresh for one round
+			case act < 42: // a queue of bursts holding the bus past the postponement budget
+				for i := 0; i < 16; i++ {
+					s.IMC.Read(0, small, w.finish(fmt.Sprintf("%s-train%d", name, i)))
+				}
+			case act < 44: // self-refresh for one round
 				s.IMC.EnterSelfRefresh()
 			}
 			if r == rounds*3/4 && w.ring == nil {

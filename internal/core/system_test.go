@@ -441,7 +441,7 @@ func TestSelfRefreshEntryIssuesQueuedREFs(t *testing.T) {
 	s.RunFor(50 * sim.Microsecond)
 	refs := s.DRAM.RefreshCount()
 	due0, _ := s.IMC.NextRefreshAt()
-	s.IMC.Read(0, make([]byte, 256<<10), nil) // holds the bus ~2.7 tREFI
+	s.IMC.Read(0, make([]byte, 256<<10), nil) // ~2.7 tREFI of bus time, in four grants
 	s.RunFor(2*trefi + trefi/2)
 	due1, _ := s.IMC.NextRefreshAt()
 	queued := uint64(due1.Sub(due0) / trefi)
@@ -460,6 +460,41 @@ func TestSelfRefreshEntryIssuesQueuedREFs(t *testing.T) {
 	s.RunFor(100 * sim.Microsecond)
 	if err := s.CheckHealth(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLongHostTransferRefreshesBetweenGrants: a 1 MiB host write and a
+// 1 MiB host read (~82 µs of bus time each) hold the data bus in 64 KiB
+// grants, so every REF due meanwhile is granted between two of them: none
+// is postponed past tREFI, the attached auditor reports no trefi
+// violation, and the read returns the bytes the write stored.
+func TestLongHostTransferRefreshesBetweenGrants(t *testing.T) {
+	cfg := smallConfig()
+	cfg.CacheBytes = 4 << 20
+	s := mustSystem(t, cfg)
+	if s.Auditor == nil {
+		t.Fatal("no auditor attached")
+	}
+	addr := s.Layout.SlotsOffset // past the CP page the NVMC polls
+	data := pattern(7, 1<<20)
+	got := make([]byte, len(data))
+	refs := s.IMC.Refreshes()
+	read := false
+	s.IMC.Write(addr, data, func() {
+		s.IMC.Read(addr, got, func() { read = true })
+	})
+	s.RunFor(400 * sim.Microsecond)
+	if !read || !bytes.Equal(got, data) {
+		t.Fatalf("read done=%v, bytes match=%v", read, bytes.Equal(got, data))
+	}
+	if n := s.IMC.Refreshes() - refs; n < 50 {
+		t.Fatalf("%d REFs in 400 µs, want one per tREFI", n)
+	}
+	if n := s.IMC.PostponedRefreshes(); n != 0 {
+		t.Fatalf("%d REFs granted more than tREFI late", n)
+	}
+	for _, v := range s.Auditor.Violations() {
+		t.Errorf("auditor: %v", v)
 	}
 }
 

@@ -299,8 +299,13 @@ func TestPostponedRefreshCounter(t *testing.T) {
 	cfg := DefaultConfig()
 	k, _, c := newSystem(cfg)
 	c.StartRefresh()
-	// Saturate the bus with a long transfer so refreshes queue up late.
-	c.Read(0, make([]byte, 1<<20), nil) // ~ms-scale hold
+	// Saturate the bus with a queue of transfers so refreshes wait behind
+	// them (~82 µs in all). A single long transfer no longer would: its
+	// 64 KiB grants let a due REF in between.
+	buf := make([]byte, 64<<10)
+	for i := 0; i < 16; i++ {
+		c.Read(0, buf, nil)
+	}
 	k.RunFor(5 * sim.Millisecond)
 	if c.PostponedRefreshes() == 0 {
 		t.Fatal("no postponed refreshes recorded under a saturating transfer")

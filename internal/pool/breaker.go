@@ -105,11 +105,11 @@ func (b *breaker) observe(failed bool) {
 // breaker's cooldown expiry (the half-open transition, which restores
 // dispatch budget) must land at or before the batch's final replayed tick,
 // never silently inside the span. Closed and half-open breakers impose no
-// bound, because StepQuiet replays their ticks exactly (ticks). With no
-// observations folding in, a half-open breaker cannot change state, but a
-// closed one still can: a window that already holds a tripping sample set
-// (tripReady) trips at its window-end tick, inside the span if that is
-// where the tick falls.
+// bound, because a parked channel's catch-up replays their ticks exactly
+// (ticks). With no observations folding in, a half-open breaker cannot
+// change state, but a closed one still can: a window that already holds a
+// tripping sample set (tripReady) trips at its window-end tick, inside the
+// span if that is where the tick falls.
 func (b *breaker) quietHorizon() (int, bool) {
 	if b.state == breakerOpen {
 		return b.cooldown, true

@@ -126,8 +126,9 @@ func TestQuietEpochsProbeFailsClosed(t *testing.T) {
 
 // TestStepQuietTripsReadyBreaker: a closed breaker whose window already
 // holds a tripping sample set trips at its window-end tick with no new
-// observation. A quiet span may cover that tick. StepQuiet replays the trip
-// there and leaves the pool exactly where the lockstep twin's Steps do.
+// observation. A quiet span may cover that tick. The parked channel's
+// catch-up replays the trip there, and the pool lands exactly where the
+// lockstep twin's Steps leave it.
 // The pool no longer vouches for a steady Probe snapshot meanwhile, because
 // BreakersOpen is about to move.
 func TestStepQuietTripsReadyBreaker(t *testing.T) {
@@ -164,14 +165,16 @@ func TestStepQuietTripsReadyBreaker(t *testing.T) {
 	for i := 0; i < k; i++ {
 		b.Step()
 	}
-	if a.chans[0].ctr.Get("breaker-trip") != 1 || brk.state != breakerOpen {
-		t.Fatalf("breaker %s after %d trips, want open after one", brk.state, a.chans[0].ctr.Get("breaker-trip"))
-	}
 	if sa, sb := snapshot(a.Stats()), snapshot(b.Stats()); sa != sb {
 		t.Fatalf("quiet span diverged from lockstep:\n--- batched ---\n%s--- stepped ---\n%s", sa, sb)
 	}
 	if oa, ob := fmt.Sprintf("%+v", a.Occupancy()), fmt.Sprintf("%+v", b.Occupancy()); oa != ob || a.Now() != b.Now() {
 		t.Fatalf("batched %s at %v, stepped %s at %v", oa, a.Now(), ob, b.Now())
+	}
+	// The channel is parked, so its breaker is current once a reader
+	// (Stats, Occupancy) has caught it up.
+	if a.chans[0].ctr.Get("breaker-trip") != 1 || brk.state != breakerOpen {
+		t.Fatalf("breaker %s after %d trips, want open after one", brk.state, a.chans[0].ctr.Get("breaker-trip"))
 	}
 }
 
@@ -379,6 +382,76 @@ func TestQuietFoldMatchesFoldService(t *testing.T) {
 	if closed == 0 {
 		t.Fatal("no span reached the closed form")
 	}
+
+	// Long spans (1,000 epochs and more, a parked channel's catch-up) from
+	// adversarial states: |g| up to 2^50 of both signs, dr 0 and d - 1,
+	// ewma 1. run must land where k next calls do, h must reach [0, 14]
+	// within enter(h) epochs wherever the jump's preconditions hold, and
+	// some spans must take the jump (all k epochs in closed form from h
+	// outside [0, 14]).
+	jumped, fell := 0, 0
+	for i := 0; i < 4000; i++ {
+		d := sim.Duration(1 + rng.Int63n(1<<uint(rng.Intn(41))))
+		epoch := d*sim.Duration(rng.Int63n(1<<uint(rng.Intn(25)))) + sim.Duration(rng.Int63n(int64(d)))
+		switch rng.Intn(3) {
+		case 0: // dr = 0
+			epoch = d * sim.Duration(1+rng.Int63n(1<<uint(rng.Intn(24))))
+		case 1: // dr = d - 1
+			epoch = d*sim.Duration(rng.Int63n(1<<uint(rng.Intn(24)))) + d - 1
+		}
+		if epoch <= 0 {
+			epoch = d
+		}
+		f := quietFold{dq: epoch / d, dr: epoch % d, d: d, r: sim.Duration(rng.Int63n(int64(d)))}
+		g := sim.Duration(rng.Int63n(1 << uint(rng.Intn(51))))
+		if rng.Intn(2) == 0 {
+			g = -g
+		}
+		f.q = sim.Duration(rng.Int63n(1 << 40))
+		if g > 0 && rng.Intn(2) == 0 {
+			f.q += g // keep ewma positive
+		}
+		ewma := f.q - g
+		if rng.Intn(6) == 0 {
+			ewma = 1
+			f.q = ewma + g
+			if f.q < 0 {
+				f.q, ewma = 0, -g
+			}
+		}
+		lo := 7 * f.dq
+		h0 := f.q - ewma - lo
+		bounded := (h0 < 0 || h0 > 14) && ewma > 0 && (h0 > 0 || f.dq > 0)
+		k := 1000 + rng.Intn(2000)
+		ref, got := channelState{ewma: ewma}, channelState{ewma: ewma}
+		rf := f
+		entered := -1
+		for j := 1; j <= k; j++ {
+			rf.next(&ref)
+			if h := rf.q - ref.ewma - lo; entered < 0 && h >= 0 && h <= 14 {
+				entered = j
+			}
+		}
+		if bounded && entered > enter(h0) {
+			t.Fatalf("state %d (%+v, ewma %d, h %d): entered [0, 14] after %d epochs, bound %d",
+				i, f, ewma, h0, entered, enter(h0))
+		}
+		n := f.run(&got, k)
+		if got.ewma != ref.ewma || f != rf {
+			t.Fatalf("state %d (h %d) k=%d: run gave ewma %d fold %+v, next gave ewma %d fold %+v",
+				i, h0, k, got.ewma, f, ref.ewma, rf)
+		}
+		switch {
+		case !bounded:
+		case n == k:
+			jumped++
+		default:
+			fell++
+		}
+	}
+	if jumped == 0 || fell == 0 {
+		t.Fatalf("%d long spans jumped, %d fell back to per-epoch folds: want both", jumped, fell)
+	}
 }
 
 // TestBreakerTicksMatchTick: breaker.ticks(k), which jumps to the next
@@ -478,10 +551,10 @@ func TestRefillTokensSpanMatchesEpochs(t *testing.T) {
 }
 
 // BenchmarkStepQuiet times one k-epoch quiet span of an idle 6-channel
-// pool whose channels have all completed work, so every channel's EWMA
-// folds and every breaker ticks across the span. The boundary replay is
-// O(channels + tenants), so ns/op should not grow with k; what remains is
-// the members' idle warp.
+// pool whose channels have all completed work. Every channel is parked, so
+// the span folds no EWMA and ticks no breaker (a reader's catch-up does,
+// later); the boundary replay is O(tenants), so ns/op should not grow with
+// k, and what remains is the members' idle warp.
 func BenchmarkStepQuiet(b *testing.B) {
 	for _, k := range []int{64, 4096} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {

@@ -259,6 +259,7 @@ func (p *Pool) Submit(r openloop.Request) (uint64, error) {
 		*f = fragment{req: req, member: frags[i].Member, off: frags[i].Off, n: frags[i].Len}
 		ci := p.channelOf(f.member)
 		ch := p.chans[ci]
+		p.unpark(ch)
 		switch {
 		case len(ch.tq) > 0:
 			// Isolation: every fragment waits in its tenant's FIFO and enters
@@ -327,6 +328,7 @@ func (p *Pool) Origin() sim.Time { return p.epoch0 }
 func (p *Pool) Occupancy() []ChannelOccupancy {
 	out := make([]ChannelOccupancy, len(p.chans))
 	for i, ch := range p.chans {
+		p.catchUp(ch)
 		out[i] = ChannelOccupancy{
 			Held:        ch.held(),
 			Queued:      len(ch.queue),
@@ -404,6 +406,7 @@ func (p *Pool) shedAtAdmission(frags []Extent, write bool, arrival, deadline sim
 			continue
 		}
 		ch := p.chans[ci]
+		p.catchUp(ch)
 		limit := p.Cfg.PendingCap
 		if write {
 			// Writes shed first: half the headroom, and none at all through a
@@ -543,6 +546,9 @@ func (p *Pool) expireAndSweep() {
 		return false
 	}
 	for _, ch := range p.chans {
+		if ch.parked {
+			continue // nothing waits on it
+		}
 		ch.pending = p.sweepList(ch, ch.pending, doomed)
 		for i := range ch.tq {
 			ch.tq[i].fifo = p.sweepList(ch, ch.tq[i].fifo, doomed)

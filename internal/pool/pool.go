@@ -40,6 +40,7 @@ package pool
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -361,6 +362,13 @@ type channelState struct {
 	lat     *metrics.Histogram
 	meter   *metrics.Meter
 	ctr     *metrics.Counters
+	// parked marks a channel with nothing held, queued or in flight: Step,
+	// StepQuiet and QuietEpochs skip it, and its EWMA and breaker stand at
+	// the boundary parkedAt until catchUp brings them to the current one.
+	// settled records that its breaker parked closed and not trip-ready,
+	// which no run of ticks changes (breakerOf).
+	parked, settled bool
+	parkedAt        sim.Time
 	// c holds handles on ctr's per-request counters; the rare ones go by
 	// name.
 	c chanCounters
@@ -396,6 +404,9 @@ func (ch *channelState) mark() {
 		ch.queueHW = n
 	}
 }
+
+// idle reports whether the channel holds, queues and has in flight nothing.
+func (ch *channelState) idle() bool { return ch.held()+len(ch.queue)+ch.inflight == 0 }
 
 // Pool is an assembled socket-scale memory pool.
 type Pool struct {
@@ -451,8 +462,8 @@ type Pool struct {
 	sparesUsed     int
 	epochs         int
 	heldPeak       int
-	// closedFolds counts the channel-epochs StepQuiet folded in closed
-	// form (ClosedFormFolds).
+	// closedFolds counts the channel-epochs catchUp folded in closed form
+	// (ClosedFormFolds).
 	closedFolds int
 	// parkedAdvances counts member advances skipped because the member was
 	// parked (ParkedAdvances).
@@ -586,11 +597,14 @@ func New(cfg Config) (*Pool, error) {
 	for i := range p.chans {
 		ctr := metrics.NewCounters()
 		p.chans[i] = &channelState{
-			brk:   newBreaker(&p.Cfg, ctr),
-			lat:   metrics.NewHistogram(),
-			meter: metrics.NewMeter(p.epoch0),
-			ctr:   ctr,
-			c:     newChanCounters(ctr),
+			brk:      newBreaker(&p.Cfg, ctr),
+			lat:      metrics.NewHistogram(),
+			meter:    metrics.NewMeter(p.epoch0),
+			ctr:      ctr,
+			c:        newChanCounters(ctr),
+			parked:   !cfg.DisableLookahead,
+			settled:  true,
+			parkedAt: p.epoch0,
 		}
 	}
 	p.initQoS()
@@ -720,9 +734,6 @@ func (p *Pool) collect() {
 		p.svcScratch = make([]int, len(p.chans))
 	}
 	svcDone := p.svcScratch
-	for i := range svcDone {
-		svcDone[i] = 0
-	}
 	for _, m := range p.members {
 		for _, c := range m.done {
 			f := c.frag
@@ -760,10 +771,16 @@ func (p *Pool) collect() {
 	// interval and smooth it into the EWMA the deadline-aware admission
 	// estimate reads (canonical channel order, integer arithmetic). A
 	// channel's clock starts at its first busy epoch — idle time before any
-	// work is not evidence of a slow channel.
+	// work is not evidence of a slow channel. A parked channel completes
+	// nothing; catchUp folds its epochs later.
 	end := p.now.Add(p.epoch)
 	for ci, ch := range p.chans {
-		busy := svcDone[ci] > 0 || ch.inflight > 0 || len(ch.queue) > 0 || ch.held() > 0
+		if ch.parked {
+			continue
+		}
+		n := svcDone[ci]
+		svcDone[ci] = 0
+		busy := n > 0 || ch.inflight > 0 || len(ch.queue) > 0 || ch.held() > 0
 		if !ch.svcSeen {
 			if !busy {
 				continue
@@ -771,7 +788,7 @@ func (p *Pool) collect() {
 			ch.svcSeen = true
 			ch.svcBusyAt = p.now
 		}
-		ch.svcDone += int64(svcDone[ci])
+		ch.svcDone += int64(n)
 		ch.foldService(end)
 	}
 	p.sweepRebuilds()
@@ -845,26 +862,44 @@ func (f *quietFold) advance(q, r sim.Duration) (sim.Duration, sim.Duration) {
 }
 
 // run advances the fold k epochs, exactly as k next calls, and returns how
-// many of them it folded in closed form. Let g = q - ewma after a fold.
-// The next fold sees x = g + dq + c, with c in {0, 1} the epoch's
-// remainder carry, and leaves g' = x - x/8. Inside the band
-// 7*dq <= g <= 7*dq+7 that is g' = min(g + c, 7*dq+7), which stays in the
-// band, so from there the span needs only its total carry C: q advances by
-// k*dq + C and g ends at min(g + C, 7*dq+7). Outside the band — where a
-// completion that moved svcDone leaves a channel — it folds one epoch at a
-// time, and g closes on the band geometrically (about 7.5*ln|g| epochs).
-// The band form also needs smooth's other branches to stay shut: ewma > 0,
-// which then stays positive, and the cum <= 0 clamp, which cannot fire
-// because g >= 0 puts every quotient at or above ewma. The epoch-at-a-time
-// folds work on locals and write back once, the same arithmetic as next.
+// many of them it folded in closed form. Let h = q - ewma - 7*dq after a
+// fold. The next fold sees x = h + 8*dq + c, with c in {0, 1} the epoch's
+// remainder carry, and for x >= 0 leaves h' = y - floor(y/8), y = h + c.
+// On 0 <= h <= 14 that is min(h + c, 7) up to 7 and h - 1 + c above it:
+// carries fill the band [0, 7] to its cap and carry-free epochs drain
+// [8, 14] down to it, and h never leaves [0, 14]. So with C the span's
+// total carry, h ends at min(h + C, 7) or max(h - (k - C), 7), and q
+// advances by k*dq + C. Above 14, h - 14 shrinks by at least 1/8 each
+// epoch. Below 0, with dq >= 1, -7 - h does too while positive, and from
+// -7 each epoch raises h by at least one, to 0 without overshooting.
+// Either way h is in [0, 14] within enter(h) epochs, and seven carries and
+// seven carry-free epochs after that leave h = 7 whatever the path. When
+// the span holds them, the end state is q + k*dq + C with ewma 7*dq + 7
+// below it. Otherwise the epochs outside [0, 14] fold one at a time, on locals
+// written back once, the same arithmetic as next, and so does every epoch
+// where smooth's other branches could open: the closed forms need
+// ewma > 0 and quotients >= 1 (h > 0 or dq >= 1 gives q + dq >= 1), and
+// both then hold for the rest of the span, since quotients never fall and
+// the EWMA never drops below the quotient it folds.
 func (f *quietFold) run(ch *channelState, k int) int {
 	if f.d == 0 {
 		return 0
 	}
 	q, r, ewma := f.q, f.r, ch.ewma
 	lo := 7 * f.dq
+	if h := q - ewma - lo; (h < 0 || h > 14) && ewma > 0 && (h > 0 || f.dq > 0) {
+		if n := enter(h); n < k {
+			cn, ck := f.carries(n), f.carries(k)
+			if ck-cn >= 7 && sim.Duration(k-n)-(ck-cn) >= 7 {
+				s := r + sim.Duration(k)*f.dr
+				q += sim.Duration(k)*f.dq + ck
+				f.q, f.r, ch.ewma = q, s%f.d, q-lo-7
+				return k
+			}
+		}
+	}
 	for ; k > 0; k-- {
-		if g := q - ewma; ewma > 0 && g >= lo && g <= lo+7 {
+		if h := q - ewma - lo; ewma > 0 && h >= 0 && h <= 14 {
 			break
 		}
 		q, r = f.advance(q, r)
@@ -873,14 +908,27 @@ func (f *quietFold) run(ch *channelState, k int) int {
 	if k > 0 {
 		s := r + sim.Duration(k)*f.dr
 		c := s / f.d
-		g := min(q-ewma+c, lo+7)
+		h := q - ewma - lo
+		if h <= 7 {
+			h = min(h+c, 7)
+		} else {
+			h = max(h-(sim.Duration(k)-c), 7)
+		}
 		q += sim.Duration(k)*f.dq + c
 		r = s % f.d
-		ewma = q - g
+		ewma = q - lo - h
 	}
 	f.q, f.r, ch.ewma = q, r, ewma
 	return k
 }
+
+// carries returns how many of the fold's next n epochs carry a remainder.
+func (f *quietFold) carries(n int) sim.Duration { return (f.r + sim.Duration(n)*f.dr) / f.d }
+
+// enter bounds the epochs h needs to reach [0, 14] from outside it: the
+// distance shrinks by 1/8 per epoch, 1/log2(8/7) < 6 epochs per bit, and
+// the last seven steps below the band move h by at least one each.
+func enter(h sim.Duration) int { return 6*bits.Len64(uint64(max(h, -h))) + 8 }
 
 // RetryBackoff returns the delay, in epochs, before retry attempt n
 // (1-based): one epoch, doubling per attempt, capped at eight. The pool
@@ -1026,6 +1074,7 @@ func (p *Pool) promoteRetries() {
 		}
 		ci := p.channelOf(e.f.member)
 		ch := p.chans[ci]
+		p.unpark(ch)
 		if p.Cfg.Admission == AdmitShedOldest {
 			p.displaceOldest(ch, ci)
 		}
@@ -1045,22 +1094,33 @@ func (p *Pool) promoteRetries() {
 // retry promotion, queue fill, rebuild issue) in canonical channel order,
 // then every member kernel to the next boundary in member order, then
 // completion collection, health probes and breaker ticks. The records of
-// the requests it retired wait for Poll, in deterministic order.
+// the requests it retired wait for Poll, in deterministic order. The
+// channel passes skip parked channels; with lookahead on, a channel left
+// with nothing held, queued or in flight parks at the new boundary.
 func (p *Pool) Step() {
 	p.epochs++
 	epochEnd := p.now.Add(p.epoch)
 	p.refillTokens(1)
 	p.expireAndSweep()
 	p.promoteRetries()
-	for ci := range p.chans {
-		p.fill(ci)
+	for ci, ch := range p.chans {
+		if !ch.parked {
+			p.fill(ci)
+		}
 	}
 	p.issueRebuilds()
 	p.advanceAll(epochEnd)
 	p.collect()
 	p.probeMembers()
 	for _, ch := range p.chans {
+		if ch.parked {
+			continue
+		}
 		ch.brk.tick()
+		if !p.Cfg.DisableLookahead && ch.idle() {
+			ch.parked, ch.parkedAt = true, epochEnd
+			ch.settled = ch.brk.state == breakerClosed && !ch.brk.tripReady()
+		}
 	}
 	p.now = epochEnd
 }
@@ -1110,12 +1170,55 @@ func (p *Pool) wake(m *member) {
 	}
 }
 
+// catchUp brings a parked channel's EWMA and breaker to the current
+// boundary (channelState.catchUp). Every reader of a parked channel's EWMA
+// or breaker calls it first: Submit (shedAtAdmission, and unpark before
+// enqueueing), promoteRetries, Occupancy and Stats, and through breakerOf
+// QuietEpochs, Probe and ProbeSteady. Fill, dispatch and fragFailed run
+// only on channels with work, which are never parked.
+func (p *Pool) catchUp(ch *channelState) { p.closedFolds += ch.catchUp(p.now, p.epoch) }
+
+// catchUp replays the epochs a parked channel skipped up to boundary now
+// with one quietFold.run and one breaker.ticks: the closed forms of
+// collect's per-epoch fold and Step's tick, which share no state, so their
+// order within an epoch is immaterial. The channel stays parked. It
+// returns the epochs folded in closed form.
+func (ch *channelState) catchUp(now sim.Time, epoch sim.Duration) int {
+	if !ch.parked || ch.parkedAt == now {
+		return 0
+	}
+	k := int(now.Sub(ch.parkedAt) / epoch)
+	f := ch.startFold(ch.parkedAt, epoch)
+	ch.brk.ticks(k)
+	ch.parkedAt = now
+	return f.run(ch, k)
+}
+
+// unpark catches a channel up before it takes work.
+func (p *Pool) unpark(ch *channelState) {
+	p.catchUp(ch)
+	ch.parked = false
+}
+
+// breakerOf returns ch's breaker, current for a read of its state, cooldown
+// or trip-readiness. A closed breaker that is not trip-ready stays so over
+// any run of ticks without observations (a window that ends without
+// tripping restarts empty, and BreakerMinSamples >= 1 keeps an empty window
+// from tripping), so a channel that parked with one (settled) is read as
+// it stands; any other parked channel is caught up first.
+func (p *Pool) breakerOf(ch *channelState) *breaker {
+	if !ch.settled {
+		p.catchUp(ch)
+	}
+	return ch.brk
+}
+
 // QuietEpochs reports how many upcoming epochs — at most limit — are
 // provably quiet: no boundary pass can change front-end state, so the whole
 // span may be replayed in one batch (StepQuiet) with byte-identical results.
-// Quiet requires an empty front end: no held, queued or in-flight fragment
-// on any channel and no active rebuild. The horizon is then bounded by the
-// next cross-member event that needs a real boundary:
+// Quiet requires an empty front end: every channel parked, with no held,
+// queued or in-flight fragment, and no active rebuild. The horizon is then
+// bounded by the next cross-member event that needs a real boundary:
 //
 //   - the next health-probe epoch, but only when a probe could act. A probe
 //     snapshots error counters and advances Suspect clean-streaks, so a
@@ -1147,7 +1250,7 @@ func (p *Pool) QuietEpochs(limit int) int {
 		return 0
 	}
 	for _, ch := range p.chans {
-		if ch.held()+len(ch.queue)+ch.inflight != 0 {
+		if !ch.parked || !ch.idle() {
 			return 0
 		}
 	}
@@ -1172,7 +1275,7 @@ func (p *Pool) QuietEpochs(limit int) int {
 		}
 	}
 	for _, ch := range p.chans {
-		if h, ok := ch.brk.quietHorizon(); ok && h < k {
+		if h, ok := p.breakerOf(ch).quietHorizon(); ok && h < k {
 			k = h
 		}
 	}
@@ -1186,18 +1289,16 @@ func (p *Pool) QuietEpochs(limit int) int {
 // in one pass: every unparked member kernel runs — and warps — straight to
 // the final boundary (parked members stay put until touched), and the
 // per-epoch boundary effects that still tick in an idle pool are replayed
-// exactly, in O(channels + tenants) rather than once per epoch: the epoch counter, the per-tenant token-bucket refills (the same
-// one-addition-per-epoch sequence Step performs, cut short once a bucket
-// stops moving, so bucket levels stay bit-identical to the naive path),
-// each busy-before channel's service-interval EWMA fold (collect folds the
-// long-run quotient every epoch once a channel has completed work, idle
-// epochs included; quietFold.run replays the span, in closed form once the
-// fold settles), and the breaker FSMs (breaker.ticks). Channels, breakers
-// and tenant buckets share no state, so the replay runs channel by channel.
-// Every other boundary pass (expiry sweep, retry promotion, fill, rebuild
-// issue, collect's drain, completion delivery) is a no-op on a quiet pool,
-// and so is every probe epoch inside the span (QuietEpochs jumps one only
-// when probesIdle proves it). The final epoch may be a probe epoch:
+// exactly, in O(tenants) rather than once per epoch: the epoch counter and
+// the per-tenant token-bucket refills (the same one-addition-per-epoch
+// sequence Step performs, cut short once a bucket stops moving, so bucket
+// levels stay bit-identical to the naive path). Every channel is parked,
+// so its EWMA fold and breaker ticks wait for catchUp, which replays the
+// parked span in O(1) whenever a reader next needs them. Every other
+// boundary pass (expiry sweep, retry promotion, fill, rebuild issue,
+// collect's drain, completion delivery) is a no-op on a quiet pool, and so
+// is every probe epoch inside the span (QuietEpochs jumps one only when
+// probesIdle proves it). The final epoch may be a probe epoch:
 // probeMembers runs after the members have advanced, self-gated on the
 // epoch counter, with p.now at the same epoch-start boundary Step would
 // give it. k must not exceed what QuietEpochs just reported at this
@@ -1207,19 +1308,14 @@ func (p *Pool) StepQuiet(k int) {
 	p.advanceAll(end)
 	p.epochs += k
 	p.refillTokens(k)
-	for _, ch := range p.chans {
-		f := ch.startFold(p.now, p.epoch)
-		p.closedFolds += f.run(ch, k)
-		ch.brk.ticks(k)
-	}
 	p.now = end.Add(-p.epoch)
 	p.probeMembers()
 	p.now = end
 }
 
-// ClosedFormFolds returns how many channel-epochs of EWMA folding quiet
-// spans have replayed in closed form. It is a lookahead diagnostic, kept
-// out of Stats so lockstep and lookahead runs stay byte-comparable: the
+// ClosedFormFolds returns how many channel-epochs of EWMA folding parked
+// channels' catch-ups have replayed in closed form. It is a lookahead
+// diagnostic, kept out of Stats so lockstep and lookahead runs stay byte-comparable: the
 // lockstep-vs-lookahead tests read it to prove they cover that branch.
 func (p *Pool) ClosedFormFolds() int { return p.closedFolds }
 
@@ -1318,6 +1414,7 @@ func (p *Pool) Stats() Stats {
 		HeldPeak:                 p.heldPeak,
 	}
 	for _, ch := range p.chans {
+		p.catchUp(ch)
 		s.Meter.Merge(ch.meter)
 		s.Ctr.Merge(ch.ctr)
 		s.PerChannel = append(s.PerChannel, ChannelStats{

@@ -39,7 +39,8 @@ type Probe struct {
 	DriverErrors      uint64
 }
 
-// Probe snapshots the pool's health counters without mutating anything.
+// Probe snapshots the pool's health counters without changing anything a
+// reader can see (a parked channel's breaker may be caught up, breakerOf).
 func (p *Pool) Probe() Probe {
 	pr := Probe{
 		Epochs:          p.epochs,
@@ -70,7 +71,7 @@ func (p *Pool) Probe() Probe {
 		}
 	}
 	for _, ch := range p.chans {
-		if ch.brk.state != breakerClosed {
+		if p.breakerOf(ch).state != breakerClosed {
 			pr.BreakersOpen++
 		}
 	}
@@ -88,7 +89,7 @@ func (p *Pool) Probe() Probe {
 // close without observations, so they cannot lower BreakersOpen.
 func (p *Pool) ProbeSteady() bool {
 	for _, ch := range p.chans {
-		if ch.brk.tripReady() {
+		if p.breakerOf(ch).tripReady() {
 			return false
 		}
 	}

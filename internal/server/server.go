@@ -374,6 +374,10 @@ func usToDuration(us float64) sim.Duration {
 	return sim.Duration(us * float64(sim.Microsecond))
 }
 
+// maxDeadlineUS bounds a wire deadline (about 11.6 simulated days), so its
+// picosecond form and the absolute instant it sets stay inside sim.Time.
+const maxDeadlineUS = 1e12
+
 // parseOp validates a wire Op against the pool's geometry.
 func (s *Server) parseOp(op Op) (openloop.Request, error) {
 	var r openloop.Request
@@ -395,12 +399,15 @@ func (s *Server) parseOp(op Op) (openloop.Request, error) {
 		return r, fmt.Errorf("off %d negative", r.Off)
 	case r.Len < 0:
 		return r, fmt.Errorf("len %d negative", r.Len)
-	case r.Off+int64(r.Len) > s.capacity:
-		return r, fmt.Errorf("[%d, %d) beyond pool capacity %d", r.Off, r.Off+int64(r.Len), s.capacity)
+	case int64(r.Len) > s.capacity || r.Off > s.capacity-int64(r.Len):
+		// Compared without the sum, which a huge offset overflows.
+		return r, fmt.Errorf("%d bytes at %d beyond pool capacity %d", r.Len, r.Off, s.capacity)
 	case r.Tenant < 0:
 		return r, fmt.Errorf("tenant %d negative", r.Tenant)
 	case op.DeadlineUS < 0:
 		return r, fmt.Errorf("deadline %v us negative", op.DeadlineUS)
+	case op.DeadlineUS > maxDeadlineUS:
+		return r, fmt.Errorf("deadline %v us beyond %v us", op.DeadlineUS, float64(maxDeadlineUS))
 	}
 	r.Deadline = usToDuration(op.DeadlineUS)
 	return r, nil

@@ -291,13 +291,13 @@ func Experiments(opts ExperimentOptions) map[string]func() error {
 		"replay": harness(experiments.Replay, opts, func(res experiments.ReplayResult) error {
 			hl("ops", float64(res.Ops))
 			hl("variants", float64(res.Points()))
+			// Always 0 here: Replay already failed on the first diverged
+			// variant. Kept so the -json headline names stay the same.
 			hl("divergent", float64(res.Divergent()))
 			hl("retimed", float64(res.RetimedTotal()))
 			hl("binary-bytes-per-op", float64(res.BinaryBytes)/float64(res.Ops))
 			hl("compaction-x", res.CompactionX())
 			switch {
-			case res.Divergent() > 0:
-				return fmt.Errorf("replay: %d of %d variants diverged from the live run", res.Divergent(), res.Points())
 			case res.RetimedTotal() > 0:
 				return fmt.Errorf("replay: %d arrival clamps replaying a monotone capture", res.RetimedTotal())
 			case res.CompactionX() < 2:
