@@ -79,7 +79,7 @@ func (ic *interconnect) degrade(socket, latFactor, bwDivide int) {
 // this is, in schedule order.
 func (f *Fabric) applyLinkFaults() {
 	for _, lf := range f.Cfg.LinkFaults {
-		if lf.Epoch == f.epochs {
+		if lf.Epoch == f.sup.Epochs {
 			f.links.degrade(lf.Socket, lf.LatFactor, lf.BWDivide)
 			f.ctr.Inc("link-degraded")
 		}

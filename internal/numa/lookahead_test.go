@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nvdimmc/internal/fault"
+	"nvdimmc/internal/nvdc"
 	"nvdimmc/internal/pool"
 	"nvdimmc/internal/sim"
 	"nvdimmc/internal/trace"
@@ -45,9 +46,9 @@ func TestFabricQuietEpochsProbeBound(t *testing.T) {
 		t.Fatalf("healthy idle fabric: QuietEpochs = %d, want 1000 (no-op probes jumped)", k)
 	}
 	f.StepQuiet(1000)
-	if f.probesJumped != 124 || f.socks[0].health.last.Epochs != 1000 {
+	if f.sup.Jumped() != 124 || f.sup.Kids[0].Last.Epochs != 1000 {
 		t.Fatalf("batch to epoch 1000 jumped %d probes, last probe at pool epoch %d; want 124 and 1000",
-			f.probesJumped, f.socks[0].health.last.Epochs)
+			f.sup.Jumped(), f.sup.Kids[0].Last.Epochs)
 	}
 	for _, c := range []struct {
 		fabric, pool int
@@ -65,22 +66,22 @@ func TestFabricQuietEpochsProbeBound(t *testing.T) {
 		// A Suspect socket's clean streak counts the fabric probes that ran.
 		// Taking the streak after every batch keeps it under
 		// pool.SuspectClearProbes, so the socket never recovers.
-		h := f.socks[1].health
-		h.state = SocketSuspect
+		h := &f.sup.Kids[1]
+		h.State = pool.HealthSuspect
 		clean := 0
 		for i, want := range c.batches {
 			k := f.QuietEpochs(1000)
 			if k != want {
 				t.Fatalf("%d/%d batch %d at epoch %d: QuietEpochs = %d, want %d",
-					c.fabric, c.pool, i, f.epochs, k, want)
+					c.fabric, c.pool, i, f.sup.Epochs, k, want)
 			}
 			f.StepQuiet(k)
-			clean += h.cleanProbes
-			h.cleanProbes = 0
+			clean += h.CleanProbes
+			h.CleanProbes = 0
 		}
-		if want := f.epochs / c.fabric; clean != want {
+		if want := f.sup.Epochs / c.fabric; clean != want {
 			t.Fatalf("%d/%d: %d clean probes by epoch %d, want %d (a probe was jumped)",
-				c.fabric, c.pool, clean, f.epochs, want)
+				c.fabric, c.pool, clean, f.sup.Epochs, want)
 		}
 	}
 	f = newTestFabric(t, 2, 1, armRegistries, func(cfg *Config) { cfg.Pool.ProbeEvery = 1 << 20 })
@@ -122,17 +123,17 @@ func TestFabricQuietEpochsProbeFailsClosed(t *testing.T) {
 		cfg   func(*Config)
 		spoil func(*Fabric)
 	}{
-		{"suspect socket", nil, func(f *Fabric) { f.socks[1].health.state = SocketSuspect }},
+		{"suspect socket", nil, func(f *Fabric) { f.sup.Kids[1].State = pool.HealthSuspect }},
 		{"quarantine count moved since the last probe", nil, func(f *Fabric) {
-			f.socks[0].health.last.Quarantined = 1
+			f.sup.Kids[0].Last.Quarantined = 1
 		}},
 		{"suspicious probe: open breaker", tripReadyBreaker, func(f *Fabric) {
-			f.Cfg.ProbeEvery = 1 << 20 // no fabric probe may see the breaker before the check
+			f.sup.Every = 1 << 20 // no fabric probe may see the breaker before the check
 			serveOne(t, f)
 			for f.Socket(1).Probe().BreakersOpen == 0 {
 				f.Step()
 			}
-			f.Cfg.ProbeEvery = 8
+			f.sup.Every = 8
 		}},
 		{"condemned probe: degraded position", func(c *Config) {
 			c.Pool.Member.Audit = true
@@ -147,7 +148,18 @@ func TestFabricQuietEpochsProbeFailsClosed(t *testing.T) {
 			if pr.DegradedPositions != 1 {
 				t.Fatalf("degraded positions %d, want 1", pr.DegradedPositions)
 			}
-			f.socks[0].health.last = pr
+			f.sup.Kids[0].Last = pr
+		}},
+		{"suspicious probe resets the clean streak", func(c *Config) { c.Pool.ProbeEvery = 4 }, func(f *Fabric) {
+			// One clean probe short of recovery, suspicious probes (a
+			// member's driver error growth, then the member Suspect for
+			// four member probes) restart the streak, so the clean probe
+			// at epoch 24 leaves the socket Suspect.
+			f.sup.Kids[1].State, f.sup.Kids[1].CleanProbes = pool.HealthSuspect, pool.SuspectClearProbes-1
+			f.Socket(1).Member(0).Driver.Counters().Inc(nvdc.CtrAckTimeout)
+			for f.sup.Epochs < 24 {
+				f.Step()
+			}
 		}},
 		{"pool cannot vouch: armed fault registry", armRegistries, nil},
 		{"pool cannot vouch: trip-ready closed breaker", tripReadyBreaker, func(f *Fabric) {
@@ -168,13 +180,13 @@ func TestFabricQuietEpochsProbeFailsClosed(t *testing.T) {
 		if c.spoil != nil {
 			c.spoil(f)
 		}
-		want := 8 - f.epochs%8
+		want := 8 - f.sup.Epochs%8
 		if want < 2 {
 			f.Step()
 			want = 8
 		}
 		if k := f.QuietEpochs(1000); k != want {
-			t.Errorf("%s at epoch %d: QuietEpochs = %d, want %d (the probe could act)", c.name, f.epochs, k, want)
+			t.Errorf("%s at epoch %d: QuietEpochs = %d, want %d (the probe could act)", c.name, f.sup.Epochs, k, want)
 		}
 	}
 }
@@ -183,15 +195,15 @@ func TestFabricQuietEpochsProbeFailsClosed(t *testing.T) {
 // batch so the promoting boundary is a real Step.
 func TestFabricQuietEpochsRetryBound(t *testing.T) {
 	f := quietFabric(t)
-	f.retries = append(f.retries, fabRetry{op: &sockOp{req: &fabReq{}}, ready: 7})
+	f.sup.Retries = append(f.sup.Retries, pool.Retry[*sockOp]{Item: &sockOp{req: &fabReq{}}, Ready: 7})
 	if k := f.QuietEpochs(1000); k != 6 {
 		t.Fatalf("retry ready at epoch 7: QuietEpochs = %d, want 6", k)
 	}
-	f.retries[0].ready = 2
+	f.sup.Retries[0].Ready = 2
 	if k := f.QuietEpochs(1000); k != 0 {
 		t.Fatalf("retry ready in two epochs: QuietEpochs = %d, want 0 (one quiet epoch is a plain Step)", k)
 	}
-	f.retries[0].ready = 1
+	f.sup.Retries[0].Ready = 1
 	if k := f.QuietEpochs(1000); k != 0 {
 		t.Fatalf("retry due next step: QuietEpochs = %d, want 0", k)
 	}
@@ -214,9 +226,9 @@ func TestFabricQuietEpochsLinkFaultBound(t *testing.T) {
 		t.Fatalf("link fault due next step: QuietEpochs = %d, want 0 (a plain Step)", k)
 	}
 	f.Step()
-	if f.epochs != 5 || f.ctr.Get("link-degraded") != 1 {
+	if f.sup.Epochs != 5 || f.ctr.Get("link-degraded") != 1 {
 		t.Fatalf("epoch %d: link fault fired %d times, want once at epoch 5",
-			f.epochs, f.ctr.Get("link-degraded"))
+			f.sup.Epochs, f.ctr.Get("link-degraded"))
 	}
 	if k := f.QuietEpochs(1000); k != 1000 {
 		t.Fatalf("past link fault: QuietEpochs = %d, want 1000 (no bound)", k)
@@ -227,7 +239,7 @@ func TestFabricQuietEpochsLinkFaultBound(t *testing.T) {
 // every epoch, so no batch may form.
 func TestFabricQuietEpochsMigrationDisables(t *testing.T) {
 	f := quietFabric(t)
-	f.jobs = append(f.jobs, &pool.Copy{})
+	f.sup.Jobs = append(f.sup.Jobs, &pool.Copy{})
 	if k := f.QuietEpochs(1000); k != 0 {
 		t.Fatalf("active migration: QuietEpochs = %d, want 0", k)
 	}
@@ -277,7 +289,7 @@ func TestFabricQuietEpochsBreakerBound(t *testing.T) {
 		return false
 	}
 	for !open() {
-		if f.epochs > 512 {
+		if f.sup.Epochs > 512 {
 			t.Fatal("breaker never tripped")
 		}
 		f.Step()
@@ -338,7 +350,7 @@ func sameFabric(t *testing.T, label string, a, b *Fabric) {
 		if oa, ob := fmt.Sprintf("%+v", pa.Occupancy()), fmt.Sprintf("%+v", pb.Occupancy()); oa != ob {
 			t.Fatalf("%s: socket %d occupancy %s vs %s", label, si, oa, ob)
 		}
-		if ha, hb := *a.socks[si].health, *b.socks[si].health; ha != hb {
+		if ha, hb := a.sup.Kids[si].Lattice, b.sup.Kids[si].Lattice; ha != hb {
 			t.Fatalf("%s: socket %d health %+v vs %+v", label, si, ha, hb)
 		}
 	}
@@ -355,13 +367,13 @@ func TestFabricStepQuietMatchesSteps(t *testing.T) {
 			c.Pool.ProbeEvery = 4
 		})
 		runFabric(t, f, fabricTenants(f, 5, false), 40)
-		f.socks[1].health.state = SocketSuspect
+		f.sup.Kids[1].State = pool.HealthSuspect
 		return f
 	}
 	a, b := twin(), twin()
 	sameFabric(t, "warm-up", a, b)
 	batches, clean := 0, 0
-	for end := a.epochs + 60; a.epochs < end; {
+	for end := a.sup.Epochs + 60; a.sup.Epochs < end; {
 		k := a.QuietEpochs(1000)
 		if k > 1 {
 			a.StepQuiet(k)
@@ -373,12 +385,12 @@ func TestFabricStepQuietMatchesSteps(t *testing.T) {
 		for i := 0; i < k; i++ {
 			b.Step()
 		}
-		sameFabric(t, fmt.Sprintf("k=%d to epoch %d", k, a.epochs), a, b)
+		sameFabric(t, fmt.Sprintf("k=%d to epoch %d", k, a.sup.Epochs), a, b)
 		// Take the clean streak on both twins so it stays under
 		// pool.SuspectClearProbes and the socket stays Suspect.
-		clean += a.socks[1].health.cleanProbes
-		a.socks[1].health.cleanProbes = 0
-		b.socks[1].health.cleanProbes = 0
+		clean += a.sup.Kids[1].CleanProbes
+		a.sup.Kids[1].CleanProbes = 0
+		b.sup.Kids[1].CleanProbes = 0
 	}
 	if batches < 10 || clean < 10 {
 		t.Fatalf("%d batches and %d fabric probes in the compared span, want >= 10 each",
@@ -415,13 +427,13 @@ func TestFabricIdleLookaheadIdentical(t *testing.T) {
 				t.Fatalf("%s: link fault fired %d times", label, s.Ctr.Get("link-degraded"))
 			}
 			switch {
-			case lockstep && (f.quietSpan != 0 || closedFolds(f) != 0 || f.parkedSteps != 0):
+			case lockstep && (f.sup.QuietSpan != 0 || closedFolds(f) != 0 || f.sup.Skipped != 0):
 				t.Fatalf("%s: lockstep batched %d epochs, %d folds in closed form, skipped %d parked socket steps",
-					label, f.quietSpan, closedFolds(f), f.parkedSteps)
-			case !lockstep && f.parkedSteps == 0:
+					label, f.sup.QuietSpan, closedFolds(f), f.sup.Skipped)
+			case !lockstep && f.sup.Skipped == 0:
 				t.Fatalf("%s: no socket was ever parked", label)
-			case !lockstep && 2*f.quietSpan < s.Epochs:
-				t.Fatalf("%s: only %d of %d epochs batched", label, f.quietSpan, s.Epochs)
+			case !lockstep && 2*f.sup.QuietSpan < s.Epochs:
+				t.Fatalf("%s: only %d of %d epochs batched", label, f.sup.QuietSpan, s.Epochs)
 			case !lockstep && closedFolds(f) == 0:
 				t.Fatalf("%s: no quiet span folded an EWMA in closed form", label)
 			}
@@ -495,12 +507,12 @@ func TestFabricIdleProbeJumpIdentical(t *testing.T) {
 					label, s.Ctr.Get("socket-suspect"), s.Ctr.Get("socket-recovered"), s.ChunksRehomed)
 			}
 			switch {
-			case lockstep && (f.quietSpan != 0 || closedFolds(f) != 0 || f.parkedSteps != 0):
+			case lockstep && (f.sup.QuietSpan != 0 || closedFolds(f) != 0 || f.sup.Skipped != 0):
 				t.Fatalf("%s: lockstep batched %d epochs, %d folds in closed form, skipped %d parked socket steps",
-					label, f.quietSpan, closedFolds(f), f.parkedSteps)
-			case !lockstep && f.parkedSteps == 0:
+					label, f.sup.QuietSpan, closedFolds(f), f.sup.Skipped)
+			case !lockstep && f.sup.Skipped == 0:
 				t.Fatalf("%s: no socket was ever parked", label)
-			case !lockstep && f.probesJumped == 0:
+			case !lockstep && f.sup.Jumped() == 0:
 				t.Fatalf("%s: no batch jumped a probe epoch", label)
 			case !lockstep && closedFolds(f) == 0:
 				t.Fatalf("%s: no quiet span folded an EWMA in closed form", label)
@@ -524,7 +536,7 @@ func TestFabricDrainBatchesRetryBackoff(t *testing.T) {
 	f := quietFabric(t)
 	op := &sockOp{req: &fabReq{remaining: 1, src: 0, bytes: 4096}, off: 0, n: 4096}
 	f.led.Submitted++
-	f.retries = append(f.retries, fabRetry{op: op, ready: 50})
+	f.sup.Retries = append(f.sup.Retries, pool.Retry[*sockOp]{Item: op, Ready: 50})
 	if err := f.Drain(); err != nil {
 		t.Fatal(err)
 	}
@@ -534,8 +546,8 @@ func TestFabricDrainBatchesRetryBackoff(t *testing.T) {
 	if f.Stats().Completed != 1 || f.ctr.Get("fab-retry-promoted") != 1 {
 		t.Fatalf("retried piece: completed=%d promoted=%d", f.Stats().Completed, f.ctr.Get("fab-retry-promoted"))
 	}
-	if f.quietSpan != 49 {
-		t.Fatalf("backoff to epoch 50 batched %d epochs, want 49", f.quietSpan)
+	if f.sup.QuietSpan != 49 {
+		t.Fatalf("backoff to epoch 50 batched %d epochs, want 49", f.sup.QuietSpan)
 	}
 }
 
@@ -551,8 +563,8 @@ type twin struct {
 // advance moves the fabric n epochs the way the shared driver does: a
 // quiet batch when QuietEpochs proves one, else a Step.
 func (d *twin) advance(n int) {
-	for end := d.f.epochs + n; d.f.epochs < end; {
-		if k := d.f.QuietEpochs(end - d.f.epochs); k > 1 {
+	for end := d.f.sup.Epochs + n; d.f.sup.Epochs < end; {
+		if k := d.f.QuietEpochs(end - d.f.sup.Epochs); k > 1 {
 			d.f.StepQuiet(k)
 		} else {
 			d.f.Step()
@@ -577,13 +589,13 @@ func (d *twin) steps(n int) {
 // the socket stays Suspect.
 func (d *twin) check() {
 	d.t.Helper()
-	if h := d.f.socks[2].health; h.state == SocketSuspect {
-		h.cleanProbes = 0
+	if h := &d.f.sup.Kids[2]; h.State == pool.HealthSuspect {
+		h.CleanProbes = 0
 	}
-	for si, s := range d.f.socks {
-		if s.parked && (len(d.f.jobs) > 0 || s.until <= d.f.epochs) {
+	for si, s := range d.f.sup.Kids {
+		if s.Parked && (len(d.f.sup.Jobs) > 0 || s.Until <= d.f.sup.Epochs) {
 			d.t.Fatalf("epoch %d: socket %d parked until %d with %d migration jobs",
-				d.f.epochs, si, s.until, len(d.f.jobs))
+				d.f.sup.Epochs, si, s.Until, len(d.f.sup.Jobs))
 		}
 	}
 }
@@ -591,15 +603,15 @@ func (d *twin) check() {
 // touch precedes an action that must wake socket si.
 func (d *twin) touch(si int, what string) {
 	d.t.Helper()
-	s := d.f.socks[si]
+	s := &d.f.sup.Kids[si]
 	if d.f.Cfg.DisableLookahead {
-		if s.parked {
+		if s.Parked {
 			d.t.Fatalf("%s: lockstep socket %d parked", what, si)
 		}
 		return
 	}
-	if !s.parked {
-		d.t.Fatalf("%s at epoch %d: socket %d not parked", what, d.f.epochs, si)
+	if !s.Parked {
+		d.t.Fatalf("%s at epoch %d: socket %d not parked", what, d.f.sup.Epochs, si)
 	}
 	d.hits++
 }
@@ -608,20 +620,20 @@ func (d *twin) touch(si int, what string) {
 // bounded horizon must run out inside them and catch it up.
 func (d *twin) expire(si, n int, move func(int), what string) {
 	d.t.Helper()
-	s := d.f.socks[si]
+	s := &d.f.sup.Kids[si]
 	if d.f.Cfg.DisableLookahead {
 		move(n)
 		return
 	}
-	if !s.parked || s.until > d.f.epochs+n {
+	if !s.Parked || s.Until > d.f.sup.Epochs+n {
 		d.t.Fatalf("%s at epoch %d: socket %d parked=%v until %d, want a horizon inside %d epochs",
-			what, d.f.epochs, si, s.parked, s.until, n)
+			what, d.f.sup.Epochs, si, s.Parked, s.Until, n)
 	}
-	until := s.until
+	until := s.Until
 	move(n)
-	if s.pool.Epochs() < until {
+	if p := d.f.socks[si].pool; p.Epochs() < until {
 		d.t.Fatalf("%s: socket %d pool at epoch %d, horizon ran out at %d without a catch-up",
-			what, si, s.pool.Epochs(), until)
+			what, si, p.Epochs(), until)
 	}
 	d.hits++
 }
@@ -710,7 +722,7 @@ func TestParkedSocketsMatchLockstep(t *testing.T) {
 			d.touch(0, "evacuation")
 			d.touch(2, "evacuation")
 			d.advance(400)
-			if st := f.socks[1].health.state; st != SocketEvacuated {
+			if st := SocketState(f.sup.Kids[1].State); st != SocketEvacuated {
 				d.t.Fatalf("victim %s, want evacuated", st)
 			}
 			write(f, 1, f.Span()) // re-homed onto a survivor
@@ -728,7 +740,7 @@ func TestParkedSocketsMatchLockstep(t *testing.T) {
 			// Idle socket 2 stays Suspect, so every socket probe runs (none
 			// is jumped) and reads its pinned snapshot while it is parked:
 			// the lattice baselines must then agree field for field.
-			f.socks[2].health.state = SocketSuspect
+			f.sup.Kids[2].State = pool.HealthSuspect
 			d := &twin{t: t, f: f}
 			c.drive(d)
 			if !lockstep && d.hits == 0 {

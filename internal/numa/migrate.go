@@ -42,8 +42,8 @@ type migOp struct {
 // socket first, and no socket parks while a job runs (park), so migSubmit
 // always finds its pool caught up.
 func (f *Fabric) startMigration(victim int) {
-	for _, s := range f.socks {
-		f.wake(s)
+	for si := range f.socks {
+		f.sup.Wake(si)
 	}
 	all := f.socks[victim].pool.ResidentPooled()
 	pages := all[:0]
@@ -53,7 +53,7 @@ func (f *Fabric) startMigration(victim int) {
 		}
 	}
 	f.ctr.Add("mig-pages-planned", uint64(len(pages)))
-	f.jobs = append(f.jobs, &pool.Copy{Victim: victim, Dest: -1, Pages: pages})
+	f.sup.Jobs = append(f.sup.Jobs, &pool.Copy{Victim: victim, Dest: -1, Pages: pages})
 }
 
 // issueMigrations advances every copy by its next pages (Copy.Issue) at
@@ -61,7 +61,7 @@ func (f *Fabric) startMigration(victim int) {
 // the epoch with foreground traffic instead of monopolizing it (the
 // migration-interference histogram measures exactly this contention).
 func (f *Fabric) issueMigrations() {
-	for _, j := range f.jobs {
+	for _, j := range f.sup.Jobs {
 		j.Issue(func(off int64) int {
 			// The page's fabric address lies under the victim's own logical
 			// span; its current owner is wherever re-homing sent that chunk.
@@ -110,13 +110,4 @@ func (f *Fabric) migMiss(write bool) {
 	} else {
 		f.ctr.Inc("mig-read-miss")
 	}
-}
-
-// sweepMigrations retires drained copies after collection: all pages
-// issued and no op in flight means the victim is fully Evacuated.
-func (f *Fabric) sweepMigrations() {
-	f.jobs = pool.SweepCopies(f.jobs, func(victim int) {
-		f.socks[victim].health.state = SocketEvacuated
-		f.ctr.Inc("socket-evacuated")
-	})
 }

@@ -1,7 +1,6 @@
 // Package numa composes N pooled sockets into one multi-socket fabric
-// behind a single Submit/Poll request plane — the pool-of-pools scale-out
-// of ROADMAP item 3, built the way the pool itself composes members, one
-// level up:
+// behind a single Submit/Poll request plane — the pool-of-pools scale-out,
+// built the way the pool itself composes members, one level up:
 //
 //	member : pool  ::  pool (socket) : fabric
 //
@@ -23,25 +22,18 @@
 // (QuietEpochs/StepQuiet), byte-identical to the lockstep oracle that
 // DisableLookahead keeps.
 //
-// A quiescent socket is also parked, as the pool parks idle members: while
-// other sockets work, Step skips it, and it catches up with one pool
-// StepQuiet over everything it skipped when something next touches it.
-// Touching means handing its pool work or handing its pool out: dispatch,
-// migration (startMigration wakes every socket), Socket, Stats and
-// CheckHealth, plus the Step at which the horizon its pool's QuietEpochs
-// proved runs out. Those reads and writes see the pool's clock and
-// members, so they need it caught up. The lattice's probe reads need no
-// catch-up: the pool's probe snapshot was pinned at parking and its pool
-// vouched it holds for the whole horizon (pool.ProbeSteady), so the probes
-// read the pinned copy. A socket whose pool cannot vouch parks only until
-// the next socket probe. Lockstep never parks.
-//
-// Socket health is the member lattice lifted one level (Up → Suspect →
-// Evacuating → Evacuated), driven by epoch-boundary probes that diff each
-// pool's health snapshot (pool.Probe). A failing socket is drained by a
-// rate-limited background migration of its resident set to survivors,
-// while foreground traffic re-routes through the directory — typed
-// ErrSocketEvacuated / ErrFabricDegraded, never silent loss.
+// The fabric supervises its sockets with the supervisor a pool runs over
+// its members (pool.Supervisor): one health lattice, probe schedule,
+// parking, quiet horizon and retry queue. A quiescent socket parks while
+// other sockets work and catches up with one pool StepQuiet over everything
+// it skipped when the fabric next hands its pool work or hands it out, or
+// when the horizon its pool's QuietEpochs proved runs out; the probes read
+// its snapshot pinned at parking. Socket health walks Up → Suspect →
+// Evacuating → Evacuated on probes that diff each pool's health snapshot
+// (pool.Probe). A failing socket is drained by a rate-limited background
+// migration of its resident set to survivors, while foreground traffic
+// re-routes through the directory — typed ErrSocketEvacuated /
+// ErrFabricDegraded, never silent loss.
 package numa
 
 import (
@@ -163,11 +155,6 @@ type seg struct {
 	n   int
 }
 
-type fabRetry struct {
-	op    *sockOp
-	ready int // fabric epoch at which it re-dispatches
-}
-
 // Fabric is the multi-socket request plane.
 type Fabric struct {
 	Cfg Config
@@ -180,24 +167,11 @@ type Fabric struct {
 	owner  []int // (logical socket * chunks + chunk) -> serving socket
 	reown  int   // round-robin cursor for re-homing spread
 
-	epoch  sim.Duration
-	now    sim.Duration // current boundary, relative to fabric origin
-	epochs int
-	// boundary is the pool epoch count the unparked sockets stand at: the
-	// fabric's epoch count between Steps, one less while a Step is issuing
-	// work before its pools advance. wake catches a parked socket up to it.
-	boundary int
-	// quietSpan counts the epochs advanced inside quiet batches,
-	// probesJumped the socket-probe epochs strictly inside them, and
-	// parkedSteps the socket advances skipped because the socket was
-	// parked: lookahead diagnostics, deliberately outside Stats so lockstep
-	// and lookahead runs stay byte-comparable.
-	quietSpan    int
-	probesJumped int
-	parkedSteps  int
-
-	retries []fabRetry
-	jobs    []*pool.Copy
+	epoch sim.Duration
+	now   sim.Duration // current boundary, relative to fabric origin
+	// sup supervises the sockets: their health lattice and probes, parking,
+	// the epoch count and the cross-socket retry queue (pool.Supervisor).
+	sup pool.Supervisor[pool.Probe, *sockOp]
 
 	nextID uint64
 	out    pool.Outbox
@@ -221,18 +195,9 @@ type Fabric struct {
 
 // socket is one pooled socket plus its fabric-side tracking state.
 type socket struct {
-	pool   *pool.Pool
-	health *socketHealth
-	pend   map[uint64]*sockOp // pool request ID -> foreground op
-	mig    map[uint64]*migOp  // pool request ID -> migration op
-
-	// parked: the socket sits quiescent at its pool's epoch count, skipped
-	// by Step and StepQuiet until it is caught up (see park and wake).
-	// until is the fabric epoch at which its horizon runs out, and pinned
-	// its pool.Probe taken at parking.
-	parked bool
-	until  int
-	pinned pool.Probe
+	pool *pool.Pool
+	pend map[uint64]*sockOp // pool request ID -> foreground op
+	mig  map[uint64]*migOp  // pool request ID -> migration op
 }
 
 func (c *Config) fillDefaults() error {
@@ -313,12 +278,13 @@ func New(cfg Config) (*Fabric, error) {
 			return nil, fmt.Errorf("numa: socket %d: %w", s, err)
 		}
 		f.socks = append(f.socks, &socket{
-			pool:   p,
-			health: &socketHealth{},
-			pend:   map[uint64]*sockOp{},
-			mig:    map[uint64]*migOp{},
+			pool: p,
+			pend: map[uint64]*sockOp{},
+			mig:  map[uint64]*migOp{},
 		})
 	}
+	f.sup = pool.NewSupervisor[pool.Probe, *sockOp](socketLevel{f}, cfg.Sockets, cfg.ProbeEvery, cfg.EvacuateAfterProbes,
+		f.ctr, "socket", "socket-evacuating")
 	f.epoch = f.socks[0].pool.Epoch()
 	span := f.socks[0].pool.Capacity()
 	for _, s := range f.socks[1:] {
@@ -351,7 +317,7 @@ func (f *Fabric) Now() sim.Duration { return f.now }
 // caught up to the fabric's boundary first. A later Step may park the
 // socket again, so call Socket again after one rather than keep the pool.
 func (f *Fabric) Socket(s int) *pool.Pool {
-	f.wake(f.socks[s])
+	f.sup.Wake(s)
 	return f.socks[s].pool
 }
 
@@ -443,10 +409,10 @@ func (f *Fabric) Submit(r openloop.Request) (uint64, error) {
 // any pool sees it.
 func (f *Fabric) dispatch(op *sockOp) {
 	dst := f.ownerOf(op.off)
-	h := f.socks[dst].health
-	if h.state >= SocketEvacuating {
+	h := &f.sup.Kids[dst]
+	if h.State >= pool.HealthCondemned {
 		f.ctr.Inc("refused-evacuated")
-		f.opTerminal(op, fmt.Errorf("numa: socket %d %s (%s): %w", dst, h.state, h.reason, ErrSocketEvacuated), f.now)
+		f.opTerminal(op, fmt.Errorf("numa: socket %d %s (%s): %w", dst, SocketState(h.State), h.Reason, ErrSocketEvacuated), f.now)
 		return
 	}
 	at := op.req.arrival
@@ -476,13 +442,13 @@ func (f *Fabric) dispatch(op *sockOp) {
 			f.ctr.Inc("remote-requests")
 		}
 	}
-	if h.state >= SocketEvacuating {
+	if h.State >= pool.HealthCondemned {
 		// Unreachable (checked above) but kept as the counted invariant:
 		// any submission past this point to an evacuating socket is a bug
 		// CheckHealth must surface.
 		f.postEvacSubmissions++
 	}
-	f.wake(f.socks[dst])
+	f.sup.Wake(dst)
 	pid, err := f.socks[dst].pool.Submit(openloop.Request{
 		Arrival:  arrive,
 		Deadline: budget,
@@ -539,25 +505,14 @@ func (f *Fabric) opFailed(op *sockOp, err error, at sim.Duration) {
 		}
 	}
 	f.ctr.Inc("fab-retry-queued")
-	f.retries = append(f.retries, fabRetry{op: op, ready: f.epochs + delay})
+	f.sup.Backoff(op, delay)
 }
 
-// promoteRetries re-dispatches every piece whose backoff has elapsed, in
-// queue (submission) order.
-func (f *Fabric) promoteRetries() {
-	if len(f.retries) == 0 {
-		return
-	}
-	keep := f.retries[:0]
-	for _, e := range f.retries {
-		if e.ready > f.epochs {
-			keep = append(keep, e)
-			continue
-		}
-		f.ctr.Inc("fab-retry-promoted")
-		f.dispatch(e.op)
-	}
-	f.retries = keep
+// redispatch re-dispatches one piece whose backoff has elapsed (the
+// supervisor promotes them in queue, hence submission, order).
+func (f *Fabric) redispatch(op *sockOp) {
+	f.ctr.Inc("fab-retry-promoted")
+	f.dispatch(op)
 }
 
 // fabricTyped lists the sentinels that make a fabric failure typed: the
@@ -595,7 +550,7 @@ func (f *Fabric) requestPieceDone(r *fabReq, at sim.Duration) {
 		} else {
 			f.lat.Record(c.Latency)
 		}
-		if len(f.jobs) > 0 {
+		if len(f.sup.Jobs) > 0 {
 			f.latMigrate.Record(c.Latency)
 		}
 	}
@@ -609,26 +564,20 @@ func (f *Fabric) requestPieceDone(r *fabReq, at sim.Duration) {
 // one epoch in canonical socket order, then completion collection, socket
 // probes and migration sweep — all single-threaded at the boundary. A
 // parked socket is skipped until the epoch its horizon runs out, where it
-// catches up through that epoch instead of stepping.
+// catches up through that epoch instead of stepping (Supervisor.Skip).
 func (f *Fabric) Step() {
-	f.epochs++
+	f.sup.Epochs++
 	f.applyLinkFaults()
-	f.promoteRetries()
+	f.sup.Promote(f.redispatch)
 	f.issueMigrations()
-	for _, s := range f.socks {
-		switch {
-		case !s.parked:
+	f.sup.Boundary = f.sup.Epochs
+	for i, s := range f.socks {
+		if !f.sup.Skip(i, f.sup.Epochs) {
 			s.pool.Step()
-		case f.epochs < s.until:
-			f.parkedSteps++
-		default:
-			f.catchUp(s, f.epochs)
 		}
 	}
-	f.boundary = f.epochs
 	f.collect()
-	f.sweepMigrations()
-	f.probeSockets()
+	f.sup.Settle()
 	f.park()
 	f.now += f.epoch
 }
@@ -636,58 +585,21 @@ func (f *Fabric) Step() {
 // park parks every socket that has just advanced and can sit out the
 // coming epochs: lookahead is on, no migration job runs, the fabric has no
 // piece pending on it, its pool is quiesced, and its pool's QuietEpochs
-// proves a horizon of at least two quiet epochs. The socket's pool may then
-// cover any part of that horizon with one StepQuiet, byte-identical to the
-// Steps it skipped; the horizon also bounds the fabric's batches
-// (QuietEpochs), so a parked socket never lags further than its pool
-// vouched for. Its probe is pinned for the fabric's lattice when the pool
-// vouches that the snapshot holds over the horizon (pool.ProbeSteady).
-// When it cannot, as with armed fault registries, the horizon also ends at
-// the next socket-probe epoch, where the socket catches up before the
-// probe reads it.
+// proves a horizon (Supervisor.Park). The socket's pool may then cover any
+// part of that horizon with one StepQuiet, byte-identical to the Steps it
+// skipped. Every place the fabric submits to a socket or hands its pool out
+// wakes it first: dispatch, startMigration (which wakes every socket before
+// migSubmit's copies), Socket, Stats and CheckHealth. Quiesced and collect
+// find nothing a quiet span could change on a parked socket.
 func (f *Fabric) park() {
-	if f.Cfg.DisableLookahead || len(f.jobs) > 0 {
+	if f.Cfg.DisableLookahead || len(f.sup.Jobs) > 0 {
 		return
 	}
-	for _, s := range f.socks {
-		if s.parked || len(s.pend)+len(s.mig) != 0 || !s.pool.Quiesced() {
+	for i, s := range f.socks {
+		if f.sup.Kids[i].Parked || len(s.pend)+len(s.mig) != 0 || !s.pool.Quiesced() {
 			continue
 		}
-		h := s.pool.QuietEpochs(f.Cfg.MaxEpochs - f.epochs)
-		if !s.pool.ProbeSteady() {
-			h = min(h, f.Cfg.ProbeEvery-f.epochs%f.Cfg.ProbeEvery)
-		}
-		if h >= 2 {
-			s.parked, s.until, s.pinned = true, f.epochs+h, s.pool.Probe()
-		}
-	}
-}
-
-// wake catches a parked socket up to the fabric's boundary and unparks it.
-// Every place the fabric submits to a socket or hands its pool out calls
-// it first: dispatch, startMigration (which wakes every socket before
-// migSubmit's copies), Socket, Stats and CheckHealth. Step and StepQuiet
-// catch a socket up themselves at the epoch its horizon runs out. The
-// fabric's other reads of a parked socket need no catch-up: probeSockets
-// and probesIdle read the pinned probe, which ProbeSteady vouched for over
-// the whole horizon (no socket probe falls inside any other horizon, see
-// park), and Quiesced and collect find nothing a quiet span could change.
-func (f *Fabric) wake(s *socket) { f.catchUp(s, f.boundary) }
-
-// catchUp unparks s and advances its pool to fabric epoch to with one Step
-// or StepQuiet: exact, because to lies inside the horizon the pool's
-// QuietEpochs reported when the socket parked, and StepQuiet over any part
-// of such a span equals that many Steps.
-func (f *Fabric) catchUp(s *socket, to int) {
-	if !s.parked {
-		return
-	}
-	s.parked = false
-	switch gap := to - s.pool.Epochs(); {
-	case gap == 1:
-		s.pool.Step()
-	case gap > 1:
-		s.pool.StepQuiet(gap)
+		f.sup.Park(i, f.sup.Epochs+s.pool.QuietEpochs(f.Cfg.MaxEpochs-f.sup.Epochs))
 	}
 }
 
@@ -696,7 +608,7 @@ func (f *Fabric) catchUp(s *socket, to int) {
 // remote pieces (a read's payload rides home; acks are descriptor-sized).
 func (f *Fabric) collect() {
 	for si, s := range f.socks {
-		if s.parked {
+		if f.sup.Kids[si].Parked {
 			continue // nothing pending on it
 		}
 		f.drain = s.pool.Poll(f.drain[:0], 0)
@@ -739,7 +651,7 @@ func (f *Fabric) Poll(dst []pool.Completion, max int) []pool.Completion {
 // Quiesced reports whether every submitted request is terminal and no
 // background work (retries, migrations, in-flight pieces) remains.
 func (f *Fabric) Quiesced() bool {
-	if f.led.Terminal() != f.led.Submitted || len(f.retries) != 0 || len(f.jobs) != 0 {
+	if f.led.Terminal() != f.led.Submitted || len(f.sup.Retries) != 0 || len(f.sup.Jobs) != 0 {
 		return false
 	}
 	for _, s := range f.socks {
@@ -755,25 +667,19 @@ func (f *Fabric) Quiesced() bool {
 // byte-identical to that many Steps. It returns 0 (take a plain Step) unless
 // at least two are. Quiet requires an idle fabric: no migration job, no
 // pending foreground or migration piece on any socket, and lookahead on.
-// The horizon is then bounded by the next fabric boundary event:
+// The horizon is then bounded by the supervisor's (Supervisor.Horizon:
+// socket probes, retry readiness, parked sockets' horizons) and by the
+// fabric's own boundary events:
 //
-//   - the next socket-probe epoch, but only when a probe could act. The
-//     lattice's suspect and clean streaks count probes, so a batch may end
-//     on such a probe epoch (StepQuiet runs it there) but never jump one.
-//     When every socket probe in the span provably takes the no-op path
-//     (probesIdle), the bound is dropped and the batch jumps probe epochs;
-//   - each retry's ready epoch, minus one, so the promoting boundary is a
-//     real Step;
 //   - each future LinkFault's epoch, minus one, so the fault fires on a
 //     real Step;
-//   - each socket pool's own QuietEpochs, which carries the pool's probe,
-//     retry, deadline and breaker bounds. A parked socket's pool answered
-//     that when it parked, so its remaining horizon stands in for the call.
+//   - each live socket pool's own QuietEpochs, which carries the pool's
+//     probe, retry, deadline and breaker bounds.
 //
 // Link busy-until horizons need no bound: a quiet batch moves no byte over
 // the interconnect.
 func (f *Fabric) QuietEpochs(limit int) int {
-	if f.Cfg.DisableLookahead || limit <= 1 || len(f.jobs) > 0 {
+	if f.Cfg.DisableLookahead || limit <= 1 || len(f.sup.Jobs) > 0 {
 		return 0
 	}
 	for _, s := range f.socks {
@@ -781,24 +687,14 @@ func (f *Fabric) QuietEpochs(limit int) int {
 			return 0
 		}
 	}
-	k := limit
-	if d := (f.epochs/f.Cfg.ProbeEvery+1)*f.Cfg.ProbeEvery - f.epochs; d < k && !f.probesIdle() {
-		k = d
-	}
-	for _, e := range f.retries {
-		if d := e.ready - f.epochs - 1; d < k {
-			k = d
-		}
-	}
+	k := f.sup.Horizon(limit)
 	for _, lf := range f.Cfg.LinkFaults {
-		if d := lf.Epoch - f.epochs - 1; lf.Epoch > f.epochs && d < k {
-			k = d
+		if lf.Epoch > f.sup.Epochs {
+			k = min(k, lf.Epoch-f.sup.Epochs-1)
 		}
 	}
-	for _, s := range f.socks {
-		if s.parked {
-			k = min(k, s.until-f.epochs)
-		} else {
+	for i, s := range f.socks {
+		if !f.sup.Kids[i].Parked {
 			k = s.pool.QuietEpochs(k)
 		}
 	}
@@ -815,30 +711,18 @@ func (f *Fabric) QuietEpochs(limit int) int {
 // fabric's boundary passes only the socket probe can act on an idle fabric.
 // Link faults, retry promotion, migration issue and sweep, and collection
 // are no-ops inside the span by construction, and so is every socket probe
-// the span jumps (QuietEpochs drops the probe bound only when probesIdle
-// proves it). The final epoch may be a probe epoch: probeSockets runs
-// once, after the pools have advanced, with f.now at the final epoch's
-// start, exactly as Step would run it.
+// the span jumps; the final epoch's runs last, as in Step (Supervisor.Jump).
 func (f *Fabric) StepQuiet(k int) {
-	end := f.epochs + k
-	for _, s := range f.socks {
-		switch {
-		case !s.parked:
+	f.sup.Jump(k)
+	f.sup.Boundary = f.sup.Epochs
+	for i, s := range f.socks {
+		if !f.sup.Skip(i, f.sup.Epochs) {
 			s.pool.StepQuiet(k)
-		case end < s.until:
-			f.parkedSteps++
-		default:
-			f.catchUp(s, end)
 		}
 	}
-	f.probesJumped += (f.epochs+k-1)/f.Cfg.ProbeEvery - f.epochs/f.Cfg.ProbeEvery
-	f.epochs = end
-	f.boundary = end
-	f.quietSpan += k
-	f.now += sim.Duration(k-1) * f.epoch
-	f.probeSockets()
+	f.now += sim.Duration(k) * f.epoch
+	f.sup.Settle()
 	f.park()
-	f.now += f.epoch
 }
 
 // Drain steps the fabric until it quiesces (the shared driver,
@@ -858,7 +742,7 @@ func (f *Fabric) Elapsed() sim.Duration { return f.now }
 func (f *Fabric) Epoch() sim.Duration { return f.epoch }
 
 // Epochs returns the fabric epochs taken so far.
-func (f *Fabric) Epochs() int { return f.epochs }
+func (f *Fabric) Epochs() int { return f.sup.Epochs }
 
 // MaxEpochs returns the wedge guard.
 func (f *Fabric) MaxEpochs() int { return f.Cfg.MaxEpochs }

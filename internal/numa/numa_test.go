@@ -254,8 +254,8 @@ func TestFabricLinkDegrade(t *testing.T) {
 // and conservation still balances.
 func TestFabricNoSurvivorTypedRefusal(t *testing.T) {
 	f := newTestFabric(t, 1, 1)
-	f.evacuate(0, "test: no survivor")
-	if st := f.socks[0].health.state; st != SocketEvacuated {
+	f.sup.Condemn(0, "test: no survivor")
+	if st := SocketState(f.sup.Kids[0].State); st != SocketEvacuated {
 		t.Fatalf("no-survivor evacuation state %s, want evacuated", st)
 	}
 	_, err := f.Submit(openloop.Request{Off: 0, Len: 4096, Write: true})
@@ -390,10 +390,10 @@ func TestFabricSuspectRecovery(t *testing.T) {
 	f := newTestFabric(t, 2, 1, func(c *Config) {
 		c.EvacuateAfterProbes = 1000 // never condemn on streak in this test
 		c.ProbeEvery = 2
-		// Keep the transient below the member-quarantine threshold: with no
-		// spares a quarantine degrades the position and forces evacuation,
-		// which is exactly what this test must NOT reach.
-		c.Pool.QuarantineFragErrs = 1 << 30
+		// The spare absorbs the member the burst gets quarantined, so no
+		// position degrades: a degraded position forces evacuation, which
+		// is exactly what this test must NOT reach. The burst's fragment
+		// failures stay below pool.QuarantineFragErrs.
 		c.Pool.Spares = 1
 		c.Pool.Member.NAND.BlocksPerDie = 64
 		c.ArmFaults = func(socket, member int, g *fault.Registry) {

@@ -56,16 +56,16 @@ func (f *Fabric) Stats() Stats {
 		MigPages:            f.ctr.Get("mig-pages"),
 		MigReadMiss:         f.ctr.Get("mig-read-miss"),
 		MigWriteFail:        f.ctr.Get("mig-write-fail"),
-		Epochs:              f.epochs,
+		Epochs:              f.sup.Epochs,
 	}
 	s.Ctr.Merge(f.ctr)
 	for si, sock := range f.socks {
-		f.wake(sock)
+		f.sup.Wake(si)
 		ps := sock.pool.Stats()
 		s.Ctr.MergePrefixed(fmt.Sprintf("s%d/", si), ps.Ctr)
 		s.PerSocket = append(s.PerSocket, SocketStats{
-			State:  sock.health.state,
-			Reason: sock.health.reason,
+			State:  SocketState(f.sup.Kids[si].State),
+			Reason: f.sup.Kids[si].Reason,
 			Pool:   ps,
 		})
 	}
@@ -94,20 +94,20 @@ func (f *Fabric) CheckHealth() error {
 	if n := f.ctr.Get("orphan-completions"); n != 0 {
 		return fmt.Errorf("numa: %d pool completions matched no fabric op", n)
 	}
-	if len(f.retries) != 0 {
-		return fmt.Errorf("numa: %d pieces stranded in retry backoff", len(f.retries))
+	if len(f.sup.Retries) != 0 {
+		return fmt.Errorf("numa: %d pieces stranded in retry backoff", len(f.sup.Retries))
 	}
-	if len(f.jobs) != 0 {
-		return fmt.Errorf("numa: %d migration jobs still active", len(f.jobs))
+	if len(f.sup.Jobs) != 0 {
+		return fmt.Errorf("numa: %d migration jobs still active", len(f.sup.Jobs))
 	}
 	for si, s := range f.socks {
-		f.wake(s)
+		f.sup.Wake(si)
 		if len(s.pend) != 0 || len(s.mig) != 0 {
 			return fmt.Errorf("numa: socket %d left %d foreground + %d migration ops pending",
 				si, len(s.pend), len(s.mig))
 		}
 		if err := s.pool.CheckHealth(); err != nil {
-			return fmt.Errorf("numa: socket %d (%s): %w", si, s.health.state, err)
+			return fmt.Errorf("numa: socket %d (%s): %w", si, SocketState(f.sup.Kids[si].State), err)
 		}
 	}
 	return nil

@@ -221,7 +221,7 @@ func TestPoolFaultedWorkerCountIdentical(t *testing.T) {
 // the success streak once the fault budget is exhausted.
 func TestPoolBreakerTripsAndRecovers(t *testing.T) {
 	p := newTestPool(t, 1, 1, 1, 4096, func(c *Config) {
-		c.QuarantineFragErrs = 1 << 30 // isolate the breaker from quarantine
+		noProbe(c) // isolate the breaker from quarantine
 		c.MaxRetries = 8
 		// Misses serialize on the lone member at ~10 epochs per completion,
 		// so the window must span many epochs to gather MinSamples.

@@ -21,46 +21,37 @@ var (
 	ErrPoolDegraded = errors.New("pool: request failed after retries")
 )
 
-// MemberState is the pool-level health lattice for one member, strictly
-// ordered: transitions only move right except Suspect -> Up.
+// MemberState is a member's position in the supervisor's lattice (Health),
+// named for members:
 //
 //	Up -> Suspect -> Quarantined -> Evacuated
-type MemberState int
+type MemberState Health
 
 const (
 	// StateUp: serving traffic normally.
-	StateUp MemberState = iota
+	StateUp = MemberState(HealthUp)
 	// StateSuspect: error activity observed (driver Degraded, error-counter
 	// growth, or fragment failures); still serving, watched more closely.
-	StateSuspect
+	StateSuspect = MemberState(HealthSuspect)
 	// StateQuarantined: the pool stopped routing front-end traffic to this
 	// member (driver ReadOnly, auditor violation, or the fragment-failure
 	// threshold). Evacuation reads for a rebuild are the only ops allowed.
-	StateQuarantined
+	StateQuarantined = MemberState(HealthCondemned)
 	// StateEvacuated: the member's resident state has been rebuilt onto a
 	// spare; it receives no traffic of any kind.
-	StateEvacuated
+	StateEvacuated = MemberState(HealthEvacuated)
 )
 
-func (s MemberState) String() string {
-	switch s {
-	case StateUp:
-		return "up"
-	case StateSuspect:
-		return "suspect"
-	case StateQuarantined:
-		return "quarantined"
-	case StateEvacuated:
-		return "evacuated"
-	}
-	return fmt.Sprintf("MemberState(%d)", int(s))
-}
+func (s MemberState) String() string { return Health(s).Name("quarantined") }
 
-// memberHealth is the pool's per-physical-member fault-tracking record. All
-// fields are read and written only at epoch boundaries (single-threaded,
-// canonical member order), so worker count cannot affect transitions.
+// QuarantineFragErrs quarantines a member once this many of its dispatched
+// fragments have failed.
+const QuarantineFragErrs = 8
+
+// memberHealth is the pool's per-physical-member record beside the
+// supervisor's lattice: its role and its fragment failures. Read and
+// written only at epoch boundaries.
 type memberHealth struct {
-	state MemberState
 	// spare marks members constructed beyond the decoder's logical set.
 	spare bool
 	// inService: a spare actively serving a logical position.
@@ -68,127 +59,78 @@ type memberHealth struct {
 	// logical is the logical index routed to this member (-1 for an idle or
 	// drained member).
 	logical int
-
-	// lastErrs / lastViol / fragErrsAtProbe snapshot the counters at the
-	// previous probe so probes react to deltas, not lifetime totals.
-	lastErrs        uint64
-	fragErrsAtProbe int
 	// fragErrs counts fragment dispatches that completed with an error on
 	// this member (lifetime).
 	fragErrs int
-	// cleanProbes counts consecutive probes with no new error activity; at
-	// SuspectClearProbes a Suspect healthy-mode member returns to Up.
-	cleanProbes int
-
-	quarantinedAt sim.Time
-	reason        string
 }
 
-// SuspectClearProbes is how many consecutive clean probes return a Suspect
-// member to Up, and a Suspect socket to Up in the fabric's lattice.
-const SuspectClearProbes = 4
-
-// probeMembers runs the health probe over every member in canonical order.
-// It is called at the epoch boundary after collect(), so quarantine
-// decisions always precede the next fill(): no fill can dispatch to a member
-// quarantined in this or any earlier epoch — the "no post-quarantine
-// submissions" guarantee is structural, not best-effort.
-func (p *Pool) probeMembers() {
-	if p.epochs%p.Cfg.ProbeEvery != 0 {
-		return
-	}
-	for i, m := range p.members {
-		h := p.health[i]
-		if h.state >= StateQuarantined {
-			continue
-		}
-		d := m.sys.Driver
-		errs := d.ErrorEvents()
-		var viol uint64
-		if m.sys.Auditor != nil {
-			viol = m.sys.Auditor.ViolationCount()
-		}
-		switch {
-		case d.Mode() == nvdc.ModeReadOnly:
-			p.quarantine(i, "driver read-only")
-		case viol > 0:
-			p.quarantine(i, fmt.Sprintf("%d protocol violations", viol))
-		case h.fragErrs >= p.Cfg.QuarantineFragErrs:
-			p.quarantine(i, fmt.Sprintf("%d fragment failures", h.fragErrs))
-		case d.Mode() == nvdc.ModeDegraded || errs > h.lastErrs || h.fragErrs > h.fragErrsAtProbe:
-			if h.state == StateUp {
-				h.state = StateSuspect
-				p.ctrPool.Inc("member-suspect")
-			}
-			h.cleanProbes = 0
-		case h.state == StateSuspect:
-			h.cleanProbes++
-			// ModeDegraded is sticky in the driver, so degraded members can
-			// never take this branch: they stay Suspect for the run.
-			if h.cleanProbes >= SuspectClearProbes {
-				h.state = StateUp
-				p.ctrPool.Inc("member-recovered")
-			}
-		}
-		h.lastErrs = errs
-		h.fragErrsAtProbe = h.fragErrs
-	}
+// memberProbe is what a probe reads off one member: its driver's mode and
+// error events, its auditor's violations and its fragment failures.
+type memberProbe struct {
+	mode       nvdc.Mode
+	errs, viol uint64
+	frags      int
 }
 
-// probesIdle reports whether every member probe from here until the front
-// end next moves would take probeMembers' no-op path: no case of its switch
-// matches, and rewriting the delta baselines changes nothing. A quiet batch
-// may then jump probe epochs. Quarantined and evacuated members are never
-// probed. Every other member must satisfy each clause below, because each
-// failing clause takes a branch that acts:
-//
-//   - it is Up: a Suspect member's probe advances its clean streak;
-//   - its driver error events and fragment errors have not grown since its
-//     last probe: growth marks it Suspect;
-//   - its auditor has logged no violation: any quarantines it;
-//   - it has no fault registry and no detector bit-error noise.
-//
-// A healthy driver mode needs no clause of its own. Every mode change bumps
-// a counter in nvdc.ErrorCounterNames, and the mode never heals: a member
-// whose driver left ModeHealthy before its last probe was marked Suspect or
-// quarantined by that probe, and one that left it since shows error growth.
-//
-// The last clause keeps the others true across the span. A quiet span
-// never reaches collect, so fragment errors hold still. Driver error events
-// and auditor violations can still move while a member only refreshes, but
-// only through an injected fault or a noisy detector sample.
-func (p *Pool) probesIdle() bool {
-	for i, m := range p.members {
-		h := p.health[i]
-		if h.state >= StateQuarantined {
-			continue
-		}
-		if h.state != StateUp || h.fragErrs != h.fragErrsAtProbe {
-			return false
-		}
-		if m.sys.Faults != nil || m.sys.Detector.BitErrorRate != 0 {
-			return false
-		}
-		if m.sys.Driver.ErrorEvents() != h.lastErrs {
-			return false
-		}
-		if m.sys.Auditor != nil && m.sys.Auditor.ViolationCount() > 0 {
-			return false
-		}
+// At is pr itself: a parked member's kernel stands still, so what it read
+// at parking is what it reads at any later epoch.
+func (pr memberProbe) At(int) memberProbe { return pr }
+
+// memberLevel is the pool's side of the supervisor contract: its children
+// are its members, spares included.
+type memberLevel struct{ *Pool }
+
+func (l memberLevel) Read(i int) memberProbe {
+	sys := l.members[i].sys
+	pr := memberProbe{mode: sys.Driver.Mode(), errs: sys.Driver.ErrorEvents(), frags: l.health[i].fragErrs}
+	if sys.Auditor != nil {
+		pr.viol = sys.Auditor.ViolationCount()
 	}
-	return true
+	return pr
 }
 
-// quarantine moves a member to StateQuarantined and, when it was serving a
-// logical position, fails that position over to a hot spare.
-func (p *Pool) quarantine(phys int, reason string) {
-	h := p.health[phys]
-	h.state = StateQuarantined
-	h.quarantinedAt = p.now
-	h.reason = reason
+// Verdict quarantines a member whose driver went read-only, whose auditor
+// logged a violation or that failed QuarantineFragErrs fragments. A
+// degraded driver, or driver error events or fragment failures grown since
+// the last probe, is suspicious. ModeDegraded is sticky in the driver, so a
+// degraded member stays Suspect for the run.
+func (memberLevel) Verdict(cur, last *memberProbe) (string, bool, bool) {
+	rebased := cur.errs != last.errs || cur.frags != last.frags
+	switch {
+	case cur.mode == nvdc.ModeReadOnly:
+		return "driver read-only", false, rebased
+	case cur.viol > 0:
+		return fmt.Sprintf("%d protocol violations", cur.viol), false, rebased
+	case cur.frags >= QuarantineFragErrs:
+		return fmt.Sprintf("%d fragment failures", cur.frags), false, rebased
+	}
+	return "", cur.mode == nvdc.ModeDegraded || cur.errs > last.errs || cur.frags > last.frags, rebased
+}
+
+// Steady holds for a member with no fault registry and no detector
+// bit-error noise. A member the pool does not advance completes nothing,
+// so its fragment failures hold still, and its driver mode, error events
+// and auditor violations can move while it only refreshes only through an
+// injected fault or a noisy detector sample.
+func (l memberLevel) Steady(i int) bool {
+	sys := l.members[i].sys
+	return sys.Faults == nil && sys.Detector.BitErrorRate == 0
+}
+
+// Condemn quarantines member i: it leaves service and, when it was serving
+// a logical position, that position fails over to a hot spare.
+func (l memberLevel) Condemn(i int) {
+	h := l.health[i]
 	h.inService = false
-	p.ctrPool.Inc("member-quarantine")
 	if h.logical >= 0 {
-		p.failover(h.logical, phys)
+		l.failover(h.logical, i)
 	}
+}
+
+// CatchUp brings a parked member to the boundary of epoch to. One
+// FastForwardIdle over the whole parked span is exact: it equals RunUntil
+// by contract, and RunUntil to the boundary equals running it to each
+// boundary the member skipped.
+func (l memberLevel) CatchUp(i, to int) {
+	l.members[i].sys.FastForwardIdle(l.epoch0.Add(sim.Duration(to) * l.epoch))
 }

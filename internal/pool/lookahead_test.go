@@ -63,15 +63,15 @@ func TestQuietEpochsProbeBound(t *testing.T) {
 	if k := p.QuietEpochs(1000); k != 1000 {
 		t.Fatalf("healthy idle pool: QuietEpochs = %d, want 1000 (no-op probes jumped)", k)
 	}
-	p.health[1].state = StateSuspect
+	p.sup.Kids[1].State = HealthSuspect
 	if k := p.QuietEpochs(1000); k != 4 {
 		t.Fatalf("suspect member: QuietEpochs = %d, want 4 (next probe)", k)
 	}
-	p.epochs = 3
+	p.sup.Epochs = 3
 	if k := p.QuietEpochs(1000); k != 1 {
 		t.Fatalf("one epoch before probe: QuietEpochs = %d, want 1", k)
 	}
-	p.epochs = 4 // on a probe boundary: the next probe is a full period out
+	p.sup.Epochs = 4 // on a probe boundary: the next probe is a full period out
 	if k := p.QuietEpochs(1000); k != 4 {
 		t.Fatalf("on probe boundary: QuietEpochs = %d, want 4", k)
 	}
@@ -89,7 +89,7 @@ func TestQuietEpochsProbeFailsClosed(t *testing.T) {
 		cfg   func(*Config)
 		spoil func(*Pool)
 	}{
-		{"suspect member", nil, func(p *Pool) { p.health[1].state = StateSuspect }},
+		{"suspect member", nil, func(p *Pool) { p.sup.Kids[1].State = HealthSuspect }},
 		{"driver error growth", nil, func(p *Pool) { p.Member(0).Driver.Counters().Inc(nvdc.CtrAckTimeout) }},
 		{"fragment error growth", nil, func(p *Pool) { p.health[1].fragErrs++ }},
 		{"auditor violation", nil, func(p *Pool) {
@@ -105,6 +105,16 @@ func TestQuietEpochsProbeFailsClosed(t *testing.T) {
 			}
 		}},
 		{"detector bit errors", nil, func(p *Pool) { p.Member(0).Detector.BitErrorRate = 1e-9 }},
+		{"suspicious probe resets the clean streak", nil, func(p *Pool) {
+			// One clean probe short of recovery, a suspicious probe (driver
+			// error growth) restarts the streak, so one more clean probe
+			// leaves the member Suspect.
+			p.sup.Kids[1].State, p.sup.Kids[1].CleanProbes = HealthSuspect, SuspectClearProbes-1
+			p.Member(1).Driver.Counters().Inc(nvdc.CtrAckTimeout)
+			for p.Epochs() < 2*p.Cfg.ProbeEvery {
+				p.Step()
+			}
+		}},
 	} {
 		var mut []func(*Config)
 		if c.cfg != nil {
@@ -117,7 +127,7 @@ func TestQuietEpochsProbeFailsClosed(t *testing.T) {
 		}
 	}
 	p := newTestPool(t, 2, 1, 1, 4096)
-	p.health[0].state = StateQuarantined
+	p.sup.Kids[0].State = HealthCondemned
 	p.health[0].fragErrs++
 	if k := p.QuietEpochs(1000); k != 1000 {
 		t.Fatalf("quarantined member with error growth: QuietEpochs = %d, want 1000", k)
@@ -184,16 +194,16 @@ func TestStepQuietTripsReadyBreaker(t *testing.T) {
 // is due at the very next boundary).
 func TestQuietEpochsRetryReadyBound(t *testing.T) {
 	p := newTestPool(t, 2, 1, 1, 4096, noProbe)
-	p.retries = append(p.retries, retryEntry{f: &fragment{req: &request{}}, ready: 7})
+	p.sup.Retries = append(p.sup.Retries, Retry[*fragment]{Item: &fragment{req: &request{}}, Ready: 7})
 	if k := p.QuietEpochs(1000); k != 6 {
 		t.Fatalf("retry ready at epoch 7: QuietEpochs = %d, want 6", k)
 	}
-	p.retries[0].ready = 1
+	p.sup.Retries[0].Ready = 1
 	if k := p.QuietEpochs(1000); k != 0 {
 		t.Fatalf("retry due next step: QuietEpochs = %d, want 0", k)
 	}
-	p.retries[0].ready = 7
-	p.retries[0].f.req.canceled = true
+	p.sup.Retries[0].Ready = 7
+	p.sup.Retries[0].Item.req.canceled = true
 	if k := p.QuietEpochs(1000); k != 0 {
 		t.Fatalf("canceled retry pending sweep: QuietEpochs = %d, want 0", k)
 	}
@@ -206,7 +216,7 @@ func TestQuietEpochsDeadlineBound(t *testing.T) {
 	p := newTestPool(t, 2, 1, 1, 4096, noProbe)
 	e := p.Epoch()
 	req := &request{deadline: p.now.Add(5*e + 1)}
-	p.retries = append(p.retries, retryEntry{f: &fragment{req: req}, ready: 1 << 20})
+	p.sup.Retries = append(p.sup.Retries, Retry[*fragment]{Item: &fragment{req: req}, Ready: 1 << 20})
 	if k := p.QuietEpochs(1000); k != 6 {
 		t.Fatalf("deadline just past boundary 5: QuietEpochs = %d, want 6", k)
 	}
@@ -253,11 +263,11 @@ func TestQuietEpochsWorkDisables(t *testing.T) {
 		t.Fatalf("inflight fragment: QuietEpochs = %d, want 0", k)
 	}
 	p.chans[1].inflight = 0
-	p.rebuilds = append(p.rebuilds, &Copy{})
+	p.sup.Jobs = append(p.sup.Jobs, &Copy{})
 	if k := p.QuietEpochs(1000); k != 0 {
 		t.Fatalf("running rebuild: QuietEpochs = %d, want 0", k)
 	}
-	p.rebuilds = nil
+	p.sup.Jobs = nil
 	p.Cfg.DisableLookahead = true
 	if k := p.QuietEpochs(1000); k != 0 {
 		t.Fatalf("lookahead disabled: QuietEpochs = %d, want 0", k)

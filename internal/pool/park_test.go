@@ -33,7 +33,7 @@ func memberState(s *core.System) string {
 // pool's rebuild read-miss and write-fail counts.
 func rebuildState(p *Pool) string {
 	var b strings.Builder
-	for _, j := range p.rebuilds {
+	for _, j := range p.sup.Jobs {
 		fmt.Fprintf(&b, "%d->%d next=%d out=%d;", j.Victim, j.Dest, j.next, j.Outstanding)
 	}
 	fmt.Fprintf(&b, "miss=%d wfail=%d", p.ctrPool.Get("rebuild-read-miss"), p.ctrPool.Get("rebuild-write-fail"))
@@ -141,7 +141,7 @@ func TestParkedMembersMatchLockstep(t *testing.T) {
 						}
 					}
 					for i, m := range a.members {
-						if m.parked && (c.armed || !m.sys.Quiescent()) {
+						if a.sup.Kids[i].Parked && (c.armed || !m.sys.Quiescent()) {
 							t.Fatalf("action %d: member %d parked (fault-armed=%v, quiescent=%v)",
 								act, i, c.armed, m.sys.Quiescent())
 						}
@@ -169,10 +169,10 @@ func TestParkedMembersMatchLockstep(t *testing.T) {
 				if c.violateAt > 0 && (sa.Ctr.Get("failover") != 1 || sa.Evacuated != 1) {
 					t.Fatalf("failover=%d evacuated=%d, want a completed rebuild", sa.Ctr.Get("failover"), sa.Evacuated)
 				}
-				if n := a.ParkedAdvances(); (n == 0) != c.armed {
+				if n := a.sup.Skipped; (n == 0) != c.armed {
 					t.Fatalf("lookahead skipped %d parked member advances (fault-armed=%v)", n, c.armed)
 				}
-				if n := b.ParkedAdvances(); n != 0 {
+				if n := b.sup.Skipped; n != 0 {
 					t.Fatalf("lockstep skipped %d member advances", n)
 				}
 			})
@@ -225,7 +225,7 @@ func TestParkedChannelsMatchLockstep(t *testing.T) {
 		c.BreakerMinSamples = 2
 		c.BreakerCooldown = 12
 		c.BreakerCloseStreak = 2
-		c.QuarantineFragErrs = 1 << 30
+		noProbe(c) // keep every member in service
 	}
 	for _, c := range []struct {
 		name string

@@ -343,7 +343,7 @@ func (p *Pool) Occupancy() []ChannelOccupancy {
 // Backlog returns the total fragments not yet terminal: held + queued + in
 // flight + waiting out retry backoff.
 func (p *Pool) Backlog() int {
-	n := len(p.retries)
+	n := len(p.sup.Retries)
 	for _, ch := range p.chans {
 		n += ch.held() + len(ch.queue) + ch.inflight
 	}
@@ -353,7 +353,7 @@ func (p *Pool) Backlog() int {
 // Quiesced reports whether every submitted request reached a terminal
 // outcome and no background work (retries, rebuilds) remains.
 func (p *Pool) Quiesced() bool {
-	return p.led.Terminal() == p.led.Submitted && p.Backlog() == 0 && len(p.rebuilds) == 0
+	return p.led.Terminal() == p.led.Submitted && p.Backlog() == 0 && len(p.sup.Jobs) == 0
 }
 
 // Drain steps the plane until it quiesces (the shared driver, driver.go).
@@ -366,7 +366,7 @@ func (p *Pool) Elapsed() sim.Duration { return p.now.Sub(p.epoch0) }
 func (p *Pool) Epoch() sim.Duration { return p.epoch }
 
 // Epochs returns the epochs taken so far.
-func (p *Pool) Epochs() int { return p.epochs }
+func (p *Pool) Epochs() int { return p.sup.Epochs }
 
 // MaxEpochs returns the wedge guard.
 func (p *Pool) MaxEpochs() int { return p.Cfg.MaxEpochs }
@@ -555,17 +555,17 @@ func (p *Pool) expireAndSweep() {
 		}
 		ch.queue = p.sweepList(ch, ch.queue, doomed)
 	}
-	if len(p.retries) > 0 {
-		keep := p.retries[:0]
-		for _, e := range p.retries {
-			if doomed(e.f) {
-				p.chans[p.channelOf(e.f.member)].ctr.Inc("frags-expired")
-				p.requestPieceDone(e.f.req, now)
+	if len(p.sup.Retries) > 0 {
+		keep := p.sup.Retries[:0]
+		for _, e := range p.sup.Retries {
+			if f := e.Item; doomed(f) {
+				p.chans[p.channelOf(f.member)].ctr.Inc("frags-expired")
+				p.requestPieceDone(f.req, now)
 				continue
 			}
 			keep = append(keep, e)
 		}
-		p.retries = keep
+		p.sup.Retries = keep
 	}
 }
 

@@ -142,13 +142,13 @@ func TestPlaneRetryFailFast(t *testing.T) {
 
 	r := &request{id: 1, arrival: p.now, deadline: p.now.Add(p.Epoch()), remaining: 1}
 	p.led.Submitted++
-	epochsBefore := p.epochs
+	epochsBefore := p.sup.Epochs
 	p.fragFailed(&fragment{req: r, member: 0, n: 4096}, fmt.Errorf("injected media error"), p.now)
-	if len(p.retries) != 0 {
-		t.Fatalf("%d retries armed for an infeasible deadline, want fail-fast", len(p.retries))
+	if len(p.sup.Retries) != 0 {
+		t.Fatalf("%d retries armed for an infeasible deadline, want fail-fast", len(p.sup.Retries))
 	}
-	if p.epochs != epochsBefore {
-		t.Fatalf("fail-fast burnt %d epochs", p.epochs-epochsBefore)
+	if p.sup.Epochs != epochsBefore {
+		t.Fatalf("fail-fast burnt %d epochs", p.sup.Epochs-epochsBefore)
 	}
 	if !errors.Is(r.err, ErrDeadlineExceeded) {
 		t.Fatalf("request error %v, want ErrDeadlineExceeded chain", r.err)
@@ -168,11 +168,11 @@ func TestPlaneRetryFailFast(t *testing.T) {
 	r2 := &request{id: 2, arrival: p.now, remaining: 1}
 	p.led.Submitted++
 	p.fragFailed(&fragment{req: r2, member: 0, n: 4096}, fmt.Errorf("injected media error"), p.now)
-	if len(p.retries) != 1 {
-		t.Fatalf("%d retries armed without a deadline, want 1", len(p.retries))
+	if len(p.sup.Retries) != 1 {
+		t.Fatalf("%d retries armed without a deadline, want 1", len(p.sup.Retries))
 	}
-	if p.retries[0].ready != p.epochs+RetryBackoff(1) {
-		t.Fatalf("retry ready at epoch %d, want %d", p.retries[0].ready, p.epochs+RetryBackoff(1))
+	if p.sup.Retries[0].Ready != p.sup.Epochs+RetryBackoff(1) {
+		t.Fatalf("retry ready at epoch %d, want %d", p.sup.Retries[0].Ready, p.sup.Epochs+RetryBackoff(1))
 	}
 }
 

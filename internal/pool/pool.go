@@ -40,6 +40,7 @@ package pool
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -109,9 +110,6 @@ type Config struct {
 	// ProbeEvery runs the member health probe every this many epochs
 	// (default 4).
 	ProbeEvery int
-	// QuarantineFragErrs quarantines a member once this many of its
-	// dispatched fragments have failed (default 8).
-	QuarantineFragErrs int
 
 	// MaxRetries caps per-fragment redispatch attempts before the request
 	// fails with ErrPoolDegraded (default 4; negative disables retries).
@@ -188,9 +186,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.ProbeEvery <= 0 {
 		c.ProbeEvery = 4
-	}
-	if c.QuarantineFragErrs <= 0 {
-		c.QuarantineFragErrs = 8
 	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 4
@@ -269,12 +264,6 @@ type completion struct {
 	err  error
 }
 
-// retryEntry is a failed fragment waiting out its backoff.
-type retryEntry struct {
-	f     *fragment
-	ready int // epoch number at which it re-enters admission
-}
-
 // member is one (channel, DIMM) system.
 type member struct {
 	sys *core.System
@@ -290,10 +279,6 @@ type member struct {
 	opFree []*memberOp
 	// ops counts dispatched memberOps whose completion has not run yet.
 	ops int
-	// parked marks a quiescent member the pool has stopped advancing: its
-	// kernel stands at some earlier boundary, and wake catches it up to the
-	// members' boundary before the pool schedules on it or hands it out.
-	parked bool
 }
 
 // memberOp is one fragment dispatched to a member: the event that starts the
@@ -427,16 +412,13 @@ type Pool struct {
 	epoch  sim.Duration
 	epoch0 sim.Time
 	now    sim.Time
-	// boundary is where advanceAll last took the members (a parked member
-	// stands at or before it). It equals now except inside StepQuiet's
-	// probe, where now is one epoch behind it.
-	boundary sim.Time
 
+	// sup supervises the members: their health lattice and probes, parking,
+	// the epoch count and the fragment retry queue (supervisor.go).
+	sup Supervisor[memberProbe, *fragment]
 	// Fault-tolerance state: all boundary-only (single-threaded).
-	health     []*memberHealth // per physical member
-	route      []int           // logical index -> physical member
-	retries    []retryEntry
-	rebuilds   []*Copy
+	health     []*memberHealth    // per physical member
+	route      []int              // logical index -> physical member
 	ctrPool    *metrics.Counters  // pool-level fault/failover counters
 	latRebuild *metrics.Histogram // request latencies landed while a rebuild ran
 	// latMiss holds the lateness overshoot of completed-but-late requests:
@@ -460,14 +442,10 @@ type Pool struct {
 	// CheckHealth asserts it.
 	postQuarantine uint64
 	sparesUsed     int
-	epochs         int
 	heldPeak       int
 	// closedFolds counts the channel-epochs catchUp folded in closed form
 	// (ClosedFormFolds).
 	closedFolds int
-	// parkedAdvances counts member advances skipped because the member was
-	// parked (ParkedAdvances).
-	parkedAdvances int
 }
 
 // New assembles Channels x DIMMsPerChannel member systems and prefills them
@@ -577,6 +555,7 @@ func New(cfg Config) (*Pool, error) {
 		p.health[i] = h
 	}
 	p.ctrPool = metrics.NewCounters()
+	p.sup = NewSupervisor[memberProbe, *fragment](memberLevel{p}, total, cfg.ProbeEvery, 0, p.ctrPool, "member", "member-quarantine")
 	p.latRebuild = metrics.NewHistogram()
 	p.latMiss = metrics.NewHistogram()
 
@@ -591,7 +570,6 @@ func New(cfg Config) (*Pool, error) {
 		m.sys.K.RunUntil(p.epoch0)
 	}
 	p.now = p.epoch0
-	p.boundary = p.epoch0
 
 	p.chans = make([]*channelState, cfg.Channels)
 	for i := range p.chans {
@@ -656,7 +634,7 @@ func (p *Pool) fill(ci int) {
 	i := 0
 	for ; i < len(ch.queue); i++ {
 		f := ch.queue[i]
-		if phys := p.route[f.member]; p.health[phys].state >= StateQuarantined {
+		if phys := p.route[f.member]; p.sup.Kids[phys].State >= HealthCondemned {
 			ch.ctr.Inc("frags-rejected")
 			p.fragFailed(f, fmt.Errorf("logical %d -> member %d: %w", f.member, phys, ErrMemberQuarantined), p.now)
 			continue
@@ -695,13 +673,13 @@ func dropFront(q []*fragment, n int) []*fragment {
 // and only touches member-local state.
 func (p *Pool) dispatch(f *fragment) {
 	phys := p.route[f.member]
-	if p.health[phys].state >= StateQuarantined {
+	if p.sup.Kids[phys].State >= HealthCondemned {
 		// fill() filters these before dispatch; counted so CheckHealth can
 		// prove the reroute guarantee held.
 		p.postQuarantine++
 	}
 	m := p.members[phys]
-	p.wake(m)
+	p.sup.Wake(phys)
 	at := f.req.arrival
 	if at < p.now {
 		at = p.now
@@ -725,7 +703,10 @@ func (p *Pool) dispatch(f *fragment) {
 // collect drains every member's completions (member order, then completion
 // order — both deterministic), releasing window slots, folding breaker
 // observations, and finishing or retrying requests. Rebuild-op completions
-// drain on the same pass; finished rebuild jobs are swept afterwards.
+// drain on the same pass, a failed victim read or spare write counted
+// (rebuild-read-miss, rebuild-write-fail) and never retried: the pool
+// carries no redundancy to reconstruct it from. The supervisor sweeps
+// drained rebuilds afterwards (Settle).
 func (p *Pool) collect() {
 	// Per-channel completion counts this epoch feed the service-interval
 	// EWMA after the member loop. Failed fragments count too: they occupied
@@ -791,7 +772,6 @@ func (p *Pool) collect() {
 		ch.svcDone += int64(n)
 		ch.foldService(end)
 	}
-	p.sweepRebuilds()
 }
 
 // foldService smooths the channel's long-run service interval, measured to
@@ -930,18 +910,6 @@ func (f *quietFold) carries(n int) sim.Duration { return (f.r + sim.Duration(n)*
 // the last seven steps below the band move h by at least one each.
 func enter(h sim.Duration) int { return 6*bits.Len64(uint64(max(h, -h))) + 8 }
 
-// RetryBackoff returns the delay, in epochs, before retry attempt n
-// (1-based): one epoch, doubling per attempt, capped at eight. The pool
-// re-dispatches fragments and the NUMA fabric re-dispatches requests on
-// this one schedule.
-func RetryBackoff(n int) int {
-	const first, max = 1, 8
-	if d := first << (n - 1); d <= max {
-		return d
-	}
-	return max
-}
-
 // fragFailed routes one failed (or quarantine-rejected) fragment: back into
 // the retry queue with capped exponential backoff while budget remains,
 // terminal otherwise. A fragment whose request is already doomed (canceled
@@ -974,7 +942,7 @@ func (p *Pool) fragFailed(f *fragment, err error, at sim.Time) {
 				return
 			}
 		}
-		p.retries = append(p.retries, retryEntry{f: f, ready: p.epochs + delay})
+		p.sup.Backoff(f, delay)
 		ch.ctr.Inc("frags-retried")
 		return
 	}
@@ -1013,7 +981,7 @@ func (p *Pool) requestPieceDone(r *request, at sim.Time) {
 	if rec.Outcome == OutcomeCompleted {
 		lat := rec.Latency
 		ch0.lat.Record(lat)
-		if len(p.rebuilds) > 0 {
+		if len(p.sup.Jobs) > 0 {
 			p.latRebuild.Record(lat)
 		}
 		if ts != nil {
@@ -1060,34 +1028,24 @@ func (p *Pool) retire(ch *channelState, ts *tenantState, write, late bool, err e
 	return o
 }
 
-// promoteRetries re-admits backoff-expired fragments (retry-queue order,
-// behind any admission-held arrivals) before the epoch's fill pass.
-func (p *Pool) promoteRetries() {
-	if len(p.retries) == 0 {
-		return
+// readmit re-admits one backoff-expired fragment behind any
+// admission-held arrivals, before the epoch's fill pass (the supervisor
+// promotes them in retry-queue order).
+func (p *Pool) readmit(f *fragment) {
+	ci := p.channelOf(f.member)
+	ch := p.chans[ci]
+	p.unpark(ch)
+	if p.Cfg.Admission == AdmitShedOldest {
+		p.displaceOldest(ch, ci)
 	}
-	keep := p.retries[:0]
-	for _, e := range p.retries {
-		if e.ready > p.epochs {
-			keep = append(keep, e)
-			continue
-		}
-		ci := p.channelOf(e.f.member)
-		ch := p.chans[ci]
-		p.unpark(ch)
-		if p.Cfg.Admission == AdmitShedOldest {
-			p.displaceOldest(ch, ci)
-		}
-		if len(ch.tq) > 0 {
-			qi := p.qosIndex(e.f.req.tenant)
-			ch.tq[qi].fifo = append(ch.tq[qi].fifo, e.f)
-		} else {
-			ch.pending = append(ch.pending, e.f)
-		}
-		ch.ctr.Inc("frags-repromoted")
-		ch.mark()
+	if len(ch.tq) > 0 {
+		qi := p.qosIndex(f.req.tenant)
+		ch.tq[qi].fifo = append(ch.tq[qi].fifo, f)
+	} else {
+		ch.pending = append(ch.pending, f)
 	}
-	p.retries = keep
+	ch.ctr.Inc("frags-repromoted")
+	ch.mark()
 }
 
 // Step advances the plane one epoch: boundary bookkeeping (deadline expiry,
@@ -1098,11 +1056,11 @@ func (p *Pool) promoteRetries() {
 // channel passes skip parked channels; with lookahead on, a channel left
 // with nothing held, queued or in flight parks at the new boundary.
 func (p *Pool) Step() {
-	p.epochs++
+	p.sup.Epochs++
 	epochEnd := p.now.Add(p.epoch)
 	p.refillTokens(1)
 	p.expireAndSweep()
-	p.promoteRetries()
+	p.sup.Promote(p.readmit)
 	for ci, ch := range p.chans {
 		if !ch.parked {
 			p.fill(ci)
@@ -1111,7 +1069,7 @@ func (p *Pool) Step() {
 	p.issueRebuilds()
 	p.advanceAll(epochEnd)
 	p.collect()
-	p.probeMembers()
+	p.sup.Settle()
 	for _, ch := range p.chans {
 		if ch.parked {
 			continue
@@ -1125,19 +1083,24 @@ func (p *Pool) Step() {
 	p.now = epochEnd
 }
 
-// advanceAll runs every member kernel to the boundary at to, in canonical
-// member order on the calling goroutine (an epoch is one tREFI of member
-// work, too little to pay for handing it to other goroutines). With
-// lookahead on, a member advances through the cross-layer idle warp
-// (core.FastForwardIdle), and one left quiescent with nothing of the pool's
-// outstanding on it is parked: later calls skip it until wake catches it
-// up. Lockstep advances every member event by event and never parks.
+// advanceAll runs every member kernel to the boundary at to, the
+// supervisor's epoch count, in canonical member order on the calling
+// goroutine (an epoch is one tREFI of member work, too little to pay for
+// handing it to other goroutines). With lookahead on, a member advances
+// through the cross-layer idle warp (core.FastForwardIdle), and one left
+// quiescent with nothing of the pool's outstanding on it is parked for good:
+// later calls skip it until the supervisor wakes it. The pool wakes a member
+// wherever it schedules on one or hands one out: dispatch, rebuildOp, Member
+// and CheckHealth. Every other read of a parked member (Probe, Stats,
+// ResidentPooled, failover) reads driver error events, mode and resident
+// set and auditor violations, which a quiescent member's clean refresh
+// cycles leave untouched. Lockstep advances every member event by event and
+// never parks.
 func (p *Pool) advanceAll(to sim.Time) {
-	p.boundary = to
+	p.sup.Boundary = p.sup.Epochs
 	for i, m := range p.members {
 		switch {
-		case m.parked:
-			p.parkedAdvances++
+		case p.sup.Skip(i, p.sup.Epochs):
 		case p.Cfg.DisableLookahead:
 			m.sys.K.RunUntil(to)
 		default:
@@ -1145,35 +1108,17 @@ func (p *Pool) advanceAll(to sim.Time) {
 			// An op in flight keeps events queued, so Quiescent alone would
 			// refuse such a member; the pool checks its own books as well
 			// rather than lean on the member model for that.
-			m.parked = m.ops == 0 && len(m.done) == 0 && len(m.rdone) == 0 &&
-				!p.rebuilding(i) && m.sys.Quiescent()
+			if m.ops == 0 && len(m.done) == 0 && len(m.rdone) == 0 && !p.rebuilding(i) && m.sys.Quiescent() {
+				p.sup.Park(i, math.MaxInt)
+			}
 		}
-	}
-}
-
-// wake catches a parked member up to the members' boundary. Every place the
-// pool schedules on a member or hands one out calls it first: dispatch,
-// rebuildOp, Member and CheckHealth. One FastForwardIdle over the whole
-// parked span is exact: it equals RunUntil by contract, and RunUntil to the
-// boundary equals running it to each boundary the member skipped.
-//
-// Reads that idle refresh cycles cannot change need no catch-up, so Probe,
-// ProbeSteady, probesIdle, probeMembers, Stats, ResidentPooled and failover
-// read a parked member as it stands. They read only driver error events,
-// mode and resident set (Driver.ErrorEvents, Mode, Health, Resident) and
-// auditor violations (Auditor.ViolationCount); a quiescent member's
-// refresh cycles are clean and leave the driver untouched (see probesIdle).
-func (p *Pool) wake(m *member) {
-	if m.parked {
-		m.sys.FastForwardIdle(p.boundary)
-		m.parked = false
 	}
 }
 
 // catchUp brings a parked channel's EWMA and breaker to the current
 // boundary (channelState.catchUp). Every reader of a parked channel's EWMA
 // or breaker calls it first: Submit (shedAtAdmission, and unpark before
-// enqueueing), promoteRetries, Occupancy and Stats, and through breakerOf
+// enqueueing), readmit, Occupancy and Stats, and through breakerOf
 // QuietEpochs, Probe and ProbeSteady. Fill, dispatch and fragFailed run
 // only on channels with work, which are never parked.
 func (p *Pool) catchUp(ch *channelState) { p.closedFolds += ch.catchUp(p.now, p.epoch) }
@@ -1218,16 +1163,9 @@ func (p *Pool) breakerOf(ch *channelState) *breaker {
 // span may be replayed in one batch (StepQuiet) with byte-identical results.
 // Quiet requires an empty front end: every channel parked, with no held,
 // queued or in-flight fragment, and no active rebuild. The horizon is then
-// bounded by the next cross-member event that needs a real boundary:
+// bounded by the supervisor's (Supervisor.Horizon: member probes, retry
+// readiness) and by the pool's own boundary events:
 //
-//   - the next health-probe epoch, but only when a probe could act. A probe
-//     snapshots error counters and advances Suspect clean-streaks, so a
-//     batch may end on such a probe epoch (StepQuiet runs the probe there)
-//     but never jump one. When every member probe in the span provably takes
-//     the no-op path (probesIdle), the bound is dropped and the batch jumps
-//     probe epochs;
-//   - each backoff retry's ready epoch, minus one: the promoting boundary
-//     must be a real step so the promoted fragment meets fill();
 //   - each waiting retry's request deadline: expiry at epoch j compares the
 //     deadline against the previous boundary, so the batch may include
 //     every epoch whose expiry check still precedes the deadline and must
@@ -1243,10 +1181,7 @@ func (p *Pool) breakerOf(ch *channelState) *breaker {
 // events. A result below 2 means "take a plain Step". Like Step, call it
 // only at an epoch boundary.
 func (p *Pool) QuietEpochs(limit int) int {
-	if p.Cfg.DisableLookahead || limit <= 1 {
-		return 0
-	}
-	if len(p.rebuilds) > 0 {
+	if p.Cfg.DisableLookahead || limit <= 1 || len(p.sup.Jobs) > 0 {
 		return 0
 	}
 	for _, ch := range p.chans {
@@ -1254,24 +1189,17 @@ func (p *Pool) QuietEpochs(limit int) int {
 			return 0
 		}
 	}
-	k := limit
-	if d := (p.epochs/p.Cfg.ProbeEvery+1)*p.Cfg.ProbeEvery - p.epochs; d < k && !p.probesIdle() {
-		k = d
-	}
-	for _, e := range p.retries {
-		if e.f.req.canceled {
+	k := p.sup.Horizon(limit)
+	for _, e := range p.sup.Retries {
+		r := e.Item.req
+		if r.canceled {
 			return 0
 		}
-		if d := e.ready - p.epochs - 1; d < k {
-			k = d
-		}
-		if dl := e.f.req.deadline; dl > 0 {
+		if dl := r.deadline; dl > 0 {
 			if dl <= p.now {
 				return 0
 			}
-			if d := int((dl.Sub(p.now)-1)/p.epoch) + 1; d < k {
-				k = d
-			}
+			k = min(k, int((dl.Sub(p.now)-1)/p.epoch)+1)
 		}
 	}
 	for _, ch := range p.chans {
@@ -1279,10 +1207,7 @@ func (p *Pool) QuietEpochs(limit int) int {
 			k = h
 		}
 	}
-	if k < 0 {
-		return 0
-	}
-	return k
+	return max(k, 0)
 }
 
 // StepQuiet advances the pool k quiet epochs (QuietEpochs' preconditions)
@@ -1297,19 +1222,16 @@ func (p *Pool) QuietEpochs(limit int) int {
 // parked span in O(1) whenever a reader next needs them. Every other
 // boundary pass (expiry sweep, retry promotion, fill, rebuild issue,
 // collect's drain, completion delivery) is a no-op on a quiet pool, and so
-// is every probe epoch inside the span (QuietEpochs jumps one only when
-// probesIdle proves it). The final epoch may be a probe epoch:
-// probeMembers runs after the members have advanced, self-gated on the
-// epoch counter, with p.now at the same epoch-start boundary Step would
-// give it. k must not exceed what QuietEpochs just reported at this
-// boundary: StepQuiet trusts the caller and does not re-check the span.
+// is every member probe inside the span; the final epoch's runs last, as
+// in Step (Supervisor.Jump). k must not exceed what QuietEpochs just
+// reported at this boundary: StepQuiet trusts the caller and does not
+// re-check the span.
 func (p *Pool) StepQuiet(k int) {
 	end := p.now.Add(sim.Duration(k) * p.epoch)
+	p.sup.Jump(k)
 	p.advanceAll(end)
-	p.epochs += k
 	p.refillTokens(k)
-	p.now = end.Add(-p.epoch)
-	p.probeMembers()
+	p.sup.Settle()
 	p.now = end
 }
 
@@ -1318,11 +1240,6 @@ func (p *Pool) StepQuiet(k int) {
 // diagnostic, kept out of Stats so lockstep and lookahead runs stay byte-comparable: the
 // lockstep-vs-lookahead tests read it to prove they cover that branch.
 func (p *Pool) ClosedFormFolds() int { return p.closedFolds }
-
-// ParkedAdvances returns how many member advances were skipped because the
-// member was parked. Like ClosedFormFolds it is a lookahead diagnostic kept
-// out of Stats; it stays 0 under lockstep.
-func (p *Pool) ParkedAdvances() int { return p.parkedAdvances }
 
 // Stats is the pool-level aggregate plus the per-channel breakdown.
 type Stats struct {
@@ -1410,7 +1327,7 @@ func (p *Pool) Stats() Stats {
 		PerTenant:                p.tenantStats(),
 		PostQuarantineDispatches: p.postQuarantine,
 		SparesUsed:               p.sparesUsed,
-		Epochs:                   p.epochs,
+		Epochs:                   p.sup.Epochs,
 		HeldPeak:                 p.heldPeak,
 	}
 	for _, ch := range p.chans {
@@ -1424,23 +1341,23 @@ func (p *Pool) Stats() Stats {
 	}
 	s.Ctr.Merge(p.ctrPool)
 	for i, m := range p.members {
-		h := p.health[i]
-		switch h.state {
-		case StateQuarantined:
+		h, k := p.health[i], &p.sup.Kids[i]
+		switch k.State {
+		case HealthCondemned:
 			s.Quarantined++
-		case StateEvacuated:
+		case HealthEvacuated:
 			s.Evacuated++
 		}
 		hs := m.sys.Driver.Health()
 		s.PerMember = append(s.PerMember, MemberStats{
-			State:        h.state,
+			State:        MemberState(k.State),
 			Spare:        h.spare,
 			InService:    h.inService,
 			Logical:      h.logical,
 			Mode:         hs.Mode,
 			DriverErrors: hs.ErrorEvents,
 			FragErrors:   h.fragErrs,
-			Reason:       h.reason,
+			Reason:       k.Reason,
 		})
 	}
 	return s
@@ -1460,9 +1377,8 @@ func (p *Pool) Latency() *metrics.Histogram {
 // pool, so the system is current only until the next Step or StepQuiet:
 // call Member again after one rather than keeping the pointer's view.
 func (p *Pool) Member(i int) *core.System {
-	m := p.members[i]
-	p.wake(m)
-	return m.sys
+	p.sup.Wake(i)
+	return p.members[i].sys
 }
 
 // Members returns the member count.
@@ -1496,11 +1412,11 @@ func (p *Pool) CheckHealth() error {
 			}
 		}
 	}
-	if len(p.retries) != 0 {
-		return fmt.Errorf("pool: %d fragments stranded in retry backoff", len(p.retries))
+	if len(p.sup.Retries) != 0 {
+		return fmt.Errorf("pool: %d fragments stranded in retry backoff", len(p.sup.Retries))
 	}
-	if len(p.rebuilds) != 0 {
-		return fmt.Errorf("pool: %d rebuild jobs still active", len(p.rebuilds))
+	if len(p.sup.Jobs) != 0 {
+		return fmt.Errorf("pool: %d rebuild jobs still active", len(p.sup.Jobs))
 	}
 	for i, ch := range p.chans {
 		if ch.held() != 0 || len(ch.queue) != 0 || ch.inflight != 0 {
@@ -1509,8 +1425,8 @@ func (p *Pool) CheckHealth() error {
 		}
 	}
 	for i, m := range p.members {
-		p.wake(m)
-		if p.health[i].state >= StateQuarantined {
+		p.sup.Wake(i)
+		if p.sup.Kids[i].State >= HealthCondemned {
 			continue
 		}
 		if err := m.sys.CheckHealth(); err != nil {

@@ -264,7 +264,7 @@ func TestStepAllocs(t *testing.T) {
 			if got := p.Stats().Epochs - epochs; got != 101 {
 				t.Fatalf("workers=%d lockstep=%v: %d epochs stepped, want 101", workers, lockstep, got)
 			}
-			if parked := p.ParkedAdvances(); (parked == 0) != lockstep {
+			if parked := p.sup.Skipped; (parked == 0) != lockstep {
 				t.Fatalf("workers=%d lockstep=%v: %d parked member advances", workers, lockstep, parked)
 			}
 			catchUp := func() {

@@ -39,11 +39,18 @@ type Probe struct {
 	DriverErrors      uint64
 }
 
+// At returns pr dated epoch e. The fabric pins a parked socket's snapshot
+// and reads it at later epochs, where its live pool would report e.
+func (pr Probe) At(e int) Probe {
+	pr.Epochs = e
+	return pr
+}
+
 // Probe snapshots the pool's health counters without changing anything a
 // reader can see (a parked channel's breaker may be caught up, breakerOf).
 func (p *Pool) Probe() Probe {
 	pr := Probe{
-		Epochs:          p.epochs,
+		Epochs:          p.sup.Epochs,
 		Submitted:       p.led.Submitted,
 		Completed:       p.led.Completed,
 		Failed:          p.led.Failed,
@@ -51,22 +58,22 @@ func (p *Pool) Probe() Probe {
 		PostQuarantine:  p.postQuarantine,
 	}
 	for i, m := range p.members {
-		h := p.health[i]
-		switch h.state {
-		case StateSuspect:
+		h, state := p.health[i], p.sup.Kids[i].State
+		switch state {
+		case HealthSuspect:
 			pr.Suspects++
-		case StateQuarantined:
+		case HealthCondemned:
 			pr.Quarantined++
-		case StateEvacuated:
+		case HealthEvacuated:
 			pr.Evacuated++
 		}
-		if h.spare && !h.inService && h.state == StateUp {
+		if h.spare && !h.inService && state == HealthUp {
 			pr.SparesFree++
 		}
 		pr.DriverErrors += m.sys.Driver.ErrorEvents()
 	}
 	for _, phys := range p.route {
-		if p.health[phys].state >= StateQuarantined {
+		if p.sup.Kids[phys].State >= HealthCondemned {
 			pr.DegradedPositions++
 		}
 	}
@@ -93,7 +100,7 @@ func (p *Pool) ProbeSteady() bool {
 			return false
 		}
 	}
-	return p.probesIdle()
+	return p.sup.probesIdle()
 }
 
 // ResidentPooled returns the pooled byte offsets of every DRAM-cache

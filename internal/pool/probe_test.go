@@ -79,7 +79,7 @@ func TestProbeSnapshot(t *testing.T) {
 		t.Fatalf("SparesFree = %d, want 1", pr.SparesFree)
 	}
 
-	p.quarantine(0, "probe-test")
+	p.sup.Condemn(0, "probe-test")
 	pr = p.Probe()
 	if pr.Quarantined != 1 || pr.SparesFree != 0 {
 		t.Fatalf("after quarantine: %+v", pr)
@@ -90,7 +90,7 @@ func TestProbeSnapshot(t *testing.T) {
 
 	// Lose the spare now serving logical 0: no free spare remains, so the
 	// position goes degraded — the strongest socket-evacuation signal.
-	p.quarantine(p.route[0], "probe-test")
+	p.sup.Condemn(p.route[0], "probe-test")
 	pr = p.Probe()
 	if pr.DegradedPositions != 1 {
 		t.Fatalf("DegradedPositions = %d, want 1: %+v", pr.DegradedPositions, pr)

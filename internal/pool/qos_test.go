@@ -138,8 +138,8 @@ func drrDrive(t *testing.T, p *Pool, nTen, per int, submit []bool, target, epoch
 		} else if done >= target {
 			break
 		}
-		if p.epochs >= 1<<16 {
-			t.Fatalf("wedged: %d completions after %d epochs", done, p.epochs)
+		if p.sup.Epochs >= 1<<16 {
+			t.Fatalf("wedged: %d completions after %d epochs", done, p.sup.Epochs)
 		}
 		p.Step()
 		for _, c := range p.Poll(nil, 0) {

@@ -33,20 +33,6 @@ func (c *Copy) Issue(start func(page int64) int) {
 	}
 }
 
-// SweepCopies drops the drained copies (every page started, every half
-// collected) from copies, in order, handing each victim to done.
-func SweepCopies(copies []*Copy, done func(victim int)) []*Copy {
-	keep := copies[:0]
-	for _, c := range copies {
-		if c.next >= len(c.Pages) && c.Outstanding == 0 {
-			done(c.Victim)
-			continue
-		}
-		keep = append(keep, c)
-	}
-	return keep
-}
-
 // rebuildEvent is a rebuild op completion, recorded member-locally mid-epoch
 // and drained at the boundary like front-end completions.
 type rebuildEvent struct {
@@ -62,8 +48,7 @@ type rebuildEvent struct {
 func (p *Pool) failover(logical, victim int) {
 	spare := -1
 	for i := p.Dec.Members(); i < len(p.members); i++ {
-		h := p.health[i]
-		if h.spare && !h.inService && h.state == StateUp {
+		if h := p.health[i]; h.spare && !h.inService && p.sup.Kids[i].State == HealthUp {
 			spare = i
 			break
 		}
@@ -96,7 +81,7 @@ func (p *Pool) failover(logical, victim int) {
 			p.ctrPool.Inc("rebuild-skipped")
 		}
 	}
-	p.rebuilds = append(p.rebuilds, &Copy{Victim: victim, Dest: spare, Pages: pages})
+	p.sup.Jobs = append(p.sup.Jobs, &Copy{Victim: victim, Dest: spare, Pages: pages})
 }
 
 // issueRebuilds runs at the epoch boundary before the kernels advance: each
@@ -107,7 +92,7 @@ func (p *Pool) failover(logical, victim int) {
 // does not count them) — and draw no jitter, so the schedule is a pure
 // function of the fault history.
 func (p *Pool) issueRebuilds() {
-	for _, j := range p.rebuilds {
+	for _, j := range p.sup.Jobs {
 		j.Issue(func(lpn int64) int {
 			p.rebuildOp(j, j.Victim, lpn, false)
 			p.rebuildOp(j, j.Dest, lpn, true)
@@ -121,7 +106,7 @@ func (p *Pool) issueRebuilds() {
 // a parked member up to the boundary.
 func (p *Pool) rebuildOp(j *Copy, phys int, lpn int64, write bool) {
 	m := p.members[phys]
-	p.wake(m)
+	p.sup.Wake(phys)
 	cpu := m.tgt.ThreadCPU(PageSize, write)
 	jj, mm, w := j, m, write
 	m.sys.K.ScheduleAt(p.now.Add(cpu), func() {
@@ -134,24 +119,10 @@ func (p *Pool) rebuildOp(j *Copy, phys int, lpn int64, write bool) {
 // rebuilding reports whether an active rebuild job copies from or to
 // member phys.
 func (p *Pool) rebuilding(phys int) bool {
-	for _, j := range p.rebuilds {
+	for _, j := range p.sup.Jobs {
 		if j.Victim == phys || j.Dest == phys {
 			return true
 		}
 	}
 	return false
-}
-
-// sweepRebuilds retires drained rebuilds after the boundary drain: the
-// victim is then Evacuated. Failed victim reads and spare writes were
-// counted at collection (rebuild-read-miss, rebuild-write-fail); the pool
-// carries no redundancy to reconstruct them from.
-func (p *Pool) sweepRebuilds() {
-	if len(p.rebuilds) == 0 {
-		return
-	}
-	p.rebuilds = SweepCopies(p.rebuilds, func(victim int) {
-		p.health[victim].state = StateEvacuated
-		p.ctrPool.Inc("member-evacuated")
-	})
 }

@@ -59,7 +59,7 @@ func TestRequestRecordsRecycleOnce(t *testing.T) {
 		c.PendingCap = 6
 		c.QueueCap = 4
 		c.Window = 3
-		c.QuarantineFragErrs = 1 << 30 // keep every member in service
+		noProbe(c) // keep every member in service
 		c.ArmFaults = func(member int, g *fault.Registry) {
 			if member == 1 {
 				g.Always(fault.NANDReadBitFlip) // uncorrectable: a miss fails
@@ -89,8 +89,8 @@ func TestRequestRecordsRecycleOnce(t *testing.T) {
 				}
 			}
 		}
-		for _, e := range p.retries {
-			w[e.f.req]++
+		for _, e := range p.sup.Retries {
+			w[e.Item.req]++
 		}
 		return w
 	}
