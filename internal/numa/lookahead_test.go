@@ -195,7 +195,7 @@ func TestFabricQuietEpochsProbeFailsClosed(t *testing.T) {
 // batch so the promoting boundary is a real Step.
 func TestFabricQuietEpochsRetryBound(t *testing.T) {
 	f := quietFabric(t)
-	f.sup.Retries = append(f.sup.Retries, pool.Retry[*sockOp]{Item: &sockOp{req: &fabReq{}}, Ready: 7})
+	f.sup.Retries = append(f.sup.Retries, pool.Retry{Item: &pool.Piece{Req: &pool.Request{}}, Ready: 7})
 	if k := f.QuietEpochs(1000); k != 6 {
 		t.Fatalf("retry ready at epoch 7: QuietEpochs = %d, want 6", k)
 	}
@@ -249,12 +249,12 @@ func TestFabricQuietEpochsMigrationDisables(t *testing.T) {
 // pending on any socket means a completion may land at the next boundary.
 func TestFabricQuietEpochsPendingDisables(t *testing.T) {
 	f := quietFabric(t)
-	f.socks[1].pend[1] = &sockOp{}
+	f.socks[1].pend[1] = &pool.Piece{}
 	if k := f.QuietEpochs(1000); k != 0 {
 		t.Fatalf("pending foreground piece: QuietEpochs = %d, want 0", k)
 	}
 	delete(f.socks[1].pend, 1)
-	f.socks[0].mig[1] = &migOp{}
+	f.socks[0].mig[1] = migOp{}
 	if k := f.QuietEpochs(1000); k != 0 {
 		t.Fatalf("pending migration piece: QuietEpochs = %d, want 0", k)
 	}
@@ -534,9 +534,9 @@ func TestFabricIdleProbeJumpIdentical(t *testing.T) {
 // and promotes at exactly its ready epoch.
 func TestFabricDrainBatchesRetryBackoff(t *testing.T) {
 	f := quietFabric(t)
-	op := &sockOp{req: &fabReq{remaining: 1, src: 0, bytes: 4096}, off: 0, n: 4096}
+	op := &pool.Piece{Req: &pool.Request{Remaining: 1, Home: 0, Bytes: 4096}, Off: 0, N: 4096, Attempts: 1}
 	f.led.Submitted++
-	f.sup.Retries = append(f.sup.Retries, pool.Retry[*sockOp]{Item: op, Ready: 50})
+	f.sup.Retries = append(f.sup.Retries, pool.Retry{Item: op, Ready: 50})
 	if err := f.Drain(); err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ import (
 const migPageSize = 4096
 
 // migOp is one half of a paired page copy, keyed by pool request ID in the
-// owning socket's mig map.
+// owning socket's mig map, which holds it by value: two words.
 type migOp struct {
 	job   *pool.Copy
 	write bool
@@ -92,12 +92,12 @@ func (f *Fabric) migSubmit(j *pool.Copy, sock int, off int64, write bool, at sim
 		f.migMiss(write)
 		return 0
 	}
-	f.socks[sock].mig[id] = &migOp{job: j, write: write}
+	f.socks[sock].mig[id] = migOp{job: j, write: write}
 	return 1
 }
 
 // migDone folds one asynchronous migration completion into its copy.
-func (f *Fabric) migDone(mo *migOp, c pool.Completion) {
+func (f *Fabric) migDone(mo migOp, c pool.Completion) {
 	mo.job.Outstanding--
 	if c.Outcome != pool.OutcomeCompleted {
 		f.migMiss(mo.write)

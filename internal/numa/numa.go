@@ -117,44 +117,6 @@ type Config struct {
 	ArmFaults func(socket, member int, reg *fault.Registry)
 }
 
-// fabReq is one fabric-level request; it fans out into per-socket sockOps
-// (one per contiguous same-owner address run) that complete together.
-type fabReq struct {
-	id       uint64
-	tenant   int
-	src      int
-	arrival  sim.Duration
-	deadline sim.Duration // absolute instant (arrival + budget); 0 = none
-	write    bool
-	bytes    int
-	remote   bool
-
-	remaining int
-	lastDone  sim.Duration
-	err       error
-	// insub is true while Submit is still dispatching pieces: a request
-	// retiring with it set resolved synchronously, so the caller holds the
-	// typed error and no Completion record is produced (pool.Submit parity).
-	insub bool
-	// first is the request's first piece, embedded so a request that stays
-	// on one socket allocates no sockOp of its own.
-	first sockOp
-}
-
-// sockOp is one per-socket piece of a fabric request.
-type sockOp struct {
-	req      *fabReq
-	off      int64 // fabric address of this piece
-	n        int
-	attempts int
-}
-
-// seg is one contiguous same-owner address run of a request being split.
-type seg struct {
-	off int64
-	n   int
-}
-
 // Fabric is the multi-socket request plane.
 type Fabric struct {
 	Cfg Config
@@ -171,13 +133,16 @@ type Fabric struct {
 	now   sim.Duration // current boundary, relative to fabric origin
 	// sup supervises the sockets: their health lattice and probes, parking,
 	// the epoch count and the cross-socket retry queue (pool.Supervisor).
-	sup pool.Supervisor[pool.Probe, *sockOp]
+	sup pool.Supervisor[pool.Probe]
 
+	// reqs recycles request records and buffers terminal records for Poll
+	// (pool.Requests): a request retires there when its last piece does
+	// (retire).
+	reqs   pool.Requests
 	nextID uint64
-	out    pool.Outbox
 	// segScratch is submit's reusable split buffer, and drain collect's
 	// reusable buffer of socket completions.
-	segScratch []seg
+	segScratch []pool.Extent
 	drain      []pool.Completion
 
 	ctr        *metrics.Counters
@@ -196,8 +161,8 @@ type Fabric struct {
 // socket is one pooled socket plus its fabric-side tracking state.
 type socket struct {
 	pool *pool.Pool
-	pend map[uint64]*sockOp // pool request ID -> foreground op
-	mig  map[uint64]*migOp  // pool request ID -> migration op
+	pend map[uint64]*pool.Piece // pool request ID -> foreground piece
+	mig  map[uint64]migOp       // pool request ID -> migration op
 }
 
 func (c *Config) fillDefaults() error {
@@ -279,13 +244,16 @@ func New(cfg Config) (*Fabric, error) {
 		}
 		f.socks = append(f.socks, &socket{
 			pool: p,
-			pend: map[uint64]*sockOp{},
-			mig:  map[uint64]*migOp{},
+			pend: map[uint64]*pool.Piece{},
+			mig:  map[uint64]migOp{},
 		})
 	}
-	f.sup = pool.NewSupervisor[pool.Probe, *sockOp](socketLevel{f}, cfg.Sockets, cfg.ProbeEvery, cfg.EvacuateAfterProbes,
-		f.ctr, "socket", "socket-evacuating")
 	f.epoch = f.socks[0].pool.Epoch()
+	f.sup = pool.NewSupervisor[pool.Probe](socketLevel{f}, cfg.Sockets, cfg.ProbeEvery, cfg.EvacuateAfterProbes,
+		pool.RetryPolicy{Max: maxRetries, Epoch: f.epoch, Degraded: ErrFabricDegraded,
+			// A fabric request is never canceled: fab-retry-canceled stays 0.
+			Counters: [...]string{"fab-retry-queued", "fab-retry-canceled", "fab-retry-exhausted", "fab-retry-infeasible"}},
+		f.ctr, "socket", "socket-evacuating")
 	span := f.socks[0].pool.Capacity()
 	for _, s := range f.socks[1:] {
 		if c := s.pool.Capacity(); c < span {
@@ -346,101 +314,88 @@ func (f *Fabric) Submit(r openloop.Request) (uint64, error) {
 		src = 0
 	}
 	f.nextID++
-	req := &fabReq{
-		id:      f.nextID,
-		tenant:  r.Tenant,
-		src:     src,
-		arrival: r.Arrival,
-		write:   r.Write,
-		bytes:   r.Len,
-	}
-	if r.Deadline > 0 {
-		req.deadline = r.Arrival + r.Deadline
-	}
 	f.led.Submit(r.Write)
 	// Split at chunk boundaries, merging consecutive chunks with the same
 	// serving socket so a request crossing an un-re-homed span stays one op.
 	segs := f.segScratch[:0]
-	off, n := r.Off, r.Len
-	for n > 0 {
-		run := int(f.Cfg.ChunkBytes - off%f.Cfg.ChunkBytes)
-		if run > n {
-			run = n
+	for off, n := r.Off, r.Len; n > 0; {
+		run := min(int(f.Cfg.ChunkBytes-off%f.Cfg.ChunkBytes), n)
+		if k := len(segs) - 1; k >= 0 && f.ownerOf(segs[k].Off) == f.ownerOf(off) &&
+			f.localOff(segs[k].Off)+int64(segs[k].Len) == f.localOff(off) {
+			segs[k].Len += run
+		} else {
+			segs = append(segs, pool.Extent{Off: off, Len: run})
 		}
-		if len(segs) > 0 {
-			last := &segs[len(segs)-1]
-			if last.off+int64(last.n) == off && f.ownerOf(last.off) == f.ownerOf(off) &&
-				f.localOff(last.off)+int64(last.n) == f.localOff(off) {
-				last.n += run
-				off += int64(run)
-				n -= run
-				continue
-			}
-		}
-		segs = append(segs, seg{off, run})
 		off += int64(run)
 		n -= run
 	}
 	f.segScratch = segs
-	req.remaining = len(segs)
-	req.insub = true
-	for i, sg := range segs {
-		op := &req.first
-		if i > 0 {
-			op = &sockOp{}
-		}
-		*op = sockOp{req: req, off: sg.off, n: sg.n}
-		f.dispatch(op)
+	// The fabric's origin is 0, so its instants are its durations.
+	req := f.reqs.New(pool.Request{
+		ID:      f.nextID,
+		Tenant:  r.Tenant,
+		Home:    src,
+		Arrival: sim.Time(r.Arrival),
+		Write:   r.Write,
+		InSub:   true,
+		Bytes:   r.Len,
+	}, segs)
+	if r.Deadline > 0 {
+		req.Deadline = sim.Time(r.Arrival + r.Deadline)
 	}
-	req.insub = false
-	if req.remaining == 0 {
+	for i := range segs {
+		f.dispatch(req.Piece(i))
+	}
+	req.InSub = false
+	if req.Remaining == 0 {
 		// Every piece resolved synchronously (admission refusal or typed
 		// fast-fail): hand the caller the typed chain, pool-style — the
-		// outcome counters are already settled, no Completion record.
-		return req.id, req.err
+		// outcome counters are already settled, no Completion record. The
+		// record is back on the free list, unchanged until the next New.
+		return req.ID, req.Err
 	}
-	return req.id, nil
+	return req.ID, nil
 }
 
-// dispatch routes one sockOp through the directory and submits it to its
+// dispatch routes one piece through the directory and submits it to its
 // serving pool, paying the request-path interconnect transfer. It is the
 // single choke point for the post-evacuation invariant: a piece whose
 // serving socket is at or past Evacuating is refused typed here, before
-// any pool sees it.
-func (f *Fabric) dispatch(op *sockOp) {
-	dst := f.ownerOf(op.off)
+// any pool sees it. The retry queue promotes retried pieces here too: only
+// a piece that has failed before has attempts, and it counts as promoted.
+func (f *Fabric) dispatch(op *pool.Piece) {
+	if op.Attempts > 0 {
+		f.ctr.Inc("fab-retry-promoted")
+	}
+	r := op.Req
+	dst := f.ownerOf(op.Off)
 	h := &f.sup.Kids[dst]
 	if h.State >= pool.HealthCondemned {
 		f.ctr.Inc("refused-evacuated")
-		f.opTerminal(op, fmt.Errorf("numa: socket %d %s (%s): %w", dst, SocketState(h.State), h.Reason, ErrSocketEvacuated), f.now)
+		f.retire(r, sim.Time(f.now), fmt.Errorf("numa: socket %d %s (%s): %w", dst, SocketState(h.State), h.Reason, ErrSocketEvacuated))
 		return
 	}
-	at := op.req.arrival
-	if at < f.now {
-		at = f.now
-	}
+	at := max(r.Arrival, sim.Time(f.now))
 	xb := 64 // request descriptor
-	if op.req.write {
-		xb += op.n // write payload rides the request path
+	if r.Write {
+		xb += op.N // write payload rides the request path
 	}
-	arrive := f.links.xfer(op.req.src, dst, xb, at)
+	arrive := sim.Time(f.links.xfer(r.Home, dst, xb, sim.Duration(at)))
 	var budget sim.Duration
-	if dl := op.req.deadline; dl > 0 {
-		budget = dl - arrive
+	if dl := r.Deadline; dl > 0 {
+		budget = dl.Sub(arrive)
 		if budget <= 0 {
 			// The wire alone eats the whole budget: fail fast, typed, without
 			// burning a pool slot.
 			f.ctr.Inc("expired-on-wire")
-			f.opTerminal(op, fmt.Errorf("numa: link transfer lands %v past deadline: %w",
-				arrive-dl, pool.ErrDeadlineExceeded), arrive)
+			f.retire(r, arrive, fmt.Errorf("numa: link transfer lands %v past deadline: %w",
+				arrive.Sub(dl), pool.ErrDeadlineExceeded))
 			return
 		}
 	}
-	if op.req.src != dst {
-		if !op.req.remote {
-			op.req.remote = true
-			f.ctr.Inc("remote-requests")
-		}
+	if r.Home != dst && !r.Remote {
+		r.Remote = true
+		f.ctr.Inc("remote-requests")
 	}
 	if h.State >= pool.HealthCondemned {
 		// Unreachable (checked above) but kept as the counted invariant:
@@ -450,102 +405,40 @@ func (f *Fabric) dispatch(op *sockOp) {
 	}
 	f.sup.Wake(dst)
 	pid, err := f.socks[dst].pool.Submit(openloop.Request{
-		Arrival:  arrive,
+		Arrival:  sim.Duration(arrive),
 		Deadline: budget,
-		Tenant:   op.req.tenant,
+		Tenant:   r.Tenant,
 		Socket:   dst,
-		Off:      f.localOff(op.off),
-		Len:      op.n,
-		Write:    op.req.write,
+		Off:      f.localOff(op.Off),
+		Len:      op.N,
+		Write:    r.Write,
 	})
 	if err != nil {
 		// Synchronous typed refusal (admission shed / tenant throttle).
-		f.opTerminal(op, err, arrive)
+		f.retire(r, arrive, err)
 		return
 	}
 	f.socks[dst].pend[pid] = op
 }
 
-// opTerminal retires one piece with a typed error.
-func (f *Fabric) opTerminal(op *sockOp, err error, at sim.Duration) {
-	if op.req.err == nil {
-		op.req.err = fmt.Errorf("numa: piece [%d,+%d): %w", op.off, op.n, err)
-	}
-	f.requestPieceDone(op.req, at)
-}
-
-// opDone retires one piece successfully at instant at.
-func (f *Fabric) opDone(op *sockOp, at sim.Duration) {
-	f.requestPieceDone(op.req, at)
-}
-
 // maxRetries bounds cross-socket re-dispatch of typed-failed requests.
 const maxRetries = 4
-
-// opFailed handles an asynchronous typed failure: re-dispatch through the
-// directory after capped exponential backoff — the failure usually means
-// the serving socket just degraded, and the probe/evacuation machinery is
-// re-homing its chunks — failing fast when the remaining deadline budget
-// cannot cover the next attempt.
-func (f *Fabric) opFailed(op *sockOp, err error, at sim.Duration) {
-	op.attempts++
-	if op.attempts > maxRetries {
-		f.ctr.Inc("fab-retry-exhausted")
-		f.opTerminal(op, fmt.Errorf("%w after %d attempts: %v", ErrFabricDegraded, op.attempts, err), at)
-		return
-	}
-	delay := pool.RetryBackoff(op.attempts)
-	if dl := op.req.deadline; dl > 0 {
-		eta := f.now + sim.Duration(delay)*f.epoch + f.Cfg.XLat
-		if eta > dl {
-			f.ctr.Inc("fab-retry-infeasible")
-			f.opTerminal(op, fmt.Errorf("numa: retry %d backoff lands %v past deadline (%v): %w",
-				op.attempts, eta-dl, err, pool.ErrDeadlineExceeded), at)
-			return
-		}
-	}
-	f.ctr.Inc("fab-retry-queued")
-	f.sup.Backoff(op, delay)
-}
-
-// redispatch re-dispatches one piece whose backoff has elapsed (the
-// supervisor promotes them in queue, hence submission, order).
-func (f *Fabric) redispatch(op *sockOp) {
-	f.ctr.Inc("fab-retry-promoted")
-	f.dispatch(op)
-}
 
 // fabricTyped lists the sentinels that make a fabric failure typed: the
 // pool's plus the socket-level ones.
 var fabricTyped = []error{pool.ErrMemberQuarantined, pool.ErrPoolDegraded, ErrSocketEvacuated, ErrFabricDegraded}
 
-// requestPieceDone folds one terminal piece into its request; the last
-// piece retires the whole request through the ledger, in pool outcome
-// terms.
-func (f *Fabric) requestPieceDone(r *fabReq, at sim.Duration) {
-	if at > r.lastDone {
-		r.lastDone = at
-	}
-	r.remaining--
-	if r.remaining > 0 {
+// retire folds one terminal piece, and its error err (nil for a success),
+// into its request (pool.Request.Fold). The last piece retires the request
+// through the ledger, in pool outcome terms, records its latency, and
+// returns the record to the free list.
+func (f *Fabric) retire(r *pool.Request, at sim.Time, err error) {
+	if !r.Fold(at, err) {
 		return
 	}
-	late := r.deadline > 0 && r.lastDone > r.deadline
-	c := pool.Completion{
-		ID:      r.id,
-		Tenant:  r.tenant,
-		Write:   r.write,
-		Outcome: f.led.Retire(r.write, late, r.err, fabricTyped),
-		At:      sim.Time(r.lastDone),
-		Latency: r.lastDone - r.arrival,
-		Err:     r.err,
-	}
+	c := r.Completion(f.led.Retire(r.Write, r.Late(), r.Err, fabricTyped))
 	if c.Outcome == pool.OutcomeCompleted {
-		if late {
-			c.Late = true
-			c.Lateness = r.lastDone - r.deadline
-		}
-		if r.remote {
+		if r.Remote {
 			f.latRemote.Record(c.Latency)
 		} else {
 			f.lat.Record(c.Latency)
@@ -554,9 +447,7 @@ func (f *Fabric) requestPieceDone(r *fabReq, at sim.Duration) {
 			f.latMigrate.Record(c.Latency)
 		}
 	}
-	if !r.insub {
-		f.out.Add(c)
-	}
+	f.reqs.Retire(r, c)
 }
 
 // Step advances the fabric one epoch: boundary bookkeeping (link faults,
@@ -568,7 +459,7 @@ func (f *Fabric) requestPieceDone(r *fabReq, at sim.Duration) {
 func (f *Fabric) Step() {
 	f.sup.Epochs++
 	f.applyLinkFaults()
-	f.sup.Promote(f.redispatch)
+	f.sup.Promote(f.dispatch)
 	f.issueMigrations()
 	f.sup.Boundary = f.sup.Epochs
 	for i, s := range f.socks {
@@ -606,6 +497,10 @@ func (f *Fabric) park() {
 // collect drains every socket's completions in socket order and folds them
 // into fabric requests, paying the return-path transfer for completed
 // remote pieces (a read's payload rides home; acks are descriptor-sized).
+// A failed piece goes through the retry decision (Supervisor.Retry), whose
+// ETA term is the link latency: the failure usually means the serving
+// socket just degraded, and the probe/evacuation machinery is re-homing its
+// chunks, so the retry re-dispatches through the directory.
 func (f *Fabric) collect() {
 	for si, s := range f.socks {
 		if f.sup.Kids[si].Parked {
@@ -613,20 +508,22 @@ func (f *Fabric) collect() {
 		}
 		f.drain = s.pool.Poll(f.drain[:0], 0)
 		for _, c := range f.drain {
-			rel := c.At.Sub(s.pool.Origin())
+			at := sim.Time(c.At.Sub(s.pool.Origin()))
 			if op, ok := s.pend[c.ID]; ok {
 				delete(s.pend, c.ID)
 				switch c.Outcome {
 				case pool.OutcomeCompleted:
 					rb := 64
-					if !op.req.write {
-						rb += op.n
+					if !op.Req.Write {
+						rb += op.N
 					}
-					f.opDone(op, f.links.xfer(si, op.req.src, rb, rel))
+					f.retire(op.Req, sim.Time(f.links.xfer(si, op.Req.Home, rb, sim.Duration(at))), nil)
 				case pool.OutcomeFailed:
-					f.opFailed(op, c.Err, rel)
+					if v, err := f.sup.Retry(op, c.Err, sim.Time(f.now), f.Cfg.XLat, f.ctr); v != pool.RetryQueued {
+						f.retire(op.Req, at, err)
+					}
 				default: // shed / expired / throttled, asynchronously
-					f.opTerminal(op, c.Err, rel)
+					f.retire(op.Req, at, c.Err)
 				}
 				continue
 			}
@@ -645,7 +542,7 @@ func (f *Fabric) collect() {
 // Poll removes up to max buffered completions (all when max <= 0) and
 // appends them to dst.
 func (f *Fabric) Poll(dst []pool.Completion, max int) []pool.Completion {
-	return f.out.Poll(dst, max)
+	return f.reqs.Poll(dst, max)
 }
 
 // Quiesced reports whether every submitted request is terminal and no

@@ -205,6 +205,33 @@ func TestFabricEvacuationKill(t *testing.T) {
 	if s.LatMigrate.Count() == 0 {
 		t.Fatal("no foreground completions recorded during migration")
 	}
+
+	// With socket probes off the victim is never evacuated, so a piece it
+	// fails is retried onto it again. Without a deadline the retries
+	// exhaust the cap, typed ErrFabricDegraded; under one, a retry that
+	// cannot land in time fails fast as expired.
+	for _, c := range []struct {
+		deadline sim.Duration
+		counter  string
+	}{{0, "fab-retry-exhausted"}, {20 * sim.Microsecond, "fab-retry-infeasible"}} {
+		f := newTestFabric(t, 2, 1, killSocket(1, 1), func(cfg *Config) {
+			cfg.ProbeEvery = 1 << 20
+			cfg.Pool.MaxRetries = -1 // every pool failure reaches the fabric
+		})
+		g := fabricTenants(f, 7, true)
+		g.Deadline = c.deadline
+		s := runFabric(t, f, g, 120)
+		if s.Ctr.Get(c.counter) == 0 {
+			t.Fatalf("deadline %v: %s = 0", c.deadline, c.counter)
+		}
+		if c.deadline == 0 && (!errors.Is(s.FirstFailure, ErrFabricDegraded) ||
+			!strings.Contains(s.FirstFailure.Error(), fmt.Sprintf("(%d attempts)", maxRetries+1))) {
+			t.Fatalf("exhausted retry failed with %v, want ErrFabricDegraded after %d attempts", s.FirstFailure, maxRetries+1)
+		}
+		if c.deadline > 0 && s.Expired == 0 {
+			t.Fatalf("infeasible retry expired no request: %+v", s.Ledger)
+		}
+	}
 }
 
 // TestFabricRemoteLatencyFloor: a completed remote request pays the wire
@@ -440,11 +467,11 @@ func TestFabricSuspectRecovery(t *testing.T) {
 	}
 }
 
-// TestFabricRequestAllocs: a request through a warm fabric allocates its
-// fabReq, whose first piece is embedded, one more sockOp per extra piece,
-// and one pool request per piece — nothing per epoch and nothing to split
-// or collect it: submit splits into a fabric-owned buffer and collect
-// drains the sockets' completions into another.
+// TestFabricRequestAllocs: once warm, a request through the fabric
+// allocates nothing, whether it stays on one socket or splits across two:
+// fabric and pool request records recycle through their free lists, submit
+// splits into a fabric-owned buffer, collect drains the sockets'
+// completions into another, and the pending maps reuse their buckets.
 func TestFabricRequestAllocs(t *testing.T) {
 	f := quietFabric(t)
 	for _, c := range []struct {
@@ -452,8 +479,8 @@ func TestFabricRequestAllocs(t *testing.T) {
 		off  int64
 		want float64
 	}{
-		{"one socket", 8192, 2},
-		{"across sockets", f.Span() - 2048, 4},
+		{"one socket", 8192, 0},
+		{"across sockets", f.Span() - 2048, 0},
 	} {
 		var recs []pool.Completion
 		run := func() {
@@ -477,11 +504,45 @@ func TestFabricRequestAllocs(t *testing.T) {
 }
 
 // BenchmarkFabricStep times one epoch of a 2-socket fabric of 3-channel
-// pools at two workers. idle is the idle-fabric shape and the fabric twin
-// of pool's BenchmarkPoolStep/idle: one cache-resident read every 64
-// epochs, alternating sockets, so the socket without work sits parked and
-// each read catches its socket up. Each op is one epoch.
+// pools at two workers. Each op is one epoch.
+//
+// busy, the fabric twin of pool's BenchmarkPoolStep/busy: one
+// cache-resident 4 KiB read every epoch from alternating source sockets,
+// every fourth one straddling the span boundary into two pieces, one per
+// socket. Request records recycle, so it allocates nothing.
+//
+// idle is the idle-fabric shape and the twin of BenchmarkPoolStep/idle:
+// one cache-resident read every 64 epochs, alternating sockets, so the
+// socket without work sits parked and each read catches its socket up.
 func BenchmarkFabricStep(b *testing.B) {
+	b.Run("busy", func(b *testing.B) {
+		f := newTestFabric(b, 2, 2, func(c *Config) { c.Pool.Channels = 3 })
+		foot := min(f.Socket(0).CachedFootprint(), f.Socket(1).CachedFootprint()) / 4096 * 4096
+		var off int64
+		epoch := 0
+		var recs []pool.Completion
+		op := func() {
+			r := openloop.Request{Arrival: f.Now(), Socket: epoch % 2, Off: f.Span() - 2048, Len: 4096}
+			if epoch%4 != 3 {
+				r.Off = int64(r.Socket)*f.Span() + off
+				off = (off + 4096) % foot
+			}
+			if _, err := f.Submit(r); err != nil {
+				b.Fatal(err)
+			}
+			epoch++
+			f.Step()
+			recs = f.Poll(recs[:0], 0)
+		}
+		for i := 0; i < 100; i++ {
+			op()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			op()
+		}
+	})
 	b.Run("idle", func(b *testing.B) {
 		f := newTestFabric(b, 2, 2, func(c *Config) { c.Pool.Channels = 3 })
 		var foot, off [2]int64

@@ -29,7 +29,9 @@ type Decoder struct {
 	groupCount int64
 }
 
-// Extent is one contiguous piece of a pooled access on a single member.
+// Extent is one contiguous run of an access served by one child: a pooled
+// access's run on a member, or a fabric access's run on one socket (which
+// leaves Member unused and keeps Off fabric-wide).
 type Extent struct {
 	Member int
 	Off    int64

@@ -194,7 +194,7 @@ func TestStepQuietTripsReadyBreaker(t *testing.T) {
 // is due at the very next boundary).
 func TestQuietEpochsRetryReadyBound(t *testing.T) {
 	p := newTestPool(t, 2, 1, 1, 4096, noProbe)
-	p.sup.Retries = append(p.sup.Retries, Retry[*fragment]{Item: &fragment{req: &request{}}, Ready: 7})
+	p.sup.Retries = append(p.sup.Retries, Retry{Item: &Piece{Req: &Request{}}, Ready: 7})
 	if k := p.QuietEpochs(1000); k != 6 {
 		t.Fatalf("retry ready at epoch 7: QuietEpochs = %d, want 6", k)
 	}
@@ -203,7 +203,7 @@ func TestQuietEpochsRetryReadyBound(t *testing.T) {
 		t.Fatalf("retry due next step: QuietEpochs = %d, want 0", k)
 	}
 	p.sup.Retries[0].Ready = 7
-	p.sup.Retries[0].Item.req.canceled = true
+	p.sup.Retries[0].Item.Req.Canceled = true
 	if k := p.QuietEpochs(1000); k != 0 {
 		t.Fatalf("canceled retry pending sweep: QuietEpochs = %d, want 0", k)
 	}
@@ -215,17 +215,17 @@ func TestQuietEpochsRetryReadyBound(t *testing.T) {
 func TestQuietEpochsDeadlineBound(t *testing.T) {
 	p := newTestPool(t, 2, 1, 1, 4096, noProbe)
 	e := p.Epoch()
-	req := &request{deadline: p.now.Add(5*e + 1)}
-	p.sup.Retries = append(p.sup.Retries, Retry[*fragment]{Item: &fragment{req: req}, Ready: 1 << 20})
+	req := &Request{Deadline: p.now.Add(5*e + 1)}
+	p.sup.Retries = append(p.sup.Retries, Retry{Item: &Piece{Req: req}, Ready: 1 << 20})
 	if k := p.QuietEpochs(1000); k != 6 {
 		t.Fatalf("deadline just past boundary 5: QuietEpochs = %d, want 6", k)
 	}
-	req.deadline = p.now.Add(3 * e) // exactly on a boundary
+	req.Deadline = p.now.Add(3 * e) // exactly on a boundary
 	if k := p.QuietEpochs(1000); k != 3 {
 		t.Fatalf("deadline on boundary 3: QuietEpochs = %d, want 3", k)
 	}
 	p.now = p.now.Add(e)
-	req.deadline = p.now
+	req.Deadline = p.now
 	if k := p.QuietEpochs(1000); k != 0 {
 		t.Fatalf("expired deadline: QuietEpochs = %d, want 0", k)
 	}

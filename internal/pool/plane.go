@@ -51,7 +51,6 @@ package pool
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"nvdimmc/internal/sim"
 	"nvdimmc/internal/workload/openloop"
@@ -241,23 +240,18 @@ func (p *Pool) Submit(r openloop.Request) (uint64, error) {
 		return id, reason
 	}
 
-	req := p.newRequest(request{
-		id:        id,
-		arrival:   arrival,
-		deadline:  deadline,
-		write:     r.Write,
-		tenant:    r.Tenant,
-		bytes:     r.Len,
-		remaining: len(frags),
-		channel0:  p.channelOf(frags[0].Member),
-	}, len(frags)-1)
+	req := p.reqs.New(Request{
+		ID:       id,
+		Tenant:   r.Tenant,
+		Home:     p.channelOf(frags[0].Member),
+		Arrival:  arrival,
+		Deadline: deadline,
+		Write:    r.Write,
+		Bytes:    r.Len,
+	}, frags)
 	for i := range frags {
-		f := &req.frag0
-		if i > 0 {
-			f = &req.more[i-1]
-		}
-		*f = fragment{req: req, member: frags[i].Member, off: frags[i].Off, n: frags[i].Len}
-		ci := p.channelOf(f.member)
+		f := req.Piece(i)
+		ci := p.channelOf(f.Member)
 		ch := p.chans[ci]
 		p.unpark(ch)
 		switch {
@@ -290,28 +284,7 @@ func (p *Pool) Submit(r openloop.Request) (uint64, error) {
 // Poll removes up to max buffered completions (all when max <= 0) and
 // appends them to dst. Draining into a buffer the caller reuses allocates
 // nothing once the buffer has grown.
-func (p *Pool) Poll(dst []Completion, max int) []Completion { return p.out.Poll(dst, max) }
-
-// Outbox holds a plane's terminal Completion records in deterministic
-// boundary order until Poll takes them: every request that does not fail
-// synchronously at Submit leaves exactly one record.
-type Outbox struct{ recs []Completion }
-
-// Add buffers c.
-func (o *Outbox) Add(c Completion) { o.recs = append(o.recs, c) }
-
-// Poll removes up to max buffered records (all when max <= 0) and appends
-// them to dst.
-func (o *Outbox) Poll(dst []Completion, max int) []Completion {
-	if max <= 0 || max > len(o.recs) {
-		max = len(o.recs)
-	}
-	dst = append(dst, o.recs[:max]...)
-	n := copy(o.recs, o.recs[max:])
-	clear(o.recs[n:])
-	o.recs = o.recs[:n]
-	return dst
-}
+func (p *Pool) Poll(dst []Completion, max int) []Completion { return p.reqs.Poll(dst, max) }
 
 // Now returns the current epoch-boundary instant — the arrival a front-end
 // embedding the plane (the network service, a host simulator) should stamp
@@ -373,23 +346,6 @@ func (p *Pool) MaxEpochs() int { return p.Cfg.MaxEpochs }
 
 // Ledger returns the pool's outcome ledger.
 func (p *Pool) Ledger() Ledger { return p.led }
-
-// newRequest takes a retired record off the free list, or makes one, and
-// overwrites all of it with r, keeping only the capacity of its fragment
-// array, which it sizes for extra fragments beyond the first.
-func (p *Pool) newRequest(r request, extra int) *request {
-	var req *request
-	if n := len(p.reqFree); n > 0 {
-		req = p.reqFree[n-1]
-		p.reqFree = p.reqFree[:n-1]
-	} else {
-		req = new(request)
-	}
-	more := req.more[:0]
-	*req = r
-	req.more = slices.Grow(more, extra)[:extra]
-	return req
-}
 
 // shedAtAdmission decides whether an incoming request is dropped before any
 // fragment is enqueued. Only AdmitShedNewest and AdmitDeadlineAware shed
@@ -501,16 +457,16 @@ func (p *Pool) displaceOldest(ch *channelState, ci int) {
 			if len(*q) == 0 {
 				continue
 			}
-			if len(*list) == 0 || (*q)[0].req.id < (*list)[0].req.id {
+			if len(*list) == 0 || (*q)[0].Req.ID < (*list)[0].Req.ID {
 				list = q
 			}
 		}
 		victim := (*list)[0]
 		*list = dropFront(*list, 1)
 		ch.ctr.Inc("frags-shed-oldest")
-		p.cancelRequest(victim.req,
-			fmt.Errorf("pool: channel %d shed oldest held request %d: %w", ci, victim.req.id, ErrAdmissionFull))
-		p.requestPieceDone(victim.req, p.now)
+		p.cancelRequest(victim.Req,
+			fmt.Errorf("pool: channel %d shed oldest held request %d: %w", ci, victim.Req.ID, ErrAdmissionFull))
+		p.requestPieceDone(victim.Req, p.now, nil)
 	}
 }
 
@@ -518,11 +474,11 @@ func (p *Pool) displaceOldest(ch *channelState, ci int) {
 // first typed error is recorded and waiting fragments become sweepable.
 // In-flight fragments still complete and count their pieces — cancellation
 // never strands accounting.
-func (p *Pool) cancelRequest(r *request, err error) {
-	if r.err == nil {
-		r.err = err
+func (p *Pool) cancelRequest(r *Request, err error) {
+	if r.Err == nil {
+		r.Err = err
 	}
-	r.canceled = true
+	r.Canceled = true
 }
 
 // expireAndSweep runs first at each boundary, canonical channel order: it
@@ -534,13 +490,13 @@ func (p *Pool) cancelRequest(r *request, err error) {
 // byte-identical at any worker count.
 func (p *Pool) expireAndSweep() {
 	now := p.now
-	doomed := func(f *fragment) bool {
-		r := f.req
-		if r.canceled {
+	doomed := func(f *Piece) bool {
+		r := f.Req
+		if r.Canceled {
 			return true
 		}
-		if r.deadline > 0 && r.deadline <= now {
-			p.cancelRequest(r, fmt.Errorf("pool: request %d expired at epoch boundary: %w", r.id, ErrDeadlineExceeded))
+		if r.Deadline > 0 && r.Deadline <= now {
+			p.cancelRequest(r, fmt.Errorf("pool: request %d expired at epoch boundary: %w", r.ID, ErrDeadlineExceeded))
 			return true
 		}
 		return false
@@ -559,8 +515,8 @@ func (p *Pool) expireAndSweep() {
 		keep := p.sup.Retries[:0]
 		for _, e := range p.sup.Retries {
 			if f := e.Item; doomed(f) {
-				p.chans[p.channelOf(f.member)].ctr.Inc("frags-expired")
-				p.requestPieceDone(f.req, now)
+				p.chans[p.channelOf(f.Member)].ctr.Inc("frags-expired")
+				p.requestPieceDone(f.Req, now, nil)
 				continue
 			}
 			keep = append(keep, e)
@@ -570,12 +526,12 @@ func (p *Pool) expireAndSweep() {
 }
 
 // sweepList filters one fragment list in place, retiring doomed fragments.
-func (p *Pool) sweepList(ch *channelState, list []*fragment, doomed func(*fragment) bool) []*fragment {
+func (p *Pool) sweepList(ch *channelState, list []*Piece, doomed func(*Piece) bool) []*Piece {
 	keep := list[:0]
 	for _, f := range list {
 		if doomed(f) {
 			ch.ctr.Inc("frags-expired")
-			p.requestPieceDone(f.req, p.now)
+			p.requestPieceDone(f.Req, p.now, nil)
 			continue
 		}
 		keep = append(keep, f)

@@ -140,18 +140,18 @@ func TestPlaneRetryFailFast(t *testing.T) {
 	ch := p.chans[0]
 	ch.ewma = 2 * p.Epoch() // measured service alone overshoots the budget
 
-	r := &request{id: 1, arrival: p.now, deadline: p.now.Add(p.Epoch()), remaining: 1}
+	r := &Request{ID: 1, Arrival: p.now, Deadline: p.now.Add(p.Epoch()), Remaining: 1}
 	p.led.Submitted++
 	epochsBefore := p.sup.Epochs
-	p.fragFailed(&fragment{req: r, member: 0, n: 4096}, fmt.Errorf("injected media error"), p.now)
+	p.fragFailed(&Piece{Req: r, Member: 0, N: 4096}, fmt.Errorf("injected media error"), p.now)
 	if len(p.sup.Retries) != 0 {
 		t.Fatalf("%d retries armed for an infeasible deadline, want fail-fast", len(p.sup.Retries))
 	}
 	if p.sup.Epochs != epochsBefore {
 		t.Fatalf("fail-fast burnt %d epochs", p.sup.Epochs-epochsBefore)
 	}
-	if !errors.Is(r.err, ErrDeadlineExceeded) {
-		t.Fatalf("request error %v, want ErrDeadlineExceeded chain", r.err)
+	if !errors.Is(r.Err, ErrDeadlineExceeded) {
+		t.Fatalf("request error %v, want ErrDeadlineExceeded chain", r.Err)
 	}
 	if p.led.Expired != 1 {
 		t.Fatalf("expired=%d, want the failed request counted expired", p.led.Expired)
@@ -165,9 +165,9 @@ func TestPlaneRetryFailFast(t *testing.T) {
 	}
 
 	// Same failure with no deadline: the retry is armed with its backoff.
-	r2 := &request{id: 2, arrival: p.now, remaining: 1}
+	r2 := &Request{ID: 2, Arrival: p.now, Remaining: 1}
 	p.led.Submitted++
-	p.fragFailed(&fragment{req: r2, member: 0, n: 4096}, fmt.Errorf("injected media error"), p.now)
+	p.fragFailed(&Piece{Req: r2, Member: 0, N: 4096}, fmt.Errorf("injected media error"), p.now)
 	if len(p.sup.Retries) != 1 {
 		t.Fatalf("%d retries armed without a deadline, want 1", len(p.sup.Retries))
 	}

@@ -217,48 +217,9 @@ func (c *Config) fillDefaults() error {
 	return nil
 }
 
-// request is one front-end op; fragments spanning stripes complete it
-// together.
-type request struct {
-	id      uint64
-	arrival sim.Time
-	// deadline is the absolute expiry instant (arrival + budget); zero means
-	// no deadline. Expiry is evaluated only at epoch boundaries (plane.go).
-	deadline  sim.Time
-	write     bool
-	tenant    int
-	bytes     int // total request length: per-tenant goodput metering
-	remaining int
-	lastDone  sim.Time
-	channel0  int // channel of the first fragment: latency attribution
-	// err is the first terminal fragment error; a request finishing with
-	// err != nil counts as shed, expired or failed by its typed chain,
-	// never as completed.
-	err error
-	// canceled marks a doomed request (shed-oldest victim or expired):
-	// waiting fragments are swept at the next boundary, in-flight ones
-	// complete and count their pieces.
-	canceled bool
-	// frag0 is the first fragment and more holds the rest; both live and
-	// recycle with the record.
-	frag0 fragment
-	more  []fragment
-}
-
-// fragment is the per-member piece of a request. member is the LOGICAL
-// index the decoder assigned; the route table resolves it to a physical
-// member at dispatch, so failover retargets queued fragments transparently.
-type fragment struct {
-	req      *request
-	member   int
-	off      int64
-	n        int
-	attempts int
-}
-
 // completion is recorded by a member mid-epoch, drained at the boundary.
 type completion struct {
-	frag *fragment
+	frag *Piece
 	phys int // physical member that served it (error attribution)
 	at   sim.Time
 	err  error
@@ -286,7 +247,7 @@ type member struct {
 // continuations are bound once, when the record is first made.
 type memberOp struct {
 	m      *member
-	frag   *fragment
+	frag   *Piece
 	phys   int
 	runFn  func()
 	doneFn func(error)
@@ -294,7 +255,7 @@ type memberOp struct {
 
 func (op *memberOp) run() {
 	f := op.frag
-	op.m.tgt.DoE(f.off, f.n, f.req.write, op.doneFn)
+	op.m.tgt.DoE(f.Off, f.N, f.Req.Write, op.doneFn)
 }
 
 func (op *memberOp) done(err error) {
@@ -307,9 +268,9 @@ func (op *memberOp) done(err error) {
 
 // channelState is the front-end's per-channel scheduler state.
 type channelState struct {
-	pending  []*fragment // admission-held, FIFO (unbounded under AdmitBlock)
-	queue    []*fragment // dispatchable batch, <= QueueCap
-	inflight int         // dispatched fragments not yet collected
+	pending  []*Piece // admission-held, FIFO (unbounded under AdmitBlock)
+	queue    []*Piece // dispatchable batch, <= QueueCap
+	inflight int      // dispatched fragments not yet collected
 	brk      *breaker
 	// svcBusyAt is the boundary of the first epoch this channel had work;
 	// svcDone counts every fragment it has collected since (failures too —
@@ -415,7 +376,7 @@ type Pool struct {
 
 	// sup supervises the members: their health lattice and probes, parking,
 	// the epoch count and the fragment retry queue (supervisor.go).
-	sup Supervisor[memberProbe, *fragment]
+	sup Supervisor[memberProbe]
 	// Fault-tolerance state: all boundary-only (single-threaded).
 	health     []*memberHealth    // per physical member
 	route      []int              // logical index -> physical member
@@ -424,11 +385,10 @@ type Pool struct {
 	// latMiss holds the lateness overshoot of completed-but-late requests:
 	// its tail is the campaign's deadline-miss p99/p999.
 	latMiss *metrics.Histogram
-	// reqFree recycles request records (with their fragments): a record
-	// returns here when its last piece retires (requestPieceDone).
-	reqFree []*request
-	// out buffers terminal records for Poll.
-	out    Outbox
+	// reqs recycles request records (with their fragments) and buffers
+	// terminal records for Poll: a request retires there when its last
+	// piece does (requestPieceDone).
+	reqs   Requests
 	nextID uint64
 
 	// led books every terminal outcome (ledger.go).
@@ -555,7 +515,10 @@ func New(cfg Config) (*Pool, error) {
 		p.health[i] = h
 	}
 	p.ctrPool = metrics.NewCounters()
-	p.sup = NewSupervisor[memberProbe, *fragment](memberLevel{p}, total, cfg.ProbeEvery, 0, p.ctrPool, "member", "member-quarantine")
+	p.sup = NewSupervisor[memberProbe](memberLevel{p}, total, cfg.ProbeEvery, 0,
+		RetryPolicy{Max: cfg.MaxRetries, Epoch: p.epoch, Degraded: ErrPoolDegraded,
+			Counters: [...]string{"frags-retried", "frags-canceled", "frags-failed", "frags-retry-expired"}},
+		p.ctrPool, "member", "member-quarantine")
 	p.latRebuild = metrics.NewHistogram()
 	p.latMiss = metrics.NewHistogram()
 
@@ -634,9 +597,9 @@ func (p *Pool) fill(ci int) {
 	i := 0
 	for ; i < len(ch.queue); i++ {
 		f := ch.queue[i]
-		if phys := p.route[f.member]; p.sup.Kids[phys].State >= HealthCondemned {
+		if phys := p.route[f.Member]; p.sup.Kids[phys].State >= HealthCondemned {
 			ch.ctr.Inc("frags-rejected")
-			p.fragFailed(f, fmt.Errorf("logical %d -> member %d: %w", f.member, phys, ErrMemberQuarantined), p.now)
+			p.fragFailed(f, fmt.Errorf("logical %d -> member %d: %w", f.Member, phys, ErrMemberQuarantined), p.now)
 			continue
 		}
 		if ch.inflight >= p.Cfg.Window || budget <= 0 {
@@ -660,7 +623,7 @@ func (p *Pool) fill(ci int) {
 // dropFront removes q's first n fragments in place. The FIFOs pop this way
 // so they keep their capacity: reslicing q[n:] would strand the front of
 // the array, and the next append would grow a new one.
-func dropFront(q []*fragment, n int) []*fragment {
+func dropFront(q []*Piece, n int) []*Piece {
 	m := copy(q, q[n:])
 	clear(q[m:])
 	return q[:m]
@@ -671,8 +634,8 @@ func dropFront(q []*fragment, n int) []*fragment {
 // jitter, drawn here at the boundary in canonical order), then the device
 // op. The completion callback runs mid-epoch, while the member advances,
 // and only touches member-local state.
-func (p *Pool) dispatch(f *fragment) {
-	phys := p.route[f.member]
+func (p *Pool) dispatch(f *Piece) {
+	phys := p.route[f.Member]
 	if p.sup.Kids[phys].State >= HealthCondemned {
 		// fill() filters these before dispatch; counted so CheckHealth can
 		// prove the reroute guarantee held.
@@ -680,11 +643,8 @@ func (p *Pool) dispatch(f *fragment) {
 	}
 	m := p.members[phys]
 	p.sup.Wake(phys)
-	at := f.req.arrival
-	if at < p.now {
-		at = p.now
-	}
-	cpu := m.tgt.ThreadCPU(f.n, f.req.write)
+	at := max(f.Req.Arrival, p.now)
+	cpu := m.tgt.ThreadCPU(f.N, f.Req.Write)
 	cpu += sim.Duration(m.jit.Int63n(int64(cpu)/2+1)) - sim.Duration(int64(cpu)/4)
 	var op *memberOp
 	if n := len(m.opFree); n > 0 {
@@ -718,12 +678,12 @@ func (p *Pool) collect() {
 	for _, m := range p.members {
 		for _, c := range m.done {
 			f := c.frag
-			ci := p.channelOf(f.member)
+			ci := p.channelOf(f.Member)
 			ch := p.chans[ci]
 			ch.inflight--
 			svcDone[ci]++
 			failed := c.err != nil ||
-				(p.Cfg.BreakerLatency > 0 && c.at.Sub(f.req.arrival) > p.Cfg.BreakerLatency)
+				(p.Cfg.BreakerLatency > 0 && c.at.Sub(f.Req.Arrival) > p.Cfg.BreakerLatency)
 			ch.brk.observe(failed)
 			if c.err != nil {
 				p.health[c.phys].fragErrs++
@@ -731,9 +691,9 @@ func (p *Pool) collect() {
 				p.fragFailed(f, c.err, c.at)
 				continue
 			}
-			ch.meter.Record(c.at, f.n)
+			ch.meter.Record(c.at, f.N)
 			ch.c.completed.Inc()
-			p.requestPieceDone(f.req, c.at)
+			p.requestPieceDone(f.Req, c.at, nil)
 		}
 		m.done = m.done[:0]
 		for _, e := range m.rdone {
@@ -910,74 +870,35 @@ func (f *quietFold) carries(n int) sim.Duration { return (f.r + sim.Duration(n)*
 // the last seven steps below the band move h by at least one each.
 func enter(h sim.Duration) int { return 6*bits.Len64(uint64(max(h, -h))) + 8 }
 
-// fragFailed routes one failed (or quarantine-rejected) fragment: back into
-// the retry queue with capped exponential backoff while budget remains,
-// terminal otherwise. A fragment whose request is already doomed (canceled
-// by shedding or expiry) or whose next retry cannot land inside the
-// request's deadline is terminal immediately — no backoff epochs are burnt
-// on work that cannot count. Terminal failures stamp the request with a
-// typed chain and count the piece done — the request finishes, never
-// lingers.
-func (p *Pool) fragFailed(f *fragment, err error, at sim.Time) {
-	ch := p.chans[p.channelOf(f.member)]
-	r := f.req
-	if r.canceled {
-		ch.ctr.Inc("frags-canceled")
-		p.requestPieceDone(r, at)
-		return
+// fragFailed routes one failed (or quarantine-rejected) fragment through
+// the retry decision (Supervisor.Retry), whose ETA term is the channel's
+// smoothed service interval. A terminal fragment stamps its request with
+// the typed chain and counts its piece done: the request finishes, never
+// lingers. A retry that cannot land inside the deadline also cancels the
+// request, so its waiting fragments are swept at the next boundary.
+func (p *Pool) fragFailed(f *Piece, err error, at sim.Time) {
+	ch := p.chans[p.channelOf(f.Member)]
+	v, err := p.sup.Retry(f, err, p.now, ch.ewma, ch.ctr)
+	if v == RetryInfeasible {
+		p.cancelRequest(f.Req, err)
 	}
-	f.attempts++
-	if f.attempts <= p.Cfg.MaxRetries {
-		delay := RetryBackoff(f.attempts)
-		if r.deadline > 0 {
-			// Earliest the retry can finish: backoff epochs out, plus one
-			// smoothed service interval. Past the deadline, re-arming only
-			// burns epochs — fail the request typed now.
-			eta := p.now.Add(sim.Duration(delay) * p.epoch).Add(ch.ewma)
-			if eta > r.deadline {
-				ch.ctr.Inc("frags-retry-expired")
-				p.cancelRequest(r, fmt.Errorf("pool: retry %d cannot land inside deadline: %w (last error: %w)",
-					f.attempts, ErrDeadlineExceeded, err))
-				p.requestPieceDone(r, at)
-				return
-			}
-		}
-		p.sup.Backoff(f, delay)
-		ch.ctr.Inc("frags-retried")
-		return
+	if v != RetryQueued {
+		p.requestPieceDone(f.Req, at, err)
 	}
-	ch.ctr.Inc("frags-failed")
-	if r.err == nil {
-		r.err = fmt.Errorf("%w (%d attempts): %w", ErrPoolDegraded, f.attempts, err)
-	}
-	p.requestPieceDone(r, at)
 }
 
-// requestPieceDone retires one fragment outcome (success, sweep, or
-// terminal failure) against its request and finishes the request when it
-// was the last: the ledgers classify it by its typed error chain, and a
-// completion records its latency, and its lateness when it landed past its
-// deadline.
-func (p *Pool) requestPieceDone(r *request, at sim.Time) {
-	if at > r.lastDone {
-		r.lastDone = at
-	}
-	r.remaining--
-	if r.remaining > 0 {
+// requestPieceDone folds one fragment outcome (success, sweep, or terminal
+// failure err) into its request (Request.Fold) and finishes the request
+// when it was the last: the ledgers classify it by its typed error chain,
+// and a completion records its latency, and its lateness when it landed
+// past its deadline. The record then returns to the free list.
+func (p *Pool) requestPieceDone(r *Request, at sim.Time, err error) {
+	if !r.Fold(at, err) {
 		return
 	}
-	ch0 := p.chans[r.channel0]
-	ts := p.qosTenant(r.tenant)
-	late := r.deadline > 0 && r.lastDone > r.deadline
-	rec := Completion{
-		ID:      r.id,
-		Tenant:  r.tenant,
-		Write:   r.write,
-		Outcome: p.retire(ch0, ts, r.write, late, r.err),
-		Err:     r.err,
-		At:      r.lastDone,
-		Latency: r.lastDone.Sub(r.arrival),
-	}
+	ch0 := p.chans[r.Home]
+	ts := p.qosTenant(r.Tenant)
+	rec := r.Completion(p.retire(ch0, ts, r.Write, r.Late(), r.Err))
 	if rec.Outcome == OutcomeCompleted {
 		lat := rec.Latency
 		ch0.lat.Record(lat)
@@ -986,23 +907,17 @@ func (p *Pool) requestPieceDone(r *request, at sim.Time) {
 		}
 		if ts != nil {
 			ts.lat.Record(lat)
-			ts.meter.Record(r.lastDone, r.bytes)
+			ts.meter.Record(r.LastDone, r.Bytes)
 			if ts.cfg.SLOP99 > 0 && lat > ts.cfg.SLOP99 {
 				ts.overSLO++
 			}
 		}
-		if late {
-			rec.Late = true
-			rec.Lateness = r.lastDone.Sub(r.deadline)
+		if rec.Late {
 			p.latMiss.Record(rec.Lateness)
 			ch0.ctr.Inc("requests-late")
 		}
 	}
-	p.out.Add(rec)
-	// Every piece is collected, swept or failed, so no queue, retry entry
-	// or member op still refers to r or its fragments. The record is not
-	// cleared: newRequest overwrites it whole.
-	p.reqFree = append(p.reqFree, r)
+	p.reqs.Retire(r, rec)
 }
 
 // poolTyped lists the sentinels that make a pool failure typed.
@@ -1031,15 +946,15 @@ func (p *Pool) retire(ch *channelState, ts *tenantState, write, late bool, err e
 // readmit re-admits one backoff-expired fragment behind any
 // admission-held arrivals, before the epoch's fill pass (the supervisor
 // promotes them in retry-queue order).
-func (p *Pool) readmit(f *fragment) {
-	ci := p.channelOf(f.member)
+func (p *Pool) readmit(f *Piece) {
+	ci := p.channelOf(f.Member)
 	ch := p.chans[ci]
 	p.unpark(ch)
 	if p.Cfg.Admission == AdmitShedOldest {
 		p.displaceOldest(ch, ci)
 	}
 	if len(ch.tq) > 0 {
-		qi := p.qosIndex(f.req.tenant)
+		qi := p.qosIndex(f.Req.Tenant)
 		ch.tq[qi].fifo = append(ch.tq[qi].fifo, f)
 	} else {
 		ch.pending = append(ch.pending, f)
@@ -1191,11 +1106,11 @@ func (p *Pool) QuietEpochs(limit int) int {
 	}
 	k := p.sup.Horizon(limit)
 	for _, e := range p.sup.Retries {
-		r := e.Item.req
-		if r.canceled {
+		r := e.Item.Req
+		if r.Canceled {
 			return 0
 		}
-		if dl := r.deadline; dl > 0 {
+		if dl := r.Deadline; dl > 0 {
 			if dl <= p.now {
 				return 0
 			}

@@ -159,7 +159,7 @@ type tenantState struct {
 // tenantQueue is one tenant's per-channel admission FIFO plus its DRR
 // credit state.
 type tenantQueue struct {
-	fifo    []*fragment
+	fifo    []*Piece
 	deficit int64 // accumulated byte credit, reset when fifo empties
 	quantum int64 // byte credit granted per round-robin visit
 }
@@ -309,7 +309,7 @@ func (p *Pool) fillDRR(ch *channelState) {
 		taken := 0
 		for taken < len(tq.fifo) && len(ch.queue) < p.Cfg.QueueCap {
 			f := tq.fifo[taken]
-			cost := int64(f.n)
+			cost := int64(f.N)
 			if tq.deficit < cost {
 				break
 			}
@@ -323,7 +323,7 @@ func (p *Pool) fillDRR(ch *channelState) {
 		switch {
 		case len(tq.fifo) == 0:
 			tq.deficit = 0
-		case tq.deficit >= int64(tq.fifo[0].n):
+		case tq.deficit >= int64(tq.fifo[0].N):
 			// Credit still covers the head, so only queue room stopped
 			// the visit: resume here next refill, quantum already spent.
 			ch.drrMid = true

@@ -68,37 +68,37 @@ func TestRequestRecordsRecycleOnce(t *testing.T) {
 	})
 	foot := faultFootprint(p)
 	rng := sim.NewRand(5)
-	live := map[uint64]*request{}
+	live := map[uint64]*Request{}
 	retired := map[uint64]bool{}
 	var done []Completion
 	allocated, canceledInFlight := 0, 0
 
 	// waiting counts each record's pieces held, queued or backing off.
-	waiting := func() map[*request]int {
-		w := map[*request]int{}
+	waiting := func() map[*Request]int {
+		w := map[*Request]int{}
 		for _, ch := range p.chans {
 			for _, f := range ch.pending {
-				w[f.req]++
+				w[f.Req]++
 			}
 			for _, f := range ch.queue {
-				w[f.req]++
+				w[f.Req]++
 			}
 			for i := range ch.tq {
 				for _, f := range ch.tq[i].fifo {
-					w[f.req]++
+					w[f.Req]++
 				}
 			}
 		}
 		for _, e := range p.sup.Retries {
-			w[e.Item.req]++
+			w[e.Item.Req]++
 		}
 		return w
 	}
 	check := func(when string) {
 		t.Helper()
 		done = p.Poll(done[:0], 0)
-		free := map[*request]int{}
-		for _, r := range p.reqFree {
+		free := map[*Request]int{}
+		for _, r := range p.reqs.free {
 			free[r]++
 		}
 		for _, c := range done {
@@ -106,15 +106,15 @@ func TestRequestRecordsRecycleOnce(t *testing.T) {
 			if !ok || retired[c.ID] {
 				t.Fatalf("%s: completion for request %d, which is not live", when, c.ID)
 			}
-			if free[r] != 1 || r.remaining != 0 {
+			if free[r] != 1 || r.Remaining != 0 {
 				t.Fatalf("%s: request %d retired, its record is on the free list %d times with %d pieces left",
-					when, c.ID, free[r], r.remaining)
+					when, c.ID, free[r], r.Remaining)
 			}
 			delete(live, c.ID)
 			retired[c.ID] = true
 		}
-		if len(p.reqFree) != allocated-len(live) {
-			t.Fatalf("%s: %d records free, want %d allocated - %d live", when, len(p.reqFree), allocated, len(live))
+		if len(p.reqs.free) != allocated-len(live) {
+			t.Fatalf("%s: %d records free, want %d allocated - %d live", when, len(p.reqs.free), allocated, len(live))
 		}
 		w := waiting()
 		inflight := 0
@@ -122,14 +122,14 @@ func TestRequestRecordsRecycleOnce(t *testing.T) {
 			inflight += ch.inflight
 		}
 		for id, r := range live {
-			if free[r] != 0 || r.id != id {
-				t.Fatalf("%s: live request %d: record free %d times, holds request %d", when, id, free[r], r.id)
+			if free[r] != 0 || r.ID != id {
+				t.Fatalf("%s: live request %d: record free %d times, holds request %d", when, id, free[r], r.ID)
 			}
-			flying := r.remaining - w[r]
+			flying := r.Remaining - w[r]
 			if flying < 0 {
-				t.Fatalf("%s: request %d has %d pieces left but %d waiting", when, id, r.remaining, w[r])
+				t.Fatalf("%s: request %d has %d pieces left but %d waiting", when, id, r.Remaining, w[r])
 			}
-			if r.canceled && flying > 0 {
+			if r.Canceled && flying > 0 {
 				canceledInFlight++
 			}
 			inflight -= flying
@@ -139,7 +139,7 @@ func TestRequestRecordsRecycleOnce(t *testing.T) {
 		}
 		for r := range w {
 			if free[r] != 0 {
-				t.Fatalf("%s: a free record (request %d) still has a waiting piece", when, r.id)
+				t.Fatalf("%s: a free record (request %d) still has a waiting piece", when, r.ID)
 			}
 		}
 	}
@@ -159,7 +159,7 @@ func TestRequestRecordsRecycleOnce(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					r.Deadline = sim.Duration(2+rng.Intn(12)) * p.Epoch()
 				}
-				fresh := len(p.reqFree) == 0
+				fresh := len(p.reqs.free) == 0
 				id, err := p.Submit(r)
 				if err != nil {
 					t.Fatalf("epoch %d: Submit: %v", epoch, err)
@@ -168,7 +168,7 @@ func TestRequestRecordsRecycleOnce(t *testing.T) {
 					allocated++
 				}
 				for rec := range waiting() {
-					if rec.id == id {
+					if rec.ID == id {
 						live[id] = rec
 					}
 				}

@@ -1,0 +1,222 @@
+// The request engine: the record a plane keeps per request and per piece,
+// its free list and outbox, the piece fold and the retry decision, written
+// once for both levels of the lift
+//
+//	member : pool  ::  pool (socket) : fabric
+//
+// A Pool splits a request into fragments by its channel interleave and a
+// numa.Fabric into socket pieces by its chunk directory; both then carry,
+// fold and retry the same records. Queues, wires and histograms stay in
+// each level.
+package pool
+
+import (
+	"fmt"
+	"slices"
+
+	"nvdimmc/internal/metrics"
+	"nvdimmc/internal/sim"
+)
+
+// Request is one plane request; its pieces complete it together.
+type Request struct {
+	ID     uint64
+	Tenant int
+	// Home attributes the request: the channel of a pool request's first
+	// fragment, the source socket of a fabric request.
+	Home    int
+	Arrival sim.Time
+	// Deadline is the absolute expiry instant (arrival + budget); zero
+	// means none.
+	Deadline sim.Time
+	Write    bool
+	// Canceled marks a doomed pool request (cancelRequest); a failed piece
+	// of one is not retried. Remote marks a fabric request that crossed a
+	// link, and InSub one whose Submit is still dispatching its pieces.
+	Canceled, Remote, InSub bool
+	Bytes                   int // total request length: per-tenant goodput metering
+	// Remaining counts the pieces not yet terminal; LastDone is the latest
+	// instant one became terminal.
+	Remaining int
+	LastDone  sim.Time
+	// Err is the first terminal piece error; a request finishing with
+	// Err != nil counts as shed, expired or failed by its typed chain,
+	// never as completed.
+	Err error
+	// first is the first piece and more holds the rest; both live and
+	// recycle with the record.
+	first Piece
+	more  []Piece
+}
+
+// Piece is the part of a request one child serves: a pool fragment on a
+// member, a fabric piece on a socket.
+type Piece struct {
+	Req *Request
+	// Member is a pool fragment's LOGICAL member, as the decoder assigned
+	// it: the route table resolves it to a physical member at dispatch, so
+	// failover retargets queued fragments transparently. A fabric piece
+	// routes by Off through the chunk directory instead.
+	Member int
+	// Off is member-local for a fragment, fabric-wide for a socket piece.
+	Off      int64
+	N        int
+	Attempts int
+}
+
+// Piece returns r's i-th piece.
+func (r *Request) Piece(i int) *Piece {
+	if i == 0 {
+		return &r.first
+	}
+	return &r.more[i-1]
+}
+
+// Fold folds one terminal piece into r: it became terminal at at, ending
+// with err (nil for a success), which becomes r's error unless an earlier
+// piece's did. It reports whether that was r's last piece.
+func (r *Request) Fold(at sim.Time, err error) bool {
+	if err != nil && r.Err == nil {
+		r.Err = err
+	}
+	if at > r.LastDone {
+		r.LastDone = at
+	}
+	r.Remaining--
+	return r.Remaining == 0
+}
+
+// Late reports whether terminal r finished past its deadline.
+func (r *Request) Late() bool { return r.Deadline > 0 && r.LastDone > r.Deadline }
+
+// Completion returns terminal r's record under outcome o: a completed
+// request that finished late carries its lateness.
+func (r *Request) Completion(o Outcome) Completion {
+	c := Completion{
+		ID:      r.ID,
+		Tenant:  r.Tenant,
+		Write:   r.Write,
+		Outcome: o,
+		Err:     r.Err,
+		At:      r.LastDone,
+		Latency: r.LastDone.Sub(r.Arrival),
+	}
+	if o == OutcomeCompleted && r.Late() {
+		c.Late = true
+		c.Lateness = r.LastDone.Sub(r.Deadline)
+	}
+	return c
+}
+
+// Requests is a plane's request engine: the free list of its request
+// records, and the outbox that holds its terminal Completion records in
+// deterministic boundary order until Poll takes them.
+type Requests struct {
+	free []*Request
+	out  []Completion
+}
+
+// New takes a retired record off the free list, or makes one, and
+// overwrites all of it with r split into one piece per extent, keeping
+// only the capacity of its piece array.
+func (q *Requests) New(r Request, exts []Extent) *Request {
+	var req *Request
+	if k := len(q.free); k > 0 {
+		req = q.free[k-1]
+		q.free = q.free[:k-1]
+	} else {
+		req = new(Request)
+	}
+	more := req.more[:0]
+	*req = r
+	req.Remaining = len(exts)
+	req.more = slices.Grow(more, len(exts)-1)[:len(exts)-1]
+	for i, e := range exts {
+		*req.Piece(i) = Piece{Req: req, Member: e.Member, Off: e.Off, N: e.Len}
+	}
+	return req
+}
+
+// Retire puts terminal r's record c in the outbox and r on the free list:
+// every piece is collected, swept or failed, so no queue, retry entry or
+// child op still refers to r or its pieces. A request that resolved inside
+// its Submit (InSub) leaves no record: its caller holds the typed error.
+// r is not cleared; it reads as it retired until New hands it out again.
+func (q *Requests) Retire(r *Request, c Completion) {
+	if !r.InSub {
+		q.out = append(q.out, c)
+	}
+	q.free = append(q.free, r)
+}
+
+// Poll removes up to max buffered records (all when max <= 0) and appends
+// them to dst. Every request that does not fail synchronously at Submit
+// leaves exactly one.
+func (q *Requests) Poll(dst []Completion, max int) []Completion {
+	if max <= 0 || max > len(q.out) {
+		max = len(q.out)
+	}
+	dst = append(dst, q.out[:max]...)
+	n := copy(q.out, q.out[max:])
+	clear(q.out[n:])
+	q.out = q.out[:n]
+	return dst
+}
+
+// RetryVerdict is the retry decision for a failed piece (Supervisor.Retry):
+// queued for a retry, or retired because its request was canceled, its
+// attempts are exhausted, or a retry could not land inside its deadline.
+type RetryVerdict int
+
+const (
+	RetryQueued RetryVerdict = iota
+	RetryCanceled
+	RetryExhausted
+	RetryInfeasible
+)
+
+// RetryPolicy is a level's side of the retry decision.
+type RetryPolicy struct {
+	// Max caps a piece's retries: a pool's Config.MaxRetries, a fabric's
+	// fixed cap.
+	Max int
+	// Epoch is the level's epoch length, which prices the backoff.
+	Epoch sim.Duration
+	// Degraded is the sentinel an exhausted piece's error wraps:
+	// ErrPoolDegraded, numa.ErrFabricDegraded.
+	Degraded error
+	// Counters names the counter each verdict books, in verdict order.
+	Counters [4]string
+}
+
+// Retry decides what becomes of piece f, which failed with err at the
+// boundary now, books the verdict in ctr, and queues f when it is retried.
+// A piece of a canceled request is not retried. Otherwise it is retried
+// with capped exponential backoff (RetryBackoff) while attempts remain,
+// unless the retry cannot land inside the request's deadline: its earliest
+// finish is the backoff epochs out plus eta, the level's estimate of one
+// more service (a pool channel's service EWMA, a fabric link's one-way
+// latency), and re-arming past the deadline only burns epochs on work that
+// cannot count. A terminal verdict's error is the request's typed chain.
+func (s *Supervisor[S]) Retry(f *Piece, err error, now sim.Time, eta sim.Duration, ctr *metrics.Counters) (RetryVerdict, error) {
+	v, err := s.retry(f, err, now, eta)
+	ctr.Inc(s.Policy.Counters[v])
+	return v, err
+}
+
+func (s *Supervisor[S]) retry(f *Piece, err error, now sim.Time, eta sim.Duration) (RetryVerdict, error) {
+	if f.Req.Canceled {
+		return RetryCanceled, nil
+	}
+	f.Attempts++
+	if f.Attempts > s.Policy.Max {
+		return RetryExhausted, fmt.Errorf("%w (%d attempts): %w", s.Policy.Degraded, f.Attempts, err)
+	}
+	delay := RetryBackoff(f.Attempts)
+	if dl := f.Req.Deadline; dl > 0 && now.Add(sim.Duration(delay)*s.Policy.Epoch).Add(eta) > dl {
+		return RetryInfeasible, fmt.Errorf("pool: retry %d cannot land inside deadline: %w (last error: %w)",
+			f.Attempts, ErrDeadlineExceeded, err)
+	}
+	s.Retries = append(s.Retries, Retry{Item: f, Ready: s.Epochs + delay})
+	return RetryQueued, nil
+}

@@ -107,18 +107,20 @@ type Child[S any] struct {
 	Pinned S
 }
 
-// Retry is a failed piece of work waiting out its backoff: it re-enters
-// the level at epoch Ready.
-type Retry[T any] struct {
-	Item  T
+// Retry is a failed piece waiting out its backoff: it re-enters the level
+// at epoch Ready.
+type Retry struct {
+	Item  *Piece
 	Ready int
 }
 
 // Supervisor runs the lattice, parking, horizon and retry queue over one
-// level's children. S is the probe snapshot, T a retried piece of work.
-type Supervisor[S Snapshot[S], T any] struct {
+// level's children. S is the probe snapshot.
+type Supervisor[S Snapshot[S]] struct {
 	Kids    []Child[S]
-	Retries []Retry[T]
+	Retries []Retry
+	// Policy is the level's side of the retry decision (Retry).
+	Policy RetryPolicy
 	// Jobs are the running copies of condemned children's work: a pool's
 	// spare rebuilds, a fabric's evacuation migrations.
 	Jobs []*Copy
@@ -145,12 +147,13 @@ type Supervisor[S Snapshot[S], T any] struct {
 	names [4]string
 }
 
-// NewSupervisor supervises n children of lvl, all Up. The transitions are
-// booked in ctr as kind-suspect, kind-recovered, condemned and
-// kind-evacuated.
-func NewSupervisor[S Snapshot[S], T any](lvl Level[S], n, every, escalate int, ctr *metrics.Counters, kind, condemned string) Supervisor[S, T] {
-	return Supervisor[S, T]{
+// NewSupervisor supervises n children of lvl, all Up, and retries their
+// failed pieces under pol. The transitions are booked in ctr as
+// kind-suspect, kind-recovered, condemned and kind-evacuated.
+func NewSupervisor[S Snapshot[S]](lvl Level[S], n, every, escalate int, pol RetryPolicy, ctr *metrics.Counters, kind, condemned string) Supervisor[S] {
+	return Supervisor[S]{
 		Kids:     make([]Child[S], n),
+		Policy:   pol,
 		Every:    every,
 		Escalate: escalate,
 		lvl:      lvl,
@@ -166,7 +169,7 @@ func NewSupervisor[S Snapshot[S], T any](lvl Level[S], n, every, escalate int, c
 // collected) leaves Jobs, in order, and its victim is Evacuated. Then, at
 // every Every-th epoch, the lattice probes its children in order;
 // condemned and evacuated children are never probed again.
-func (s *Supervisor[S, T]) Settle() {
+func (s *Supervisor[S]) Settle() {
 	keep := s.Jobs[:0]
 	for _, c := range s.Jobs {
 		if c.next < len(c.Pages) || c.Outstanding > 0 {
@@ -218,7 +221,7 @@ func (s *Supervisor[S, T]) Settle() {
 }
 
 // Condemn moves child i to Condemned and hands it to its level.
-func (s *Supervisor[S, T]) Condemn(i int, reason string) {
+func (s *Supervisor[S]) Condemn(i int, reason string) {
 	k := &s.Kids[i]
 	k.State, k.Reason = HealthCondemned, reason
 	s.ctr.Inc(s.names[2])
@@ -226,7 +229,7 @@ func (s *Supervisor[S, T]) Condemn(i int, reason string) {
 }
 
 // Evacuated marks condemned child i's work moved.
-func (s *Supervisor[S, T]) Evacuated(i int) {
+func (s *Supervisor[S]) Evacuated(i int) {
 	s.Kids[i].State = HealthEvacuated
 	s.ctr.Inc(s.names[3])
 }
@@ -239,7 +242,7 @@ func (s *Supervisor[S, T]) Evacuated(i int) {
 // span, so that every skipped probe would read the snapshot checked here:
 // a parked child's pinned snapshot holds by the parking contract (Park),
 // and a live one must be Steady.
-func (s *Supervisor[S, T]) probesIdle() bool {
+func (s *Supervisor[S]) probesIdle() bool {
 	for i := range s.Kids {
 		k := &s.Kids[i]
 		if k.State >= HealthCondemned {
@@ -274,7 +277,7 @@ func (s *Supervisor[S, T]) probesIdle() bool {
 //     real Step.
 //   - Each parked child's horizon: it never lags past what its level
 //     proved when it parked.
-func (s *Supervisor[S, T]) Horizon(k int) int {
+func (s *Supervisor[S]) Horizon(k int) int {
 	if d := s.Every - s.Epochs%s.Every; d < k && !s.probesIdle() {
 		k = d
 	}
@@ -293,27 +296,30 @@ func (s *Supervisor[S, T]) Horizon(k int) int {
 // the span's final epoch is the level's to run (Settle), after its
 // children have advanced: that epoch may be a probe epoch, and none before
 // it can act.
-func (s *Supervisor[S, T]) Jump(k int) {
+func (s *Supervisor[S]) Jump(k int) {
 	s.QuietSpan += k
 	s.Epochs += k
 }
 
 // Jumped returns how many probe epochs passed without a probe: those strictly
 // inside quiet spans.
-func (s *Supervisor[S, T]) Jumped() int { return s.Epochs/s.Every - s.probes }
+func (s *Supervisor[S]) Jumped() int { return s.Epochs/s.Every - s.probes }
 
 // Park parks live child i, which its level found quiescent, up to epoch
 // until at most, and reports whether it did. Its snapshot is pinned for the
 // probes. A child that is not Steady could move its snapshot, so it parks
 // only up to the next probe epoch, where it is caught up before the probe
 // reads it; that also bounds every quiet span (Horizon). A horizon under
-// two epochs is not worth parking for.
-func (s *Supervisor[S, T]) Park(i, until int) bool {
-	if !s.lvl.Steady(i) {
-		until = min(until, s.Epochs+s.Every-s.Epochs%s.Every)
-	}
+// two epochs is not worth parking for. Steady can only lower the horizon,
+// so a short one is refused before Steady is asked.
+func (s *Supervisor[S]) Park(i, until int) bool {
 	if until-s.Epochs < 2 {
 		return false
+	}
+	if !s.lvl.Steady(i) {
+		if until = min(until, s.Epochs+s.Every-s.Epochs%s.Every); until-s.Epochs < 2 {
+			return false
+		}
 	}
 	k := &s.Kids[i]
 	k.Parked, k.Until, k.Pinned = true, until, s.lvl.Read(i)
@@ -323,9 +329,9 @@ func (s *Supervisor[S, T]) Park(i, until int) bool {
 // Skip reports whether child i sits out the level's advance to epoch to: a
 // parked child does, and one whose horizon ends there is caught up to it
 // instead. A live child costs one field read.
-func (s *Supervisor[S, T]) Skip(i, to int) bool { return s.Kids[i].Parked && s.skip(i, to) }
+func (s *Supervisor[S]) Skip(i, to int) bool { return s.Kids[i].Parked && s.skip(i, to) }
 
-func (s *Supervisor[S, T]) skip(i, to int) bool {
+func (s *Supervisor[S]) skip(i, to int) bool {
 	if to < s.Kids[i].Until {
 		s.Skipped++
 	} else {
@@ -335,7 +341,7 @@ func (s *Supervisor[S, T]) skip(i, to int) bool {
 }
 
 // catchUp unparks child i and has its level advance it to epoch to.
-func (s *Supervisor[S, T]) catchUp(i, to int) {
+func (s *Supervisor[S]) catchUp(i, to int) {
 	s.Kids[i].Parked = false
 	s.lvl.CatchUp(i, to)
 }
@@ -343,20 +349,15 @@ func (s *Supervisor[S, T]) catchUp(i, to int) {
 // Wake catches parked child i up to the boundary and unparks it. Levels
 // call it wherever they hand a child work or hand it out. Probes need no
 // wake: they read the pinned snapshot.
-func (s *Supervisor[S, T]) Wake(i int) {
+func (s *Supervisor[S]) Wake(i int) {
 	if s.Kids[i].Parked {
 		s.catchUp(i, s.Boundary)
 	}
 }
 
-// Backoff queues item to re-enter the level delay epochs from now.
-func (s *Supervisor[S, T]) Backoff(item T, delay int) {
-	s.Retries = append(s.Retries, Retry[T]{Item: item, Ready: s.Epochs + delay})
-}
-
 // Promote hands every retry whose backoff has elapsed to admit, in queue
 // order, and keeps the rest.
-func (s *Supervisor[S, T]) Promote(admit func(T)) {
+func (s *Supervisor[S]) Promote(admit func(*Piece)) {
 	if len(s.Retries) == 0 {
 		return
 	}
