@@ -2,69 +2,13 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"runtime"
-	"strconv"
-	"strings"
 
-	"nvdimmc"
-	"nvdimmc/internal/fault"
 	"nvdimmc/internal/numa"
 	"nvdimmc/internal/pool"
 	"nvdimmc/internal/sim"
 	"nvdimmc/internal/workload/openloop"
 )
-
-// fabricOpts carries the fabric-mode CLI knobs into runFabric.
-type fabricOpts struct {
-	sockets         int
-	channels, dimms int
-	interleave      int64
-	rate            float64
-	rw              string
-	bs, ops         int
-	spares          int
-	xlatNS          float64
-	xbwGBps         float64
-	sfaults         string
-}
-
-// sfaultSpec is one parsed -sfaults entry: hit socket <socket> with <kind>
-// at <onset> (a fault-site occurrence for kill/slow, a fabric epoch for
-// link).
-type sfaultSpec struct {
-	socket int
-	kind   string
-	onset  int
-}
-
-// parseSocketFaults parses the -sfaults flag:
-// "socket:kind:onset[,socket:kind:onset...]" with kind kill | slow | link and
-// socket in [0, sockets).
-func parseSocketFaults(spec string, sockets int) ([]sfaultSpec, error) {
-	var out []sfaultSpec
-	for _, part := range strings.Split(spec, ",") {
-		f := strings.Split(strings.TrimSpace(part), ":")
-		if len(f) != 3 {
-			return nil, fmt.Errorf("bad -sfaults entry %q (want socket:kind:onset)", part)
-		}
-		socket, err1 := strconv.Atoi(f[0])
-		onset, err2 := strconv.Atoi(f[2])
-		if err1 != nil || err2 != nil || socket < 0 || socket >= sockets || onset < 0 {
-			return nil, fmt.Errorf("bad -sfaults entry %q: socket in [0,%d) and onset >= 0 required", part, sockets)
-		}
-		if onset == 0 {
-			onset = 1
-		}
-		switch f[1] {
-		case "kill", "slow", "link":
-		default:
-			return nil, fmt.Errorf("unknown socket fault kind %q (want kill | slow | link)", f[1])
-		}
-		out = append(out, sfaultSpec{socket: socket, kind: f[1], onset: onset})
-	}
-	return out, nil
-}
 
 // linkBandwidth converts -xbw, in GB/s per directed link, to bytes per
 // second. The fabric reads 0 B/s as its 8 GB/s default, so a value that
@@ -80,37 +24,10 @@ func linkBandwidth(gbps float64) (int64, error) {
 // runFabric drives the multi-socket NUMA fabric (see internal/numa): N
 // pooled sockets behind one request plane, a socket-affine open-loop load
 // plus a fabric-wide roamer, and an end-of-run socket state table.
-func runFabric(o fabricOpts) {
-	readPct := 0
-	switch o.rw {
-	case "randread":
-	case "randwrite":
-		readPct = -1
-	default:
-		fmt.Fprintf(os.Stderr, "nvdimmc-sim: fabric mode supports -rw randread|randwrite, not %q\n", o.rw)
-		os.Exit(2)
-	}
+func runFabric(o planeOpts) {
+	readPct, plan, member := o.plane(o.sockets)
 	xbw, err := linkBandwidth(o.xbwGBps)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nvdimmc-sim:", err)
-		os.Exit(2)
-	}
-	specs := []sfaultSpec(nil)
-	member := nvdimmc.DefaultConfig()
-	if o.sfaults != "" {
-		if specs, err = parseSocketFaults(o.sfaults, o.sockets); err != nil {
-			fmt.Fprintln(os.Stderr, "nvdimmc-sim:", err)
-			os.Exit(2)
-		}
-		// Same shrink as pooled -faults: fault sites live on NAND and the CP
-		// transport, so run a small module near capacity with deferred
-		// program acks surfaced (see runPool).
-		member.CacheBytes = 1 << 20
-		member.NAND.BlocksPerDie = 32
-		member.NAND.PagesPerBlock = 16
-		member.NVMC.AckAfterProgram = true
-		member.Audit = false
-	}
+	usage(err)
 	cfg := numa.Config{
 		Sockets: o.sockets,
 		Pool: pool.Config{
@@ -125,30 +42,8 @@ func runFabric(o fabricOpts) {
 		XBWBytesPerSec: xbw,
 		Workers:        runtime.GOMAXPROCS(0),
 		Seed:           7,
-	}
-	for _, sp := range specs {
-		if sp.kind == "link" {
-			cfg.LinkFaults = append(cfg.LinkFaults, numa.LinkFault{
-				Epoch: sp.onset, Socket: sp.socket, LatFactor: 20, BWDivide: 16,
-			})
-		}
-	}
-	if specs != nil {
-		cfg.ArmFaults = func(socket, member int, g *fault.Registry) {
-			for _, sp := range specs {
-				if sp.socket != socket {
-					continue
-				}
-				switch sp.kind {
-				case "kill":
-					g.OnOccurrence(fault.NANDProgramFail, uint64(sp.onset)).Times(1 << 30)
-				case "slow":
-					// x12 keeps programs under the driver's CP ack deadline:
-					// latency tails, not transport errors.
-					g.Prob(fault.NANDDieTimeout, 0.25).Param(12)
-				}
-			}
-		}
+		ArmFaults:      plan.FabricHook(),
+		LinkFaults:     plan.LinkFaults(),
 	}
 	f, err := numa.New(cfg)
 	die(err)
@@ -188,7 +83,7 @@ func runFabric(o fabricOpts) {
 		fmt.Printf("during-migration: p50=%v p99=%v\n",
 			s.LatMigrate.Percentile(50), s.LatMigrate.Percentile(99))
 	}
-	if o.sfaults != "" {
+	if plan != nil {
 		fmt.Printf("faults: retries=%d rehomed=%d mig-pages=%d mig-miss=%d post-evac=%d writes-lost=%d\n",
 			s.Ctr.Get("fab-retry-promoted"), s.ChunksRehomed, s.MigPages, s.MigReadMiss,
 			s.PostEvacSubmissions, s.WritesLost())

@@ -29,12 +29,12 @@ func TestMain(m *testing.M) {
 // cliGolden are the documented fault runs, pooled and fabric, covering
 // every fault kind; each one's stdout is testdata/golden/<name>.txt.
 var cliGolden = []struct{ name, args string }{
-	{"pool-program", "-channels 3 -spares 1 -faults 0:program:1 -rw randwrite -ops 400"},
-	{"pool-mediaread-dietimeout", "-channels 2 -faults 0:mediaread:5,1:dietimeout:0 -ops 900"},
-	{"pool-ackdrop", "-channels 2 -faults 1:ackdrop:1 -rw randwrite -ops 900"},
-	{"fabric-kill", "-sockets 3 -channels 2 -rate 1.5e6 -rw randwrite -ops 800 -sfaults 1:kill:1"},
-	{"fabric-link", "-sockets 2 -xlat 900 -xbw 4 -rate 1e6 -ops 500 -sfaults 0:link:8"},
-	{"fabric-slow", "-sockets 2 -channels 2 -rate 1e6 -ops 500 -sfaults 1:slow:1"},
+	{"pool-program", "-channels 3 -spares 1 -faults m0:program:1 -rw randwrite -ops 400"},
+	{"pool-mediaread-dietimeout", "-channels 2 -faults m0:mediaread:5,m1:dietimeout:0 -ops 900"},
+	{"pool-ackdrop", "-channels 2 -faults m1:ackdrop:1 -rw randwrite -ops 900"},
+	{"fabric-kill", "-sockets 3 -channels 2 -rate 1.5e6 -rw randwrite -ops 800 -faults s1:program:1"},
+	{"fabric-link", "-sockets 2 -xlat 900 -xbw 4 -rate 1e6 -ops 500 -faults s0:link:8"},
+	{"fabric-slow", "-sockets 2 -channels 2 -rate 1e6 -ops 500 -faults s1:slow:1"},
 }
 
 // TestCLIGolden re-executes the command on each golden run and

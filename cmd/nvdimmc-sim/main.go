@@ -11,11 +11,11 @@
 // independent NVDIMM-C modules behind an interleaved decoder and an
 // open-loop front-end scheduler (see internal/pool). -rate sets the
 // open-loop arrival rate in ops per simulated second (0 = saturating).
-// -spares adds hot-spare modules, and -faults arms seeded fault schedules
-// on individual members:
+// -spares adds hot-spare modules, and -faults arms a fault plan of
+// target:kind:onset entries (DESIGN.md §6.1) on pool members m<i>:
 //
-//	nvdimmc-sim -channels 3 -spares 1 -faults 0:program:1 -rw randwrite -ops 500
-//	nvdimmc-sim -channels 2 -faults "0:mediaread:5,1:dietimeout:0" -ops 900
+//	nvdimmc-sim -channels 3 -spares 1 -faults m0:program:1 -rw randwrite -ops 400
+//	nvdimmc-sim -channels 2 -faults "m0:mediaread:5,m1:dietimeout:0" -ops 900
 //
 // The pooled front-end's overload controls are exposed directly: -admission
 // picks the shedding policy (block | shed-newest | shed-oldest |
@@ -40,14 +40,13 @@
 // fabric (see internal/numa): one flat request plane, a METICULOUS-style
 // interconnect (-xlat one-way nanoseconds, -xbw GB/s per directed link),
 // socket-level health with evacuation and cross-socket failover, and an
-// end-of-run socket state table. -sfaults schedules socket:kind:onset
-// faults — kill (persistent program failures at the onset'th site
-// occurrence: the socket evacuates, chunks re-home, resident pages
-// migrate), slow (probabilistic die timeouts: latency tails only) and link
-// (the socket's interconnect links degrade at fabric epoch onset):
+// end-of-run socket state table. A fabric's -faults targets are sockets
+// s<j> and their members s<j>.m<i>: s1:program:1 kills socket 1 (it
+// evacuates, chunks re-home, pages migrate), s0:link:8 degrades socket 0's
+// links at fabric epoch 8:
 //
-//	nvdimmc-sim -sockets 3 -channels 2 -rate 1.5e6 -rw randwrite -ops 800 -sfaults 1:kill:1
-//	nvdimmc-sim -sockets 2 -xlat 900 -xbw 4 -rate 1e6 -ops 500 -sfaults 0:link:8
+//	nvdimmc-sim -sockets 3 -channels 2 -rate 1.5e6 -rw randwrite -ops 800 -faults s1:program:1
+//	nvdimmc-sim -sockets 2 -xlat 900 -xbw 4 -rate 1e6 -ops 500 -faults s0:link:8
 package main
 
 import (
@@ -69,59 +68,46 @@ import (
 
 func main() {
 	target := flag.String("target", "nvdc", "device: nvdc | pmem")
-	rw := flag.String("rw", "randread", "pattern: read | write | randread | randwrite")
-	bs := flag.Int("bs", 4096, "block size in bytes")
+	var o planeOpts
+	flag.StringVar(&o.rw, "rw", "randread", "pattern: read | write | randread | randwrite")
+	flag.IntVar(&o.bs, "bs", 4096, "block size in bytes")
 	jobs := flag.Int("numjobs", 1, "thread count")
-	ops := flag.Int("ops", 1000, "operations per thread")
+	flag.IntVar(&o.ops, "ops", 1000, "operations per thread")
 	uncached := flag.Bool("uncached", false, "nvdc: force misses (footprint >> cache, media prefilled)")
 	policy := flag.String("policy", "lrc", "nvdc slot replacement: lrc | lru | clock")
 	audit := flag.Bool("audit", true, "nvdc: run the protocol-invariant auditor on the trace stream")
-	channels := flag.Int("channels", 1, "pooled socket: memory channel count (>1 enables the interleaved pool)")
-	dimms := flag.Int("dimms", 1, "pooled socket: DIMMs per channel")
-	interleave := flag.Int64("interleave", 4096, "pooled socket: interleave granularity in bytes (e.g. 4096, 2097152)")
-	rate := flag.Float64("rate", 0, "pooled socket: open-loop arrival rate in ops per simulated second (0 = saturating)")
-	spares := flag.Int("spares", 0, "pooled socket: hot-spare modules for quarantine failover")
-	faults := flag.String("faults", "", "pooled socket: comma-separated member:kind:nth fault schedules (kind: program | mediaread | dietimeout | ackdrop; nth = site occurrence the schedule starts at, 0 = 1)")
-	admission := flag.String("admission", "block", "pooled socket: admission policy: block | shed-newest | shed-oldest | deadline-aware")
-	deadline := flag.Float64("deadline", 0, "pooled socket: per-request completion budget in microseconds (0 = none)")
-	pendingCap := flag.Int("pendingcap", 0, "pooled socket: per-channel admission-held backlog cap in fragments (0 = default)")
-	qos := flag.String("qos", "", "pooled socket: comma-separated dist:weight:qosweight:limit:burst:slo_us tenant contracts (dist: zipf | uni)")
-	isolation := flag.Bool("isolation", true, "pooled socket: with -qos, enforce the contracts (token buckets + DRR dispatch) rather than only tracking them")
-	sockets := flag.Int("sockets", 1, "NUMA fabric: socket count (>1 composes per-socket pools behind one request plane)")
-	xlat := flag.Float64("xlat", 400, "NUMA fabric: cross-socket one-way link latency in nanoseconds")
-	xbw := flag.Float64("xbw", 8, "NUMA fabric: per-directed-link interconnect bandwidth in GB/s")
-	sfaults := flag.String("sfaults", "", "NUMA fabric: comma-separated socket:kind:onset schedules (kind: kill | slow | link)")
+	flag.IntVar(&o.channels, "channels", 1, "pooled socket: memory channel count (>1 enables the interleaved pool)")
+	flag.IntVar(&o.dimms, "dimms", 1, "pooled socket: DIMMs per channel")
+	flag.Int64Var(&o.interleave, "interleave", 4096, "pooled socket: interleave granularity in bytes (e.g. 4096, 2097152)")
+	flag.Float64Var(&o.rate, "rate", 0, "pooled socket: open-loop arrival rate in ops per simulated second (0 = saturating)")
+	flag.IntVar(&o.spares, "spares", 0, "pooled socket: hot-spare modules for quarantine failover")
+	flag.StringVar(&o.faults, "faults", "", "pooled socket or NUMA fabric: fault plan, comma-separated target:kind:onset (target: m<i> on a pool, s<j> or s<j>.m<i> on a fabric; kind: program | mediaread | dietimeout | ackdrop | slow | link; onset: site occurrence or link epoch, 0 = 1)")
+	flag.StringVar(&o.admission, "admission", "block", "pooled socket: admission policy: block | shed-newest | shed-oldest | deadline-aware")
+	flag.Float64Var(&o.deadlineUS, "deadline", 0, "pooled socket: per-request completion budget in microseconds (0 = none)")
+	flag.IntVar(&o.pendingCap, "pendingcap", 0, "pooled socket: per-channel admission-held backlog cap in fragments (0 = default)")
+	flag.StringVar(&o.qos, "qos", "", "pooled socket: comma-separated dist:weight:qosweight:limit:burst:slo_us tenant contracts (dist: zipf | uni)")
+	flag.BoolVar(&o.isolation, "isolation", true, "pooled socket: with -qos, enforce the contracts (token buckets + DRR dispatch) rather than only tracking them")
+	flag.IntVar(&o.sockets, "sockets", 1, "NUMA fabric: socket count (>1 composes per-socket pools behind one request plane)")
+	flag.Float64Var(&o.xlatNS, "xlat", 400, "NUMA fabric: cross-socket one-way link latency in nanoseconds")
+	flag.Float64Var(&o.xbwGBps, "xbw", 8, "NUMA fabric: per-directed-link interconnect bandwidth in GB/s")
 	flag.Parse()
 
-	pooled := *channels > 1 || *dimms > 1 || *spares > 0 || *faults != "" ||
-		*admission != "block" || *deadline > 0 || *pendingCap > 0 || *qos != ""
-	if err := checkPlaneFlags(*bs, *pendingCap, pooled || *sockets > 1); err != nil {
-		fmt.Fprintln(os.Stderr, "nvdimmc-sim:", err)
-		os.Exit(2)
-	}
+	pooled := o.channels > 1 || o.dimms > 1 || o.spares > 0 || o.faults != "" ||
+		o.admission != "block" || o.deadlineUS > 0 || o.pendingCap > 0 || o.qos != ""
+	usage(checkPlaneFlags(o.bs, o.pendingCap, pooled || o.sockets > 1))
 
-	if *sockets > 1 {
-		runFabric(fabricOpts{
-			sockets: *sockets, channels: *channels, dimms: *dimms,
-			interleave: *interleave, rate: *rate, rw: *rw, bs: *bs, ops: *ops,
-			spares: *spares, xlatNS: *xlat, xbwGBps: *xbw, sfaults: *sfaults,
-		})
+	if o.sockets > 1 {
+		runFabric(o)
 		return
 	}
 
 	if pooled {
-		runPool(poolOpts{
-			channels: *channels, dimms: *dimms, interleave: *interleave,
-			rate: *rate, rw: *rw, bs: *bs, ops: *ops,
-			spares: *spares, faults: *faults,
-			admission: *admission, deadlineUS: *deadline, pendingCap: *pendingCap,
-			qos: *qos, isolation: *isolation,
-		})
+		runPool(o)
 		return
 	}
 
 	var pat fio.Pattern
-	switch *rw {
+	switch o.rw {
 	case "read":
 		pat = fio.SeqRead
 	case "write":
@@ -131,8 +117,7 @@ func main() {
 	case "randwrite":
 		pat = fio.RandWrite
 	default:
-		fmt.Fprintf(os.Stderr, "nvdimmc-sim: unknown pattern %q\n", *rw)
-		os.Exit(2)
+		usage(fmt.Errorf("unknown pattern %q", o.rw))
 	}
 
 	var tgt fio.Target
@@ -168,13 +153,12 @@ func main() {
 		}
 		tgt = ft
 	default:
-		fmt.Fprintf(os.Stderr, "nvdimmc-sim: unknown target %q\n", *target)
-		os.Exit(2)
+		usage(fmt.Errorf("unknown target %q", *target))
 	}
 
 	job := fio.Job{
-		Pattern: pat, BlockSize: *bs, NumJobs: *jobs,
-		OpsPerThread: *ops, WarmupOps: *ops / 10, Align: 4096,
+		Pattern: pat, BlockSize: o.bs, NumJobs: *jobs,
+		OpsPerThread: o.ops, WarmupOps: o.ops / 10, Align: 4096,
 	}
 	if *target == "nvdc" && !*uncached {
 		job.FileSize = int64(sys.Layout.NumSlots*9/10) * core.PageSize
@@ -216,86 +200,56 @@ func checkPlaneFlags(bs, pendingCap int, plane bool) error {
 	return nil
 }
 
-// faultSpec is one parsed -faults entry: arm <kind> on member <member>
-// starting at the site's <nth> consultation.
-type faultSpec struct {
-	member int
-	kind   string
-	nth    uint64
+// planeOpts carries the pooled and fabric modes' flags into runPool and
+// runFabric.
+type planeOpts struct {
+	channels, dimms, spares, sockets  int
+	bs, ops, pendingCap               int
+	interleave                        int64
+	rate, deadlineUS, xlatNS, xbwGBps float64
+	rw, faults, admission, qos        string
+	isolation                         bool
 }
 
-// parseFaults parses the -faults flag: "member:kind:nth[,member:kind:nth...]"
-// with member in [0, members).
-func parseFaults(spec string, members int) ([]faultSpec, error) {
-	var out []faultSpec
-	for _, part := range strings.Split(spec, ",") {
-		f := strings.Split(strings.TrimSpace(part), ":")
-		if len(f) != 3 {
-			return nil, fmt.Errorf("bad -faults entry %q (want member:kind:nth)", part)
-		}
-		member, err1 := strconv.Atoi(f[0])
-		nth, err2 := strconv.ParseUint(f[2], 10, 64)
-		if err1 != nil || err2 != nil || member < 0 || member >= members {
-			return nil, fmt.Errorf("bad -faults entry %q: member in [0,%d) and nth >= 0 required", part, members)
-		}
-		if nth == 0 {
-			nth = 1
-		}
-		switch f[1] {
-		case "program", "mediaread", "dietimeout", "ackdrop":
-		default:
-			return nil, fmt.Errorf("unknown fault kind %q (want program | mediaread | dietimeout | ackdrop)", f[1])
-		}
-		out = append(out, faultSpec{member: member, kind: f[1], nth: nth})
+// plane parses the flags the pooled and fabric modes share: -rw into a
+// read percent, and -faults into a plan checked against sockets pools
+// (0: a lone pool) with the member the plan needs (see core.FaultedConfig;
+// no plan runs the paper-scale default).
+func (o planeOpts) plane(sockets int) (int, fault.Plan, core.Config) {
+	readPct, err := readPercent(o.rw)
+	usage(err)
+	if o.faults == "" {
+		return readPct, nil, nvdimmc.DefaultConfig()
 	}
-	return out, nil
-}
-
-// armSpecs arms the parsed fault schedules on one member's registry.
-func armSpecs(specs []faultSpec, member int, g *fault.Registry) {
-	for _, sp := range specs {
-		if sp.member != member {
-			continue
-		}
-		switch sp.kind {
-		case "program":
-			g.OnOccurrence(fault.NANDProgramFail, sp.nth).Times(1 << 30)
-		case "mediaread":
-			g.OnOccurrence(fault.NANDReadBitFlip, sp.nth).Times(300)
-		case "dietimeout":
-			g.Prob(fault.NANDDieTimeout, 0.25).Param(400)
-		case "ackdrop":
-			g.OnOccurrence(fault.CPAckDrop, sp.nth).Times(12)
-		}
+	plan, err := fault.ParsePlan(o.faults)
+	if err == nil {
+		err = plan.Check(sockets, o.channels*o.dimms+o.spares)
 	}
+	usage(err)
+	return readPct, plan, core.FaultedConfig()
 }
 
-// poolOpts carries the pooled-mode CLI knobs into runPool.
-type poolOpts struct {
-	channels, dimms int
-	interleave      int64
-	rate            float64
-	rw              string
-	bs, ops         int
-	spares          int
-	faults          string
-	admission       string
-	deadlineUS      float64
-	pendingCap      int
-	qos             string
-	isolation       bool
+// readPercent maps -rw onto an open-loop tenant's ReadPct; the pooled and
+// fabric modes run random patterns only.
+func readPercent(rw string) (int, error) {
+	switch rw {
+	case "randread":
+		return 0, nil // openloop default: read-only
+	case "randwrite":
+		return -1, nil
+	}
+	return 0, fmt.Errorf("-rw %q: the pooled and fabric modes support randread | randwrite", rw)
 }
 
 // parseQoS parses the -qos flag: one tenant per comma-separated
 // dist:weight:qosweight:limit:burst:slo_us entry. Footprints are assigned by
 // the caller (an even split of the pool footprint).
-func parseQoS(spec string, readPct, bs int) []openloop.Tenant {
+func parseQoS(spec string, readPct, bs int) ([]openloop.Tenant, error) {
 	var out []openloop.Tenant
 	for i, part := range strings.Split(spec, ",") {
 		f := strings.Split(strings.TrimSpace(part), ":")
 		if len(f) != 6 {
-			fmt.Fprintf(os.Stderr, "nvdimmc-sim: bad -qos entry %q (want dist:weight:qosweight:limit:burst:slo_us)\n", part)
-			os.Exit(2)
+			return nil, fmt.Errorf("bad -qos entry %q (want dist:weight:qosweight:limit:burst:slo_us)", part)
 		}
 		var dist openloop.Dist
 		switch f[0] {
@@ -304,8 +258,7 @@ func parseQoS(spec string, readPct, bs int) []openloop.Tenant {
 		case "uni":
 			dist = openloop.Uniform
 		default:
-			fmt.Fprintf(os.Stderr, "nvdimmc-sim: unknown -qos distribution %q (want zipf | uni)\n", f[0])
-			os.Exit(2)
+			return nil, fmt.Errorf("unknown -qos distribution %q (want zipf | uni)", f[0])
 		}
 		weight, err1 := strconv.ParseFloat(f[1], 64)
 		qosWeight, err2 := strconv.ParseFloat(f[2], 64)
@@ -313,8 +266,7 @@ func parseQoS(spec string, readPct, bs int) []openloop.Tenant {
 		burst, err4 := strconv.Atoi(f[4])
 		sloUS, err5 := strconv.ParseFloat(f[5], 64)
 		if err1 != nil || err2 != nil || err3 != nil || err4 != nil || err5 != nil {
-			fmt.Fprintf(os.Stderr, "nvdimmc-sim: bad -qos entry %q: numeric fields required\n", part)
-			os.Exit(2)
+			return nil, fmt.Errorf("bad -qos entry %q: numeric fields required", part)
 		}
 		out = append(out, openloop.Tenant{
 			Name: fmt.Sprintf("t%d", i), Dist: dist, Weight: weight, ReadPct: readPct,
@@ -322,81 +274,49 @@ func parseQoS(spec string, readPct, bs int) []openloop.Tenant {
 			SLOP99: sim.Duration(sloUS * float64(sim.Microsecond)),
 		})
 	}
-	return out
+	return out, nil
 }
 
 // runPool drives the interleaved multi-channel pool with a single-tenant
 // open-loop stream and prints the pooled and per-channel stats. With -spares
 // or -faults it also prints the end-of-run member state table.
-func runPool(o poolOpts) {
-	channels, dimms, interleave := o.channels, o.dimms, o.interleave
-	rate, rw, bs, ops, spares, faults := o.rate, o.rw, o.bs, o.ops, o.spares, o.faults
-	readPct := 0 // openloop default: read-only
-	switch rw {
-	case "randread":
-	case "randwrite":
-		readPct = -1
-	default:
-		fmt.Fprintf(os.Stderr, "nvdimmc-sim: pooled mode supports -rw randread|randwrite, not %q\n", rw)
-		os.Exit(2)
-	}
-	specs := []faultSpec(nil)
-	member := nvdimmc.DefaultConfig()
+func runPool(o planeOpts) {
+	readPct, plan, member := o.plane(0)
 	walk := int64(15 << 30)
-	if faults != "" {
-		var err error
-		if specs, err = parseFaults(faults, channels*dimms+spares); err != nil {
-			fmt.Fprintln(os.Stderr, "nvdimmc-sim:", err)
-			os.Exit(2)
-		}
-		// Fault sites live on NAND and the CP transport, which a paper-scale
-		// member at a cache-resident footprint never touches; shrink the
-		// module and run near capacity so misses map pages onto media.
-		member.CacheBytes = 1 << 20
-		member.NAND.BlocksPerDie = 32
-		member.NAND.PagesPerBlock = 16
-		// Surface NAND program failures to the driver instead of letting the
-		// FTL absorb them, and drop the auditor: it does not model deferred
-		// program acks under pipelined load.
-		member.NVMC.AckAfterProgram = true
-		member.Audit = false
-		walk = 0
+	if plan != nil {
+		walk = 0 // run near capacity so misses map pages onto media
 	}
 	policy, err := pool.ParseAdmissionPolicy(o.admission)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nvdimmc-sim:", err)
-		os.Exit(2)
-	}
+	usage(err)
 	var qosTenants []openloop.Tenant
 	if o.qos != "" {
-		qosTenants = parseQoS(o.qos, readPct, bs)
+		qosTenants, err = parseQoS(o.qos, readPct, o.bs)
+		usage(err)
 	}
 	cfg := pool.Config{
-		Channels:        channels,
-		DIMMsPerChannel: dimms,
-		Interleave:      interleave,
+		Channels:        o.channels,
+		DIMMsPerChannel: o.dimms,
+		Interleave:      o.interleave,
 		Member:          member,
 		Workers:         runtime.GOMAXPROCS(0),
 		Seed:            7,
 		PrefillPages:    -1,
 		WalkFootprint:   walk,
-		Spares:          spares,
+		Spares:          o.spares,
 		Admission:       policy,
 		PendingCap:      o.pendingCap,
 		QoS:             pool.QoSFromTenants(qosTenants, o.isolation && o.qos != ""),
-	}
-	if specs != nil {
-		cfg.ArmFaults = func(m int, g *fault.Registry) { armSpecs(specs, m, g) }
+		ArmFaults:       plan.PoolHook(),
 	}
 	p, err := pool.New(cfg)
 	die(err)
 	foot := p.CachedFootprint()
-	if faults != "" {
-		foot = p.Capacity() - p.Capacity()%interleave
+	if plan != nil {
+		foot = p.Capacity() - p.Capacity()%o.interleave
 	}
 	tenants := []openloop.Tenant{
 		{Name: "cli", Dist: openloop.Uniform, ReadPct: readPct,
-			BlockSize: bs, Footprint: foot},
+			BlockSize: o.bs, Footprint: foot},
 	}
 	if qosTenants != nil {
 		// Even page-aligned footprint split across the -qos tenants.
@@ -409,15 +329,15 @@ func runPool(o poolOpts) {
 	}
 	gen, err := openloop.New(openloop.Config{
 		Seed:       7,
-		RatePerSec: rate,
+		RatePerSec: o.rate,
 		Deadline:   sim.Duration(o.deadlineUS * float64(sim.Microsecond)),
 		Tenants:    tenants,
 	})
 	die(err)
-	die(pool.RunOpenLoop(p, gen, ops, nil))
+	die(pool.RunOpenLoop(p, gen, o.ops, nil))
 	s := p.Stats()
 	fmt.Printf("pool: %d channels x %d DIMMs (+%d spare), interleave %d B, capacity %d MB, admission %v\n",
-		channels, dimms, spares, interleave, p.Capacity()>>20, policy)
+		o.channels, o.dimms, o.spares, o.interleave, p.Capacity()>>20, policy)
 	fmt.Printf("requests=%d bw=%.0f MB/s epochs=%d held-peak=%d shed=%d expired=%d late=%d\n",
 		s.Completed, s.Meter.BandwidthMBps(), s.Epochs, s.HeldPeak,
 		s.Shed, s.Expired, s.CompletedLate)
@@ -447,7 +367,7 @@ func runPool(o poolOpts) {
 				slo, verdict)
 		}
 	}
-	if spares > 0 || faults != "" {
+	if o.spares > 0 || plan != nil {
 		fmt.Printf("faults: failed=%d retries=%d trips=%d suspects=%d quarantined=%d evacuated=%d spares-used=%d rebuild-pages=%d post-quarantine=%d\n",
 			s.Failed, s.Ctr.Get("frags-retried"), s.Ctr.Get("breaker-trip"),
 			s.Ctr.Get("member-suspect"), s.Quarantined, s.Evacuated,
@@ -498,6 +418,14 @@ func prefill(s *core.System) error {
 		}
 	}
 	return s.RunUntil(func() bool { return pending == 0 }, nvdimmc.Milliseconds(30000))
+}
+
+// usage exits 2 on a bad flag value.
+func usage(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nvdimmc-sim:", err)
+		os.Exit(2)
+	}
 }
 
 func die(err error) {

@@ -125,6 +125,22 @@ func DefaultConfig() Config {
 	}
 }
 
+// FaultedConfig is the member a fault plan runs on: a 1 MiB cache over 32
+// blocks per die of 16 pages, so a footprint near capacity forces the
+// evictions and re-reads that reach the NAND and CP fault sites (a
+// paper-scale member would spend its run on zero-fills). Program failures
+// reach the driver (AckAfterProgram), and the auditor, which does not model
+// deferred program acks under pipelined load, is off.
+func FaultedConfig() Config {
+	cfg := DefaultConfig()
+	cfg.CacheBytes = 1 << 20
+	cfg.NAND.BlocksPerDie = 32
+	cfg.NAND.PagesPerBlock = 16
+	cfg.NVMC.AckAfterProgram = true
+	cfg.Audit = false
+	return cfg
+}
+
 // System is a fully assembled NVDIMM-C machine.
 type System struct {
 	K        *sim.Kernel

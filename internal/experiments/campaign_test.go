@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"nvdimmc/internal/core"
 	"nvdimmc/internal/metrics"
 	"nvdimmc/internal/pool"
 	"nvdimmc/internal/sim"
@@ -61,7 +62,7 @@ func TestCampaignAccessors(t *testing.T) {
 // clean run must surface the failure through the runner, wrapped with the
 // point's label, and leave no outcome behind.
 func TestRunPointLabelsErrors(t *testing.T) {
-	p, err := pool.New(campaignPool(faultMemberCfg(), 5, false))
+	p, err := pool.New(campaignPool(core.FaultedConfig(), 5, false))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,12 +11,11 @@ import (
 	"nvdimmc/internal/workload/openloop"
 )
 
-// faultKinds are the campaign's four failure modes, cycled across points:
-// a persistent program failure (grown bad blocks -> read-only -> quarantine,
-// failover and rebuild), a bounded burst of uncorrectable reads (retry and
-// breaker territory), probabilistic die timeouts (latency tails, no errors),
-// and dropped CP acks (transport timeouts and driver retries).
-var faultKinds = []string{"program", "mediaread", "dietimeout", "ackdrop"}
+// faultKinds are the campaign's four member failure modes, cycled across
+// points: quarantine, failover and rebuild (program), retry and breaker
+// territory (mediaread), stalls past the ack deadline (dietimeout), and
+// transport timeouts and driver retries (ackdrop).
+var faultKinds = []fault.Kind{fault.Program, fault.MediaRead, fault.DieTimeout, fault.AckDrop}
 
 // FaultPoolPoint is one seeded campaign point: a 3-channel pool with one hot
 // spare, one sick member, and a mixed open-loop load.
@@ -61,69 +60,35 @@ func (r FaultPoolResult) Failovers() int {
 	return count(r.Rows, func(p FaultPoolPoint) bool { return p.SparesUsed > 0 })
 }
 
-// faultMemberCfg is the campaign member at both scales: a shrunken module
-// with capacity close to its cache (the pool-test shape). Fault sites are
-// only consulted on NAND and CP operations, and never-written pages
-// zero-fill without touching NAND — so the campaign needs a working set
-// that forces evictions (mapping pages onto media) and then re-reads them.
-// A near-capacity footprint over a small member does exactly that; a
-// paper-scale member would spend the whole campaign on unmapped zero-fills.
-func faultMemberCfg() core.Config {
-	cfg := core.DefaultConfig()
-	cfg.CacheBytes = 1 << 20
-	cfg.NAND.BlocksPerDie = 32
-	cfg.NAND.PagesPerBlock = 16
-	// Surface NAND program failures to the driver instead of letting the FTL
-	// absorb them (posted programs never fail a front-end op otherwise).
-	cfg.NVMC.AckAfterProgram = true
-	// The auditor does not model deferred program acks under pipelined load
-	// (it flags them as duplicated acks), so it is off for the campaign.
-	cfg.Audit = false
-	return cfg
+// faultPoolPlan is point pt's fault: the kind cycles fastest, then the
+// victim member, then the onset.
+func faultPoolPlan(pt int) fault.Plan {
+	const channels = 3 // campaignPool's
+	k := len(faultKinds)
+	return fault.Plan{{
+		Socket: -1,
+		Member: (pt / k) % channels,
+		Kind:   faultKinds[pt%k],
+		Onset:  1 + 7*(pt/(k*channels)),
+	}}
 }
 
-// armFault returns the ArmFaults hook that installs fault kind on member
-// victim, its occurrence-triggered kinds firing from the onset-th visit of
-// their site; nil for "none".
-func armFault(kind string, victim, onset int) func(int, *fault.Registry) {
-	if kind == "none" {
-		return nil
-	}
-	return func(member int, g *fault.Registry) {
-		if member != victim {
-			return
-		}
-		switch kind {
-		case "program":
-			g.OnOccurrence(fault.NANDProgramFail, uint64(onset)).Times(1 << 30)
-		case "mediaread":
-			g.OnOccurrence(fault.NANDReadBitFlip, uint64(onset)).Times(300)
-		case "dietimeout":
-			g.Prob(fault.NANDDieTimeout, 0.25).Param(400)
-		case "ackdrop":
-			g.OnOccurrence(fault.CPAckDrop, uint64(onset)).Times(12)
-		}
-	}
-}
-
-// faultPoolPoint runs one campaign point. Each point is a fully independent
-// pool (own seed splits for member RNG, fault schedules and workload), so
-// points fan across shards with byte-identical merged output.
-func faultPoolPoint(o Options, pt, reqs int) (FaultPoolPoint, error) {
-	kind := faultKinds[pt%len(faultKinds)]
-	const channels = 3
-	victim := (pt / len(faultKinds)) % channels
-	onset := 1 + 7*(pt/(len(faultKinds)*channels))
-
-	label := fmt.Sprintf("faultpool point %d (%s m%d)", pt, kind, victim)
-	cfg := campaignPool(faultMemberCfg(), sim.SplitSeed(11, fmt.Sprintf("faultpool/%d", pt)), o.DisableLookahead)
-	cfg.ArmFaults = armFault(kind, victim, onset)
+// faultPoolPoint runs one campaign point with plan armed; its row's kind,
+// victim and onset are the plan's one entry. Each point is a fully
+// independent pool (own seed splits for member RNG, fault schedules and
+// workload), so points fan across shards with byte-identical merged output.
+func faultPoolPoint(o Options, pt, reqs int, plan fault.Plan) (FaultPoolPoint, error) {
+	e := plan[0]
+	label := fmt.Sprintf("faultpool point %d (%s)", pt, plan)
+	cfg := campaignPool(core.FaultedConfig(), sim.SplitSeed(11, fmt.Sprintf("faultpool/%d", pt)), o.DisableLookahead)
+	cfg.ArmFaults = plan.PoolHook()
 	p, err := pool.New(cfg)
 	if err != nil {
 		return FaultPoolPoint{}, fmt.Errorf("%s: %w", label, err)
 	}
 	// Full-capacity footprint: most accesses miss, evictions map pages onto
-	// NAND, and re-reads consult the media fault sites (see faultMemberCfg).
+	// NAND, and re-reads consult the media fault sites (see
+	// core.FaultedConfig).
 	foot := campaignFootprint(p)
 	// mediaread points run a pure-read tenant at triple length: the bitflip
 	// site is only consulted when a read reaches NAND, which takes an
@@ -134,7 +99,7 @@ func faultPoolPoint(o Options, pt, reqs int) (FaultPoolPoint, error) {
 	// breaker unit test; the campaign's job here is the transient-recovery
 	// row.)
 	readPct, preqs := 55, reqs
-	if kind == "mediaread" {
+	if e.Kind == fault.MediaRead {
 		readPct, preqs = 100, 3*reqs
 	}
 	gen, err := openloop.New(openloop.Config{
@@ -154,9 +119,9 @@ func faultPoolPoint(o Options, pt, reqs int) (FaultPoolPoint, error) {
 	s := p.Stats()
 	row := FaultPoolPoint{
 		Point:          pt,
-		Kind:           kind,
-		Victim:         victim,
-		Onset:          onset,
+		Kind:           e.Kind.String(),
+		Victim:         e.Member,
+		Onset:          e.Onset,
 		Outcome:        out,
 		PostQuarantine: s.PostQuarantineDispatches,
 		Quarantined:    s.Quarantined,
@@ -191,7 +156,7 @@ func FaultPool(o Options) (FaultPoolResult, error) {
 
 	var err error
 	res.Rows, err = runShards(points, o.workers(), func(pt int) (FaultPoolPoint, error) {
-		return faultPoolPoint(o, pt, reqs)
+		return faultPoolPoint(o, pt, reqs, faultPoolPlan(pt))
 	})
 	if err != nil {
 		return res, err

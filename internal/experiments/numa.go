@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"nvdimmc/internal/core"
 	"nvdimmc/internal/fault"
 	"nvdimmc/internal/numa"
 	"nvdimmc/internal/pool"
@@ -12,14 +13,15 @@ import (
 	"nvdimmc/internal/workload/openloop"
 )
 
-// numaKinds are the fabric campaign's three failure modes, cycled across
-// points: a socket kill (persistent program failures on every member of the
-// victim socket — quarantines, degraded positions, evacuation and
-// cross-socket failover), a slow socket (probabilistic die timeouts on the
-// victim's members — latency tails, no errors, the lattice must NOT
-// evacuate), and an interconnect degrade (the victim's links lose latency
-// and bandwidth mid-run — remote tails inflate, service continues).
-var numaKinds = []string{"socket-kill", "slow-socket", "xconn-degrade"}
+// numaKinds are the fabric campaign's three failure modes on a victim
+// socket, cycled across points: a kill (program on every member:
+// quarantines, evacuation and cross-socket failover), a slow socket
+// (latency tails; the lattice must NOT evacuate), and an interconnect
+// degrade (remote tails inflate, service continues).
+var numaKinds = []struct {
+	label string
+	kind  fault.Kind
+}{{"socket-kill", fault.Program}, {"slow-socket", fault.Slow}, {"xconn-degrade", fault.Link}}
 
 // NumaPoint is one seeded fabric campaign point: a 3-socket fabric with one
 // victim socket and a socket-affine open-loop load with cross-socket
@@ -86,20 +88,39 @@ func (r NumaResult) CheckLattice() error {
 	return nil
 }
 
-// numaPoint runs one campaign point: a fully independent fabric (own seed
-// splits for pool members, fault schedules and workload), so points fan
-// across shards with byte-identical merged output.
-func numaPoint(o Options, pt, reqs int) (NumaPoint, error) {
-	kind := numaKinds[pt%len(numaKinds)]
-	const sockets = 3
-	victim := (pt / len(numaKinds)) % sockets
-	onset := 1 + 7*(pt/(len(numaKinds)*sockets))
+// numaSockets is the campaign fabric's socket count.
+const numaSockets = 3
+
+// numaFault is point pt's fault: its numaKinds index cycles fastest, then
+// the victim socket, then the onset.
+func numaFault(pt int) (k, victim, onset int) {
+	n := len(numaKinds)
+	return pt % n, (pt / n) % numaSockets, 1 + 7*(pt/(n*numaSockets))
+}
+
+// numaPlan is point pt's plan: numaFault's kind on every member of the
+// victim socket, or on its links from fabric epoch onset x8.
+func numaPlan(pt int) fault.Plan {
+	k, victim, onset := numaFault(pt)
+	kind := numaKinds[k].kind
+	if kind == fault.Link {
+		onset *= 8
+	}
+	return fault.Plan{{Socket: victim, Member: -1, Kind: kind, Onset: onset}}
+}
+
+// numaPoint runs one campaign point with plan armed: a fully independent
+// fabric (own seed splits for pool members, fault schedules and workload),
+// so points fan across shards with byte-identical merged output.
+func numaPoint(o Options, pt, reqs int, plan fault.Plan) (NumaPoint, error) {
+	k, victim, onset := numaFault(pt)
+	kind := numaKinds[k].label
 
 	// The fabric sets each socket's seed, workers and lookahead switch.
-	pc := campaignPool(faultMemberCfg(), 0, false)
+	pc := campaignPool(core.FaultedConfig(), 0, false)
 	pc.Channels, pc.Spares = 2, 0
 	cfg := numa.Config{
-		Sockets:    sockets,
+		Sockets:    numaSockets,
 		Pool:       pc,
 		ChunkBytes: 64 << 10,
 		// A slow socket breeds sporadic suspicion (queueing delays bunch
@@ -110,29 +131,10 @@ func numaPoint(o Options, pt, reqs int) (NumaPoint, error) {
 		Workers:             1, // points are the parallel axis
 		Seed:                sim.SplitSeed(13, fmt.Sprintf("numa/%d", pt)),
 		DisableLookahead:    o.DisableLookahead,
+		ArmFaults:           plan.FabricHook(),
+		LinkFaults:          plan.LinkFaults(),
 	}
-	switch kind {
-	case "socket-kill":
-		cfg.ArmFaults = func(socket, member int, g *fault.Registry) {
-			if socket == victim {
-				g.OnOccurrence(fault.NANDProgramFail, uint64(onset)).Times(1 << 30)
-			}
-		}
-	case "slow-socket":
-		// x12 keeps a 100 us NAND program under the driver's 1.5 ms CP ack
-		// deadline: the socket gets slow (latency tails, probe suspicion),
-		// not broken (no transport errors) — the lattice must ride it out.
-		cfg.ArmFaults = func(socket, member int, g *fault.Registry) {
-			if socket == victim {
-				g.Prob(fault.NANDDieTimeout, 0.25).Param(12)
-			}
-		}
-	case "xconn-degrade":
-		cfg.LinkFaults = []numa.LinkFault{
-			{Epoch: onset * 8, Socket: victim, LatFactor: 20, BWDivide: 16},
-		}
-	}
-	label := fmt.Sprintf("numa point %d (%s s%d)", pt, kind, victim)
+	label := fmt.Sprintf("numa point %d (%s %s)", pt, kind, plan)
 	f, err := numa.New(cfg)
 	if err != nil {
 		return NumaPoint{}, fmt.Errorf("%s: %w", label, err)
@@ -206,7 +208,7 @@ func Numa(o Options) (NumaResult, error) {
 
 	var err error
 	res.Rows, err = runShards(points, o.workers(), func(pt int) (NumaPoint, error) {
-		return numaPoint(o, pt, reqs)
+		return numaPoint(o, pt, reqs, numaPlan(pt))
 	})
 	if err != nil {
 		return res, err
@@ -258,7 +260,7 @@ func numaIdleRun(o Options, reqs int, lockstep bool) (string, int, float64, erro
 			Channels:        2,
 			DIMMsPerChannel: 1,
 			Interleave:      4096,
-			Member:          faultMemberCfg(),
+			Member:          core.FaultedConfig(),
 			PrefillPages:    -1,
 			ProbeEvery:      64,
 		},

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nvdimmc/internal/core"
+	"nvdimmc/internal/fault"
 	"nvdimmc/internal/pool"
 	"nvdimmc/internal/report"
 	"nvdimmc/internal/sim"
@@ -145,24 +146,33 @@ func (r OverloadResult) ShedBeatsQueueing() error {
 // reserves half the array and the whole sweep stays on the flat part of
 // the write-cost curve.
 func overloadMemberCfg() core.Config {
-	cfg := faultMemberCfg()
+	cfg := core.FaultedConfig()
 	cfg.FTL.OverProvisionPct = 50
 	return cfg
 }
 
+// victimPlan is the overload and qos campaigns' fault: kind on logical
+// member 1 from its site's 40th visit. "none" is the empty plan.
+func victimPlan(kind string) fault.Plan {
+	k, err := fault.ParseKind(kind)
+	if err != nil {
+		return nil
+	}
+	return fault.Plan{{Socket: -1, Member: 1, Kind: k, Onset: 40}}
+}
+
 // overloadPool is the campaign pool: the campaign shape over the overload
-// member, with the requested admission policy and fault schedule on
-// logical member 1.
-func overloadPool(seed uint64, admission pool.AdmissionPolicy, faultKind string, lockstep bool) pool.Config {
+// member, with the requested admission policy and fault plan.
+func overloadPool(seed uint64, admission pool.AdmissionPolicy, plan fault.Plan, lockstep bool) pool.Config {
 	cfg := campaignPool(overloadMemberCfg(), seed, lockstep)
 	cfg.Admission = admission
-	cfg.ArmFaults = armFault(faultKind, 1, 40)
+	cfg.ArmFaults = plan.PoolHook()
 	return cfg
 }
 
 // overloadLoad is the campaign load: one mixed tenant over the
 // near-capacity footprint foot (evictions map pages onto media, so faulted
-// points exercise real NAND — see faultMemberCfg).
+// points exercise real NAND — see core.FaultedConfig).
 func overloadLoad(seed uint64, rate float64, deadline sim.Duration, foot int64) openloop.Config {
 	return openloop.Config{
 		Seed:       seed,
@@ -236,8 +246,9 @@ func overloadPoint(pt, reqs int, loads []float64, faults []string, capacity floa
 		admission = pool.AdmitDeadlineAware
 		budget = deadline
 	}
-	label := fmt.Sprintf("overload point %d (%.1fx %s %s)", pt, loadX, mode, kind)
-	p, err := pool.New(overloadPool(sim.SplitSeed(17, fmt.Sprintf("overload/%d", pt)), admission, kind, lockstep))
+	plan := victimPlan(kind)
+	label := fmt.Sprintf("overload point %d (%.1fx %s %s)", pt, loadX, mode, plan)
+	p, err := pool.New(overloadPool(sim.SplitSeed(17, fmt.Sprintf("overload/%d", pt)), admission, plan, lockstep))
 	if err != nil {
 		return OverloadPoint{}, fmt.Errorf("%s: %w", label, err)
 	}
@@ -304,7 +315,7 @@ func Overload(o Options) (OverloadResult, error) {
 	// o.Parallel: every point's offered rate derives from it, so the whole
 	// table is a pure function of the seeds.
 	capacity, err := calibrate("overload calibration",
-		overloadPool(sim.SplitSeed(17, "overload/cal"), pool.AdmitBlock, "none", o.DisableLookahead), reqs,
+		overloadPool(sim.SplitSeed(17, "overload/cal"), pool.AdmitBlock, nil, o.DisableLookahead), reqs,
 		func(foot int64) openloop.Config {
 			return overloadLoad(sim.SplitSeed(17, "overload-load/cal"), 0, 0, foot)
 		})

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"nvdimmc/internal/fault"
 	"nvdimmc/internal/pool"
 	"nvdimmc/internal/sim"
 	"nvdimmc/internal/workload/openloop"
@@ -174,14 +175,13 @@ func qosTenants(foot int64, mixCap, uniCap float64, slo sim.Duration) []openloop
 }
 
 // qosPool is one campaign pool: the overload campaign's pool with the
-// tenant QoS contracts armed or disarmed and the requested fault schedule
-// on logical member 1. The off arm drops enforcement but keeps per-tenant
-// tracking (QoSFromTenants carries the isolation switch), so both arms
-// report the same observables.
-func qosPool(seed uint64, tenants []openloop.Tenant, isolation bool, faultKind string, lockstep bool) pool.Config {
+// tenant QoS contracts armed or disarmed and the requested fault plan. The
+// off arm drops enforcement but keeps per-tenant tracking (QoSFromTenants
+// carries the isolation switch), so both arms report the same observables.
+func qosPool(seed uint64, tenants []openloop.Tenant, isolation bool, plan fault.Plan, lockstep bool) pool.Config {
 	cfg := campaignPool(overloadMemberCfg(), seed, lockstep)
 	cfg.QoS = pool.QoSFromTenants(tenants, isolation)
-	cfg.ArmFaults = armFault(faultKind, 1, 40)
+	cfg.ArmFaults = plan.PoolHook()
 	return cfg
 }
 
@@ -196,7 +196,7 @@ func qosPool(seed uint64, tenants []openloop.Tenant, isolation bool, faultKind s
 // miss-service rate.
 func qosCalibrate(reqs int, lockstep bool) (mixCap, uniCap float64, err error) {
 	cal := func(label string, shape func(foot int64) []openloop.Tenant) (float64, error) {
-		return calibrate("qos "+label+" calibration", qosPool(sim.SplitSeed(23, "qos/cal/"+label), nil, false, "none", lockstep), reqs,
+		return calibrate("qos "+label+" calibration", qosPool(sim.SplitSeed(23, "qos/cal/"+label), nil, false, nil, lockstep), reqs,
 			func(foot int64) openloop.Config {
 				return openloop.Config{Seed: sim.SplitSeed(23, "qos-load/cal/"+label), Tenants: shape(foot)}
 			})
@@ -221,9 +221,10 @@ func qosPoint(pt, reqs int, faults []string, mixCap, uniCap float64, slo sim.Dur
 	// throwaway config first to size footprints, then the real pool with the
 	// contracts armed. Footprint depends only on (member shape, seed), so
 	// the two agree.
-	label := fmt.Sprintf("qos point %d (iso=%v %s)", pt, isolation, kind)
+	plan := victimPlan(kind)
+	label := fmt.Sprintf("qos point %d (iso=%v %s)", pt, isolation, plan)
 	seed := sim.SplitSeed(23, fmt.Sprintf("qos/%d", pt))
-	probe, err := pool.New(qosPool(seed, nil, false, "none", lockstep))
+	probe, err := pool.New(qosPool(seed, nil, false, nil, lockstep))
 	if err != nil {
 		return QoSPoint{}, fmt.Errorf("%s: %w", label, err)
 	}
@@ -234,7 +235,7 @@ func qosPoint(pt, reqs int, faults []string, mixCap, uniCap float64, slo sim.Dur
 	for _, t := range tenants {
 		offered += t.Weight
 	}
-	p, err := pool.New(qosPool(seed, tenants, isolation, kind, lockstep))
+	p, err := pool.New(qosPool(seed, tenants, isolation, plan, lockstep))
 	if err != nil {
 		return QoSPoint{}, fmt.Errorf("%s: %w", label, err)
 	}

@@ -213,7 +213,7 @@ func TestFabricQuietEpochsRetryBound(t *testing.T) {
 // real Step at exactly its epoch; once past, it bounds nothing.
 func TestFabricQuietEpochsLinkFaultBound(t *testing.T) {
 	f := quietFabric(t, func(c *Config) {
-		c.LinkFaults = []LinkFault{{Epoch: 5, Socket: 1, LatFactor: 4, BWDivide: 2}}
+		c.LinkFaults = []fault.LinkFault{{Epoch: 5, Socket: 1, LatFactor: 4, BWDivide: 2}}
 	})
 	if k := f.QuietEpochs(1000); k != 4 {
 		t.Fatalf("link fault at epoch 5: QuietEpochs = %d, want 4", k)
@@ -414,7 +414,7 @@ func TestFabricIdleLookaheadIdentical(t *testing.T) {
 				c.ProbeEvery = 8
 				c.Pool.ProbeEvery = 64
 				c.DisableLookahead = lockstep
-				c.LinkFaults = []LinkFault{{Epoch: 2021, Socket: 2, LatFactor: 8, BWDivide: 4}}
+				c.LinkFaults = []fault.LinkFault{{Epoch: 2021, Socket: 2, LatFactor: 8, BWDivide: 4}}
 			})
 			gcfg := fabricTenants(f, 42, true)
 			gcfg.RatePerSec = 2e3

@@ -59,21 +59,6 @@ var (
 	ErrFabricDegraded = errors.New("numa: fabric degraded, retries exhausted")
 )
 
-// LinkFault degrades the interconnect at a scheduled epoch boundary —
-// the seeded campaign's "interconnect-degrade" lever.
-type LinkFault struct {
-	// Epoch is the fabric epoch count at whose boundary the fault applies.
-	Epoch int
-	// Socket selects the victim: every link touching it degrades. Negative
-	// degrades the whole fabric.
-	Socket int
-	// LatFactor multiplies the affected links' one-way latency (values < 1
-	// are ignored).
-	LatFactor int
-	// BWDivide divides the affected links' bandwidth (values < 1 ignored).
-	BWDivide int
-}
-
 // Config parameterizes a fabric.
 type Config struct {
 	// Sockets is the socket count (default 2).
@@ -109,8 +94,9 @@ type Config struct {
 	Seed uint64
 	// DisableLookahead forces naive per-epoch member advance in every pool.
 	DisableLookahead bool
-	// LinkFaults schedules interconnect degradations.
-	LinkFaults []LinkFault
+	// LinkFaults schedules interconnect degradations — the seeded
+	// campaign's "interconnect-degrade" lever, a fault.Plan's link entries.
+	LinkFaults []fault.LinkFault
 	// ArmFaults arms per-member fault registries, keyed by socket and
 	// member — the fabric campaign's socket-kill / slow-socket lever. It
 	// runs after any ArmFaults on the pool template.

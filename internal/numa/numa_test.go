@@ -258,7 +258,7 @@ func TestFabricLinkDegrade(t *testing.T) {
 	bs := runFabric(t, base, fabricTenants(base, 13, false), 300)
 
 	deg := newTestFabric(t, 2, 1, func(c *Config) {
-		c.LinkFaults = []LinkFault{{Epoch: 2, Socket: 1, LatFactor: 64, BWDivide: 8}}
+		c.LinkFaults = []fault.LinkFault{{Epoch: 2, Socket: 1, LatFactor: 64, BWDivide: 8}}
 	})
 	ds := runFabric(t, deg, fabricTenants(deg, 13, false), 300)
 
