@@ -154,9 +154,12 @@ func overloadMemberCfg() core.Config {
 // victimPlan is the overload and qos campaigns' fault: kind on logical
 // member 1 from its site's 40th visit. "none" is the empty plan.
 func victimPlan(kind string) fault.Plan {
+	if kind == "none" {
+		return nil
+	}
 	k, err := fault.ParseKind(kind)
 	if err != nil {
-		return nil
+		panic(err) // the campaigns' fault axes are constants
 	}
 	return fault.Plan{{Socket: -1, Member: 1, Kind: k, Onset: 40}}
 }
