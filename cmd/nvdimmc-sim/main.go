@@ -221,12 +221,22 @@ func (o planeOpts) plane(sockets int) (int, fault.Plan, core.Config) {
 	if o.faults == "" {
 		return readPct, nil, nvdimmc.DefaultConfig()
 	}
-	plan, err := fault.ParsePlan(o.faults)
-	if err == nil {
-		err = plan.Check(sockets, o.channels*o.dimms+o.spares)
-	}
+	plan, err := o.parseFaults(sockets)
 	usage(err)
 	return readPct, plan, core.FaultedConfig()
+}
+
+// parseFaults parses -faults and checks it against sockets pools (0: a
+// lone pool) of channels x dimms members plus the spares.
+func (o planeOpts) parseFaults(sockets int) (fault.Plan, error) {
+	plan, err := fault.ParsePlan(o.faults)
+	if err != nil {
+		return nil, err
+	}
+	if err := plan.Check(sockets, o.channels*o.dimms+o.spares); err != nil {
+		return nil, err
+	}
+	return plan, nil
 }
 
 // readPercent maps -rw onto an open-loop tenant's ReadPct; the pooled and
