@@ -144,7 +144,7 @@ func main() {
 		sys = s
 		ft := s.NewFioTarget()
 		if *uncached {
-			die(prefill(s))
+			die(s.PrefillMedia())
 			ft.SetWalkFootprint(120 << 30)
 		} else {
 			pages := s.Layout.NumSlots * 9 / 10
@@ -410,24 +410,6 @@ func runPool(o planeOpts) {
 	}
 	die(p.CheckHealth())
 	fmt.Println("health ok")
-}
-
-// prefill writes every logical NAND page (zero data, deduplicated by the
-// NAND model) so uncached runs read real media.
-func prefill(s *core.System) error {
-	zero := make([]byte, core.PageSize)
-	n := s.FTL.LogicalPages()
-	pending := 0
-	for p := int64(0); p < n; p++ {
-		pending++
-		s.FTL.WritePage(p, zero, func(error) { pending-- })
-		if pending >= 512 {
-			if err := s.RunUntil(func() bool { return pending < 64 }, nvdimmc.Milliseconds(30000)); err != nil {
-				return err
-			}
-		}
-	}
-	return s.RunUntil(func() bool { return pending == 0 }, nvdimmc.Milliseconds(30000))
 }
 
 // usage exits 2 on a bad flag value.

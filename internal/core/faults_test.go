@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"nvdimmc/internal/fault"
@@ -355,4 +356,21 @@ func TestFaultRunReproducible(t *testing.T) {
 		t.Fatalf("same seed, different runs:\n--- run1\n%s%s\n--- run2\n%s%s", log1, ctr1, log2, ctr2)
 	}
 	t.Logf("replay seed line: %s", log1[:60])
+}
+
+// TestPrefillMediaReportsProgramFailure: a NAND program failure during the
+// media prefill comes back as the prefill's error instead of being dropped.
+// Every program from the prefill's last first-pass program on fails, so
+// that write, alone in flight by then, fails through all its remaps while
+// every other write lands; half the blocks held back as over-provisioning
+// leave room for the remaps.
+func TestPrefillMediaReportsProgramFailure(t *testing.T) {
+	cfg := faultConfig()
+	cfg.FTL.OverProvisionPct = 50
+	s := mustSystem(t, cfg)
+	s.Faults.OnOccurrence(fault.NANDProgramFail, uint64(s.FTL.LogicalPages())).Times(1 << 30)
+	err := s.PrefillMedia()
+	if err == nil || !strings.Contains(err.Error(), "remap attempts") {
+		t.Fatalf("prefill with its last write's programs failing: err=%v, want the write's program error", err)
+	}
 }

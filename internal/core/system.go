@@ -539,6 +539,36 @@ func (s *System) RunUntil(cond func() bool, maxSim sim.Duration) error {
 	return nil
 }
 
+// PrefillMedia writes every logical NAND page through the FTL (zero data,
+// which the NAND model deduplicates), so uncached reads exercise real
+// media. It returns the first write error, or an error if the writes do
+// not land within 30 s simulated.
+func (s *System) PrefillMedia() error {
+	zero := s.zeroSource(PageSize)
+	n := s.FTL.LogicalPages()
+	pending := 0
+	var firstErr error
+	done := func(err error) {
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		pending--
+	}
+	for p := int64(0); p < n; p++ {
+		pending++
+		s.FTL.WritePage(p, zero, done)
+		if pending >= 512 {
+			if err := s.RunUntil(func() bool { return pending < 64 }, 30*sim.Second); err != nil {
+				return err
+			}
+		}
+	}
+	if err := s.RunUntil(func() bool { return pending == 0 }, 30*sim.Second); err != nil {
+		return err
+	}
+	return firstErr
+}
+
 // CheckHealth asserts the invariants that must hold after any workload when
 // the mechanism is enabled: no bus collisions, no DRAM protocol violations,
 // no refresh-detector false positives, consistent FTL state.

@@ -68,7 +68,7 @@ func Ablations(o Options) (AblationResult, error) {
 		if err != nil {
 			return res, err
 		}
-		if err := prefillMedia(s); err != nil {
+		if err := s.PrefillMedia(); err != nil {
 			return res, err
 		}
 		tgt := s.NewFioTarget()

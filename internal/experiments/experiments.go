@@ -13,7 +13,6 @@ import (
 
 	"nvdimmc/internal/core"
 	"nvdimmc/internal/pmem"
-	"nvdimmc/internal/sim"
 	"nvdimmc/internal/workload/fio"
 )
 
@@ -102,33 +101,6 @@ func prefillSlots(s *core.System, pages int) error {
 		FileSize: int64(pages) * PageSize, OpsPerThread: pages,
 	})
 	return err
-}
-
-// prefillMedia writes every logical NAND page (zero data, deduplicated) so
-// uncached reads exercise real media.
-func prefillMedia(s *core.System) error {
-	zero := make([]byte, PageSize)
-	n := s.FTL.LogicalPages()
-	pending := 0
-	var firstErr error
-	for p := int64(0); p < n; p++ {
-		pending++
-		s.FTL.WritePage(p, zero, func(err error) {
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			pending--
-		})
-		if pending >= 512 {
-			if err := s.RunUntil(func() bool { return pending < 64 }, 30*sim.Second); err != nil {
-				return err
-			}
-		}
-	}
-	if err := s.RunUntil(func() bool { return pending == 0 }, 30*sim.Second); err != nil {
-		return err
-	}
-	return firstErr
 }
 
 // Row is one paper-vs-measured line.

@@ -90,7 +90,7 @@ func Fig8(o Options) (Fig8Result, error) {
 		if err != nil {
 			return res, err
 		}
-		if err := prefillMedia(s); err != nil {
+		if err := s.PrefillMedia(); err != nil {
 			return res, err
 		}
 		tgt := s.NewFioTarget()

@@ -77,7 +77,7 @@ func Fig9(o Options) (Fig9Result, error) {
 			if err != nil {
 				return fio.Result{}, err
 			}
-			if err := prefillMedia(s); err != nil {
+			if err := s.PrefillMedia(); err != nil {
 				return fio.Result{}, err
 			}
 			tgt := s.NewFioTarget()

@@ -4,8 +4,7 @@
 // a one-way latency and a bandwidth modeled as deterministic queueing on a
 // busy-until horizon: a transfer serializes behind the link's previous
 // transfers, occupies bytes/bandwidth of wire time, then lands one latency
-// later. All arithmetic is in durations relative to the fabric origin and
-// mutates only at epoch boundaries (dispatch/collect), so the model is
+// later. All arithmetic is in fabric instants and mutates only at epoch boundaries (dispatch/collect), so the model is
 // deterministic at any worker count.
 package numa
 
@@ -13,8 +12,8 @@ import "nvdimmc/internal/sim"
 
 type link struct {
 	lat  sim.Duration
-	bw   int64        // bytes per simulated second
-	busy sim.Duration // wire busy-until horizon, fabric-relative
+	bw   int64    // bytes per simulated second
+	busy sim.Time // wire busy-until horizon
 }
 
 type interconnect struct {
@@ -33,21 +32,17 @@ func newInterconnect(n int, lat sim.Duration, bw int64) *interconnect {
 // xfer models one transfer of bytes from src to dst starting no earlier
 // than at, and returns the arrival instant. Local transfers (src == dst)
 // are free: the fabric only charges the wire for actual socket crossings.
-func (ic *interconnect) xfer(src, dst, bytes int, at sim.Duration) sim.Duration {
+func (ic *interconnect) xfer(src, dst, bytes int, at sim.Time) sim.Time {
 	if src == dst {
 		return at
 	}
 	l := &ic.links[src*ic.n+dst]
-	start := at
-	if l.busy > start {
-		start = l.busy
-	}
 	tx := sim.Duration(int64(bytes) * int64(sim.Second) / l.bw)
 	if tx <= 0 {
 		tx = 1 // never zero wire time: keeps busy horizons strictly advancing
 	}
-	l.busy = start + tx
-	return start + tx + l.lat
+	l.busy = max(at, l.busy).Add(tx)
+	return l.busy.Add(l.lat)
 }
 
 // degrade applies a LinkFault to every link touching socket (both

@@ -535,9 +535,9 @@ func TestFabricIdleProbeJumpIdentical(t *testing.T) {
 func TestFabricDrainBatchesRetryBackoff(t *testing.T) {
 	f := quietFabric(t)
 	op := &pool.Piece{Req: &pool.Request{Remaining: 1, Home: 0, Bytes: 4096}, Off: 0, N: 4096, Attempts: 1}
-	f.led.Submitted++
+	f.Open(openloop.Request{Len: 4096})
 	f.sup.Retries = append(f.sup.Retries, pool.Retry{Item: op, Ready: 50})
-	if err := f.Drain(); err != nil {
+	if err := pool.Drain(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.CheckHealth(); err != nil {
@@ -749,5 +749,20 @@ func TestParkedSocketsMatchLockstep(t *testing.T) {
 			fabs = append(fabs, f)
 		}
 		sameFabric(t, c.name, fabs[0], fabs[1])
+	}
+}
+
+// TestFabricParksPastGuard: a park horizon is capped by MaxEpochs, not by
+// what the fabric's age leaves of it, so an idle fabric stepped past its
+// guard still parks its sockets.
+func TestFabricParksPastGuard(t *testing.T) {
+	f := quietFabric(t, func(c *Config) { c.MaxEpochs = 64 })
+	for f.sup.Epochs <= 64 {
+		f.Step()
+	}
+	for i := range f.socks {
+		if !f.sup.Kids[i].Parked {
+			t.Fatalf("idle socket %d not parked at epoch %d, past MaxEpochs %d", i, f.sup.Epochs, f.Cfg.MaxEpochs)
+		}
 	}
 }

@@ -66,9 +66,9 @@ func (f *Fabric) issueMigrations() {
 			// The page's fabric address lies under the victim's own logical
 			// span; its current owner is wherever re-homing sent that chunk.
 			dst := f.ownerOf(int64(j.Victim)*f.span + off)
-			n := f.migSubmit(j, j.Victim, off, false, f.now)
-			at := f.links.xfer(j.Victim, dst, migPageSize, f.now)
-			n += f.migSubmit(j, dst, off, true, at)
+			now := f.Front.Now()
+			n := f.migSubmit(j, j.Victim, off, false, now)
+			n += f.migSubmit(j, dst, off, true, f.links.xfer(j.Victim, dst, migPageSize, now))
 			f.ctr.Inc("mig-pages")
 			return n
 		})
@@ -80,9 +80,9 @@ func (f *Fabric) issueMigrations() {
 // reads from an Evacuating victim). A synchronous refusal — admission shed
 // on a loaded survivor, typed fast-fail on a dead victim — is counted as a
 // miss at once. It returns how many halves it left outstanding (0 or 1).
-func (f *Fabric) migSubmit(j *pool.Copy, sock int, off int64, write bool, at sim.Duration) int {
+func (f *Fabric) migSubmit(j *pool.Copy, sock int, off int64, write bool, at sim.Time) int {
 	id, err := f.socks[sock].pool.Submit(openloop.Request{
-		Arrival: at,
+		Arrival: at.Sub(f.Origin()),
 		Socket:  sock,
 		Off:     off,
 		Len:     migPageSize,

@@ -84,7 +84,9 @@ type Config struct {
 	// pool-invariant breaches escalate immediately.
 	EvacuateAfterProbes int
 
-	// MaxEpochs guards Run/Drain against wedges (default 1<<21).
+	// MaxEpochs is the wedge guard: the most epochs one Run or Drain call
+	// may take (default pool.DefaultMaxEpochs). It also caps how far ahead
+	// a parked socket's horizon reaches.
 	MaxEpochs int
 	// Workers caps how many members each socket's pool builds and prefills
 	// concurrently (pool.Config.Workers); epochs advance on the stepping
@@ -105,6 +107,9 @@ type Config struct {
 
 // Fabric is the multi-socket request plane.
 type Fabric struct {
+	// Front is the plane's front end (pool.Front): the epoch clock, whose
+	// origin is 0, the request IDs, the ledger and the outbox.
+	pool.Front
 	Cfg Config
 
 	socks []*socket
@@ -115,17 +120,10 @@ type Fabric struct {
 	owner  []int // (logical socket * chunks + chunk) -> serving socket
 	reown  int   // round-robin cursor for re-homing spread
 
-	epoch sim.Duration
-	now   sim.Duration // current boundary, relative to fabric origin
 	// sup supervises the sockets: their health lattice and probes, parking,
 	// the epoch count and the cross-socket retry queue (pool.Supervisor).
 	sup pool.Supervisor[pool.Probe]
 
-	// reqs recycles request records and buffers terminal records for Poll
-	// (pool.Requests): a request retires there when its last piece does
-	// (retire).
-	reqs   pool.Requests
-	nextID uint64
 	// segScratch is submit's reusable split buffer, and drain collect's
 	// reusable buffer of socket completions.
 	segScratch []pool.Extent
@@ -136,8 +134,6 @@ type Fabric struct {
 	latRemote  *metrics.Histogram // foreground completions that crossed a link
 	latMigrate *metrics.Histogram // foreground completions while migration ran
 
-	// led books every terminal outcome (pool.Ledger).
-	led pool.Ledger
 	// postEvacSubmissions counts foreground pool submissions that reached a
 	// socket at or past Evacuating; probe-before-submit ordering makes this
 	// structurally zero and CheckHealth asserts it.
@@ -183,7 +179,7 @@ func (c *Config) fillDefaults() error {
 		c.EvacuateAfterProbes = 3
 	}
 	if c.MaxEpochs <= 0 {
-		c.MaxEpochs = 1 << 21
+		c.MaxEpochs = pool.DefaultMaxEpochs
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -234,9 +230,9 @@ func New(cfg Config) (*Fabric, error) {
 			mig:  map[uint64]migOp{},
 		})
 	}
-	f.epoch = f.socks[0].pool.Epoch()
+	f.Front = pool.NewFront(f.socks[0].pool.Epoch(), 0, cfg.MaxEpochs)
 	f.sup = pool.NewSupervisor[pool.Probe](socketLevel{f}, cfg.Sockets, cfg.ProbeEvery, cfg.EvacuateAfterProbes,
-		pool.RetryPolicy{Max: maxRetries, Epoch: f.epoch, Degraded: ErrFabricDegraded,
+		pool.RetryPolicy{Max: maxRetries, Epoch: f.Epoch(), Degraded: ErrFabricDegraded,
 			// A fabric request is never canceled: fab-retry-canceled stays 0.
 			Counters: [...]string{"fab-retry-queued", "fab-retry-canceled", "fab-retry-exhausted", "fab-retry-infeasible"}},
 		f.ctr, "socket", "socket-evacuating")
@@ -264,8 +260,9 @@ func New(cfg Config) (*Fabric, error) {
 func (f *Fabric) Span() int64     { return f.span }
 func (f *Fabric) Capacity() int64 { return f.span * int64(f.Cfg.Sockets) }
 
-// Now returns the current epoch boundary as a duration since fabric start.
-func (f *Fabric) Now() sim.Duration { return f.now }
+// Now returns the current epoch boundary as a duration since fabric start
+// (Elapsed); the boundary instant is Front.Now.
+func (f *Fabric) Now() sim.Duration { return f.Elapsed() }
 
 // Socket exposes socket s's pool (tests, health checks, CLI tables),
 // caught up to the fabric's boundary first. A later Step may park the
@@ -299,8 +296,7 @@ func (f *Fabric) Submit(r openloop.Request) (uint64, error) {
 	if src < 0 || src >= f.Cfg.Sockets {
 		src = 0
 	}
-	f.nextID++
-	f.led.Submit(r.Write)
+	id, arrival, deadline := f.Open(r)
 	// Split at chunk boundaries, merging consecutive chunks with the same
 	// serving socket so a request crossing an un-re-homed span stays one op.
 	segs := f.segScratch[:0]
@@ -316,19 +312,16 @@ func (f *Fabric) Submit(r openloop.Request) (uint64, error) {
 		n -= run
 	}
 	f.segScratch = segs
-	// The fabric's origin is 0, so its instants are its durations.
-	req := f.reqs.New(pool.Request{
-		ID:      f.nextID,
-		Tenant:  r.Tenant,
-		Home:    src,
-		Arrival: sim.Time(r.Arrival),
-		Write:   r.Write,
-		InSub:   true,
-		Bytes:   r.Len,
+	req := f.Track(pool.Request{
+		ID:       id,
+		Tenant:   r.Tenant,
+		Home:     src,
+		Arrival:  arrival,
+		Deadline: deadline,
+		Write:    r.Write,
+		InSub:    true,
+		Bytes:    r.Len,
 	}, segs)
-	if r.Deadline > 0 {
-		req.Deadline = sim.Time(r.Arrival + r.Deadline)
-	}
 	for i := range segs {
 		f.dispatch(req.Piece(i))
 	}
@@ -354,19 +347,19 @@ func (f *Fabric) dispatch(op *pool.Piece) {
 		f.ctr.Inc("fab-retry-promoted")
 	}
 	r := op.Req
+	now := f.Front.Now()
 	dst := f.ownerOf(op.Off)
 	h := &f.sup.Kids[dst]
 	if h.State >= pool.HealthCondemned {
 		f.ctr.Inc("refused-evacuated")
-		f.retire(r, sim.Time(f.now), fmt.Errorf("numa: socket %d %s (%s): %w", dst, SocketState(h.State), h.Reason, ErrSocketEvacuated))
+		f.retire(r, now, fmt.Errorf("numa: socket %d %s (%s): %w", dst, SocketState(h.State), h.Reason, ErrSocketEvacuated))
 		return
 	}
-	at := max(r.Arrival, sim.Time(f.now))
 	xb := 64 // request descriptor
 	if r.Write {
 		xb += op.N // write payload rides the request path
 	}
-	arrive := sim.Time(f.links.xfer(r.Home, dst, xb, sim.Duration(at)))
+	arrive := f.links.xfer(r.Home, dst, xb, max(r.Arrival, now))
 	var budget sim.Duration
 	if dl := r.Deadline; dl > 0 {
 		budget = dl.Sub(arrive)
@@ -391,7 +384,7 @@ func (f *Fabric) dispatch(op *pool.Piece) {
 	}
 	f.sup.Wake(dst)
 	pid, err := f.socks[dst].pool.Submit(openloop.Request{
-		Arrival:  sim.Duration(arrive),
+		Arrival:  arrive.Sub(f.Origin()),
 		Deadline: budget,
 		Tenant:   r.Tenant,
 		Socket:   dst,
@@ -416,13 +409,12 @@ var fabricTyped = []error{pool.ErrMemberQuarantined, pool.ErrPoolDegraded, ErrSo
 
 // retire folds one terminal piece, and its error err (nil for a success),
 // into its request (pool.Request.Fold). The last piece retires the request
-// through the ledger, in pool outcome terms, records its latency, and
-// returns the record to the free list.
+// (Front.Finish), in pool outcome terms, and records its latency.
 func (f *Fabric) retire(r *pool.Request, at sim.Time, err error) {
 	if !r.Fold(at, err) {
 		return
 	}
-	c := r.Completion(f.led.Retire(r.Write, r.Late(), r.Err, fabricTyped))
+	c := f.Finish(r, fabricTyped)
 	if c.Outcome == pool.OutcomeCompleted {
 		if r.Remote {
 			f.latRemote.Record(c.Latency)
@@ -433,7 +425,6 @@ func (f *Fabric) retire(r *pool.Request, at sim.Time, err error) {
 			f.latMigrate.Record(c.Latency)
 		}
 	}
-	f.reqs.Retire(r, c)
 }
 
 // Step advances the fabric one epoch: boundary bookkeeping (link faults,
@@ -456,13 +447,14 @@ func (f *Fabric) Step() {
 	f.collect()
 	f.sup.Settle()
 	f.park()
-	f.now += f.epoch
+	f.Advance(1)
 }
 
 // park parks every socket that has just advanced and can sit out the
 // coming epochs: lookahead is on, no migration job runs, the fabric has no
 // piece pending on it, its pool is quiesced, and its pool's QuietEpochs
-// proves a horizon (Supervisor.Park). The socket's pool may then cover any
+// proves a horizon (Supervisor.Park), capped at MaxEpochs from the current
+// epoch however old the fabric is. The socket's pool may then cover any
 // part of that horizon with one StepQuiet, byte-identical to the Steps it
 // skipped. Every place the fabric submits to a socket or hands its pool out
 // wakes it first: dispatch, startMigration (which wakes every socket before
@@ -476,7 +468,7 @@ func (f *Fabric) park() {
 		if f.sup.Kids[i].Parked || len(s.pend)+len(s.mig) != 0 || !s.pool.Quiesced() {
 			continue
 		}
-		f.sup.Park(i, f.sup.Epochs+s.pool.QuietEpochs(f.Cfg.MaxEpochs-f.sup.Epochs))
+		f.sup.Park(i, f.sup.Epochs+s.pool.QuietEpochs(f.Cfg.MaxEpochs))
 	}
 }
 
@@ -494,7 +486,7 @@ func (f *Fabric) collect() {
 		}
 		f.drain = s.pool.Poll(f.drain[:0], 0)
 		for _, c := range f.drain {
-			at := sim.Time(c.At.Sub(s.pool.Origin()))
+			at := f.Origin().Add(c.At.Sub(s.pool.Origin()))
 			if op, ok := s.pend[c.ID]; ok {
 				delete(s.pend, c.ID)
 				switch c.Outcome {
@@ -503,9 +495,9 @@ func (f *Fabric) collect() {
 					if !op.Req.Write {
 						rb += op.N
 					}
-					f.retire(op.Req, sim.Time(f.links.xfer(si, op.Req.Home, rb, sim.Duration(at))), nil)
+					f.retire(op.Req, f.links.xfer(si, op.Req.Home, rb, at), nil)
 				case pool.OutcomeFailed:
-					if v, err := f.sup.Retry(op, c.Err, sim.Time(f.now), f.Cfg.XLat, f.ctr); v != pool.RetryQueued {
+					if v, err := f.sup.Retry(op, c.Err, f.Front.Now(), f.Cfg.XLat, f.ctr); v != pool.RetryQueued {
 						f.retire(op.Req, at, err)
 					}
 				default: // shed / expired / throttled, asynchronously
@@ -525,16 +517,10 @@ func (f *Fabric) collect() {
 	}
 }
 
-// Poll removes up to max buffered completions (all when max <= 0) and
-// appends them to dst.
-func (f *Fabric) Poll(dst []pool.Completion, max int) []pool.Completion {
-	return f.reqs.Poll(dst, max)
-}
-
 // Quiesced reports whether every submitted request is terminal and no
 // background work (retries, migrations, in-flight pieces) remains.
 func (f *Fabric) Quiesced() bool {
-	if f.led.Terminal() != f.led.Submitted || len(f.sup.Retries) != 0 || len(f.sup.Jobs) != 0 {
+	if !f.Settled() || len(f.sup.Retries) != 0 || len(f.sup.Jobs) != 0 {
 		return false
 	}
 	for _, s := range f.socks {
@@ -603,32 +589,13 @@ func (f *Fabric) StepQuiet(k int) {
 			s.pool.StepQuiet(k)
 		}
 	}
-	f.now += sim.Duration(k) * f.epoch
+	f.Advance(k)
 	f.sup.Settle()
 	f.park()
 }
-
-// Drain steps the fabric until it quiesces (the shared driver,
-// pool.Drain).
-func (f *Fabric) Drain() error { return pool.Drain(f) }
 
 // Run feeds the stream next yields through the fabric and drains it (the
 // shared driver, pool.Run): quiet spans batch through QuietEpochs/StepQuiet,
 // and with DisableLookahead every epoch is a full Step, the lockstep oracle.
 // It discards the completion records.
 func (f *Fabric) Run(next func() (openloop.Request, bool)) error { return pool.Run(f, next, nil) }
-
-// Elapsed returns the current boundary (pool.Plane); it equals Now.
-func (f *Fabric) Elapsed() sim.Duration { return f.now }
-
-// Epoch returns the epoch length.
-func (f *Fabric) Epoch() sim.Duration { return f.epoch }
-
-// Epochs returns the fabric epochs taken so far.
-func (f *Fabric) Epochs() int { return f.sup.Epochs }
-
-// MaxEpochs returns the wedge guard.
-func (f *Fabric) MaxEpochs() int { return f.Cfg.MaxEpochs }
-
-// Ledger returns the fabric's outcome ledger.
-func (f *Fabric) Ledger() pool.Ledger { return f.led }

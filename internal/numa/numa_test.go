@@ -289,7 +289,7 @@ func TestFabricNoSurvivorTypedRefusal(t *testing.T) {
 	if !errors.Is(err, ErrSocketEvacuated) {
 		t.Fatalf("submit to dead fabric: %v", err)
 	}
-	if err := f.Drain(); err != nil {
+	if err := pool.Drain(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.CheckHealth(); err != nil {
@@ -324,7 +324,7 @@ func TestFabricDeadlineWireFailFast(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("local submit: %v", err)
 	}
-	if err := f.Drain(); err != nil {
+	if err := pool.Drain(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.CheckHealth(); err != nil {
@@ -342,7 +342,7 @@ func TestFabricChunkStraddle(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Drain(); err != nil {
+	if err := pool.Drain(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.CheckHealth(); err != nil {
@@ -389,23 +389,23 @@ func TestInterconnectQueueing(t *testing.T) {
 		t.Fatalf("local transfer charged: %v", got)
 	}
 	a := ic.xfer(0, 1, 1000, 0)
-	if want := sim.Duration(1000) + lat; a != want {
+	if want := sim.Time(1000).Add(lat); a != want {
 		t.Fatalf("first transfer lands %v, want %v", a, want)
 	}
 	// Second transfer on the same link queues behind the first's wire time.
 	b := ic.xfer(0, 1, 1000, 0)
-	if want := sim.Duration(2000) + lat; b != want {
+	if want := sim.Time(2000).Add(lat); b != want {
 		t.Fatalf("queued transfer lands %v, want %v", b, want)
 	}
 	// The reverse direction is an independent link.
 	r := ic.xfer(1, 0, 1000, 0)
-	if want := sim.Duration(1000) + lat; r != want {
+	if want := sim.Time(1000).Add(lat); r != want {
 		t.Fatalf("reverse transfer lands %v, want %v", r, want)
 	}
 	// Degrade: latency x2, bandwidth /2 -> next transfer pays both.
 	ic.degrade(1, 2, 2)
 	d := ic.xfer(0, 1, 1000, 5000)
-	if want := sim.Duration(5000) + 2000 + 2*lat; d != want {
+	if want := sim.Time(5000 + 2000).Add(2 * lat); d != want {
 		t.Fatalf("degraded transfer lands %v, want %v", d, want)
 	}
 }

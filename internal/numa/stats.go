@@ -49,7 +49,7 @@ func (f *Fabric) Stats() Stats {
 		LatRemote:           f.latRemote,
 		LatMigrate:          f.latMigrate,
 		Ctr:                 metrics.NewCounters(),
-		Ledger:              f.led,
+		Ledger:              f.Ledger(),
 		PostEvacSubmissions: f.postEvacSubmissions,
 		RemoteRequests:      f.ctr.Get("remote-requests"),
 		ChunksRehomed:       f.ctr.Get("chunks-rehomed"),
@@ -85,7 +85,7 @@ func (f *Fabric) Latency() *metrics.Histogram { return f.lat }
 //   - no piece stranded in retry backoff or pending maps, no migration
 //     still running, no orphaned pool completion.
 func (f *Fabric) CheckHealth() error {
-	if err := f.led.Check(); err != nil {
+	if err := f.Ledger().Check(); err != nil {
 		return fmt.Errorf("numa: %w", err)
 	}
 	if f.postEvacSubmissions != 0 {
@@ -94,11 +94,8 @@ func (f *Fabric) CheckHealth() error {
 	if n := f.ctr.Get("orphan-completions"); n != 0 {
 		return fmt.Errorf("numa: %d pool completions matched no fabric op", n)
 	}
-	if len(f.sup.Retries) != 0 {
-		return fmt.Errorf("numa: %d pieces stranded in retry backoff", len(f.sup.Retries))
-	}
-	if len(f.sup.Jobs) != 0 {
-		return fmt.Errorf("numa: %d migration jobs still active", len(f.sup.Jobs))
+	if err := f.sup.CheckDrained(); err != nil {
+		return fmt.Errorf("numa: %w", err)
 	}
 	for si, s := range f.socks {
 		f.sup.Wake(si)

@@ -12,6 +12,8 @@ import (
 // same fixed front end, the way the paper's DDR interface fronts whatever
 // module sits behind it. Every method is called at an epoch boundary only.
 // Completion is poll-only, like the host polling a CP slot for its ack.
+// Both planes embed one Front, which supplies Poll, Elapsed, Epoch,
+// MaxEpochs and Ledger.
 type Plane interface {
 	// Submit admits one request and returns its ID. A synchronous refusal
 	// returns the typed error, is booked in the ledger and leaves no
@@ -33,13 +35,18 @@ type Plane interface {
 	// frame request arrivals are stamped in; Epoch is the epoch length.
 	Elapsed() sim.Duration
 	Epoch() sim.Duration
-	// Epochs counts the epochs taken; MaxEpochs is the wedge guard.
-	Epochs() int
+	// MaxEpochs is the wedge guard: the most epochs one Run or Drain call
+	// may take, however old the plane already is.
 	MaxEpochs() int
 	// Capacity bounds request addresses: [0, Capacity).
 	Capacity() int64
 	Ledger() Ledger
 }
+
+// DefaultMaxEpochs is the wedge guard of a pool or fabric whose Config
+// leaves MaxEpochs zero: 1<<22 epochs, about 33 s simulated at the member
+// tREFI, per Run or Drain call.
+const DefaultMaxEpochs = 1 << 22
 
 // Run feeds the requests next yields (until it reports false) through pl
 // and returns once every admitted request reached a terminal outcome. next
@@ -50,14 +57,15 @@ type Plane interface {
 // batched path matches byte for byte. Sheds and throttles are terminal
 // outcomes booked at submission, so they are not Run failures. After each
 // advance Run polls the plane and hands every record, in order, to sink
-// (nil discards them), so a successful Run leaves nothing buffered.
+// (nil discards them), so a successful Run leaves nothing buffered. Run
+// fails once it has taken MaxEpochs epochs.
 func Run(pl Plane, next func() (openloop.Request, bool), sink func(Completion)) error {
 	var look openloop.Request
 	var recs []Completion
 	have, exhausted := false, false
-	for {
-		if pl.Epochs() >= pl.MaxEpochs() {
-			return wedged(pl)
+	for taken := 0; ; {
+		if taken >= pl.MaxEpochs() {
+			return wedged(pl, taken)
 		}
 		epochEnd := pl.Elapsed() + pl.Epoch()
 		for !exhausted {
@@ -76,7 +84,7 @@ func Run(pl Plane, next func() (openloop.Request, bool), sink func(Completion)) 
 		// Bound a quiet batch by the next buffered arrival (or, once the
 		// source is dry and the plane quiesced, take the single bookkeeping
 		// step the lockstep loop would).
-		limit := pl.MaxEpochs() - pl.Epochs()
+		limit := pl.MaxEpochs() - taken
 		if have {
 			if g := int((look.Arrival - pl.Elapsed()) / pl.Epoch()); g < limit {
 				limit = g
@@ -84,7 +92,7 @@ func Run(pl Plane, next func() (openloop.Request, bool), sink func(Completion)) 
 		} else if exhausted && pl.Quiesced() {
 			limit = 0
 		}
-		advance(pl, limit)
+		taken += advance(pl, limit)
 		recs = pl.Poll(recs[:0], 0)
 		if sink != nil {
 			for _, c := range recs {
@@ -109,31 +117,34 @@ func RunOpenLoop(pl Plane, gen *openloop.Generator, count int, sink func(Complet
 	}, sink)
 }
 
-// Drain steps pl until it quiesces (or the MaxEpochs guard trips),
-// batching provably quiet spans (retry backoffs waiting out their epochs)
-// through the lookahead. Records stay buffered for the caller's Poll.
+// Drain steps pl until it quiesces, or fails once it has taken MaxEpochs
+// epochs, batching provably quiet spans (retry backoffs waiting out their
+// epochs) through the lookahead. Records stay buffered for the caller's
+// Poll.
 func Drain(pl Plane) error {
-	for !pl.Quiesced() {
-		if pl.Epochs() >= pl.MaxEpochs() {
-			return wedged(pl)
+	for taken := 0; !pl.Quiesced(); {
+		if taken >= pl.MaxEpochs() {
+			return wedged(pl, taken)
 		}
-		advance(pl, pl.MaxEpochs()-pl.Epochs())
+		taken += advance(pl, pl.MaxEpochs()-taken)
 	}
 	return nil
 }
 
 // advance moves pl past the current boundary: one quiet batch of up to
-// limit epochs when QuietEpochs proves one, else one Step.
-func advance(pl Plane, limit int) {
+// limit epochs when QuietEpochs proves one, else one Step. It returns the
+// epochs taken.
+func advance(pl Plane, limit int) int {
 	if k := pl.QuietEpochs(limit); k > 1 {
 		pl.StepQuiet(k)
-	} else {
-		pl.Step()
+		return k
 	}
+	pl.Step()
+	return 1
 }
 
-func wedged(pl Plane) error {
+func wedged(pl Plane, taken int) error {
 	l := pl.Ledger()
 	return fmt.Errorf("%T: %d epochs without draining (%d/%d requests terminal) — wedged?",
-		pl, pl.Epochs(), l.Terminal(), l.Submitted)
+		pl, taken, l.Terminal(), l.Submitted)
 }

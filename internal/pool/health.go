@@ -132,5 +132,5 @@ func (l memberLevel) Condemn(i int) {
 // by contract, and RunUntil to the boundary equals running it to each
 // boundary the member skipped.
 func (l memberLevel) CatchUp(i, to int) {
-	l.members[i].sys.FastForwardIdle(l.epoch0.Add(sim.Duration(to) * l.epoch))
+	l.members[i].sys.FastForwardIdle(l.origin.Add(sim.Duration(to) * l.epoch))
 }

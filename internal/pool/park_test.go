@@ -133,10 +133,10 @@ func TestParkedMembersMatchLockstep(t *testing.T) {
 							b.Step()
 						}
 					default:
-						if err := a.Drain(); err != nil {
+						if err := Drain(a); err != nil {
 							t.Fatal(err)
 						}
-						if err := b.Drain(); err != nil {
+						if err := Drain(b); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -154,7 +154,7 @@ func TestParkedMembersMatchLockstep(t *testing.T) {
 					}
 				}
 				for _, p := range []*Pool{a, b} {
-					if err := p.Drain(); err != nil {
+					if err := Drain(p); err != nil {
 						t.Fatal(err)
 					}
 					if err := p.CheckHealth(); err != nil {
@@ -312,10 +312,10 @@ func TestParkedChannelsMatchLockstep(t *testing.T) {
 						recA, recB = a.Poll(recA[:0], 0), b.Poll(recB[:0], 0)
 						same(act, "Poll", recA, recB)
 					default:
-						if err := a.Drain(); err != nil {
+						if err := Drain(a); err != nil {
 							t.Fatal(err)
 						}
-						if err := b.Drain(); err != nil {
+						if err := Drain(b); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -350,7 +350,7 @@ func TestParkedChannelsMatchLockstep(t *testing.T) {
 					}
 				}
 				for _, p := range []*Pool{a, b} {
-					if err := p.Drain(); err != nil {
+					if err := Drain(p); err != nil {
 						t.Fatal(err)
 					}
 					if err := p.CheckHealth(); err != nil {

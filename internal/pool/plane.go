@@ -211,36 +211,29 @@ type ChannelOccupancy struct {
 func (p *Pool) Submit(r openloop.Request) (uint64, error) {
 	frags := p.Dec.FragmentsInto(p.fragScratch[:0], r.Off, r.Len)
 	p.fragScratch = frags[:0]
-	arrival := p.epoch0.Add(r.Arrival)
-	var deadline sim.Time
-	if r.Deadline > 0 {
-		deadline = arrival.Add(r.Deadline)
-	}
-	p.nextID++
-	id := p.nextID
-	p.led.Submit(r.Write)
+	id, arrival, deadline := p.Open(r)
 	ts := p.qosTenant(r.Tenant)
 	if ts != nil {
 		ts.led.Submit(r.Write)
 	}
-	ch0 := p.chans[p.channelOf(frags[0].Member)]
 
 	// Token-bucket policing gates admission before every other policy: a
 	// tenant over its rate is refused here, synchronously and typed, before
 	// its fragments could occupy any queue. Enforcement is armed only under
 	// QoS isolation; tracking-only configs never throttle.
+	var refusal error
 	if p.Cfg.QoS.Isolation && !ts.admitBucket() {
-		err := fmt.Errorf("pool: tenant %d: %w", r.Tenant, ErrTenantThrottled)
-		p.retire(ch0, ts, r.Write, false, err)
-		return id, err
+		refusal = fmt.Errorf("pool: tenant %d: %w", r.Tenant, ErrTenantThrottled)
+	} else {
+		refusal = p.shedAtAdmission(frags, r.Write, arrival, deadline)
+	}
+	if refusal != nil {
+		o := p.led.Retire(r.Write, false, refusal, poolTyped)
+		tally(p.chans[p.channelOf(frags[0].Member)], ts, r.Write, false, refusal, o)
+		return id, refusal
 	}
 
-	if reason := p.shedAtAdmission(frags, r.Write, arrival, deadline); reason != nil {
-		p.retire(ch0, ts, r.Write, false, reason)
-		return id, reason
-	}
-
-	req := p.reqs.New(Request{
+	req := p.Track(Request{
 		ID:       id,
 		Tenant:   r.Tenant,
 		Home:     p.channelOf(frags[0].Member),
@@ -281,22 +274,6 @@ func (p *Pool) Submit(r openloop.Request) (uint64, error) {
 	return id, nil
 }
 
-// Poll removes up to max buffered completions (all when max <= 0) and
-// appends them to dst. Draining into a buffer the caller reuses allocates
-// nothing once the buffer has grown.
-func (p *Pool) Poll(dst []Completion, max int) []Completion { return p.reqs.Poll(dst, max) }
-
-// Now returns the current epoch-boundary instant — the arrival a front-end
-// embedding the plane (the network service, a host simulator) should stamp
-// on requests it admits "now". Between Steps the plane sits exactly on a
-// boundary, so Now is stable until the next Step.
-func (p *Pool) Now() sim.Time { return p.now }
-
-// Origin returns the plane's first epoch boundary. Request arrivals
-// (openloop.Request.Arrival) are durations relative to it, so a caller
-// submitting at the current boundary passes Now().Sub(Origin()).
-func (p *Pool) Origin() sim.Time { return p.epoch0 }
-
 // Occupancy returns every channel's backpressure view, channel order.
 func (p *Pool) Occupancy() []ChannelOccupancy {
 	out := make([]ChannelOccupancy, len(p.chans))
@@ -326,26 +303,11 @@ func (p *Pool) Backlog() int {
 // Quiesced reports whether every submitted request reached a terminal
 // outcome and no background work (retries, rebuilds) remains.
 func (p *Pool) Quiesced() bool {
-	return p.led.Terminal() == p.led.Submitted && p.Backlog() == 0 && len(p.sup.Jobs) == 0
+	return p.Settled() && p.Backlog() == 0 && len(p.sup.Jobs) == 0
 }
-
-// Drain steps the plane until it quiesces (the shared driver, driver.go).
-func (p *Pool) Drain() error { return Drain(p) }
-
-// Elapsed returns the current boundary relative to Origin.
-func (p *Pool) Elapsed() sim.Duration { return p.now.Sub(p.epoch0) }
-
-// Epoch returns the epoch length.
-func (p *Pool) Epoch() sim.Duration { return p.epoch }
 
 // Epochs returns the epochs taken so far.
 func (p *Pool) Epochs() int { return p.sup.Epochs }
-
-// MaxEpochs returns the wedge guard.
-func (p *Pool) MaxEpochs() int { return p.Cfg.MaxEpochs }
-
-// Ledger returns the pool's outcome ledger.
-func (p *Pool) Ledger() Ledger { return p.led }
 
 // shedAtAdmission decides whether an incoming request is dropped before any
 // fragment is enqueued. Only AdmitShedNewest and AdmitDeadlineAware shed

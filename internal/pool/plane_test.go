@@ -98,7 +98,7 @@ func TestPlaneDeadlineExpiresAtBoundary(t *testing.T) {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
-	if err := p.Drain(); err != nil {
+	if err := Drain(p); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.CheckHealth(); err != nil {
@@ -114,7 +114,7 @@ func TestPlaneDeadlineExpiresAtBoundary(t *testing.T) {
 			if !errors.Is(c.Err, ErrDeadlineExceeded) {
 				t.Fatalf("expired request %d error %v, want ErrDeadlineExceeded chain", c.ID, c.Err)
 			}
-			if off := c.At.Sub(p.epoch0) % p.Epoch(); off != 0 {
+			if off := c.At.Sub(p.origin) % p.Epoch(); off != 0 {
 				t.Fatalf("request %d expired %v past a boundary — expiry must be boundary-only", c.ID, off)
 			}
 			if c.Latency < p.Epoch() {
@@ -203,7 +203,7 @@ func TestPlaneShedNewestBoundsHeld(t *testing.T) {
 	if shed != 28 {
 		t.Fatalf("shed %d of 40, want 28 (QueueCap 4 + PendingCap 8 admitted)", shed)
 	}
-	if err := p.Drain(); err != nil {
+	if err := Drain(p); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.CheckHealth(); err != nil {
@@ -237,7 +237,7 @@ func TestPlaneShedOldestDisplacesOldest(t *testing.T) {
 			t.Fatalf("submit %d: %v — shed-oldest must accept fresh arrivals", i, err)
 		}
 	}
-	if err := p.Drain(); err != nil {
+	if err := Drain(p); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.CheckHealth(); err != nil {
@@ -293,7 +293,7 @@ func TestPlaneWritesShedFirst(t *testing.T) {
 			t.Fatalf("read %d refused (%v) while held below PendingCap — reads shed last", i, err)
 		}
 	}
-	if err := p.Drain(); err != nil {
+	if err := Drain(p); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.CheckHealth(); err != nil {
@@ -331,7 +331,7 @@ func TestPlaneDeadlineAwareShedsInfeasible(t *testing.T) {
 	if _, err := p.Submit(openloop.Request{Off: 4096, Len: 4096}); err != nil {
 		t.Fatalf("undeadlined request refused: %v", err)
 	}
-	if err := p.Drain(); err != nil {
+	if err := Drain(p); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.CheckHealth(); err != nil {

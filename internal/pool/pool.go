@@ -89,7 +89,8 @@ type Config struct {
 	// WalkFootprint, when nonzero, pins every member's TLB/page-walk cost to
 	// this (paper-scale) footprint, as the scaled experiments do.
 	WalkFootprint int64
-	// MaxEpochs guards Run against a wedged pool (default 1<<22 epochs).
+	// MaxEpochs is the wedge guard: the most epochs one Run or Drain call
+	// may take (default DefaultMaxEpochs).
 	MaxEpochs int
 
 	// Spares adds hot-spare members beyond Channels x DIMMsPerChannel. They
@@ -173,7 +174,7 @@ func (c *Config) fillDefaults() error {
 		c.QueueCap = 64
 	}
 	if c.MaxEpochs <= 0 {
-		c.MaxEpochs = 1 << 22
+		c.MaxEpochs = DefaultMaxEpochs
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -356,6 +357,9 @@ func (ch *channelState) idle() bool { return ch.held()+len(ch.queue)+ch.inflight
 
 // Pool is an assembled socket-scale memory pool.
 type Pool struct {
+	// Front is the plane's front end: the epoch clock, whose quantum is
+	// the member tREFI, the request IDs, the ledger and the outbox.
+	Front
 	Cfg Config
 	Dec *Decoder
 
@@ -369,10 +373,6 @@ type Pool struct {
 	// chanScratch is fragsPerChannel's reusable per-channel count buffer
 	// (its two callers' lifetimes never overlap).
 	chanScratch []int
-	// epoch is the lockstep quantum: the member tREFI.
-	epoch  sim.Duration
-	epoch0 sim.Time
-	now    sim.Time
 
 	// sup supervises the members: their health lattice and probes, parking,
 	// the epoch count and the fragment retry queue (supervisor.go).
@@ -385,14 +385,6 @@ type Pool struct {
 	// latMiss holds the lateness overshoot of completed-but-late requests:
 	// its tail is the campaign's deadline-miss p99/p999.
 	latMiss *metrics.Histogram
-	// reqs recycles request records (with their fragments) and buffers
-	// terminal records for Poll: a request retires there when its last
-	// piece does (requestPieceDone).
-	reqs   Requests
-	nextID uint64
-
-	// led books every terminal outcome (ledger.go).
-	led Ledger
 	// qosT is the per-tenant QoS runtime state (len(Cfg.QoS.Tenants)+1, the
 	// last a catch-all; nil when QoS is off). Boundary-only, like all
 	// cross-member state.
@@ -417,9 +409,10 @@ func New(cfg Config) (*Pool, error) {
 	}
 	n := cfg.Channels * cfg.DIMMsPerChannel
 	total := n + cfg.Spares
-	p := &Pool{Cfg: cfg, members: make([]*member, total), epoch: cfg.Member.TREFI}
-	if p.epoch <= 0 {
-		p.epoch = 7800 * sim.Nanosecond
+	p := &Pool{Cfg: cfg, members: make([]*member, total)}
+	epoch := cfg.Member.TREFI
+	if epoch <= 0 {
+		epoch = 7800 * sim.Nanosecond
 	}
 	errs := make([]error, total)
 	build := func(i int) {
@@ -516,7 +509,7 @@ func New(cfg Config) (*Pool, error) {
 	}
 	p.ctrPool = metrics.NewCounters()
 	p.sup = NewSupervisor[memberProbe](memberLevel{p}, total, cfg.ProbeEvery, 0,
-		RetryPolicy{Max: cfg.MaxRetries, Epoch: p.epoch, Degraded: ErrPoolDegraded,
+		RetryPolicy{Max: cfg.MaxRetries, Epoch: epoch, Degraded: ErrPoolDegraded,
 			Counters: [...]string{"frags-retried", "frags-canceled", "frags-failed", "frags-retry-expired"}},
 		p.ctrPool, "member", "member-quarantine")
 	p.latRebuild = metrics.NewHistogram()
@@ -524,15 +517,14 @@ func New(cfg Config) (*Pool, error) {
 
 	// Boot and prefill advance each member by a slightly different amount
 	// (seeded media models differ); align all clocks on the latest.
+	var origin sim.Time
 	for _, m := range p.members {
-		if t := m.sys.K.Now(); t > p.epoch0 {
-			p.epoch0 = t
-		}
+		origin = max(origin, m.sys.K.Now())
 	}
 	for _, m := range p.members {
-		m.sys.K.RunUntil(p.epoch0)
+		m.sys.K.RunUntil(origin)
 	}
-	p.now = p.epoch0
+	p.Front = NewFront(epoch, origin, cfg.MaxEpochs)
 
 	p.chans = make([]*channelState, cfg.Channels)
 	for i := range p.chans {
@@ -540,12 +532,12 @@ func New(cfg Config) (*Pool, error) {
 		p.chans[i] = &channelState{
 			brk:      newBreaker(&p.Cfg, ctr),
 			lat:      metrics.NewHistogram(),
-			meter:    metrics.NewMeter(p.epoch0),
+			meter:    metrics.NewMeter(p.origin),
 			ctr:      ctr,
 			c:        newChanCounters(ctr),
 			parked:   !cfg.DisableLookahead,
 			settled:  true,
-			parkedAt: p.epoch0,
+			parkedAt: p.origin,
 		}
 	}
 	p.initQoS()
@@ -889,16 +881,17 @@ func (p *Pool) fragFailed(f *Piece, err error, at sim.Time) {
 
 // requestPieceDone folds one fragment outcome (success, sweep, or terminal
 // failure err) into its request (Request.Fold) and finishes the request
-// when it was the last: the ledgers classify it by its typed error chain,
-// and a completion records its latency, and its lateness when it landed
-// past its deadline. The record then returns to the free list.
+// when it was the last (Front.Finish): the ledgers classify it by its
+// typed error chain, and a completion records its latency, and its
+// lateness when it landed past its deadline.
 func (p *Pool) requestPieceDone(r *Request, at sim.Time, err error) {
 	if !r.Fold(at, err) {
 		return
 	}
 	ch0 := p.chans[r.Home]
 	ts := p.qosTenant(r.Tenant)
-	rec := r.Completion(p.retire(ch0, ts, r.Write, r.Late(), r.Err))
+	rec := p.Finish(r, poolTyped)
+	tally(ch0, ts, r.Write, r.Late(), r.Err, rec.Outcome)
 	if rec.Outcome == OutcomeCompleted {
 		lat := rec.Latency
 		ch0.lat.Record(lat)
@@ -917,7 +910,6 @@ func (p *Pool) requestPieceDone(r *Request, at sim.Time, err error) {
 			ch0.ctr.Inc("requests-late")
 		}
 	}
-	p.reqs.Retire(r, rec)
 }
 
 // poolTyped lists the sentinels that make a pool failure typed.
@@ -932,15 +924,14 @@ var requestCounter = [...]string{
 	OutcomeThrottled: "requests-throttled",
 }
 
-// retire books one terminal request in the pool ledger, its tenant's
-// ledger (nil when QoS is off) and ch's request counter.
-func (p *Pool) retire(ch *channelState, ts *tenantState, write, late bool, err error) Outcome {
-	o := p.led.Retire(write, late, err, poolTyped)
+// tally books a terminal request, whose outcome o the pool ledger already
+// holds, in its tenant's ledger (nil when QoS is off) and ch's request
+// counter.
+func tally(ch *channelState, ts *tenantState, write, late bool, err error, o Outcome) {
 	if ts != nil {
 		ts.led.Retire(write, late, err, poolTyped)
 	}
 	ch.c.outcome[o].Inc()
-	return o
 }
 
 // readmit re-admits one backoff-expired fragment behind any
@@ -995,7 +986,7 @@ func (p *Pool) Step() {
 			ch.settled = ch.brk.state == breakerClosed && !ch.brk.tripReady()
 		}
 	}
-	p.now = epochEnd
+	p.Advance(1)
 }
 
 // advanceAll runs every member kernel to the boundary at to, the
@@ -1147,7 +1138,7 @@ func (p *Pool) StepQuiet(k int) {
 	p.advanceAll(end)
 	p.refillTokens(k)
 	p.sup.Settle()
-	p.now = end
+	p.Advance(k)
 }
 
 // ClosedFormFolds returns how many channel-epochs of EWMA folding parked
@@ -1236,7 +1227,7 @@ func (p *Pool) Stats() Stats {
 		Lat:                      p.Latency(),
 		LatRebuild:               p.latRebuild,
 		LatMiss:                  p.latMiss,
-		Meter:                    metrics.NewMeter(p.epoch0),
+		Meter:                    metrics.NewMeter(p.origin),
 		Ctr:                      metrics.NewCounters(),
 		Ledger:                   p.led,
 		PerTenant:                p.tenantStats(),
@@ -1327,11 +1318,8 @@ func (p *Pool) CheckHealth() error {
 			}
 		}
 	}
-	if len(p.sup.Retries) != 0 {
-		return fmt.Errorf("pool: %d fragments stranded in retry backoff", len(p.sup.Retries))
-	}
-	if len(p.sup.Jobs) != 0 {
-		return fmt.Errorf("pool: %d rebuild jobs still active", len(p.sup.Jobs))
+	if err := p.sup.CheckDrained(); err != nil {
+		return fmt.Errorf("pool: %w", err)
 	}
 	for i, ch := range p.chans {
 		if ch.held() != 0 || len(ch.queue) != 0 || ch.inflight != 0 {

@@ -108,7 +108,7 @@ func TestResidentPooled(t *testing.T) {
 	if _, err := p.Submit(openloop.Request{Off: 3 * 4096, Len: 4096, Write: true}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Drain(); err != nil {
+	if err := Drain(p); err != nil {
 		t.Fatal(err)
 	}
 

@@ -165,7 +165,7 @@ type tenantQueue struct {
 }
 
 // initQoS builds the runtime tenant states (and, under isolation, each
-// channel's per-tenant FIFOs). Called at the end of New, after epoch0 and
+// channel's per-tenant FIFOs). Called at the end of New, after origin and
 // the channel states exist.
 func (p *Pool) initQoS() {
 	q := &p.Cfg.QoS
@@ -184,12 +184,12 @@ func (p *Pool) initQoS() {
 			ts.tokens = ts.burst // buckets open full
 		}
 		ts.lat = metrics.NewHistogram()
-		ts.meter = metrics.NewMeter(p.epoch0)
+		ts.meter = metrics.NewMeter(p.origin)
 	}
 	other := &p.qosT[len(q.Tenants)]
 	other.cfg = TenantQoS{Name: "(other)", Weight: 1}
 	other.lat = metrics.NewHistogram()
-	other.meter = metrics.NewMeter(p.epoch0)
+	other.meter = metrics.NewMeter(p.origin)
 	if !q.Isolation {
 		return
 	}

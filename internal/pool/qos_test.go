@@ -156,7 +156,7 @@ func drrDrive(t *testing.T, p *Pool, nTen, per int, submit []bool, target, epoch
 // finish drains the plane and checks conservation.
 func finish(t *testing.T, p *Pool) Stats {
 	t.Helper()
-	if err := p.Drain(); err != nil {
+	if err := Drain(p); err != nil {
 		t.Fatal(err)
 	}
 	p.Poll(nil, 0)

@@ -98,7 +98,7 @@ func TestRequestRecordsRecycleOnce(t *testing.T) {
 		t.Helper()
 		done = p.Poll(done[:0], 0)
 		free := map[*Request]int{}
-		for _, r := range p.reqs.free {
+		for _, r := range p.free {
 			free[r]++
 		}
 		for _, c := range done {
@@ -113,8 +113,8 @@ func TestRequestRecordsRecycleOnce(t *testing.T) {
 			delete(live, c.ID)
 			retired[c.ID] = true
 		}
-		if len(p.reqs.free) != allocated-len(live) {
-			t.Fatalf("%s: %d records free, want %d allocated - %d live", when, len(p.reqs.free), allocated, len(live))
+		if len(p.free) != allocated-len(live) {
+			t.Fatalf("%s: %d records free, want %d allocated - %d live", when, len(p.free), allocated, len(live))
 		}
 		w := waiting()
 		inflight := 0
@@ -159,7 +159,7 @@ func TestRequestRecordsRecycleOnce(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					r.Deadline = sim.Duration(2+rng.Intn(12)) * p.Epoch()
 				}
-				fresh := len(p.reqs.free) == 0
+				fresh := len(p.free) == 0
 				id, err := p.Submit(r)
 				if err != nil {
 					t.Fatalf("epoch %d: Submit: %v", epoch, err)

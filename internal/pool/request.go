@@ -1,6 +1,7 @@
-// The request engine: the record a plane keeps per request and per piece,
-// its free list and outbox, the piece fold and the retry decision, written
-// once for both levels of the lift
+// The request engine: the front end a plane keeps before its children (its
+// clock, ledger, free list and outbox), the record it keeps per request and
+// per piece, the piece fold and the retry decision, written once for both
+// levels of the lift
 //
 //	member : pool  ::  pool (socket) : fabric
 //
@@ -16,6 +17,7 @@ import (
 
 	"nvdimmc/internal/metrics"
 	"nvdimmc/internal/sim"
+	"nvdimmc/internal/workload/openloop"
 )
 
 // Request is one plane request; its pieces complete it together.
@@ -108,22 +110,78 @@ func (r *Request) Completion(o Outcome) Completion {
 	return c
 }
 
-// Requests is a plane's request engine: the free list of its request
-// records, and the outbox that holds its terminal Completion records in
-// deterministic boundary order until Poll takes them.
-type Requests struct {
-	free []*Request
-	out  []Completion
+// Front is the front end every plane keeps before its children, written
+// once: the epoch clock (length, origin and current boundary), the wedge
+// guard, the request IDs, the outcome ledger, the free list of request
+// records and the outbox that holds terminal records, in deterministic
+// boundary order, until Poll takes them. A Pool and a numa.Fabric each
+// embed one; only what sits behind it differs.
+type Front struct {
+	epoch       sim.Duration
+	origin, now sim.Time
+	maxEpochs   int
+	nextID      uint64
+	led         Ledger
+	free        []*Request
+	out         []Completion
 }
 
-// New takes a retired record off the free list, or makes one, and
-// overwrites all of it with r split into one piece per extent, keeping
-// only the capacity of its piece array.
-func (q *Requests) New(r Request, exts []Extent) *Request {
+// NewFront returns a front end whose first boundary is origin, whose epochs
+// last epoch, and whose Run and Drain calls may take maxEpochs epochs each.
+func NewFront(epoch sim.Duration, origin sim.Time, maxEpochs int) Front {
+	return Front{epoch: epoch, origin: origin, now: origin, maxEpochs: maxEpochs}
+}
+
+// Now returns the current epoch-boundary instant — the arrival a front-end
+// embedding the plane (the network service, a host simulator) should stamp
+// on requests it admits "now". Between Steps the plane sits exactly on a
+// boundary, so Now is stable until the next Step.
+func (fr *Front) Now() sim.Time { return fr.now }
+
+// Origin returns the plane's first epoch boundary. Request arrivals
+// (openloop.Request.Arrival) are durations relative to it.
+func (fr *Front) Origin() sim.Time { return fr.origin }
+
+// Elapsed returns the current boundary relative to Origin: the arrival of
+// a request submitted now.
+func (fr *Front) Elapsed() sim.Duration { return fr.now.Sub(fr.origin) }
+
+// Epoch returns the epoch length.
+func (fr *Front) Epoch() sim.Duration { return fr.epoch }
+
+// MaxEpochs returns the wedge guard of one Run or Drain call.
+func (fr *Front) MaxEpochs() int { return fr.maxEpochs }
+
+// Ledger returns the plane's outcome ledger.
+func (fr *Front) Ledger() Ledger { return fr.led }
+
+// Settled reports whether every submitted request reached an outcome.
+func (fr *Front) Settled() bool { return fr.led.Terminal() == fr.led.Submitted }
+
+// Advance moves the current boundary k epochs on.
+func (fr *Front) Advance(k int) { fr.now = fr.now.Add(sim.Duration(k) * fr.epoch) }
+
+// Open books request r entering the plane: it takes the next ID and counts
+// r in the ledger. It returns the ID and r's arrival and deadline (zero for
+// none) as instants; r carries them as durations since the origin.
+func (fr *Front) Open(r openloop.Request) (id uint64, arrival, deadline sim.Time) {
+	fr.nextID++
+	fr.led.Submit(r.Write)
+	arrival = fr.origin.Add(r.Arrival)
+	if r.Deadline > 0 {
+		deadline = arrival.Add(r.Deadline)
+	}
+	return fr.nextID, arrival, deadline
+}
+
+// Track takes a retired record off the free list, or makes one, and
+// overwrites all of it with opened request r split into one piece per
+// extent, keeping only the capacity of its piece array.
+func (fr *Front) Track(r Request, exts []Extent) *Request {
 	var req *Request
-	if k := len(q.free); k > 0 {
-		req = q.free[k-1]
-		q.free = q.free[:k-1]
+	if k := len(fr.free); k > 0 {
+		req = fr.free[k-1]
+		fr.free = fr.free[:k-1]
 	} else {
 		req = new(Request)
 	}
@@ -137,29 +195,35 @@ func (q *Requests) New(r Request, exts []Extent) *Request {
 	return req
 }
 
-// Retire puts terminal r's record c in the outbox and r on the free list:
-// every piece is collected, swept or failed, so no queue, retry entry or
-// child op still refers to r or its pieces. A request that resolved inside
-// its Submit (InSub) leaves no record: its caller holds the typed error.
-// r is not cleared; it reads as it retired until New hands it out again.
-func (q *Requests) Retire(r *Request, c Completion) {
+// Finish retires request r once its last piece folded, and returns its
+// record: the ledger books r by its first error, typed listing the
+// sentinels that make a failure typed at the plane's level. The record
+// waits in the outbox for Poll, unless r resolved inside its Submit
+// (InSub): its caller holds the typed error. Every piece is collected,
+// swept or failed, so no queue, retry entry or child op still refers to r
+// or its pieces, and r goes on the free list. It is not cleared; it reads
+// as it retired until Track hands it out again.
+func (fr *Front) Finish(r *Request, typed []error) Completion {
+	c := r.Completion(fr.led.Retire(r.Write, r.Late(), r.Err, typed))
 	if !r.InSub {
-		q.out = append(q.out, c)
+		fr.out = append(fr.out, c)
 	}
-	q.free = append(q.free, r)
+	fr.free = append(fr.free, r)
+	return c
 }
 
 // Poll removes up to max buffered records (all when max <= 0) and appends
 // them to dst. Every request that does not fail synchronously at Submit
-// leaves exactly one.
-func (q *Requests) Poll(dst []Completion, max int) []Completion {
-	if max <= 0 || max > len(q.out) {
-		max = len(q.out)
+// leaves exactly one. Draining into a buffer the caller reuses allocates
+// nothing once the buffer has grown.
+func (fr *Front) Poll(dst []Completion, max int) []Completion {
+	if max <= 0 || max > len(fr.out) {
+		max = len(fr.out)
 	}
-	dst = append(dst, q.out[:max]...)
-	n := copy(q.out, q.out[max:])
-	clear(q.out[n:])
-	q.out = q.out[:n]
+	dst = append(dst, fr.out[:max]...)
+	n := copy(fr.out, fr.out[max:])
+	clear(fr.out[n:])
+	fr.out = fr.out[:n]
 	return dst
 }
 

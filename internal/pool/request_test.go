@@ -86,10 +86,10 @@ func TestRetryDecision(t *testing.T) {
 // completion only, lateness. A recycled record comes back whole, and a
 // request retiring inside its Submit leaves no record.
 func TestRequestFold(t *testing.T) {
-	var q Requests
+	var q Front
 	arrival := sim.Time(1000)
 	exts := []Extent{{Member: 0, Off: 0, Len: 4096}, {Member: 1, Off: 0, Len: 4096}, {Member: 0, Off: 4096, Len: 512}}
-	r := q.New(Request{ID: 7, Tenant: 2, Arrival: arrival, Deadline: arrival + 50, Write: true}, exts)
+	r := q.Track(Request{ID: 7, Tenant: 2, Arrival: arrival, Deadline: arrival + 50, Write: true}, exts)
 	for i, e := range exts {
 		if p := r.Piece(i); *p != (Piece{Req: r, Member: e.Member, Off: e.Off, N: e.Len}) || r.Remaining != 3 {
 			t.Fatalf("piece %d = %+v of %d, want extent %+v of 3", i, *p, r.Remaining, e)
@@ -118,13 +118,13 @@ func TestRequestFold(t *testing.T) {
 	}
 
 	r.Canceled = true
-	q.Retire(r, r.Completion(OutcomeCompleted))
-	r2 := q.New(Request{ID: 8, InSub: true}, exts[:2])
+	q.Finish(r, nil)
+	r2 := q.Track(Request{ID: 8, InSub: true}, exts[:2])
 	if r2 != r || r2.Canceled || r2.Err != nil || r2.LastDone != 0 || len(r2.more) != 1 {
 		t.Fatalf("recycled record %+v, want request 8 overwritten whole with 2 pieces", r2)
 	}
 	// A request that resolved inside Submit leaves no record.
-	q.Retire(r2, r2.Completion(OutcomeShed))
+	q.Finish(r2, nil)
 	if recs := q.Poll(nil, 0); len(recs) != 1 || recs[0].ID != 7 {
 		t.Fatalf("outbox %+v, want request 7's record only", recs)
 	}

@@ -355,6 +355,18 @@ func (s *Supervisor[S]) Wake(i int) {
 	}
 }
 
+// CheckDrained is the audit of a drained level: no piece stranded in retry
+// backoff and no copy job still running.
+func (s *Supervisor[S]) CheckDrained() error {
+	if len(s.Retries) != 0 {
+		return fmt.Errorf("%d pieces stranded in retry backoff", len(s.Retries))
+	}
+	if len(s.Jobs) != 0 {
+		return fmt.Errorf("%d copy jobs still active", len(s.Jobs))
+	}
+	return nil
+}
+
 // Promote hands every retry whose backoff has elapsed to admit, in queue
 // order, and keeps the rest.
 func (s *Supervisor[S]) Promote(admit func(*Piece)) {

@@ -54,7 +54,7 @@ func TestShutdownTwice(t *testing.T) {
 	}
 }
 
-// TestShutdownDrainBoundWedge: a DrainEpochs cap smaller than the pending
+// TestShutdownDrainBoundWedge: a pool MaxEpochs guard smaller than the pending
 // backlog must surface as a non-ok drain report, a 500 on the endpoint, and
 // a non-nil Err — the "wedged" escape hatch instead of an infinite drain.
 func TestShutdownDrainBoundWedge(t *testing.T) {
@@ -66,7 +66,7 @@ func TestShutdownDrainBoundWedge(t *testing.T) {
 		p.Member.NVMC.AckAfterProgram = true
 		p.Member.NAND.ProgramLatency = 10 * sim.Second
 		cfg.Pool = p
-		cfg.DrainEpochs = 1
+		cfg.Pool.MaxEpochs = 1
 	})
 	// Keep write-through writes in flight so the pool cannot be quiesced
 	// when the 1-epoch drain bound is applied.
@@ -88,6 +88,40 @@ func TestShutdownDrainBoundWedge(t *testing.T) {
 	}
 }
 
+// TestShutdownDrainPastGuard: the pool's MaxEpochs bounds one drain call,
+// not the pool's age. A server whose pool already stepped past its guard
+// drains a write still in flight and reports health=ok.
+func TestShutdownDrainPastGuard(t *testing.T) {
+	const guard = 1000
+	s, c := newTestServer(t, func(cfg *Config) {
+		cfg.Pool = testPoolCfg(1)
+		cfg.Pool.MaxEpochs = guard
+	})
+	// Past the DRAM cache, every page written evicts a dirty one: a
+	// 416-page write takes about 1500 epochs, and then a 64-page write
+	// about 500, which the drain takes.
+	if _, _, err := c.Submit(Op{Op: "write", Off: 0, Len: 416 * 4096}, true); err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Epochs <= guard {
+		t.Fatalf("pool took %d epochs, not past its %d-epoch guard", st.Epochs, guard)
+	}
+	if _, _, err := c.Submit(Op{Op: "write", Off: 416 * 4096, Len: 64 * 4096}, false); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Shutdown()
+	if err != nil || rep.Health != "ok" {
+		t.Fatalf("drain of a pool past its guard: health %q err %v", rep.Health, err)
+	}
+	if rep.Stats.Completed != 2 {
+		t.Fatalf("drain report: %d of 2 writes completed", rep.Stats.Completed)
+	}
+}
+
 // TestShutdownEndpointReportsBadHealth: the HTTP route for the wedged drain
 // must answer 500 and still carry the full report body.
 func TestShutdownEndpointReportsBadHealth(t *testing.T) {
@@ -97,7 +131,7 @@ func TestShutdownEndpointReportsBadHealth(t *testing.T) {
 		p.Member.NVMC.AckAfterProgram = true
 		p.Member.NAND.ProgramLatency = 10 * sim.Second
 		cfg.Pool = p
-		cfg.DrainEpochs = 1
+		cfg.Pool.MaxEpochs = 1
 	})
 	// The feeder keeps write-through writes in flight across the POST's
 	// round trip, so the pool cannot be quiesced when the 1-epoch drain

@@ -41,7 +41,9 @@ var errDraining = errors.New("server: draining, no new submissions")
 
 // Config configures a Server.
 type Config struct {
-	// Pool configures the owned pool.
+	// Pool configures the owned pool. Its MaxEpochs bounds the shutdown
+	// drain (pool.Drain), so a wedged plane fails the drain loudly instead
+	// of hanging shutdown.
 	Pool pool.Config
 	// Capture, when non-nil, observes every offered request (arrival
 	// already stamped) before it is submitted — including ones the plane
@@ -53,10 +55,6 @@ type Config struct {
 	// the oldest record is dropped and counted in Stats.PollDropped, so a
 	// slow poller degrades observability, never the plane.
 	PollBuf int
-	// DrainEpochs bounds the shutdown drain, counted from the drain's
-	// start (default 1<<22 epochs), so a wedged plane fails the drain
-	// loudly instead of hanging shutdown.
-	DrainEpochs int
 }
 
 // submission is one op handed from a handler to the sim loop.
@@ -108,9 +106,6 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.PollBuf <= 0 {
 		cfg.PollBuf = 65536
-	}
-	if cfg.DrainEpochs <= 0 {
-		cfg.DrainEpochs = 1 << 22
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -185,6 +180,11 @@ func (s *Server) loop() {
 // step advances the plane one epoch and routes the records it retired.
 func (s *Server) step() {
 	s.p.Step()
+	s.route()
+}
+
+// route polls the plane and routes every record it retired.
+func (s *Server) route() {
 	s.recs = s.p.Poll(s.recs[:0], 0)
 	for _, c := range s.recs {
 		s.onCompletion(c)
@@ -198,7 +198,7 @@ func (s *Server) admit(sub *submission) {
 		return
 	}
 	r := sub.req
-	r.Arrival = s.p.Now().Sub(s.p.Origin())
+	r.Arrival = s.p.Elapsed()
 	if s.cfg.Capture != nil {
 		s.cfg.Capture(r)
 		s.captured++
@@ -217,7 +217,7 @@ func (s *Server) admit(sub *submission) {
 
 // onCompletion routes one terminal record: to the sync waiter parked on its
 // ID, else into the poll ring (dropping the oldest when full). Runs in
-// step, on the sim-loop goroutine.
+// route, on the sim-loop goroutine.
 func (s *Server) onCompletion(c pool.Completion) {
 	if sub, ok := s.waiters[c.ID]; ok {
 		delete(s.waiters, c.ID)
@@ -284,7 +284,7 @@ func (s *Server) statsLocked() Stats {
 		LatP99US:  float64(ps.Lat.Percentile(99)) * us,
 
 		Epochs:   ps.Epochs,
-		SimUS:    float64(s.p.Now().Sub(s.p.Origin())) * us,
+		SimUS:    float64(s.p.Elapsed()) * us,
 		Backlog:  s.p.Backlog(),
 		Capacity: s.capacity,
 
@@ -301,17 +301,12 @@ func (s *Server) statsLocked() Stats {
 	return st
 }
 
-// drainLocked steps the plane to quiescence, bounded by DrainEpochs from
-// the drain's start; sim-loop goroutine only.
+// drainLocked drains the plane (pool.Drain, bounded by the pool's
+// MaxEpochs) and routes the records it retired; sim-loop goroutine only.
 func (s *Server) drainLocked() error {
-	for i := 0; !s.p.Quiesced(); i++ {
-		if i >= s.cfg.DrainEpochs {
-			return fmt.Errorf("server: %d drain epochs without quiescing (backlog %d) — wedged?",
-				i, s.p.Backlog())
-		}
-		s.step()
-	}
-	return nil
+	err := pool.Drain(s.p)
+	s.route()
+	return err
 }
 
 // Shutdown drains the plane, audits conservation, stops the sim loop, and
