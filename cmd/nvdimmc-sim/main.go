@@ -47,6 +47,13 @@
 //
 //	nvdimmc-sim -sockets 3 -channels 2 -rate 1.5e6 -rw randwrite -ops 800 -faults s1:program:1
 //	nvdimmc-sim -sockets 2 -xlat 900 -xbw 4 -rate 1e6 -ops 500 -faults s0:link:8
+//
+// The flags pick one mode — the single module, a pool, or a fabric — and
+// a flag set on the command line that the mode does not read is refused:
+// the command exits 2 and names it (-rate or -xlat without a pooled-socket
+// flag, -qos or -admission with -sockets above 1, -uncached or -numjobs on
+// a plane) instead of running as if it were absent. The plane modes fill
+// one experiments.Point, the value every campaign point runs from.
 package main
 
 import (
@@ -54,11 +61,13 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 
 	"nvdimmc"
 	"nvdimmc/internal/core"
+	"nvdimmc/internal/experiments"
 	"nvdimmc/internal/fault"
 	"nvdimmc/internal/pool"
 	"nvdimmc/internal/sim"
@@ -67,45 +76,151 @@ import (
 )
 
 func main() {
-	target := flag.String("target", "nvdc", "device: nvdc | pmem")
-	var o planeOpts
-	flag.StringVar(&o.rw, "rw", "randread", "pattern: read | write | randread | randwrite")
-	flag.IntVar(&o.bs, "bs", 4096, "block size in bytes")
-	jobs := flag.Int("numjobs", 1, "thread count")
-	flag.IntVar(&o.ops, "ops", 1000, "operations per thread")
-	uncached := flag.Bool("uncached", false, "nvdc: force misses (footprint >> cache, media prefilled)")
-	policy := flag.String("policy", "lrc", "nvdc slot replacement: lrc | lru | clock")
-	audit := flag.Bool("audit", true, "nvdc: run the protocol-invariant auditor on the trace stream")
-	flag.IntVar(&o.channels, "channels", 1, "pooled socket: memory channel count (>1 enables the interleaved pool)")
-	flag.IntVar(&o.dimms, "dimms", 1, "pooled socket: DIMMs per channel")
-	flag.Int64Var(&o.interleave, "interleave", 4096, "pooled socket: interleave granularity in bytes (e.g. 4096, 2097152)")
-	flag.Float64Var(&o.rate, "rate", 0, "pooled socket: open-loop arrival rate in ops per simulated second (0 = saturating)")
-	flag.IntVar(&o.spares, "spares", 0, "pooled socket: hot-spare modules for quarantine failover")
-	flag.StringVar(&o.faults, "faults", "", "pooled socket or NUMA fabric: fault plan, comma-separated target:kind:onset (target: m<i> on a pool, s<j> or s<j>.m<i> on a fabric; kind: program | mediaread | dietimeout | ackdrop | slow | link; onset: site occurrence or link epoch, 0 = 1)")
-	flag.StringVar(&o.admission, "admission", "block", "pooled socket: admission policy: block | shed-newest | shed-oldest | deadline-aware")
-	flag.Float64Var(&o.deadlineUS, "deadline", 0, "pooled socket: per-request completion budget in microseconds (0 = none)")
-	flag.IntVar(&o.pendingCap, "pendingcap", 0, "pooled socket: per-channel admission-held backlog cap in fragments (0 = default)")
-	flag.StringVar(&o.qos, "qos", "", "pooled socket: comma-separated dist:weight:qosweight:limit:burst:slo_us tenant contracts (dist: zipf | uni)")
-	flag.BoolVar(&o.isolation, "isolation", true, "pooled socket: with -qos, enforce the contracts (token buckets + DRR dispatch) rather than only tracking them")
-	flag.IntVar(&o.sockets, "sockets", 1, "NUMA fabric: socket count (>1 composes per-socket pools behind one request plane)")
-	flag.Float64Var(&o.xlatNS, "xlat", 400, "NUMA fabric: cross-socket one-way link latency in nanoseconds")
-	flag.Float64Var(&o.xbwGBps, "xbw", 8, "NUMA fabric: per-directed-link interconnect bandwidth in GB/s")
-	flag.Parse()
+	o, pt, err := parseFlags(flag.CommandLine, os.Args[1:])
+	usage(err)
+	switch o.mode {
+	case "fabric":
+		runFabric(o, pt)
+	case "pool":
+		runPool(o, pt)
+	default:
+		runModule(o, pt)
+	}
+}
 
-	pooled := o.channels > 1 || o.dimms > 1 || o.spares > 0 || o.faults != "" ||
-		o.admission != "block" || o.deadlineUS > 0 || o.pendingCap > 0 || o.qos != ""
-	usage(checkPlaneFlags(o.bs, o.pendingCap, pooled || o.sockets > 1))
+// opts are the flag values a Point does not hold as they are, and the
+// mode the flags pick.
+type opts struct {
+	mode, target, rw, policy, faults, admission, qs string
+	jobs                                            int
+	deadlineUS, xlatNS, xbwGBps                     float64
+	uncached, audit, isolation                      bool
+}
 
-	if o.sockets > 1 {
-		runFabric(o)
-		return
+// modeFlags are the flags each mode reads. A flag set on the command line
+// that its mode does not read is refused rather than silently dropped;
+// -sockets picks the mode, so every mode reads it.
+var modeFlags = map[string][]string{
+	"module": {"target", "rw", "bs", "numjobs", "ops", "uncached", "policy", "audit", "sockets"},
+	"pool": {"rw", "bs", "ops", "channels", "dimms", "interleave", "rate", "spares", "faults",
+		"admission", "deadline", "pendingcap", "qos", "isolation", "sockets"},
+	"fabric": {"rw", "bs", "ops", "channels", "dimms", "interleave", "rate", "spares", "faults",
+		"sockets", "xlat", "xbw"},
+}
+
+// parseFlags parses args on fs into a Point and picks the mode: -sockets
+// above 1 a NUMA fabric, any pooled-socket flag a pool, else the single
+// module. It refuses a set flag the mode does not read and, in the plane
+// modes, finishes the Point and checks it with Point.Check.
+func parseFlags(fs *flag.FlagSet, args []string) (opts, experiments.Point, error) {
+	var o opts
+	pt := experiments.Point{
+		Pool: pool.Config{Member: nvdimmc.DefaultConfig(), Workers: runtime.GOMAXPROCS(0), Seed: 7, PrefillPages: -1},
+		Load: openloop.Config{Seed: 7},
+	}
+	fs.StringVar(&o.target, "target", "nvdc", "device: nvdc | pmem")
+	fs.StringVar(&o.rw, "rw", "randread", "pattern: read | write | randread | randwrite")
+	fs.IntVar(&pt.BlockSize, "bs", 4096, "block size in bytes")
+	fs.IntVar(&o.jobs, "numjobs", 1, "thread count")
+	fs.IntVar(&pt.Reqs, "ops", 1000, "operations per thread")
+	fs.BoolVar(&o.uncached, "uncached", false, "nvdc: force misses (footprint >> cache, media prefilled)")
+	fs.StringVar(&o.policy, "policy", "lrc", "nvdc slot replacement: lrc | lru | clock")
+	fs.BoolVar(&o.audit, "audit", true, "nvdc: run the protocol-invariant auditor on the trace stream")
+	fs.IntVar(&pt.Pool.Channels, "channels", 1, "pooled socket: memory channel count (>1 enables the interleaved pool)")
+	fs.IntVar(&pt.Pool.DIMMsPerChannel, "dimms", 1, "pooled socket: DIMMs per channel")
+	fs.Int64Var(&pt.Pool.Interleave, "interleave", 4096, "pooled socket: interleave granularity in bytes (e.g. 4096, 2097152)")
+	fs.Float64Var(&pt.Load.RatePerSec, "rate", 0, "pooled socket: open-loop arrival rate in ops per simulated second (0 = saturating)")
+	fs.IntVar(&pt.Pool.Spares, "spares", 0, "pooled socket: hot-spare modules for quarantine failover")
+	fs.StringVar(&o.faults, "faults", "", "pooled socket or NUMA fabric: fault plan, comma-separated target:kind:onset (target: m<i> on a pool, s<j> or s<j>.m<i> on a fabric; kind: program | mediaread | dietimeout | ackdrop | slow | link; onset: site occurrence or link epoch, 0 = 1)")
+	fs.StringVar(&o.admission, "admission", "block", "pooled socket: admission policy: block | shed-newest | shed-oldest | deadline-aware")
+	fs.Float64Var(&o.deadlineUS, "deadline", 0, "pooled socket: per-request completion budget in microseconds (0 = none)")
+	fs.IntVar(&pt.Pool.PendingCap, "pendingcap", 0, "pooled socket: per-channel admission-held backlog cap in fragments (0 = default)")
+	fs.StringVar(&o.qs, "qos", "", "pooled socket: comma-separated dist:weight:qosweight:limit:burst:slo_us tenant contracts (dist: zipf | uni)")
+	fs.BoolVar(&o.isolation, "isolation", true, "pooled socket: with -qos, enforce the contracts (token buckets + DRR dispatch) rather than only tracking them")
+	fs.IntVar(&pt.Fabric.Sockets, "sockets", 1, "NUMA fabric: socket count (>1 composes per-socket pools behind one request plane)")
+	fs.Float64Var(&o.xlatNS, "xlat", 400, "NUMA fabric: cross-socket one-way link latency in nanoseconds")
+	fs.Float64Var(&o.xbwGBps, "xbw", 8, "NUMA fabric: per-directed-link interconnect bandwidth in GB/s")
+	if err := fs.Parse(args); err != nil {
+		return o, pt, err
 	}
 
-	if pooled {
-		runPool(o)
-		return
+	o.mode = "module"
+	switch p := pt.Pool; {
+	case pt.Fabric.Sockets > 1:
+		o.mode = "fabric"
+	case p.Channels > 1 || p.DIMMsPerChannel > 1 || p.Spares > 0 || p.PendingCap > 0 || o.faults != "" ||
+		o.admission != "block" || o.deadlineUS > 0 || o.qs != "":
+		o.mode = "pool"
 	}
+	var refused []string
+	fs.Visit(func(f *flag.Flag) {
+		if !slices.Contains(modeFlags[o.mode], f.Name) {
+			refused = append(refused, "-"+f.Name)
+		}
+	})
+	if refused != nil {
+		return o, pt, fmt.Errorf("%s: not read in %s mode", strings.Join(refused, ", "), o.mode)
+	}
+	if o.mode == "module" {
+		return o, pt, nil
+	}
+	err := o.finish(&pt)
+	if err == nil {
+		err = pt.Check()
+	}
+	return o, pt, err
+}
 
+// finish fills in the plane modes' Point what the flags do not hold as
+// they are: the paper-scale member (or, with a fault plan, the member the
+// plan needs; see core.FaultedConfig) and one uniform tenant of -rw
+// traffic or the -qos tenants, split evenly. A pool's load covers its
+// cached footprint, or with a plan its whole capacity, so misses map
+// pages onto media; a fabric's is the socket-affine mix over whole spans.
+func (o opts) finish(pt *experiments.Point) error {
+	readPct, err := readPercent(o.rw)
+	if err != nil {
+		return err
+	}
+	pt.Label, pt.Cached = o.mode, o.mode == "pool" && o.faults == ""
+	pt.Load.Deadline = sim.Duration(o.deadlineUS * float64(sim.Microsecond))
+	pt.Load.Tenants = []openloop.Tenant{{Name: "cli", Dist: openloop.Uniform, ReadPct: readPct}}
+	if pt.Pool.Admission, err = pool.ParseAdmissionPolicy(o.admission); err != nil {
+		return err
+	}
+	if o.faults != "" {
+		if pt.Plan, err = fault.ParsePlan(o.faults); err != nil {
+			return err
+		}
+		pt.Pool.Member = core.FaultedConfig()
+	}
+	switch {
+	case o.mode == "fabric":
+		pt.Fabric.XLat = sim.Duration(o.xlatNS * float64(sim.Nanosecond))
+		if pt.Fabric.XBWBytesPerSec, err = linkBandwidth(o.xbwGBps); err != nil {
+			return err
+		}
+	case pt.Plan == nil:
+		pt.Pool.WalkFootprint = 15 << 30
+		fallthrough
+	default:
+		pt.Fabric.Sockets = 0 // -sockets 1: a lone pool
+	}
+	if o.qs != "" {
+		if pt.Load.Tenants, err = parseQoS(o.qs, readPct, pt.BlockSize); err != nil {
+			return err
+		}
+		pt.QoS = experiments.QoSTrack
+		if o.isolation {
+			pt.QoS = experiments.QoSIsolate
+		}
+	}
+	return nil
+}
+
+// runModule runs one fio-style job against a single module or the pmem
+// baseline.
+func runModule(o opts, pt experiments.Point) {
 	var pat fio.Pattern
 	switch o.rw {
 	case "read":
@@ -122,28 +237,28 @@ func main() {
 
 	var tgt fio.Target
 	var sys *core.System
-	switch *target {
+	switch o.target {
 	case "pmem":
 		d, err := nvdimmc.NewBaseline(nvdimmc.BaselineConfig())
 		die(err)
 		tgt = d
 	case "nvdc":
 		cfg := nvdimmc.DefaultConfig()
-		switch *policy {
+		switch o.policy {
 		case "lru":
 			cfg.Driver.Policy = nvdimmc.PolicyLRU
 		case "clock":
 			cfg.Driver.Policy = nvdimmc.PolicyClock
 		}
-		if *uncached {
+		if o.uncached {
 			cfg.NAND.BlocksPerDie = 512
 		}
-		cfg.Audit = *audit
+		cfg.Audit = o.audit
 		s, err := nvdimmc.New(cfg)
 		die(err)
 		sys = s
 		ft := s.NewFioTarget()
-		if *uncached {
+		if o.uncached {
 			die(s.PrefillMedia())
 			ft.SetWalkFootprint(120 << 30)
 		} else {
@@ -153,14 +268,14 @@ func main() {
 		}
 		tgt = ft
 	default:
-		usage(fmt.Errorf("unknown target %q", *target))
+		usage(fmt.Errorf("unknown target %q", o.target))
 	}
 
 	job := fio.Job{
-		Pattern: pat, BlockSize: o.bs, NumJobs: *jobs,
-		OpsPerThread: o.ops, WarmupOps: o.ops / 10, Align: 4096,
+		Pattern: pat, BlockSize: pt.BlockSize, NumJobs: o.jobs,
+		OpsPerThread: pt.Reqs, WarmupOps: pt.Reqs / 10, Align: 4096,
 	}
-	if *target == "nvdc" && !*uncached {
+	if o.target == "nvdc" && !o.uncached {
 		job.FileSize = int64(sys.Layout.NumSlots*9/10) * core.PageSize
 	}
 	res, err := fio.Run(tgt, job)
@@ -185,60 +300,6 @@ func main() {
 	}
 }
 
-// checkPlaneFlags rejects values the pooled and fabric layers would
-// silently replace with their defaults: a negative -pendingcap (the pool
-// reads any cap below 1 as 256; 0 asks for the default) and, when plane
-// is set, a non-positive -bs (the open-loop generator reads a block size
-// of 0 as 4096). Single-module mode checks -bs itself (fio rejects 0).
-func checkPlaneFlags(bs, pendingCap int, plane bool) error {
-	if pendingCap < 0 {
-		return fmt.Errorf("-pendingcap %d: want >= 0 (0 = default)", pendingCap)
-	}
-	if plane && bs <= 0 {
-		return fmt.Errorf("-bs %d: block size must be positive", bs)
-	}
-	return nil
-}
-
-// planeOpts carries the pooled and fabric modes' flags into runPool and
-// runFabric.
-type planeOpts struct {
-	channels, dimms, spares, sockets  int
-	bs, ops, pendingCap               int
-	interleave                        int64
-	rate, deadlineUS, xlatNS, xbwGBps float64
-	rw, faults, admission, qos        string
-	isolation                         bool
-}
-
-// plane parses the flags the pooled and fabric modes share: -rw into a
-// read percent, and -faults into a plan checked against sockets pools
-// (0: a lone pool) with the member the plan needs (see core.FaultedConfig;
-// no plan runs the paper-scale default).
-func (o planeOpts) plane(sockets int) (int, fault.Plan, core.Config) {
-	readPct, err := readPercent(o.rw)
-	usage(err)
-	if o.faults == "" {
-		return readPct, nil, nvdimmc.DefaultConfig()
-	}
-	plan, err := o.parseFaults(sockets)
-	usage(err)
-	return readPct, plan, core.FaultedConfig()
-}
-
-// parseFaults parses -faults and checks it against sockets pools (0: a
-// lone pool) of channels x dimms members plus the spares.
-func (o planeOpts) parseFaults(sockets int) (fault.Plan, error) {
-	plan, err := fault.ParsePlan(o.faults)
-	if err != nil {
-		return nil, err
-	}
-	if err := plan.Check(sockets, o.channels*o.dimms+o.spares); err != nil {
-		return nil, err
-	}
-	return plan, nil
-}
-
 // readPercent maps -rw onto an open-loop tenant's ReadPct; the pooled and
 // fabric modes run random patterns only.
 func readPercent(rw string) (int, error) {
@@ -252,8 +313,8 @@ func readPercent(rw string) (int, error) {
 }
 
 // parseQoS parses the -qos flag: one tenant per comma-separated
-// dist:weight:qosweight:limit:burst:slo_us entry. Footprints are assigned by
-// the caller (an even split of the pool footprint).
+// dist:weight:qosweight:limit:burst:slo_us entry. The Point lays their
+// footprints.
 func parseQoS(spec string, readPct, bs int) ([]openloop.Tenant, error) {
 	var out []openloop.Tenant
 	for i, part := range strings.Split(spec, ",") {
@@ -290,64 +351,13 @@ func parseQoS(spec string, readPct, bs int) ([]openloop.Tenant, error) {
 // runPool drives the interleaved multi-channel pool with a single-tenant
 // open-loop stream and prints the pooled and per-channel stats. With -spares
 // or -faults it also prints the end-of-run member state table.
-func runPool(o planeOpts) {
-	readPct, plan, member := o.plane(0)
-	walk := int64(15 << 30)
-	if plan != nil {
-		walk = 0 // run near capacity so misses map pages onto media
-	}
-	policy, err := pool.ParseAdmissionPolicy(o.admission)
-	usage(err)
-	var qosTenants []openloop.Tenant
-	if o.qos != "" {
-		qosTenants, err = parseQoS(o.qos, readPct, o.bs)
-		usage(err)
-	}
-	cfg := pool.Config{
-		Channels:        o.channels,
-		DIMMsPerChannel: o.dimms,
-		Interleave:      o.interleave,
-		Member:          member,
-		Workers:         runtime.GOMAXPROCS(0),
-		Seed:            7,
-		PrefillPages:    -1,
-		WalkFootprint:   walk,
-		Spares:          o.spares,
-		Admission:       policy,
-		PendingCap:      o.pendingCap,
-		QoS:             pool.QoSFromTenants(qosTenants, o.isolation && o.qos != ""),
-		ArmFaults:       plan.PoolHook(),
-	}
-	p, err := pool.New(cfg)
+func runPool(o opts, pt experiments.Point) {
+	pl, _, err := pt.Run(nil)
 	die(err)
-	foot := p.CachedFootprint()
-	if plan != nil {
-		foot = p.Capacity() - p.Capacity()%o.interleave
-	}
-	tenants := []openloop.Tenant{
-		{Name: "cli", Dist: openloop.Uniform, ReadPct: readPct,
-			BlockSize: o.bs, Footprint: foot},
-	}
-	if qosTenants != nil {
-		// Even page-aligned footprint split across the -qos tenants.
-		per := (foot / int64(len(qosTenants))) &^ 4095
-		for i := range qosTenants {
-			qosTenants[i].Footprint = per
-			qosTenants[i].Offset = int64(i) * per
-		}
-		tenants = qosTenants
-	}
-	gen, err := openloop.New(openloop.Config{
-		Seed:       7,
-		RatePerSec: o.rate,
-		Deadline:   sim.Duration(o.deadlineUS * float64(sim.Microsecond)),
-		Tenants:    tenants,
-	})
-	die(err)
-	die(pool.RunOpenLoop(p, gen, o.ops, nil))
+	p := pl.(*pool.Pool)
 	s := p.Stats()
 	fmt.Printf("pool: %d channels x %d DIMMs (+%d spare), interleave %d B, capacity %d MB, admission %v\n",
-		o.channels, o.dimms, o.spares, o.interleave, p.Capacity()>>20, policy)
+		pt.Pool.Channels, pt.Pool.DIMMsPerChannel, pt.Pool.Spares, pt.Pool.Interleave, p.Capacity()>>20, pt.Pool.Admission)
 	fmt.Printf("requests=%d bw=%.0f MB/s epochs=%d held-peak=%d shed=%d expired=%d late=%d\n",
 		s.Completed, s.Meter.BandwidthMBps(), s.Epochs, s.HeldPeak,
 		s.Shed, s.Expired, s.CompletedLate)
@@ -377,7 +387,7 @@ func runPool(o planeOpts) {
 				slo, verdict)
 		}
 	}
-	if o.spares > 0 || plan != nil {
+	if pt.Pool.Spares > 0 || pt.Plan != nil {
 		fmt.Printf("faults: failed=%d retries=%d trips=%d suspects=%d quarantined=%d evacuated=%d spares-used=%d rebuild-pages=%d post-quarantine=%d\n",
 			s.Failed, s.Ctr.Get("frags-retried"), s.Ctr.Get("breaker-trip"),
 			s.Ctr.Get("member-suspect"), s.Quarantined, s.Evacuated,
@@ -408,7 +418,6 @@ func runPool(o planeOpts) {
 				i, role, m.State, m.Mode, m.DriverErrors, m.FragErrors, svc, reason)
 		}
 	}
-	die(p.CheckHealth())
 	fmt.Println("health ok")
 }
 

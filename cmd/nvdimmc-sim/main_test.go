@@ -1,18 +1,43 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"math"
+	"os"
+	"os/exec"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
+	"nvdimmc/internal/experiments"
 	"nvdimmc/internal/fault"
+	"nvdimmc/internal/numa"
+	"nvdimmc/internal/pool"
 	"nvdimmc/internal/sim"
 )
 
 // entry is a keyed fault.Entry literal.
 func entry(socket, member int, k fault.Kind, onset int) fault.Entry {
 	return fault.Entry{Socket: socket, Member: member, Kind: k, Onset: onset}
+}
+
+// parseFaults parses spec as the plane modes parse -faults and checks the
+// plan with Point.Check on sockets pools (0: a lone pool) of channels x
+// dimms members plus the spares.
+func parseFaults(spec string, sockets, channels, dimms, spares int) (fault.Plan, error) {
+	plan, err := fault.ParsePlan(spec)
+	if err != nil {
+		return nil, err
+	}
+	pt := experiments.Point{
+		Pool:      pool.Config{Channels: channels, DIMMsPerChannel: dimms, Spares: spares},
+		Fabric:    numa.Config{Sockets: sockets},
+		BlockSize: 4096,
+		Plan:      plan,
+	}
+	return plan, pt.Check()
 }
 
 // TestParseFaults: a pool's -faults plan names members m<i> of the
@@ -43,8 +68,7 @@ func TestParseFaults(t *testing.T) {
 		{"", 2, 1, 0, nil},
 	}
 	for _, c := range cases {
-		o := planeOpts{faults: c.spec, channels: c.channels, dimms: c.dimms, spares: c.spares}
-		got, err := o.parseFaults(0)
+		got, err := parseFaults(c.spec, 0, c.channels, c.dimms, c.spares)
 		if c.want == nil {
 			if err == nil {
 				t.Errorf("parseFaults(%q) on %dx%d+%d = %v, want an error", c.spec, c.channels, c.dimms, c.spares, got)
@@ -81,8 +105,7 @@ func TestParseSocketFaults(t *testing.T) {
 		{"", 2, nil},
 	}
 	for _, c := range cases {
-		o := planeOpts{faults: c.spec, channels: 2, dimms: 1, sockets: c.sockets}
-		got, err := o.parseFaults(c.sockets)
+		got, err := parseFaults(c.spec, c.sockets, 2, 1, 0)
 		if c.want == nil {
 			if err == nil {
 				t.Errorf("parseFaults(%q) on %d sockets = %v, want an error", c.spec, c.sockets, got)
@@ -131,8 +154,7 @@ func FuzzParseFaults(f *testing.F) {
 	f.Add("m1:ackdrop:9223372036854775807", uint8(2))
 	f.Add(" m0:program:1 ", uint8(1))
 	f.Fuzz(func(t *testing.T, spec string, members uint8) {
-		o := planeOpts{faults: spec, channels: int(members), dimms: 1}
-		if plan, err := o.parseFaults(0); err == nil {
+		if plan, err := parseFaults(spec, 0, int(members), 1, 0); err == nil {
 			checkFaults(t, spec, plan, 0, int(members))
 		}
 	})
@@ -146,8 +168,7 @@ func FuzzParseSocketFaults(f *testing.F) {
 	f.Add("s0:slow:4,s1:link:0", uint8(2))
 	f.Add("s0:link:9223372036854775807", uint8(1))
 	f.Fuzz(func(t *testing.T, spec string, sockets uint8) {
-		o := planeOpts{faults: spec, channels: 2, dimms: 1, sockets: int(sockets)}
-		if plan, err := o.parseFaults(int(sockets)); err == nil {
+		if plan, err := parseFaults(spec, int(sockets), 2, 1, 0); err == nil {
 			checkFaults(t, spec, plan, int(sockets), 2)
 		}
 	})
@@ -207,9 +228,18 @@ func TestCheckPlaneFlags(t *testing.T) {
 		{0, 0, false, true}, // single-module mode: fio rejects it itself
 	}
 	for _, c := range cases {
-		err := checkPlaneFlags(c.bs, c.pendingCap, c.plane)
+		// A plane run is a pool of two channels; -pendingcap is set only
+		// when not its default.
+		args := []string{"-bs", strconv.Itoa(c.bs)}
+		if c.pendingCap != 0 {
+			args = append(args, "-pendingcap", strconv.Itoa(c.pendingCap))
+		}
+		if c.plane {
+			args = append(args, "-channels", "2")
+		}
+		_, _, err := parseFlags(flag.NewFlagSet("nvdimmc-sim", flag.ContinueOnError), args)
 		if (err == nil) != c.ok {
-			t.Errorf("checkPlaneFlags(%d, %d, %v) = %v, want ok=%v", c.bs, c.pendingCap, c.plane, err, c.ok)
+			t.Errorf("parseFlags(%q) = %v, want ok=%v", args, err, c.ok)
 		}
 	}
 }
@@ -239,6 +269,41 @@ func TestLinkBandwidth(t *testing.T) {
 		}
 		if err != nil || got != c.want {
 			t.Errorf("linkBandwidth(%g) = %d, %v; want %d", c.gbps, got, err, c.want)
+		}
+	}
+}
+
+// TestRefusedFlags: a flag set on the command line that the chosen mode
+// does not read makes the command exit 2 and name it, before anything
+// runs, instead of printing what the same command without it prints.
+func TestRefusedFlags(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct{ args, refused, mode string }{
+		{"-rate 2e6 -ops 200", "-rate", "module"},
+		{"-xlat 900 -interleave 2097152 -isolation=false -ops 200", "-interleave, -isolation, -xlat", "module"},
+		{"-channels 1 -ops 200", "-channels", "module"},
+		{"-sockets 2 -rate 1e6 -ops 300 -deadline 1 -admission deadline-aware -pendingcap 2 -qos zipf:8:1:40000:32:0,uni:1:1:0:0:1500",
+			"-admission, -deadline, -pendingcap, -qos", "fabric"},
+		{"-sockets 2 -isolation=false -ops 300", "-isolation", "fabric"},
+		{"-channels 2 -target pmem -ops 200", "-target", "pool"},
+		{"-channels 2 -numjobs 4 -ops 200", "-numjobs", "pool"},
+		{"-channels 2 -uncached -policy lru -audit=false -ops 200", "-audit, -policy, -uncached", "pool"},
+		{"-sockets 2 -xbw 4 -numjobs 2 -ops 300", "-numjobs", "fabric"},
+		{"-faults m0:program:1 -xlat 900 -ops 200", "-xlat", "pool"},
+	}
+	for _, c := range cases {
+		cmd := exec.Command(exe, append([]string{runMainArg}, strings.Fields(c.args)...)...)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		want := c.refused + ": not read in " + c.mode + " mode"
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(stderr.String(), want) {
+			t.Errorf("nvdimmc-sim %s: %v, stderr %q, stdout %d bytes; want exit 2 naming %q",
+				c.args, err, stderr.String(), len(out), want)
 		}
 	}
 }

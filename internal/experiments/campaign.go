@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"fmt"
-
-	"nvdimmc/internal/core"
 	"nvdimmc/internal/metrics"
 	"nvdimmc/internal/pool"
-	"nvdimmc/internal/workload/openloop"
 )
 
 // Outcome is what a campaign point reads off its plane once the run has
@@ -88,84 +84,4 @@ func count[P any](rows []P, match func(P) bool) int {
 		}
 	}
 	return n
-}
-
-// campaignPlane is what a campaign point runs on: a request plane (a pool
-// or a NUMA fabric) that audits itself and keeps a latency histogram.
-type campaignPlane interface {
-	pool.Plane
-	CheckHealth() error
-	Latency() *metrics.Histogram
-}
-
-// runPoint is the one point runner: it drives n requests from gen through
-// pl, handing every record to sink (nil discards them), audits the plane
-// and returns its outcome. Any error carries the point's label.
-func runPoint(label string, pl campaignPlane, gen *openloop.Generator, n int, sink func(pool.Completion)) (Outcome, error) {
-	err := pool.RunOpenLoop(pl, gen, n, sink)
-	if err == nil {
-		err = pl.CheckHealth()
-	}
-	if err != nil {
-		return Outcome{}, fmt.Errorf("%s: %w", label, err)
-	}
-	return Outcome{Ledger: pl.Ledger(), Lat: pl.Latency()}, nil
-}
-
-// campaignPool is the pool shape of the fault, overload, QoS and replay
-// campaigns (and the numa campaign's per-socket template): 3 channels + 1
-// hot spare of member, prefilled to 90% of the cache. It builds on one
-// worker, as campaign points are the parallel axis
-// (TestPoolFaultedWorkerCountIdentical covers the in-pool axis). Misses
-// serialize on a member's driver (~10 epochs per completion), so the
-// breaker window spans many epochs to gather samples.
-func campaignPool(member core.Config, seed uint64, lockstep bool) pool.Config {
-	return pool.Config{
-		Channels:           3,
-		DIMMsPerChannel:    1,
-		Interleave:         4096,
-		Member:             member,
-		Workers:            1,
-		Seed:               seed,
-		PrefillPages:       -1,
-		Spares:             1,
-		DisableLookahead:   lockstep,
-		BreakerWindow:      64,
-		BreakerMinSamples:  6,
-		BreakerErrRate:     0.4,
-		BreakerCooldown:    8,
-		BreakerCloseStreak: 4,
-	}
-}
-
-// campaignFootprint is the pool capacity rounded down to the interleave:
-// the near-capacity working set the campaigns draw from.
-func campaignFootprint(p *pool.Pool) int64 {
-	foot := p.Capacity()
-	return foot - foot%p.Cfg.Interleave
-}
-
-// calibrate runs reqs arrivals of the load gen shapes over the pool's
-// campaign footprint through one pool built from cfg, audits it, and
-// returns its saturating throughput: completed requests per second over
-// the post-warmup completion window, the accounting every campaign point
-// uses (overloadGoodput). Errors carry label.
-func calibrate(label string, cfg pool.Config, reqs int, gen func(foot int64) openloop.Config) (float64, error) {
-	p, err := pool.New(cfg)
-	if err != nil {
-		return 0, fmt.Errorf("%s: %w", label, err)
-	}
-	g, err := openloop.New(gen(campaignFootprint(p)))
-	if err != nil {
-		return 0, err
-	}
-	var recs []pool.Completion
-	if _, err := runPoint(label, p, g, reqs, func(c pool.Completion) { recs = append(recs, c) }); err != nil {
-		return 0, err
-	}
-	capacity := overloadGoodput(recs)
-	if capacity <= 0 {
-		return 0, fmt.Errorf("%s: no completions to measure", label)
-	}
-	return capacity, nil
 }

@@ -9,7 +9,6 @@ import (
 	"nvdimmc/internal/metrics"
 	"nvdimmc/internal/pool"
 	"nvdimmc/internal/sim"
-	"nvdimmc/internal/workload/openloop"
 )
 
 // lat returns a histogram holding samples.
@@ -62,22 +61,15 @@ func TestCampaignAccessors(t *testing.T) {
 // clean run must surface the failure through the runner, wrapped with the
 // point's label, and leave no outcome behind.
 func TestRunPointLabelsErrors(t *testing.T) {
-	p, err := pool.New(campaignPool(core.FaultedConfig(), 5, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := openloop.New(openloop.Config{
-		Seed:       5,
-		RatePerSec: 1e5,
-		Tenants: []openloop.Tenant{
-			{Name: "mix", Dist: openloop.Uniform, ReadPct: 50, Footprint: campaignFootprint(p)},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	planted := errors.New("planted audit failure")
 	const label = "faultpool point 7 (program m1)"
+	pt := campaignPoint(label, core.FaultedConfig(), 5, 5, 50, false)
+	pt.Load.RatePerSec = 1e5
+	pl, gen, err := pt.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pl.(*pool.Pool)
+	planted := errors.New("planted audit failure")
 	out, err := runPoint(label, sickPlane{p, planted}, gen, 16, nil)
 	if !errors.Is(err, planted) {
 		t.Fatalf("runPoint error = %v, want the planted audit failure", err)

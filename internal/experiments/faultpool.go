@@ -8,7 +8,6 @@ import (
 	"nvdimmc/internal/pool"
 	"nvdimmc/internal/report"
 	"nvdimmc/internal/sim"
-	"nvdimmc/internal/workload/openloop"
 )
 
 // faultKinds are the campaign's four member failure modes, cycled across
@@ -60,85 +59,66 @@ func (r FaultPoolResult) Failovers() int {
 	return count(r.Rows, func(p FaultPoolPoint) bool { return p.SparesUsed > 0 })
 }
 
-// faultPoolPlan is point pt's fault: the kind cycles fastest, then the
-// victim member, then the onset.
-func faultPoolPlan(pt int) fault.Plan {
-	const channels = 3 // campaignPool's
-	k := len(faultKinds)
-	return fault.Plan{{
-		Socket: -1,
-		Member: (pt / k) % channels,
-		Kind:   faultKinds[pt%k],
-		Onset:  1 + 7*(pt/(k*channels)),
-	}}
-}
-
-// faultPoolPoint runs one campaign point with plan armed; its row's kind,
-// victim and onset are the plan's one entry. Each point is a fully
+// faultPoolTable is the campaign's points and row: point pt is a fully
 // independent pool (own seed splits for member RNG, fault schedules and
-// workload), so points fan across shards with byte-identical merged output.
-func faultPoolPoint(o Options, pt, reqs int, plan fault.Plan) (FaultPoolPoint, error) {
-	e := plan[0]
-	label := fmt.Sprintf("faultpool point %d (%s)", pt, plan)
-	cfg := campaignPool(core.FaultedConfig(), sim.SplitSeed(11, fmt.Sprintf("faultpool/%d", pt)), o.DisableLookahead)
-	cfg.ArmFaults = plan.PoolHook()
-	p, err := pool.New(cfg)
-	if err != nil {
-		return FaultPoolPoint{}, fmt.Errorf("%s: %w", label, err)
+// workload), so points fan across shards with byte-identical merged
+// output. Its fault's kind cycles fastest, then the victim member, then
+// the onset. The load covers the full capacity: most accesses miss,
+// evictions map pages onto NAND, and re-reads consult the media fault
+// sites (see core.FaultedConfig). mediaread points run a pure-read tenant
+// at triple length: the bitflip site is only consulted when a read
+// reaches NAND, which takes an evicted dirty page being re-read later — a
+// rare event per op, so these points need the extra traffic to ride the
+// driver's cachefill retries and the probe's Suspect->Up recovery into
+// view. (The guaranteed bitflip->fragment-failure chain is pinned by the
+// pool's breaker unit test; the campaign's job here is the
+// transient-recovery row.) A row's kind, victim and onset are its plan's
+// one entry.
+func faultPoolTable(o Options) ([]Point, func(int, Point) (FaultPoolPoint, error)) {
+	const channels = 3 // campaignPoint's
+	k := len(faultKinds)
+	pts := make([]Point, o.pick(48, 32))
+	for pt := range pts {
+		e := fault.Entry{Socket: -1, Member: (pt / k) % channels, Kind: faultKinds[pt%k], Onset: 1 + 7*(pt/(k*channels))}
+		readPct, reqs := 55, o.pick(600, 300)
+		if e.Kind == fault.MediaRead {
+			readPct, reqs = 100, 3*reqs
+		}
+		plan := fault.Plan{e}
+		pts[pt] = campaignPoint(fmt.Sprintf("faultpool point %d (%s)", pt, plan), core.FaultedConfig(),
+			sim.SplitSeed(11, fmt.Sprintf("faultpool/%d", pt)), sim.SplitSeed(11, fmt.Sprintf("faultpool-load/%d", pt)),
+			readPct, o.DisableLookahead)
+		pts[pt].Load.RatePerSec, pts[pt].Plan, pts[pt].Reqs = 1.5e6, plan, reqs
 	}
-	// Full-capacity footprint: most accesses miss, evictions map pages onto
-	// NAND, and re-reads consult the media fault sites (see
-	// core.FaultedConfig).
-	foot := campaignFootprint(p)
-	// mediaread points run a pure-read tenant at triple length: the bitflip
-	// site is only consulted when a read reaches NAND, which takes an
-	// evicted dirty page being re-read later — a rare event per op, so
-	// these points need the extra traffic to ride the driver's cachefill
-	// retries and the probe's Suspect->Up recovery into view. (The
-	// guaranteed bitflip->fragment-failure chain is pinned by the pool's
-	// breaker unit test; the campaign's job here is the transient-recovery
-	// row.)
-	readPct, preqs := 55, reqs
-	if e.Kind == fault.MediaRead {
-		readPct, preqs = 100, 3*reqs
+	return pts, func(pt int, p Point) (FaultPoolPoint, error) {
+		pl, out, err := p.Run(nil)
+		if err != nil {
+			return FaultPoolPoint{}, err
+		}
+		e, s := p.Plan[0], pl.(*pool.Pool).Stats()
+		row := FaultPoolPoint{
+			Point:          pt,
+			Kind:           e.Kind.String(),
+			Victim:         e.Member,
+			Onset:          e.Onset,
+			Outcome:        out,
+			PostQuarantine: s.PostQuarantineDispatches,
+			Quarantined:    s.Quarantined,
+			Evacuated:      s.Evacuated,
+			SparesUsed:     s.SparesUsed,
+			RebuildPages:   s.Ctr.Get("rebuild-pages"),
+			BreakerTrips:   s.Ctr.Get("breaker-trip"),
+			Retries:        s.Ctr.Get("frags-retried"),
+			Suspects:       s.Ctr.Get("member-suspect"),
+		}
+		for _, m := range s.PerMember {
+			row.DriverErrors += m.DriverErrors
+		}
+		if s.LatRebuild.Count() > 0 {
+			row.RebuildP99 = s.LatRebuild.Percentile(99)
+		}
+		return row, nil
 	}
-	gen, err := openloop.New(openloop.Config{
-		Seed:       sim.SplitSeed(11, fmt.Sprintf("faultpool-load/%d", pt)),
-		RatePerSec: 1.5e6,
-		Tenants: []openloop.Tenant{
-			{Name: "mix", Dist: openloop.Uniform, ReadPct: readPct, Footprint: foot},
-		},
-	})
-	if err != nil {
-		return FaultPoolPoint{}, err
-	}
-	out, err := runPoint(label, p, gen, preqs, nil)
-	if err != nil {
-		return FaultPoolPoint{}, err
-	}
-	s := p.Stats()
-	row := FaultPoolPoint{
-		Point:          pt,
-		Kind:           e.Kind.String(),
-		Victim:         e.Member,
-		Onset:          e.Onset,
-		Outcome:        out,
-		PostQuarantine: s.PostQuarantineDispatches,
-		Quarantined:    s.Quarantined,
-		Evacuated:      s.Evacuated,
-		SparesUsed:     s.SparesUsed,
-		RebuildPages:   s.Ctr.Get("rebuild-pages"),
-		BreakerTrips:   s.Ctr.Get("breaker-trip"),
-		Retries:        s.Ctr.Get("frags-retried"),
-		Suspects:       s.Ctr.Get("member-suspect"),
-	}
-	for _, m := range s.PerMember {
-		row.DriverErrors += m.DriverErrors
-	}
-	if s.LatRebuild.Count() > 0 {
-		row.RebuildP99 = s.LatRebuild.Percentile(99)
-	}
-	return row, nil
 }
 
 // FaultPool is the socket-scale fault campaign capping the pool's
@@ -151,13 +131,10 @@ func faultPoolPoint(o Options, pt, reqs int, plan fault.Plan) (FaultPoolPoint, e
 // byte-identical at any worker count.
 func FaultPool(o Options) (FaultPoolResult, error) {
 	var res FaultPoolResult
-	points := o.pick(48, 32)
-	reqs := o.pick(600, 300)
-
+	pts, row := faultPoolTable(o)
+	points, reqs := len(pts), pts[0].Reqs
 	var err error
-	res.Rows, err = runShards(points, o.workers(), func(pt int) (FaultPoolPoint, error) {
-		return faultPoolPoint(o, pt, reqs, faultPoolPlan(pt))
-	})
+	res.Rows, err = runShards(points, o.workers(), func(i int) (FaultPoolPoint, error) { return row(i, pts[i]) })
 	if err != nil {
 		return res, err
 	}

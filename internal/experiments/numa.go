@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"nvdimmc/internal/core"
 	"nvdimmc/internal/fault"
@@ -88,108 +87,66 @@ func (r NumaResult) CheckLattice() error {
 	return nil
 }
 
-// numaSockets is the campaign fabric's socket count.
-const numaSockets = 3
-
-// numaFault is point pt's fault: its numaKinds index cycles fastest, then
-// the victim socket, then the onset.
-func numaFault(pt int) (k, victim, onset int) {
-	n := len(numaKinds)
-	return pt % n, (pt / n) % numaSockets, 1 + 7*(pt/(n*numaSockets))
-}
-
-// numaPlan is point pt's plan: numaFault's kind on every member of the
-// victim socket, or on its links from fabric epoch onset x8.
-func numaPlan(pt int) fault.Plan {
-	k, victim, onset := numaFault(pt)
-	kind := numaKinds[k].kind
-	if kind == fault.Link {
-		onset *= 8
+// numaTable is the campaign's points and row. Point pt's fault kind
+// cycles fastest, then the victim socket, then the onset: the kind on
+// every member of the victim socket, or on its links from fabric epoch
+// onset x8. Each point is a fully independent 3-socket fabric of
+// 2-channel campaign pools (own seed splits for pool members, fault
+// schedules and workload), so points fan across shards with
+// byte-identical merged output, under the fabric load over whole spans:
+// local traffic on every socket, guaranteed cross-socket requests paying
+// the wire.
+func numaTable(o Options) ([]Point, func(int, Point) (NumaPoint, error)) {
+	const sockets = 3
+	axes := func(pt int) (k, victim, onset int) {
+		n := len(numaKinds)
+		return pt % n, (pt / n) % sockets, 1 + 7*(pt/(n*sockets))
 	}
-	return fault.Plan{{Socket: victim, Member: -1, Kind: kind, Onset: onset}}
-}
-
-// numaPoint runs one campaign point with plan armed: a fully independent
-// fabric (own seed splits for pool members, fault schedules and workload),
-// so points fan across shards with byte-identical merged output.
-func numaPoint(o Options, pt, reqs int, plan fault.Plan) (NumaPoint, error) {
-	k, victim, onset := numaFault(pt)
-	kind := numaKinds[k].label
-
-	// The fabric sets each socket's seed, workers and lookahead switch.
-	pc := campaignPool(core.FaultedConfig(), 0, false)
-	pc.Channels, pc.Spares = 2, 0
-	cfg := numa.Config{
-		Sockets:    numaSockets,
-		Pool:       pc,
-		ChunkBytes: 64 << 10,
+	pts := make([]Point, o.pick(18, 9))
+	for pt := range pts {
+		k, victim, onset := axes(pt)
+		e := fault.Entry{Socket: victim, Member: -1, Kind: numaKinds[k].kind, Onset: onset}
+		if e.Kind == fault.Link {
+			e.Onset *= 8
+		}
+		p := campaignPoint(fmt.Sprintf("numa point %d (%s %s)", pt, numaKinds[k].label, fault.Plan{e}), core.FaultedConfig(),
+			sim.SplitSeed(13, fmt.Sprintf("numa/%d", pt)), sim.SplitSeed(13, fmt.Sprintf("numa-load/%d", pt)),
+			20, o.DisableLookahead)
+		p.Pool.Channels, p.Pool.Spares = 2, 0
 		// A slow socket breeds sporadic suspicion (queueing delays bunch
 		// completions); six consecutive suspect probes separate "condemn"
 		// from "ride it out" while kills still evacuate immediately through
 		// the degraded-position path.
-		EvacuateAfterProbes: 6,
-		Workers:             1, // points are the parallel axis
-		Seed:                sim.SplitSeed(13, fmt.Sprintf("numa/%d", pt)),
-		DisableLookahead:    o.DisableLookahead,
-		ArmFaults:           plan.FabricHook(),
-		LinkFaults:          plan.LinkFaults(),
+		p.Fabric = numa.Config{Sockets: sockets, ChunkBytes: 64 << 10, EvacuateAfterProbes: 6}
+		p.Load.RatePerSec, p.Plan, p.Reqs = 1.5e6, fault.Plan{e}, o.pick(400, 250)
+		pts[pt] = p
 	}
-	label := fmt.Sprintf("numa point %d (%s %s)", pt, kind, plan)
-	f, err := numa.New(cfg)
-	if err != nil {
-		return NumaPoint{}, fmt.Errorf("%s: %w", label, err)
+	return pts, func(pt int, p Point) (NumaPoint, error) {
+		k, victim, onset := axes(pt)
+		pl, out, err := p.Run(nil)
+		if err != nil {
+			return NumaPoint{}, err
+		}
+		s := pl.(*numa.Fabric).Stats()
+		row := NumaPoint{
+			Point:       pt,
+			Kind:        numaKinds[k].label,
+			Victim:      victim,
+			Onset:       onset,
+			Outcome:     out,
+			RemoteP99:   s.LatRemote.Percentile(99),
+			PostEvac:    s.PostEvacSubmissions,
+			Rehomed:     s.ChunksRehomed,
+			MigPages:    s.MigPages,
+			MigReadMiss: s.MigReadMiss,
+			Retries:     s.Ctr.Get("fab-retry-promoted"),
+			VictimState: s.PerSocket[victim].State.String(),
+		}
+		if s.LatMigrate.Count() > 0 {
+			row.MigrateP99 = s.LatMigrate.Percentile(99)
+		}
+		return row, nil
 	}
-
-	// Socket-affine tenants over their whole spans plus a roamer over the
-	// fabric: local traffic on every socket, guaranteed cross-socket
-	// requests paying the wire.
-	gen, err := numaLoad(f, sim.SplitSeed(13, fmt.Sprintf("numa-load/%d", pt)), 1.5e6, 20,
-		func(int) int64 { return f.Span() }, f.Capacity(), 0)
-	if err != nil {
-		return NumaPoint{}, err
-	}
-	out, err := runPoint(label, f, gen, reqs, nil)
-	if err != nil {
-		return NumaPoint{}, err
-	}
-	s := f.Stats()
-	row := NumaPoint{
-		Point:       pt,
-		Kind:        kind,
-		Victim:      victim,
-		Onset:       onset,
-		Outcome:     out,
-		RemoteP99:   s.LatRemote.Percentile(99),
-		PostEvac:    s.PostEvacSubmissions,
-		Rehomed:     s.ChunksRehomed,
-		MigPages:    s.MigPages,
-		MigReadMiss: s.MigReadMiss,
-		Retries:     s.Ctr.Get("fab-retry-promoted"),
-		VictimState: s.PerSocket[victim].State.String(),
-	}
-	if s.LatMigrate.Count() > 0 {
-		row.MigrateP99 = s.LatMigrate.Percentile(99)
-	}
-	return row, nil
-}
-
-// numaLoad is the fabric campaigns' load at rate req/s, readPct% reads:
-// one uniform tenant per socket (weight 2) over foot(s) bytes from the
-// start of its own span, plus a roamer (weight 1) homed on socket 0 over
-// roamFoot bytes from roamOff.
-func numaLoad(f *numa.Fabric, seed uint64, rate float64, readPct int,
-	foot func(s int) int64, roamFoot, roamOff int64) (*openloop.Generator, error) {
-	var ts []openloop.Tenant
-	for s := 0; s < f.Cfg.Sockets; s++ {
-		ts = append(ts, openloop.Tenant{
-			Name: fmt.Sprintf("s%d", s), Socket: s, Dist: openloop.Uniform, ReadPct: readPct, Weight: 2,
-			Footprint: foot(s), Offset: int64(s) * f.Span(),
-		})
-	}
-	ts = append(ts, openloop.Tenant{
-		Name: "roam", Dist: openloop.Uniform, ReadPct: readPct, Weight: 1, Footprint: roamFoot, Offset: roamOff,
-	})
-	return openloop.New(openloop.Config{Seed: seed, RatePerSec: rate, Tenants: ts})
 }
 
 // Numa is the multi-socket fabric fault campaign capping the NUMA layer:
@@ -203,19 +160,40 @@ func numaLoad(f *numa.Fabric, seed uint64, rate float64, readPct int,
 // byte-identical at any worker count.
 func Numa(o Options) (NumaResult, error) {
 	var res NumaResult
-	points := o.pick(18, 9)
-	reqs := o.pick(400, 250)
-
+	pts, row := numaTable(o)
+	points, reqs := len(pts), pts[0].Reqs
 	var err error
-	res.Rows, err = runShards(points, o.workers(), func(pt int) (NumaPoint, error) {
-		return numaPoint(o, pt, reqs, numaPlan(pt))
-	})
+	res.Rows, err = runShards(points, o.workers(), func(i int) (NumaPoint, error) { return row(i, pts[i]) })
 	if err != nil {
 		return res, err
 	}
-	idleReqs := o.pick(1000, 100)
-	seg, idleFP, err := measureIdle("numa", idleReqs, func(lockstep bool) (string, int, float64, error) {
-		return numaIdleRun(o, idleReqs, lockstep)
+	// The idle segment: a fault-free 4-socket x 2-channel fabric under an
+	// idle-heavy rated load (2e3 req/s, ~64 epochs between arrivals), so
+	// quiet spans sit between remote and local requests alike. Tenants
+	// stay inside the DRAM caches, so requests are short hits and the idle
+	// gaps between them dominate. Both fabric and pool probes run every 64
+	// epochs: the defaults (8 and 4) would clip every quiet batch to a few
+	// epochs, and the period is identical in both modes.
+	idle := Point{
+		Label: "numa idle segment",
+		Pool: pool.Config{Channels: 2, DIMMsPerChannel: 1, Interleave: 4096, Member: core.FaultedConfig(),
+			Workers: o.workers(), Seed: sim.SplitSeed(13, "numa/idle"), PrefillPages: -1, ProbeEvery: 64},
+		Fabric: numa.Config{Sockets: 4, ChunkBytes: 64 << 10, ProbeEvery: 64},
+		Load: openloop.Config{Seed: sim.SplitSeed(13, "numa-load/idle"), RatePerSec: 2e3,
+			Tenants: []openloop.Tenant{{Dist: openloop.Uniform, ReadPct: 70}}},
+		BlockSize: PageSize,
+		Cached:    true,
+		Reqs:      o.pick(1000, 100),
+	}
+	seg, idleFP, err := measureIdle(idle, func(pl Plane) (string, int) {
+		s := pl.(*numa.Fabric).Stats()
+		fp := fmt.Sprintf("reqs=%d done=%d failed=%d epochs=%d remote=%d p50=%v p99=%v remote-p99=%v",
+			s.Submitted, s.Completed, s.Failed, s.Epochs, s.RemoteRequests,
+			s.Lat.Percentile(50), s.Lat.Percentile(99), s.LatRemote.Percentile(99))
+		for _, ps := range s.PerSocket {
+			fp += fmt.Sprintf(" %s/%d", ps.State, ps.Pool.Epochs)
+		}
+		return fp, s.Epochs
 	})
 	if err != nil {
 		return res, err
@@ -242,57 +220,4 @@ func Numa(o Options) (NumaResult, error) {
 		res.AckedLostTotal(), res.PostEvacTotal(), res.Evacuations(), points)
 	o.printf("  idle-heavy 4-socket rated segment: lockstep and lookahead outputs identical\n    %s\n", idleFP)
 	return res, nil
-}
-
-// numaIdleRun is the fabric's harness-performance segment: a fault-free
-// 4-socket x 2-channel fabric under an idle-heavy rated load (2e3 req/s,
-// ~64 epochs between arrivals), so quiet spans sit between remote and
-// local requests alike. Both fabric and pool probes run every 64 epochs:
-// the defaults (8 and 4) would clip every quiet batch to a few epochs, and
-// the period is identical in both modes. It returns the run's deterministic
-// fingerprint, its fabric epoch count and the host wall time of the run
-// phase.
-func numaIdleRun(o Options, reqs int, lockstep bool) (string, int, float64, error) {
-	const sockets = 4
-	f, err := numa.New(numa.Config{
-		Sockets: sockets,
-		Pool: pool.Config{
-			Channels:        2,
-			DIMMsPerChannel: 1,
-			Interleave:      4096,
-			Member:          core.FaultedConfig(),
-			PrefillPages:    -1,
-			ProbeEvery:      64,
-		},
-		ChunkBytes:       64 << 10,
-		ProbeEvery:       64,
-		Workers:          o.workers(),
-		Seed:             sim.SplitSeed(13, "numa/idle"),
-		DisableLookahead: lockstep,
-	})
-	if err != nil {
-		return "", 0, 0, fmt.Errorf("numa idle segment: %w", err)
-	}
-	// Tenants stay inside the DRAM caches, so requests are short hits and
-	// the idle gaps between them dominate: one per socket over its own
-	// cached footprint, plus a roamer that addresses the last socket's.
-	gen, err := numaLoad(f, sim.SplitSeed(13, "numa-load/idle"), 2e3, 70,
-		func(s int) int64 { return f.Socket(s).CachedFootprint() },
-		f.Socket(sockets-1).CachedFootprint(), int64(sockets-1)*f.Span())
-	if err != nil {
-		return "", 0, 0, err
-	}
-	start := time.Now()
-	if _, err := runPoint("numa idle segment", f, gen, reqs, nil); err != nil {
-		return "", 0, 0, err
-	}
-	wallMS := float64(time.Since(start).Microseconds()) / 1000
-	s := f.Stats()
-	fp := fmt.Sprintf("reqs=%d done=%d failed=%d epochs=%d remote=%d p50=%v p99=%v remote-p99=%v",
-		s.Submitted, s.Completed, s.Failed, s.Epochs, s.RemoteRequests,
-		s.Lat.Percentile(50), s.Lat.Percentile(99), s.LatRemote.Percentile(99))
-	for _, ps := range s.PerSocket {
-		fp += fmt.Sprintf(" %s/%d", ps.State, ps.Pool.Epochs)
-	}
-	return fp, s.Epochs, wallMS, nil
 }

@@ -8,7 +8,6 @@ import (
 	"nvdimmc/internal/pool"
 	"nvdimmc/internal/report"
 	"nvdimmc/internal/sim"
-	"nvdimmc/internal/workload/openloop"
 )
 
 // The overload campaign caps the request plane: a seeded sweep of offered
@@ -151,40 +150,14 @@ func overloadMemberCfg() core.Config {
 	return cfg
 }
 
-// victimPlan is the overload and qos campaigns' fault: kind on logical
-// member 1 from its site's 40th visit. "none" is the empty plan.
-func victimPlan(kind string) fault.Plan {
-	if kind == "none" {
-		return nil
+// victimPlans is the overload and qos campaigns' fault axis: the empty
+// plan, then each kind on logical member 1 from its site's 40th visit.
+func victimPlans(kinds ...fault.Kind) []fault.Plan {
+	plans := []fault.Plan{nil}
+	for _, k := range kinds {
+		plans = append(plans, fault.Plan{{Socket: -1, Member: 1, Kind: k, Onset: 40}})
 	}
-	k, err := fault.ParseKind(kind)
-	if err != nil {
-		panic(err) // the campaigns' fault axes are constants
-	}
-	return fault.Plan{{Socket: -1, Member: 1, Kind: k, Onset: 40}}
-}
-
-// overloadPool is the campaign pool: the campaign shape over the overload
-// member, with the requested admission policy and fault plan.
-func overloadPool(seed uint64, admission pool.AdmissionPolicy, plan fault.Plan, lockstep bool) pool.Config {
-	cfg := campaignPool(overloadMemberCfg(), seed, lockstep)
-	cfg.Admission = admission
-	cfg.ArmFaults = plan.PoolHook()
-	return cfg
-}
-
-// overloadLoad is the campaign load: one mixed tenant over the
-// near-capacity footprint foot (evictions map pages onto media, so faulted
-// points exercise real NAND — see core.FaultedConfig).
-func overloadLoad(seed uint64, rate float64, deadline sim.Duration, foot int64) openloop.Config {
-	return openloop.Config{
-		Seed:       seed,
-		RatePerSec: rate,
-		Deadline:   deadline,
-		Tenants: []openloop.Tenant{
-			{Name: "mix", Dist: openloop.Uniform, ReadPct: 70, Footprint: foot},
-		},
-	}
+	return plans
 }
 
 // overloadGoodput computes in-deadline completions per second over the
@@ -232,64 +205,67 @@ func overloadGoodput(recs []pool.Completion) float64 {
 	return float64(good) / window
 }
 
-// overloadPoint runs one campaign point. Each point is a fully independent
-// pool (own seed splits for members, faults and workload), so points fan
-// across shards with byte-identical merged output.
-func overloadPoint(pt, reqs int, loads []float64, faults []string, capacity float64, deadline sim.Duration, lockstep bool) (OverloadPoint, error) {
-	loadX := loads[pt%len(loads)]
-	mode := overloadModes[(pt/len(loads))%len(overloadModes)]
-	kind := faults[pt/(len(loads)*len(overloadModes))]
-
-	admission := pool.AdmitBlock
-	budget := sim.Duration(0)
-	switch mode {
-	case "deadline":
-		budget = deadline
-	case "shed":
-		admission = pool.AdmitDeadlineAware
-		budget = deadline
+// overloadTable is the campaign's points and row at the calibrated
+// capacity: offered loads crossed with front-end modes and fault plans,
+// the load fastest. Point pt is a fully independent pool (own seed splits
+// for members, faults and workload), so points fan across shards with
+// byte-identical merged output: the campaign shape over the overload
+// member, one mixed tenant over the full capacity (evictions map pages
+// onto media, so faulted points exercise real NAND — see
+// core.FaultedConfig) at its multiple of capacity, with its mode's
+// admission and deadline. Points must reach steady state: the admission
+// estimator converges over the first few milliseconds (cold NAND paths,
+// cache hit reservoir), and the goodput claim is about what comes after.
+// 2000 requests put the 4x point's arrival span near 6x the convergence
+// transient. Extended conservation — submitted = completed + shed +
+// expired + typed-failed — is audited at every point, under every policy
+// and fault.
+func overloadTable(o Options, capacity float64) ([]Point, func(int, Point) (OverloadPoint, error)) {
+	loads, faults := []float64{0.5, 1, 2, 4}, victimPlans(fault.Program, fault.DieTimeout)
+	if o.Quick {
+		loads, faults = []float64{1, 4}, faults[:2]
 	}
-	plan := victimPlan(kind)
-	label := fmt.Sprintf("overload point %d (%.1fx %s %s)", pt, loadX, mode, plan)
-	p, err := pool.New(overloadPool(sim.SplitSeed(17, fmt.Sprintf("overload/%d", pt)), admission, plan, lockstep))
-	if err != nil {
-		return OverloadPoint{}, fmt.Errorf("%s: %w", label, err)
+	axes := func(pt int) (float64, string) {
+		return loads[pt%len(loads)], overloadModes[(pt/len(loads))%len(overloadModes)]
 	}
-	offered := loadX * capacity
-	gen, err := openloop.New(overloadLoad(sim.SplitSeed(17, fmt.Sprintf("overload-load/%d", pt)), offered, budget, campaignFootprint(p)))
-	if err != nil {
-		return OverloadPoint{}, err
-	}
-	// Extended conservation — submitted = completed + shed + expired +
-	// typed-failed — is audited at every point, under every policy and fault.
-	var recs []pool.Completion
-	out, err := runPoint(label, p, gen, reqs, func(c pool.Completion) { recs = append(recs, c) })
-	if err != nil {
-		return OverloadPoint{}, err
-	}
-	s := p.Stats()
-	row := OverloadPoint{
-		Point:      pt,
-		LoadX:      loadX,
-		Mode:       mode,
-		Fault:      kind,
-		OfferedOps: offered,
-		Outcome:    out,
-	}
-	if s.LatMiss.Count() > 0 {
-		row.MissP99 = s.LatMiss.Percentile(99)
-		row.MissP999 = s.LatMiss.Percentile(99.9)
-	}
-	for _, ch := range s.PerChannel {
-		if ch.HeldHW > row.HeldHW {
-			row.HeldHW = ch.HeldHW
+	pts := make([]Point, len(loads)*len(overloadModes)*len(faults))
+	for pt := range pts {
+		loadX, mode := axes(pt)
+		plan := faults[pt/(len(loads)*len(overloadModes))]
+		p := campaignPoint(fmt.Sprintf("overload point %d (%.1fx %s %s)", pt, loadX, mode, plan), overloadMemberCfg(),
+			sim.SplitSeed(17, fmt.Sprintf("overload/%d", pt)), sim.SplitSeed(17, fmt.Sprintf("overload-load/%d", pt)),
+			70, o.DisableLookahead)
+		if mode != "block" {
+			p.Load.Deadline = overloadDeadlineEpochs * overloadMemberCfg().TREFI
 		}
+		if mode == "shed" {
+			p.Pool.Admission = pool.AdmitDeadlineAware
+		}
+		p.Load.RatePerSec, p.Plan, p.Reqs = loadX*capacity, plan, o.pick(2000, 1500)
+		pts[pt] = p
 	}
-	row.GoodputOps = overloadGoodput(recs) // Late==0 under "block": all good
-	if capacity > 0 {
-		row.GoodputRatio = row.GoodputOps / capacity
+	return pts, func(pt int, p Point) (OverloadPoint, error) {
+		var recs []pool.Completion
+		pl, out, err := p.Run(func(c pool.Completion) { recs = append(recs, c) })
+		if err != nil {
+			return OverloadPoint{}, err
+		}
+		row := OverloadPoint{Point: pt, Fault: faultName(p.Plan), OfferedOps: p.Load.RatePerSec, Outcome: out}
+		row.LoadX, row.Mode = axes(pt)
+		s := pl.(*pool.Pool).Stats()
+		if s.LatMiss.Count() > 0 {
+			row.MissP99 = s.LatMiss.Percentile(99)
+			row.MissP999 = s.LatMiss.Percentile(99.9)
+		}
+		for _, ch := range s.PerChannel {
+			row.HeldHW = max(row.HeldHW, ch.HeldHW)
+		}
+		row.GoodputOps = overloadGoodput(recs) // Late==0 under "block": all good
+		if capacity > 0 {
+			row.GoodputRatio = row.GoodputOps / capacity
+		}
+		return row, nil
 	}
-	return row, nil
 }
 
 // Overload is the saturation campaign capping the request plane: measured
@@ -301,37 +277,23 @@ func overloadPoint(pt, reqs int, loads []float64, faults []string, capacity floa
 // the merged table is byte-identical at any worker count.
 func Overload(o Options) (OverloadResult, error) {
 	var res OverloadResult
-	// Points must reach steady state: the admission estimator converges over
-	// the first few milliseconds (cold NAND paths, cache hit reservoir), and
-	// the goodput claim is about what comes after. 2000 requests put the 4x
-	// point's arrival span near 6x the convergence transient.
 	reqs := o.pick(2000, 1500)
-	loads := []float64{0.5, 1, 2, 4}
-	faults := []string{"none", "program", "dietimeout"}
-	if o.Quick {
-		loads = []float64{1, 4}
-		faults = []string{"none", "program"}
-	}
-	points := len(loads) * len(overloadModes) * len(faults)
-
 	// One serial calibration run, the same shape and seed at any
-	// o.Parallel: every point's offered rate derives from it, so the whole
-	// table is a pure function of the seeds.
-	capacity, err := calibrate("overload calibration",
-		overloadPool(sim.SplitSeed(17, "overload/cal"), pool.AdmitBlock, nil, o.DisableLookahead), reqs,
-		func(foot int64) openloop.Config {
-			return overloadLoad(sim.SplitSeed(17, "overload-load/cal"), 0, 0, foot)
-		})
+	// o.Parallel: every point's offered rate derives from it and is
+	// written into the point before sharding, so each row is a function
+	// of its point's value alone.
+	cal := campaignPoint("overload calibration", overloadMemberCfg(),
+		sim.SplitSeed(17, "overload/cal"), sim.SplitSeed(17, "overload-load/cal"), 70, o.DisableLookahead)
+	cal.Reqs = reqs
+	capacity, err := calibrate(cal)
 	if err != nil {
 		return res, err
 	}
 	res.CapacityOps = capacity
-	epoch := overloadMemberCfg().TREFI
-	res.DeadlineBudget = overloadDeadlineEpochs * epoch
-
-	res.Rows, err = runShards(points, o.workers(), func(pt int) (OverloadPoint, error) {
-		return overloadPoint(pt, reqs, loads, faults, capacity, res.DeadlineBudget, o.DisableLookahead)
-	})
+	res.DeadlineBudget = overloadDeadlineEpochs * overloadMemberCfg().TREFI
+	pts, row := overloadTable(o, capacity)
+	points := len(pts)
+	res.Rows, err = runShards(points, o.workers(), func(i int) (OverloadPoint, error) { return row(i, pts[i]) })
 	if err != nil {
 		return res, err
 	}

@@ -52,23 +52,31 @@ func (r IdleSegment) IdleSpeedupX() float64 {
 	return r.IdleWallLockstepMS / r.IdleWallLookaheadMS
 }
 
-// measureIdle runs an idle-heavy segment in both scheduler modes, lockstep
-// first, and errors if their fingerprints differ. run returns the
-// fingerprint, the epoch count and the host wall time (ms) of its run phase.
-func measureIdle(name string, reqs int, run func(lockstep bool) (string, int, float64, error)) (IdleSegment, string, error) {
-	lockFP, epochs, lockWall, err := run(true)
-	if err != nil {
-		return IdleSegment{}, "", err
+// measureIdle runs the idle-heavy segment pt in both scheduler modes,
+// lockstep first, and errors if their fingerprints differ. fingerprint
+// returns a run's fingerprint and epoch count; the wall time is the run
+// phase's alone, build and prefill excluded.
+func measureIdle(pt Point, fingerprint func(Plane) (string, int)) (IdleSegment, string, error) {
+	seg := IdleSegment{IdleReqs: pt.Reqs}
+	var fps [2]string
+	for i, wall := range []*float64{&seg.IdleWallLockstepMS, &seg.IdleWallLookaheadMS} {
+		pt.Pool.DisableLookahead = i == 0
+		pl, gen, err := pt.build()
+		if err != nil {
+			return seg, "", err
+		}
+		start := time.Now()
+		if _, err := runPoint(pt.Label, pl, gen, pt.Reqs, nil); err != nil {
+			return seg, "", err
+		}
+		*wall = float64(time.Since(start).Microseconds()) / 1000
+		fps[i], seg.IdleEpochs = fingerprint(pl)
 	}
-	aheadFP, _, aheadWall, err := run(false)
-	if err != nil {
-		return IdleSegment{}, "", err
+	if fps[0] != fps[1] {
+		return IdleSegment{}, "", fmt.Errorf("%s: lookahead diverged from lockstep:\n  lockstep:  %s\n  lookahead: %s",
+			pt.Label, fps[0], fps[1])
 	}
-	if lockFP != aheadFP {
-		return IdleSegment{}, "", fmt.Errorf("%s idle segment: lookahead diverged from lockstep:\n  lockstep:  %s\n  lookahead: %s",
-			name, lockFP, aheadFP)
-	}
-	return IdleSegment{reqs, epochs, lockWall, aheadWall}, lockFP, nil
+	return seg, fps[0], nil
 }
 
 // At returns the cell for a channel count and interleave granularity (KB).
@@ -91,49 +99,44 @@ func (r PoolResult) ScalingX() float64 {
 	return r.At(6, 4).MBps / one
 }
 
-// poolMemberCfg returns the per-(channel,DIMM) member configuration: the
-// standard scaled module at full scale, a further-shrunken one (4 MB cache,
-// still big enough to hold whole 2 MB stripes) for -quick.
-func poolMemberCfg(o Options) core.Config {
-	cfg := core.DefaultConfig()
+// poolPoint is the pool campaign's socket, channels x 1 DIMM interleaved
+// at gran, its members built and prefilled on o.Parallel workers: the
+// standard scaled module at full scale, a further-shrunken one (4 MB
+// cache, still big enough to hold whole 2 MB stripes) for -quick. It runs
+// its two-tenant load over the cached footprint: a zipfian read-mostly
+// key-value tenant over the low half, a uniform mixed tenant over the high
+// half. The halves are exact, so on a footprint of an odd page count the
+// high half starts mid-page.
+func poolPoint(o Options, label string, channels int, gran int64, loadSeed uint64, rate float64) Point {
+	member := core.DefaultConfig()
 	if o.Quick {
-		cfg.CacheBytes = 4 << 20
-		cfg.NAND.BlocksPerDie = 32
+		member.CacheBytes, member.NAND.BlocksPerDie = 4<<20, 32
 	}
-	return cfg
-}
-
-// poolShape is the pool campaign's socket: channels x 1 DIMM interleaved
-// at gran, its members built and prefilled on o.Parallel workers.
-func poolShape(o Options, channels int, gran int64) pool.Config {
-	return pool.Config{
-		Channels:         channels,
-		DIMMsPerChannel:  1,
-		Interleave:       gran,
-		Member:           poolMemberCfg(o),
-		Workers:          o.workers(),
-		Seed:             7,
-		PrefillPages:     -1,
-		WalkFootprint:    15 << 30,
-		DisableLookahead: o.DisableLookahead,
-	}
-}
-
-// poolLoad is the pool campaign's two-tenant load over the pool's cached
-// footprint: a zipfian read-mostly key-value tenant over the low half, a
-// uniform mixed tenant over the high half.
-func poolLoad(p *pool.Pool, seed uint64, rate float64) (*openloop.Generator, error) {
-	foot := p.CachedFootprint()
-	return openloop.New(openloop.Config{
-		Seed:       seed,
-		RatePerSec: rate,
-		Tenants: []openloop.Tenant{
-			{Name: "kv", Dist: openloop.Zipfian, Weight: 3, ReadPct: 90,
-				Footprint: foot / 2},
-			{Name: "mix", Dist: openloop.Uniform, Weight: 1, ReadPct: 50,
-				Footprint: foot - foot/2, Offset: foot / 2},
+	return Point{
+		Label: label,
+		Pool: pool.Config{
+			Channels:         channels,
+			DIMMsPerChannel:  1,
+			Interleave:       gran,
+			Member:           member,
+			Workers:          o.workers(),
+			Seed:             7,
+			PrefillPages:     -1,
+			WalkFootprint:    15 << 30,
+			DisableLookahead: o.DisableLookahead,
 		},
-	})
+		Load: openloop.Config{
+			Seed:       loadSeed,
+			RatePerSec: rate,
+			Tenants: []openloop.Tenant{
+				{Name: "kv", Dist: openloop.Zipfian, Weight: 3, ReadPct: 90},
+				{Name: "mix", Dist: openloop.Uniform, Weight: 1, ReadPct: 50},
+			},
+		},
+		BlockSize: PageSize,
+		Cached:    true,
+		Exact:     true,
+	}
 }
 
 // Pool sweeps the pooled socket: 1/2/4/6 channels x {4 KB, 2 MB} interleave
@@ -150,21 +153,15 @@ func Pool(o Options) (PoolResult, error) {
 
 	for _, gran := range grans {
 		for _, channels := range channelCounts {
-			label := fmt.Sprintf("pool %dch gran=%d", channels, gran)
-			p, err := pool.New(poolShape(o, channels, gran))
-			if err != nil {
-				return res, fmt.Errorf("%s: %w", label, err)
-			}
 			// Saturating (rate 0): measure delivered, not offered, bandwidth.
-			gen, err := poolLoad(p, sim.SplitSeed(7, fmt.Sprintf("pool-exp/%d/%d", channels, gran)), 0)
+			pt := poolPoint(o, fmt.Sprintf("pool %dch gran=%d", channels, gran), channels, gran,
+				sim.SplitSeed(7, fmt.Sprintf("pool-exp/%d/%d", channels, gran)), 0)
+			pt.Reqs = perChannel * channels
+			pl, out, err := pt.Run(nil)
 			if err != nil {
 				return res, err
 			}
-			out, err := runPoint(label, p, gen, perChannel*channels, nil)
-			if err != nil {
-				return res, err
-			}
-			s := p.Stats()
+			s := pl.(*pool.Pool).Stats()
 			res.Rows = append(res.Rows, PoolPoint{
 				Channels:     channels,
 				InterleaveKB: int(gran >> 10),
@@ -183,36 +180,19 @@ func Pool(o Options) (PoolResult, error) {
 	// deterministic (simulated) values are printed; the wall-clock numbers
 	// leave through the advisory headlines so stdout stays byte-comparable
 	// across runs, worker counts and scheduler modes.
-	idleReqs := o.pick(3000, 400)
-	idleRun := func(lockstep bool) (string, int, float64, error) {
-		cfg := poolShape(o, 6, 4096)
-		// The default 4-epoch probe period clips every quiet batch to 4
-		// epochs; this segment measures scheduler throughput on a
-		// fault-free pool, so the probe runs at a deployment-style period
-		// instead (identical in both runs either way).
-		cfg.ProbeEvery = 64
-		cfg.DisableLookahead = lockstep
-		p, err := pool.New(cfg)
-		if err != nil {
-			return "", 0, 0, fmt.Errorf("pool idle segment: %w", err)
-		}
-		// ~500 us between arrivals (~64 epochs): idle-dominated.
-		gen, err := poolLoad(p, sim.SplitSeed(7, "pool-exp/idle"), 2e3)
-		if err != nil {
-			return "", 0, 0, err
-		}
-		start := time.Now()
-		if _, err := runPoint("pool idle segment", p, gen, idleReqs, nil); err != nil {
-			return "", 0, 0, err
-		}
-		wallMS := float64(time.Since(start).Microseconds()) / 1000
-		s := p.Stats()
-		fp := fmt.Sprintf("reqs=%d done=%d failed=%d shed=%d expired=%d epochs=%d held-peak=%d p50=%v p99=%v p999=%v bw=%.3fMB/s",
+	// ~500 us between arrivals (~64 epochs): idle-dominated.
+	idle := poolPoint(o, "pool idle segment", 6, 4096, sim.SplitSeed(7, "pool-exp/idle"), 2e3)
+	// The default 4-epoch probe period clips every quiet batch to 4
+	// epochs; this segment measures scheduler throughput on a fault-free
+	// pool, so the probe runs at a deployment-style period instead
+	// (identical in both runs either way).
+	idle.Pool.ProbeEvery, idle.Reqs = 64, o.pick(3000, 400)
+	seg, idleFP, err := measureIdle(idle, func(pl Plane) (string, int) {
+		s := pl.(*pool.Pool).Stats()
+		return fmt.Sprintf("reqs=%d done=%d failed=%d shed=%d expired=%d epochs=%d held-peak=%d p50=%v p99=%v p999=%v bw=%.3fMB/s",
 			s.Submitted, s.Completed, s.Failed, s.Shed, s.Expired, s.Epochs, s.HeldPeak,
-			s.Lat.Percentile(50), s.Lat.Percentile(99), s.Lat.Percentile(99.9), s.Meter.BandwidthMBps())
-		return fp, s.Epochs, wallMS, nil
-	}
-	seg, idleFP, err := measureIdle("pool", idleReqs, idleRun)
+			s.Lat.Percentile(50), s.Lat.Percentile(99), s.Lat.Percentile(99.9), s.Meter.BandwidthMBps()), s.Epochs
+	})
 	if err != nil {
 		return res, err
 	}

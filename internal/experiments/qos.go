@@ -135,153 +135,124 @@ func (p *QoSPoint) WorstLightP99() sim.Duration {
 	return w
 }
 
-// qosMix lays the campaign's four tenants over the pool footprint: the hot
-// zipfian tenant works the first half, three uniform lights split the
-// rest, page-aligned, all at 80% reads. hot and light carry the weights and
-// contracts.
-func qosMix(foot int64, hot, light openloop.Tenant) []openloop.Tenant {
-	hotFoot := (foot / 2) &^ 4095
-	lightFoot := ((foot - hotFoot) / 3) &^ 4095
-	hot.Name, hot.Dist, hot.ReadPct, hot.Footprint = "hot", openloop.Zipfian, 80, hotFoot
+// qosMix is the campaign's four tenants, all at 80% reads: the hot
+// zipfian tenant, then three uniform lights. hot and light carry the
+// weights and contracts.
+func qosMix(hot, light openloop.Tenant) []openloop.Tenant {
+	hot.Name, hot.Dist, hot.ReadPct = "hot", openloop.Zipfian, 80
 	ts := []openloop.Tenant{hot}
 	for i := 0; i < 3; i++ {
 		l := light
 		l.Name, l.Dist, l.ReadPct = fmt.Sprintf("light%d", i), openloop.Uniform, 80
-		l.Footprint, l.Offset = lightFoot, hotFoot+int64(i)*lightFoot
 		ts = append(ts, l)
 	}
 	return ts
 }
 
-// qosCalTenants is the calibration blend: the campaign's footprints and
-// distributions at the nominal 12:1:1:1 traffic split (the hot tenant's
-// ~80% share of the no-isolation arrival stream), no contracts — capacity
-// is measured with QoS disarmed.
-func qosCalTenants(foot int64) []openloop.Tenant {
-	return qosMix(foot, openloop.Tenant{Weight: 12}, openloop.Tenant{Weight: 1})
-}
-
-// qosTenants builds the campaign mix with the contracts armed. Arrival
-// weights are the tenants' absolute offered rates (openloop normalizes, so
-// weight ratios ARE the traffic split): the hot tenant at qosHotX x mix
-// capacity with a token bucket at a quarter of that, each light at qosLightX
-// x uniform capacity with a p99 SLO. DRR service weights stay equal — the
-// fairness mechanism, not the arrival mix, is the campaign subject.
-func qosTenants(foot int64, mixCap, uniCap float64, slo sim.Duration) []openloop.Tenant {
-	hotRate := qosHotX * mixCap
-	return qosMix(foot,
-		openloop.Tenant{Weight: hotRate, LimitPerSec: hotRate / qosBucketDiv, Burst: 32},
-		openloop.Tenant{Weight: qosLightX * uniCap, SLOP99: slo})
-}
-
-// qosPool is one campaign pool: the overload campaign's pool with the
-// tenant QoS contracts armed or disarmed and the requested fault plan. The
-// off arm drops enforcement but keeps per-tenant tracking (QoSFromTenants
-// carries the isolation switch), so both arms report the same observables.
-func qosPool(seed uint64, tenants []openloop.Tenant, isolation bool, plan fault.Plan, lockstep bool) pool.Config {
-	cfg := campaignPool(overloadMemberCfg(), seed, lockstep)
-	cfg.QoS = pool.QoSFromTenants(tenants, isolation)
-	cfg.ArmFaults = plan.PoolHook()
-	return cfg
+// qosPoint is a campaign pool: the overload campaign's point with seeds
+// split from seed, under one tenant over the whole capacity or qosMix's
+// four: the hot tenant works the low half, the three lights split the
+// rest.
+func qosPoint(o Options, label, seed string, tenants []openloop.Tenant) Point {
+	p := campaignPoint(label, overloadMemberCfg(), sim.SplitSeed(23, "qos/"+seed), sim.SplitSeed(23, "qos-load/"+seed),
+		0, o.DisableLookahead)
+	p.Load.Tenants, p.Reqs = tenants, o.pick(2400, 1200)
+	if len(tenants) > 1 {
+		p.Shares = []int{3, 1, 1, 1}
+	}
+	return p
 }
 
 // qosCalibrate measures the campaign's two capacity references, each one
 // serial calibrate run with the QoS contracts disarmed: the hot-dominated
-// mix blend (the hot tenant's overload multiple) and a pure uniform probe
-// (the lights' miss-dominated regime). Calibrating on the mix matters for
-// the hot side — its zipfian working set is far more cache-friendly than a
-// uniform probe, so a uniform capacity number would not overload the mix
-// at any modest multiple — while the lights must be priced against the
-// uniform number or their "light" load would itself exceed the
-// miss-service rate.
-func qosCalibrate(reqs int, lockstep bool) (mixCap, uniCap float64, err error) {
-	cal := func(label string, shape func(foot int64) []openloop.Tenant) (float64, error) {
-		return calibrate("qos "+label+" calibration", qosPool(sim.SplitSeed(23, "qos/cal/"+label), nil, false, nil, lockstep), reqs,
-			func(foot int64) openloop.Config {
-				return openloop.Config{Seed: sim.SplitSeed(23, "qos-load/cal/"+label), Tenants: shape(foot)}
-			})
-	}
-	if mixCap, err = cal("mix", qosCalTenants); err != nil {
+// mix blend at the nominal 12:1:1:1 traffic split (the hot tenant's ~80%
+// share of the no-isolation arrival stream; the hot tenant's overload
+// multiple) and a pure uniform probe (the lights' miss-dominated regime).
+// Calibrating on the mix matters for the hot side — its zipfian working
+// set is far more cache-friendly than a uniform probe, so a uniform
+// capacity number would not overload the mix at any modest multiple —
+// while the lights must be priced against the uniform number or their
+// "light" load would itself exceed the miss-service rate.
+func qosCalibrate(o Options) (mixCap, uniCap float64, err error) {
+	mixCap, err = calibrate(qosPoint(o, "qos mix calibration", "cal/mix",
+		qosMix(openloop.Tenant{Weight: 12}, openloop.Tenant{Weight: 1})))
+	if err != nil {
 		return 0, 0, err
 	}
-	uniCap, err = cal("uniform", func(foot int64) []openloop.Tenant {
-		return []openloop.Tenant{{Name: "uni", Dist: openloop.Uniform, ReadPct: 80, Footprint: foot}}
-	})
+	uniCap, err = calibrate(qosPoint(o, "qos uniform calibration", "cal/uniform",
+		[]openloop.Tenant{{Name: "uni", Dist: openloop.Uniform, ReadPct: 80}}))
 	return mixCap, uniCap, err
 }
 
-// qosPoint runs one campaign point. Each point is a fully independent pool
-// (own seed splits for members, faults and workload), so points fan across
-// shards with byte-identical merged output.
-func qosPoint(pt, reqs int, faults []string, mixCap, uniCap float64, slo sim.Duration, lockstep bool) (QoSPoint, error) {
-	isolation := pt%2 == 0
-	kind := faults[pt/2]
-
-	// Tenant shapes need the pool footprint, which needs the pool; build a
-	// throwaway config first to size footprints, then the real pool with the
-	// contracts armed. Footprint depends only on (member shape, seed), so
-	// the two agree.
-	plan := victimPlan(kind)
-	label := fmt.Sprintf("qos point %d (iso=%v %s)", pt, isolation, plan)
-	seed := sim.SplitSeed(23, fmt.Sprintf("qos/%d", pt))
-	probe, err := pool.New(qosPool(seed, nil, false, nil, lockstep))
-	if err != nil {
-		return QoSPoint{}, fmt.Errorf("%s: %w", label, err)
+// qosTable is the campaign's points and row at the calibrated capacities:
+// isolation on at even points, off at odd, under fault plan pt/2. Point pt
+// is a fully independent pool (own seed splits for members, faults and
+// workload), so points fan across shards with byte-identical merged
+// output. Arrival weights are the tenants' absolute offered rates
+// (openloop normalizes, so weight ratios ARE the traffic split, and the
+// arrival clock runs at their sum): the hot tenant at qosHotX x mix
+// capacity with a token bucket at a quarter of that, each light at
+// qosLightX x uniform capacity with a p99 SLO. DRR service weights stay
+// equal — the fairness mechanism, not the arrival mix, is the campaign
+// subject. The off arm drops enforcement but keeps per-tenant tracking,
+// so both arms report the same observables. Points must outlast the
+// admission and service transients the SLO is judged against; 2400
+// requests put the hot tenant thousands of bucket refills past its burst.
+// Conservation — pool-wide and per-tenant, including throttled — is
+// audited at every point, under every fault schedule.
+func qosTable(o Options, mixCap, uniCap float64) ([]Point, func(int, Point) (QoSPoint, error)) {
+	faults := victimPlans(fault.Program, fault.DieTimeout)
+	if o.Quick {
+		faults = faults[:2]
 	}
-	tenants := qosTenants(campaignFootprint(probe), mixCap, uniCap, slo)
-	// Tenant weights are absolute offered rates; the arrival clock runs at
-	// their sum.
-	offered := 0.0
-	for _, t := range tenants {
-		offered += t.Weight
-	}
-	p, err := pool.New(qosPool(seed, tenants, isolation, plan, lockstep))
-	if err != nil {
-		return QoSPoint{}, fmt.Errorf("%s: %w", label, err)
-	}
-	gen, err := openloop.New(openloop.Config{
-		Seed:       sim.SplitSeed(23, fmt.Sprintf("qos-load/%d", pt)),
-		RatePerSec: offered,
-		Tenants:    tenants,
-	})
-	if err != nil {
-		return QoSPoint{}, err
-	}
-	// Conservation — pool-wide and per-tenant, including throttled — is
-	// audited at every point, under every fault schedule.
-	out, err := runPoint(label, p, gen, reqs, nil)
-	if err != nil {
-		return QoSPoint{}, err
-	}
-	row := QoSPoint{
-		Point:      pt,
-		Isolation:  isolation,
-		Fault:      kind,
-		OfferedOps: offered,
-		Outcome:    out,
-	}
-	weightSum := 0.0
-	for _, t := range tenants {
-		weightSum += t.Weight
-	}
-	for i, ts := range p.Stats().PerTenant {
-		tr := QoSTenantRow{
-			Name:       ts.Name,
-			OfferedOps: offered * tenants[i].Weight / weightSum,
-			BucketOps:  ts.RatePerSec,
-			Outcome:    Outcome{Ledger: ts.Ledger, Lat: ts.Lat},
-			SLO:        ts.SLOP99,
-			Violated:   ts.SLOViolated(),
+	hotRate := qosHotX * mixCap
+	pts := make([]Point, 2*len(faults))
+	for pt := range pts {
+		isolation, plan := pt%2 == 0, faults[pt/2]
+		p := qosPoint(o, fmt.Sprintf("qos point %d (iso=%v %s)", pt, isolation, plan), fmt.Sprint(pt),
+			qosMix(openloop.Tenant{Weight: hotRate, LimitPerSec: hotRate / qosBucketDiv, Burst: 32},
+				openloop.Tenant{Weight: qosLightX * uniCap, SLOP99: qosSLOEpochs * overloadMemberCfg().TREFI}))
+		for _, t := range p.Load.Tenants {
+			p.Load.RatePerSec += t.Weight
 		}
-		if sec := ts.Meter.Elapsed().Seconds(); sec > 0 {
-			tr.GoodputOps = float64(ts.Meter.Ops()) / sec
+		p.QoS = QoSTrack
+		if isolation {
+			p.QoS = QoSIsolate
 		}
-		row.Tenants = append(row.Tenants, tr)
+		p.Plan = plan
+		pts[pt] = p
 	}
-	if hot := row.Tenants[0]; hot.BucketOps > 0 {
-		row.HotRatio = hot.GoodputOps / hot.BucketOps
+	return pts, func(pt int, p Point) (QoSPoint, error) {
+		pl, out, err := p.Run(nil)
+		if err != nil {
+			return QoSPoint{}, err
+		}
+		row := QoSPoint{
+			Point:      pt,
+			Isolation:  p.QoS == QoSIsolate,
+			Fault:      faultName(p.Plan),
+			OfferedOps: p.Load.RatePerSec,
+			Outcome:    out,
+		}
+		for i, ts := range pl.(*pool.Pool).Stats().PerTenant {
+			tr := QoSTenantRow{
+				Name:       ts.Name,
+				OfferedOps: p.Load.Tenants[i].Weight, // weights are offered rates
+				BucketOps:  ts.RatePerSec,
+				Outcome:    Outcome{Ledger: ts.Ledger, Lat: ts.Lat},
+				SLO:        ts.SLOP99,
+				Violated:   ts.SLOViolated(),
+			}
+			if sec := ts.Meter.Elapsed().Seconds(); sec > 0 {
+				tr.GoodputOps = float64(ts.Meter.Ops()) / sec
+			}
+			row.Tenants = append(row.Tenants, tr)
+		}
+		if hot := row.Tenants[0]; hot.BucketOps > 0 {
+			row.HotRatio = hot.GoodputOps / hot.BucketOps
+		}
+		return row, nil
 	}
-	return row, nil
 }
 
 // QoS is the multi-tenant noisy-neighbor campaign: measured capacity, then
@@ -293,27 +264,17 @@ func qosPoint(pt, reqs int, faults []string, mixCap, uniCap float64, slo sim.Dur
 // worker count and with the lookahead scheduler on or off.
 func QoS(o Options) (QoSResult, error) {
 	var res QoSResult
-	// Points must outlast the admission and service transients the SLO is
-	// judged against; 2400 requests put the hot tenant thousands of bucket
-	// refills past its burst.
-	reqs := o.pick(2400, 1200)
-	faults := []string{"none", "program", "dietimeout"}
-	if o.Quick {
-		faults = []string{"none", "program"}
-	}
-	points := 2 * len(faults)
-
-	mixCap, uniCap, err := qosCalibrate(reqs, o.DisableLookahead)
+	// The calibrated rates are written into the points before sharding,
+	// so each row is a function of its point's value alone.
+	mixCap, uniCap, err := qosCalibrate(o)
 	if err != nil {
 		return res, err
 	}
-	res.CapacityOps = mixCap
-	res.UniformOps = uniCap
+	res.CapacityOps, res.UniformOps = mixCap, uniCap
 	res.SLOTarget = qosSLOEpochs * overloadMemberCfg().TREFI
-
-	res.Rows, err = runShards(points, o.workers(), func(pt int) (QoSPoint, error) {
-		return qosPoint(pt, reqs, faults, mixCap, uniCap, res.SLOTarget, o.DisableLookahead)
-	})
+	pts, row := qosTable(o, mixCap, uniCap)
+	points, reqs := len(pts), pts[0].Reqs
+	res.Rows, err = runShards(points, o.workers(), func(i int) (QoSPoint, error) { return row(i, pts[i]) })
 	if err != nil {
 		return res, err
 	}

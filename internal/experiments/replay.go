@@ -75,16 +75,26 @@ func (r ReplayResult) CompactionX() float64 {
 	return float64(r.TextBytes) / float64(r.BinaryBytes)
 }
 
-// replayPool builds one campaign pool: the campaign shape over the
-// overload member, without a spare (no fault is armed, so the breakers
-// never see a failed fragment), built on workers, with bounded, shedding
-// admission — so the captured run exercises completions, late
-// completions, sheds and expiries all at once.
-func replayPool(workers int, lockstep bool) (*pool.Pool, error) {
-	cfg := campaignPool(overloadMemberCfg(), sim.SplitSeed(23, "replay/pool"), lockstep)
-	cfg.Workers, cfg.Spares = workers, 0
-	cfg.Admission, cfg.PendingCap = pool.AdmitShedNewest, 16
-	return pool.New(cfg)
+// replayPoint is the captured run: the campaign shape over the overload
+// member, without a spare (no fault is armed, so the breakers never see a
+// failed fragment), built on workers, with bounded, shedding admission —
+// so the captured run exercises completions, late completions, sheds and
+// expiries all at once. Its offered load is well past the small members'
+// service rate over the whole capacity (cache misses spill to NAND), with
+// a hard per-request budget: the run sheds at admission and expires
+// queued stragglers, so the trace encodes every outcome class. The replay
+// variants build the same plane, on their own worker counts.
+func replayPoint(reqs, workers int, lockstep bool) Point {
+	p := campaignPoint("replay capture", overloadMemberCfg(), sim.SplitSeed(23, "replay/pool"), sim.SplitSeed(23, "replay/load"), 0, lockstep)
+	p.Pool.Workers, p.Pool.Spares = workers, 0
+	p.Pool.Admission, p.Pool.PendingCap = pool.AdmitShedNewest, 16
+	p.Load.RatePerSec, p.Load.Deadline = 1e6, 64*overloadMemberCfg().TREFI
+	p.Load.Tenants = []openloop.Tenant{
+		{Name: "kv", Dist: openloop.Zipfian, Weight: 3, ReadPct: 80},
+		{Name: "log", Dist: openloop.Uniform, Weight: 1, ReadPct: 40},
+	}
+	p.Reqs = reqs
+	return p
 }
 
 // replaySnapshot serializes every externally observable pool stat; two runs
@@ -110,25 +120,8 @@ func replaySnapshot(s pool.Stats) string {
 // replayCapture drives the live run, teeing the offered stream into both
 // trace formats at once, and returns the traces plus the live stats.
 func replayCapture(reqs int, lockstep bool) (text, binary []byte, live pool.Stats, err error) {
-	p, err := replayPool(1, lockstep)
-	if err != nil {
-		return nil, nil, live, fmt.Errorf("replay capture: %w", err)
-	}
-	// Offered load well past the small members' service rate over the whole
-	// capacity (cache misses spill to NAND), with a hard per-request budget:
-	// the run sheds at admission and expires queued stragglers, so the trace
-	// encodes every outcome class.
-	foot := campaignFootprint(p)
-	gen, err := openloop.New(openloop.Config{
-		Seed:       sim.SplitSeed(23, "replay/load"),
-		RatePerSec: 1e6,
-		Deadline:   64 * overloadMemberCfg().TREFI,
-		Tenants: []openloop.Tenant{
-			{Name: "kv", Dist: openloop.Zipfian, Weight: 3, ReadPct: 80, Footprint: foot / 2},
-			{Name: "log", Dist: openloop.Uniform, Weight: 1, ReadPct: 40,
-				Footprint: foot / 2, Offset: foot / 2},
-		},
-	})
+	pt := replayPoint(reqs, 1, lockstep)
+	pl, gen, err := pt.build()
 	if err != nil {
 		return nil, nil, live, err
 	}
@@ -143,7 +136,7 @@ func replayCapture(reqs int, lockstep bool) (text, binary []byte, live pool.Stat
 	}
 	trec, brec := replay.NewRecorder(tw), replay.NewRecorder(bw)
 	gen.SetCapture(func(q openloop.Request) { trec.Record(q); brec.Record(q) })
-	if _, err := runPoint("replay capture", p, gen, reqs, nil); err != nil {
+	if _, err := runPoint(pt.Label, pl, gen, reqs, nil); err != nil {
 		return nil, nil, live, err
 	}
 	if err := trec.Close(); err != nil {
@@ -156,7 +149,7 @@ func replayCapture(reqs int, lockstep bool) (text, binary []byte, live pool.Stat
 		return nil, nil, live, fmt.Errorf("replay capture: recorded %d/%d of %d requests",
 			trec.Records(), brec.Records(), reqs)
 	}
-	return tbuf.Bytes(), bbuf.Bytes(), p.Stats(), nil
+	return tbuf.Bytes(), bbuf.Bytes(), pl.(*pool.Pool).Stats(), nil
 }
 
 // replayVariant replays one (format, lockstep, workers) combination.
@@ -169,10 +162,11 @@ func replayVariant(pt, reqs int, traces map[replay.Format][]byte, liveSnap strin
 	workers := replayWorkerCounts[pt/4]
 	row := ReplayVariant{Point: pt, Format: format, Lockstep: lockstep, Workers: workers}
 
-	p, err := replayPool(workers, lockstep)
+	pl, err := replayPoint(reqs, workers, lockstep).plane()
 	if err != nil {
 		return row, fmt.Errorf("replay variant %d: %w", pt, err)
 	}
+	p := pl.(*pool.Pool)
 	rd, err := replay.NewReader(bytes.NewReader(traces[format]))
 	if err != nil {
 		return row, fmt.Errorf("replay variant %d: %w", pt, err)

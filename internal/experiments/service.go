@@ -77,7 +77,7 @@ func servicePoint(o Options, pt, clients, opsPer int) (ServicePoint, error) {
 
 	// The replay campaign's pool shape (no spare, no fault armed) under
 	// this point's admission policy.
-	cfg := campaignPool(overloadMemberCfg(), sim.SplitSeed(29, fmt.Sprintf("service/%d", pt)), o.DisableLookahead)
+	cfg := campaignPoint("", overloadMemberCfg(), sim.SplitSeed(29, fmt.Sprintf("service/%d", pt)), 0, 0, o.DisableLookahead).Pool
 	cfg.Workers, cfg.Spares = o.workers(), 0
 	cfg.Admission, cfg.PendingCap = pol.Policy, pol.PendingCap
 	s, err := server.New(server.Config{Pool: cfg})
