@@ -8,6 +8,7 @@ package ftl
 
 import (
 	"fmt"
+	"math"
 
 	"nvdimmc/internal/nand"
 	"nvdimmc/internal/sim"
@@ -38,25 +39,36 @@ const gcLowWaterBlocks = 2
 // lookup/update on the Cortex-A53).
 const coreOverhead = 1 * sim.Microsecond
 
+// blockMeta is the FTL's record of one physical block. Every block of the
+// array has one, factory-bad blocks included (they never enter a free pool,
+// so they are never opened or chosen as GC victims); the records come from
+// one slab and their reverse maps from one flat array, so a member's FTL
+// state is a fixed few bytes per raw page.
 type blockMeta struct {
-	addr     nand.PageAddr // page index unused
-	valid    int
-	inflight int     // programs issued but not yet completed
-	lpns     []int64 // per page: owning logical page, -1 if invalid/unwritten
+	lpns     []int32 // per page: owning logical page, unmapped if invalid/unwritten
+	die      int32   // flattened channel*DiesPerChan+die
+	block    int32
+	valid    int32
+	inflight int32 // programs issued but not yet completed
+	nextPage int32
 	inPool   bool
 	open     bool
-	nextPage int
 	erasing  bool
+}
+
+// addr returns the block's address (page 0).
+func (bm *blockMeta) addr() nand.PageAddr {
+	return nand.PageAddr{Channel: int(bm.die) / nand.DiesPerChan, Die: int(bm.die) % nand.DiesPerChan, Block: int(bm.block)}
 }
 
 type dieState struct {
 	free []*blockMeta // free pool, kept min-erase-first on allocation
 	open *blockMeta
-	all  []*blockMeta
-	gc   bool // GC in progress on this die
+	all  []blockMeta // indexed by block number
+	gc   bool        // GC in progress on this die
 }
 
-const unmapped = int64(-1)
+const unmapped = int32(-1)
 
 // FTL is the flash translation layer.
 type FTL struct {
@@ -79,6 +91,7 @@ type FTL struct {
 	dies    []*dieState // flattened channel*die
 	nextDie int         // round-robin write striping
 	logical int64       // number of logical pages exposed
+	ppb     int32       // pages per block
 
 	core *sim.Resource // the FTL firmware core
 
@@ -111,7 +124,8 @@ type stalledWrite struct {
 	done        func(error)
 }
 
-// New builds the FTL over arr, skipping factory bad blocks.
+// New builds the FTL over arr; factory bad blocks never enter a free pool.
+// It panics if the logical pages would overflow the int32 reverse map.
 func New(k *sim.Kernel, arr *nand.Array, cfg Config) *FTL {
 	f := &FTL{
 		k:        k,
@@ -123,29 +137,44 @@ func New(k *sim.Kernel, arr *nand.Array, cfg Config) *FTL {
 		core:     sim.NewResource(k, "ftl-core"),
 	}
 	ncfg := arr.Config()
+	ndies := nand.Channels * nand.DiesPerChan
+	slab := make([]blockMeta, ndies*ncfg.BlocksPerDie)
 	usable := 0
-	for c := 0; c < nand.Channels; c++ {
-		for d := 0; d < nand.DiesPerChan; d++ {
-			ds := &dieState{}
-			for b := 0; b < ncfg.BlocksPerDie; b++ {
-				addr := nand.PageAddr{Channel: c, Die: d, Block: b}
-				if arr.IsBad(addr) {
-					continue
-				}
-				bm := &blockMeta{addr: addr, lpns: make([]int64, ncfg.PagesPerBlock), inPool: true}
-				for i := range bm.lpns {
-					bm.lpns[i] = unmapped
-				}
-				ds.free = append(ds.free, bm)
-				ds.all = append(ds.all, bm)
-				usable++
-			}
-			f.dies = append(f.dies, ds)
+	for i := range slab {
+		bm := &slab[i]
+		bm.die, bm.block = int32(i/ncfg.BlocksPerDie), int32(i%ncfg.BlocksPerDie)
+		bm.inPool = !arr.IsBad(bm.addr())
+		if bm.inPool {
+			usable++
 		}
 	}
 	// Logical capacity: good blocks minus over-provisioning.
 	logicalBlocks := int(float64(usable) * (1 - cfg.OverProvisionPct/100))
 	f.logical = int64(logicalBlocks) * int64(ncfg.PagesPerBlock)
+	if f.logical > math.MaxInt32 {
+		panic(fmt.Sprintf("ftl: %d logical pages overflow the int32 reverse map", f.logical))
+	}
+	f.ppb = int32(ncfg.PagesPerBlock)
+	rev := make([]int32, len(slab)*ncfg.PagesPerBlock)
+	for i := range rev {
+		rev[i] = unmapped
+	}
+	f.dies = make([]*dieState, ndies)
+	for di := range f.dies {
+		ds := &dieState{
+			all:  slab[di*ncfg.BlocksPerDie : (di+1)*ncfg.BlocksPerDie : (di+1)*ncfg.BlocksPerDie],
+			free: make([]*blockMeta, 0, ncfg.BlocksPerDie),
+		}
+		for b := range ds.all {
+			bm := &ds.all[b]
+			base := (di*ncfg.BlocksPerDie + b) * ncfg.PagesPerBlock
+			bm.lpns = rev[base : base+ncfg.PagesPerBlock : base+ncfg.PagesPerBlock]
+			if bm.inPool {
+				ds.free = append(ds.free, bm)
+			}
+		}
+		f.dies[di] = ds
+	}
 	return f
 }
 
@@ -361,15 +390,10 @@ func (f *FTL) Trim(lpn int64) {
 }
 
 func (f *FTL) invalidate(addr nand.PageAddr) {
-	ds := f.dieFor(addr)
-	for _, bm := range ds.all {
-		if bm.addr.Block == addr.Block {
-			if bm.lpns[addr.Page] != unmapped {
-				bm.lpns[addr.Page] = unmapped
-				bm.valid--
-			}
-			return
-		}
+	bm := &f.dieFor(addr).all[addr.Block]
+	if bm.lpns[addr.Page] != unmapped {
+		bm.lpns[addr.Page] = unmapped
+		bm.valid--
 	}
 }
 
@@ -382,7 +406,7 @@ func (f *FTL) dieFor(addr nand.PageAddr) *dieState {
 // gc is set, the globally last free block is held back as GC headroom so the
 // reclaim path can never deadlock on space.
 func (f *FTL) allocOpen(ds *dieState, gc bool) *blockMeta {
-	if ds.open != nil && ds.open.nextPage < f.arr.Config().PagesPerBlock {
+	if ds.open != nil && ds.open.nextPage < f.ppb {
 		return ds.open
 	}
 	if ds.open != nil {
@@ -400,7 +424,7 @@ func (f *FTL) allocOpen(ds *dieState, gc bool) *blockMeta {
 	// Least-worn free block.
 	best := 0
 	for i, bm := range ds.free {
-		if f.arr.Erases(bm.addr) < f.arr.Erases(ds.free[best].addr) {
+		if f.arr.Erases(bm.addr()) < f.arr.Erases(ds.free[best].addr()) {
 			best = i
 		}
 	}
@@ -477,10 +501,10 @@ func (f *FTL) appendWriteN(target *dieState, lpn int64, data []byte, gc bool, co
 		}
 		return
 	}
-	page := bm.nextPage
+	page := int(bm.nextPage)
 	bm.nextPage++ // reserve in FTL metadata; nand enforces order too
 	bm.inflight++
-	if bm.nextPage >= f.arr.Config().PagesPerBlock {
+	if bm.nextPage >= f.ppb {
 		// Last page reserved: close the block so GC can take it as a victim.
 		bm.open = false
 		if ds.open == bm {
@@ -490,7 +514,7 @@ func (f *FTL) appendWriteN(target *dieState, lpn int64, data []byte, gc bool, co
 	pr := f.newProgram()
 	pr.lpn, pr.data, pr.gc, pr.commitCheck, pr.done, pr.attempt = lpn, data, gc, commitCheck, done, attempt
 	pr.ds, pr.bm, pr.page = ds, bm, page
-	addr := bm.addr
+	addr := bm.addr()
 	addr.Page = page
 	pr.addr = addr
 	f.arr.Program(addr, data, pr.programmedFn)
@@ -543,8 +567,8 @@ func (pr *program) programmed(err error) {
 		// bound — persistent program failure must surface, not consume
 		// the array block by block.
 		f.grownBad++
-		f.arr.MarkBad(bm.addr)
-		bm.nextPage = f.arr.Config().PagesPerBlock // close it
+		f.arr.MarkBad(addr)
+		bm.nextPage = f.ppb // close it
 		if attempt+1 >= maxProgramRetries {
 			if done != nil {
 				done(fmt.Errorf("ftl: program of lpn %d failed after %d remap attempts: %w", lpn, attempt+1, err))
@@ -564,7 +588,7 @@ func (pr *program) programmed(err error) {
 	}
 	// Invalidate the previous location, commit the new mapping.
 	if bm.lpns[page] != unmapped {
-		panic(fmt.Sprintf("ftl: double commit on %v page %d (holds lpn %d, committing %d)", bm.addr, page, bm.lpns[page], lpn))
+		panic(fmt.Sprintf("ftl: double commit on %v (holds lpn %d, committing %d)", addr, bm.lpns[page], lpn))
 	}
 	if old, ok := f.mapping[lpn]; ok {
 		f.invalidate(old)
@@ -573,7 +597,7 @@ func (pr *program) programmed(err error) {
 		f.debugLog("commit lpn=%d -> %v (gc=%v)", lpn, addr, gc)
 	}
 	f.mapping[lpn] = addr
-	bm.lpns[page] = lpn
+	bm.lpns[page] = int32(lpn)
 	bm.valid++
 	if gc {
 		f.gcWrites++
@@ -591,14 +615,15 @@ func (f *FTL) maybeGC(ds *dieState) {
 	}
 	// Victim: closed block with fewest valid pages (greedy), not open/pool.
 	var victim *blockMeta
-	for _, bm := range ds.all {
+	for i := range ds.all {
+		bm := &ds.all[i]
 		if bm.inPool || bm.open || bm.erasing {
 			continue
 		}
-		if bm.nextPage < f.arr.Config().PagesPerBlock {
-			continue // not fully written yet
+		if bm.nextPage < f.ppb {
+			continue // not fully written yet (or factory bad)
 		}
-		if bm.valid >= f.arr.Config().PagesPerBlock {
+		if bm.valid >= f.ppb {
 			continue // fully valid: erasing it reclaims nothing
 		}
 		if bm.inflight > 0 {
@@ -614,7 +639,7 @@ func (f *FTL) maybeGC(ds *dieState) {
 	ds.gc = true
 	f.gcRuns++
 	if f.debugLog != nil {
-		f.debugLog("gc select victim %v valid=%d", victim.addr, victim.valid)
+		f.debugLog("gc select victim %v valid=%d", victim.addr(), victim.valid)
 	}
 	f.relocate(ds, victim, 0)
 }
@@ -622,25 +647,25 @@ func (f *FTL) maybeGC(ds *dieState) {
 // relocate moves valid pages out of victim starting at page index i, then
 // erases it and returns it to the free pool.
 func (f *FTL) relocate(ds *dieState, victim *blockMeta, i int) {
-	pages := f.arr.Config().PagesPerBlock
-	for i < pages && victim.lpns[i] == unmapped {
+	for i < len(victim.lpns) && victim.lpns[i] == unmapped {
 		i++
 	}
-	if i >= pages {
+	vaddr := victim.addr()
+	if i >= len(victim.lpns) {
 		// A victim must hold no live pages by now; valid==0 is the O(1)
 		// equivalent of scanning the mapping (CheckInvariants ties the two).
 		if victim.valid != 0 {
-			panic(fmt.Sprintf("ftl: erasing %v with %d live pages", victim.addr, victim.valid))
+			panic(fmt.Sprintf("ftl: erasing %v with %d live pages", vaddr, victim.valid))
 		}
 		if f.debugLog != nil {
-			f.debugLog("gc erase %v", victim.addr)
+			f.debugLog("gc erase %v", vaddr)
 		}
 		victim.erasing = true
-		f.arr.Erase(victim.addr, func(err error) {
+		f.arr.Erase(vaddr, func(err error) {
 			victim.erasing = false
 			if err != nil {
 				f.grownBad++
-				f.arr.MarkBad(victim.addr)
+				f.arr.MarkBad(vaddr)
 				ds.gc = false
 				return
 			}
@@ -658,8 +683,8 @@ func (f *FTL) relocate(ds *dieState, victim *blockMeta, i int) {
 		})
 		return
 	}
-	lpn := victim.lpns[i]
-	src := victim.addr
+	lpn := int64(victim.lpns[i])
+	src := vaddr
 	src.Page = i
 	data := make([]byte, PageSize)
 	f.arr.Read(src, data, func(err error) {
@@ -723,30 +748,24 @@ func (f *FTL) FreeBlocks() int {
 func (f *FTL) CheckInvariants() error {
 	for lpn, addr := range f.mapping {
 		ds := f.dieFor(addr)
-		found := false
-		for _, bm := range ds.all {
-			if bm.addr.Block != addr.Block {
-				continue
-			}
-			found = true
-			if bm.lpns[addr.Page] != lpn {
-				return fmt.Errorf("ftl: lpn %d maps to %v but reverse entry is %d", lpn, addr, bm.lpns[addr.Page])
-			}
-		}
-		if !found {
+		if addr.Block < 0 || addr.Block >= len(ds.all) {
 			return fmt.Errorf("ftl: lpn %d maps to unknown block %v", lpn, addr)
+		}
+		if rev := int64(ds.all[addr.Block].lpns[addr.Page]); rev != lpn {
+			return fmt.Errorf("ftl: lpn %d maps to %v but reverse entry is %d", lpn, addr, rev)
 		}
 	}
 	for _, ds := range f.dies {
-		for _, bm := range ds.all {
-			n := 0
+		for i := range ds.all {
+			bm := &ds.all[i]
+			var n int32
 			for _, l := range bm.lpns {
 				if l != unmapped {
 					n++
 				}
 			}
 			if n != bm.valid {
-				return fmt.Errorf("ftl: block %v valid=%d but %d live lpns", bm.addr, bm.valid, n)
+				return fmt.Errorf("ftl: block %v valid=%d but %d live lpns", bm.addr(), bm.valid, n)
 			}
 		}
 	}

@@ -85,14 +85,21 @@ func (a PageAddr) String() string {
 	return fmt.Sprintf("ch%d/d%d/b%d/p%d", a.Channel, a.Die, a.Block, a.Page)
 }
 
+// block is one erase block. Its host state is sized by what it stores:
+// programs are in order, a failed program does not advance nextPage and an
+// erase resets it, so page p is programmed iff p < nextPage; a programmed
+// page with no stored data is an all-zero page (stored deduplicated). The
+// data index is made on the block's first non-zero program and dropped on
+// erase, so a block of zero or unwritten pages holds no per-page state.
 type block struct {
-	erases     uint64
-	programmed []bool // per page: programmed since last erase
-	zero       []bool // programmed with all-zero data (stored deduplicated)
-	nextPage   int    // NAND requires in-order page programming within a block
-	bad        bool
-	data       [][]byte // lazily allocated per page
+	erases   uint64
+	nextPage int32 // NAND requires in-order page programming within a block
+	bad      bool
+	data     [][]byte // per page: stored copy, nil for zero or unwritten
 }
+
+// programmed reports whether page p was programmed since the last erase.
+func (b *block) programmed(p int) bool { return p < int(b.nextPage) }
 
 type die struct {
 	blocks []block
@@ -124,7 +131,7 @@ type Array struct {
 
 // New builds the array and injects factory bad blocks.
 func New(k *sim.Kernel, cfg Config) *Array {
-	if cfg.BlocksPerDie <= 0 || cfg.PagesPerBlock <= 0 {
+	if cfg.BlocksPerDie <= 0 || cfg.PagesPerBlock <= 0 || cfg.PagesPerBlock > math.MaxInt32 {
 		panic("nand: invalid geometry")
 	}
 	a := &Array{k: k, cfg: cfg, errRng: sim.NewRand(cfg.Seed ^ 0xECC)}
@@ -138,9 +145,6 @@ func New(k *sim.Kernel, cfg Config) *Array {
 				busy:   sim.NewResource(k, fmt.Sprintf("nand-ch%d-die%d", c, d)),
 			}
 			for b := range dd.blocks {
-				dd.blocks[b].programmed = make([]bool, cfg.PagesPerBlock)
-				dd.blocks[b].zero = make([]bool, cfg.PagesPerBlock)
-				dd.blocks[b].data = make([][]byte, cfg.PagesPerBlock)
 				if cfg.InitialBadBlockPPM > 0 && rng.Intn(1_000_000) < cfg.InitialBadBlockPPM {
 					dd.blocks[b].bad = true
 				}
@@ -310,15 +314,15 @@ func (op *pageOp) readXfer() {
 func (op *pageOp) readSend(start sim.Time) {
 	a, b, addr, buf := op.a, op.b, op.addr, op.buf
 	switch {
-	case b.data[addr.Page] != nil:
-		copy(buf, b.data[addr.Page])
-	case b.programmed[addr.Page] && b.zero[addr.Page]:
-		// all-zero page, stored deduplicated
-		clear(buf)
-	default:
+	case !b.programmed(addr.Page):
 		for i := range buf {
 			buf[i] = 0xFF
 		}
+	case b.data != nil && b.data[addr.Page] != nil:
+		copy(buf, b.data[addr.Page])
+	default:
+		// all-zero page, stored deduplicated
+		clear(buf)
 	}
 	// ECC: raw bit errors are corrected up to the code's budget;
 	// beyond it the read fails and the (corrupted) data must not
@@ -398,9 +402,9 @@ func (op *pageOp) progStart(start sim.Time) {
 	switch {
 	case b.bad:
 		err = fmt.Errorf("nand: program to bad block %v", addr)
-	case b.programmed[addr.Page]:
+	case b.programmed(addr.Page):
 		err = fmt.Errorf("nand: overwrite of programmed page %v without erase", addr)
-	case addr.Page != b.nextPage:
+	case addr.Page != int(b.nextPage):
 		err = fmt.Errorf("nand: out-of-order program %v (next programmable page is %d)", addr, b.nextPage)
 	}
 	if err == nil && a.faults.Fires(fault.NANDProgramFail) {
@@ -413,10 +417,13 @@ func (op *pageOp) progStart(start sim.Time) {
 		a.programFails++
 	} else {
 		a.programs++
-		b.data[addr.Page] = op.data
-		b.zero[addr.Page] = op.data == nil
-		b.programmed[addr.Page] = true
-		b.nextPage = addr.Page + 1
+		if op.data != nil {
+			if b.data == nil {
+				b.data = make([][]byte, a.cfg.PagesPerBlock)
+			}
+			b.data[addr.Page] = op.data
+		}
+		b.nextPage = int32(addr.Page + 1)
 	}
 	if op.done == nil {
 		op.release()
@@ -456,11 +463,7 @@ func (a *Array) Erase(addr PageAddr, done func(err error)) {
 			return
 		}
 		b.erases++
-		for i := range b.programmed {
-			b.programmed[i] = false
-			b.zero[i] = false
-			b.data[i] = nil
-		}
+		b.data = nil
 		b.nextPage = 0
 		if done != nil {
 			a.k.ScheduleAt(start.Add(a.cfg.EraseLatency), func() { done(nil) })

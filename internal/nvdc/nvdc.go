@@ -382,7 +382,7 @@ func New(k *sim.Kernel, mc *imc.Controller, cache *cpucache.Cache, capacityPages
 		cache:         cache,
 		cfg:           cfg,
 		slots:         make([]slotState, cfg.Layout.NumSlots),
-		mapping:       make(map[int64]int),
+		mapping:       make(map[int64]int, cfg.Layout.NumSlots),
 		rep:           newReplacer(cfg.Policy, cfg.Layout.NumSlots),
 		inflight:      make(map[int64]*miss),
 		errs:          metrics.NewCounters(),
@@ -390,10 +390,11 @@ func New(k *sim.Kernel, mc *imc.Controller, cache *cpucache.Cache, capacityPages
 		metaShadow:    make([]byte, cfg.Layout.MetaSize),
 		metaEntries:   make([]cp.MetaEntry, cfg.Layout.NumSlots),
 		capacityPages: capacityPages,
+		free:          make([]int, cfg.Layout.NumSlots),
 	}
 	for i := range d.slots {
 		d.slots[i].lpn = noLPN
-		d.free = append(d.free, i)
+		d.free[i] = i
 	}
 	for i := 0; i < cfg.CPQueueDepth; i++ {
 		d.cpSlots = append(d.cpSlots, d.newCPSlot(i, false))

@@ -66,11 +66,15 @@ type lrc struct {
 	n      int
 }
 
-func newLRC(slots int) *lrc { return &lrc{member: make([]bool, slots)} }
+func newLRC(slots int) *lrc {
+	return &lrc{queue: make([]int, 0, slots), member: make([]bool, slots)}
+}
 
 func (l *lrc) Insert(slot int) {
-	if len(l.queue) == cap(l.queue) && l.head > 0 {
+	if len(l.queue) == cap(l.queue) && l.head >= len(l.queue)/2 {
 		// Reuse the popped prefix before append would grow the array.
+		// Only once it is half the array: each compaction then moves at
+		// most as many entries as were popped since the last one.
 		l.queue = l.queue[:copy(l.queue, l.queue[l.head:])]
 		l.head = 0
 	}

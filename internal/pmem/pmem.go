@@ -49,6 +49,13 @@ type Device struct {
 	cost    hostcost.Model
 
 	footprint int64
+
+	// opFree recycles Do records (copyOp). sink is the read sink and zeros
+	// the zero source of Do's chunks: fio reads copy into the sink and
+	// nothing reads it back; fio writes carry no data, so they copy zeros.
+	opFree []*copyOp
+	sink   []byte
+	zeros  []byte
 }
 
 // New builds and boots the device (refresh running).
@@ -107,38 +114,86 @@ func (d *Device) Do(off int64, n int, write bool, done func()) {
 	if off < 0 || off+int64(n) > d.cfg.Bytes {
 		panic(fmt.Sprintf("pmem: access [%d,%d) out of range", off, off+int64(n)))
 	}
-	chunks := hostcost.CopyChunks(n)
-	cpuSlice := d.cost.CopyCPU(n) / sim.Duration(chunks)
-	per := n / chunks
-	i := 0
-	var step func()
-	step = func() {
-		if i >= chunks {
-			done()
-			return
-		}
-		i++
-		last := i == chunks
-		sz := per
-		if last {
-			sz = n - per*(chunks-1)
-		}
-		buf := make([]byte, sz)
-		cont := step
-		rs := 0
-		if i == 1 {
-			rs = 1 // the op's row-activation overhead, charged once
-		}
-		o := off + int64((i-1)*per)
-		d.K.Schedule(cpuSlice, func() {
-			if write {
-				d.IMC.WriteRS(o, buf, rs, cont)
-			} else {
-				d.IMC.ReadRS(o, buf, rs, cont)
-			}
-		})
+	var op *copyOp
+	if k := len(d.opFree); k > 0 {
+		op = d.opFree[k-1]
+		d.opFree = d.opFree[:k-1]
+	} else {
+		op = &copyOp{d: d}
+		op.stepFn = op.step
+		op.issueFn = op.issue
 	}
-	step()
+	op.off, op.n, op.write, op.done = off, n, write, done
+	op.chunks = hostcost.CopyChunks(n)
+	op.cpuSlice = d.cost.CopyCPU(n) / sim.Duration(op.chunks)
+	op.per = n / op.chunks
+	op.i = 0
+	op.step()
+}
+
+// copyOp is one Do in flight: chunk i of chunks, each per bytes (the last
+// takes the remainder) after a cpuSlice of copy CPU; o, sz and rs describe
+// the chunk whose CPU slice is running. Its continuations are bound once,
+// when the record is first made, and the record returns to the device's
+// free list when the op finishes, so Do allocates nothing once warm.
+type copyOp struct {
+	d     *Device
+	off   int64
+	n     int
+	write bool
+	done  func()
+
+	chunks   int
+	per      int
+	i        int
+	cpuSlice sim.Duration
+	o        int64
+	sz       int
+	rs       int
+
+	stepFn  func()
+	issueFn func()
+}
+
+// step starts the next chunk's CPU slice, or finishes the op: the record
+// is released before done runs, so done may start the next op on it.
+func (op *copyOp) step() {
+	if op.i >= op.chunks {
+		d, done := op.d, op.done
+		op.done = nil
+		d.opFree = append(d.opFree, op)
+		done()
+		return
+	}
+	op.i++
+	op.sz = op.per
+	if op.i == op.chunks {
+		op.sz = op.n - op.per*(op.chunks-1)
+	}
+	op.rs = 0
+	if op.i == 1 {
+		op.rs = 1 // the op's row-activation overhead, charged once
+	}
+	op.o = op.off + int64((op.i-1)*op.per)
+	op.d.K.Schedule(op.cpuSlice, op.issueFn)
+}
+
+// issue puts the chunk on the bus once its CPU slice has elapsed.
+func (op *copyOp) issue() {
+	d := op.d
+	if op.write {
+		d.IMC.WriteRS(op.o, grow(&d.zeros, op.sz), op.rs, op.stepFn)
+	} else {
+		d.IMC.ReadRS(op.o, grow(&d.sink, op.sz), op.rs, op.stepFn)
+	}
+}
+
+// grow returns the first n bytes of *buf, growing it on demand.
+func grow(buf *[]byte, n int) []byte {
+	if len(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	return (*buf)[:n]
 }
 
 // Load and Store give the functional byte path (used by integration tests).

@@ -90,3 +90,25 @@ func TestThreadCPUUsesFootprint(t *testing.T) {
 		t.Fatal("footprint not reflected in per-op cost")
 	}
 }
+
+// TestDoZeroAllocs checks that a warm Do allocates nothing: its chunks run
+// on a recycled op record with bound continuations, reading into the
+// device's sink and writing from its zero source.
+func TestDoZeroAllocs(t *testing.T) {
+	d := newDev(t, 1<<30)
+	done := false
+	markDone := func() { done = true }
+	pending := func() bool { return !done }
+	op := func(write bool) {
+		done = false
+		d.Do(8192, 4096, write, markDone)
+		d.K.RunWhile(pending)
+	}
+	op(false)
+	op(true)
+	for _, write := range []bool{false, true} {
+		if allocs := testing.AllocsPerRun(100, func() { op(write) }); allocs != 0 {
+			t.Errorf("write=%v: %v allocations per warm Do, want 0", write, allocs)
+		}
+	}
+}

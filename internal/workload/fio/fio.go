@@ -137,103 +137,147 @@ func (r Result) String() string {
 
 // Run executes the job to completion on the target's kernel.
 func Run(t Target, job Job) (Result, error) {
+	return runJob(t, job, true)
+}
+
+// runJob is Run; unless measure is set, no op is recorded in the result's
+// meter or histogram.
+func runJob(t Target, job Job, measure bool) (Result, error) {
 	if err := job.Validate(t); err != nil {
 		return Result{}, err
 	}
 	t.Prepare(job.FileSize)
 	k := t.Kernel()
 
-	meter := metrics.NewMeter(k.Now())
-	hist := metrics.NewHistogram()
-	var measStart sim.Time
-	measuring := false
-	remaining := job.NumJobs
-
-	blocks := job.FileSize / job.Align
-	if blocks < 1 {
-		blocks = 1
+	r := &run{
+		t:         t,
+		job:       &job,
+		k:         k,
+		meter:     metrics.NewMeter(k.Now()),
+		hist:      metrics.NewHistogram(),
+		measure:   measure,
+		remaining: job.NumJobs,
+		blocks:    max(job.FileSize/job.Align, 1),
 	}
-
-	for th := 0; th < job.NumJobs; th++ {
-		rng := sim.NewRand(job.Seed + uint64(th)*0x9E37 + 1)
-		seq := int64(th) * (blocks / int64(job.NumJobs)) // thread's sequential cursor
-		opIdx := 0
-		var loop func()
-		loop = func() {
-			if opIdx >= job.OpsPerThread+job.WarmupOps {
-				remaining--
-				return
-			}
-			opIdx++
-			if !measuring && opIdx > job.WarmupOps {
-				// First measured op across all threads starts the clock.
-				measuring = true
-				measStart = k.Now()
-				*meter = *metrics.NewMeter(measStart)
-			}
-			var off int64
-			if job.Pattern.IsRandom() {
-				off = rng.Int63n(blocks) * job.Align
-			} else {
-				off = (seq % blocks) * job.Align
-				seq++
-			}
-			if off+int64(job.BlockSize) > job.FileSize {
-				off = job.FileSize - int64(job.BlockSize)
-				if off < 0 {
-					off = 0
-				}
-			}
-			write := job.Pattern.IsWrite()
-			if job.Pattern == RandRW {
-				write = rng.Intn(100) >= job.ReadPct
-			}
-			issueAt := k.Now()
-			measured := opIdx > job.WarmupOps
-			// Host CPU phase on this thread, then the device phase. A few
-			// percent of deterministic-random jitter models real CPU-time
-			// variance; without it, fixed op cycles can phase-lock with the
-			// refresh cadence and hide (or exaggerate) refresh contention.
-			cpu := t.ThreadCPU(job.BlockSize, write)
-			cpu += sim.Duration(rng.Int63n(int64(cpu)/2+1)) - sim.Duration(int64(cpu)/4)
-			k.Schedule(cpu, func() {
-				t.Do(off, job.BlockSize, write, func() {
-					if measured {
-						hist.Record(k.Now().Sub(issueAt))
-						meter.Record(k.Now(), job.BlockSize)
-					}
-					loop()
-				})
-			})
-		}
-		loop()
+	threads := make([]thread, job.NumJobs)
+	for i := range threads {
+		th := &threads[i]
+		th.r = r
+		th.rng = sim.NewRand(job.Seed + uint64(i)*0x9E37 + 1)
+		th.seq = int64(i) * (r.blocks / int64(job.NumJobs))
+		th.issueFn = th.issue
+		th.doneFn = th.done
+		th.next()
 	}
 
 	// Drive the kernel until every thread finished. The refresh engine
 	// keeps the queue non-empty, so completion is the only exit.
 	guard := 0
-	for remaining > 0 {
+	for r.remaining > 0 {
 		if !k.Step() {
-			return Result{}, fmt.Errorf("fio: kernel drained with %d threads outstanding", remaining)
+			return Result{}, fmt.Errorf("fio: kernel drained with %d threads outstanding", r.remaining)
 		}
 		guard++
 		if guard > 1<<32 {
 			return Result{}, fmt.Errorf("fio: runaway simulation")
 		}
 	}
-	meter.Finish(k.Now())
+	r.meter.Finish(k.Now())
 	return Result{
 		Job:     job,
 		Target:  t.Name(),
-		Meter:   meter,
-		Latency: hist,
-		WallSim: k.Now().Sub(measStart),
+		Meter:   r.meter,
+		Latency: r.hist,
+		WallSim: k.Now().Sub(r.measStart),
 	}, nil
+}
+
+// run is the state a job's threads share.
+type run struct {
+	t         Target
+	job       *Job
+	k         *sim.Kernel
+	meter     *metrics.Meter
+	hist      *metrics.Histogram
+	measure   bool
+	measStart sim.Time
+	measuring bool
+	remaining int
+	blocks    int64
+}
+
+// thread is one job thread and its op in flight (iodepth 1). Its
+// continuations are bound once, so a run allocates per thread, not per op.
+type thread struct {
+	r     *run
+	rng   *sim.Rand
+	seq   int64 // sequential cursor
+	opIdx int
+
+	// The op in flight.
+	off      int64
+	write    bool
+	measured bool
+	issueAt  sim.Time
+
+	issueFn func()
+	doneFn  func()
+}
+
+// next starts the thread's next op, or retires the thread.
+func (t *thread) next() {
+	r, job := t.r, t.r.job
+	if t.opIdx >= job.OpsPerThread+job.WarmupOps {
+		r.remaining--
+		return
+	}
+	t.opIdx++
+	if !r.measuring && t.opIdx > job.WarmupOps {
+		// First measured op across all threads starts the clock.
+		r.measuring = true
+		r.measStart = r.k.Now()
+		*r.meter = *metrics.NewMeter(r.measStart)
+	}
+	if job.Pattern.IsRandom() {
+		t.off = t.rng.Int63n(r.blocks) * job.Align
+	} else {
+		t.off = (t.seq % r.blocks) * job.Align
+		t.seq++
+	}
+	if t.off+int64(job.BlockSize) > job.FileSize {
+		t.off = max(job.FileSize-int64(job.BlockSize), 0)
+	}
+	t.write = job.Pattern.IsWrite()
+	if job.Pattern == RandRW {
+		t.write = t.rng.Intn(100) >= job.ReadPct
+	}
+	t.issueAt = r.k.Now()
+	t.measured = r.measure && t.opIdx > job.WarmupOps
+	// Host CPU phase on this thread, then the device phase. A few percent
+	// of deterministic-random jitter models real CPU-time variance; without
+	// it, fixed op cycles can phase-lock with the refresh cadence and hide
+	// (or exaggerate) refresh contention.
+	cpu := r.t.ThreadCPU(job.BlockSize, t.write)
+	cpu += sim.Duration(t.rng.Int63n(int64(cpu)/2+1)) - sim.Duration(int64(cpu)/4)
+	r.k.Schedule(cpu, t.issueFn)
+}
+
+// issue runs the op's device phase once its CPU phase has elapsed.
+func (t *thread) issue() { t.r.t.Do(t.off, t.r.job.BlockSize, t.write, t.doneFn) }
+
+// done records a measured op's completion and starts the next op.
+func (t *thread) done() {
+	if r := t.r; t.measured {
+		r.hist.Record(r.k.Now().Sub(t.issueAt))
+		r.meter.Record(r.k.Now(), r.job.BlockSize)
+	}
+	t.next()
 }
 
 // Prefill touches every page of [0, footprint) with block-sized sequential
 // writes so a subsequent run hits the device's cache (the paper's
-// NVDC-Cached condition) or populates the file. It runs to completion.
+// NVDC-Cached condition) or populates the file. It runs to completion and
+// records no latencies.
 func Prefill(t Target, footprint int64, blockSize int) error {
 	job := Job{
 		Pattern:      SeqWrite,
@@ -242,6 +286,6 @@ func Prefill(t Target, footprint int64, blockSize int) error {
 		FileSize:     footprint,
 		OpsPerThread: int(footprint / int64(blockSize)),
 	}
-	_, err := Run(t, job)
+	_, err := runJob(t, job, false)
 	return err
 }
