@@ -30,8 +30,7 @@ type Point struct {
 	Load      openloop.Config
 	BlockSize int     // every tenant's request size in bytes
 	Cached    bool    // lay the load over the cached footprint, not the capacity
-	Shares    []int   // the tenants' parts of a pool's extent (missing: 1)
-	Exact     bool    // cut Shares at exact bytes rather than whole pages
+	Shares    []int   // the tenants' parts of a pool's extent (missing: 1), cut at whole pages
 	QoS       QoSMode // what the pool front end does with the tenants' contracts
 
 	Plan fault.Plan // armed after the member prefill, so it never moves capacity
@@ -140,10 +139,7 @@ func (pt Point) load(pl Plane) (*openloop.Generator, error) {
 			sum += int64(n)
 		}
 		for i, t := range cfg.Tenants {
-			t.Footprint, t.Offset = foot*int64(shares[i])/sum, off
-			if !pt.Exact {
-				t.Footprint &^= PageSize - 1
-			}
+			t.Footprint, t.Offset = (foot*int64(shares[i])/sum)&^(PageSize-1), off
 			off += t.Footprint
 			ts = append(ts, t)
 		}
