@@ -1,213 +1,44 @@
 package nvdimmc
 
-// One testing.B benchmark per table and figure of the paper's evaluation.
-// Each iteration regenerates the experiment on the simulated system and
-// reports the headline metrics via b.ReportMetric, so
-//
-//	go test -bench=. -benchmem
-//
-// reproduces the whole evaluation. Paper-vs-measured context is printed by
-// the underlying harnesses (see cmd/nvdimmc-bench for the verbose form) and
-// recorded in EXPERIMENTS.md.
-
 import (
 	"runtime"
 	"testing"
-
-	"nvdimmc/internal/experiments"
 )
 
-func quick() experiments.Options { return experiments.Options{Quick: true} }
-
-func quickParallel() experiments.Options {
-	return experiments.Options{Quick: true, Parallel: runtime.GOMAXPROCS(0)}
-}
-
-func BenchmarkTable1Config(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Table1(quick())
-		experiments.Table2(quick())
+// BenchmarkExperiments runs every registry entry (ExperimentNames) at
+// -quick scale as a sub-benchmark of that name. Each iteration regenerates
+// the experiment on the simulated system, reports its headline metrics
+// through b.ReportMetric and fails on the gate its registry entry applies,
+// so
+//
+//	go test -run '^$' -bench BenchmarkExperiments -benchtime 1x .
+//
+// reproduces the whole evaluation, and -bench 'BenchmarkExperiments/fig8$'
+// one experiment. Paper-vs-measured context is printed by cmd/nvdimmc-bench
+// and recorded in EXPERIMENTS.md.
+//
+// crash-parallel and fig9-parallel are the harness's own speedup pair:
+// the crash sweep and fig9 sharded across GOMAXPROCS workers, against
+// their serial sub-benchmarks. Output is byte-identical either way.
+func BenchmarkExperiments(b *testing.B) {
+	for _, name := range ExperimentNames() {
+		b.Run(name, func(b *testing.B) { benchExperiment(b, name, 1) })
+	}
+	for _, name := range []string{"crash", "fig9"} {
+		b.Run(name+"-parallel", func(b *testing.B) { benchExperiment(b, name, runtime.GOMAXPROCS(0)) })
 	}
 }
 
-func BenchmarkAgingStream(b *testing.B) {
+// benchExperiment runs the named registry entry b.N times on parallel
+// workers, its headlines reported as metrics.
+func benchExperiment(b *testing.B, name string, parallel int) {
+	opts := ExperimentOptions{Quick: true, Parallel: parallel, Headline: func(metric string, v float64) {
+		b.ReportMetric(v, metric)
+	}}
+	run := Experiments(opts)[name]
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Aging(quick())
-		if err != nil {
+		if err := run(); err != nil {
 			b.Fatal(err)
 		}
-		if res.Inconsistencies != 0 || res.Collisions != 0 {
-			b.Fatalf("aging not clean: %+v", res)
-		}
-		b.ReportMetric(float64(res.WindowsSeen), "windows")
-	}
-}
-
-func BenchmarkFig7FileCopy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig7(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.CachedMBps, "cached-MB/s")
-		b.ReportMetric(res.UncachedMBps, "uncached-MB/s")
-	}
-}
-
-func BenchmarkFig8Random4K(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig8(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Get("baseline-read bandwidth"), "base-MB/s")
-		b.ReportMetric(res.Get("cached-read bandwidth"), "cached-MB/s")
-		b.ReportMetric(res.Get("uncached-read bandwidth"), "uncached-MB/s")
-	}
-}
-
-func BenchmarkFig9Threads(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig9(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, basePeak := res.Peak("baseline-read")
-		_, cachedPeak := res.Peak("cached-read")
-		b.ReportMetric(basePeak, "base-peak-MB/s")
-		b.ReportMetric(cachedPeak, "cached-peak-MB/s")
-	}
-}
-
-func BenchmarkFig10Granularity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig10(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.At("cached-read", 128).KIOPS, "cached-128B-KIOPS")
-		b.ReportMetric(res.At("cached-read", 65536).MBps, "cached-64K-MB/s")
-	}
-}
-
-func BenchmarkFig11TPCH(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig11(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Slowdown[0], "Q1-slowdown-x")
-		b.ReportMetric(res.Slowdown[len(res.Slowdown)-1], "Q20-slowdown-x")
-	}
-}
-
-func BenchmarkMixedLoad(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.MixedLoad(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.ValidationFailures != 0 {
-			b.Fatalf("%d validation failures", res.ValidationFailures)
-		}
-		b.ReportMetric(float64(res.Transactions), "txns")
-	}
-}
-
-func BenchmarkLRUStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.LRUStudy(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*res.LRU[0], "LRU-1GB-%")
-		b.ReportMetric(100*res.LRU[len(res.LRU)-1], "LRU-16GB-%")
-	}
-}
-
-func BenchmarkFig12Hypothetical(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig12(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Rows[len(res.Rows)-1].Measured, "tD1.85us-MB/s")
-	}
-}
-
-func BenchmarkFig13HostDRAM(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig13(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Rows[0].Measured, "tREFI-MB/s")
-		b.ReportMetric(res.Rows[2].Measured, "tREFI4-MB/s")
-	}
-}
-
-func BenchmarkAblations(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Ablations(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Rows[0].Measured, "PoC-MB/s")
-		b.ReportMetric(res.Rows[4].Measured, "optimized-MB/s")
-	}
-}
-
-func BenchmarkFrontendAnalysis(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.FrontendAnalysis(quick())
-		b.ReportMetric(res.Budget.Nanoseconds(), "budget-ns")
-	}
-}
-
-func BenchmarkWindowBandwidth(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Windows(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.MeasuredPairUS, "pair-us")
-	}
-}
-
-// The pair below is the harness's own speedup benchmark: the same quick
-// crash sweep serial vs sharded across GOMAXPROCS workers. The sweep's
-// per-point results are seed-derived, so both report identical audits.
-func BenchmarkCrashSweepSerial(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.CrashSweep(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Failures) != 0 {
-			b.Fatalf("%d acked writes lost", len(res.Failures))
-		}
-	}
-}
-
-func BenchmarkCrashSweepParallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.CrashSweep(quickParallel())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Failures) != 0 {
-			b.Fatalf("%d acked writes lost", len(res.Failures))
-		}
-	}
-}
-
-func BenchmarkFig9ThreadsParallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig9(quickParallel())
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, cachedPeak := res.Peak("cached-read")
-		b.ReportMetric(cachedPeak, "cached-peak-MB/s")
 	}
 }

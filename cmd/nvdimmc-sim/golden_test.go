@@ -26,9 +26,14 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// cliGolden are the documented fault runs, pooled and fabric, covering
-// every fault kind; each one's stdout is testdata/golden/<name>.txt.
+// cliGolden are the single module's three targets and the documented
+// fault runs, pooled and fabric, covering every fault kind; each one's
+// stdout is testdata/golden/<name>.txt.
 var cliGolden = []struct{ name, args string }{
+	{"module-cached", "-rw randread"},
+	{"module-uncached", "-uncached -ops 200"},
+	{"module-pmem", "-target pmem"},
+	{"module-randwrite-4jobs", "-rw randwrite -numjobs 4 -ops 500"},
 	{"pool-program", "-channels 3 -spares 1 -faults m0:program:1 -rw randwrite -ops 400"},
 	{"pool-mediaread-dietimeout", "-channels 2 -faults m0:mediaread:5,m1:dietimeout:0 -ops 900"},
 	{"pool-ackdrop", "-channels 2 -faults m1:ackdrop:1 -rw randwrite -ops 900"},

@@ -53,7 +53,10 @@
 // the command exits 2 and names it (-rate or -xlat without a pooled-socket
 // flag, -qos or -admission with -sockets above 1, -uncached or -numjobs on
 // a plane) instead of running as if it were absent. The plane modes fill
-// one experiments.Point, the value every campaign point runs from.
+// one experiments.Point, the value every campaign point runs from; the
+// single module is built by experiments.NewBench, as Figs. 8–13 build
+// their targets: NVDC-Cached by default, NVDC-Uncached with -uncached, the
+// pmem baseline with -target pmem (its job spans the whole device).
 package main
 
 import (
@@ -201,7 +204,7 @@ func (o opts) finish(pt *experiments.Point) error {
 			return err
 		}
 	case pt.Plan == nil:
-		pt.Pool.WalkFootprint = 15 << 30
+		pt.Pool.WalkFootprint = experiments.CachedWalk
 		fallthrough
 	default:
 		pt.Fabric.Sockets = 0 // -sockets 1: a lone pool
@@ -219,7 +222,7 @@ func (o opts) finish(pt *experiments.Point) error {
 }
 
 // runModule runs one fio-style job against a single module or the pmem
-// baseline.
+// baseline, built as the figures build them (experiments.NewBench).
 func runModule(o opts, pt experiments.Point) {
 	var pat fio.Pattern
 	switch o.rw {
@@ -235,57 +238,39 @@ func runModule(o opts, pt experiments.Point) {
 		usage(fmt.Errorf("unknown pattern %q", o.rw))
 	}
 
-	var tgt fio.Target
-	var sys *core.System
-	switch o.target {
-	case "pmem":
-		d, err := nvdimmc.NewBaseline(nvdimmc.BaselineConfig())
-		die(err)
-		tgt = d
-	case "nvdc":
-		cfg := nvdimmc.DefaultConfig()
-		switch o.policy {
-		case "lru":
-			cfg.Driver.Policy = nvdimmc.PolicyLRU
-		case "clock":
-			cfg.Driver.Policy = nvdimmc.PolicyClock
-		}
-		if o.uncached {
-			cfg.NAND.BlocksPerDie = 512
-		}
-		cfg.Audit = o.audit
-		s, err := nvdimmc.New(cfg)
-		die(err)
-		sys = s
-		ft := s.NewFioTarget()
-		if o.uncached {
-			die(s.PrefillMedia())
-			ft.SetWalkFootprint(120 << 30)
-		} else {
-			pages := s.Layout.NumSlots * 9 / 10
-			die(fio.Prefill(ft, int64(pages)*core.PageSize, core.PageSize))
-			ft.SetWalkFootprint(15 << 30)
-		}
-		tgt = ft
-	default:
+	m, cfg := experiments.Cached, nvdimmc.DefaultConfig()
+	switch {
+	case o.target == "pmem":
+		m = experiments.Baseline
+	case o.target != "nvdc":
 		usage(fmt.Errorf("unknown target %q", o.target))
+	case o.uncached:
+		m, cfg.NAND.BlocksPerDie = experiments.Uncached, 512
 	}
-
+	switch o.policy {
+	case "lru":
+		cfg.Driver.Policy = nvdimmc.PolicyLRU
+	case "clock":
+		cfg.Driver.Policy = nvdimmc.PolicyClock
+	}
+	cfg.Audit = o.audit
+	b, err := experiments.NewBench(m, cfg)
+	die(err)
 	job := fio.Job{
 		Pattern: pat, BlockSize: pt.BlockSize, NumJobs: o.jobs,
 		OpsPerThread: pt.Reqs, WarmupOps: pt.Reqs / 10, Align: 4096,
 	}
-	if o.target == "nvdc" && !o.uncached {
-		job.FileSize = int64(sys.Layout.NumSlots*9/10) * core.PageSize
+	if m == experiments.Baseline {
+		job.FileSize = b.Target.Capacity() // the whole device, not the figures' file
 	}
-	res, err := fio.Run(tgt, job)
+	res, err := b.Run(job)
 	die(err)
 	fmt.Println(res)
 	fmt.Printf("latency: p50=%v p95=%v p99=%v p999=%v max=%v\n",
 		res.Latency.Percentile(50), res.Latency.Percentile(95),
 		res.Latency.Percentile(99), res.Latency.Percentile(99.9),
 		res.Latency.Max())
-	if sys != nil {
+	if sys := b.Sys; sys != nil {
 		st := sys.Driver.Stats()
 		fmt.Printf("driver: hits=%d misses=%d evictions=%d writebacks=%d cachefills=%d fastfills=%d\n",
 			st.Hits, st.Misses, st.Evictions, st.Writebacks, st.Cachefills, st.FastFills)
@@ -296,7 +281,6 @@ func runModule(o opts, pt experiments.Point) {
 			fmt.Printf("audit: events=%d violations=%d\n",
 				sys.Auditor.Events(), sys.Auditor.ViolationCount())
 		}
-		die(sys.CheckHealth())
 	}
 }
 

@@ -25,7 +25,7 @@ func TestFig8CachedAnchor(t *testing.T) {
 	// NVDC-Cached 4 KB randread @1 thread: paper 1835 MB/s (70% of the
 	// 2606 MB/s baseline).
 	s := mustSystem(t, DefaultConfig())
-	pages := s.Layout.NumSlots * 9 / 10
+	pages := s.Layout.CachedPages()
 	prefillCache(t, s, pages)
 	tgt := s.NewFioTarget()
 	tgt.SetWalkFootprint(15 << 30) // the host maps the full 15 GB slot space
@@ -109,7 +109,7 @@ func TestCachedSaturationBelowBaseline(t *testing.T) {
 	var plateau float64
 	for _, jobs := range []int{8} {
 		s := mustSystem(t, DefaultConfig())
-		pages := s.Layout.NumSlots * 9 / 10
+		pages := s.Layout.CachedPages()
 		prefillCache(t, s, pages)
 		tgt := s.NewFioTarget()
 		tgt.SetWalkFootprint(15 << 30)
@@ -132,7 +132,7 @@ func TestSmallAccessAdvantage(t *testing.T) {
 	// Fig. 10: at 128 B, NVDC-Cached beats the baseline (paper: 1.15x)
 	// because the smaller mapped footprint makes page walks cheaper.
 	s := mustSystem(t, DefaultConfig())
-	pages := s.Layout.NumSlots * 9 / 10
+	pages := s.Layout.CachedPages()
 	prefillCache(t, s, pages)
 	tgt := s.NewFioTarget()
 	tgt.SetWalkFootprint(15 << 30)

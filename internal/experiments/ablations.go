@@ -64,28 +64,19 @@ func Ablations(o Options) (AblationResult, error) {
 	for _, v := range variants {
 		cfg := nvdcConfig(o.pick(512, 256))
 		v.mod(&cfg)
-		s, err := coreSystem(cfg)
+		b, err := NewBench(Uncached, cfg)
 		if err != nil {
 			return res, err
 		}
-		if err := s.PrefillMedia(); err != nil {
-			return res, err
-		}
-		tgt := s.NewFioTarget()
-		tgt.SetWalkFootprint(120 << 30)
 		jobs := 1
 		if cfg.Driver.CPQueueDepth > 1 {
 			jobs = 4 // pipelining only shows with concurrent misses
 		}
-		r, err := fio.Run(tgt, fio.Job{
+		r, err := b.Run(fio.Job{
 			Pattern: fio.RandRead, BlockSize: PageSize, NumJobs: jobs,
-			FileSize: tgt.Capacity(), OpsPerThread: ops / jobs,
-			WarmupOps: (s.Layout.NumSlots + 50) / jobs, Seed: 7,
+			OpsPerThread: ops / jobs, WarmupOps: (b.Sys.Layout.NumSlots + 50) / jobs, Seed: 7,
 		})
 		if err != nil {
-			return res, err
-		}
-		if err := s.CheckHealth(); err != nil {
 			return res, err
 		}
 		res.Rows = append(res.Rows, Row{Name: v.name, Measured: r.BandwidthMBps(), Unit: "MB/s"})

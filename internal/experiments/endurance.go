@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"nvdimmc/internal/core"
 	"nvdimmc/internal/sim"
 	"nvdimmc/internal/workload/fio"
 )
@@ -32,12 +33,12 @@ func Endurance(o Options) (EnduranceResult, error) {
 	cfg.CacheBytes = 1 << 20
 	cfg.NAND.PagesPerBlock = 16
 	cfg.NAND.EraseLatency = 200 * sim.Microsecond
-	s, err := coreSystem(cfg)
+	s, err := core.NewSystem(cfg)
 	if err != nil {
 		return res, err
 	}
 	tgt := s.NewFioTarget()
-	tgt.SetWalkFootprint(120 << 30)
+	tgt.SetWalkFootprint(MediaWalk)
 	ops := o.pick(6000, 1500)
 	_, err = fio.Run(tgt, fio.Job{
 		Pattern: fio.RandWrite, BlockSize: PageSize, NumJobs: 2,

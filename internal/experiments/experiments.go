@@ -12,8 +12,6 @@ import (
 	"io"
 
 	"nvdimmc/internal/core"
-	"nvdimmc/internal/pmem"
-	"nvdimmc/internal/workload/fio"
 )
 
 // PageSize is the 4 KB unit used throughout.
@@ -70,12 +68,6 @@ func (o Options) printf(format string, args ...interface{}) {
 	fmt.Fprintf(o.out(), format, args...)
 }
 
-// newBaseline builds the /dev/pmem0 comparator (full-size; storage is
-// sparse).
-func newBaseline() (*pmem.Device, error) {
-	return pmem.New(pmem.DefaultConfig())
-}
-
 // nvdcConfig returns the scaled NVDIMM-C system configuration shared by the
 // fio experiments: 16 MB cache standing in for 16 GB, NAND sized by
 // mediaBlocksPerDie.
@@ -85,22 +77,6 @@ func nvdcConfig(mediaBlocksPerDie int) core.Config {
 		cfg.NAND.BlocksPerDie = mediaBlocksPerDie
 	}
 	return cfg
-}
-
-// coreSystem builds a system from cfg.
-func coreSystem(cfg core.Config) (*core.System, error) {
-	return core.NewSystem(cfg)
-}
-
-// prefillSlots makes the first pages of the device resident (the
-// NVDC-Cached precondition).
-func prefillSlots(s *core.System, pages int) error {
-	tgt := s.NewFioTarget()
-	_, err := fio.Run(tgt, fio.Job{
-		Pattern: fio.SeqWrite, BlockSize: PageSize, NumJobs: 1,
-		FileSize: int64(pages) * PageSize, OpsPerThread: pages,
-	})
-	return err
 }
 
 // Row is one paper-vs-measured line.

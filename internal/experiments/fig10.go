@@ -43,56 +43,28 @@ func Fig10(o Options) (Fig10Result, error) {
 		return n
 	}
 
-	for _, write := range []bool{false, true} {
-		suffix := "-read"
-		pat := fio.RandRead
-		if write {
-			suffix, pat = "-write", fio.RandWrite
-		}
-
-		// Baseline sweep.
-		for _, bs := range sizes {
-			d, err := newBaseline()
-			if err != nil {
-				return res, err
+	// The baseline builds a fresh device per size; the cached sweep reuses
+	// one prefilled system across sizes.
+	for _, pat := range []fio.Pattern{fio.RandRead, fio.RandWrite} {
+		for _, m := range []Module{Baseline, Cached} {
+			key := m.series(pat)
+			var b *Bench
+			for _, bs := range sizes {
+				var err error
+				if b == nil || m == Baseline {
+					if b, err = NewBench(m, nvdcConfig(0)); err != nil {
+						return res, err
+					}
+				}
+				r, err := b.Run(fio.Job{
+					Pattern: pat, BlockSize: bs, NumJobs: 1,
+					OpsPerThread: ops(bs), WarmupOps: 50, Align: PageSize,
+				})
+				if err != nil {
+					return res, err
+				}
+				res.Series[key] = append(res.Series[key], Fig10Point{BlockSize: bs, KIOPS: r.KIOPS(), MBps: r.BandwidthMBps()})
 			}
-			r, err := fio.Run(d, fio.Job{
-				Pattern: pat, BlockSize: bs, NumJobs: 1,
-				FileSize: 120 << 30, OpsPerThread: ops(bs), WarmupOps: 50,
-				Align: PageSize,
-			})
-			if err != nil {
-				return res, err
-			}
-			res.Series["baseline"+suffix] = append(res.Series["baseline"+suffix],
-				Fig10Point{BlockSize: bs, KIOPS: r.KIOPS(), MBps: r.BandwidthMBps()})
-		}
-
-		// NVDC-Cached sweep (one prefilled system reused across sizes).
-		s, err := coreSystem(nvdcConfig(0))
-		if err != nil {
-			return res, err
-		}
-		pages := s.Layout.NumSlots * 9 / 10
-		if err := prefillSlots(s, pages); err != nil {
-			return res, err
-		}
-		tgt := s.NewFioTarget()
-		tgt.SetWalkFootprint(15 << 30)
-		for _, bs := range sizes {
-			r, err := fio.Run(tgt, fio.Job{
-				Pattern: pat, BlockSize: bs, NumJobs: 1,
-				FileSize: int64(pages) * PageSize, OpsPerThread: ops(bs), WarmupOps: 50,
-				Align: PageSize,
-			})
-			if err != nil {
-				return res, err
-			}
-			res.Series["cached"+suffix] = append(res.Series["cached"+suffix],
-				Fig10Point{BlockSize: bs, KIOPS: r.KIOPS(), MBps: r.BandwidthMBps()})
-		}
-		if err := s.CheckHealth(); err != nil {
-			return res, err
 		}
 	}
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"nvdimmc/internal/core"
 	"nvdimmc/internal/imdb"
 	"nvdimmc/internal/nand"
 	"nvdimmc/internal/pmem"
@@ -90,7 +91,7 @@ func fig11QueryNVDC(o Options, q tpch.QuerySpec, cacheBytes, datasetBytes int64)
 	for int64(nand.Channels*nand.DiesPerChan*cfg.NAND.BlocksPerDie*cfg.NAND.PagesPerBlock)*PageSize < datasetBytes*3/2 {
 		cfg.NAND.BlocksPerDie *= 2
 	}
-	s, err := coreSystem(cfg)
+	s, err := core.NewSystem(cfg)
 	if err != nil {
 		return 0, err
 	}

@@ -31,16 +31,13 @@ func Fig12(o Options) (Fig12Result, error) {
 		cfg := nvdcConfig(0)
 		cfg.Driver.Hypothetical = true
 		cfg.Driver.TD = c.td
-		s, err := coreSystem(cfg)
+		b, err := NewBench(Uncached, cfg)
 		if err != nil {
 			return res, err
 		}
-		tgt := s.NewFioTarget()
-		tgt.SetWalkFootprint(120 << 30)
-		r, err := fio.Run(tgt, fio.Job{
+		r, err := b.Run(fio.Job{
 			Pattern: fio.RandRead, BlockSize: PageSize, NumJobs: 1,
-			FileSize: tgt.Capacity(), OpsPerThread: ops,
-			WarmupOps: s.Layout.NumSlots + 50, Seed: 7,
+			OpsPerThread: ops, WarmupOps: b.Sys.Layout.NumSlots + 50, Seed: 7,
 		})
 		if err != nil {
 			return res, err

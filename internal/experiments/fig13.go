@@ -34,24 +34,15 @@ func Fig13(o Options) (Fig13Result, error) {
 	run := func(trefi sim.Duration, jobs int) (float64, error) {
 		cfg := nvdcConfig(0)
 		cfg.TREFI = trefi
-		s, err := coreSystem(cfg)
+		b, err := NewBench(Cached, cfg)
 		if err != nil {
 			return 0, err
 		}
-		pages := s.Layout.NumSlots * 9 / 10
-		if err := prefillSlots(s, pages); err != nil {
-			return 0, err
-		}
-		tgt := s.NewFioTarget()
-		tgt.SetWalkFootprint(15 << 30)
-		r, err := fio.Run(tgt, fio.Job{
+		r, err := b.Run(fio.Job{
 			Pattern: fio.RandRead, BlockSize: PageSize, NumJobs: jobs,
-			FileSize: int64(pages) * PageSize, OpsPerThread: ops / jobs * 2, WarmupOps: 50,
+			OpsPerThread: ops / jobs * 2, WarmupOps: 50,
 		})
 		if err != nil {
-			return 0, err
-		}
-		if err := s.CheckHealth(); err != nil {
 			return 0, err
 		}
 		return r.BandwidthMBps(), nil

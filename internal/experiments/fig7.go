@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"nvdimmc/internal/core"
 	"nvdimmc/internal/metrics"
 	"nvdimmc/internal/report"
 	"nvdimmc/internal/sim"
@@ -28,7 +29,7 @@ const ssdMBps = 520.0
 // Fig7 runs the scaled copy: file size = 1.25x the cache (20 GB : 16 GB).
 func Fig7(o Options) (Fig7Result, error) {
 	var res Fig7Result
-	s, err := coreSystem(nvdcConfig(o.pick(512, 256)))
+	s, err := core.NewSystem(nvdcConfig(o.pick(512, 256)))
 	if err != nil {
 		return res, err
 	}

@@ -42,84 +42,46 @@ func Fig9(o Options) (Fig9Result, error) {
 	}
 	ops := o.pick(600, 200)
 
-	run := func(name string, write bool, jobs int) (fio.Result, error) {
-		pat := fio.RandRead
-		if write {
-			pat = fio.RandWrite
-		}
-		switch name {
-		case "baseline":
-			d, err := newBaseline()
-			if err != nil {
-				return fio.Result{}, err
-			}
-			return fio.Run(d, fio.Job{
-				Pattern: pat, BlockSize: PageSize, NumJobs: jobs,
-				FileSize: 120 << 30, OpsPerThread: ops, WarmupOps: ops / 10,
-			})
-		case "cached":
-			s, err := coreSystem(nvdcConfig(0))
-			if err != nil {
-				return fio.Result{}, err
-			}
-			pages := s.Layout.NumSlots * 9 / 10
-			if err := prefillSlots(s, pages); err != nil {
-				return fio.Result{}, err
-			}
-			tgt := s.NewFioTarget()
-			tgt.SetWalkFootprint(15 << 30)
-			return fio.Run(tgt, fio.Job{
-				Pattern: pat, BlockSize: PageSize, NumJobs: jobs,
-				FileSize: int64(pages) * PageSize, OpsPerThread: ops, WarmupOps: ops / 10,
-			})
-		case "uncached":
-			s, err := coreSystem(nvdcConfig(o.pick(512, 256)))
-			if err != nil {
-				return fio.Result{}, err
-			}
-			if err := s.PrefillMedia(); err != nil {
-				return fio.Result{}, err
-			}
-			tgt := s.NewFioTarget()
-			tgt.SetWalkFootprint(120 << 30)
-			return fio.Run(tgt, fio.Job{
-				Pattern: pat, BlockSize: PageSize, NumJobs: jobs,
-				FileSize: tgt.Capacity(), OpsPerThread: o.pick(150, 60),
-				WarmupOps: (s.Layout.NumSlots + 100) / jobs, Seed: 7,
-			})
-		}
-		return fio.Result{}, fmt.Errorf("experiments: unknown series %q", name)
-	}
-
-	// Every (series, pattern, threads) sample is an independent system build
-	// plus run, so the whole sweep fans out as shards and merges in the
+	// Every (module, pattern, threads) sample is an independent build plus
+	// run, so the whole sweep fans out as shards and merges in the
 	// canonical enumeration order below.
 	type sweepPoint struct {
-		series string
-		key    string
-		write  bool
-		jobs   int
+		m    Module
+		pat  fio.Pattern
+		jobs int
 	}
 	var pts []sweepPoint
-	for _, series := range []string{"baseline", "cached", "uncached"} {
-		for _, write := range []bool{false, true} {
-			key := series + "-read"
-			if write {
-				key = series + "-write"
-			}
+	for _, m := range []Module{Baseline, Cached, Uncached} {
+		for _, pat := range []fio.Pattern{fio.RandRead, fio.RandWrite} {
 			for _, jobs := range threads {
-				if series == "uncached" && jobs > 8 {
+				if m == Uncached && jobs > 8 {
 					continue // the paper stops the uncached sweep early too
 				}
-				pts = append(pts, sweepPoint{series: series, key: key, write: write, jobs: jobs})
+				pts = append(pts, sweepPoint{m, pat, jobs})
 			}
 		}
+	}
+	// run builds p's module and runs its sample.
+	run := func(p sweepPoint) (fio.Result, error) {
+		cfg := nvdcConfig(0)
+		if p.m == Uncached {
+			cfg = nvdcConfig(o.pick(512, 256))
+		}
+		b, err := NewBench(p.m, cfg)
+		if err != nil {
+			return fio.Result{}, err
+		}
+		job := fio.Job{Pattern: p.pat, BlockSize: PageSize, NumJobs: p.jobs, OpsPerThread: ops, WarmupOps: ops / 10}
+		if p.m == Uncached {
+			job.OpsPerThread, job.WarmupOps, job.Seed = o.pick(150, 60), (b.Sys.Layout.NumSlots+100)/p.jobs, 7
+		}
+		return b.Run(job)
 	}
 	measured, err := runShards(len(pts), o.workers(), func(i int) (Fig9Point, error) {
 		p := pts[i]
-		r, err := run(p.series, p.write, p.jobs)
+		r, err := run(p)
 		if err != nil {
-			return Fig9Point{}, fmt.Errorf("%s jobs=%d: %w", p.key, p.jobs, err)
+			return Fig9Point{}, fmt.Errorf("%s jobs=%d: %w", p.m.series(p.pat), p.jobs, err)
 		}
 		return Fig9Point{Threads: p.jobs, KIOPS: r.KIOPS(), MBps: r.BandwidthMBps()}, nil
 	})
@@ -127,7 +89,8 @@ func Fig9(o Options) (Fig9Result, error) {
 		return res, err
 	}
 	for i, p := range pts {
-		res.Series[p.key] = append(res.Series[p.key], measured[i])
+		key := p.m.series(p.pat)
+		res.Series[key] = append(res.Series[key], measured[i])
 	}
 
 	o.printf("== Fig. 9: 4KB random R/W vs thread count ==\n")

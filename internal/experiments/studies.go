@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"nvdimmc/internal/core"
 	"nvdimmc/internal/cpolicy"
 	"nvdimmc/internal/imdb"
 	"nvdimmc/internal/sim"
@@ -27,7 +28,7 @@ func Aging(o Options) (AgingResult, error) {
 	var res AgingResult
 	cfg := nvdcConfig(64)
 	cfg.CacheBytes = 1 << 20
-	s, err := coreSystem(cfg)
+	s, err := core.NewSystem(cfg)
 	if err != nil {
 		return res, err
 	}
@@ -76,7 +77,7 @@ func MixedLoad(o Options) (MixedLoadResult, error) {
 	var res MixedLoadResult
 	cfg := nvdcConfig(64)
 	cfg.CacheBytes = 2 << 20
-	s, err := coreSystem(cfg)
+	s, err := core.NewSystem(cfg)
 	if err != nil {
 		return res, err
 	}
@@ -170,7 +171,7 @@ func Windows(o Options) (WindowsResult, error) {
 	// Measure one real miss-with-eviction.
 	cfg := nvdcConfig(64)
 	cfg.CacheBytes = 1 << 20
-	s, err := coreSystem(cfg)
+	s, err := core.NewSystem(cfg)
 	if err != nil {
 		return res, err
 	}

@@ -67,6 +67,11 @@ func (l Layout) SlotAddr(i int) int64 {
 	return l.SlotsOffset + int64(i)*PageSize
 }
 
+// CachedPages is the NVDC-Cached precondition's resident set: the pages,
+// 90% of the slots, that a job's file spans when it sits in the DRAM
+// cache.
+func (l Layout) CachedPages() int { return l.NumSlots * 9 / 10 }
+
 // SlotOf returns which slot contains region-relative address a, or -1.
 func (l Layout) SlotOf(a int64) int {
 	if a < l.SlotsOffset {

@@ -84,7 +84,7 @@ type Config struct {
 	Seed uint64
 	// PrefillPages seq-writes this many pages per member before the pool
 	// opens, making them cache-resident (the NVDC-Cached precondition); -1
-	// prefills 90% of each member's slots; 0 skips.
+	// prefills each member's hostmem.Layout.CachedPages; 0 skips.
 	PrefillPages int
 	// WalkFootprint, when nonzero, pins every member's TLB/page-walk cost to
 	// this (paper-scale) footprint, as the scaled experiments do.
@@ -429,7 +429,7 @@ func New(cfg Config) (*Pool, error) {
 		tgt := sys.NewFioTarget()
 		pre := cfg.PrefillPages
 		if pre < 0 {
-			pre = sys.Layout.NumSlots * 9 / 10
+			pre = sys.Layout.CachedPages()
 		}
 		if pre > 0 {
 			if err := fio.Prefill(tgt, int64(pre)*PageSize, PageSize); err != nil {
@@ -553,7 +553,7 @@ func (p *Pool) Capacity() int64 { return p.Dec.Capacity() }
 func (p *Pool) CachedFootprint() int64 {
 	pre := p.Cfg.PrefillPages
 	if pre < 0 {
-		pre = p.members[0].sys.Layout.NumSlots * 9 / 10
+		pre = p.members[0].sys.Layout.CachedPages()
 	}
 	groups := int64(pre) * PageSize / p.Cfg.Interleave
 	if groups > p.Dec.groupCount {
