@@ -27,10 +27,7 @@ func main() {
 	}
 	ndb := imdb.New(sys, sys.K, sys.FTL.Capacity(), imdb.DefaultCost())
 
-	base, err := pmem.New(pmem.DefaultConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
+	base := pmem.New()
 	bdb := imdb.New(base, base.K, base.Capacity(), imdb.DefaultCost())
 
 	fmt.Println("building the TPC-H-like dataset on both devices...")

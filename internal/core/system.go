@@ -49,15 +49,17 @@ type Config struct {
 	FTL  ftl.Config
 	NVMC nvmc.Config
 
-	// Driver knobs: see nvdc.Config; layout is filled in by NewSystem.
+	// Driver knobs: see nvdc.Config; Layout and MediaWritten are filled in
+	// by NewSystem.
 	Driver nvdc.Config
 
 	// CPUCacheBytes attaches a functional CPU cache model of this size to
 	// the load/store path (0 = none; timing-only experiments skip it).
 	CPUCacheBytes int
 
-	// MechanismEnabled gates the refresh detector + window engine. The
-	// ablation with it disabled demonstrates bus collisions (§III-B).
+	// MechanismEnabled gates the refresh detector + window engine. No
+	// experiment turns it off; TestMechanismDisabledCollides does, and must
+	// see the bus collisions the mechanism exists to prevent (§III-B).
 	MechanismEnabled bool
 
 	// TraceCapacity, when positive, attaches a bounded event trace (the
@@ -78,9 +80,6 @@ type Config struct {
 	// parallel and in-flight WPQ stores can lose the race (the "weak
 	// persistence domain").
 	StrictADR bool
-
-	// IMC holds the host memory-controller knobs.
-	IMC imc.Config
 
 	// Seed, when non-zero, master-seeds every component RNG (NAND bad-block
 	// placement and media noise, refresh-detector sampling noise) with
@@ -110,7 +109,6 @@ func DefaultConfig() Config {
 	// 2 ch x 2 dies x 256 blocks x 64 pages x 4 KB = 256 MB raw by default;
 	// trim to 128 MB raw for the 1:8 cache:media ratio.
 	n.BlocksPerDie = 128
-	imcCfg := imc.DefaultConfig()
 	return Config{
 		TREFI:            ddr4.TREFI,
 		TRFC:             1250 * sim.Nanosecond,
@@ -121,7 +119,6 @@ func DefaultConfig() Config {
 		CPUCacheBytes:    0,
 		MechanismEnabled: true,
 		Audit:            true,
-		IMC:              imcCfg,
 	}
 }
 
@@ -218,10 +215,7 @@ func NewSystem(cfg Config) (*System, error) {
 
 	ch := bus.New(k, dev)
 
-	imcCfg := cfg.IMC
-	imcCfg.TREFI = cfg.TREFI
-	imcCfg.TRFC = cfg.TRFC
-	mc := imc.New(k, ch, imcCfg)
+	mc := imc.New(k, ch, imc.Config{TREFI: cfg.TREFI, TRFC: cfg.TRFC})
 
 	det := refdet.New(k, timing.TCK)
 	det.SetEnabled(cfg.MechanismEnabled)
@@ -255,17 +249,8 @@ func NewSystem(cfg Config) (*System, error) {
 		cache = cpucache.New(dev, cfg.CPUCacheBytes)
 	}
 
-	drvCfg := nvdc.DefaultConfig(layout)
-	drvCfg.Policy = cfg.Driver.Policy
-	drvCfg.TrackDirty = cfg.Driver.TrackDirty
-	drvCfg.CombineWBCF = cfg.Driver.CombineWBCF
-	drvCfg.UnsafeNoFlush = cfg.Driver.UnsafeNoFlush
-	drvCfg.CPQueueDepth = cfg.Driver.CPQueueDepth
-	drvCfg.Hypothetical = cfg.Driver.Hypothetical
-	drvCfg.TD = cfg.Driver.TD
-	if cfg.Driver.TDOverlap != 0 {
-		drvCfg.TDOverlap = cfg.Driver.TDOverlap
-	}
+	drvCfg := cfg.Driver
+	drvCfg.Layout = layout
 	// The filesystem's written/unwritten-extent knowledge: a block has media
 	// data iff the FTL maps it.
 	drvCfg.MediaWritten = f.IsMapped

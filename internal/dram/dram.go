@@ -72,10 +72,6 @@ type Config struct {
 	// refresh (350 ns for 8 Gb); the *programmed* tRFC in Timing.TRFC may be
 	// longer — that surplus is the NVMC's access window.
 	StandardTRFC sim.Duration
-	// PoisonOnViolation makes violations overwrite the target burst with a
-	// recognizable pattern, so data-validation workloads observe corruption
-	// the way a real system would.
-	PoisonOnViolation bool
 }
 
 // DefaultConfig returns an 8 Gb-component rank at the given grade: 16 banks,
@@ -174,14 +170,6 @@ func (d *Device) violate(cmd ddr4.Command, format string, args ...interface{}) {
 			Cmd:  cmd,
 			Desc: fmt.Sprintf(format, args...),
 		})
-	}
-	if d.cfg.PoisonOnViolation && (cmd.Kind == ddr4.CmdRead || cmd.Kind == ddr4.CmdWrite) {
-		addr := d.burstAddr(cmd.Bank, d.bank[cmd.Bank].openRow, cmd.Col)
-		var poison [ddr4.BurstBytes]byte
-		for i := range poison {
-			poison[i] = 0xDE
-		}
-		d.copyIn(addr, poison[:])
 	}
 }
 
@@ -416,11 +404,6 @@ func (d *Device) AddrToBRC(addr int64) (bank, row, col int) {
 	bank = int(t % int64(d.cfg.Banks))
 	row = int(t / int64(d.cfg.Banks))
 	return
-}
-
-// burstAddr maps (bank,row,col) to a flat byte address.
-func (d *Device) burstAddr(bankIdx, row, col int) int64 {
-	return ((int64(row)*int64(d.cfg.Banks)+int64(bankIdx))*int64(d.cfg.BurstsPerRow) + int64(col)) * ddr4.BurstBytes
 }
 
 // --- Transfer-level data access -----------------------------------------

@@ -265,28 +265,6 @@ func TestRefreshCounter(t *testing.T) {
 	}
 }
 
-func TestPoisonOnViolation(t *testing.T) {
-	k := sim.NewKernel()
-	cfg := DefaultConfig(ddr4.DDR4_1600)
-	cfg.Rows = 64
-	cfg.PoisonOnViolation = true
-	d := New(k, cfg)
-	// Write valid data at the burst that bank0/row0/col0 maps to.
-	if err := d.CopyIn(0, bytes.Repeat([]byte{0xAB}, 64)); err != nil {
-		t.Fatal(err)
-	}
-	// CAS to a precharged bank: violation, poisons target burst.
-	at(k, 0, func() { d.Apply(ddr4.Command{Kind: ddr4.CmdWrite, Bank: 0, Col: 0}) })
-	k.Run()
-	got := make([]byte, 64)
-	if err := d.CopyOut(0, got); err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 0xDE {
-		t.Fatalf("expected poisoned data, got %#x", got[0])
-	}
-}
-
 // Property: the device's legality verdicts match a simple reference model
 // over random command sequences (commands spaced far enough apart that only
 // structural rules — not fine timing — apply).

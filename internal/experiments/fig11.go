@@ -119,10 +119,7 @@ func fig11QueryNVDC(o Options, q tpch.QuerySpec, cacheBytes, datasetBytes int64)
 
 // fig11QueryBaseline is fig11QueryNVDC against the pmem comparator.
 func fig11QueryBaseline(q tpch.QuerySpec, datasetBytes int64) (sim.Duration, error) {
-	bd, err := pmem.New(pmem.DefaultConfig())
-	if err != nil {
-		return 0, err
-	}
+	bd := pmem.New()
 	db := imdb.New(bd, bd.K, bd.Capacity(), imdb.DefaultCost())
 	built := false
 	var buildErr error

@@ -59,8 +59,7 @@ type Bench struct {
 // error the bench is unusable.
 func NewBench(m Module, cfg core.Config) (*Bench, error) {
 	if m == Baseline {
-		d, err := pmem.New(pmem.DefaultConfig())
-		return &Bench{Target: d, File: BaselineFile}, err
+		return &Bench{Target: pmem.New(), File: BaselineFile}, nil
 	}
 	s, err := core.NewSystem(cfg)
 	if err != nil {

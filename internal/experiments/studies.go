@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"nvdimmc/internal/core"
-	"nvdimmc/internal/cpolicy"
 	"nvdimmc/internal/imdb"
+	"nvdimmc/internal/nvdc"
 	"nvdimmc/internal/sim"
 	"nvdimmc/internal/workload/stream"
 	"nvdimmc/internal/workload/tpch"
@@ -134,9 +134,9 @@ func LRUStudy(o Options) (LRUStudyResult, error) {
 		if slots < 1 {
 			slots = 1
 		}
-		lru := cpolicy.Replay(cpolicy.LRU, slots, trace)
-		lrc := cpolicy.Replay(cpolicy.LRC, slots, trace)
-		clk := cpolicy.Replay(cpolicy.Clock, slots, trace)
+		lru := nvdc.Replay(nvdc.PolicyLRU, slots, trace)
+		lrc := nvdc.Replay(nvdc.PolicyLRC, slots, trace)
+		clk := nvdc.Replay(nvdc.PolicyClock, slots, trace)
 		res.LRU = append(res.LRU, lru.HitRate())
 		res.LRC = append(res.LRC, lrc.HitRate())
 		res.Clock = append(res.Clock, clk.HitRate())

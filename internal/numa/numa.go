@@ -232,7 +232,7 @@ func New(cfg Config) (*Fabric, error) {
 	}
 	f.Front = pool.NewFront(f.socks[0].pool.Epoch(), 0, cfg.MaxEpochs)
 	f.sup = pool.NewSupervisor[pool.Probe](socketLevel{f}, cfg.Sockets, cfg.ProbeEvery, cfg.EvacuateAfterProbes,
-		pool.RetryPolicy{Max: maxRetries, Epoch: f.Epoch(), Degraded: ErrFabricDegraded,
+		pool.RetryPolicy{Epoch: f.Epoch(), Degraded: ErrFabricDegraded,
 			// A fabric request is never canceled: fab-retry-canceled stays 0.
 			Counters: [...]string{"fab-retry-queued", "fab-retry-canceled", "fab-retry-exhausted", "fab-retry-infeasible"}},
 		f.ctr, "socket", "socket-evacuating")
@@ -399,9 +399,6 @@ func (f *Fabric) dispatch(op *pool.Piece) {
 	}
 	f.socks[dst].pend[pid] = op
 }
-
-// maxRetries bounds cross-socket re-dispatch of typed-failed requests.
-const maxRetries = 4
 
 // fabricTyped lists the sentinels that make a fabric failure typed: the
 // pool's plus the socket-level ones.

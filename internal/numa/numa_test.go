@@ -207,16 +207,22 @@ func TestFabricEvacuationKill(t *testing.T) {
 	}
 
 	// With socket probes off the victim is never evacuated, so a piece it
-	// fails is retried onto it again. Without a deadline the retries
-	// exhaust the cap, typed ErrFabricDegraded; under one, a retry that
-	// cannot land in time fails fast as expired.
+	// fails is retried onto it again, each fabric attempt after the pool's
+	// own MaxRetries. Without a deadline the retries exhaust the cap, typed
+	// ErrFabricDegraded. Under one, a fabric retry that cannot land in time
+	// fails fast as expired: the pool prices its retries with the channel's
+	// service EWMA and the fabric with the link latency, so a 1 ms link and
+	// an 8 ms deadline leave the pool's retries feasible and the fabric's
+	// first one not.
 	for _, c := range []struct {
-		deadline sim.Duration
-		counter  string
-	}{{0, "fab-retry-exhausted"}, {20 * sim.Microsecond, "fab-retry-infeasible"}} {
+		xlat, deadline sim.Duration
+		counter        string
+	}{{0, 0, "fab-retry-exhausted"}, {sim.Millisecond, 8 * sim.Millisecond, "fab-retry-infeasible"}} {
 		f := newTestFabric(t, 2, 1, killSocket(1, 1), func(cfg *Config) {
 			cfg.ProbeEvery = 1 << 20
-			cfg.Pool.MaxRetries = -1 // every pool failure reaches the fabric
+			if c.xlat > 0 {
+				cfg.XLat = c.xlat
+			}
 		})
 		g := fabricTenants(f, 7, true)
 		g.Deadline = c.deadline
@@ -225,8 +231,8 @@ func TestFabricEvacuationKill(t *testing.T) {
 			t.Fatalf("deadline %v: %s = 0", c.deadline, c.counter)
 		}
 		if c.deadline == 0 && (!errors.Is(s.FirstFailure, ErrFabricDegraded) ||
-			!strings.Contains(s.FirstFailure.Error(), fmt.Sprintf("(%d attempts)", maxRetries+1))) {
-			t.Fatalf("exhausted retry failed with %v, want ErrFabricDegraded after %d attempts", s.FirstFailure, maxRetries+1)
+			!strings.Contains(s.FirstFailure.Error(), fmt.Sprintf("(%d attempts)", pool.MaxRetries+1))) {
+			t.Fatalf("exhausted retry failed with %v, want ErrFabricDegraded after %d attempts", s.FirstFailure, pool.MaxRetries+1)
 		}
 		if c.deadline > 0 && s.Expired == 0 {
 			t.Fatalf("infeasible retry expired no request: %+v", s.Ledger)

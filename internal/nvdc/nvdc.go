@@ -113,8 +113,10 @@ var errorCounters = []string{
 	CtrFaultFailed,
 }
 
-// Config parameterizes the driver.
+// Config parameterizes the driver. Every knob's zero value is the PoC's:
+// LRC replacement, no dirty tracking, one CP slot, the real device.
 type Config struct {
+	// Layout is the DRAM-cache region layout (core.NewSystem fills it in).
 	Layout hostmem.Layout
 	// Policy selects the victim replacement algorithm (PoC: LRC).
 	Policy Policy
@@ -154,21 +156,6 @@ type Config struct {
 	// nothing"), so this mode is for performance experiments only.
 	Hypothetical bool
 	TD           sim.Duration
-	// TDOverlap is the fraction of each wait hidden by pipelining with the
-	// driver's own mapping work and the ack-free hypothetical path. The
-	// exposed stall per miss is tdWaits*TD*(1-TDOverlap). Calibrated so the
-	// single-thread Fig. 12 bandwidths land near the paper's.
-	TDOverlap float64
-}
-
-// DefaultConfig returns the PoC-like driver configuration for the layout.
-func DefaultConfig(layout hostmem.Layout) Config {
-	return Config{
-		Layout:     layout,
-		Policy:     PolicyLRC,
-		TrackDirty: false,
-		TDOverlap:  0.7,
-	}
 }
 
 // CPU-side cost model.
@@ -200,6 +187,12 @@ const cachefillRetries = 3
 // tdWaits is the nominal number of refresh-window delays per miss in the
 // hypothetical device mode (3 per §V-A: poll, data, status).
 const tdWaits = 3
+
+// tdOverlap is the fraction of each hypothetical-mode wait hidden by
+// pipelining with the driver's own mapping work and the ack-free path. The
+// exposed stall per miss is tdWaits*TD*(1-tdOverlap). Calibrated so the
+// single-thread Fig. 12 bandwidths land near the paper's.
+const tdOverlap float64 = 0.7
 
 // Stats aggregates driver behaviour.
 type Stats struct {
@@ -749,12 +742,12 @@ func (m *miss) transfer() {
 	d := m.d
 	if d.cfg.Hypothetical {
 		// Fig. 12 mode: no FPGA communication; the driver waits tdWaits
-		// programmable delays per miss (§VII-D1), of which TDOverlap is
+		// programmable delays per miss (§VII-D1), of which tdOverlap is
 		// hidden behind the driver's own mapping work and the ack-free
 		// pipeline — the single-thread bandwidths the paper reports imply
 		// an exposed stall of roughly one tD per access (see the Fig. 12
 		// calibration note in EXPERIMENTS.md).
-		stall := sim.Duration(float64(tdWaits) * float64(d.cfg.TD) * (1 - d.cfg.TDOverlap))
+		stall := sim.Duration(float64(tdWaits) * float64(d.cfg.TD) * (1 - tdOverlap))
 		d.k.Schedule(stall, m.filledFn)
 		return
 	}

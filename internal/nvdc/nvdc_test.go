@@ -48,7 +48,7 @@ func newRig(tb testing.TB, rows, slots int) (*sim.Kernel, *Driver, hostmem.Layou
 			SlotsOffset: PageSize + meta, NumSlots: slots,
 		}
 	}
-	cfg := DefaultConfig(layout)
+	cfg := Config{Layout: layout}
 	// No NVMC behind this rig: route every miss through the fast-fill path
 	// (nothing on media) so faults never need a CP ack.
 	cfg.MediaWritten = func(int64) bool { return false }
@@ -73,7 +73,7 @@ func TestNewValidatesLayout(t *testing.T) {
 		MetaOffset: 4096, MetaSize: 4096,
 		SlotsOffset: 8192, NumSlots: 1 << 20,
 	}
-	if _, err := New(k, mc, nil, 4096, DefaultConfig(layout)); err == nil {
+	if _, err := New(k, mc, nil, 4096, Config{Layout: layout}); err == nil {
 		t.Fatal("undersized metadata accepted")
 	}
 }
@@ -282,7 +282,7 @@ func TestHypotheticalModeStall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(layout)
+	cfg := Config{Layout: layout}
 	cfg.Hypothetical = true
 	cfg.TD = 7800 * sim.Nanosecond
 	d, err := New(k, mc, nil, 4096, cfg)
@@ -296,7 +296,7 @@ func TestHypotheticalModeStall(t *testing.T) {
 	k.RunWhile(func() bool { return !done })
 	lat := k.Now().Sub(start)
 	// Exposed stall = 3 * tD * (1-0.7) = 7.02us, plus mapCost.
-	wantStall := sim.Duration(float64(tdWaits) * float64(cfg.TD) * (1 - cfg.TDOverlap))
+	wantStall := sim.Duration(float64(tdWaits) * float64(cfg.TD) * (1 - tdOverlap))
 	if lat < wantStall || lat > wantStall+10*sim.Microsecond {
 		t.Fatalf("hypothetical miss latency %v, want >= stall %v", lat, wantStall)
 	}

@@ -187,3 +187,47 @@ func (c *clock) Remove(slot int) {
 	}
 }
 func (c *clock) Len() int { return c.n }
+
+// ReplayResult counts one trace replay.
+type ReplayResult struct {
+	Accesses, Hits, ColdMisses, Evictions uint64
+}
+
+// HitRate returns Hits/Accesses (0 with no accesses).
+func (r ReplayResult) HitRate() float64 {
+	if r.Accesses == 0 {
+		return 0
+	}
+	return float64(r.Hits) / float64(r.Accesses)
+}
+
+// Replay runs a page-reference trace through policy p's replacer over a
+// fully associative cache of slots pages, the way the driver fills its
+// slots: a miss takes the free slots in order 0..slots-1, then the
+// replacer's victim. It is the engine of the §VII-B5 trace study.
+func Replay(p Policy, slots int, trace []int64) ReplayResult {
+	r := newReplacer(p, slots)
+	at := map[int64]int{}        // page -> slot, -1 once evicted
+	held := make([]int64, slots) // slot -> page
+	var res ReplayResult
+	for _, pg := range trace {
+		res.Accesses++
+		s, seen := at[pg]
+		switch {
+		case seen && s >= 0:
+			res.Hits++
+			r.Touch(s)
+			continue
+		case !seen:
+			res.ColdMisses++
+		}
+		if s = r.Len(); s == slots {
+			s = r.Victim()
+			at[held[s]] = -1
+			res.Evictions++
+		}
+		held[s], at[pg] = pg, s
+		r.Insert(s)
+	}
+	return res
+}

@@ -17,19 +17,9 @@ import (
 	"nvdimmc/internal/sim"
 )
 
-// Config sizes the emulated device.
-type Config struct {
-	// Bytes is the module capacity (128 GB on the testbed; sparse storage
-	// makes full size affordable).
-	Bytes int64
-}
-
-// DefaultConfig mirrors Table I.
-func DefaultConfig() Config {
-	return Config{
-		Bytes: 128 << 30,
-	}
-}
+// Bytes is the module capacity: Table I's 128 GB (sparse storage makes the
+// full size affordable).
+const Bytes = 128 << 30
 
 // The emulated module's channel mirrors Table I: DDR4-1600 with the PoC's
 // refresh programming.
@@ -45,7 +35,6 @@ type Device struct {
 	DRAM    *dram.Device
 	Channel *bus.Channel
 	IMC     *imc.Controller
-	cfg     Config
 	cost    hostcost.Model
 
 	footprint int64
@@ -58,35 +47,24 @@ type Device struct {
 	zeros  []byte
 }
 
-// New builds and boots the device (refresh running).
-func New(cfg Config) (*Device, error) {
+// New builds and boots Table I's baseline module (refresh running).
+func New() *Device {
 	k := sim.NewKernel()
 	timing := ddr4.NewTiming(grade)
 	timing.TRFC = trfc
 	timing.TREFI = trefi
-	if err := timing.Validate(); err != nil {
-		return nil, fmt.Errorf("pmem: %w", err)
-	}
 	const banks, burstsPerRow = 16, 128
-	rows := cfg.Bytes / (int64(banks) * int64(burstsPerRow) * ddr4.BurstBytes)
-	if rows < 1 {
-		return nil, fmt.Errorf("pmem: capacity %d too small", cfg.Bytes)
-	}
-	dcfg := dram.Config{
+	dev := dram.New(k, dram.Config{
 		Timing:       timing,
 		Banks:        banks,
-		Rows:         int(rows),
+		Rows:         Bytes / (banks * burstsPerRow * ddr4.BurstBytes),
 		BurstsPerRow: burstsPerRow,
 		StandardTRFC: ddr4.Density8Gb.StandardTRFC(),
-	}
-	dev := dram.New(k, dcfg)
+	})
 	ch := bus.New(k, dev)
-	imcCfg := imc.DefaultConfig()
-	imcCfg.TREFI = trefi
-	imcCfg.TRFC = trfc
-	mc := imc.New(k, ch, imcCfg)
+	mc := imc.New(k, ch, imc.Config{TREFI: trefi, TRFC: trfc})
 	mc.StartRefresh()
-	return &Device{K: k, DRAM: dev, Channel: ch, IMC: mc, cfg: cfg, cost: hostcost.Default()}, nil
+	return &Device{K: k, DRAM: dev, Channel: ch, IMC: mc, cost: hostcost.Default()}
 }
 
 // Name identifies the target in reports.
@@ -96,7 +74,7 @@ func (d *Device) Name() string { return "pmem0-baseline" }
 func (d *Device) Kernel() *sim.Kernel { return d.K }
 
 // Capacity returns the device size in bytes.
-func (d *Device) Capacity() int64 { return d.cfg.Bytes }
+func (d *Device) Capacity() int64 { return Bytes }
 
 // Prepare records the workload footprint (drives page-walk cost).
 func (d *Device) Prepare(footprint int64) { d.footprint = footprint }
@@ -111,7 +89,7 @@ func (d *Device) ThreadCPU(n int, write bool) sim.Duration {
 // modelled as interleaved CPU/bus chunks so refresh holds intersect the op
 // the way they do a real copy loop.
 func (d *Device) Do(off int64, n int, write bool, done func()) {
-	if off < 0 || off+int64(n) > d.cfg.Bytes {
+	if off < 0 || off+int64(n) > Bytes {
 		panic(fmt.Sprintf("pmem: access [%d,%d) out of range", off, off+int64(n)))
 	}
 	var op *copyOp

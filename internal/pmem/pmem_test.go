@@ -7,20 +7,9 @@ import (
 	"nvdimmc/internal/sim"
 )
 
-func newDev(t *testing.T, bytes int64) *Device {
-	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Bytes = bytes
-	d, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
-}
-
 func TestFullSizeSparse(t *testing.T) {
 	// The Table I baseline is 128 GB; sparse storage must make it cheap.
-	d := newDev(t, 128<<30)
+	d := New()
 	if d.Capacity() != 128<<30 {
 		t.Fatalf("capacity = %d", d.Capacity())
 	}
@@ -30,7 +19,7 @@ func TestFullSizeSparse(t *testing.T) {
 }
 
 func TestLoadStoreRoundTrip(t *testing.T) {
-	d := newDev(t, 1<<30)
+	d := New()
 	want := []byte("pmem0 emulated nvdimm")
 	done := false
 	d.Store(123456, want, func() {
@@ -49,7 +38,7 @@ func TestLoadStoreRoundTrip(t *testing.T) {
 }
 
 func TestDoChunksCompleteOnce(t *testing.T) {
-	d := newDev(t, 1<<30)
+	d := New()
 	calls := 0
 	d.Prepare(1 << 30)
 	d.Do(0, 65536, false, func() { calls++ })
@@ -60,17 +49,17 @@ func TestDoChunksCompleteOnce(t *testing.T) {
 }
 
 func TestDoOutOfRangePanics(t *testing.T) {
-	d := newDev(t, 1<<20)
+	d := New()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-range op accepted")
 		}
 	}()
-	d.Do(1<<20-100, 4096, false, func() {})
+	d.Do(Bytes-100, 4096, false, func() {})
 }
 
 func TestRefreshRuns(t *testing.T) {
-	d := newDev(t, 1<<30)
+	d := New()
 	d.K.RunFor(sim.Millisecond)
 	if d.IMC.Refreshes() < 100 {
 		t.Fatalf("refreshes = %d in 1 ms, want ~128", d.IMC.Refreshes())
@@ -81,7 +70,7 @@ func TestRefreshRuns(t *testing.T) {
 }
 
 func TestThreadCPUUsesFootprint(t *testing.T) {
-	d := newDev(t, 128<<30)
+	d := New()
 	d.Prepare(1 << 30)
 	small := d.ThreadCPU(4096, false)
 	d.Prepare(120 << 30)
@@ -95,7 +84,7 @@ func TestThreadCPUUsesFootprint(t *testing.T) {
 // on a recycled op record with bound continuations, reading into the
 // device's sink and writing from its zero source.
 func TestDoZeroAllocs(t *testing.T) {
-	d := newDev(t, 1<<30)
+	d := New()
 	done := false
 	markDone := func() { done = true }
 	pending := func() bool { return !done }

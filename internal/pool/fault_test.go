@@ -222,7 +222,6 @@ func TestPoolFaultedWorkerCountIdentical(t *testing.T) {
 func TestPoolBreakerTripsAndRecovers(t *testing.T) {
 	p := newTestPool(t, 1, 1, 1, 4096, func(c *Config) {
 		noProbe(c) // isolate the breaker from quarantine
-		c.MaxRetries = 8
 		// Misses serialize on the lone member at ~10 epochs per completion,
 		// so the window must span many epochs to gather MinSamples.
 		c.BreakerWindow = 64

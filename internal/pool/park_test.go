@@ -214,12 +214,10 @@ func channelView(p *Pool, ci int) (string, int) {
 // breakers that trip on slow completions. The lookahead pool must
 // skip channel-epochs; lockstep never parks a channel.
 func TestParkedChannelsMatchLockstep(t *testing.T) {
-	// A narrow window and a short queue build backlogs that shed and
-	// expire, and slow completions (misses, and hits that queued) trip
-	// breakers.
+	// A narrow window and a short queue (set on each pool below) build
+	// backlogs that shed and expire, and slow completions (misses, and hits
+	// that queued) trip breakers.
 	trippy := func(c *Config) {
-		c.Window = 2
-		c.QueueCap = 4
 		c.BreakerLatency = 10 * sim.Microsecond
 		c.BreakerWindow = 6
 		c.BreakerMinSamples = 2
@@ -235,7 +233,6 @@ func TestParkedChannelsMatchLockstep(t *testing.T) {
 			trippy(c)
 			c.Admission = AdmitShedNewest
 			c.PendingCap = 16
-			c.MaxRetries = 3
 			c.ArmFaults = func(member int, g *fault.Registry) {
 				g.OnOccurrence(fault.NANDReadBitFlip, 1).Times(1 << 30)
 			}
@@ -259,6 +256,8 @@ func TestParkedChannelsMatchLockstep(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/seed=%d", c.name, seed), func(t *testing.T) {
 				a := newTestPool(t, 3, 1, 1, 4096, c.mut)
 				b := newTestPool(t, 3, 1, 1, 4096, c.mut, func(c *Config) { c.DisableLookahead = true })
+				a.window, a.queueCap = 2, 4
+				b.window, b.queueCap = 2, 4
 				rng := sim.NewRand(seed)
 				foot := faultFootprint(a) / PageSize
 				lagged, reads := 0, 0

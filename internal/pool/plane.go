@@ -259,7 +259,7 @@ func (p *Pool) Submit(r openloop.Request) (uint64, error) {
 			qi := p.qosIndex(r.Tenant)
 			ch.tq[qi].fifo = append(ch.tq[qi].fifo, f)
 			ch.c.held.Inc()
-		case len(ch.queue) < p.Cfg.QueueCap:
+		case len(ch.queue) < p.queueCap:
 			ch.queue = append(ch.queue, f)
 			ch.c.admitted.Inc()
 		default:

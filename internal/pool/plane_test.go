@@ -183,9 +183,9 @@ func TestPlaneRetryFailFast(t *testing.T) {
 func TestPlaneShedNewestBoundsHeld(t *testing.T) {
 	p := newTestPool(t, 1, 1, 1, 4096, func(c *Config) {
 		c.Admission = AdmitShedNewest
-		c.QueueCap = 4
 		c.PendingCap = 8
 	})
+	p.queueCap = 4
 	shed := 0
 	for i := 0; i < 40; i++ {
 		_, err := p.Submit(openloop.Request{Off: int64(i%32) * 4096, Len: 4096})
@@ -229,9 +229,9 @@ func TestPlaneShedNewestBoundsHeld(t *testing.T) {
 func TestPlaneShedOldestDisplacesOldest(t *testing.T) {
 	p := newTestPool(t, 1, 1, 1, 4096, func(c *Config) {
 		c.Admission = AdmitShedOldest
-		c.QueueCap = 4
 		c.PendingCap = 4
 	})
+	p.queueCap = 4
 	for i := 0; i < 12; i++ {
 		if _, err := p.Submit(openloop.Request{Off: int64(i%32) * 4096, Len: 4096}); err != nil {
 			t.Fatalf("submit %d: %v — shed-oldest must accept fresh arrivals", i, err)
@@ -270,9 +270,9 @@ func TestPlaneShedOldestDisplacesOldest(t *testing.T) {
 func TestPlaneWritesShedFirst(t *testing.T) {
 	p := newTestPool(t, 1, 1, 1, 4096, func(c *Config) {
 		c.Admission = AdmitShedNewest
-		c.QueueCap = 4
 		c.PendingCap = 8
 	})
+	p.queueCap = 4
 	wshed := 0
 	for i := 0; i < 40; i++ {
 		_, err := p.Submit(openloop.Request{Off: int64(i%32) * 4096, Len: 4096, Write: true})

@@ -69,13 +69,6 @@ type Config struct {
 	// Member configures every (channel, DIMM) core.System identically;
 	// per-member RNG streams are split from Seed.
 	Member core.Config
-	// Window caps in-flight fragments per channel (default 32). Slots
-	// recycle at epoch boundaries, so Window/Epoch bounds per-channel
-	// throughput; the default leaves ~4x headroom over a cached channel.
-	Window int
-	// QueueCap bounds each channel's dispatch queue (default 64); beyond it
-	// arrivals are held at admission (backpressure).
-	QueueCap int
 	// Workers caps how many members New builds and prefills concurrently
 	// (<=1 serial; output is identical either way). Epochs advance members
 	// on the stepping goroutine.
@@ -112,10 +105,6 @@ type Config struct {
 	// (default 4).
 	ProbeEvery int
 
-	// MaxRetries caps per-fragment redispatch attempts before the request
-	// fails with ErrPoolDegraded (default 4; negative disables retries).
-	MaxRetries int
-
 	// Admission selects the front-end admission policy (default AdmitBlock,
 	// the hold-everything behavior; see plane.go for the shedding policies).
 	Admission AdmissionPolicy
@@ -145,6 +134,15 @@ type Config struct {
 	DisableLookahead bool
 }
 
+// Window caps in-flight fragments per channel. Slots recycle at epoch
+// boundaries, so Window/Epoch bounds per-channel throughput; 32 leaves ~4x
+// headroom over a cached channel. QueueCap bounds each channel's dispatch
+// queue; beyond it arrivals are held at admission (backpressure).
+const (
+	Window   = 32
+	QueueCap = 64
+)
+
 // DefaultConfig returns a laptop-scale pool: 1 channel x 1 DIMM of the
 // default scaled member, 4 KB interleave.
 func DefaultConfig() Config {
@@ -167,12 +165,6 @@ func (c *Config) fillDefaults() error {
 	if c.Interleave%PageSize != 0 {
 		return fmt.Errorf("pool: interleave %d not a multiple of the %d B page", c.Interleave, PageSize)
 	}
-	if c.Window <= 0 {
-		c.Window = 32
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = 64
-	}
 	if c.MaxEpochs <= 0 {
 		c.MaxEpochs = DefaultMaxEpochs
 	}
@@ -187,12 +179,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.ProbeEvery <= 0 {
 		c.ProbeEvery = 4
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 4
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
 	}
 	if c.PendingCap <= 0 {
 		c.PendingCap = 256
@@ -362,6 +348,9 @@ type Pool struct {
 	Front
 	Cfg Config
 	Dec *Decoder
+	// window and queueCap are Window and QueueCap; in-package tests narrow
+	// them to reach backpressure and shedding with a handful of requests.
+	window, queueCap int
 
 	members []*member
 	chans   []*channelState
@@ -409,7 +398,7 @@ func New(cfg Config) (*Pool, error) {
 	}
 	n := cfg.Channels * cfg.DIMMsPerChannel
 	total := n + cfg.Spares
-	p := &Pool{Cfg: cfg, members: make([]*member, total)}
+	p := &Pool{Cfg: cfg, window: Window, queueCap: QueueCap, members: make([]*member, total)}
 	epoch := cfg.Member.TREFI
 	if epoch <= 0 {
 		epoch = 7800 * sim.Nanosecond
@@ -509,7 +498,7 @@ func New(cfg Config) (*Pool, error) {
 	}
 	p.ctrPool = metrics.NewCounters()
 	p.sup = NewSupervisor[memberProbe](memberLevel{p}, total, cfg.ProbeEvery, 0,
-		RetryPolicy{Max: cfg.MaxRetries, Epoch: epoch, Degraded: ErrPoolDegraded,
+		RetryPolicy{Epoch: epoch, Degraded: ErrPoolDegraded,
 			Counters: [...]string{"frags-retried", "frags-canceled", "frags-failed", "frags-retry-expired"}},
 		p.ctrPool, "member", "member-quarantine")
 	p.latRebuild = metrics.NewHistogram()
@@ -577,7 +566,7 @@ func (p *Pool) fill(ci int) {
 	if len(ch.tq) > 0 {
 		p.fillDRR(ch)
 	} else {
-		if n := min(len(ch.pending), p.Cfg.QueueCap-len(ch.queue)); n > 0 {
+		if n := min(len(ch.pending), p.queueCap-len(ch.queue)); n > 0 {
 			ch.queue = append(ch.queue, ch.pending[:n]...)
 			ch.pending = dropFront(ch.pending, n)
 			ch.c.admitted.Add(uint64(n))
@@ -594,7 +583,7 @@ func (p *Pool) fill(ci int) {
 			p.fragFailed(f, fmt.Errorf("logical %d -> member %d: %w", f.Member, phys, ErrMemberQuarantined), p.now)
 			continue
 		}
-		if ch.inflight >= p.Cfg.Window || budget <= 0 {
+		if ch.inflight >= p.window || budget <= 0 {
 			break
 		}
 		budget--

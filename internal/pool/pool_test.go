@@ -141,9 +141,12 @@ func TestPoolChannelScaling(t *testing.T) {
 // relative to a balanced run, while every request (including every write)
 // still completes and no channel wedges.
 func TestPoolBackpressureHotChannel(t *testing.T) {
-	tight := func(c *Config) { c.QueueCap = 8; c.Window = 4 }
+	tight := func(p *Pool) *Pool {
+		p.queueCap, p.window = 8, 4
+		return p
+	}
 
-	balanced := newTestPool(t, 2, 1, 2, 4096, tight)
+	balanced := tight(newTestPool(t, 2, 1, 2, 4096))
 	bCfg := openloop.Config{
 		Seed: 11, RatePerSec: 0,
 		Tenants: []openloop.Tenant{
@@ -153,7 +156,7 @@ func TestPoolBackpressureHotChannel(t *testing.T) {
 	}
 	bStats := runPool(t, balanced, bCfg, 300)
 
-	hot := newTestPool(t, 2, 1, 2, 4096, tight)
+	hot := tight(newTestPool(t, 2, 1, 2, 4096))
 	hCfg := openloop.Config{
 		Seed: 11, RatePerSec: 0,
 		Tenants: []openloop.Tenant{

@@ -49,7 +49,8 @@ var ErrTenantThrottled = errors.New("pool: tenant over token-bucket rate, reques
 type TenantQoS struct {
 	Name string
 	// Weight is the tenant's DRR service share (default 1). Each round-robin
-	// visit grants the tenant QuantumBytes x Weight byte credits.
+	// visit grants the tenant Weight pages of byte credit (quantumBytes x
+	// Weight).
 	Weight float64
 	// RatePerSec is the token-bucket refill rate in requests per simulated
 	// second; zero leaves the tenant unpoliced (no bucket).
@@ -72,11 +73,12 @@ type QoSConfig struct {
 	// replaces the FIFO held-list drain. Off, tenants are tracked but
 	// scheduled exactly as before.
 	Isolation bool
-	// QuantumBytes is the DRR byte credit granted per weight unit per visit
-	// (default 4096 — one page, so equal-weight tenants alternate pages and
-	// a 2 MB stripe fragment costs 512 visits of accumulated credit).
-	QuantumBytes int
 }
+
+// quantumBytes is the DRR byte credit granted per weight unit per visit:
+// one page, so equal-weight tenants alternate pages and a 2 MB stripe
+// fragment costs 512 visits of accumulated credit.
+const quantumBytes = PageSize
 
 func (q *QoSConfig) enabled() bool { return len(q.Tenants) > 0 }
 
@@ -84,12 +86,6 @@ func (q *QoSConfig) enabled() bool { return len(q.Tenants) > 0 }
 func (q *QoSConfig) validate() error {
 	if q.Isolation && len(q.Tenants) == 0 {
 		return fmt.Errorf("pool: QoS isolation armed with no tenants")
-	}
-	if q.QuantumBytes < 0 {
-		return fmt.Errorf("pool: QoS quantum %d B negative", q.QuantumBytes)
-	}
-	if q.QuantumBytes == 0 {
-		q.QuantumBytes = 4096
 	}
 	for i := range q.Tenants {
 		t := &q.Tenants[i]
@@ -99,9 +95,9 @@ func (q *QoSConfig) validate() error {
 		if t.Weight == 0 {
 			t.Weight = 1
 		}
-		if int64(t.Weight*float64(q.QuantumBytes)) < 1 {
+		if int64(t.Weight*quantumBytes) < 1 {
 			return fmt.Errorf("pool: QoS tenant %d weight %v x quantum %d rounds below one byte credit per visit",
-				i, t.Weight, q.QuantumBytes)
+				i, t.Weight, quantumBytes)
 		}
 		if t.RatePerSec < 0 || math.IsNaN(t.RatePerSec) || math.IsInf(t.RatePerSec, 0) {
 			return fmt.Errorf("pool: QoS tenant %d rate %v req/s is not a rate (zero disables the bucket)", i, t.RatePerSec)
@@ -196,7 +192,7 @@ func (p *Pool) initQoS() {
 	for _, ch := range p.chans {
 		ch.tq = make([]tenantQueue, len(p.qosT))
 		for i := range ch.tq {
-			ch.tq[i].quantum = int64(p.qosT[i].cfg.Weight * float64(q.QuantumBytes))
+			ch.tq[i].quantum = int64(p.qosT[i].cfg.Weight * quantumBytes)
 		}
 	}
 }
@@ -294,7 +290,7 @@ func (p *Pool) fillDRR(ch *channelState) {
 		active += len(ch.tq[i].fifo)
 	}
 	n := len(ch.tq)
-	for active > 0 && len(ch.queue) < p.Cfg.QueueCap {
+	for active > 0 && len(ch.queue) < p.queueCap {
 		tq := &ch.tq[ch.drrNext]
 		mid := ch.drrMid
 		ch.drrMid = false
@@ -307,7 +303,7 @@ func (p *Pool) fillDRR(ch *channelState) {
 			tq.deficit += tq.quantum
 		}
 		taken := 0
-		for taken < len(tq.fifo) && len(ch.queue) < p.Cfg.QueueCap {
+		for taken < len(tq.fifo) && len(ch.queue) < p.queueCap {
 			f := tq.fifo[taken]
 			cost := int64(f.N)
 			if tq.deficit < cost {

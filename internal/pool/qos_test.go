@@ -32,7 +32,6 @@ func qosSnapshot(s Stats) string {
 func TestQoSConfigValidation(t *testing.T) {
 	bad := []QoSConfig{
 		{Isolation: true},
-		{QuantumBytes: -1, Tenants: []TenantQoS{{}}},
 		{Tenants: []TenantQoS{{Weight: -1}}},
 		{Tenants: []TenantQoS{{Weight: math.NaN()}}},
 		{Tenants: []TenantQoS{{Weight: math.Inf(1)}}},
@@ -51,7 +50,7 @@ func TestQoSConfigValidation(t *testing.T) {
 	if err := q.validate(); err != nil {
 		t.Fatalf("legal config rejected: %v", err)
 	}
-	if q.QuantumBytes != 4096 || q.Tenants[0].Weight != 1 || q.Tenants[0].Burst != 8 {
+	if q.Tenants[0].Weight != 1 || q.Tenants[0].Burst != 8 {
 		t.Fatalf("defaults not applied: %+v", q)
 	}
 	if q.Tenants[1].Burst != 0 {

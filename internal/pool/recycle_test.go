@@ -57,8 +57,6 @@ func TestRequestRecordsRecycleOnce(t *testing.T) {
 	p := newTestPool(t, 3, 1, 1, 4096, func(c *Config) {
 		c.Admission = AdmitShedOldest
 		c.PendingCap = 6
-		c.QueueCap = 4
-		c.Window = 3
 		noProbe(c) // keep every member in service
 		c.ArmFaults = func(member int, g *fault.Registry) {
 			if member == 1 {
@@ -66,6 +64,7 @@ func TestRequestRecordsRecycleOnce(t *testing.T) {
 			}
 		}
 	})
+	p.queueCap, p.window = 4, 3
 	foot := faultFootprint(p)
 	rng := sim.NewRand(5)
 	live := map[uint64]*Request{}

@@ -239,11 +239,14 @@ const (
 	RetryInfeasible
 )
 
+// MaxRetries caps a piece's retries at both levels: a pool fragment's
+// redispatches before its request fails with ErrPoolDegraded, and a fabric
+// request's cross-socket re-dispatches before it fails with
+// numa.ErrFabricDegraded.
+const MaxRetries = 4
+
 // RetryPolicy is a level's side of the retry decision.
 type RetryPolicy struct {
-	// Max caps a piece's retries: a pool's Config.MaxRetries, a fabric's
-	// fixed cap.
-	Max int
 	// Epoch is the level's epoch length, which prices the backoff.
 	Epoch sim.Duration
 	// Degraded is the sentinel an exhausted piece's error wraps:
@@ -273,7 +276,7 @@ func (s *Supervisor[S]) retry(f *Piece, err error, now sim.Time, eta sim.Duratio
 		return RetryCanceled, nil
 	}
 	f.Attempts++
-	if f.Attempts > s.Policy.Max {
+	if f.Attempts > MaxRetries {
 		return RetryExhausted, fmt.Errorf("%w (%d attempts): %w", s.Policy.Degraded, f.Attempts, err)
 	}
 	delay := RetryBackoff(f.Attempts)

@@ -11,9 +11,9 @@ import (
 )
 
 // TestRetryDecision runs both levels' arguments through every verdict of
-// the one retry decision (Supervisor.Retry): a pool's attempt cap (here a
-// Config.MaxRetries of 2), channel EWMA and ErrPoolDegraded, and a
-// fabric's cap, link latency and degraded sentinel (errFabric stands in
+// the one retry decision (Supervisor.Retry): the attempt cap MaxRetries
+// that both levels share, a pool's channel EWMA and ErrPoolDegraded, and a
+// fabric's link latency and degraded sentinel (errFabric stands in
 // for numa.ErrFabricDegraded, which this package cannot import). A piece is queued on the RetryBackoff schedule
 // until its cap is spent, then exhausted; a retry whose backoff plus ETA
 // overshoots the deadline is infeasible, and one landing exactly on it is
@@ -29,15 +29,15 @@ func TestRetryDecision(t *testing.T) {
 		pol  RetryPolicy
 		eta  sim.Duration
 	}{
-		{"pool", RetryPolicy{Max: 2, Epoch: epoch, Degraded: ErrPoolDegraded,
+		{"pool", RetryPolicy{Epoch: epoch, Degraded: ErrPoolDegraded,
 			Counters: [...]string{"frags-retried", "frags-canceled", "frags-failed", "frags-retry-expired"}}, 3 * sim.Microsecond},
-		{"fabric", RetryPolicy{Max: 4, Epoch: epoch, Degraded: errFabric,
+		{"fabric", RetryPolicy{Epoch: epoch, Degraded: errFabric,
 			Counters: [...]string{"fab-retry-queued", "fab-retry-canceled", "fab-retry-exhausted", "fab-retry-infeasible"}}, 400 * sim.Nanosecond},
 	} {
 		s := Supervisor[memberProbe]{Policy: lv.pol, Epochs: 40}
 		ctr := metrics.NewCounters()
 		f := &Piece{Req: &Request{Remaining: 1}}
-		for a := 1; a <= lv.pol.Max; a++ {
+		for a := 1; a <= MaxRetries; a++ {
 			v, err := s.Retry(f, cause, now, lv.eta, ctr)
 			if v != RetryQueued || err != nil || f.Attempts != a {
 				t.Fatalf("%s attempt %d: verdict %v err %v attempts %d, want queued", lv.name, a, v, err, f.Attempts)
@@ -48,11 +48,11 @@ func TestRetryDecision(t *testing.T) {
 		}
 		v, err := s.Retry(f, cause, now, lv.eta, ctr)
 		if v != RetryExhausted || !errors.Is(err, lv.pol.Degraded) || !errors.Is(err, cause) ||
-			!strings.Contains(err.Error(), fmt.Sprintf("(%d attempts)", lv.pol.Max+1)) {
-			t.Fatalf("%s past the cap: verdict %v err %v, want exhausted after %d attempts", lv.name, v, err, lv.pol.Max+1)
+			!strings.Contains(err.Error(), fmt.Sprintf("(%d attempts)", MaxRetries+1)) {
+			t.Fatalf("%s past the cap: verdict %v err %v, want exhausted after %d attempts", lv.name, v, err, MaxRetries+1)
 		}
-		if len(s.Retries) != lv.pol.Max {
-			t.Fatalf("%s: %d retries queued, want %d", lv.name, len(s.Retries), lv.pol.Max)
+		if len(s.Retries) != MaxRetries {
+			t.Fatalf("%s: %d retries queued, want %d", lv.name, len(s.Retries), MaxRetries)
 		}
 
 		// The first retry finishes one epoch of backoff plus the ETA out.
@@ -71,7 +71,7 @@ func TestRetryDecision(t *testing.T) {
 		if v, err := s.Retry(f, cause, now, lv.eta, ctr); v != RetryCanceled || err != nil || f.Attempts != 0 || len(s.Retries) != queued {
 			t.Fatalf("%s: canceled request: verdict %v err %v attempts %d, want retired unretried", lv.name, v, err, f.Attempts)
 		}
-		for v, want := range []uint64{uint64(lv.pol.Max) + 1, 1, 1, 1} {
+		for v, want := range []uint64{MaxRetries + 1, 1, 1, 1} {
 			if got := ctr.Get(lv.pol.Counters[v]); got != want {
 				t.Fatalf("%s: %q = %d, want %d", lv.name, lv.pol.Counters[v], got, want)
 			}

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nvdimmc/internal/pool"
 	"nvdimmc/internal/sim"
 )
 
@@ -307,7 +308,8 @@ func (c *Client) WaitQuiesced(timeout time.Duration) (Stats, error) {
 }
 
 // LoadConfig shapes one generated load: Clients concurrent connections,
-// each issuing Ops operations against a shared footprint.
+// each issuing Ops one-page operations over the service capacity that
+// /v1/stats reports.
 type LoadConfig struct {
 	// Base is the service root URL.
 	Base string
@@ -317,11 +319,6 @@ type LoadConfig struct {
 	Ops int
 	// WritePct is the write fraction in percent (default 50).
 	WritePct int
-	// Footprint bounds generated offsets (default: the service capacity,
-	// fetched from /v1/stats).
-	Footprint int64
-	// BlockSize is the op size in bytes (default one page).
-	BlockSize int
 	// Tenants spreads clients round-robin over this many tenant IDs
 	// (default 1).
 	Tenants int
@@ -376,9 +373,6 @@ func LoadGen(cfg LoadConfig) (LoadReport, error) {
 	if cfg.WritePct == 0 {
 		cfg.WritePct = 50
 	}
-	if cfg.BlockSize <= 0 {
-		cfg.BlockSize = 4096
-	}
 	if cfg.Tenants <= 0 {
 		cfg.Tenants = 1
 	}
@@ -386,16 +380,13 @@ func LoadGen(cfg LoadConfig) (LoadReport, error) {
 		cfg.Seed = 1
 	}
 	c := &Client{Base: cfg.Base}
-	if cfg.Footprint <= 0 {
-		st, err := c.Stats()
-		if err != nil {
-			return LoadReport{}, fmt.Errorf("loadgen: fetch capacity: %w", err)
-		}
-		cfg.Footprint = st.Capacity
+	info, err := c.Stats()
+	if err != nil {
+		return LoadReport{}, fmt.Errorf("loadgen: fetch capacity: %w", err)
 	}
-	blocks := cfg.Footprint / int64(cfg.BlockSize)
+	blocks := info.Capacity / pool.PageSize
 	if blocks <= 0 {
-		return LoadReport{}, fmt.Errorf("loadgen: footprint %d below block size %d", cfg.Footprint, cfg.BlockSize)
+		return LoadReport{}, fmt.Errorf("loadgen: capacity %d below one page", info.Capacity)
 	}
 
 	var sent, invalid, httpErrs, accepted atomic.Int64
@@ -429,8 +420,8 @@ func LoadGen(cfg LoadConfig) (LoadReport, error) {
 			rng := sim.NewRand(sim.SplitSeed(cfg.Seed, fmt.Sprintf("loadgen/%d", ci)))
 			genOp := func(i int) Op {
 				op := Op{
-					Off:        int64(rng.Uint64()%uint64(blocks)) * int64(cfg.BlockSize),
-					Len:        cfg.BlockSize,
+					Off:        int64(rng.Uint64()%uint64(blocks)) * pool.PageSize,
+					Len:        pool.PageSize,
 					Tenant:     ci % cfg.Tenants,
 					DeadlineUS: cfg.DeadlineUS,
 					Seq:        ci*cfg.Ops + i + 1,

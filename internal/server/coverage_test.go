@@ -228,9 +228,8 @@ func TestWaitQuiescedTimeout(t *testing.T) {
 }
 
 // TestLoadGenAllKnobs drives the generator with every option engaged —
-// deadlines, multiple tenants, stream and sync mixes, explicit footprint
-// and block size — against a shedding pool, and still demands a clean
-// conservation ledger.
+// deadlines, multiple tenants, stream and sync mixes — against a shedding
+// pool, and still demands a clean conservation ledger.
 func TestLoadGenAllKnobs(t *testing.T) {
 	_, c := newTestServer(t, func(cfg *Config) {
 		p := testPoolCfg(2)
@@ -243,8 +242,6 @@ func TestLoadGenAllKnobs(t *testing.T) {
 		Clients:     8,
 		Ops:         12,
 		WritePct:    40,
-		Footprint:   1 << 20,
-		BlockSize:   4096,
 		Tenants:     3,
 		DeadlineUS:  1500,
 		WaitEvery:   2,

@@ -51,11 +51,12 @@ type Config struct {
 	// It is called from the sim-loop goroutine only; a replay.Recorder's
 	// Record method is the intended sink.
 	Capture func(openloop.Request)
-	// PollBuf bounds the async completion ring (default 65536). When full,
-	// the oldest record is dropped and counted in Stats.PollDropped, so a
-	// slow poller degrades observability, never the plane.
-	PollBuf int
 }
+
+// pollBuf bounds the async completion ring. When it is full, the oldest
+// record is dropped and counted in Stats.PollDropped, so a slow poller
+// degrades observability, never the plane.
+const pollBuf = 65536
 
 // submission is one op handed from a handler to the sim loop.
 type submission struct {
@@ -96,6 +97,7 @@ type Server struct {
 	waiters     map[uint64]*submission
 	recs        []pool.Completion // step's reusable Poll buffer
 	ring        []pool.Completion
+	ringCap     int // pollBuf; in-package tests shrink it
 	ringDropped uint64
 	captured    int
 	healthErr   error
@@ -104,11 +106,9 @@ type Server struct {
 // New constructs the pool and starts the sim loop. The caller must
 // eventually Shutdown to stop it.
 func New(cfg Config) (*Server, error) {
-	if cfg.PollBuf <= 0 {
-		cfg.PollBuf = 65536
-	}
 	s := &Server{
 		cfg:     cfg,
+		ringCap: pollBuf,
 		subs:    make(chan *submission, 256),
 		ctl:     make(chan func()),
 		stopReq: make(chan struct{}),
@@ -225,8 +225,8 @@ func (s *Server) onCompletion(c pool.Completion) {
 		sub.resp <- subResult{id: c.ID, seq: sub.seq, comp: &cc}
 		return
 	}
-	if len(s.ring) >= s.cfg.PollBuf {
-		drop := len(s.ring) - s.cfg.PollBuf + 1
+	if len(s.ring) >= s.ringCap {
+		drop := len(s.ring) - s.ringCap + 1
 		s.ring = s.ring[:copy(s.ring, s.ring[drop:])]
 		s.ringDropped += uint64(drop)
 	}

@@ -286,7 +286,8 @@ func TestStatsAndHealthz(t *testing.T) {
 // TestPollRingDropsOldest: a slow poller loses the oldest records, counted,
 // never blocking the plane.
 func TestPollRingDropsOldest(t *testing.T) {
-	_, c := newTestServer(t, func(cfg *Config) { cfg.PollBuf = 4 })
+	s, c := newTestServer(t, nil)
+	s.call(func() { s.ringCap = 4 })
 	const n = 10
 	for i := 0; i < n; i++ {
 		if _, code, err := c.Submit(Op{Off: int64(i) * 4096}, false); err != nil || code != http.StatusAccepted {

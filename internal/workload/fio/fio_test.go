@@ -9,13 +9,7 @@ import (
 
 func newBaseline(t *testing.T) *pmem.Device {
 	t.Helper()
-	cfg := pmem.DefaultConfig()
-	cfg.Bytes = 1 << 30
-	d, err := pmem.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
+	return pmem.New()
 }
 
 func TestRunRandRead(t *testing.T) {
@@ -40,11 +34,7 @@ func TestRunRandRead(t *testing.T) {
 
 func TestBaselineSingleThread4KAnchor(t *testing.T) {
 	// Fig. 8 anchor: baseline 4 KB randread @1 thread ~ 2606 MB/s.
-	cfg := pmem.DefaultConfig() // full 128 GB footprint
-	d, err := pmem.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := pmem.New() // full 128 GB footprint
 	res, err := Run(d, Job{
 		Pattern: RandRead, BlockSize: 4096, NumJobs: 1,
 		FileSize: 120 << 30, OpsPerThread: 2000, WarmupOps: 100,
@@ -104,7 +94,7 @@ func TestJobValidation(t *testing.T) {
 	if _, err := Run(d, Job{Pattern: RandRead, BlockSize: 0}); err == nil {
 		t.Fatal("zero block size accepted")
 	}
-	if _, err := Run(d, Job{Pattern: RandRead, BlockSize: 4096, FileSize: 2 << 30}); err == nil {
+	if _, err := Run(d, Job{Pattern: RandRead, BlockSize: 4096, FileSize: pmem.Bytes + 4096}); err == nil {
 		t.Fatal("file larger than device accepted")
 	}
 	if _, err := Run(d, Job{Pattern: RandRead, BlockSize: 1 << 21, FileSize: 1 << 20}); err == nil {

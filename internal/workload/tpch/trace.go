@@ -28,7 +28,7 @@ func BufferTrace() TraceOptions {
 // database: tables are laid out consecutively in the same proportions
 // BuildDataset uses, scans emit sequential page references over the touched
 // fraction of each column, and probes emit (optionally hot-skewed) random
-// references. The trace feeds the cpolicy simulator for the §VII-B5
+// references. The trace feeds nvdc.Replay for the §VII-B5
 // LRC-vs-LRU hit-rate study.
 func PageTrace(specs []QuerySpec, sc Scale, seed uint64, opts TraceOptions) []int64 {
 	const pageSize = 4096

@@ -33,11 +33,7 @@ func TestPublicAPISmoke(t *testing.T) {
 }
 
 func TestBaselineSmoke(t *testing.T) {
-	d, err := NewBaseline(BaselineConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Capacity() != 128<<30 {
+	if d := NewBaseline(); d.Capacity() != 128<<30 {
 		t.Fatalf("baseline capacity = %d", d.Capacity())
 	}
 }
@@ -97,4 +93,50 @@ func TestWindowsHarnessViaRegistry(t *testing.T) {
 		t.Fatal("windows harness did not print the §V-A minima")
 	}
 	_ = experiments.Options{}
+}
+
+// lossStub is a campaign result with the given point count and loss.
+type lossStub struct {
+	points int
+	lost   uint64
+}
+
+func (l lossStub) Points() int            { return l.points }
+func (l lossStub) AckedLostTotal() uint64 { return l.lost }
+
+// TestGateErrorsNameNoExperiment: a failed gate's error names no
+// experiment, since every caller prefixes the name, so nvdimmc-bench
+// prints each failure with one prefix ("nvdimmc-bench: aging: 2
+// inconsistencies, ..."). A passing result passes every gate.
+func TestGateErrorsNameNoExperiment(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		err  error
+		want string
+	}{
+		{"aging", agingGate(experiments.AgingResult{Inconsistencies: 2, Collisions: 1}),
+			"2 inconsistencies, 1 bus collisions, 0 refresh-detector false positives; the paper reports none"},
+		{"mixed", mixedGate(experiments.MixedLoadResult{Transactions: 9, ValidationFailures: 1}),
+			"1 validation failures in 9 transactions; the paper reports zero corruption"},
+		{"crash", crashGate(&experiments.CrashResult{Seed: 0x2a, Failures: []string{"lost"}}),
+			"1 acked writes lost (seed 0x2a)"},
+		{"conformance", conformanceGate(&experiments.ConformanceResult{Seed: 0x2a, Failures: []string{"REPRO: seed=1"}}),
+			"1 protocol violation(s) (seed 0x2a); first: REPRO: seed=1"},
+		{"numa", lossGate(lossStub{points: 4, lost: 3}), "3 acked writes lost across 4 points"},
+	} {
+		if c.err == nil || c.err.Error() != c.want {
+			t.Errorf("%s gate: %v, want %q", c.name, c.err, c.want)
+		}
+	}
+	for _, err := range []error{
+		agingGate(experiments.AgingResult{Iterations: 3}),
+		mixedGate(experiments.MixedLoadResult{Transactions: 9}),
+		crashGate(&experiments.CrashResult{}),
+		conformanceGate(&experiments.ConformanceResult{}),
+		lossGate(lossStub{points: 4}),
+	} {
+		if err != nil {
+			t.Errorf("passing result failed its gate: %v", err)
+		}
+	}
 }

@@ -3,9 +3,11 @@
 //
 //   - functions and methods that none of the given binaries links, found by
 //     matching `go tool nm` against every non-test func declared there;
-//   - fields of the *Config structs declared there that no code outside the
-//     field's own file sets, tests included, found by type-checking every
-//     package (and its tests) over the export data of `go list -export`.
+//   - fields of the *Config structs declared there that no non-test code
+//     outside the field's own file sets, found by type-checking every
+//     package over the export data of `go list -export`. A test that sets
+//     a field is no caller, and neither is x.F = y.F, which copies the
+//     field into itself.
 //
 // Every reported name must have an entry with a one-line reason in the
 // allowlist, and every allowlist entry must match a reported name. Run it
@@ -41,7 +43,7 @@ import (
 
 func main() {
 	allowPath := flag.String("allow", "", "allowlist file: lines of `func|field <name> <reason>`")
-	modules := flag.String("modules", ".", "comma-separated module directories whose packages and tests may set Config fields")
+	modules := flag.String("modules", ".", "comma-separated module directories whose non-test packages may set Config fields")
 	flag.Parse()
 	if *allowPath == "" || flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "usage: reachcheck -allow FILE [-modules DIRS] BINARY...")
@@ -330,15 +332,14 @@ type listedPackage struct {
 	GoFiles   []string
 	Export    string
 	ImportMap map[string]string
-	ForTest   string
 	Standard  bool
 	DepOnly   bool
 	Error     *struct{ Err string }
 }
 
-// neverSetFields type-checks every package of the modules, with their
-// tests, and returns the fields of the *Config structs declared under
-// declPrefix that nothing sets outside the field's own file.
+// neverSetFields type-checks every non-test package of the modules and
+// returns the fields of the *Config structs declared under declPrefix that
+// nothing sets outside the field's own file.
 func neverSetFields(root, declPrefix string, modules []string) ([]Decl, error) {
 	fset := token.NewFileSet()
 	declared := map[string]Decl{} // position key -> field
@@ -365,7 +366,7 @@ func neverSetFields(root, declPrefix string, modules []string) ([]Decl, error) {
 }
 
 func goList(dir string) (map[string]*listedPackage, error) {
-	cmd := exec.Command("go", "list", "-e", "-export", "-test", "-deps", "-json", "./...")
+	cmd := exec.Command("go", "list", "-e", "-export", "-deps", "-json", "./...")
 	cmd.Dir = dir
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
@@ -389,22 +390,14 @@ func goList(dir string) (map[string]*listedPackage, error) {
 	return pkgs, nil
 }
 
-// checkedPackages picks the packages whose source is scanned: each
-// package's test variant when it has one (its files are a superset of the
-// plain package's), the external test packages, and the rest as listed.
+// checkedPackages picks the packages whose source is scanned: the
+// modules' own, not the standard library or other dependencies.
 func checkedPackages(pkgs map[string]*listedPackage) []*listedPackage {
-	hasTestVariant := map[string]bool{}
-	for _, p := range pkgs {
-		if p.ForTest != "" && strings.HasPrefix(p.ID, p.ForTest+" [") {
-			hasTestVariant[p.ForTest] = true
-		}
-	}
 	var out []*listedPackage
 	for _, p := range pkgs {
-		if p.Standard || p.DepOnly || strings.HasSuffix(p.ID, ".test") || hasTestVariant[p.ID] {
-			continue
+		if !p.Standard && !p.DepOnly {
+			out = append(out, p)
 		}
-		out = append(out, p)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -465,11 +458,18 @@ func scanPackage(fset *token.FileSet, p *listedPackage, pkgs map[string]*listedP
 			set[posKey(fset, v)] = true
 		}
 	}
-	markSelector := func(e ast.Expr) {
+	// fieldOf returns the field that e selects, or nil.
+	fieldOf := func(e ast.Expr) types.Object {
 		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
 			if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
-				mark(sel.Pos(), s.Obj())
+				return s.Obj()
 			}
+		}
+		return nil
+	}
+	markSelector := func(e ast.Expr) {
+		if obj := fieldOf(e); obj != nil {
+			mark(e.Pos(), obj)
 		}
 	}
 	for _, f := range files {
@@ -485,17 +485,21 @@ func scanPackage(fset *token.FileSet, p *listedPackage, pkgs map[string]*listedP
 					break
 				}
 				for i, elt := range n.Elts {
+					obj, val := types.Object(st.Field(i)), elt
 					if kv, ok := elt.(*ast.KeyValueExpr); ok {
-						if id, ok := kv.Key.(*ast.Ident); ok {
-							mark(n.Pos(), info.Uses[id])
-						}
-					} else {
-						mark(n.Pos(), st.Field(i))
+						id, _ := kv.Key.(*ast.Ident)
+						obj, val = info.Uses[id], kv.Value
+					}
+					if fieldOf(val) != obj { // F: y.F copies F into itself
+						mark(n.Pos(), obj)
 					}
 				}
 			case *ast.AssignStmt:
 				if n.Tok != token.DEFINE {
-					for _, lhs := range n.Lhs {
+					for i, lhs := range n.Lhs {
+						if len(n.Rhs) == len(n.Lhs) && fieldOf(n.Rhs[i]) == fieldOf(lhs) {
+							continue // x.F = y.F copies F into itself
+						}
 						markSelector(lhs)
 					}
 				}

@@ -12,10 +12,10 @@ import (
 // TestCheckFixture builds the fixture module's binary without inlining and
 // checks the whole report: which functions are unreached (pointer and value
 // receivers, a generic function and a generic receiver), which Config
-// fields are never set (a field set only in its own file counts as never
-// set, one set only by a test does not, and cfg.Inner.X = … sets
-// InnerConfig.X but not Config.Inner), and that a stale allowlist entry is
-// reported.
+// fields are never set (a field set only in its own file, one set only by
+// a test, and one only copied into itself count as never set, and
+// cfg.Inner.X = … sets InnerConfig.X but not Config.Inner), and that a
+// stale allowlist entry is reported.
 func TestCheckFixture(t *testing.T) {
 	root := filepath.Join("testdata", "fixture")
 	dir := t.TempDir()
@@ -58,15 +58,19 @@ func fixture/internal/a.Gone stale: no such function
 		t.Errorf("unreached functions:\n got %q\nwant %q", got, wantFuncs)
 	}
 	wantFields := []string{
+		"field fixture/internal/a.Config.Copied",
 		"field fixture/internal/a.Config.Inner",
 		"field fixture/internal/a.Config.NeverSet",
+		"field fixture/internal/a.Config.TestOnly",
 		"field fixture/internal/a.InnerConfig.Y",
 	}
 	if got := names(r.Fields); !reflect.DeepEqual(got, wantFields) {
 		t.Errorf("never-set fields:\n got %q\nwant %q", got, wantFields)
 	}
 	wantUnlisted := []string{
+		"field fixture/internal/a.Config.Copied",
 		"field fixture/internal/a.Config.Inner",
+		"field fixture/internal/a.Config.TestOnly",
 		"field fixture/internal/a.InnerConfig.Y",
 		"func fixture/internal/a.(*Box[...]).Put",
 		"func fixture/internal/a.(*T).PtrUnused",

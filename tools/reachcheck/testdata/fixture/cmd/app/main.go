@@ -13,5 +13,8 @@ func main() {
 	b := &a.Box[int]{}
 	cfg := a.Config{Set: 1}
 	cfg.Inner.X = 2 // sets InnerConfig.X, not Config.Inner
+	// Copies of Copied into itself set nothing.
+	cp := a.Config{Copied: cfg.Copied}
+	cfg.Copied = cp.Copied
 	fmt.Println(a.Used(), t.PtrUsed(), v.ValUsed(), a.Generic(4), b.Get(), cfg)
 }

@@ -43,6 +43,7 @@ type Config struct {
 	Set      int
 	NeverSet int
 	TestOnly int
+	Copied   int
 	Inner    InnerConfig
 }
 
