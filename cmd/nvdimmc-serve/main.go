@@ -103,9 +103,7 @@ func poolConfig(channels, dimms, spares int, interleave int64, workers int, seed
 	small bool, admit string, pendingCap int, lockstep bool, prefill int) pool.Config {
 	member := core.DefaultConfig()
 	if small {
-		member.CacheBytes = 1 << 20
-		member.NAND.BlocksPerDie = 32
-		member.NAND.PagesPerBlock = 16
+		member = core.SmallConfig()
 	}
 	policy, err := pool.ParseAdmissionPolicy(admit)
 	if err != nil {
@@ -135,17 +133,17 @@ func runServe(listen, capturePath, captureFmt string, pcfg pool.Config) int {
 	cfg := server.Config{Pool: pcfg}
 	var rec *replay.Recorder
 	if capturePath != "" {
-		f, err := os.Create(capturePath)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
 		format := replay.Binary
 		if captureFmt == "text" {
 			format = replay.Text
 		} else if captureFmt != "binary" {
 			fatal(fmt.Errorf("capture format %q: want text | binary", captureFmt))
 		}
+		f, err := os.Create(capturePath)
+		if err != nil {
+			fatal(err)
+		}
+		defer f.Close()
 		w, err := replay.NewWriter(f, format)
 		if err != nil {
 			fatal(err)

@@ -245,7 +245,7 @@ func runModule(o opts, pt experiments.Point) {
 	case o.target != "nvdc":
 		usage(fmt.Errorf("unknown target %q", o.target))
 	case o.uncached:
-		m, cfg.NAND.BlocksPerDie = experiments.Uncached, 512
+		m, cfg = experiments.Uncached, core.UncachedConfig(false)
 	}
 	switch o.policy {
 	case "lru":

@@ -4,9 +4,9 @@
 // FTL + Z-NAND) and the nvdc driver into a runnable machine, and exposes the
 // byte-addressable load/store path an application sees through fsdax.
 //
-// Geometry is scale-parameterized: experiments run with smaller DRAM cache
-// and NAND arrays than the 16 GB + 128 GB PoC while preserving the ratios
-// the results depend on (cache:media, tRFC:tREFI, op:window).
+// Geometry is scale-parameterized: every member the repo runs is a preset
+// (preset.go) smaller than the 16 GB + 128 GB PoC that states its cache:raw
+// NAND ratio; TestPresetGuard keeps sizes and latencies out of call sites.
 package core
 
 import (
@@ -101,42 +101,6 @@ const grade = ddr4.DDR4_1600
 // slotFraction is the share of post-metadata space used as slots (15/16 GB
 // on the PoC).
 const slotFraction = 0.9375
-
-// DefaultConfig returns a laptop-scale system preserving the PoC's ratios:
-// 16 MB DRAM cache standing in for 16 GB, 128 MB of Z-NAND for 128 GB.
-func DefaultConfig() Config {
-	n := nand.DefaultConfig()
-	// 2 ch x 2 dies x 256 blocks x 64 pages x 4 KB = 256 MB raw by default;
-	// trim to 128 MB raw for the 1:8 cache:media ratio.
-	n.BlocksPerDie = 128
-	return Config{
-		TREFI:            ddr4.TREFI,
-		TRFC:             1250 * sim.Nanosecond,
-		CacheBytes:       16 << 20,
-		NAND:             n,
-		FTL:              ftl.DefaultConfig(),
-		NVMC:             nvmc.DefaultConfig(),
-		CPUCacheBytes:    0,
-		MechanismEnabled: true,
-		Audit:            true,
-	}
-}
-
-// FaultedConfig is the member a fault plan runs on: a 1 MiB cache over 32
-// blocks per die of 16 pages, so a footprint near capacity forces the
-// evictions and re-reads that reach the NAND and CP fault sites (a
-// paper-scale member would spend its run on zero-fills). Program failures
-// reach the driver (AckAfterProgram), and the auditor, which does not model
-// deferred program acks under pipelined load, is off.
-func FaultedConfig() Config {
-	cfg := DefaultConfig()
-	cfg.CacheBytes = 1 << 20
-	cfg.NAND.BlocksPerDie = 32
-	cfg.NAND.PagesPerBlock = 16
-	cfg.NVMC.AckAfterProgram = true
-	cfg.Audit = false
-	return cfg
-}
 
 // System is a fully assembled NVDIMM-C machine.
 type System struct {

@@ -62,7 +62,7 @@ func Ablations(o Options) (AblationResult, error) {
 	}
 
 	for _, v := range variants {
-		cfg := nvdcConfig(o.pick(512, 256))
+		cfg := core.UncachedConfig(o.Quick)
 		v.mod(&cfg)
 		b, err := NewBench(Uncached, cfg)
 		if err != nil {

@@ -93,25 +93,6 @@ func ConformanceSeeded(o Options, seed uint64) (*ConformanceResult, error) {
 	return res, nil
 }
 
-// conformanceConfig is the fuzz sweep's scaled system: the crash sweep's
-// geometry (a one-row DRAM cache over a small Z-NAND array, so eviction
-// pressure stays high) with the plan's randomized timing registers.
-func conformanceConfig(plan conform.Plan) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.CacheBytes = 128 << 10
-	cfg.NAND.BlocksPerDie = 32
-	cfg.NAND.PagesPerBlock = 16
-	cfg.NAND.ProgramLatency = 20 * sim.Microsecond
-	cfg.NAND.EraseLatency = 100 * sim.Microsecond
-	cfg.TREFI = plan.TREFI
-	cfg.TRFC = plan.TRFC
-	cfg.Seed = sim.SplitSeed(plan.Seed, "system")
-	if len(plan.Faults) > 0 {
-		cfg.FaultSeed = sim.SplitSeed(plan.Seed, "faults")
-	}
-	return cfg
-}
-
 // conformPage renders the deterministic self-describing content of one
 // written page, so reads can verify "every acked read returns the last
 // acked write" without a byte-level mirror.
@@ -131,7 +112,13 @@ func conformPage(lpn int64, tag byte) []byte {
 // (setup error, op timeout, or an op error with no fault schedule armed to
 // excuse it), not a protocol violation.
 func conformancePoint(plan conform.Plan, m int, perturb func(*core.System)) (uint64, string, error) {
-	s, err := core.NewSystem(conformanceConfig(plan))
+	// The crash sweep's rig with the plan's randomized timing registers.
+	cfg := core.RigConfig()
+	cfg.TREFI, cfg.TRFC, cfg.Seed = plan.TREFI, plan.TRFC, sim.SplitSeed(plan.Seed, "system")
+	if len(plan.Faults) > 0 {
+		cfg.FaultSeed = sim.SplitSeed(plan.Seed, "faults")
+	}
+	s, err := core.NewSystem(cfg)
 	if err != nil {
 		return 0, "", err
 	}

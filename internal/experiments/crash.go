@@ -83,30 +83,17 @@ func CrashSweepSeeded(o Options, seed uint64) (*CrashResult, error) {
 	return res, nil
 }
 
-// crashConfig is the sweep's scaled system: a one-row DRAM cache (~29
-// slots) over a small Z-NAND array, so overwrite pressure keeps eviction
-// writebacks, cachefills and metadata updates in flight at the failure
-// instant. StrictADR puts the WPQ inside the persistence domain — the §V-C
-// configuration under which "acked" is supposed to mean "durable".
-func crashConfig(seed uint64) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.CacheBytes = 128 << 10
-	cfg.NAND.BlocksPerDie = 32
-	cfg.NAND.PagesPerBlock = 16
-	cfg.NAND.ProgramLatency = 20 * sim.Microsecond
-	cfg.NAND.EraseLatency = 100 * sim.Microsecond
-	cfg.StrictADR = true
-	cfg.Seed = sim.SplitSeed(seed, "system")
-	return cfg
-}
-
 // CrashPoint runs one seeded power-fail point and returns the number of
 // acked writes audited, the battery-flush page count, and a description of
 // every violated durability or health invariant. A returned error means the
 // point could not run at all (setup or store failure), not a lost write.
 func CrashPoint(seed uint64) (acked, flushed int, failures []string, err error) {
 	rng := sim.NewRand(seed)
-	s, err := core.NewSystem(crashConfig(seed))
+	// StrictADR puts the WPQ inside the persistence domain: the §V-C
+	// configuration under which "acked" is supposed to mean "durable".
+	cfg := core.RigConfig()
+	cfg.StrictADR, cfg.Seed = true, sim.SplitSeed(seed, "system")
+	s, err := core.NewSystem(cfg)
 	if err != nil {
 		return 0, 0, nil, err
 	}

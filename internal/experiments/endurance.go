@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"nvdimmc/internal/core"
-	"nvdimmc/internal/sim"
 	"nvdimmc/internal/workload/fio"
 )
 
@@ -27,13 +26,7 @@ type EnduranceResult struct {
 // write amplification and wear spread.
 func Endurance(o Options) (EnduranceResult, error) {
 	var res EnduranceResult
-	// Small media so the write pressure laps the raw capacity several times
-	// (GC and wear-leveling must work, not just exist).
-	cfg := nvdcConfig(8)
-	cfg.CacheBytes = 1 << 20
-	cfg.NAND.PagesPerBlock = 16
-	cfg.NAND.EraseLatency = 200 * sim.Microsecond
-	s, err := core.NewSystem(cfg)
+	s, err := core.NewSystem(core.EnduranceConfig())
 	if err != nil {
 		return res, err
 	}

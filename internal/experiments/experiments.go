@@ -10,8 +10,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-
-	"nvdimmc/internal/core"
 )
 
 // PageSize is the 4 KB unit used throughout.
@@ -66,17 +64,6 @@ func (o Options) workers() int {
 
 func (o Options) printf(format string, args ...interface{}) {
 	fmt.Fprintf(o.out(), format, args...)
-}
-
-// nvdcConfig returns the scaled NVDIMM-C system configuration shared by the
-// fio experiments: 16 MB cache standing in for 16 GB, NAND sized by
-// mediaBlocksPerDie.
-func nvdcConfig(mediaBlocksPerDie int) core.Config {
-	cfg := core.DefaultConfig()
-	if mediaBlocksPerDie > 0 {
-		cfg.NAND.BlocksPerDie = mediaBlocksPerDie
-	}
-	return cfg
 }
 
 // Row is one paper-vs-measured line.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"nvdimmc/internal/core"
 	"nvdimmc/internal/workload/fio"
 )
 
@@ -52,7 +53,7 @@ func Fig10(o Options) (Fig10Result, error) {
 			for _, bs := range sizes {
 				var err error
 				if b == nil || m == Baseline {
-					if b, err = NewBench(m, nvdcConfig(0)); err != nil {
+					if b, err = NewBench(m, core.DefaultConfig()); err != nil {
 						return res, err
 					}
 				}

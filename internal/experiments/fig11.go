@@ -85,7 +85,7 @@ func Fig11(o Options) (Fig11Result, error) {
 // fig11QueryNVDC builds a fresh NVDIMM-C system, loads the dataset, and
 // times one query on it.
 func fig11QueryNVDC(o Options, q tpch.QuerySpec, cacheBytes, datasetBytes int64) (sim.Duration, error) {
-	cfg := nvdcConfig(0)
+	cfg := core.DefaultConfig()
 	cfg.CacheBytes = cacheBytes
 	// NAND must hold the dataset.
 	for int64(nand.Channels*nand.DiesPerChan*cfg.NAND.BlocksPerDie*cfg.NAND.PagesPerBlock)*PageSize < datasetBytes*3/2 {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"nvdimmc/internal/core"
 	"nvdimmc/internal/sim"
 	"nvdimmc/internal/workload/fio"
 )
@@ -28,7 +29,7 @@ func Fig12(o Options) (Fig12Result, error) {
 	}
 	ops := o.pick(1200, 300)
 	for _, c := range cases {
-		cfg := nvdcConfig(0)
+		cfg := core.DefaultConfig()
 		cfg.Driver.Hypothetical = true
 		cfg.Driver.TD = c.td
 		b, err := NewBench(Uncached, cfg)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"nvdimmc/internal/core"
 	"nvdimmc/internal/ddr4"
 	"nvdimmc/internal/sim"
 	"nvdimmc/internal/workload/fio"
@@ -32,7 +33,7 @@ func Fig13(o Options) (Fig13Result, error) {
 	ops := o.pick(1500, 300)
 
 	run := func(trefi sim.Duration, jobs int) (float64, error) {
-		cfg := nvdcConfig(0)
+		cfg := core.DefaultConfig()
 		cfg.TREFI = trefi
 		b, err := NewBench(Cached, cfg)
 		if err != nil {

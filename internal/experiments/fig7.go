@@ -29,7 +29,7 @@ const ssdMBps = 520.0
 // Fig7 runs the scaled copy: file size = 1.25x the cache (20 GB : 16 GB).
 func Fig7(o Options) (Fig7Result, error) {
 	var res Fig7Result
-	s, err := core.NewSystem(nvdcConfig(o.pick(512, 256)))
+	s, err := core.NewSystem(core.UncachedConfig(o.Quick))
 	if err != nil {
 		return res, err
 	}

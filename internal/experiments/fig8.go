@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"nvdimmc/internal/core"
 	"nvdimmc/internal/workload/fio"
 )
 
@@ -26,9 +27,9 @@ func Fig8(o Options) (Fig8Result, error) {
 	ops := o.pick(2000, 400)
 	for _, m := range []Module{Baseline, Cached, Uncached} {
 		for _, pat := range []fio.Pattern{fio.RandRead, fio.RandWrite} {
-			cfg := nvdcConfig(0)
+			cfg := core.DefaultConfig()
 			if m == Uncached {
-				cfg = nvdcConfig(o.pick(512, 256))
+				cfg = core.UncachedConfig(o.Quick)
 			}
 			b, err := NewBench(m, cfg)
 			if err != nil {

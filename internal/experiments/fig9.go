@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"nvdimmc/internal/core"
 	"nvdimmc/internal/report"
 	"nvdimmc/internal/workload/fio"
 )
@@ -63,9 +64,9 @@ func Fig9(o Options) (Fig9Result, error) {
 	}
 	// run builds p's module and runs its sample.
 	run := func(p sweepPoint) (fio.Result, error) {
-		cfg := nvdcConfig(0)
+		cfg := core.DefaultConfig()
 		if p.m == Uncached {
-			cfg = nvdcConfig(o.pick(512, 256))
+			cfg = core.UncachedConfig(o.Quick)
 		}
 		b, err := NewBench(p.m, cfg)
 		if err != nil {

@@ -133,23 +133,6 @@ func (r OverloadResult) ShedBeatsQueueing() error {
 	return nil
 }
 
-// overloadMemberCfg is the faultpool member shape (small module, capacity
-// close to its cache so the campaign footprint forces real evictions) with
-// one change: heavy flash over-provisioning. The fault campaign's 6.25%
-// reserve leaves so few free pages after the 90% prefill that a couple of
-// thousand requests cross the FTL's GC write cliff — every further program
-// serializes behind valid-page migration and erases, service collapses to
-// milliseconds per op, and the measured "capacity" the load sweep scales
-// from becomes the cliff rate rather than the pool's. This campaign is
-// about the request plane under overload, not flash wear, so the member
-// reserves half the array and the whole sweep stays on the flat part of
-// the write-cost curve.
-func overloadMemberCfg() core.Config {
-	cfg := core.FaultedConfig()
-	cfg.FTL.OverProvisionPct = 50
-	return cfg
-}
-
 // victimPlans is the overload and qos campaigns' fault axis: the empty
 // plan, then each kind on logical member 1 from its site's 40th visit.
 func victimPlans(kinds ...fault.Kind) []fault.Plan {
@@ -212,7 +195,7 @@ func overloadGoodput(recs []pool.Completion) float64 {
 // byte-identical merged output: the campaign shape over the overload
 // member, one mixed tenant over the full capacity (evictions map pages
 // onto media, so faulted points exercise real NAND — see
-// core.FaultedConfig) at its multiple of capacity, with its mode's
+// core.OverloadConfig) at its multiple of capacity, with its mode's
 // admission and deadline. Points must reach steady state: the admission
 // estimator converges over the first few milliseconds (cold NAND paths,
 // cache hit reservoir), and the goodput claim is about what comes after.
@@ -232,11 +215,11 @@ func overloadTable(o Options, capacity float64) ([]Point, func(int, Point) (Over
 	for pt := range pts {
 		loadX, mode := axes(pt)
 		plan := faults[pt/(len(loads)*len(overloadModes))]
-		p := campaignPoint(fmt.Sprintf("overload point %d (%.1fx %s %s)", pt, loadX, mode, plan), overloadMemberCfg(),
+		p := campaignPoint(fmt.Sprintf("overload point %d (%.1fx %s %s)", pt, loadX, mode, plan), core.OverloadConfig(),
 			sim.SplitSeed(17, fmt.Sprintf("overload/%d", pt)), sim.SplitSeed(17, fmt.Sprintf("overload-load/%d", pt)),
 			70, o.DisableLookahead)
 		if mode != "block" {
-			p.Load.Deadline = overloadDeadlineEpochs * overloadMemberCfg().TREFI
+			p.Load.Deadline = overloadDeadlineEpochs * core.OverloadConfig().TREFI
 		}
 		if mode == "shed" {
 			p.Pool.Admission = pool.AdmitDeadlineAware
@@ -282,7 +265,7 @@ func Overload(o Options) (OverloadResult, error) {
 	// o.Parallel: every point's offered rate derives from it and is
 	// written into the point before sharding, so each row is a function
 	// of its point's value alone.
-	cal := campaignPoint("overload calibration", overloadMemberCfg(),
+	cal := campaignPoint("overload calibration", core.OverloadConfig(),
 		sim.SplitSeed(17, "overload/cal"), sim.SplitSeed(17, "overload-load/cal"), 70, o.DisableLookahead)
 	cal.Reqs = reqs
 	capacity, err := calibrate(cal)
@@ -290,7 +273,7 @@ func Overload(o Options) (OverloadResult, error) {
 		return res, err
 	}
 	res.CapacityOps = capacity
-	res.DeadlineBudget = overloadDeadlineEpochs * overloadMemberCfg().TREFI
+	res.DeadlineBudget = overloadDeadlineEpochs * core.OverloadConfig().TREFI
 	pts, row := overloadTable(o, capacity)
 	points := len(pts)
 	res.Rows, err = runShards(points, o.workers(), func(i int) (OverloadPoint, error) { return row(i, pts[i]) })

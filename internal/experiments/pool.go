@@ -100,16 +100,15 @@ func (r PoolResult) ScalingX() float64 {
 }
 
 // poolPoint is the pool campaign's socket, channels x 1 DIMM interleaved
-// at gran, its members built and prefilled on o.Parallel workers: the
-// standard scaled module at full scale, a further-shrunken one (4 MB
-// cache, still big enough to hold whole 2 MB stripes) for -quick. It runs
-// its two-tenant load over the cached footprint: a zipfian read-mostly
-// key-value tenant over the low half, a uniform mixed tenant over the high
-// half, both cut at whole pages.
+// at gran, its members (core.DefaultConfig, core.PoolQuickConfig at -quick)
+// built and prefilled on o.Parallel workers. It runs its two-tenant load
+// over the cached footprint: a zipfian read-mostly key-value tenant over
+// the low half, a uniform mixed tenant over the high half, both cut at
+// whole pages.
 func poolPoint(o Options, label string, channels int, gran int64, loadSeed uint64, rate float64) Point {
 	member := core.DefaultConfig()
 	if o.Quick {
-		member.CacheBytes, member.NAND.BlocksPerDie = 4<<20, 32
+		member = core.PoolQuickConfig()
 	}
 	return Point{
 		Label: label,

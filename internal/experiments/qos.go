@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"nvdimmc/internal/core"
 	"nvdimmc/internal/fault"
 	"nvdimmc/internal/pool"
 	"nvdimmc/internal/sim"
@@ -154,7 +155,7 @@ func qosMix(hot, light openloop.Tenant) []openloop.Tenant {
 // four: the hot tenant works the low half, the three lights split the
 // rest.
 func qosPoint(o Options, label, seed string, tenants []openloop.Tenant) Point {
-	p := campaignPoint(label, overloadMemberCfg(), sim.SplitSeed(23, "qos/"+seed), sim.SplitSeed(23, "qos-load/"+seed),
+	p := campaignPoint(label, core.OverloadConfig(), sim.SplitSeed(23, "qos/"+seed), sim.SplitSeed(23, "qos-load/"+seed),
 		0, o.DisableLookahead)
 	p.Load.Tenants, p.Reqs = tenants, o.pick(2400, 1200)
 	if len(tenants) > 1 {
@@ -211,7 +212,7 @@ func qosTable(o Options, mixCap, uniCap float64) ([]Point, func(int, Point) (QoS
 		isolation, plan := pt%2 == 0, faults[pt/2]
 		p := qosPoint(o, fmt.Sprintf("qos point %d (iso=%v %s)", pt, isolation, plan), fmt.Sprint(pt),
 			qosMix(openloop.Tenant{Weight: hotRate, LimitPerSec: hotRate / qosBucketDiv, Burst: 32},
-				openloop.Tenant{Weight: qosLightX * uniCap, SLOP99: qosSLOEpochs * overloadMemberCfg().TREFI}))
+				openloop.Tenant{Weight: qosLightX * uniCap, SLOP99: qosSLOEpochs * core.OverloadConfig().TREFI}))
 		for _, t := range p.Load.Tenants {
 			p.Load.RatePerSec += t.Weight
 		}
@@ -271,7 +272,7 @@ func QoS(o Options) (QoSResult, error) {
 		return res, err
 	}
 	res.CapacityOps, res.UniformOps = mixCap, uniCap
-	res.SLOTarget = qosSLOEpochs * overloadMemberCfg().TREFI
+	res.SLOTarget = qosSLOEpochs * core.OverloadConfig().TREFI
 	pts, row := qosTable(o, mixCap, uniCap)
 	points, reqs := len(pts), pts[0].Reqs
 	res.Rows, err = runShards(points, o.workers(), func(i int) (QoSPoint, error) { return row(i, pts[i]) })

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"nvdimmc/internal/core"
 	"nvdimmc/internal/pool"
 	"nvdimmc/internal/replay"
 	"nvdimmc/internal/sim"
@@ -85,10 +86,10 @@ func (r ReplayResult) CompactionX() float64 {
 // queued stragglers, so the trace encodes every outcome class. The replay
 // variants build the same plane, on their own worker counts.
 func replayPoint(reqs, workers int, lockstep bool) Point {
-	p := campaignPoint("replay capture", overloadMemberCfg(), sim.SplitSeed(23, "replay/pool"), sim.SplitSeed(23, "replay/load"), 0, lockstep)
+	p := campaignPoint("replay capture", core.OverloadConfig(), sim.SplitSeed(23, "replay/pool"), sim.SplitSeed(23, "replay/load"), 0, lockstep)
 	p.Pool.Workers, p.Pool.Spares = workers, 0
 	p.Pool.Admission, p.Pool.PendingCap = pool.AdmitShedNewest, 16
-	p.Load.RatePerSec, p.Load.Deadline = 1e6, 64*overloadMemberCfg().TREFI
+	p.Load.RatePerSec, p.Load.Deadline = 1e6, 64*core.OverloadConfig().TREFI
 	p.Load.Tenants = []openloop.Tenant{
 		{Name: "kv", Dist: openloop.Zipfian, Weight: 3, ReadPct: 80},
 		{Name: "log", Dist: openloop.Uniform, Weight: 1, ReadPct: 40},

@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/http"
 
+	"nvdimmc/internal/core"
 	"nvdimmc/internal/pool"
 	"nvdimmc/internal/server"
 	"nvdimmc/internal/sim"
@@ -77,7 +78,7 @@ func servicePoint(o Options, pt, clients, opsPer int) (ServicePoint, error) {
 
 	// The replay campaign's pool shape (no spare, no fault armed) under
 	// this point's admission policy.
-	cfg := campaignPoint("", overloadMemberCfg(), sim.SplitSeed(29, fmt.Sprintf("service/%d", pt)), 0, 0, o.DisableLookahead).Pool
+	cfg := campaignPoint("", core.OverloadConfig(), sim.SplitSeed(29, fmt.Sprintf("service/%d", pt)), 0, 0, o.DisableLookahead).Pool
 	cfg.Workers, cfg.Spares = o.workers(), 0
 	cfg.Admission, cfg.PendingCap = pol.Policy, pol.PendingCap
 	s, err := server.New(server.Config{Pool: cfg})

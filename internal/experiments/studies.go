@@ -26,9 +26,7 @@ type AgingResult struct {
 // memory errors across its aging campaign.
 func Aging(o Options) (AgingResult, error) {
 	var res AgingResult
-	cfg := nvdcConfig(64)
-	cfg.CacheBytes = 1 << 20
-	s, err := core.NewSystem(cfg)
+	s, err := core.NewSystem(core.StudyConfig())
 	if err != nil {
 		return res, err
 	}
@@ -75,9 +73,7 @@ type MixedLoadResult struct {
 // Paper: five hundred concurrent users, no data corruption.
 func MixedLoad(o Options) (MixedLoadResult, error) {
 	var res MixedLoadResult
-	cfg := nvdcConfig(64)
-	cfg.CacheBytes = 2 << 20
-	s, err := core.NewSystem(cfg)
+	s, err := core.NewSystem(core.MixedLoadConfig())
 	if err != nil {
 		return res, err
 	}
@@ -169,9 +165,7 @@ func Windows(o Options) (WindowsResult, error) {
 	res.WindowBWTrefi2MBps = 4096.0 / (3.9 * 1e-6) / 1e6
 
 	// Measure one real miss-with-eviction.
-	cfg := nvdcConfig(64)
-	cfg.CacheBytes = 1 << 20
-	s, err := core.NewSystem(cfg)
+	s, err := core.NewSystem(core.StudyConfig())
 	if err != nil {
 		return res, err
 	}
